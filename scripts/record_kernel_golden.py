@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Record one digest per kernelization decision, for golden-equivalence tests.
 
-    python scripts/record_kernel_golden.py            # rewrite tests/data/kernel_golden.json
-    python scripts/record_kernel_golden.py --check    # compare against it instead
+    python scripts/record_kernel_golden.py    # rewrites tests/data/kernel_golden.json
+
+``tests/test_kernel_golden.py`` recomputes the digests and compares them
+with the file.
 
 Each decision runs ``kernelize`` and ``solve_above_min`` and hashes a
 canonical JSON of everything they report: the outcome, the kernel
@@ -20,7 +22,6 @@ plus six full-list instances at each of n = 12, 16, 20 and 24 with
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import random
@@ -108,17 +109,7 @@ def record() -> dict[str, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the recorded file instead of writing it")
-    args = parser.parse_args()
     digests = record()
-    if args.check:
-        want = json.loads(GOLDEN.read_text())["digests"]
-        bad = sorted(key for key in want.keys() | digests.keys()
-                     if want.get(key) != digests.get(key))
-        print(json.dumps({"decisions": len(digests), "mismatched": bad}))
-        return 1 if bad else 0
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps({"seed": SEED, "digests": digests}, indent=1) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN.relative_to(ROOT)}")

@@ -1,7 +1,7 @@
 """Command-line surface: one verb per invocation, one JSON document on stdout.
 
 Exit codes: 0 for success or a yes answer, 1 for a no answer (or a failed
-check), 2 for usage and input errors.
+check), 2 for usage and input errors, 3 for an internal invariant failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .instance import (
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _read_text(path: str) -> str:
@@ -177,7 +178,7 @@ def _cmd_solve(args) -> int:
         decisions += 1
         _emit({
             "bal": low,
-            "witness": _pairs_json(inst, final.witness) if final.witness else None,
+            "witness": _pairs_json(inst, final.witness) if final.witness is not None else None,
             "t": final.t,
             "decisions": decisions,
         })
@@ -185,7 +186,7 @@ def _cmd_solve(args) -> int:
     result = fpt.solve_above_min(inst, _target_k(args, inst))
     _emit({
         "answer": result.answer,
-        "witness": _pairs_json(inst, result.witness) if result.witness else None,
+        "witness": _pairs_json(inst, result.witness) if result.witness is not None else None,
         "t": result.t,
         "stats": {
             "subsets_tried": result.stats.subsets_tried,
@@ -352,6 +353,9 @@ def main(argv=None) -> int:
             oracle.TooLarge, hardness.NotAClique, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ pairs that fill the gaps left in the rank images, and finally reads the
 gap-free functions back as preference lists.  Every step preserves the
 answer and never increases the parameter ``t = k - min(O_M, O_W)``; the
 trace records each application with the parameter before and after.
+
+Clean-suffix drops and happy-pair removals leave both stable optima in
+place, so the pipeline applies each of those two rules as one batch with a
+single rebuild; the batch makes the same changes, in the same order and
+with the same trace, as restarting after every single application would.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class NoSadPerson(RuntimeError):
 
 class DummyExhausted(RuntimeError):
     """Internal invariant failure: more gaps than available dummy partners."""
+
+
+class OptimaMoved(RuntimeError):
+    """Internal invariant failure: a batched rule moved a stable optimum."""
 
 
 @dataclass(frozen=True)
@@ -177,6 +186,39 @@ def rr2_clean_suffix(st: KernelState) -> KernelState | None:
     return _rebuild(st, st.inst.men, st.inst.women, ranks)
 
 
+def _rr2_batch(st: KernelState):
+    """Every drop that repeating ``rr2_clean_suffix`` makes, with one rebuild.
+
+    The anchors are the optima, which no drop moves, so one pass over the
+    people in instance order, each dropping partners beyond their anchor
+    worst first, makes the same drops in the same order.
+    """
+    ranks = dict(st.inst.prefs.ranks)
+    anchors = {MAN: st.optima.mu_w.by_man, WOMAN: st.optima.mu_m.by_woman}
+    copied: set[Person] = set()
+    drops: list[tuple[Person, Person]] = []
+    for a in st.inst.people:
+        anchor = anchors[a.side].get(a)
+        if anchor is None:
+            continue
+        table = ranks[a]
+        limit = table[anchor]
+        beyond = sorted((b for b, r in table.items() if r > limit), key=table.get, reverse=True)
+        for b in beyond:
+            for owner, partner in ((a, b), (b, a)):
+                if owner not in copied:
+                    ranks[owner] = dict(ranks[owner])
+                    copied.add(owner)
+                del ranks[owner][partner]
+            drops.append((a, b))
+    if not drops:
+        return None
+    nxt = _rebuild(st, st.inst.men, st.inst.women, ranks)
+    if nxt.optima != st.optima:
+        raise OptimaMoved("clean-suffix drops changed the stable optima")
+    return nxt, drops
+
+
 def rr3_restrict_to_matched(st: KernelState) -> KernelState | None:
     """Restrict to the people matched by every stable matching."""
     matched = set(st.optima.mu_m.by_man) | set(st.optima.mu_m.by_woman)
@@ -246,6 +288,49 @@ def rr6_remove_happy_pair(st: KernelState) -> KernelState | None:
     return None if hit is None else hit[0]
 
 
+def _rr6_batch(st: KernelState):
+    """Every removal that repeating ``rr6_remove_happy_pair`` makes, with one rebuild.
+
+    A removal keeps k, t, the sad people and the order of the other happy
+    pairs, so every pair moves its cost onto the same first sad man and
+    first sad woman; their shifts add up.
+    """
+    happy = st.happy_pairs
+    if not happy:
+        return None
+    if not st.sad_men or not st.sad_women:
+        m_h, w_h = happy[0]
+        raise NoSadPerson(f"cannot transfer the cost of ({m_h}, {w_h})")
+    m_s = st.sad_men[0]
+    w_s = st.sad_women[0]
+    ranks = st.inst.prefs.ranks
+    shift_m = sum(ranks[m][w] for m, w in happy)
+    shift_w = sum(ranks[w][m] for m, w in happy)
+    removed = {p for pair in happy for p in pair}
+    new_ranks = {}
+    for p, table in ranks.items():
+        if p in removed:
+            continue
+        if removed & table.keys():
+            table = {q: r for q, r in table.items() if q not in removed}
+        if p == m_s:
+            table = {q: r + shift_m for q, r in table.items()}
+        elif p == w_s:
+            table = {q: r + shift_w for q, r in table.items()}
+        new_ranks[p] = table
+    men = tuple(m for m in st.inst.men if m not in removed)
+    women = tuple(w for w in st.inst.women if w not in removed)
+    nxt = _rebuild(st, men, women, new_ranks)
+    before, after = st.optima, nxt.optima
+    if (
+        (after.o_m, after.o_w) != (before.o_m, before.o_w)
+        or after.mu_m.pairs != before.mu_m.pairs - set(happy)
+        or after.mu_w.pairs != before.mu_w.pairs - set(happy)
+    ):
+        raise OptimaMoved("happy-pair removals changed the stable optima")
+    return nxt, [(m_h, w_h, m_s, w_s) for m_h, w_h in happy]
+
+
 def _find_overranked_pair(st: KernelState):
     ranks = st.inst.prefs.ranks
     slack_m = st.k - st.optima.o_m
@@ -271,14 +356,19 @@ def _find_overranked_pair(st: KernelState):
     return None
 
 
-def rr7_truncate(st: KernelState) -> KernelState | None:
-    """Delete one pair too far beyond its owner's optimal partner to fit under k."""
+def _rr7(st: KernelState):
     hit = _find_overranked_pair(st)
     if hit is None:
         return None
     a, b = hit
     ranks = _drop_pair(st.inst.prefs.ranks, a, b)
-    return _rebuild(st, st.inst.men, st.inst.women, ranks)
+    return _rebuild(st, st.inst.men, st.inst.women, ranks), hit
+
+
+def rr7_truncate(st: KernelState) -> KernelState | None:
+    """Delete one pair too far beyond its owner's optimal partner to fit under k."""
+    hit = _rr7(st)
+    return None if hit is None else hit[0]
 
 
 def _rr8(st: KernelState):
@@ -380,7 +470,9 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
 
     Returns either a trivial yes (with an input-level witness), a trivial
     no, or an equivalent list-form kernel whose people count is linear in
-    the parameter.
+    the parameter.  The rules restart from the first after every change;
+    clean-suffix drops and happy-pair removals run as batches that make the
+    same changes and trace steps as that order, with one rebuild each.
     """
     st = KernelState.make(to_functional(inst), k)
     t_input = st.t
@@ -397,13 +489,10 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         if rr1_bound_check(st) == TRIVIAL_NO:
             steps.append(_step("bound_check", (), st, st))
             return finish_no()
-        hit2 = _find_suffix_removal(st)
+        hit2 = _rr2_batch(st)
         if hit2 is not None:
-            a, b = hit2
-            nxt = _rebuild(
-                st, st.inst.men, st.inst.women, _drop_pair(st.inst.prefs.ranks, a, b)
-            )
-            steps.append(_step("clean_suffix", hit2, st, nxt))
+            nxt, drops = hit2
+            steps.extend(_step("clean_suffix", pair, st, nxt) for pair in drops)
             st = nxt
             continue
         nxt = rr3_restrict_to_matched(st)
@@ -426,20 +515,18 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
                 TRIVIAL_YES, None, None, KernelTrace(tuple(steps), "yes"), t_input,
                 witness, None, None, tuple(removed_happy), (), (),
             )
-        hit6 = _rr6(st)
+        hit6 = _rr6_batch(st)
         if hit6 is not None:
-            nxt, affected = hit6
-            steps.append(_step("remove_happy_pair", affected, st, nxt))
-            removed_happy.append((affected[0], affected[1]))
+            nxt, removals = hit6
+            for affected in removals:
+                steps.append(_step("remove_happy_pair", affected, st, nxt))
+                removed_happy.append(affected[:2])
             st = nxt
             continue
-        hit7 = _find_overranked_pair(st)
+        hit7 = _rr7(st)
         if hit7 is not None:
-            a, b = hit7
-            nxt = _rebuild(
-                st, st.inst.men, st.inst.women, _drop_pair(st.inst.prefs.ranks, a, b)
-            )
-            steps.append(_step("truncate", hit7, st, nxt))
+            nxt, affected = hit7
+            steps.append(_step("truncate", affected, st, nxt))
             st = nxt
             continue
         hit8 = _rr8(st)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bsm import fpt, kernel
 from bsm.cli import main
 from helpers import SAD_2X2_TEXT
 
@@ -119,3 +120,25 @@ def test_check_rejects_bad_matching_file(capsys, tmp_path, instance_file):
     duplicated = tmp_path / "dup.txt"
     duplicated.write_text("m1 w1\nm2 w1\n")
     assert main(["check", instance_file, str(duplicated)]) == 2
+
+
+def test_solve_empty_instance_has_an_empty_witness(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("men:\nwomen:\n")
+    code, doc = run(capsys, "solve", str(empty), "--k", "0")
+    assert code == 0 and doc["answer"] is True and doc["witness"] == []
+    code, doc = run(capsys, "solve", str(empty), "--optimize")
+    assert code == 0 and doc["bal"] == 0 and doc["witness"] == []
+
+
+def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, instance_file):
+    def broken(inst, k):
+        raise kernel.DummyExhausted("no free dummy")
+
+    monkeypatch.setattr(kernel, "kernelize", broken)
+    monkeypatch.setattr(fpt, "kernelize", broken)
+    for argv in (["kernelize", instance_file], ["solve", instance_file, "--k", "4"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: no free dummy\n"

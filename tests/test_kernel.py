@@ -1,7 +1,10 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from bsm import gs
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import functional_to_lists, with_target
@@ -12,6 +15,11 @@ from bsm.kernel import (
     TRIVIAL_YES,
     KernelState,
     NoSadPerson,
+    OptimaMoved,
+    _find_suffix_removal,
+    _rr2_batch,
+    _rr6,
+    _rr6_batch,
     fill_gaps,
     kernelize,
     rr1_bound_check,
@@ -353,3 +361,120 @@ def test_kernelize_respects_target_on_instance():
     inst = with_target(sad_2x2(), None)
     result = kernelize(inst, 4)
     assert result.kernel.target_k == result.k
+
+
+# --- batched rules against the single-step reference ------------------------
+
+def diff_instances(seed, count, max_n=25):
+    """Seeded instances up to ``max_n`` per side, alternating full and sparse lists."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, max_n)
+        n_women = max(1, n + rng.randint(-2, 2))
+        density = 1.0 if i % 2 else rng.uniform(0.3, 0.9)
+        yield random_instance(rng, n, n_women, density)
+
+
+def least_k(inst):
+    opt = optima(inst)
+    return max(opt.o_m, opt.o_w)
+
+
+def test_rr2_batch_matches_repeated_single_drops():
+    for inst in diff_instances(2201, 14):
+        k = least_k(inst)
+        ref = st = state(inst, k)
+        drops = []
+        while (hit := _find_suffix_removal(ref)) is not None:
+            drops.append(hit)
+            ref = rr2_clean_suffix(ref)
+        batch = _rr2_batch(st)
+        if not drops:
+            assert batch is None
+            continue
+        nxt, got = batch
+        assert got == drops
+        assert nxt.inst == ref.inst and nxt.optima == ref.optima
+        assert nxt.inst.prefs.ranks == ref.inst.prefs.ranks
+        trace = kernelize(inst, k).trace.steps
+        assert [(s.rule, s.affected) for s in trace[: len(drops)]] == [
+            ("clean_suffix", pair) for pair in drops
+        ]
+
+
+def cleaned(st):
+    """Exhaust the clean-suffix and restrict-to-matched rules, as kernelize does first."""
+    while True:
+        hit = _rr2_batch(st)
+        if hit is not None:
+            st = hit[0]
+            continue
+        nxt = rr3_restrict_to_matched(st)
+        if nxt is None:
+            return st
+        st = nxt
+
+
+def test_rr6_batch_matches_repeated_single_removals():
+    checked = 0
+    for inst in diff_instances(2202, 20):
+        st = cleaned(state(inst, least_k(inst) + 2))
+        if not st.happy_pairs or not st.sad_men:
+            continue
+        ref, removals = st, []
+        while (hit := _rr6(ref)) is not None:
+            ref, affected = hit
+            removals.append(affected)
+        nxt, got = _rr6_batch(st)
+        assert got == removals
+        assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.t == ref.t
+        assert nxt.optima == ref.optima
+        assert (nxt.sad_men, nxt.sad_women, nxt.happy_pairs) == (ref.sad_men, ref.sad_women, ())
+        checked += 1
+    assert checked >= 5
+
+
+def test_rr6_batch_requires_sad_people():
+    assert _rr6_batch(state(sad_2x2(), 4)) is None
+    with pytest.raises(NoSadPerson):
+        _rr6_batch(state(mutual_first_instance(2), 5))
+
+
+def test_batches_raise_when_optima_move():
+    st = state(sad_2x2(), 4)
+    m1, m2 = st.inst.men
+    w1, w2 = st.inst.women
+    # Claiming the man-optimal matching is also woman-optimal makes each man
+    # drop his second choice, and the real woman-optimal matching changes.
+    stale = dataclasses.replace(st, optima=dataclasses.replace(st.optima, mu_w=st.optima.mu_m))
+    with pytest.raises(OptimaMoved):
+        _rr2_batch(stale)
+    # (m1, w1) is not happy; removing it leaves (m2, w1) in mu_W without w1.
+    fake = dataclasses.replace(st, sad_men=(m2,), sad_women=(w2,), happy_pairs=((m1, w1),))
+    with pytest.raises(OptimaMoved):
+        _rr6_batch(fake)
+
+
+def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
+    calls = [0]
+    real = gs.optima
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gs, "optima", counted)
+    total_calls = total_drops = 0
+    for inst in diff_instances(2203, 12):
+        for k in (least_k(inst), least_k(inst) + 3):
+            calls[0] = 0
+            result = kernelize(inst, k)
+            rules = Counter(step.rule for step in result.trace.steps)
+            # One call to start, one per batch, one per single-step rebuild and
+            # one for the dummies; a batch fires again only after a single step.
+            singles = rules["restrict_matched"] + rules["truncate"] + rules["shrink"]
+            assert calls[0] <= 4 + 3 * singles
+            total_calls += calls[0]
+            total_drops += rules["clean_suffix"]
+    assert total_calls <= 10 * 24
+    assert total_drops > 10 * total_calls
