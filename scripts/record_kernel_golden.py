@@ -10,14 +10,18 @@ Each decision runs ``kernelize`` and ``solve_above_min`` and hashes a
 canonical JSON of everything they report: the outcome, the kernel
 instance as text, ``k``, ``t_input``, the trace rows as ``bsm kernelize
 --trace`` prints them, the witness, the removed happy pairs, the dummies,
-the functional instance before dummy insertion, and the solver's answer.
+the functional instance before dummy insertion, and the solver's answer,
+``t``, budget ``r``, witness and search counters (``subsets_tried``,
+``branch_nodes``, ``max_branch_nodes``).
 Matchings are written as sorted name pairs, never through ``repr``, so the
 digests do not depend on the hash seed.
 
 Inputs: every k from ``max(O_M, O_W) - 1`` to ``O_M + O_W`` on the first
 200 instances of the benchmark corpus (seed 20240807, at most 7 per side),
 plus six full-list instances at each of n = 12, 16, 20 and 24 with
-``k = max(O_M, O_W) + {0, 2, 5}``.
+``k = max(O_M, O_W) + {0, 2, 5}``, plus four full-list instances at each
+of n = 9 and 10 at every k from ``max(O_M, O_W)`` to the balance of the
+man-optimal matching, where the solver branches the most.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ CORPUS_COUNT = 200
 FULL_SIZES = (12, 16, 20, 24)
 FULL_PER_SIZE = 6
 FULL_OFFSETS = (0, 2, 5)
+BRANCH_SIZES = (9, 10)
+BRANCH_PER_SIZE = 4
 
 
 def _names(people) -> list[str]:
@@ -77,7 +83,11 @@ def canonical(inst, k: int) -> dict:
         "solve": {
             "answer": solved.answer,
             "t": solved.t,
+            "r": solved.r,
             "witness": _pairs(None if solved.witness is None else solved.witness.pairs),
+            "subsets_tried": solved.stats.subsets_tried,
+            "branch_nodes": solved.stats.branch_nodes,
+            "max_branch_nodes": solved.stats.max_branch_nodes,
         },
     }
 
@@ -102,6 +112,14 @@ def cases():
             opt = gs.optima(inst)
             d = FULL_OFFSETS[j % len(FULL_OFFSETS)]
             yield f"full-n{n}-{j}-d{d}", inst, max(opt.o_m, opt.o_w) + d
+    rng = random.Random(SEED + 2)
+    for n in BRANCH_SIZES:
+        for j in range(BRANCH_PER_SIZE):
+            inst = random_instance(rng, n, n, 1.0)
+            opt = gs.optima(inst)
+            top = gs.objectives(inst, opt.mu_m).balance
+            for k in range(max(opt.o_m, opt.o_w), top + 1):
+                yield f"branch-n{n}-{j}-k{k}", inst, k
 
 
 def record() -> dict[str, str]:

@@ -1,9 +1,10 @@
 """Golden equivalence: kernelize and the solver reproduce the recorded digests.
 
 The digests in ``data/kernel_golden.json`` were written by
-``scripts/record_kernel_golden.py`` before the clean-suffix and happy-pair
-rules were batched; any change to an outcome, kernel, trace row, witness or
-solver answer on those decisions fails here.
+``scripts/record_kernel_golden.py`` before the shrink rule was batched and
+before the solver pruned its search; any change to an outcome, kernel,
+trace row, witness, solver answer or solver counter on those decisions
+fails here.
 """
 
 import importlib.util
