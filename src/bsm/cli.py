@@ -1,7 +1,8 @@
 """Command-line surface: one verb per invocation, one JSON document on stdout.
 
 Exit codes: 0 for success or a yes answer, 1 for a no answer (or a failed
-check), 2 for usage and input errors, 3 for an internal invariant failure.
+check), 2 for usage and input errors, 3 for an internal invariant failure
+or any other error.
 """
 
 from __future__ import annotations
@@ -30,10 +31,13 @@ EXIT_INTERNAL = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def _read_instance(path: str) -> Instance:
@@ -350,10 +354,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ValidationError, GapError, gs.InvalidMatching,
-            oracle.TooLarge, hardness.NotAClique, ValueError, OSError) as e:
+            oracle.TooLarge, hardness.GraphError, hardness.NotAClique, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except RuntimeError as e:
+    except (RuntimeError, ValueError) as e:
+        # Not an input error: an invariant failed or a bug raised.
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

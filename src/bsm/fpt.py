@@ -5,6 +5,16 @@ that will be moved off their man-optimal partners, enumerate for each of
 them a strictly worse partner under a shared rank-increase budget
 ``r = k - O_M``, assemble the implied matching and keep the first one
 that is stable with balance at most k.
+
+The search skips a branch as soon as it gives a man a woman who is
+already taken: one in a happy pair, the man-optimal partner of an
+unselected sad man, or the choice of an earlier man on the branch.  No
+certificate below such a branch can be a matching, so the skip changes
+neither the visit order nor the first accepted certificate.  The node
+counts in ``SolveStats`` still describe the unpruned search: each skipped
+branch adds the nodes the unpruned search would have visited in it, so
+its ``4 * 2**r`` bound per subset holds and the counts do not depend on
+how much the search prunes.
 """
 
 from __future__ import annotations
@@ -30,6 +40,14 @@ class BranchCertificate:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work of the branching step.
+
+    ``branch_nodes`` counts the nodes of the unpruned search, as
+    ``enumerate_certificates`` visits them, up to the first accepted
+    certificate: a branch skipped because it reuses a taken woman counts
+    every node the unpruned search would have visited in it.
+    """
+
     subsets_tried: int
     branch_nodes: int
     max_branch_nodes: int  # largest node count spent on a single subset
@@ -63,33 +81,68 @@ class _Context:
             for m in inst.men
             if m in by_man_m and by_man_m[m] == by_man_w.get(m)
         )
-        # Women strictly worse than a man's optimal partner, best first.
-        ranks = inst.prefs.ranks
-        self.worse: dict[Person, list[tuple[int, Person]]] = {}
-        for m in self.sad_men:
-            anchor = ranks[m][by_man_m[m]]
-            cands = sorted(
-                (r - anchor, w) for w, r in ranks[m].items() if r > anchor
+        # The man-optimal partner of every man as a woman index, -1 if unmatched.
+        self.mu_m_index = self.idx.arrays_from_matching(self.optima.mu_m)[0]
+        # Per man index: the women strictly worse than his man-optimal
+        # partner as (rank offset, woman index), best first.
+        self.worse: list[list[tuple[int, int]]] = []
+        for m, anchor_w in enumerate(self.mu_m_index):
+            table = self.idx.m_rank[m]
+            anchor = table[anchor_w] if anchor_w >= 0 else None
+            self.worse.append(
+                [] if anchor is None
+                else sorted((r - anchor, w) for w, r in table.items() if r > anchor)
             )
-            self.worse[m] = cands
 
 
-def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int]):
-    """Yield every assignment of the selected men with total offset at most r."""
-    chosen: list[tuple[Person, Person]] = []
+def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken=None):
+    """Yield every assignment of the selected men with total offset at most r.
+
+    ``m_prime`` holds man indices.  ``counter[0]`` counts the search nodes.
+    Given ``taken``, a per-woman-index flag list, a man is never given a
+    taken woman and each woman he is given is taken until the search
+    backtracks; the certificates yielded are then exactly the injective
+    ones, and ``counter`` still receives, for each skipped branch, the
+    nodes the unpruned search would have visited in it.
+    """
+    men, women = ctx.idx.men, ctx.idx.women
+    depth = len(m_prime)
+    cands = [ctx.worse[m][:r] for m in m_prime]
+    chosen = [0] * depth
+    sizes: dict[tuple[int, int], int] = {}
+
+    def size(i: int, remaining: int) -> int:
+        """Nodes of the unpruned subtree at depth i with this budget left."""
+        key = (i, remaining)
+        if key not in sizes:
+            n = 1
+            if i < depth:
+                for offset, _ in cands[i]:
+                    if offset > remaining:
+                        break
+                    n += size(i + 1, remaining - offset)
+            sizes[key] = n
+        return sizes[key]
 
     def descend(i: int, remaining: int):
         counter[0] += 1
-        if i == len(m_prime):
-            yield BranchCertificate(tuple(chosen), r - remaining)
+        if i == depth:
+            pairs = tuple((men[m], women[w]) for m, w in zip(m_prime, chosen))
+            yield BranchCertificate(pairs, r - remaining)
             return
-        man = m_prime[i]
-        for offset, woman in ctx.worse[man][:r]:
+        for offset, w in cands[i]:
             if offset > remaining:
                 break
-            chosen.append((man, woman))
-            yield from descend(i + 1, remaining - offset)
-            chosen.pop()
+            if taken is None:
+                chosen[i] = w
+                yield from descend(i + 1, remaining - offset)
+            elif taken[w]:
+                counter[0] += size(i + 1, remaining - offset)
+            else:
+                chosen[i] = w
+                taken[w] = True
+                yield from descend(i + 1, remaining - offset)
+                taken[w] = False
 
     if r >= 0:
         yield from descend(0, r)
@@ -102,19 +155,17 @@ def enumerate_certificates(
 
     Candidates per man are his r most-preferred strictly-worse women; the
     recursion abandons a branch as soon as the budget would go negative.
+    Certificates that give two men the same woman are included: this is
+    the unpruned search that the solver's counters describe.
     """
     ctx = _ctx or _Context(inst, inst.target_k if inst.target_k is not None else 0)
-    m_prime = tuple(m_prime)
+    selected = []
     for m in m_prime:
-        if m not in ctx.worse:
-            anchor = ctx.optima.mu_m.by_man.get(m)
-            if anchor is None:
-                raise ValueError(f"{m} is unmatched in the man-optimal matching")
-            rank = inst.prefs.ranks[m][anchor]
-            ctx.worse[m] = sorted(
-                (r2 - rank, w) for w, r2 in inst.prefs.ranks[m].items() if r2 > rank
-            )
-    return list(_iter_certificates(ctx, m_prime, r, [0]))
+        i = ctx.idx.man_index.get(m)
+        if i is None or ctx.mu_m_index[i] < 0:
+            raise ValueError(f"{m} is unmatched in the man-optimal matching")
+        selected.append(i)
+    return list(_iter_certificates(ctx, selected, r, [0]))
 
 
 def _assemble(ctx: _Context, certificate: BranchCertificate, m_prime_set) -> Matching | None:
@@ -180,13 +231,24 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
     nodes_total = 0
     nodes_max = 0
     if r >= 0:
-        for size in range(len(ctx.sad_men) + 1):
-            for m_prime in combinations(ctx.sad_men, size):
+        men = ctx.idx.men
+        sad = [ctx.idx.man_index[m] for m in ctx.sad_men]
+        # Women no selected man may take: the happy pairs' women.
+        happy_taken = [False] * len(ctx.idx.women)
+        for _, w in ctx.happy_pairs:
+            happy_taken[ctx.idx.woman_index[w]] = True
+        for size in range(len(sad) + 1):
+            for m_prime in combinations(sad, size):
                 subsets += 1
                 counter = [0]
                 hit = None
-                m_prime_set = frozenset(m_prime)
-                for certificate in _iter_certificates(ctx, m_prime, r, counter):
+                # ... and the man-optimal partners of the unselected sad men.
+                taken = happy_taken.copy()
+                for m in sad:
+                    if m not in m_prime:
+                        taken[ctx.mu_m_index[m]] = True
+                m_prime_set = frozenset(men[m] for m in m_prime)
+                for certificate in _iter_certificates(ctx, m_prime, r, counter, taken):
                     hit = _assemble(ctx, certificate, m_prime_set)
                     if hit is not None:
                         break

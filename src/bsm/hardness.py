@@ -32,6 +32,10 @@ STRUCTURED_CANDIDATE_LIMIT = 10**6
 CLIQUE_VERTEX_LIMIT = 25
 
 
+class GraphError(ValueError):
+    """Graph input is malformed, or the clique size is below 1."""
+
+
 class NotAClique(ValueError):
     """The supplied vertex set is not a clique of the requested size."""
 
@@ -47,19 +51,19 @@ class Graph:
         seen = set()
         for v in self.vertices:
             if v in seen:
-                raise ValueError(f"duplicate vertex {v!r}")
+                raise GraphError(f"duplicate vertex {v!r}")
             seen.add(v)
         index = {v: i for i, v in enumerate(self.vertices)}
         known = set()
         for u, v in self.edges:
             if u not in index or v not in index:
-                raise ValueError(f"edge ({u}, {v}) uses an unknown vertex")
+                raise GraphError(f"edge ({u}, {v}) uses an unknown vertex")
             if u == v:
-                raise ValueError(f"loop at {u!r}")
+                raise GraphError(f"loop at {u!r}")
             if index[u] > index[v]:
-                raise ValueError(f"edge ({u}, {v}) must list the earlier vertex first")
+                raise GraphError(f"edge ({u}, {v}) must list the earlier vertex first")
             if (u, v) in known:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise GraphError(f"duplicate edge ({u}, {v})")
             known.add((u, v))
 
     @staticmethod
@@ -105,7 +109,7 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
+            raise GraphError(f"line {lineno}: expected 'u v'")
         note(parts[0])
         note(parts[1])
         edges.append((parts[0], parts[1]))
@@ -172,7 +176,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     has at most k + k(k-1)/2 vertices.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise GraphError("k must be at least 1")
     n_v, n_e = len(g.vertices), len(g.edges)
     delta = _delta(n_v, n_e, k)
     if delta < 0 or n_v <= k + k * (k - 1) // 2:

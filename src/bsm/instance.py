@@ -41,10 +41,24 @@ class GapError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class Person:
-    """A side-qualified participant; ``side`` is MAN or WOMAN."""
+    """A side-qualified participant; ``side`` is MAN or WOMAN.
+
+    The hash, ``hash((side, name))``, is computed once at construction:
+    people are dict keys in every inner loop.
+    """
 
     side: str
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.side, self.name)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, the hash.
+        return Person, (self.side, self.name)
 
     def __repr__(self):
         return f"{self.side}:{self.name}"

@@ -8,14 +8,16 @@ gap-free functions back as preference lists.  Every step preserves the
 answer and never increases the parameter ``t = k - min(O_M, O_W)``; the
 trace records each application with the parameter before and after.
 
-Clean-suffix drops and happy-pair removals leave both stable optima in
-place, so the pipeline applies each of those two rules as one batch with a
-single rebuild; the batch makes the same changes, in the same order and
-with the same trace, as restarting after every single application would.
+Clean-suffix drops, happy-pair removals and shrink shifts leave both
+stable optima in place (shrinking lowers both costs by one per shift), so
+the pipeline applies each of those three rules as one batch with a single
+rebuild; the batch makes the same changes, in the same order and with the
+same trace, as restarting after every single application would.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gs
@@ -395,6 +397,43 @@ def rr8_shrink(st: KernelState) -> KernelState | None:
     return None if hit is None else hit[0]
 
 
+def _rr8_batch(st: KernelState):
+    """Every shift that repeating ``rr8_shrink`` makes, with one rebuild.
+
+    A shift moves no optimum pair, slack, sad or happy person, so no
+    earlier rule can fire between two shifts and each one goes to the first
+    man and the first woman whose optimal partner still ranks above 1.
+    Returns the next state and one (man, woman) per unit shift.
+    """
+    ranks = st.inst.prefs.ranks
+    by_man = st.optima.mu_m.by_man
+    by_woman = st.optima.mu_w.by_woman
+    # One entry per unit of excess rank of each optimal partner, in order.
+    man_units = [
+        m for m in st.inst.men if m in by_man for _ in range(ranks[m][by_man[m]] - 1)
+    ]
+    woman_units = [
+        w for w in st.inst.women if w in by_woman for _ in range(ranks[w][by_woman[w]] - 1)
+    ]
+    steps = list(zip(man_units, woman_units))
+    if not steps:
+        return None
+    shift = Counter(p for pair in steps for p in pair)
+    new_ranks = dict(ranks)
+    for p, d in shift.items():
+        new_ranks[p] = {q: r - d for q, r in ranks[p].items()}
+    total = len(steps)
+    nxt = _rebuild(st, st.inst.men, st.inst.women, new_ranks, k=st.k - total)
+    before, after = st.optima, nxt.optima
+    if (
+        (after.o_m, after.o_w) != (before.o_m - total, before.o_w - total)
+        or after.mu_m != before.mu_m
+        or after.mu_w != before.mu_w
+    ):
+        raise OptimaMoved("shrink shifts changed the stable optima")
+    return nxt, steps
+
+
 # --- dummy insertion --------------------------------------------------------
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -471,8 +510,9 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     Returns either a trivial yes (with an input-level witness), a trivial
     no, or an equivalent list-form kernel whose people count is linear in
     the parameter.  The rules restart from the first after every change;
-    clean-suffix drops and happy-pair removals run as batches that make the
-    same changes and trace steps as that order, with one rebuild each.
+    clean-suffix drops, happy-pair removals and shrink shifts run as
+    batches that make the same changes and trace steps as that order, with
+    one rebuild each.
     """
     st = KernelState.make(to_functional(inst), k)
     t_input = st.t
@@ -529,10 +569,14 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
             steps.append(_step("truncate", affected, st, nxt))
             st = nxt
             continue
-        hit8 = _rr8(st)
+        hit8 = _rr8_batch(st)
         if hit8 is not None:
-            nxt, affected = hit8
-            steps.append(_step("shrink", affected, st, nxt))
+            nxt, shifts = hit8
+            t = st.t
+            steps.extend(
+                TraceStep("shrink", pair, st.k - j, st.k - j - 1, t, t)
+                for j, pair in enumerate(shifts)
+            )
             st = nxt
             continue
         break

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bsm import fpt, kernel
+from bsm import fpt, hardness, kernel
 from bsm.cli import main
 from helpers import SAD_2X2_TEXT
 
@@ -142,3 +142,34 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, instanc
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: no free dummy\n"
+
+
+def test_other_value_errors_are_internal(capsys, monkeypatch, instance_file):
+    def broken(inst, k):
+        raise ValueError("bad index")
+
+    monkeypatch.setattr(fpt, "solve_above_min", broken)
+    assert main(["solve", instance_file, "--k", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: bad index\n"
+
+
+def test_bad_graph_input_is_a_usage_error(capsys, tmp_path):
+    graph = tmp_path / "g.txt"
+    for text in ("a b c\n", "a a\n", "a b\na b\n"):
+        graph.write_text(text)
+        assert main(["verify", "--graph", str(graph), "--k", "2"]) == 2
+        assert main(["reduce", "--graph", str(graph), "--k", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    graph.write_text("a b\n")
+    assert main(["reduce", "--graph", str(graph), "--k", "0"]) == 2
+    with pytest.raises(hardness.GraphError):
+        hardness.parse_graph("a b c\n")
+
+
+def test_undecodable_input_is_a_usage_error(capsys, tmp_path):
+    binary = tmp_path / "inst.bin"
+    binary.write_bytes(b"men: m1\xff\n")
+    assert main(["optima", str(binary)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err

@@ -1,6 +1,15 @@
 import random
+from itertools import combinations
 
-from bsm.fpt import BranchCertificate, assemble_and_check, enumerate_certificates, solve_above_min
+from bsm import fpt
+from bsm.fpt import (
+    BranchCertificate,
+    _Context,
+    _iter_certificates,
+    assemble_and_check,
+    enumerate_certificates,
+    solve_above_min,
+)
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import parse_instance
@@ -169,3 +178,108 @@ def test_witness_is_lifted_to_the_input_instance():
         if result.stats.subsets_tried > 0:
             lifted += 1
     assert lifted > 0
+
+
+# --- the pruned search against the unpruned reference -----------------------
+
+def search_kernels():
+    """Seeded kernels that branch: corpus draws at every k, full lists n=9..12."""
+    rng = random.Random(20240807)
+    draws = [random_instance(rng, max_side=7) for _ in range(150)]
+    rng = random.Random(7)
+    draws += [random_instance(rng, n, n, 1.0) for n in (9, 10, 11, 12) for _ in range(2)]
+    for inst in draws:
+        opt = optima(inst)
+        top = objectives(inst, opt.mu_m).balance
+        for k in range(max(opt.o_m, opt.o_w), top + 1, 1 if len(inst.men) <= 7 else 3):
+            result = kernelize(inst, k)
+            if result.outcome != OUTCOME_KERNEL:
+                continue
+            ctx = _Context(result.kernel, result.k)
+            if ctx.sad_men:
+                yield inst, k, result, ctx, result.k - ctx.optima.o_m
+
+
+def busy_women(ctx, selected):
+    """Women of the happy pairs and the man-optimal partners of unselected sad men."""
+    by_man = ctx.optima.mu_m.by_man
+    return {w for _, w in ctx.happy_pairs} | {
+        by_man[m] for m in ctx.sad_men if m not in selected
+    }
+
+
+def injective(certificate, busy) -> bool:
+    """No two men share a woman and none takes a busy one."""
+    women = {w for _, w in certificate.pairs}
+    return len(women) == len(certificate.pairs) and not women & busy
+
+
+def run(ctx, m_prime, r, taken=None):
+    """Each certificate with the node count when it came out, and the final count."""
+    counter = [0]
+    out = [(c, counter[0]) for c in _iter_certificates(ctx, m_prime, r, counter, taken)]
+    return out, counter[0]
+
+
+def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
+    kernels = subsets = skipped = 0
+    for *_, ctx, r in search_kernels():
+        kernels += 1
+        sad = [ctx.idx.man_index[m] for m in ctx.sad_men]
+        for size in range(len(sad) + 1):
+            for m_prime in combinations(sad, size):
+                selected = {ctx.idx.men[m] for m in m_prime}
+                busy = busy_women(ctx, selected)
+                taken = [w in busy for w in ctx.idx.women]
+                full, full_nodes = run(ctx, m_prime, r)
+                pruned, pruned_nodes = run(ctx, m_prime, r, taken)
+                assert pruned == [(c, nodes) for c, nodes in full if injective(c, busy)]
+                assert pruned_nodes == full_nodes
+                assert taken == [w in busy for w in ctx.idx.women]
+                public = enumerate_certificates(ctx.inst, [ctx.idx.men[m] for m in m_prime], r)
+                assert public == [c for c, _ in full]
+                subsets += 1
+                skipped += len(full) - len(pruned)
+    assert kernels >= 30 and subsets >= 1000 and skipped >= 10000
+
+
+def unpruned_solve(result, ctx, r):
+    """The solver's loop over every certificate, without pruning."""
+    subsets = nodes_total = nodes_max = 0
+    for size in range(len(ctx.sad_men) + 1):
+        for m_prime in combinations(ctx.sad_men, size):
+            subsets += 1
+            counter = [0]
+            indices = [ctx.idx.man_index[m] for m in m_prime]
+            hit = None
+            for certificate in _iter_certificates(ctx, indices, r, counter):
+                hit = assemble_and_check(ctx.inst, certificate, m_prime, _ctx=ctx)
+                if hit is not None:
+                    break
+            nodes_total += counter[0]
+            nodes_max = max(nodes_max, counter[0])
+            if hit is not None:
+                return True, result.lift(hit), (subsets, nodes_total, nodes_max)
+    return False, None, (subsets, nodes_total, nodes_max)
+
+
+def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
+    real = fpt._assemble
+    assembled = []
+
+    def checked(ctx, certificate, m_prime_set):
+        assembled.append(injective(certificate, busy_women(ctx, m_prime_set)))
+        return real(ctx, certificate, m_prime_set)
+
+    compared = 0
+    for inst, k, result, ctx, r in search_kernels():
+        want = unpruned_solve(result, ctx, r)
+        with monkeypatch.context() as patch:
+            patch.setattr(fpt, "_assemble", checked)
+            got = solve_above_min(inst, k)
+        stats = (got.stats.subsets_tried, got.stats.branch_nodes, got.stats.max_branch_nodes)
+        assert (got.answer, got.witness, stats) == want
+        compared += 1
+    assert compared >= 30
+    # Only certificates that pair every man with a free woman are assembled.
+    assert assembled and all(assembled)

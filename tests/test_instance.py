@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +203,14 @@ def test_matching_partner_lookup():
     assert mu.partner(w2) == m2
     assert mu.partner(Person(MAN, "m3")) is None
     assert len(mu) == 2
+
+
+def test_person_hash_is_the_hash_of_side_and_name():
+    a, b = Person(MAN, "a"), Person(MAN, "a")
+    assert hash(a) == hash(b) == hash((MAN, "a"))
+    assert a == b and a != Person(WOMAN, "a") and a < Person(MAN, "b")
+    assert repr(a) == "M:a" and [f.name for f in dataclasses.fields(a)] == ["side", "name"]
+    copied = pickle.loads(pickle.dumps(a))
+    assert copied == a and hash(copied) == hash(a)
+    assert dataclasses.replace(a, name="b") == Person(MAN, "b")
+    assert hash(dataclasses.replace(a, name="b")) == hash((MAN, "b"))

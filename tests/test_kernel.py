@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from bsm import gs
+from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import functional_to_lists, with_target
@@ -20,6 +20,8 @@ from bsm.kernel import (
     _rr2_batch,
     _rr6,
     _rr6_batch,
+    _rr8,
+    _rr8_batch,
     fill_gaps,
     kernelize,
     rr1_bound_check,
@@ -455,6 +457,59 @@ def test_batches_raise_when_optima_move():
         _rr6_batch(fake)
 
 
+def test_rr8_batch_matches_repeated_single_shifts():
+    checked = 0
+    for inst in diff_instances(2204, 20):
+        st = cleaned(state(inst, least_k(inst) + 3))
+        ref, shifts, ts = st, [], []
+        while (hit := _rr8(ref)) is not None:
+            nxt, affected = hit
+            shifts.append(affected)
+            ts.append((ref.k, nxt.k, ref.t, nxt.t))
+            ref = nxt
+        batch = _rr8_batch(st)
+        if not shifts:
+            assert batch is None
+            continue
+        nxt, got = batch
+        assert got == shifts
+        assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.optima == ref.optima
+        assert nxt.inst.prefs.ranks == ref.inst.prefs.ranks
+        assert ts == [(st.k - j, st.k - j - 1, st.t, st.t) for j in range(len(shifts))]
+        checked += 1
+    assert checked >= 5
+
+
+def test_kernelize_trace_matches_single_shifts(monkeypatch):
+    def one_shift(st):
+        hit = _rr8(st)
+        return None if hit is None else (hit[0], [hit[1]])
+
+    decisions = shrinks = 0
+    for inst in diff_instances(2205, 16, max_n=20):
+        for k in (least_k(inst), least_k(inst) + 2, least_k(inst) + 6):
+            batched = kernelize(inst, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "_rr8_batch", one_shift)
+                single = kernelize(inst, k)
+            assert batched == single
+            decisions += 1
+            shrinks += sum(step.rule == "shrink" for step in batched.trace.steps)
+    assert decisions == 48 and shrinks >= 100
+
+
+def test_rr8_batch_raises_when_optima_move():
+    inst = functional_instance(
+        {"m1": {"w1": 2, "w2": 3}, "m2": {"w2": 2, "w1": 3}},
+        {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
+    )
+    st = state(inst, 8)
+    assert _rr8_batch(st)[0].k == 6
+    stale = dataclasses.replace(st, optima=dataclasses.replace(st.optima, o_w=st.optima.o_w + 1))
+    with pytest.raises(OptimaMoved):
+        _rr8_batch(stale)
+
+
 def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
     calls = [0]
     real = gs.optima
@@ -471,9 +526,10 @@ def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
             result = kernelize(inst, k)
             rules = Counter(step.rule for step in result.trace.steps)
             # One call to start, one per batch, one per single-step rebuild and
-            # one for the dummies; a batch fires again only after a single step.
-            singles = rules["restrict_matched"] + rules["truncate"] + rules["shrink"]
-            assert calls[0] <= 4 + 3 * singles
+            # one for the dummies; the clean-suffix and happy-pair batches fire
+            # again only after a single step, the shrink batch once at the end.
+            singles = rules["restrict_matched"] + rules["truncate"]
+            assert calls[0] <= 5 + 3 * singles
             total_calls += calls[0]
             total_drops += rules["clean_suffix"]
     assert total_calls <= 10 * 24
