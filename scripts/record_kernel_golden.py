@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Record one digest per kernelization decision, for golden-equivalence tests.
+"""Record one digest per kernelization decision, stable-matching enumeration
+and reduction check, for golden-equivalence tests.
 
     python scripts/record_kernel_golden.py    # rewrites tests/data/kernel_golden.json
 
@@ -22,10 +23,22 @@ plus six full-list instances at each of n = 12, 16, 20 and 24 with
 ``k = max(O_M, O_W) + {0, 2, 5}``, plus four full-list instances at each
 of n = 9 and 10 at every k from ``max(O_M, O_W)`` to the balance of the
 man-optimal matching, where the solver branches the most.
+
+Two more kinds of case hash the stable-matching enumerators:
+
+- ``stable-*``: the ordered matchings and ``bal_opt`` of
+  ``oracle.enumerate_stable`` on all 1,000 instances of the benchmark
+  corpus, and on four full-list instances at each of n = 8, 9 and 10 with
+  ``limit=n``;
+- ``verify-*``: every field of the ``hardness.verify_reduction`` report
+  on seeded graphs at k=3 covering every |V|+|E| from 12 to 20, each size
+  once with a planted triangle and once triangle-free, plus two graphs
+  that take the brute-force fallback.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -35,8 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bsm import cli, fpt, gs, kernel  # noqa: E402
-from bsm.generate import random_instance  # noqa: E402
+from bsm import cli, fpt, gs, hardness, kernel, oracle  # noqa: E402
+from bsm.generate import random_graph, random_instance, random_triangle_free_graph  # noqa: E402
 from bsm.instance import serialize  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "data" / "kernel_golden.json"
@@ -47,6 +60,14 @@ FULL_PER_SIZE = 6
 FULL_OFFSETS = (0, 2, 5)
 BRANCH_SIZES = (9, 10)
 BRANCH_PER_SIZE = 4
+STABLE_CORPUS_COUNT = 1000
+STABLE_FULL_SIZES = (8, 9, 10)
+STABLE_FULL_PER_SIZE = 4
+# (vertices, edges) of the full reductions at k=3: |V|+|E| = 12..20.
+VERIFY_SHAPES = ((7, 5), (7, 6), (7, 7), (8, 7), (8, 8), (9, 8), (9, 9), (10, 9), (10, 10))
+# Six vertices at k=3 take the brute-force fallback.
+VERIFY_FALLBACKS = ((6, 6, True), (6, 5, False))
+VERIFY_K = 3
 
 
 def _names(people) -> list[str]:
@@ -92,9 +113,28 @@ def canonical(inst, k: int) -> dict:
     }
 
 
+def stable_canonical(inst, limit: int) -> dict:
+    """The ordered stable matchings and the least balance ``enumerate_stable`` reports."""
+    stable = oracle.enumerate_stable(inst, limit=limit)
+    return {
+        "matchings": [_pairs(mu.pairs) for mu in stable.matchings],
+        "bal_opt": stable.bal_opt,
+    }
+
+
+def verify_canonical(graph, k: int) -> dict:
+    """Every field of the ``verify_reduction`` report, and its verdict."""
+    report = hardness.verify_reduction(graph, k)
+    return {**dataclasses.asdict(report), "ok": report.ok}
+
+
+def _hash(doc: dict) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(inst, k: int) -> str:
-    doc = json.dumps(canonical(inst, k), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    return _hash(canonical(inst, k))
 
 
 def cases():
@@ -122,8 +162,38 @@ def cases():
                 yield f"branch-n{n}-{j}-k{k}", inst, k
 
 
+def stable_cases():
+    """Yield ``(key, instance, limit)`` for every recorded enumeration."""
+    rng = random.Random(SEED)
+    for i in range(STABLE_CORPUS_COUNT):
+        yield f"stable-corpus-{i}", random_instance(rng, max_side=7), oracle.DEFAULT_MAX_MEN
+    rng = random.Random(SEED + 3)
+    for n in STABLE_FULL_SIZES:
+        for j in range(STABLE_FULL_PER_SIZE):
+            yield f"stable-full-n{n}-{j}", random_instance(rng, n, n, 1.0), n
+
+
+def verify_cases():
+    """Yield ``(key, graph, k)`` for every recorded reduction check."""
+    rng = random.Random(SEED + 4)
+    for n_v, n_e in VERIFY_SHAPES:
+        yield f"verify-{n_v}v{n_e}e-planted", random_graph(rng, n_v, n_e, plant_triangle=True), VERIFY_K
+        yield f"verify-{n_v}v{n_e}e-free", random_triangle_free_graph(rng, n_v, n_e), VERIFY_K
+    for n_v, n_e, planted in VERIFY_FALLBACKS:
+        graph = (
+            random_graph(rng, n_v, n_e, plant_triangle=True) if planted
+            else random_triangle_free_graph(rng, n_v, n_e)
+        )
+        yield f"verify-fallback-{n_v}v{n_e}e-{'planted' if planted else 'free'}", graph, VERIFY_K
+
+
 def record() -> dict[str, str]:
-    return {key: digest(inst, k) for key, inst, k in cases()}
+    digests = {key: digest(inst, k) for key, inst, k in cases()}
+    digests.update(
+        (key, _hash(stable_canonical(inst, limit))) for key, inst, limit in stable_cases()
+    )
+    digests.update((key, _hash(verify_canonical(g, k))) for key, g, k in verify_cases())
+    return digests
 
 
 def main() -> int:

@@ -1,10 +1,14 @@
-"""Golden equivalence: kernelize and the solver reproduce the recorded digests.
+"""Golden equivalence: kernelize, the solver and the stable-matching
+enumerators reproduce the recorded digests.
 
 The digests in ``data/kernel_golden.json`` were written by
-``scripts/record_kernel_golden.py`` before the shrink rule was batched and
-before the solver pruned its search; any change to an outcome, kernel,
-trace row, witness, solver answer or solver counter on those decisions
-fails here.
+``scripts/record_kernel_golden.py``: the kernel and solver digests before
+the shrink rule was batched and before the solver pruned its search, the
+``stable-*`` and ``verify-*`` digests before both enumerators were replaced
+by the rotation engine.  Any change to an outcome, kernel, trace row,
+witness, solver answer or counter, to the ordered stable matchings or
+least balance of ``enumerate_stable``, or to a field of a
+``verify_reduction`` report on those cases fails here.
 """
 
 import importlib.util
