@@ -307,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matching", help="file of 'man woman' lines")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("enumerate", help="all stable matchings (exhaustive search)")
+    p = sub.add_parser("enumerate", help="all stable matchings, from the rotation poset")
     p.add_argument("instance")
     p.add_argument("--limit", type=int, default=oracle.DEFAULT_MAX_MEN,
-                   help="search-size bound on men after fixing forced pairs")
+                   help="size bound on men after fixing mutually-first pairs")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("kernelize", help="shrink an above-min balance question")
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
             oracle.TooLarge, hardness.GraphError, hardness.NotAClique, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except (RuntimeError, ValueError) as e:
+    except Exception as e:
         # Not an input error: an invariant failed or a bug raised.
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

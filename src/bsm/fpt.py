@@ -24,7 +24,7 @@ from itertools import combinations
 
 from . import gs
 from .instance import Instance, Matching, Person
-from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize
+from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, KernelState, kernelize
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,15 @@ class SolveResult:
 
 
 class _Context:
-    """Precomputed kernel facts shared across all subsets."""
+    """Kernel facts shared across all subsets, read from the kernel's state."""
 
-    def __init__(self, inst: Instance, k: int):
-        self.inst = inst
-        self.k = k
-        self.idx = gs._Indexed(inst)
-        self.optima = gs.optima(inst, self.idx)
-        by_man_m = self.optima.mu_m.by_man
-        by_man_w = self.optima.mu_w.by_man
-        self.sad_men = tuple(
-            m for m in inst.men if by_man_m.get(m) != by_man_w.get(m)
-        )
-        self.happy_pairs = tuple(
-            (m, by_man_m[m])
-            for m in inst.men
-            if m in by_man_m and by_man_m[m] == by_man_w.get(m)
-        )
+    def __init__(self, st: KernelState):
+        self.inst = st.inst
+        self.k = st.k
+        self.optima = st.optima
+        self.sad_men = st.sad_men
+        self.happy_pairs = st.happy_pairs
+        self.idx = gs._Indexed(st.inst)
         # The man-optimal partner of every man as a woman index, -1 if unmatched.
         self.mu_m_index = self.idx.arrays_from_matching(self.optima.mu_m)[0]
         # Per man index: the women strictly worse than his man-optimal
@@ -158,7 +150,7 @@ def enumerate_certificates(
     Certificates that give two men the same woman are included: this is
     the unpruned search that the solver's counters describe.
     """
-    ctx = _ctx or _Context(inst, inst.target_k if inst.target_k is not None else 0)
+    ctx = _ctx or _Context(KernelState.make(inst, inst.target_k or 0))
     selected = []
     for m in m_prime:
         i = ctx.idx.man_index.get(m)
@@ -200,14 +192,15 @@ def assemble_and_check(
     is injective, stable and has balance at most k.
 
     Unselected sad men keep their man-optimal partners and every happy pair
-    is included; k defaults to the instance's stored target.
+    is included; k defaults to the instance's stored target.  A given
+    ``_ctx`` carries its own instance and k.
     """
-    if k is None:
-        k = inst.target_k
-    if k is None:
-        raise ValueError("no target k given and the instance stores none")
-    ctx = _ctx or _Context(inst, k)
-    return _assemble(ctx, certificate, frozenset(m_prime))
+    if _ctx is None:
+        k = inst.target_k if k is None else k
+        if k is None:
+            raise ValueError("no target k given and the instance stores none")
+        _ctx = _Context(KernelState.make(inst, k))
+    return _assemble(_ctx, certificate, frozenset(m_prime))
 
 
 def solve_above_min(inst: Instance, k: int) -> SolveResult:
@@ -225,7 +218,7 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
         return SolveResult(
             answer, kres.witness, kres.t_input, None, SolveStats(0, 0, 0), kres
         )
-    ctx = _Context(kres.kernel, kres.k)
+    ctx = _Context(kres.state)
     r = kres.k - ctx.optima.o_m
     subsets = 0
     nodes_total = 0

@@ -3,19 +3,18 @@
 Given a graph and a clique size k, ``reduce_clique`` emits an instance in
 which some stable matching has balance at most the computed target exactly
 when the graph has a k-clique, and whose above-maximum parameter depends
-on k alone.  ``structured_enumerate`` checks every matching of the special
-shape the construction allows (a vertex subset chooses which vertex pairs
-swap partners, an edge subset chooses which edge pairs swap) against the
-generic stability test, which makes the equivalence verifiable at desk
-scale.
+on k alone.  ``verify_reduction`` checks that equivalence on one graph:
+it runs the rotation engine of ``oracle`` over every stable matching of
+the reduced instance and compares the least balance with clique brute
+force.  Every such matching has the shape the construction allows (a
+vertex subset chooses which vertex pairs swap partners, an edge subset
+chooses which edge pairs swap), but the engine does not rely on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from . import gs
 from .instance import (
@@ -26,9 +25,8 @@ from .instance import (
     Person,
     make_instance,
 )
-from .oracle import StableSet, TooLarge
+from .oracle import TooLarge, _stable_matchings, decide_above_min
 
-STRUCTURED_CANDIDATE_LIMIT = 10**6
 CLIQUE_VERTEX_LIMIT = 25
 
 
@@ -320,7 +318,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     return ReductionArtifact(inst, k_hat, delta, t, name_maps, False, g, k)
 
 
-# --- structure-aware enumeration ---------------------------------------------
+# --- swap candidates ----------------------------------------------------------
 
 def _artifact_people(art: ReductionArtifact):
     g = art.graph
@@ -339,27 +337,23 @@ def _artifact_people(art: ReductionArtifact):
     return man_v, woman_v, man_e, woman_e, dummy_men, dummy_women, man_star, woman_star
 
 
-def _swap_pairs(people, g: Graph, chosen_vertices, chosen_edges):
-    man_v, woman_v, man_e, woman_e, dummy_men, dummy_women, m_star, w_star = people
+def _swap_matching(art: ReductionArtifact, chosen_vertices, chosen_edges) -> Matching:
+    """Candidate matching: chosen vertex pairs and edge pairs swap partners,
+    everyone else keeps the identity assignment."""
+    man_v, woman_v, man_e, woman_e, dummy_men, dummy_women, m_star, w_star = _artifact_people(art)
+    chosen_vertices, chosen_edges = set(chosen_vertices), set(chosen_edges)
     pairs = []
-    for v in g.vertices:
+    for v in art.graph.vertices:
         for s in (1, 2):
             partner = woman_v[(3 - s, v)] if v in chosen_vertices else woman_v[(s, v)]
             pairs.append((man_v[(s, v)], partner))
-    for j in range(len(g.edges)):
+    for j in range(len(art.graph.edges)):
         for s in (1, 2):
             partner = woman_e[(3 - s, j)] if j in chosen_edges else woman_e[(s, j)]
             pairs.append((man_e[(s, j)], partner))
     pairs.extend(zip(dummy_men, dummy_women))
     pairs.append((m_star, w_star))
-    return pairs
-
-
-def _swap_matching(art: ReductionArtifact, chosen_vertices, chosen_edges) -> Matching:
-    """Candidate matching: chosen vertex pairs and edge pairs swap partners,
-    everyone else keeps the identity assignment."""
-    people = _artifact_people(art)
-    return Matching.of(_swap_pairs(people, art.graph, set(chosen_vertices), set(chosen_edges)))
+    return Matching.of(pairs)
 
 
 def witness_matching(art: ReductionArtifact, clique) -> Matching:
@@ -376,155 +370,8 @@ def witness_matching(art: ReductionArtifact, clique) -> Matching:
     for u, v in combinations(members, 2):
         if not art.graph.has_edge(u, v):
             raise NotAClique(f"missing edge ({u}, {v})")
-    chosen = set(members)
-    edge_ids = {j for j, (u, v) in enumerate(art.graph.edges) if u in chosen and v in chosen}
-    return _swap_matching(art, chosen, edge_ids)
-
-
-class _CandidateChecker:
-    """Vectorized stability and cost evaluation over all swap candidates.
-
-    Every acceptable pair is classified once, from rank numbers alone, by
-    when its two members prefer each other to their assigned partners; a
-    candidate is then tested against the compiled conditions.  This is an
-    exact algebraic restatement of the generic blocking-pair scan.
-    """
-
-    def __init__(self, art: ReductionArtifact):
-        inst = art.inst
-        (man_v, woman_v, man_e, woman_e,
-         dummy_men, dummy_women, m_star, w_star) = _artifact_people(art)
-        g = art.graph
-        n_v = len(g.vertices)
-        vbit = {v: 1 << i for i, v in enumerate(g.vertices)}
-        ebit = {j: 1 << (n_v + j) for j in range(len(g.edges))}
-
-        ranks = inst.prefs.ranks
-        # Per person: controlling selector bit (0 = fixed), straight partner
-        # rank, swapped partner rank.
-        sel: dict[Person, int] = {}
-        straight: dict[Person, int] = {}
-        swapped: dict[Person, int] = {}
-        for v in g.vertices:
-            for s in (1, 2):
-                m, w = man_v[(s, v)], woman_v[(s, v)]
-                other_w, other_m = woman_v[(3 - s, v)], man_v[(3 - s, v)]
-                sel[m] = vbit[v]
-                straight[m], swapped[m] = ranks[m][w], ranks[m][other_w]
-                sel[w] = vbit[v]
-                straight[w], swapped[w] = ranks[w][m], ranks[w][other_m]
-        for j in range(len(g.edges)):
-            for s in (1, 2):
-                m, w = man_e[(s, j)], woman_e[(s, j)]
-                other_w, other_m = woman_e[(3 - s, j)], man_e[(3 - s, j)]
-                sel[m] = ebit[j]
-                straight[m], swapped[m] = ranks[m][w], ranks[m][other_w]
-                sel[w] = ebit[j]
-                straight[w], swapped[w] = ranks[w][m], ranks[w][other_m]
-        for dm, dw in zip(dummy_men, dummy_women):
-            sel[dm] = sel[dw] = 0
-            straight[dm] = swapped[dm] = ranks[dm][dw]
-            straight[dw] = swapped[dw] = ranks[dw][dm]
-        sel[m_star] = sel[w_star] = 0
-        straight[m_star] = swapped[m_star] = ranks[m_star][w_star]
-        straight[w_star] = swapped[w_star] = ranks[w_star][m_star]
-
-        def classify(rank: int, person: Person):
-            # When does `person` prefer rank `rank` to their partner?
-            below_straight = rank < straight[person]
-            below_swapped = rank < swapped[person]
-            if below_straight and below_swapped:
-                return (0, 0)          # always
-            if not below_straight and not below_swapped:
-                return None            # never
-            if below_swapped:
-                return (sel[person], 0)  # only when swapped
-            return (0, sel[person])     # only when straight
-
-        need_set: list[int] = []
-        need_unset: list[int] = []
-        for m in inst.men:
-            for w, rank_m in ranks[m].items():
-                side_m = classify(rank_m, m)
-                if side_m is None:
-                    continue
-                side_w = classify(ranks[w][m], w)
-                if side_w is None:
-                    continue
-                s_bits = side_m[0] | side_w[0]
-                u_bits = side_m[1] | side_w[1]
-                if s_bits & u_bits:
-                    continue  # the same selector cannot be both set and unset
-                need_set.append(s_bits)
-                need_unset.append(u_bits)
-        self.need_set = np.array(need_set, dtype=np.int64)
-        self.need_unset = np.array(need_unset, dtype=np.int64)
-        self.always_blocked = bool(((self.need_set == 0) & (self.need_unset == 0)).any())
-
-        self.men_sel = np.array([sel[m] for m in inst.men], dtype=np.int64)
-        self.men_straight = np.array([straight[m] for m in inst.men], dtype=np.int64)
-        self.men_swapped = np.array([swapped[m] for m in inst.men], dtype=np.int64)
-        self.women_sel = np.array([sel[w] for w in inst.women], dtype=np.int64)
-        self.women_straight = np.array([straight[w] for w in inst.women], dtype=np.int64)
-        self.women_swapped = np.array([swapped[w] for w in inst.women], dtype=np.int64)
-
-    def stable(self, mask: int) -> bool:
-        if self.always_blocked:
-            return False
-        if self.need_set.size == 0:
-            return True
-        sat = ((mask & self.need_set) == self.need_set) & ((mask & self.need_unset) == 0)
-        return not bool(sat.any())
-
-    def stable_masks(self, n_bits: int) -> list[int]:
-        """All swap masks with no blocking pair, in increasing order."""
-        total = 1 << n_bits
-        if self.always_blocked:
-            return []
-        if self.need_set.size == 0:
-            return list(range(total))
-        out: list[int] = []
-        chunk = 1 << 16
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            column = masks[:, None]
-            sat = ((column & self.need_set) == self.need_set) & (
-                (column & self.need_unset) == 0
-            )
-            out.extend(int(m) for m in masks[~sat.any(axis=1)])
-        return out
-
-    def balance(self, mask: int) -> int:
-        men = np.where(self.men_sel & mask, self.men_swapped, self.men_straight)
-        women = np.where(self.women_sel & mask, self.women_swapped, self.women_straight)
-        return int(max(men.sum(), women.sum()))
-
-
-def structured_enumerate(art: ReductionArtifact) -> StableSet:
-    """Every stable matching of a reduced instance, by trying all 2^(|V|+|E|)
-    swap candidates and keeping the ones with no blocking pair."""
-    if art.fallback:
-        raise ValueError("fallback artifacts carry no structured matchings")
-    g = art.graph
-    n_v, n_e = len(g.vertices), len(g.edges)
-    if 2 ** (n_v + n_e) > STRUCTURED_CANDIDATE_LIMIT:
-        raise TooLarge(f"2^{n_v + n_e} swap candidates exceed the bound")
-    checker = _CandidateChecker(art)
-    stable_masks = checker.stable_masks(n_v + n_e)
-    people = _artifact_people(art)
-    matchings = []
-    bal_opt = None
-    for mask in stable_masks:
-        chosen_vertices = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
-        chosen_edges = {j for j in range(n_e) if mask >> (n_v + j) & 1}
-        matchings.append(Matching.of(_swap_pairs(people, g, chosen_vertices, chosen_edges)))
-        bal = checker.balance(mask)
-        bal_opt = bal if bal_opt is None else min(bal_opt, bal)
-
-    opt = gs.optima(art.inst)
-    if matchings and (matchings[0] != opt.mu_m or matchings[-1] != opt.mu_w):
-        raise RuntimeError("structured enumeration missed an extreme stable matching")
-    return StableSet(tuple(matchings), bal_opt)
+    edge_ids = [j for j, (u, v) in enumerate(art.graph.edges) if u in members and v in members]
+    return _swap_matching(art, members, edge_ids)
 
 
 # --- end-to-end verification --------------------------------------------------
@@ -557,30 +404,21 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
     clique = clique_bruteforce(g, k)
     t_expected = 6 * (k + k * (k - 1) // 2)
     if art.fallback:
-        from .oracle import decide_above_min
-
         answer = decide_above_min(art.inst, art.inst.target_k or 0).answer
         return ReductionReport(
             clique, clique is not None, answer, (clique is not None) == answer,
             True, art.delta, art.k_hat, t_expected, None, None, None,
         )
-    # Same search as structured_enumerate, kept as masks to stay light: the
-    # matchings themselves are only materialized for the two extremes.
-    n_bits = len(g.vertices) + len(g.edges)
-    checker = _CandidateChecker(art)
-    masks = checker.stable_masks(n_bits)
-    bal_opt = min((checker.balance(mask) for mask in masks), default=None)
-    answer = bal_opt is not None and bal_opt <= art.k_hat
-    opt = gs.optima(art.inst)
+    # Only the cost sums of the stable matchings are needed; a 10-vertex,
+    # 10-edge graph has about 20,000 of them, each with 1,573 pairs.
+    idx = gs._Indexed(art.inst)
+    bal_opt = min(max(men, women) for _, men, women in _stable_matchings(idx))
+    answer = bal_opt <= art.k_hat
+    opt = gs.optima(art.inst, idx)
     t_actual = art.k_hat - max(opt.o_m, opt.o_w)
-    identity = _swap_matching(art, set(), set())
-    all_swapped = _swap_matching(art, set(g.vertices), set(range(len(g.edges))))
     optima_match = (
-        bool(masks)
-        and masks[0] == 0
-        and masks[-1] == (1 << n_bits) - 1
-        and opt.mu_m == identity
-        and opt.mu_w == all_swapped
+        opt.mu_m == _swap_matching(art, (), ())
+        and opt.mu_w == _swap_matching(art, g.vertices, range(len(g.edges)))
     )
     return ReductionReport(
         clique, clique is not None, answer, (clique is not None) == answer,

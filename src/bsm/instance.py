@@ -329,6 +329,11 @@ def _parse_pref_tokens(tokens, by_name, lineno) -> dict[Person, int]:
     return table
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, though Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -339,31 +344,43 @@ def _parse_json(text: str) -> Instance:
     for key in ("men", "women"):
         if not isinstance(doc.get(key), list):
             raise ParseError(f"JSON instance needs a {key!r} array")
-    men = [Person(MAN, str(n)) for n in doc["men"]]
-    women = [Person(WOMAN, str(n)) for n in doc["women"]]
+        for name in doc[key]:
+            if not isinstance(name, str):
+                raise ParseError(f"names in {key!r} must be strings, got {name!r}")
+    men = [Person(MAN, n) for n in doc["men"]]
+    women = [Person(WOMAN, n) for n in doc["women"]]
     by_name = {p.name: p for p in men + women}
     if len(by_name) != len(men) + len(women):
         raise ValidationError("person names must be unique")
+    prefs = doc.get("prefs")
+    if prefs is None:
+        prefs = {}
+    if not isinstance(prefs, dict):
+        raise ParseError("'prefs' must be an object")
     ranks: dict[Person, dict[Person, int]] = {}
-    for name, entries in (doc.get("prefs") or {}).items():
+    for name, entries in prefs.items():
         if name not in by_name:
             raise ValidationError(f"unknown person {name!r} in prefs")
+        if not isinstance(entries, list):
+            raise ParseError(f"prefs of {name!r} must be an array")
         table: dict[Person, int] = {}
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ParseError(f"prefs of {name!r} must be [partner, rank] pairs")
             partner_name, rank = entry
+            if not isinstance(partner_name, str):
+                raise ParseError(f"partner names in prefs of {name!r} must be strings")
             if partner_name not in by_name:
                 raise ValidationError(f"unknown person {partner_name!r} in prefs of {name!r}")
             partner = by_name[partner_name]
             if partner in table:
                 raise ValidationError(f"duplicate partner {partner_name!r} in prefs of {name!r}")
-            if not isinstance(rank, int):
+            if not _is_int(rank):
                 raise ParseError(f"rank of {partner_name!r} in prefs of {name!r} must be an integer")
             table[partner] = rank
         ranks[by_name[name]] = table
     k = doc.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and not _is_int(k):
         raise ParseError("k must be an integer or null")
     return make_instance(men, women, ranks, k)
 

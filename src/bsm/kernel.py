@@ -108,7 +108,9 @@ class KernelResult:
     new target both in ``k`` and in ``kernel.target_k``; ``functional``
     holds the reduced instance before dummy insertion.  ``witness`` is set
     for outcome "yes" and lives in the *input* instance.  ``lift`` maps any
-    matching of the kernel back to the input instance.
+    matching of the kernel back to the input instance.  ``state`` is the
+    padded functional state the kernel was read from, with its optima and
+    its sad and happy people; it is None unless the outcome is "kernel".
     """
 
     outcome: str
@@ -122,6 +124,7 @@ class KernelResult:
     removed_happy: tuple[tuple[Person, Person], ...]
     dummy_men: tuple[Person, ...]
     dummy_women: tuple[Person, ...]
+    state: KernelState | None = None
 
     def lift(self, matching: Matching) -> Matching:
         dummies = set(self.dummy_men) | set(self.dummy_women)
@@ -597,4 +600,5 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         tuple(removed_happy),
         xs,
         ys,
+        padded,
     )

@@ -1,11 +1,12 @@
-"""Brute-force ground truth: exhaustive stable-matching enumeration.
+"""Ground truth: every stable matching, from the rotation poset.
 
-The search assigns every man an acceptable partner or leaves him single,
-prunes assignments that already contain a certain blocking pair, and
-keeps exactly the leaves with no blocking pair at all.  Pairs that rank
-each other first are fixed up front, so instances padded with many
-mutually-first dummy pairs stay cheap; the size bound applies to the men
-left over after that fixing.
+The stable matchings of an instance are exactly the closed sets of its
+rotation poset (Irving & Leather 1986; Gusfield & Irving 1989, *The
+Stable Marriage Problem: Structure and Algorithms*).  The engine walks one
+maximal chain of exposed rotations from the man-optimal to the
+woman-optimal matching, gives each rotation its direct predecessors, and
+lists the closed sets depth first, each once.  A rotation shifts the two
+side costs by fixed amounts, so every matching comes with its cost sums.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ DEFAULT_MAX_MEN = 9
 
 
 class TooLarge(ValueError):
-    """The instance is beyond the factorial-time search bound."""
+    """The instance is beyond the size bound of an exhaustive check."""
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class StableSet:
     """Every stable matching of an instance plus the best balance among them."""
 
     matchings: tuple[Matching, ...]
-    bal_opt: int | None
+    bal_opt: int
 
 
 class OracleDecision(NamedTuple):
@@ -37,8 +38,8 @@ class OracleDecision(NamedTuple):
     witness: Matching | None
 
 
-def _forced_pairs(idx: gs._Indexed) -> tuple[list[tuple[int, int]], list[bool], list[bool]]:
-    """Fix pairs that rank each other first; they are in every stable matching."""
+def _forced_pairs(idx: gs._Indexed) -> list[tuple[int, int]]:
+    """Pairs that rank each other first, repeatedly; they are in every stable matching."""
     m_alive = [True] * len(idx.men)
     w_alive = [True] * len(idx.women)
     forced: list[tuple[int, int]] = []
@@ -57,133 +58,163 @@ def _forced_pairs(idx: gs._Indexed) -> tuple[list[tuple[int, int]], list[bool], 
                 m_alive[m] = False
                 w_alive[top_w] = False
                 changed = True
-    return forced, m_alive, w_alive
+    return forced
+
+
+def _stable_matchings(idx: gs._Indexed):
+    """Yield ``(partner, men_cost, women_cost)`` for every stable matching.
+
+    ``partner[m]`` is the woman index of man index m, or -1 if he is
+    single.  The list is changed in place after each yield: copy it to
+    keep it.  The first matching yielded is the man-optimal one.
+    """
+    m_rank, w_rank, m_order = idx.m_rank, idx.w_rank, idx.m_order
+    n_men = len(idx.men)
+    partner = gs._deferred_acceptance(m_order, w_rank, len(idx.women))
+    mu_m = partner.copy()
+    holder = [-1] * len(idx.women)
+    for m, w in enumerate(partner):
+        if w >= 0:
+            holder[w] = m
+    men_cost = sum(m_rank[m][w] for m, w in enumerate(partner) if w >= 0)
+    women_cost = sum(w_rank[w][m] for w, m in enumerate(holder) if m >= 0)
+
+    # Where each man's search for s(m) resumes.  Women only improve along
+    # the chain, so a woman passed over once never qualifies again.
+    pos = [
+        m_order[m].index(w) + 1 if w >= 0 else len(m_order[m])
+        for m, w in enumerate(partner)
+    ]
+
+    def s(m: int) -> int:
+        """The first woman after m's partner who prefers m to her lot, or -1.
+
+        A single woman is single in every stable matching, so a man who
+        reaches her never moves again.
+        """
+        order = m_order[m]
+        i = pos[m]
+        while i < len(order):
+            w = order[i]
+            h = holder[w]
+            if h < 0 or w_rank[w][m] < w_rank[w][h]:
+                break
+            i += 1
+        pos[m] = i
+        return order[i] if i < len(order) else -1
+
+    moves: list[list[tuple[int, int, int]]] = []  # per rotation: (man, from, to)
+    preds: list[int] = []  # per rotation: bitmask of its direct predecessors
+    deltas: list[tuple[int, int]] = []  # per rotation: (men cost, women cost) change
+    last_of_man: dict[int, int] = {}
+    # Per woman: (rotation, rank of her man before, rank after), in chain order.
+    gains: list[list[tuple[int, int, int]]] = [[] for _ in idx.women]
+    while True:
+        # An exposed rotation is a cycle of next(m) = holder[s(m)].
+        cycle = None
+        walked = [-1] * n_men
+        for start in range(n_men):
+            m = start
+            path = []
+            while walked[m] < 0:
+                walked[m] = start
+                path.append(m)
+                w = s(m)
+                if w < 0 or holder[w] < 0:
+                    break
+                m = holder[w]
+            else:  # reached a man walked before: a cycle if on this walk
+                if walked[m] == start:
+                    cycle = path[path.index(m):]
+                    break
+        if cycle is None:
+            break  # at the woman-optimal matching
+        j = len(moves)
+        rotation = [(m, partner[m], s(m)) for m in cycle]
+        mask = 0
+        for m, w_from, w_to in rotation:
+            if m in last_of_man:  # type 1: an earlier rotation moves m
+                mask |= 1 << last_of_man[m]
+            order = m_order[m]
+            # Type 2: each woman m skips must already hold a man she prefers to m.
+            for w in order[order.index(w_from) + 1:pos[m]]:
+                r = w_rank[w][m]
+                for i, before, after in gains[w]:
+                    if after < r < before:
+                        mask |= 1 << i
+        d_men = d_women = 0
+        for m, w_from, w_to in rotation:
+            d_men += m_rank[m][w_to] - m_rank[m][w_from]
+            before, after = w_rank[w_to][holder[w_to]], w_rank[w_to][m]
+            d_women += after - before
+            gains[w_to].append((j, before, after))
+        for m, _, w_to in rotation:
+            partner[m] = w_to
+            holder[w_to] = m
+            pos[m] += 1
+            last_of_man[m] = j
+        moves.append(rotation)
+        preds.append(mask)
+        deltas.append((d_men, d_women))
+
+    # Closed sets, depth first: add rotation j only after the last one
+    # added and only once all its predecessors are in.  Each closed set is
+    # reached once, by adding its rotations in chain order.
+    partner = mu_m
+    yield partner, men_cost, women_cost
+    chosen = 0
+    added: list[int] = []
+    j = 0
+    while True:
+        while j < len(moves) and preds[j] & ~chosen:
+            j += 1
+        if j < len(moves):
+            for m, _, w_to in moves[j]:
+                partner[m] = w_to
+            chosen |= 1 << j
+            men_cost += deltas[j][0]
+            women_cost += deltas[j][1]
+            added.append(j)
+            yield partner, men_cost, women_cost
+            j += 1
+        elif added:
+            j = added.pop()
+            for m, w_from, _ in moves[j]:
+                partner[m] = w_from
+            chosen ^= 1 << j
+            men_cost -= deltas[j][0]
+            women_cost -= deltas[j][1]
+            j += 1
+        else:
+            return
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     """All stable matchings, in a deterministic order, with the minimum balance.
 
-    Raises ``TooLarge`` when more than ``limit`` men remain after fixing the
-    mutually-first pairs.
+    Matchings are ordered by the tuple of every man's partner index (-1
+    when single).  Raises ``TooLarge`` when more than ``limit`` men remain
+    after fixing the mutually-first pairs.
     """
     idx = gs._Indexed(inst)
-    forced, m_alive, w_alive = _forced_pairs(idx)
-    free_men = [m for m in range(len(idx.men)) if m_alive[m]]
-    if len(free_men) > limit:
-        raise TooLarge(f"{len(free_men)} men to search exceeds the bound {limit}")
-
-    m_rank = idx.m_rank
-    w_rank = idx.w_rank
-    # Candidate partners among surviving women, best first.
-    options = {m: [w for w in idx.m_order[m] if w_alive[w]] for m in free_men}
-    # Women whose final fate is sealed once a given man is decided.
-    last_acceptor: dict[int, list[int]] = {m: [] for m in free_men}
-    pos_of = {m: i for i, m in enumerate(free_men)}
-    for w in range(len(idx.women)):
-        if not w_alive[w]:
-            continue
-        acceptors = [m for m in idx.w_order[w] if m_alive[m]]
-        if acceptors:
-            last = max(acceptors, key=pos_of.__getitem__)
-            last_acceptor[last].append(w)
-
-    partner_of_man: dict[int, int] = {}
-    partner_of_woman: dict[int, int] = {}
-    found: list[tuple[tuple[int, ...], Matching]] = []
-
-    def sealed_block(i: int) -> bool:
-        # A woman none of whose acceptors comes later stays unmatched for good;
-        # any decided acceptor who would rather have her certifies a blocking pair.
-        for w in last_acceptor[free_men[i]]:
-            if w in partner_of_woman:
-                continue
-            for m2 in idx.w_order[w]:
-                if not m_alive[m2]:
-                    continue
-                p2 = partner_of_man.get(m2, -1)
-                if p2 < 0 or m_rank[m2][w] < m_rank[m2][p2]:
-                    return True
-        return False
-
-    def pair_blocked(m: int, w: int) -> bool:
-        # Assigning (m, w): look for definite blocks against already-decided people.
-        rank_m = m_rank[m]
-        for w2 in options[m]:
-            if rank_m[w2] >= rank_m[w]:
-                break
-            held = partner_of_woman.get(w2)
-            if held is not None and w_rank[w2][m] < w_rank[w2][held]:
-                return True
-        for m2 in idx.w_order[w]:
-            if w_rank[w][m2] >= w_rank[w][m]:
-                break
-            if not m_alive[m2] or m2 not in partner_of_man:
-                continue
-            p2 = partner_of_man[m2]
-            if p2 < 0 or m_rank[m2][w] < m_rank[m2][p2]:
-                return True
-        return False
-
-    def single_blocked(m: int) -> bool:
-        # A decided-single man blocks with any woman already held by a worse man.
-        for w2 in options[m]:
-            held = partner_of_woman.get(w2)
-            if held is not None and w_rank[w2][m] < w_rank[w2][held]:
-                return True
-        return False
-
-    def is_stable_leaf() -> bool:
-        for m in free_men:
-            rank_m = m_rank[m]
-            p = partner_of_man[m]
-            bound = rank_m[p] if p >= 0 else None
-            for w in options[m]:
-                if bound is not None and rank_m[w] >= bound:
-                    break
-                held = partner_of_woman.get(w)
-                if held is None or w_rank[w][m] < w_rank[w][held]:
-                    return False
-        return True
-
-    def descend(i: int) -> None:
-        if i == len(free_men):
-            if is_stable_leaf():
-                key = tuple(partner_of_man[m] for m in free_men)
-                pairs = list(forced) + [(m, w) for m, w in partner_of_man.items() if w >= 0]
-                found.append((key, Matching.of((idx.men[m], idx.women[w]) for m, w in pairs)))
-            return
-        m = free_men[i]
-        for w in options[m]:
-            if w in partner_of_woman:
-                continue
-            if pair_blocked(m, w):
-                continue
-            partner_of_man[m] = w
-            partner_of_woman[w] = m
-            if not sealed_block(i):
-                descend(i + 1)
-            del partner_of_man[m]
-            del partner_of_woman[w]
-        if not single_blocked(m):
-            partner_of_man[m] = -1
-            if not sealed_block(i):
-                descend(i + 1)
-            del partner_of_man[m]
-
-    descend(0)
-    found.sort(key=lambda item: item[0])
-    matchings = tuple(mu for _, mu in found)
-    bal_opt = min(
-        (gs.objectives(inst, mu, idx).balance for mu in matchings), default=None
+    free_men = len(idx.men) - len(_forced_pairs(idx))
+    if free_men > limit:
+        raise TooLarge(f"{free_men} men to search exceeds the bound {limit}")
+    rows = sorted(
+        (tuple(partner), max(men_cost, women_cost))
+        for partner, men_cost, women_cost in _stable_matchings(idx)
     )
-    return StableSet(matchings, bal_opt)
+    return StableSet(
+        tuple(idx.matching_from_arrays(partner) for partner, _ in rows),
+        min(balance for _, balance in rows),
+    )
 
 
 def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
     opt = gs.optima(inst)
     guarantee = min(opt.o_m, opt.o_w) if above == "min" else max(opt.o_m, opt.o_w)
     stable = enumerate_stable(inst, limit)
-    answer = stable.bal_opt is not None and stable.bal_opt <= k
+    answer = stable.bal_opt <= k
     witness = None
     if answer:
         for mu in stable.matchings:

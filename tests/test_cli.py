@@ -173,3 +173,31 @@ def test_undecodable_input_is_a_usage_error(capsys, tmp_path):
     binary.write_bytes(b"men: m1\xff\n")
     assert main(["optima", str(binary)]) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"men": ["a"], "women": ["b"], "prefs": {"a": 5}},
+    {"men": ["a"], "women": ["b"], "prefs": [1]},
+    {"men": [1], "women": ["b"]},
+    {"men": ["a"], "women": ["b"], "prefs": {"a": [[["b"], 1]]}},
+    {"men": ["a"], "women": ["b"], "prefs": {"a": [["b", True]], "b": [["a", 1]]}},
+    {"men": ["a"], "women": ["b"], "prefs": {"a": [["b", 1]], "b": [["a", 1]]}, "k": True},
+])
+def test_malformed_json_is_a_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("optima", "enumerate"):
+        assert main([verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_any_other_exception_is_internal(capsys, monkeypatch, instance_file):
+    def broken(inst, k):
+        raise KeyError("w9")
+
+    monkeypatch.setattr(fpt, "solve_above_min", broken)
+    assert main(["solve", instance_file, "--k", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: 'w9'\n"

@@ -195,7 +195,7 @@ def search_kernels():
             result = kernelize(inst, k)
             if result.outcome != OUTCOME_KERNEL:
                 continue
-            ctx = _Context(result.kernel, result.k)
+            ctx = _Context(result.state)
             if ctx.sad_men:
                 yield inst, k, result, ctx, result.k - ctx.optima.o_m
 

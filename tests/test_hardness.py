@@ -7,17 +7,15 @@ from bsm.generate import random_graph, random_triangle_free_graph
 from bsm.hardness import (
     Graph,
     NotAClique,
-    _CandidateChecker,
     _swap_matching,
     clique_bruteforce,
     parse_graph,
     reduce_clique,
     serialize_graph,
-    structured_enumerate,
     verify_reduction,
     witness_matching,
 )
-from bsm.oracle import TooLarge, decide_above_min
+from bsm.oracle import decide_above_min, enumerate_stable
 
 
 def planted_graph_7_5():
@@ -134,10 +132,16 @@ def test_swapped_edge_with_endpoint_outside_needs_blocking_pair():
     assert ("m1_e1", "w1_v1") in names
 
 
-def test_structured_enumerate_planted():
+def every_stable_matching(art):
+    """The rotation engine's stable set of a reduced instance."""
+    return enumerate_stable(art.inst, limit=len(art.inst.men))
+
+
+def test_engine_on_planted_artifact():
     art = reduce_clique(planted_graph_7_5(), 3)
-    stable = structured_enumerate(art)
+    stable = every_stable_matching(art)
     opt = gs.optima(art.inst)
+    assert len(stable.matchings) == 450
     assert stable.matchings[0] == opt.mu_m
     assert stable.matchings[-1] == opt.mu_w
     assert stable.bal_opt == art.k_hat  # the planted triangle is optimal
@@ -153,52 +157,58 @@ def test_structured_enumerate_planted():
                 assert matching.partner(d).name == "wd" + d.name[2:]
 
 
-def test_structured_enumerate_matches_generic_scan():
+def stable_swap_candidates(art):
+    """Every swap candidate with no blocking pair, by the generic scan."""
+    g = art.graph
+    n_v, n_e = len(g.vertices), len(g.edges)
+    idx = gs._Indexed(art.inst)
+    found = set()
+    for mask in range(1 << (n_v + n_e)):
+        chosen_v = [v for i, v in enumerate(g.vertices) if mask >> i & 1]
+        chosen_e = [j for j in range(n_e) if mask >> (n_v + j) & 1]
+        mu = _swap_matching(art, chosen_v, chosen_e)
+        if not gs.blocking_pairs(art.inst, mu, idx):
+            found.add(mu)
+    return found
+
+
+def test_engine_equals_the_stable_swap_candidates():
+    # The sparsest non-fallback graph shape (27 people per side) and a
+    # 7-vertex, 4-edge graph (85 per side): every stable matching is a swap
+    # candidate, and the engine lists each stable candidate exactly once.
+    for n_v, edges in (
+        (8, [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]),
+        (7, [("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v4", "v5")]),
+    ):
+        art = reduce_clique(Graph.build(tuple(f"v{i}" for i in range(1, n_v + 1)), edges), 3)
+        assert not art.fallback
+        stable = every_stable_matching(art)
+        want = stable_swap_candidates(art)
+        assert len(stable.matchings) == len(want) and set(stable.matchings) == want
+        idx = gs._Indexed(art.inst)
+        assert stable.bal_opt == min(gs.objectives(art.inst, mu, idx).balance for mu in want)
+
+
+def test_engine_matchings_of_a_larger_artifact_are_stable():
+    # 305 people per side: too many swap candidates for the generic scan
+    # to list, but each matching the engine gives must pass it.
     g = Graph.build(
         tuple(f"v{i}" for i in range(1, 8)),
-        [("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v4", "v5")],
+        [("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v4", "v5"), ("v5", "v6"), ("v6", "v7")],
     )
     art = reduce_clique(g, 3)
-    checker = _CandidateChecker(art)
+    stable = every_stable_matching(art)
+    assert len(stable.matchings) == len(set(stable.matchings)) == 612
     idx = gs._Indexed(art.inst)
-    rng = random.Random(7)
-    n_bits = len(g.vertices) + len(g.edges)
-    masks = list(range(1 << n_bits))
-    for mask in rng.sample(masks, 300):
-        chosen_v = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
-        chosen_e = {j for j in range(len(g.edges)) if mask >> (len(g.vertices) + j) & 1}
-        mu = _swap_matching(art, chosen_v, chosen_e)
-        assert checker.stable(mask) == (not gs.blocking_pairs(art.inst, mu, idx))
-        if checker.stable(mask):
-            assert checker.balance(mask) == gs.objectives(art.inst, mu, idx).balance
+    assert all(not gs.blocking_pairs(art.inst, mu, idx) for mu in stable.matchings)
 
 
-def test_structured_enumerate_equals_generic_oracle_on_small_artifact():
-    # The sparsest non-fallback graph shape gives an artifact small enough
-    # for the exhaustive oracle; the swap-candidate family must be complete.
-    from bsm.oracle import enumerate_stable
-
-    g = Graph.build(
-        tuple(f"v{i}" for i in range(1, 9)),
-        [("v1", "v2"), ("v1", "v3"), ("v2", "v3")],
-    )
-    art = reduce_clique(g, 3)
-    assert not art.fallback and len(art.inst.men) == 27
-    full = enumerate_stable(art.inst, limit=40)
-    structured = structured_enumerate(art)
-    assert set(full.matchings) == set(structured.matchings)
-    assert full.bal_opt == structured.bal_opt
-
-
-def test_structured_enumerate_guards():
-    art = reduce_clique(planted_graph_7_5(), 3)
-    big = random_graph(random.Random(0), 12, 12)
-    with pytest.raises(TooLarge):
-        structured_enumerate(reduce_clique(big, 3))
-    fallback = reduce_clique(Graph.build(("a", "b", "c"), [("a", "b")]), 3)
-    with pytest.raises(ValueError):
-        structured_enumerate(fallback)
-    del art
+def test_verify_reduction_twelve_vertices():
+    # 2^24 swap candidates; the rotation engine lists the stable ones directly.
+    g = random_graph(random.Random(12), 12, 12, plant_triangle=True)
+    report = verify_reduction(g, 3)
+    assert not report.fallback and report.clique_answer and report.reduction_answer
+    assert report.ok and report.optima_match
 
 
 def test_verify_reduction_nine_vertices():

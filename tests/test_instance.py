@@ -78,6 +78,27 @@ def test_parse_errors():
         parse_instance("men: m1 m2\nwomen: w1\nm1: w1=1\nm2: w1=1\nw1: m1=2 m2=2\n")
 
 
+def test_json_booleans_are_not_integers():
+    # JSON true would come back from serialize as "k: True", which no parser reads.
+    pair = '"men": ["m1"], "women": ["w1"], "prefs": {"m1": [["w1", RANK]], "w1": [["m1", 1]]}'
+    parse_instance("{" + pair.replace("RANK", "1") + ', "k": 1}', "json")
+    with pytest.raises(ParseError, match="k must be"):
+        parse_instance("{" + pair.replace("RANK", "1") + ', "k": true}', "json")
+    with pytest.raises(ParseError, match="rank of"):
+        parse_instance("{" + pair.replace("RANK", "true") + "}", "json")
+
+
+def test_json_shapes_are_checked():
+    with pytest.raises(ParseError, match="'prefs' must be an object"):
+        parse_instance('{"men": ["a"], "women": ["b"], "prefs": [1]}', "json")
+    with pytest.raises(ParseError, match="must be an array"):
+        parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": 5}}', "json")
+    with pytest.raises(ParseError, match="must be strings"):
+        parse_instance('{"men": [1], "women": ["b"]}', "json")
+    with pytest.raises(ParseError, match="must be strings"):
+        parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [[["b"], 1]]}}', "json")
+
+
 def test_missing_person_line_means_empty_list():
     inst = parse_instance("men: m1 m2\nwomen: w1\nm1: w1\nw1: m1\n")
     m2 = inst.men[1]

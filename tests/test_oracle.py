@@ -5,9 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsm.generate import mutual_first_instance, random_instance
-from bsm.gs import blocking_pairs, objectives, optima
+from bsm.gs import _Indexed, blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Matching, Person, make_instance
-from bsm.oracle import TooLarge, decide_above_max, decide_above_min, enumerate_stable
+from bsm.oracle import (
+    TooLarge,
+    _stable_matchings,
+    decide_above_max,
+    decide_above_min,
+    enumerate_stable,
+)
 from helpers import empty_instance, naive_stable, sad_2x2, single_pair
 
 
@@ -140,3 +146,43 @@ def test_decide_variants_agree_on_answer(inst, k):
     assert low.t == k - min(opt.o_m, opt.o_w)
     assert high.t == k - max(opt.o_m, opt.o_w)
     assert high.t <= low.t
+
+
+def seeded_small_instances():
+    """Full-list and sparse seeded instances of at most 5 per side."""
+    rng = random.Random(20240807)
+    for i in range(120):
+        yield random_instance(rng, 1 + i % 5, 1 + i % 5, 1.0)
+        yield random_instance(rng, rng.randint(1, 5), rng.randint(1, 5), rng.uniform(0.3, 0.9))
+
+
+def test_engine_matches_naive_filter_on_seeded_instances():
+    for inst in seeded_small_instances():
+        stable = enumerate_stable(inst)
+        want = naive_stable(inst)
+        assert len(stable.matchings) == len(want)
+        assert set(stable.matchings) == want
+        assert stable.bal_opt == min(objectives(inst, mu).balance for mu in want)
+
+
+def test_engine_yields_each_stable_matching_once_with_its_costs():
+    # Full lists up to n=8, beyond the naive filter's reach: every matching
+    # must be stable, new, and carry its own two cost sums.
+    rng = random.Random(11)
+    total = 0
+    for i in range(240):
+        n = 3 + i % 6
+        inst = random_instance(rng, n, n, 1.0)
+        idx = _Indexed(inst)
+        seen = set()
+        for partner, men_cost, women_cost in _stable_matchings(idx):
+            mu = idx.matching_from_arrays(partner)
+            assert mu not in seen
+            seen.add(mu)
+            assert not blocking_pairs(inst, mu, idx)
+            obj = objectives(inst, mu, idx)
+            assert (obj.men_cost, obj.women_cost) == (men_cost, women_cost)
+        opt = optima(inst)
+        assert opt.mu_m in seen and opt.mu_w in seen
+        total += len(seen)
+    assert total > 400  # 240 instances, so many have several
