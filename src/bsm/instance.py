@@ -352,9 +352,7 @@ def _parse_json(text: str) -> Instance:
     by_name = {p.name: p for p in men + women}
     if len(by_name) != len(men) + len(women):
         raise ValidationError("person names must be unique")
-    prefs = doc.get("prefs")
-    if prefs is None:
-        prefs = {}
+    prefs = doc.get("prefs", {})
     if not isinstance(prefs, dict):
         raise ParseError("'prefs' must be an object")
     ranks: dict[Person, dict[Person, int]] = {}
