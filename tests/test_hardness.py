@@ -172,21 +172,33 @@ def stable_swap_candidates(art):
     return found
 
 
-def test_engine_equals_the_stable_swap_candidates():
-    # The sparsest non-fallback graph shape (27 people per side) and a
-    # 7-vertex, 4-edge graph (85 per side): every stable matching is a swap
-    # candidate, and the engine lists each stable candidate exactly once.
-    for n_v, edges in (
-        (8, [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]),
-        (7, [("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v4", "v5")]),
-    ):
-        art = reduce_clique(Graph.build(tuple(f"v{i}" for i in range(1, n_v + 1)), edges), 3)
-        assert not art.fallback
-        stable = every_stable_matching(art)
-        want = stable_swap_candidates(art)
-        assert len(stable.matchings) == len(want) and set(stable.matchings) == want
-        idx = gs._Indexed(art.inst)
-        assert stable.bal_opt == min(gs.objectives(art.inst, mu, idx).balance for mu in want)
+def check_engine_equals_the_stable_swap_candidates(n_v, edges):
+    """Every stable matching of the reduced instance is a swap candidate,
+    and the engine lists each stable candidate exactly once."""
+    art = reduce_clique(Graph.build(tuple(f"v{i}" for i in range(1, n_v + 1)), edges), 3)
+    assert not art.fallback
+    stable = every_stable_matching(art)
+    want = stable_swap_candidates(art)
+    assert len(stable.matchings) == len(want) and set(stable.matchings) == want
+    idx = gs._Indexed(art.inst)
+    assert stable.bal_opt == min(gs.objectives(art.inst, mu, idx).balance for mu in want)
+    return art
+
+
+def test_structured_enumerate_matches_generic_scan():
+    # A 7-vertex, 4-edge graph: 85 people per side.
+    art = check_engine_equals_the_stable_swap_candidates(
+        7, [("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v4", "v5")]
+    )
+    assert len(art.inst.men) == 85
+
+
+def test_structured_enumerate_equals_generic_oracle_on_small_artifact():
+    # The sparsest non-fallback graph shape: 27 people per side.
+    art = check_engine_equals_the_stable_swap_candidates(
+        8, [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]
+    )
+    assert len(art.inst.men) == 27
 
 
 def test_engine_matchings_of_a_larger_artifact_are_stable():
