@@ -34,7 +34,7 @@ def main() -> int:
     for index in range(args.count):
         inst = random_instance(rng, max_side=args.max_side)
         opt = gs.optima(inst)
-        stable = oracle.enumerate_stable(inst)
+        stable = oracle.enumerate_stable(inst, limit=len(inst.men))
         for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
             expected = stable.bal_opt <= k
             result = fpt.solve_above_min(inst, k)

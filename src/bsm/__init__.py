@@ -35,7 +35,6 @@ from .instance import (
     make_instance,
     parse_instance,
     serialize,
-    to_functional,
 )
 from .kernel import (
     KernelResult,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 MAN = "M"
@@ -199,18 +199,6 @@ def _validate(men, women, ranks, k):
                 raise ValidationError(f"rank of {b} in list of {a} must be a positive integer")
             if a not in ranks.get(b, {}):
                 raise ValidationError(f"mutual acceptability violated for ({a}, {b})")
-
-
-def to_functional(inst: Instance) -> Instance:
-    """Reinterpret a list-form instance as a functional one.
-
-    Rank positions become preference-function values unchanged, so the
-    returned instance is identical; it may now be transformed by
-    operations that leave gaps.
-    """
-    if not inst.contiguous:
-        raise ValidationError("to_functional expects a contiguous (list-form) instance")
-    return inst
 
 
 def functional_to_lists(inst: Instance) -> Instance:
@@ -425,8 +413,3 @@ def _serialize_json(inst: Instance) -> str:
         "k": inst.target_k,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def with_target(inst: Instance, k: int | None) -> Instance:
-    """Copy of ``inst`` with a different target value."""
-    return replace(inst, target_k=k)

@@ -1,24 +1,35 @@
 """Shrinking an above-minimum balance question to a size bounded by its parameter.
 
-The pipeline reads a list-form instance as a functional one, applies eight
-reduction rules exhaustively in a fixed order (restarting from the first
-rule after every change), then pads the result with mutually-first dummy
-pairs that fill the gaps left in the rank images, and finally reads the
-gap-free functions back as preference lists.  Every step preserves the
-answer and never increases the parameter ``t = k - min(O_M, O_W)``; the
-trace records each application with the parameter before and after.
+The pipeline takes a list-form instance as a functional one and applies
+the eight reduction rules of ``RULES`` exhaustively: at each round the
+first rule in table order that applies fires, and the next round starts
+again from the first rule.  The result is then padded with
+mutually-first dummy pairs that fill the gaps left in the rank images,
+and the gap-free functions are read back as preference lists.  Every
+step preserves the answer and never increases the parameter
+``t = k - min(O_M, O_W)``.  Entry i of the table is reduction rule i
+(rr1 to rr8).
+
+A rule takes a ``KernelState`` and returns None when it does not apply.
+Otherwise it returns ``(next, rows)``: ``next`` is the next state or the
+verdict ``"yes"`` or ``"no"``, and ``rows`` holds, in order, the people
+named by each trace row the application records.  Every row runs from
+the state's k and t to the next state's t; only shrink moves k, by one
+per row.
 
 Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
-the pipeline applies each of those three rules as one batch with a single
-rebuild; the batch makes the same changes, in the same order and with the
-same trace, as restarting after every single application would.
+those three rules fire as one batch with a single rebuild; the batch
+makes the same changes, in the same order and with the same rows, as
+restarting after every single application would.  The single-step
+``clean_suffix_once``, ``remove_happy_pair_once`` and ``shrink_once``
+are the references the batches are tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import gs
 from .instance import (
@@ -27,13 +38,11 @@ from .instance import (
     Instance,
     Matching,
     Person,
+    ValidationError,
     functional_to_lists,
     make_instance,
-    to_functional,
-    with_target,
 )
 
-CONTINUE = "continue"
 TRIVIAL_YES = "yes"
 TRIVIAL_NO = "no"
 
@@ -134,65 +143,48 @@ class KernelResult:
         return Matching.of(kept + list(self.removed_happy))
 
 
-# --- individual rules -------------------------------------------------------
+# --- the rules --------------------------------------------------------------
 
 def _rebuild(st: KernelState, men, women, ranks, k=None) -> KernelState:
     inst = make_instance(men, women, ranks, None, validate=False)
     return KernelState.make(inst, st.k if k is None else k)
 
 
-def _drop_pair(ranks, a: Person, b: Person):
-    new = dict(ranks)
-    ta = dict(new[a])
-    del ta[b]
-    new[a] = ta
-    tb = dict(new[b])
-    del tb[a]
-    new[b] = tb
-    return new
+def _without_pair(st: KernelState, a: Person, b: Person) -> KernelState:
+    ranks = dict(st.inst.prefs.ranks)
+    for owner, partner in ((a, b), (b, a)):
+        ranks[owner] = dict(ranks[owner])
+        del ranks[owner][partner]
+    return _rebuild(st, st.inst.men, st.inst.women, ranks)
 
 
-def rr1_bound_check(st: KernelState) -> str:
+def bound_check(st: KernelState):
     """No stable matching can beat both optima, so a target below their max fails."""
-    return TRIVIAL_NO if st.k < max(st.optima.o_m, st.optima.o_w) else CONTINUE
+    return (TRIVIAL_NO, [()]) if st.k < max(st.optima.o_m, st.optima.o_w) else None
 
 
-def _find_suffix_removal(st: KernelState):
-    ranks = st.inst.prefs.ranks
-    worst_partner_bound = {
-        MAN: st.optima.mu_w.by_man,
-        WOMAN: st.optima.mu_m.by_woman,
-    }
-    for a in st.inst.people:
-        table = ranks[a]
-        if not table:
-            continue
-        anchor = worst_partner_bound[a.side].get(a)
-        if anchor is None:
-            continue
-        worst = max(table, key=table.get)
-        if table[worst] > table[anchor]:
-            return a, worst
-    return None
-
-
-def rr2_clean_suffix(st: KernelState) -> KernelState | None:
+def clean_suffix_once(st: KernelState):
     """Drop a person's worst partner when ranked beyond their worst stable partner.
 
     Men are bounded by their woman-optimal partner, women by their
     man-optimal partner; no stable matching uses such a pair, so the
     stable set and both optima are untouched.
     """
-    hit = _find_suffix_removal(st)
-    if hit is None:
-        return None
-    a, b = hit
-    ranks = _drop_pair(st.inst.prefs.ranks, a, b)
-    return _rebuild(st, st.inst.men, st.inst.women, ranks)
+    ranks = st.inst.prefs.ranks
+    anchors = {MAN: st.optima.mu_w.by_man, WOMAN: st.optima.mu_m.by_woman}
+    for a in st.inst.people:
+        anchor = anchors[a.side].get(a)
+        if anchor is None:
+            continue
+        table = ranks[a]
+        worst = max(table, key=table.get)
+        if table[worst] > table[anchor]:
+            return _without_pair(st, a, worst), [(a, worst)]
+    return None
 
 
-def _rr2_batch(st: KernelState):
-    """Every drop that repeating ``rr2_clean_suffix`` makes, with one rebuild.
+def clean_suffix(st: KernelState):
+    """Every drop that repeating ``clean_suffix_once`` makes, with one rebuild.
 
     The anchors are the optima, which no drop moves, so one pass over the
     people in instance order, each dropping partners beyond their anchor
@@ -224,7 +216,7 @@ def _rr2_batch(st: KernelState):
     return nxt, drops
 
 
-def rr3_restrict_to_matched(st: KernelState) -> KernelState | None:
+def restrict_matched(st: KernelState):
     """Restrict to the people matched by every stable matching."""
     matched = set(st.optima.mu_m.by_man) | set(st.optima.mu_m.by_woman)
     if len(matched) == len(st.inst.people):
@@ -235,83 +227,44 @@ def rr3_restrict_to_matched(st: KernelState) -> KernelState | None:
         p: {q: r for q, r in st.inst.prefs.ranks[p].items() if q in matched}
         for p in men + women
     }
-    return _rebuild(st, men, women, ranks)
+    gone = [p for p in st.inst.people if p not in matched]
+    return _rebuild(st, men, women, ranks), [gone]
 
 
-def rr4_bound_sad(st: KernelState) -> str:
+def bound_sad(st: KernelState):
     """More than 2t sad people on one side already forces the answer to be no."""
     bound = 2 * st.t
     if len(st.sad_men) > bound or len(st.sad_women) > bound:
-        return TRIVIAL_NO
-    return CONTINUE
+        return TRIVIAL_NO, [()]
+    return None
 
 
-def rr5_no_sad(st: KernelState) -> str | None:
+def no_sad(st: KernelState):
     """With no sad people the man-optimal matching is the only stable one."""
     if st.sad_men or st.sad_women:
         return None
     bal = gs.objectives(st.inst, st.optima.mu_m).balance
-    return TRIVIAL_YES if bal <= st.k else TRIVIAL_NO
+    return (TRIVIAL_YES if bal <= st.k else TRIVIAL_NO), [()]
 
 
-def _rr6(st: KernelState):
-    if not st.happy_pairs:
+def _remove_happy(st: KernelState, pairs):
+    """Remove the given happy pairs, moving their rank contributions onto sad people.
+
+    Every pair's ranks are added to every rank of the first sad man and
+    the first sad woman, so every stable matching keeps the same balance
+    while the instance shrinks.  Rows are (man, woman, sad man, sad woman).
+    """
+    if not pairs:
         return None
-    m_h, w_h = st.happy_pairs[0]
     if not st.sad_men or not st.sad_women:
+        m_h, w_h = pairs[0]
         raise NoSadPerson(f"cannot transfer the cost of ({m_h}, {w_h})")
     m_s = st.sad_men[0]
     w_s = st.sad_women[0]
     ranks = st.inst.prefs.ranks
-    shift_m = ranks[m_h][w_h]
-    shift_w = ranks[w_h][m_h]
-    removed = {m_h, w_h}
-    new_ranks = {}
-    for p, table in ranks.items():
-        if p in removed:
-            continue
-        if removed & table.keys():
-            table = {q: r for q, r in table.items() if q not in removed}
-        if p == m_s:
-            table = {q: r + shift_m for q, r in table.items()}
-        elif p == w_s:
-            table = {q: r + shift_w for q, r in table.items()}
-        new_ranks[p] = table
-    men = tuple(m for m in st.inst.men if m != m_h)
-    women = tuple(w for w in st.inst.women if w != w_h)
-    return _rebuild(st, men, women, new_ranks), (m_h, w_h, m_s, w_s)
-
-
-def rr6_remove_happy_pair(st: KernelState) -> KernelState | None:
-    """Remove one happy pair, moving its two rank contributions onto sad people.
-
-    The first happy pair in canonical order is removed; its ranks are added
-    to every rank of the first sad man and the first sad woman, so every
-    stable matching keeps the same balance while the instance shrinks.
-    """
-    hit = _rr6(st)
-    return None if hit is None else hit[0]
-
-
-def _rr6_batch(st: KernelState):
-    """Every removal that repeating ``rr6_remove_happy_pair`` makes, with one rebuild.
-
-    A removal keeps k, t, the sad people and the order of the other happy
-    pairs, so every pair moves its cost onto the same first sad man and
-    first sad woman; their shifts add up.
-    """
-    happy = st.happy_pairs
-    if not happy:
-        return None
-    if not st.sad_men or not st.sad_women:
-        m_h, w_h = happy[0]
-        raise NoSadPerson(f"cannot transfer the cost of ({m_h}, {w_h})")
-    m_s = st.sad_men[0]
-    w_s = st.sad_women[0]
-    ranks = st.inst.prefs.ranks
-    shift_m = sum(ranks[m][w] for m, w in happy)
-    shift_w = sum(ranks[w][m] for m, w in happy)
-    removed = {p for pair in happy for p in pair}
+    shift_m = sum(ranks[m][w] for m, w in pairs)
+    shift_w = sum(ranks[w][m] for m, w in pairs)
+    removed = {p for pair in pairs for p in pair}
     new_ranks = {}
     for p, table in ranks.items():
         if p in removed:
@@ -325,116 +278,125 @@ def _rr6_batch(st: KernelState):
         new_ranks[p] = table
     men = tuple(m for m in st.inst.men if m not in removed)
     women = tuple(w for w in st.inst.women if w not in removed)
-    nxt = _rebuild(st, men, women, new_ranks)
-    before, after = st.optima, nxt.optima
+    return _rebuild(st, men, women, new_ranks), [(m_h, w_h, m_s, w_s) for m_h, w_h in pairs]
+
+
+def remove_happy_pair_once(st: KernelState):
+    """Remove the first happy pair in canonical order."""
+    return _remove_happy(st, st.happy_pairs[:1])
+
+
+def remove_happy_pair(st: KernelState):
+    """Every removal that repeating ``remove_happy_pair_once`` makes, with one rebuild.
+
+    A removal keeps k, t, the sad people and the order of the other happy
+    pairs, so every pair moves its cost onto the same first sad man and
+    first sad woman; their shifts add up.
+    """
+    hit = _remove_happy(st, st.happy_pairs)
+    if hit is None:
+        return None
+    happy = set(st.happy_pairs)
+    before, after = st.optima, hit[0].optima
     if (
         (after.o_m, after.o_w) != (before.o_m, before.o_w)
-        or after.mu_m.pairs != before.mu_m.pairs - set(happy)
-        or after.mu_w.pairs != before.mu_w.pairs - set(happy)
+        or after.mu_m.pairs != before.mu_m.pairs - happy
+        or after.mu_w.pairs != before.mu_w.pairs - happy
     ):
         raise OptimaMoved("happy-pair removals changed the stable optima")
-    return nxt, [(m_h, w_h, m_s, w_s) for m_h, w_h in happy]
+    return hit
 
 
-def _find_overranked_pair(st: KernelState):
+def truncate(st: KernelState):
+    """Delete one pair too far beyond its owner's optimal partner to fit under k.
+
+    Men are checked first against the man-optimal matching, then women
+    against the woman-optimal one; the owner's best over-limit partner goes.
+    """
     ranks = st.inst.prefs.ranks
-    slack_m = st.k - st.optima.o_m
-    by_man = st.optima.mu_m.by_man
-    for m in st.inst.men:
-        anchor = by_man.get(m)
-        if anchor is None:
-            continue
-        limit = slack_m + ranks[m][anchor]
-        over = [(r, w) for w, r in ranks[m].items() if r > limit]
-        if over:
-            return m, min(over)[1]
-    slack_w = st.k - st.optima.o_w
-    by_woman = st.optima.mu_w.by_woman
-    for w in st.inst.women:
-        anchor = by_woman.get(w)
-        if anchor is None:
-            continue
-        limit = slack_w + ranks[w][anchor]
-        over = [(r, m) for m, r in ranks[w].items() if r > limit]
-        if over:
-            return w, min(over)[1]
+    opt = st.optima
+    for people, partner_of, cost in (
+        (st.inst.men, opt.mu_m.by_man, opt.o_m),
+        (st.inst.women, opt.mu_w.by_woman, opt.o_w),
+    ):
+        slack = st.k - cost
+        for a in people:
+            anchor = partner_of.get(a)
+            if anchor is None:
+                continue
+            limit = slack + ranks[a][anchor]
+            over = [(r, b) for b, r in ranks[a].items() if r > limit]
+            if over:
+                b = min(over)[1]
+                return _without_pair(st, a, b), [(a, b)]
     return None
 
 
-def _rr7(st: KernelState):
-    hit = _find_overranked_pair(st)
-    if hit is None:
-        return None
-    a, b = hit
-    ranks = _drop_pair(st.inst.prefs.ranks, a, b)
-    return _rebuild(st, st.inst.men, st.inst.women, ranks), hit
+def _shrink_units(st: KernelState) -> list[tuple[Person, Person]]:
+    """One (man, woman) per unit shift, pairing the men's and the women's excess in order.
 
-
-def rr7_truncate(st: KernelState) -> KernelState | None:
-    """Delete one pair too far beyond its owner's optimal partner to fit under k."""
-    hit = _rr7(st)
-    return None if hit is None else hit[0]
-
-
-def _rr8(st: KernelState):
-    ranks = st.inst.prefs.ranks
-    by_man = st.optima.mu_m.by_man
-    by_woman = st.optima.mu_w.by_woman
-    man = next(
-        (m for m in st.inst.men if m in by_man and ranks[m][by_man[m]] > 1), None
-    )
-    woman = next(
-        (w for w in st.inst.women if w in by_woman and ranks[w][by_woman[w]] > 1), None
-    )
-    if man is None or woman is None:
-        return None
-    new_ranks = dict(ranks)
-    new_ranks[man] = {q: r - 1 for q, r in ranks[man].items()}
-    new_ranks[woman] = {q: r - 1 for q, r in ranks[woman].items()}
-    return _rebuild(st, st.inst.men, st.inst.women, new_ranks, k=st.k - 1), (man, woman)
-
-
-def rr8_shrink(st: KernelState) -> KernelState | None:
-    """Shift one man's and one woman's whole rank function down by 1, and k with them."""
-    hit = _rr8(st)
-    return None if hit is None else hit[0]
-
-
-def _rr8_batch(st: KernelState):
-    """Every shift that repeating ``rr8_shrink`` makes, with one rebuild.
-
-    A shift moves no optimum pair, slack, sad or happy person, so no
-    earlier rule can fire between two shifts and each one goes to the first
-    man and the first woman whose optimal partner still ranks above 1.
-    Returns the next state and one (man, woman) per unit shift.
+    Each man contributes one entry per unit by which his man-optimal
+    partner ranks above 1, each woman likewise for her woman-optimal one.
     """
     ranks = st.inst.prefs.ranks
     by_man = st.optima.mu_m.by_man
     by_woman = st.optima.mu_w.by_woman
-    # One entry per unit of excess rank of each optimal partner, in order.
     man_units = [
         m for m in st.inst.men if m in by_man for _ in range(ranks[m][by_man[m]] - 1)
     ]
     woman_units = [
         w for w in st.inst.women if w in by_woman for _ in range(ranks[w][by_woman[w]] - 1)
     ]
-    steps = list(zip(man_units, woman_units))
-    if not steps:
+    return list(zip(man_units, woman_units))
+
+
+def _shift(st: KernelState, units: list[tuple[Person, Person]]):
+    """Lower each listed person's whole rank function by one per listing, and k by one per unit."""
+    if not units:
         return None
-    shift = Counter(p for pair in steps for p in pair)
+    ranks = st.inst.prefs.ranks
     new_ranks = dict(ranks)
-    for p, d in shift.items():
+    for p, d in Counter(p for unit in units for p in unit).items():
         new_ranks[p] = {q: r - d for q, r in ranks[p].items()}
-    total = len(steps)
-    nxt = _rebuild(st, st.inst.men, st.inst.women, new_ranks, k=st.k - total)
-    before, after = st.optima, nxt.optima
+    return _rebuild(st, st.inst.men, st.inst.women, new_ranks, k=st.k - len(units)), units
+
+
+def shrink_once(st: KernelState):
+    """Shift one man's and one woman's whole rank function down by 1, and k with them."""
+    return _shift(st, _shrink_units(st)[:1])
+
+
+def shrink(st: KernelState):
+    """Every shift that repeating ``shrink_once`` makes, with one rebuild.
+
+    A shift moves no optimum pair, slack, sad or happy person, so no
+    earlier rule can fire between two shifts and each one goes to the first
+    man and the first woman whose optimal partner still ranks above 1.
+    """
+    hit = _shift(st, _shrink_units(st))
+    if hit is None:
+        return None
+    total = len(hit[1])
+    before, after = st.optima, hit[0].optima
     if (
         (after.o_m, after.o_w) != (before.o_m - total, before.o_w - total)
         or after.mu_m != before.mu_m
         or after.mu_w != before.mu_w
     ):
         raise OptimaMoved("shrink shifts changed the stable optima")
-    return nxt, steps
+    return hit
+
+
+RULES = (
+    ("bound_check", bound_check),
+    ("clean_suffix", clean_suffix),
+    ("restrict_matched", restrict_matched),
+    ("bound_sad", bound_sad),
+    ("no_sad", no_sad),
+    ("remove_happy_pair", remove_happy_pair),
+    ("truncate", truncate),
+    ("shrink", shrink),
+)
 
 
 # --- dummy insertion --------------------------------------------------------
@@ -454,7 +416,13 @@ def _gaps(table: dict[Person, int]) -> list[int]:
     return [i for i in range(1, max(image)) if i not in image]
 
 
-def _fill_gaps_impl(st: KernelState):
+def fill_gaps(st: KernelState):
+    """Add t mutually-first dummy pairs and use them to plug every rank gap.
+
+    The target grows by exactly t, once; afterwards every rank image is an
+    unbroken range starting at 1.  Returns the padded state, the dummy men,
+    the dummy women and the trace steps.
+    """
     t = st.t
     steps: list[TraceStep] = []
     original_men = st.inst.men
@@ -492,112 +460,64 @@ def _fill_gaps_impl(st: KernelState):
     return new_state, xs, ys, steps
 
 
-def fill_gaps(st: KernelState) -> KernelState:
-    """Add t mutually-first dummy pairs and use them to plug every rank gap.
-
-    The target grows by exactly t, once; afterwards every rank image is an
-    unbroken range starting at 1.
-    """
-    return _fill_gaps_impl(st)[0]
-
-
 # --- the pipeline -----------------------------------------------------------
-
-def _step(rule: str, affected, before: KernelState, after: KernelState) -> TraceStep:
-    return TraceStep(rule, tuple(affected), before.k, after.k, before.t, after.t)
-
 
 def kernelize(inst: Instance, k: int) -> KernelResult:
     """Run the whole reduction on a list-form instance.
 
     Returns either a trivial yes (with an input-level witness), a trivial
     no, or an equivalent list-form kernel whose people count is linear in
-    the parameter.  The rules restart from the first after every change;
-    clean-suffix drops, happy-pair removals and shrink shifts run as
-    batches that make the same changes and trace steps as that order, with
-    one rebuild each.
+    the parameter.
     """
-    st = KernelState.make(to_functional(inst), k)
+    if not inst.contiguous:
+        raise ValidationError(
+            "the instance has gaps in its ranks; kernelize and solve need "
+            "preference lists ranked 1, 2, 3, ... for every person"
+        )
+    st = KernelState.make(inst, k)
     t_input = st.t
     steps: list[TraceStep] = []
-    removed_happy: list[tuple[Person, Person]] = []
-
-    def finish_no() -> KernelResult:
-        return KernelResult(
-            TRIVIAL_NO, None, None, KernelTrace(tuple(steps), "no"), t_input,
-            None, None, None, tuple(removed_happy), (), (),
+    verdict = None
+    while verdict is None:
+        for name, rule in RULES:
+            hit = rule(st)
+            if hit is not None:
+                break
+        else:
+            break
+        nxt, rows = hit
+        after = st if isinstance(nxt, str) else nxt
+        per_row = (st.k - after.k) // len(rows)  # 1 for shrink, 0 for every other rule
+        steps.extend(
+            TraceStep(name, tuple(row), st.k - j * per_row, st.k - (j + 1) * per_row, st.t, after.t)
+            for j, row in enumerate(rows)
         )
+        if isinstance(nxt, str):
+            verdict = nxt
+        else:
+            st = nxt
 
-    while True:
-        if rr1_bound_check(st) == TRIVIAL_NO:
-            steps.append(_step("bound_check", (), st, st))
-            return finish_no()
-        hit2 = _rr2_batch(st)
-        if hit2 is not None:
-            nxt, drops = hit2
-            steps.extend(_step("clean_suffix", pair, st, nxt) for pair in drops)
-            st = nxt
-            continue
-        nxt = rr3_restrict_to_matched(st)
-        if nxt is not None:
-            kept = set(nxt.inst.people)
-            gone = [p for p in st.inst.people if p not in kept]
-            steps.append(_step("restrict_matched", gone, st, nxt))
-            st = nxt
-            continue
-        if rr4_bound_sad(st) == TRIVIAL_NO:
-            steps.append(_step("bound_sad", (), st, st))
-            return finish_no()
-        verdict = rr5_no_sad(st)
-        if verdict is not None:
-            steps.append(_step("no_sad", (), st, st))
-            if verdict == TRIVIAL_NO:
-                return finish_no()
+    removed_happy = tuple(s.affected[:2] for s in steps if s.rule == "remove_happy_pair")
+    if verdict is not None:
+        witness = None
+        if verdict == TRIVIAL_YES:
             witness = Matching.of(set(st.optima.mu_m.pairs) | set(removed_happy))
-            return KernelResult(
-                TRIVIAL_YES, None, None, KernelTrace(tuple(steps), "yes"), t_input,
-                witness, None, None, tuple(removed_happy), (), (),
-            )
-        hit6 = _rr6_batch(st)
-        if hit6 is not None:
-            nxt, removals = hit6
-            for affected in removals:
-                steps.append(_step("remove_happy_pair", affected, st, nxt))
-                removed_happy.append(affected[:2])
-            st = nxt
-            continue
-        hit7 = _rr7(st)
-        if hit7 is not None:
-            nxt, affected = hit7
-            steps.append(_step("truncate", affected, st, nxt))
-            st = nxt
-            continue
-        hit8 = _rr8_batch(st)
-        if hit8 is not None:
-            nxt, shifts = hit8
-            t = st.t
-            steps.extend(
-                TraceStep("shrink", pair, st.k - j, st.k - j - 1, t, t)
-                for j, pair in enumerate(shifts)
-            )
-            st = nxt
-            continue
-        break
-
-    functional_state = st
-    padded, xs, ys, fill_steps = _fill_gaps_impl(st)
+        return KernelResult(
+            verdict, None, None, KernelTrace(tuple(steps), verdict), t_input,
+            witness, None, None, removed_happy, (), (),
+        )
+    padded, xs, ys, fill_steps = fill_gaps(st)
     steps.extend(fill_steps)
-    kernel_inst = with_target(functional_to_lists(padded.inst), padded.k)
     return KernelResult(
         OUTCOME_KERNEL,
-        kernel_inst,
+        replace(functional_to_lists(padded.inst), target_k=padded.k),
         padded.k,
         KernelTrace(tuple(steps), "reduced"),
         t_input,
         None,
-        functional_state.inst,
-        functional_state.k,
-        tuple(removed_happy),
+        st.inst,
+        st.k,
+        removed_happy,
         xs,
         ys,
         padded,

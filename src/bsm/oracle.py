@@ -189,13 +189,8 @@ def _stable_matchings(idx: gs._Indexed):
             return
 
 
-def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
-    """All stable matchings, in a deterministic order, with the minimum balance.
-
-    Matchings are ordered by the tuple of every man's partner index (-1
-    when single).  Raises ``TooLarge`` when more than ``limit`` men remain
-    after fixing the mutually-first pairs.
-    """
+def _sorted_rows(inst: Instance, limit: int):
+    """The index of ``inst`` and its stable matchings as sorted (partners, balance) rows."""
     idx = gs._Indexed(inst)
     free_men = len(idx.men) - len(_forced_pairs(idx))
     if free_men > limit:
@@ -204,6 +199,17 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
         (tuple(partner), max(men_cost, women_cost))
         for partner, men_cost, women_cost in _stable_matchings(idx)
     )
+    return idx, rows
+
+
+def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
+    """All stable matchings, in a deterministic order, with the minimum balance.
+
+    Matchings are ordered by the tuple of every man's partner index (-1
+    when single).  Raises ``TooLarge`` when more than ``limit`` men remain
+    after fixing the mutually-first pairs.
+    """
+    idx, rows = _sorted_rows(inst, limit)
     return StableSet(
         tuple(idx.matching_from_arrays(partner) for partner, _ in rows),
         min(balance for _, balance in rows),
@@ -211,17 +217,15 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
 
 
 def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
+    """The witness is the first matching in ``enumerate_stable`` order with the least balance."""
     opt = gs.optima(inst)
     guarantee = min(opt.o_m, opt.o_w) if above == "min" else max(opt.o_m, opt.o_w)
-    stable = enumerate_stable(inst, limit)
-    answer = stable.bal_opt <= k
+    idx, rows = _sorted_rows(inst, limit)
+    bal_opt = min(balance for _, balance in rows)
     witness = None
-    if answer:
-        for mu in stable.matchings:
-            if gs.objectives(inst, mu).balance == stable.bal_opt:
-                witness = mu
-                break
-    return OracleDecision(answer, k - guarantee, witness)
+    if bal_opt <= k:
+        witness = idx.matching_from_arrays(next(p for p, balance in rows if balance == bal_opt))
+    return OracleDecision(bal_opt <= k, k - guarantee, witness)
 
 
 def decide_above_min(inst: Instance, k: int, limit: int = DEFAULT_MAX_MEN) -> OracleDecision:

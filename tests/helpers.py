@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 from bsm.gs import optima
@@ -20,10 +21,7 @@ w2: m1 m2
 
 def sad_2x2(k: int | None = 4) -> Instance:
     inst = parse_instance(SAD_2X2_TEXT)
-    if k != 4:
-        from bsm.instance import with_target
-        return with_target(inst, k)
-    return inst
+    return inst if k == 4 else replace(inst, target_k=k)
 
 
 def single_pair() -> Instance:

@@ -168,6 +168,17 @@ def test_bad_graph_input_is_a_usage_error(capsys, tmp_path):
         hardness.parse_graph("a b c\n")
 
 
+def test_rank_gaps_are_a_usage_error(capsys, tmp_path):
+    gap = tmp_path / "gap.txt"
+    gap.write_text("men: m1\nwomen: w1 w2\nk: 4\nm1: w1=1 w2=3\nw1: m1\nw2: m1\n")
+    for argv in (["solve", str(gap)], ["solve", str(gap), "--optimize"], ["kernelize", str(gap)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the instance has gaps in its ranks")
+        assert "Traceback" not in captured.err
+
+
 def test_undecodable_input_is_a_usage_error(capsys, tmp_path):
     binary = tmp_path / "inst.bin"
     binary.write_bytes(b"men: m1\xff\n")

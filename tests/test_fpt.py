@@ -1,5 +1,9 @@
+import json
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from bsm import fpt
 from bsm.fpt import (
@@ -283,3 +287,16 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
     assert compared >= 30
     # Only certificates that pair every man with a free woman are assembled.
     assert assembled and all(assembled)
+
+
+def test_solver_oracle_sweep_beyond_nine_men():
+    # At this seed the 26th instance leaves 12 men after the mutually-first
+    # pairs, beyond the oracle's default bound of 9.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "solver_oracle_sweep.py"
+    run = subprocess.run(
+        [sys.executable, str(script), "--count", "40", "--seed", "1", "--max-side", "12"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["instances"] == 40 and report["mismatches"] == []

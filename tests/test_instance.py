@@ -17,7 +17,6 @@ from bsm.instance import (
     make_instance,
     parse_instance,
     serialize,
-    to_functional,
 )
 from helpers import empty_instance, functional_instance, sad_2x2, single_pair
 
@@ -103,33 +102,6 @@ def test_missing_person_line_means_empty_list():
     inst = parse_instance("men: m1 m2\nwomen: w1\nm1: w1\nw1: m1\n")
     m2 = inst.men[1]
     assert inst.acceptable(m2) == {}
-
-
-def test_to_functional_is_value_identity():
-    inst = sad_2x2()
-    fun = to_functional(inst)
-    assert fun.prefs.ranks == inst.prefs.ranks
-    one = single_pair()
-    assert to_functional(one).prefs.ranks[one.men[0]] == {one.women[0]: 1}
-
-
-def test_to_functional_requires_lists():
-    gapped = functional_instance({"m1": {"w1": 1, "w2": 3}}, {"w1": {"m1": 1}, "w2": {"m1": 1}})
-    with pytest.raises(ValidationError):
-        to_functional(gapped)
-
-
-def test_to_functional_random_pointwise():
-    import random
-
-    from bsm.generate import random_instance
-
-    rng = random.Random(5)
-    inst = random_instance(rng, 3, 3, density=1.0)
-    fun = to_functional(inst)
-    for a in inst.people:
-        for b, rank in inst.prefs.ranks[a].items():
-            assert fun.prefs.ranks[a][b] == rank
 
 
 def test_functional_to_lists():

@@ -7,31 +7,27 @@ import pytest
 from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import functional_to_lists, with_target
+from bsm.instance import functional_to_lists
 from bsm.kernel import (
-    CONTINUE,
     OUTCOME_KERNEL,
     TRIVIAL_NO,
     TRIVIAL_YES,
     KernelState,
     NoSadPerson,
     OptimaMoved,
-    _find_suffix_removal,
-    _rr2_batch,
-    _rr6,
-    _rr6_batch,
-    _rr8,
-    _rr8_batch,
+    bound_check,
+    bound_sad,
+    clean_suffix,
+    clean_suffix_once,
     fill_gaps,
     kernelize,
-    rr1_bound_check,
-    rr2_clean_suffix,
-    rr3_restrict_to_matched,
-    rr4_bound_sad,
-    rr5_no_sad,
-    rr6_remove_happy_pair,
-    rr7_truncate,
-    rr8_shrink,
+    no_sad,
+    remove_happy_pair,
+    remove_happy_pair_once,
+    restrict_matched,
+    shrink,
+    shrink_once,
+    truncate,
 )
 from bsm.oracle import decide_above_min, enumerate_stable
 from helpers import empty_instance, functional_instance, sad_2x2
@@ -45,11 +41,17 @@ def names(people):
     return sorted(p.name for p in people)
 
 
+def step(rule, st):
+    """The next state or verdict of one rule application, or None if the rule does not apply."""
+    hit = rule(st)
+    return None if hit is None else hit[0]
+
+
 def test_rr1_bound_check():
     inst = sad_2x2()
-    assert rr1_bound_check(state(inst, 1)) == TRIVIAL_NO
-    assert rr1_bound_check(state(inst, 4)) == CONTINUE
-    assert rr1_bound_check(state(empty_instance(), 0)) == CONTINUE
+    assert bound_check(state(inst, 1)) == (TRIVIAL_NO, [()])
+    assert bound_check(state(inst, 4)) is None
+    assert bound_check(state(empty_instance(), 0)) is None
 
 
 def test_rr2_clean_suffix_removes_worst_pair():
@@ -58,7 +60,7 @@ def test_rr2_clean_suffix_removes_worst_pair():
         {"w1": {"m1": 1}, "w2": {"m1": 1, "m2": 2}},
     )
     st0 = state(inst, 10)
-    st1 = rr2_clean_suffix(st0)
+    st1 = step(clean_suffix_once, st0)
     assert st1 is not None
     m1 = st1.inst.men[0]
     assert names(st1.inst.prefs.ranks[m1]) == ["w1"]
@@ -67,14 +69,14 @@ def test_rr2_clean_suffix_removes_worst_pair():
 
 
 def test_rr2_none_without_suffixes():
-    assert rr2_clean_suffix(state(mutual_first_instance(3), 5)) is None
+    assert clean_suffix_once(state(mutual_first_instance(3), 5)) is None
 
 
 def test_rr2_exhaustion_preserves_stable_set():
     rng = random.Random(21)
     inst = random_instance(rng, 5, 5, density=0.8)
     st = state(inst, 50)
-    while (nxt := rr2_clean_suffix(st)) is not None:
+    while (nxt := step(clean_suffix_once, st)) is not None:
         st = nxt
     assert set(enumerate_stable(inst).matchings) == set(enumerate_stable(st.inst).matchings)
 
@@ -86,7 +88,7 @@ def test_rr2_exhaustion_cleans_prefixes_too():
     for _ in range(15):
         inst = random_instance(rng, 6, 6, density=1.0)
         st = state(inst, 100)
-        while (nxt := rr2_clean_suffix(st)) is not None:
+        while (nxt := step(clean_suffix_once, st)) is not None:
             st = nxt
         opt = st.optima
         ranks = st.inst.prefs.ranks
@@ -105,10 +107,10 @@ def test_rr3_removes_isolated_people():
         {"m1": {"w1": 1}, "m2": {}},
         {"w1": {"m1": 1}},
     )
-    st1 = rr3_restrict_to_matched(state(inst, 10))
+    st1 = step(restrict_matched, state(inst, 10))
     assert st1 is not None
     assert names(st1.inst.men) == ["m1"]
-    assert rr3_restrict_to_matched(st1) is None
+    assert restrict_matched(st1) is None
 
 
 def test_rr3_preserves_stable_set_after_suffix_cleaning():
@@ -116,10 +118,10 @@ def test_rr3_preserves_stable_set_after_suffix_cleaning():
     for _ in range(20):
         inst = random_instance(rng, 4, 3, density=0.6)
         st = state(inst, 60)
-        while (nxt := rr2_clean_suffix(st)) is not None:
+        while (nxt := step(clean_suffix_once, st)) is not None:
             st = nxt
         cleaned = st
-        restricted = rr3_restrict_to_matched(cleaned)
+        restricted = step(restrict_matched, cleaned)
         if restricted is None:
             continue
         assert set(enumerate_stable(cleaned.inst).matchings) == set(
@@ -131,16 +133,16 @@ def test_rr3_preserves_stable_set_after_suffix_cleaning():
 
 def test_rr4_bound_sad():
     inst = sad_2x2()
-    assert rr4_bound_sad(state(inst, 2)) == TRIVIAL_NO  # t = 0 but two sad men
-    assert rr4_bound_sad(state(inst, 4)) == CONTINUE
-    assert rr4_bound_sad(state(mutual_first_instance(3), 3)) == CONTINUE
+    assert bound_sad(state(inst, 2)) == (TRIVIAL_NO, [()])  # t = 0 but two sad men
+    assert bound_sad(state(inst, 4)) is None
+    assert bound_sad(state(mutual_first_instance(3), 3)) is None
 
 
 def test_rr5_no_sad():
     three = mutual_first_instance(3)
-    assert rr5_no_sad(state(three, 3)) == TRIVIAL_YES
-    assert rr5_no_sad(state(three, 2)) == TRIVIAL_NO
-    assert rr5_no_sad(state(sad_2x2(), 4)) is None
+    assert no_sad(state(three, 3)) == (TRIVIAL_YES, [()])
+    assert no_sad(state(three, 2)) == (TRIVIAL_NO, [()])
+    assert no_sad(state(sad_2x2(), 4)) is None
 
 
 def test_rr6_transfers_happy_cost():
@@ -159,7 +161,7 @@ def test_rr6_transfers_happy_cost():
     )
     st0 = state(inst, 6)
     assert [(m.name, w.name) for m, w in st0.happy_pairs] == [("m0", "w0")]
-    st1 = rr6_remove_happy_pair(st0)
+    st1 = step(remove_happy_pair_once, st0)
     assert st1 is not None
     assert names(st1.inst.men) == ["m1", "m2"]
     ranks = {p.name: {q.name: r for q, r in tbl.items()} for p, tbl in st1.inst.prefs.ranks.items()}
@@ -172,21 +174,21 @@ def test_rr6_transfers_happy_cost():
 
 
 def test_rr6_none_without_happy_pairs():
-    assert rr6_remove_happy_pair(state(sad_2x2(), 4)) is None
+    assert remove_happy_pair_once(state(sad_2x2(), 4)) is None
 
 
 def test_rr6_requires_sad_people():
     with pytest.raises(NoSadPerson):
-        rr6_remove_happy_pair(state(mutual_first_instance(2), 5))
+        remove_happy_pair_once(state(mutual_first_instance(2), 5))
 
 
 def test_rr7_truncates_over_threshold():
     inst = sad_2x2()
-    st1 = rr7_truncate(state(inst, 2))  # k = O_M, so any man's rank-2 woman goes
+    st1 = step(truncate, state(inst, 2))  # k = O_M, so any man's rank-2 woman goes
     assert st1 is not None
     m1 = st1.inst.men[0]
     assert names(st1.inst.prefs.ranks[m1]) == ["w1"]
-    assert rr7_truncate(state(inst, 50)) is None
+    assert truncate(state(inst, 50)) is None
 
 
 def test_rr7_exhaustion_keeps_the_answer():
@@ -196,9 +198,9 @@ def test_rr7_exhaustion_keeps_the_answer():
         inst = random_instance(rng, 5, 5)
         bal = enumerate_stable(inst).bal_opt
         st = state(inst, bal)
-        if rr1_bound_check(st) == TRIVIAL_NO:
+        if bound_check(st) is not None:
             continue
-        while (nxt := rr7_truncate(st)) is not None:
+        while (nxt := step(truncate, st)) is not None:
             st = nxt
         tried += 1
         assert enumerate_stable(st.inst).bal_opt == bal
@@ -211,7 +213,7 @@ def test_rr8_shifts_one_man_and_one_woman():
         {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
     )
     st0 = state(inst, 8)
-    st1 = rr8_shrink(st0)
+    st1 = step(shrink_once, st0)
     assert st1 is not None
     assert st1.k == 7
     ranks = {p.name: {q.name: r for q, r in tbl.items()} for p, tbl in st1.inst.prefs.ranks.items()}
@@ -221,7 +223,7 @@ def test_rr8_shifts_one_man_and_one_woman():
 
 
 def test_rr8_none_when_a_side_is_settled():
-    assert rr8_shrink(state(sad_2x2(), 4)) is None
+    assert shrink_once(state(sad_2x2(), 4)) is None
 
 
 def test_rr8_keeps_the_stable_set_and_drops_best_balance_by_one():
@@ -229,7 +231,7 @@ def test_rr8_keeps_the_stable_set_and_drops_best_balance_by_one():
         {"m1": {"w1": 2, "w2": 3}, "m2": {"w2": 2, "w1": 3}},
         {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
     )
-    st1 = rr8_shrink(state(inst, 9))
+    st1 = step(shrink_once, state(inst, 9))
     before = enumerate_stable(inst)
     after = enumerate_stable(st1.inst)
     pair_sets = lambda ss: {frozenset((m.name, w.name) for m, w in mu.pairs) for mu in ss.matchings}
@@ -256,7 +258,7 @@ def test_fill_gaps_plugs_every_gap():
     )
     st0 = state(inst, 6)
     assert st0.t == 4
-    st1 = fill_gaps(st0)
+    st1 = fill_gaps(st0)[0]
     assert st1.k == 10
     assert len(st1.inst.men) == 6 and len(st1.inst.women) == 6
     listed = functional_to_lists(st1.inst)
@@ -271,7 +273,7 @@ def test_fill_gaps_plugs_every_gap():
 
 def test_fill_gaps_without_gaps_adds_only_dummies():
     st0 = state(sad_2x2(), 4)
-    st1 = fill_gaps(st0)
+    st1 = fill_gaps(st0)[0]
     assert st1.k == 6
     assert len(st1.inst.men) == 4
     for p in st1.inst.people:
@@ -360,7 +362,7 @@ def test_kernel_equivalence_random():
 
 
 def test_kernelize_respects_target_on_instance():
-    inst = with_target(sad_2x2(), None)
+    inst = dataclasses.replace(sad_2x2(), target_k=None)
     result = kernelize(inst, 4)
     assert result.kernel.target_k == result.k
 
@@ -387,10 +389,10 @@ def test_rr2_batch_matches_repeated_single_drops():
         k = least_k(inst)
         ref = st = state(inst, k)
         drops = []
-        while (hit := _find_suffix_removal(ref)) is not None:
-            drops.append(hit)
-            ref = rr2_clean_suffix(ref)
-        batch = _rr2_batch(st)
+        while (hit := clean_suffix_once(ref)) is not None:
+            ref, rows = hit
+            drops.extend(rows)
+        batch = clean_suffix(st)
         if not drops:
             assert batch is None
             continue
@@ -407,11 +409,7 @@ def test_rr2_batch_matches_repeated_single_drops():
 def cleaned(st):
     """Exhaust the clean-suffix and restrict-to-matched rules, as kernelize does first."""
     while True:
-        hit = _rr2_batch(st)
-        if hit is not None:
-            st = hit[0]
-            continue
-        nxt = rr3_restrict_to_matched(st)
+        nxt = step(clean_suffix, st) or step(restrict_matched, st)
         if nxt is None:
             return st
         st = nxt
@@ -424,10 +422,10 @@ def test_rr6_batch_matches_repeated_single_removals():
         if not st.happy_pairs or not st.sad_men:
             continue
         ref, removals = st, []
-        while (hit := _rr6(ref)) is not None:
-            ref, affected = hit
-            removals.append(affected)
-        nxt, got = _rr6_batch(st)
+        while (hit := remove_happy_pair_once(ref)) is not None:
+            ref, rows = hit
+            removals.extend(rows)
+        nxt, got = remove_happy_pair(st)
         assert got == removals
         assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.t == ref.t
         assert nxt.optima == ref.optima
@@ -437,9 +435,9 @@ def test_rr6_batch_matches_repeated_single_removals():
 
 
 def test_rr6_batch_requires_sad_people():
-    assert _rr6_batch(state(sad_2x2(), 4)) is None
+    assert remove_happy_pair(state(sad_2x2(), 4)) is None
     with pytest.raises(NoSadPerson):
-        _rr6_batch(state(mutual_first_instance(2), 5))
+        remove_happy_pair(state(mutual_first_instance(2), 5))
 
 
 def test_batches_raise_when_optima_move():
@@ -450,11 +448,11 @@ def test_batches_raise_when_optima_move():
     # drop his second choice, and the real woman-optimal matching changes.
     stale = dataclasses.replace(st, optima=dataclasses.replace(st.optima, mu_w=st.optima.mu_m))
     with pytest.raises(OptimaMoved):
-        _rr2_batch(stale)
+        clean_suffix(stale)
     # (m1, w1) is not happy; removing it leaves (m2, w1) in mu_W without w1.
     fake = dataclasses.replace(st, sad_men=(m2,), sad_women=(w2,), happy_pairs=((m1, w1),))
     with pytest.raises(OptimaMoved):
-        _rr6_batch(fake)
+        remove_happy_pair(fake)
 
 
 def test_rr8_batch_matches_repeated_single_shifts():
@@ -462,12 +460,12 @@ def test_rr8_batch_matches_repeated_single_shifts():
     for inst in diff_instances(2204, 20):
         st = cleaned(state(inst, least_k(inst) + 3))
         ref, shifts, ts = st, [], []
-        while (hit := _rr8(ref)) is not None:
-            nxt, affected = hit
-            shifts.append(affected)
+        while (hit := shrink_once(ref)) is not None:
+            nxt, rows = hit
+            shifts.extend(rows)
             ts.append((ref.k, nxt.k, ref.t, nxt.t))
             ref = nxt
-        batch = _rr8_batch(st)
+        batch = shrink(st)
         if not shifts:
             assert batch is None
             continue
@@ -481,18 +479,17 @@ def test_rr8_batch_matches_repeated_single_shifts():
 
 
 def test_kernelize_trace_matches_single_shifts(monkeypatch):
-    def one_shift(st):
-        hit = _rr8(st)
-        return None if hit is None else (hit[0], [hit[1]])
+    single = tuple((name, shrink_once if rule is shrink else rule) for name, rule in kernel.RULES)
+    assert single != kernel.RULES
 
     decisions = shrinks = 0
     for inst in diff_instances(2205, 16, max_n=20):
         for k in (least_k(inst), least_k(inst) + 2, least_k(inst) + 6):
             batched = kernelize(inst, k)
             with monkeypatch.context() as patch:
-                patch.setattr(kernel, "_rr8_batch", one_shift)
-                single = kernelize(inst, k)
-            assert batched == single
+                patch.setattr(kernel, "RULES", single)
+                one_by_one = kernelize(inst, k)
+            assert batched == one_by_one
             decisions += 1
             shrinks += sum(step.rule == "shrink" for step in batched.trace.steps)
     assert decisions == 48 and shrinks >= 100
@@ -504,10 +501,10 @@ def test_rr8_batch_raises_when_optima_move():
         {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
     )
     st = state(inst, 8)
-    assert _rr8_batch(st)[0].k == 6
+    assert shrink(st)[0].k == 6
     stale = dataclasses.replace(st, optima=dataclasses.replace(st.optima, o_w=st.optima.o_w + 1))
     with pytest.raises(OptimaMoved):
-        _rr8_batch(stale)
+        shrink(stale)
 
 
 def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):

@@ -68,6 +68,22 @@ def test_witness_minimizes_balance():
         assert objectives(inst, verdict.witness).balance == stable.bal_opt
 
 
+def test_witness_is_the_first_least_balance_matching():
+    # Among several matchings of least balance, the witness is the first in
+    # enumeration order, whatever k is and whichever optimum t is counted from.
+    rng = random.Random(4242)
+    ties = 0
+    for n in [4, 5, 6, 7] * 40:
+        inst = random_instance(rng, n, n, density=1.0)
+        stable = enumerate_stable(inst)
+        least = [mu for mu in stable.matchings if objectives(inst, mu).balance == stable.bal_opt]
+        ties += len(least) > 1
+        for k in (stable.bal_opt, stable.bal_opt + 3):
+            assert decide_above_min(inst, k).witness == least[0]
+            assert decide_above_max(inst, k).witness == least[0]
+    assert ties >= 5
+
+
 def test_size_bound():
     # A ring of preferences has no mutually-first pair, so nothing collapses.
     n = 11
