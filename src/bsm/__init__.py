@@ -1,10 +1,10 @@
 """Toolkit for the balanced stable marriage problem.
 
-Data model and formats live in ``instance``; deferred acceptance and the
-objective functions in ``gs``; every stable matching, from the rotation
-poset, in ``oracle``; the parameter-bounded shrinking pipeline in
-``kernel``; the subset-and-branch solver in ``fpt``; the clique reduction
-generator and verifier in ``hardness``.
+Data model, its integer index and formats live in ``instance``; deferred
+acceptance and the objective functions in ``gs``; every stable matching,
+from the rotation poset, in ``oracle``; the parameter-bounded shrinking
+pipeline in ``kernel``; the subset-and-branch solver in ``fpt``; the clique
+reduction generator and verifier in ``hardness``.
 """
 
 from .fpt import BranchCertificate, SolveResult, SolveStats, solve_above_min

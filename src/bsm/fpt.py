@@ -72,14 +72,14 @@ class _Context:
         self.optima = st.optima
         self.sad_men = st.sad_men
         self.happy_pairs = st.happy_pairs
-        self.idx = gs._Indexed(st.inst)
+        idx = st.inst.index
         # The man-optimal partner of every man as a woman index, -1 if unmatched.
-        self.mu_m_index = self.idx.arrays_from_matching(self.optima.mu_m)[0]
+        self.mu_m_index = idx.arrays_from_matching(self.optima.mu_m)[0]
         # Per man index: the women strictly worse than his man-optimal
         # partner as (rank offset, woman index), best first.
         self.worse: list[list[tuple[int, int]]] = []
         for m, anchor_w in enumerate(self.mu_m_index):
-            table = self.idx.m_rank[m]
+            table = idx.m_rank[m]
             anchor = table[anchor_w] if anchor_w >= 0 else None
             self.worse.append(
                 [] if anchor is None
@@ -97,7 +97,7 @@ def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken
     ones, and ``counter`` still receives, for each skipped branch, the
     nodes the unpruned search would have visited in it.
     """
-    men, women = ctx.idx.men, ctx.idx.women
+    men, women = ctx.inst.men, ctx.inst.women
     depth = len(m_prime)
     cands = [ctx.worse[m][:r] for m in m_prime]
     chosen = [0] * depth
@@ -153,7 +153,7 @@ def enumerate_certificates(
     ctx = _ctx or _Context(KernelState.make(inst, inst.target_k or 0))
     selected = []
     for m in m_prime:
-        i = ctx.idx.man_index.get(m)
+        i = ctx.inst.index.man_index.get(m)
         if i is None or ctx.mu_m_index[i] < 0:
             raise ValueError(f"{m} is unmatched in the man-optimal matching")
         selected.append(i)
@@ -173,9 +173,9 @@ def _assemble(ctx: _Context, certificate: BranchCertificate, m_prime_set) -> Mat
             return None  # two men claim the same woman
         women.add(w)
     mu = Matching.of(pairs)
-    if gs.objectives(ctx.inst, mu, ctx.idx).balance > ctx.k:
+    if gs.objectives(ctx.inst, mu).balance > ctx.k:
         return None
-    if gs.blocking_pairs(ctx.inst, mu, ctx.idx):
+    if gs.blocking_pairs(ctx.inst, mu):
         return None
     return mu
 
@@ -224,12 +224,12 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
     nodes_total = 0
     nodes_max = 0
     if r >= 0:
-        men = ctx.idx.men
-        sad = [ctx.idx.man_index[m] for m in ctx.sad_men]
+        men = ctx.inst.men
+        sad = [ctx.inst.index.man_index[m] for m in ctx.sad_men]
         # Women no selected man may take: the happy pairs' women.
-        happy_taken = [False] * len(ctx.idx.women)
+        happy_taken = [False] * len(ctx.inst.women)
         for _, w in ctx.happy_pairs:
-            happy_taken[ctx.idx.woman_index[w]] = True
+            happy_taken[ctx.inst.index.woman_index[w]] = True
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
                 subsets += 1

@@ -1,4 +1,4 @@
-"""Deferred acceptance, stability checking and objective functions."""
+"""Deferred acceptance, stability checking and objective functions, on ``Instance.index``."""
 
 from __future__ import annotations
 
@@ -49,48 +49,6 @@ class Optima:
     o_w: int
 
 
-class _Indexed:
-    """Integer-indexed view of an instance for the inner algorithm loops."""
-
-    __slots__ = ("inst", "men", "women", "man_index", "woman_index",
-                 "m_rank", "w_rank", "m_order", "w_order")
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.men = inst.men
-        self.women = inst.women
-        self.man_index = {p: i for i, p in enumerate(inst.men)}
-        self.woman_index = {p: i for i, p in enumerate(inst.women)}
-        ranks = inst.prefs.ranks
-        self.m_rank: list[dict[int, int]] = []
-        self.m_order: list[list[int]] = []
-        for m in inst.men:
-            table = {self.woman_index[w]: r for w, r in ranks[m].items()}
-            self.m_rank.append(table)
-            self.m_order.append(sorted(table, key=table.get))
-        self.w_rank: list[dict[int, int]] = []
-        self.w_order: list[list[int]] = []
-        for w in inst.women:
-            table = {self.man_index[m]: r for m, r in ranks[w].items()}
-            self.w_rank.append(table)
-            self.w_order.append(sorted(table, key=table.get))
-
-    def matching_from_arrays(self, partner_of_man: list[int]) -> Matching:
-        return Matching.of(
-            (self.men[m], self.women[w])
-            for m, w in enumerate(partner_of_man)
-            if w >= 0
-        )
-
-    def arrays_from_matching(self, mu: Matching) -> tuple[list[int], list[int]]:
-        man_to = [-1] * len(self.men)
-        woman_to = [-1] * len(self.women)
-        for man, woman in mu.pairs:
-            man_to[self.man_index[man]] = self.woman_index[woman]
-            woman_to[self.woman_index[woman]] = self.man_index[man]
-        return man_to, woman_to
-
-
 def _deferred_acceptance(order, responder_rank, n_resp, queue=None) -> list[int]:
     """Proposer-optimal matching; returns each proposer's partner index or -1.
 
@@ -124,28 +82,28 @@ def _deferred_acceptance(order, responder_rank, n_resp, queue=None) -> list[int]
     return matched
 
 
-def man_optimal(inst: Instance, _idx: _Indexed | None = None) -> Matching:
+def man_optimal(inst: Instance) -> Matching:
     """The stable matching in which every man does as well as he possibly can."""
-    idx = _idx or _Indexed(inst)
+    idx = inst.index
     matched = _deferred_acceptance(idx.m_order, idx.w_rank, len(idx.women))
     return idx.matching_from_arrays(matched)
 
 
-def woman_optimal(inst: Instance, _idx: _Indexed | None = None) -> Matching:
+def woman_optimal(inst: Instance) -> Matching:
     """The stable matching in which every woman does as well as she possibly can."""
-    idx = _idx or _Indexed(inst)
+    idx = inst.index
     matched = _deferred_acceptance(idx.w_order, idx.m_rank, len(idx.men))
     return Matching.of(
         (idx.men[m], idx.women[w]) for w, m in enumerate(matched) if m >= 0
     )
 
 
-def validate_matching(inst: Instance, mu: Matching, _idx: _Indexed | None = None) -> None:
-    idx = _idx or _Indexed(inst)
+def validate_matching(inst: Instance, mu: Matching) -> None:
+    man_index, woman_index = inst.index.man_index, inst.index.woman_index
     seen_men: set[Person] = set()
     seen_women: set[Person] = set()
     for man, woman in mu.pairs:
-        if man not in idx.man_index or woman not in idx.woman_index:
+        if man not in man_index or woman not in woman_index:
             raise InvalidMatching(f"({man}, {woman}) uses people outside the instance")
         if man in seen_men:
             raise InvalidMatching(f"{man} is matched twice")
@@ -157,14 +115,14 @@ def validate_matching(inst: Instance, mu: Matching, _idx: _Indexed | None = None
             raise InvalidMatching(f"({man}, {woman}) is not an acceptable pair")
 
 
-def blocking_pairs(inst: Instance, mu: Matching, _idx: _Indexed | None = None) -> list[tuple[Person, Person]]:
+def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[Person, Person]]:
     """All acceptable pairs both of whose members prefer each other to their lot.
 
     Empty exactly when ``mu`` is stable.  Pairs come out in canonical order:
     men in instance order, each man's partners in rank order.
     """
-    idx = _idx or _Indexed(inst)
-    validate_matching(inst, mu, idx)
+    idx = inst.index
+    validate_matching(inst, mu)
     man_to, woman_to = idx.arrays_from_matching(mu)
     result: list[tuple[Person, Person]] = []
     for m, choices in enumerate(idx.m_order):
@@ -180,10 +138,9 @@ def blocking_pairs(inst: Instance, mu: Matching, _idx: _Indexed | None = None) -
     return result
 
 
-def objectives(inst: Instance, mu: Matching, _idx: _Indexed | None = None) -> Objectives:
+def objectives(inst: Instance, mu: Matching) -> Objectives:
     """Exact integer cost sums of ``mu``; stability is not required."""
-    idx = _idx or _Indexed(inst)
-    validate_matching(inst, mu, idx)
+    validate_matching(inst, mu)
     men_cost = 0
     women_cost = 0
     ranks = inst.prefs.ranks
@@ -193,11 +150,10 @@ def objectives(inst: Instance, mu: Matching, _idx: _Indexed | None = None) -> Ob
     return Objectives.from_costs(men_cost, women_cost)
 
 
-def optima(inst: Instance, _idx: _Indexed | None = None) -> Optima:
+def optima(inst: Instance) -> Optima:
     """Both extreme stable matchings with their owning side's cost sums."""
-    idx = _idx or _Indexed(inst)
-    mu_m = man_optimal(inst, idx)
-    mu_w = woman_optimal(inst, idx)
+    mu_m = man_optimal(inst)
+    mu_w = woman_optimal(inst)
     ranks = inst.prefs.ranks
     o_m = sum(ranks[man][woman] for man, woman in mu_m.pairs)
     o_w = sum(ranks[woman][man] for man, woman in mu_w.pairs)

@@ -121,17 +121,49 @@ def serialize_graph(g: Graph) -> str:
 
 
 @dataclass(frozen=True)
+class ReductionPeople:
+    """The people of a full reduction: vertex people keyed by (tier, vertex),
+    edge people by (tier, edge position), tiers 1 and 2, then dummies and stars."""
+
+    man_v: dict[tuple[int, str], Person]
+    woman_v: dict[tuple[int, str], Person]
+    man_e: dict[tuple[int, int], Person]
+    woman_e: dict[tuple[int, int], Person]
+    man_d: tuple[Person, ...]
+    woman_d: tuple[Person, ...]
+    man_star: Person
+    woman_star: Person
+
+
+@dataclass(frozen=True)
 class ReductionArtifact:
-    """The generated instance plus the bookkeeping that ties it to the graph."""
+    """The generated instance plus the bookkeeping that ties it to the graph; no people on a fallback."""
 
     inst: Instance
     k_hat: int
     delta: int
     t: int
-    name_maps: dict
+    people: ReductionPeople | None
     fallback: bool
     graph: Graph
     k: int
+
+    @property
+    def name_maps(self) -> dict:
+        """The person names of each vertex, edge and star, for the ``bsm reduce`` meta JSON."""
+        p = self.people
+        if p is None:
+            return {}
+
+        def names(men, women, key):
+            groups = (("m", men), ("w", women))
+            return {f"{side}{s}": group[(s, key)].name for side, group in groups for s in (1, 2)}
+
+        return {
+            "vertices": {v: names(p.man_v, p.woman_v, v) for v in self.graph.vertices},
+            "edges": {f"{u} {v}": names(p.man_e, p.woman_e, j) for j, (u, v) in enumerate(self.graph.edges)},
+            "star": {"m": p.man_star.name, "w": p.woman_star.name},
+        }
 
 
 def _delta(n_v: int, n_e: int, k: int) -> int:
@@ -181,7 +213,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
         clique = clique_bruteforce(g, k)
         inst = _trivial_yes_instance() if clique else _trivial_no_instance()
         t = 0 if clique else -1
-        return ReductionArtifact(inst, 0, delta, t, {}, True, g, k)
+        return ReductionArtifact(inst, 0, delta, t, None, True, g, k)
 
     V = g.vertices
     E = g.edges
@@ -294,65 +326,28 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     k_hat = len(men) + delta + 6 * (k + k * (k - 1) // 2)
     t = 6 * (k + k * (k - 1) // 2)
     inst = make_instance(men, women, ranks, k_hat)
-    name_maps = {
-        "vertices": {
-            v: {
-                "m1": man_v[(1, v)].name,
-                "m2": man_v[(2, v)].name,
-                "w1": woman_v[(1, v)].name,
-                "w2": woman_v[(2, v)].name,
-            }
-            for v in V
-        },
-        "edges": {
-            f"{u} {v}": {
-                "m1": man_e[(1, j)].name,
-                "m2": man_e[(2, j)].name,
-                "w1": woman_e[(1, j)].name,
-                "w2": woman_e[(2, j)].name,
-            }
-            for j, (u, v) in enumerate(E)
-        },
-        "star": {"m": man_star.name, "w": woman_star.name},
-    }
-    return ReductionArtifact(inst, k_hat, delta, t, name_maps, False, g, k)
+    people = ReductionPeople(man_v, woman_v, man_e, woman_e, man_d, woman_d, man_star, woman_star)
+    return ReductionArtifact(inst, k_hat, delta, t, people, False, g, k)
 
 
 # --- swap candidates ----------------------------------------------------------
 
-def _artifact_people(art: ReductionArtifact):
-    g = art.graph
-    maps = art.name_maps
-    by_name = {p.name: p for p in art.inst.people}
-    man_v = {(s, v): by_name[maps["vertices"][v][f"m{s}"]] for v in g.vertices for s in (1, 2)}
-    woman_v = {(s, v): by_name[maps["vertices"][v][f"w{s}"]] for v in g.vertices for s in (1, 2)}
-    man_e = {(s, j): by_name[maps["edges"][f"{u} {v}"][f"m{s}"]] for j, (u, v) in enumerate(g.edges) for s in (1, 2)}
-    woman_e = {(s, j): by_name[maps["edges"][f"{u} {v}"][f"w{s}"]] for j, (u, v) in enumerate(g.edges) for s in (1, 2)}
-    named = {p.name for group in (man_v, woman_v, man_e, woman_e) for p in group.values()}
-    named.update(maps["star"].values())
-    man_star = by_name[maps["star"]["m"]]
-    woman_star = by_name[maps["star"]["w"]]
-    dummy_men = tuple(p for p in art.inst.men if p.name not in named)
-    dummy_women = tuple(p for p in art.inst.women if p.name not in named)
-    return man_v, woman_v, man_e, woman_e, dummy_men, dummy_women, man_star, woman_star
-
-
 def _swap_matching(art: ReductionArtifact, chosen_vertices, chosen_edges) -> Matching:
     """Candidate matching: chosen vertex pairs and edge pairs swap partners,
     everyone else keeps the identity assignment."""
-    man_v, woman_v, man_e, woman_e, dummy_men, dummy_women, m_star, w_star = _artifact_people(art)
+    p = art.people
     chosen_vertices, chosen_edges = set(chosen_vertices), set(chosen_edges)
     pairs = []
     for v in art.graph.vertices:
         for s in (1, 2):
-            partner = woman_v[(3 - s, v)] if v in chosen_vertices else woman_v[(s, v)]
-            pairs.append((man_v[(s, v)], partner))
+            partner = p.woman_v[(3 - s, v)] if v in chosen_vertices else p.woman_v[(s, v)]
+            pairs.append((p.man_v[(s, v)], partner))
     for j in range(len(art.graph.edges)):
         for s in (1, 2):
-            partner = woman_e[(3 - s, j)] if j in chosen_edges else woman_e[(s, j)]
-            pairs.append((man_e[(s, j)], partner))
-    pairs.extend(zip(dummy_men, dummy_women))
-    pairs.append((m_star, w_star))
+            partner = p.woman_e[(3 - s, j)] if j in chosen_edges else p.woman_e[(s, j)]
+            pairs.append((p.man_e[(s, j)], partner))
+    pairs.extend(zip(p.man_d, p.woman_d))
+    pairs.append((p.man_star, p.woman_star))
     return Matching.of(pairs)
 
 
@@ -411,10 +406,9 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
         )
     # Only the cost sums of the stable matchings are needed; a 10-vertex,
     # 10-edge graph has about 20,000 of them, each with 1,573 pairs.
-    idx = gs._Indexed(art.inst)
-    bal_opt = min(max(men, women) for _, men, women in _stable_matchings(idx))
+    bal_opt = min(max(men, women) for _, men, women in _stable_matchings(art.inst.index))
     answer = bal_opt <= art.k_hat
-    opt = gs.optima(art.inst, idx)
+    opt = gs.optima(art.inst)
     t_actual = art.k_hat - max(opt.o_m, opt.o_w)
     optima_match = (
         opt.mu_m == _swap_matching(art, (), ())

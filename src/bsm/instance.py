@@ -5,7 +5,8 @@ rank function per person over that person's acceptable partners (lower
 rank = more preferred).  When every rank image is exactly {1..len} the
 instance is an ordinary preference-list instance; otherwise the ranks
 form a preference function with gaps.  Both are carried by the same
-``Instance`` type, distinguished by the ``contiguous`` flag.
+``Instance`` type, distinguished by the ``contiguous`` flag.  The
+algorithms run on ``Instance.index``, built once per instance.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ class Instance:
     def people(self) -> tuple[Person, ...]:
         return self.men + self.women
 
+    @cached_property
+    def index(self) -> "Index":
+        """The integer index, built on first use; the preference dicts never change."""
+        return Index(self)
+
     def acceptable(self, person: Person) -> dict[Person, int]:
         return self.prefs.ranks[person]
 
@@ -136,6 +142,48 @@ class Matching:
 
     def __iter__(self):
         return iter(sorted(self.pairs))
+
+
+class Index:
+    """Integer-indexed view of an instance for the inner algorithm loops.
+
+    Men and women are numbered in instance order.  ``m_rank[m]`` maps each
+    acceptable woman's index to man m's rank of her and ``m_order[m]``
+    lists those indices best first; ``w_rank`` and ``w_order`` do the same
+    for women.  Get it as ``Instance.index``, which builds it once.
+    """
+
+    __slots__ = ("men", "women", "man_index", "woman_index",
+                 "m_rank", "w_rank", "m_order", "w_order")
+
+    def __init__(self, inst: Instance):
+        self.men = inst.men
+        self.women = inst.women
+        self.man_index = {p: i for i, p in enumerate(inst.men)}
+        self.woman_index = {p: i for i, p in enumerate(inst.women)}
+        ranks = inst.prefs.ranks
+
+        def side(people, partner_index):
+            tables = [{partner_index[q]: r for q, r in ranks[p].items()} for p in people]
+            return tables, [sorted(table, key=table.get) for table in tables]
+
+        self.m_rank, self.m_order = side(inst.men, self.woman_index)
+        self.w_rank, self.w_order = side(inst.women, self.man_index)
+
+    def matching_from_arrays(self, partner_of_man: list[int]) -> Matching:
+        return Matching.of(
+            (self.men[m], self.women[w])
+            for m, w in enumerate(partner_of_man)
+            if w >= 0
+        )
+
+    def arrays_from_matching(self, mu: Matching) -> tuple[list[int], list[int]]:
+        man_to = [-1] * len(self.men)
+        woman_to = [-1] * len(self.women)
+        for man, woman in mu.pairs:
+            man_to[self.man_index[man]] = self.woman_index[woman]
+            woman_to[self.woman_index[woman]] = self.man_index[man]
+        return man_to, woman_to
 
 
 def _check_name(name: str) -> str:

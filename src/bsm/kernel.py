@@ -488,8 +488,9 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         nxt, rows = hit
         after = st if isinstance(nxt, str) else nxt
         per_row = (st.k - after.k) // len(rows)  # 1 for shrink, 0 for every other rule
+        t_before, t_after = st.t, after.t
         steps.extend(
-            TraceStep(name, tuple(row), st.k - j * per_row, st.k - (j + 1) * per_row, st.t, after.t)
+            TraceStep(name, tuple(row), st.k - j * per_row, st.k - (j + 1) * per_row, t_before, t_after)
             for j, row in enumerate(rows)
         )
         if isinstance(nxt, str):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gs
-from .instance import Instance, Matching
+from .instance import Index, Instance, Matching
 
 DEFAULT_MAX_MEN = 9
 
@@ -38,7 +38,7 @@ class OracleDecision(NamedTuple):
     witness: Matching | None
 
 
-def _forced_pairs(idx: gs._Indexed) -> list[tuple[int, int]]:
+def _forced_pairs(idx: Index) -> list[tuple[int, int]]:
     """Pairs that rank each other first, repeatedly; they are in every stable matching."""
     m_alive = [True] * len(idx.men)
     w_alive = [True] * len(idx.women)
@@ -61,7 +61,7 @@ def _forced_pairs(idx: gs._Indexed) -> list[tuple[int, int]]:
     return forced
 
 
-def _stable_matchings(idx: gs._Indexed):
+def _stable_matchings(idx: Index):
     """Yield ``(partner, men_cost, women_cost)`` for every stable matching.
 
     ``partner[m]`` is the woman index of man index m, or -1 if he is
@@ -190,16 +190,12 @@ def _stable_matchings(idx: gs._Indexed):
 
 
 def _sorted_rows(inst: Instance, limit: int):
-    """The index of ``inst`` and its stable matchings as sorted (partners, balance) rows."""
-    idx = gs._Indexed(inst)
-    free_men = len(idx.men) - len(_forced_pairs(idx))
+    """The stable matchings of ``inst`` as sorted (partners, men's cost, women's cost) rows."""
+    free_men = len(inst.men) - len(_forced_pairs(inst.index))
     if free_men > limit:
         raise TooLarge(f"{free_men} men to search exceeds the bound {limit}")
-    rows = sorted(
-        (tuple(partner), max(men_cost, women_cost))
-        for partner, men_cost, women_cost in _stable_matchings(idx)
-    )
-    return idx, rows
+    rows = _stable_matchings(inst.index)
+    return sorted((tuple(partner), men, women) for partner, men, women in rows)
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
@@ -209,22 +205,26 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     when single).  Raises ``TooLarge`` when more than ``limit`` men remain
     after fixing the mutually-first pairs.
     """
-    idx, rows = _sorted_rows(inst, limit)
+    rows = _sorted_rows(inst, limit)
     return StableSet(
-        tuple(idx.matching_from_arrays(partner) for partner, _ in rows),
-        min(balance for _, balance in rows),
+        tuple(inst.index.matching_from_arrays(partner) for partner, _, _ in rows),
+        min(max(men_cost, women_cost) for _, men_cost, women_cost in rows),
     )
 
 
 def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
-    """The witness is the first matching in ``enumerate_stable`` order with the least balance."""
-    opt = gs.optima(inst)
-    guarantee = min(opt.o_m, opt.o_w) if above == "min" else max(opt.o_m, opt.o_w)
-    idx, rows = _sorted_rows(inst, limit)
-    bal_opt = min(balance for _, balance in rows)
-    witness = None
-    if bal_opt <= k:
-        witness = idx.matching_from_arrays(next(p for p, balance in rows if balance == bal_opt))
+    """The witness is the first matching in ``enumerate_stable`` order with the least balance.
+
+    O_M and O_W are the least men's and women's costs over the stable
+    matchings, attained by μ_M and μ_W (Gusfield & Irving 1989).
+    """
+    rows = _sorted_rows(inst, limit)
+    o_m = min(row[1] for row in rows)
+    o_w = min(row[2] for row in rows)
+    guarantee = min(o_m, o_w) if above == "min" else max(o_m, o_w)
+    partner, men_cost, women_cost = min(rows, key=lambda row: max(row[1], row[2]))
+    bal_opt = max(men_cost, women_cost)
+    witness = inst.index.matching_from_arrays(partner) if bal_opt <= k else None
     return OracleDecision(bal_opt <= k, k - guarantee, witness)
 
 

@@ -1,9 +1,6 @@
-import json
 import random
-import subprocess
-import sys
+from dataclasses import replace
 from itertools import combinations
-from pathlib import Path
 
 from bsm import fpt
 from bsm.fpt import (
@@ -16,9 +13,9 @@ from bsm.fpt import (
 )
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import parse_instance
+from bsm.instance import Index, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
-from bsm.oracle import decide_above_min, enumerate_stable
+from bsm.oracle import DEFAULT_MAX_MEN, _forced_pairs, decide_above_min, enumerate_stable
 from helpers import naive_certificates, sad_2x2, sad_rich_instance
 
 
@@ -229,18 +226,18 @@ def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
     kernels = subsets = skipped = 0
     for *_, ctx, r in search_kernels():
         kernels += 1
-        sad = [ctx.idx.man_index[m] for m in ctx.sad_men]
+        sad = [ctx.inst.index.man_index[m] for m in ctx.sad_men]
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
-                selected = {ctx.idx.men[m] for m in m_prime}
+                selected = {ctx.inst.men[m] for m in m_prime}
                 busy = busy_women(ctx, selected)
-                taken = [w in busy for w in ctx.idx.women]
+                taken = [w in busy for w in ctx.inst.women]
                 full, full_nodes = run(ctx, m_prime, r)
                 pruned, pruned_nodes = run(ctx, m_prime, r, taken)
                 assert pruned == [(c, nodes) for c, nodes in full if injective(c, busy)]
                 assert pruned_nodes == full_nodes
-                assert taken == [w in busy for w in ctx.idx.women]
-                public = enumerate_certificates(ctx.inst, [ctx.idx.men[m] for m in m_prime], r)
+                assert taken == [w in busy for w in ctx.inst.women]
+                public = enumerate_certificates(ctx.inst, [ctx.inst.men[m] for m in m_prime], r)
                 assert public == [c for c, _ in full]
                 subsets += 1
                 skipped += len(full) - len(pruned)
@@ -254,7 +251,7 @@ def unpruned_solve(result, ctx, r):
         for m_prime in combinations(ctx.sad_men, size):
             subsets += 1
             counter = [0]
-            indices = [ctx.idx.man_index[m] for m in m_prime]
+            indices = [ctx.inst.index.man_index[m] for m in m_prime]
             hit = None
             for certificate in _iter_certificates(ctx, indices, r, counter):
                 hit = assemble_and_check(ctx.inst, certificate, m_prime, _ctx=ctx)
@@ -290,13 +287,49 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
 
 
 def test_solver_oracle_sweep_beyond_nine_men():
-    # At this seed the 26th instance leaves 12 men after the mutually-first
-    # pairs, beyond the oracle's default bound of 9.
-    script = Path(__file__).resolve().parent.parent / "scripts" / "solver_oracle_sweep.py"
-    run = subprocess.run(
-        [sys.executable, str(script), "--count", "40", "--seed", "1", "--max-side", "12"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout)
-    assert report["instances"] == 40 and report["mismatches"] == []
+    # Every k from one below max(O_M, O_W) to O_M + O_W.  At this seed the
+    # 26th instance leaves 12 men after the mutually-first pairs, beyond the
+    # oracle's default bound of 9.
+    rng = random.Random(1)
+    beyond_default = 0
+    mismatches = []
+    for _ in range(40):
+        inst = random_instance(rng, max_side=12)
+        beyond_default += len(inst.men) - len(_forced_pairs(inst.index)) > DEFAULT_MAX_MEN
+        opt = optima(inst)
+        bal_opt = enumerate_stable(inst, limit=len(inst.men)).bal_opt
+        for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
+            if solve_above_min(inst, k).answer != (bal_opt <= k):
+                mismatches.append((serialize(inst), k))
+    assert beyond_default >= 1
+    assert mismatches == []
+
+
+def test_each_instance_is_indexed_once_per_decision(monkeypatch):
+    built = []
+    real = Index.__init__
+
+    def counting(self, inst):
+        built.append(inst)
+        real(self, inst)
+
+    monkeypatch.setattr(Index, "__init__", counting)
+    rng = random.Random(3)
+    branched = {True: 0, False: 0}
+    for _ in range(12):
+        inst = sad_rich_instance(rng)
+        opt = optima(inst)
+        for k in range(max(opt.o_m, opt.o_w), opt.o_m + opt.o_w + 1):
+            fresh = replace(inst)  # an equal instance that carries no index yet
+            built.clear()
+            result = solve_above_min(fresh, k)
+            ids = [id(i) for i in built]
+            assert ids[0] == id(fresh) and len(set(ids)) == len(ids)
+            if result.stats.subsets_tried:
+                branched[result.answer] += 1
+                assert id(result.kernel.state.inst) in ids
+            fresh = replace(inst)
+            built.clear()
+            decide_above_min(fresh, k)
+            assert [id(i) for i in built] == [id(fresh)]
+    assert branched[True] >= 5 and branched[False] >= 5

@@ -120,7 +120,7 @@ def seeded_instances(draw):
 @settings(max_examples=50, deadline=None)
 @given(seeded_instances(), st.integers(0, 10**6))
 def test_proposal_order_independence(inst, shuffle_seed):
-    idx = gs._Indexed(inst)
+    idx = inst.index
     base = gs._deferred_acceptance(idx.m_order, idx.w_rank, len(idx.women))
     order = list(range(len(idx.men)))
     random.Random(shuffle_seed).shuffle(order)

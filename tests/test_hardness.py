@@ -161,13 +161,12 @@ def stable_swap_candidates(art):
     """Every swap candidate with no blocking pair, by the generic scan."""
     g = art.graph
     n_v, n_e = len(g.vertices), len(g.edges)
-    idx = gs._Indexed(art.inst)
     found = set()
     for mask in range(1 << (n_v + n_e)):
         chosen_v = [v for i, v in enumerate(g.vertices) if mask >> i & 1]
         chosen_e = [j for j in range(n_e) if mask >> (n_v + j) & 1]
         mu = _swap_matching(art, chosen_v, chosen_e)
-        if not gs.blocking_pairs(art.inst, mu, idx):
+        if not gs.blocking_pairs(art.inst, mu):
             found.add(mu)
     return found
 
@@ -180,8 +179,7 @@ def check_engine_equals_the_stable_swap_candidates(n_v, edges):
     stable = every_stable_matching(art)
     want = stable_swap_candidates(art)
     assert len(stable.matchings) == len(want) and set(stable.matchings) == want
-    idx = gs._Indexed(art.inst)
-    assert stable.bal_opt == min(gs.objectives(art.inst, mu, idx).balance for mu in want)
+    assert stable.bal_opt == min(gs.objectives(art.inst, mu).balance for mu in want)
     return art
 
 
@@ -211,8 +209,7 @@ def test_engine_matchings_of_a_larger_artifact_are_stable():
     art = reduce_clique(g, 3)
     stable = every_stable_matching(art)
     assert len(stable.matchings) == len(set(stable.matchings)) == 612
-    idx = gs._Indexed(art.inst)
-    assert all(not gs.blocking_pairs(art.inst, mu, idx) for mu in stable.matchings)
+    assert all(not gs.blocking_pairs(art.inst, mu) for mu in stable.matchings)
 
 
 def test_verify_reduction_twelve_vertices():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsm import gs
 from bsm.generate import mutual_first_instance, random_instance
-from bsm.gs import _Indexed, blocking_pairs, objectives, optima
+from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Matching, Person, make_instance
 from bsm.oracle import (
     TooLarge,
@@ -164,6 +165,21 @@ def test_decide_variants_agree_on_answer(inst, k):
     assert high.t <= low.t
 
 
+def test_decide_makes_no_optima_call(monkeypatch):
+    # O_M and O_W come from the engine's rows; deferred acceptance is not rerun.
+    rng = random.Random(5)
+    cases = [(inst, optima(inst)) for inst in (random_instance(rng, max_side=6) for _ in range(40))]
+
+    def refuse(inst):
+        raise AssertionError("gs.optima called")
+
+    monkeypatch.setattr(gs, "optima", refuse)
+    for inst, opt in cases:
+        for k in (max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w):
+            assert decide_above_min(inst, k).t == k - min(opt.o_m, opt.o_w)
+            assert decide_above_max(inst, k).t == k - max(opt.o_m, opt.o_w)
+
+
 def seeded_small_instances():
     """Full-list and sparse seeded instances of at most 5 per side."""
     rng = random.Random(20240807)
@@ -189,14 +205,14 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
     for i in range(240):
         n = 3 + i % 6
         inst = random_instance(rng, n, n, 1.0)
-        idx = _Indexed(inst)
+        idx = inst.index
         seen = set()
         for partner, men_cost, women_cost in _stable_matchings(idx):
             mu = idx.matching_from_arrays(partner)
             assert mu not in seen
             seen.add(mu)
-            assert not blocking_pairs(inst, mu, idx)
-            obj = objectives(inst, mu, idx)
+            assert not blocking_pairs(inst, mu)
+            obj = objectives(inst, mu)
             assert (obj.men_cost, obj.women_cost) == (men_cost, women_cost)
         opt = optima(inst)
         assert opt.mu_m in seen and opt.mu_w in seen
