@@ -24,14 +24,12 @@ from .hardness import (
 from .instance import (
     MAN,
     WOMAN,
-    GapError,
     Instance,
     Matching,
     ParseError,
     Person,
     PreferenceTable,
     ValidationError,
-    functional_to_lists,
     make_instance,
     parse_instance,
     serialize,

@@ -140,9 +140,7 @@ def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken
         yield from descend(0, r)
 
 
-def enumerate_certificates(
-    inst: Instance, m_prime, r: int, *, _ctx: _Context | None = None
-) -> list[BranchCertificate]:
+def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertificate]:
     """All ways to move every listed man to a strictly worse woman within budget r.
 
     Candidates per man are his r most-preferred strictly-worse women; the
@@ -150,7 +148,7 @@ def enumerate_certificates(
     Certificates that give two men the same woman are included: this is
     the unpruned search that the solver's counters describe.
     """
-    ctx = _ctx or _Context(KernelState.make(inst, inst.target_k or 0))
+    ctx = _Context(KernelState.make(inst, inst.target_k or 0))
     selected = []
     for m in m_prime:
         i = ctx.inst.index.man_index.get(m)
@@ -185,21 +183,18 @@ def assemble_and_check(
     certificate: BranchCertificate,
     m_prime,
     *,
-    k: int | None = None,
     _ctx: _Context | None = None,
 ) -> Matching | None:
     """Complete a certificate into a full matching and accept it only if it
-    is injective, stable and has balance at most k.
+    is injective, stable and has balance at most the instance's stored k.
 
     Unselected sad men keep their man-optimal partners and every happy pair
-    is included; k defaults to the instance's stored target.  A given
-    ``_ctx`` carries its own instance and k.
+    is included.  A given ``_ctx`` carries its own instance and k.
     """
     if _ctx is None:
-        k = inst.target_k if k is None else k
-        if k is None:
-            raise ValueError("no target k given and the instance stores none")
-        _ctx = _Context(KernelState.make(inst, k))
+        if inst.target_k is None:
+            raise ValueError("the instance stores no target k")
+        _ctx = _Context(KernelState.make(inst, inst.target_k))
     return _assemble(_ctx, certificate, frozenset(m_prime))
 
 

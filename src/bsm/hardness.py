@@ -406,7 +406,8 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
         )
     # Only the cost sums of the stable matchings are needed; a 10-vertex,
     # 10-edge graph has about 20,000 of them, each with 1,573 pairs.
-    bal_opt = min(max(men, women) for _, men, women in _stable_matchings(art.inst.index))
+    rows = _stable_matchings(art.inst.index, len(art.inst.men))
+    bal_opt = min(max(men, women) for _, men, women in rows)
     answer = bal_opt <= art.k_hat
     opt = gs.optima(art.inst)
     t_actual = art.k_hat - max(opt.o_m, opt.o_w)

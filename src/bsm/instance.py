@@ -31,15 +31,6 @@ class ValidationError(ValueError):
     """A table violates mutuality, injectivity or the person model."""
 
 
-class GapError(ValueError):
-    """A preference function has a gap and cannot be read as a list."""
-
-    def __init__(self, person, position):
-        super().__init__(f"{person} has a gap at rank {position}")
-        self.person = person
-        self.position = position
-
-
 @dataclass(frozen=True, order=True)
 class Person:
     """A side-qualified participant; ``side`` is MAN or WOMAN.
@@ -247,22 +238,6 @@ def _validate(men, women, ranks, k):
                 raise ValidationError(f"rank of {b} in list of {a} must be a positive integer")
             if a not in ranks.get(b, {}):
                 raise ValidationError(f"mutual acceptability violated for ({a}, {b})")
-
-
-def functional_to_lists(inst: Instance) -> Instance:
-    """Read a gap-free functional instance back as a list instance.
-
-    Raises ``GapError`` at the first missing rank below some present rank.
-    """
-    for p in inst.people:
-        image = sorted(inst.prefs.ranks[p].values())
-        for i, r in enumerate(image, start=1):
-            if r != i:
-                raise GapError(p, i)
-    if inst.contiguous:
-        return inst
-    # All images are gap-free, so contiguity holds; rebuild to refresh the flag.
-    return Instance(inst.men, inst.women, PreferenceTable.from_ranks(inst.prefs.ranks), inst.target_k)
 
 
 # ---------------------------------------------------------------------------

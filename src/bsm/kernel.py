@@ -39,7 +39,6 @@ from .instance import (
     Matching,
     Person,
     ValidationError,
-    functional_to_lists,
     make_instance,
 )
 
@@ -54,7 +53,7 @@ class NoSadPerson(RuntimeError):
 
 
 class DummyExhausted(RuntimeError):
-    """Internal invariant failure: more gaps than available dummy partners."""
+    """Internal invariant failure: dummy insertion left a gap or changed t."""
 
 
 class OptimaMoved(RuntimeError):
@@ -420,8 +419,8 @@ def fill_gaps(st: KernelState):
     """Add t mutually-first dummy pairs and use them to plug every rank gap.
 
     The target grows by exactly t, once; afterwards every rank image is an
-    unbroken range starting at 1.  Returns the padded state, the dummy men,
-    the dummy women and the trace steps.
+    unbroken range starting at 1, or ``DummyExhausted`` is raised.  Returns
+    the padded state, the dummy men, the dummy women and the trace steps.
     """
     t = st.t
     steps: list[TraceStep] = []
@@ -457,6 +456,8 @@ def fill_gaps(st: KernelState):
     new_state = KernelState.make(inst, k)
     if new_state.t != t:
         raise DummyExhausted("dummy insertion changed the parameter")
+    if not inst.contiguous:
+        raise DummyExhausted("dummy insertion left a gap in the ranks")
     return new_state, xs, ys, steps
 
 
@@ -511,7 +512,7 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     steps.extend(fill_steps)
     return KernelResult(
         OUTCOME_KERNEL,
-        replace(functional_to_lists(padded.inst), target_k=padded.k),
+        replace(padded.inst, target_k=padded.k),
         padded.k,
         KernelTrace(tuple(steps), "reduced"),
         t_input,

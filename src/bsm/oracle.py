@@ -21,7 +21,11 @@ DEFAULT_MAX_MEN = 9
 
 
 class TooLarge(ValueError):
-    """The instance is beyond the size bound of an exhaustive check."""
+    """The instance is beyond the size bound of an exhaustive check.
+
+    For ``enumerate_stable`` and the oracle decisions the bound is on the
+    men whose partner differs between the man- and woman-optimal matchings.
+    """
 
 
 @dataclass(frozen=True)
@@ -38,35 +42,14 @@ class OracleDecision(NamedTuple):
     witness: Matching | None
 
 
-def _forced_pairs(idx: Index) -> list[tuple[int, int]]:
-    """Pairs that rank each other first, repeatedly; they are in every stable matching."""
-    m_alive = [True] * len(idx.men)
-    w_alive = [True] * len(idx.women)
-    forced: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for m in range(len(idx.men)):
-            if not m_alive[m]:
-                continue
-            top_w = next((w for w in idx.m_order[m] if w_alive[w]), None)
-            if top_w is None:
-                continue
-            top_m = next((m2 for m2 in idx.w_order[top_w] if m_alive[m2]), None)
-            if top_m == m:
-                forced.append((m, top_w))
-                m_alive[m] = False
-                w_alive[top_w] = False
-                changed = True
-    return forced
-
-
-def _stable_matchings(idx: Index):
+def _stable_matchings(idx: Index, limit: int):
     """Yield ``(partner, men_cost, women_cost)`` for every stable matching.
 
     ``partner[m]`` is the woman index of man index m, or -1 if he is
     single.  The list is changed in place after each yield: copy it to
-    keep it.  The first matching yielded is the man-optimal one.
+    keep it.  The first matching yielded is the man-optimal one.  Raises
+    ``TooLarge`` before yielding anything when more than ``limit`` men
+    move between the man- and woman-optimal matchings.
     """
     m_rank, w_rank, m_order = idx.m_rank, idx.w_rank, idx.m_order
     n_men = len(idx.men)
@@ -156,6 +139,8 @@ def _stable_matchings(idx: Index):
         moves.append(rotation)
         preds.append(mask)
         deltas.append((d_men, d_women))
+    if len(last_of_man) > limit:
+        raise TooLarge(f"{len(last_of_man)} men change partner, beyond the bound {limit}")
 
     # Closed sets, depth first: add rotation j only after the last one
     # added and only once all its predecessors are in.  Each closed set is
@@ -191,10 +176,7 @@ def _stable_matchings(idx: Index):
 
 def _sorted_rows(inst: Instance, limit: int):
     """The stable matchings of ``inst`` as sorted (partners, men's cost, women's cost) rows."""
-    free_men = len(inst.men) - len(_forced_pairs(inst.index))
-    if free_men > limit:
-        raise TooLarge(f"{free_men} men to search exceeds the bound {limit}")
-    rows = _stable_matchings(inst.index)
+    rows = _stable_matchings(inst.index, limit)
     return sorted((tuple(partner), men, women) for partner, men, women in rows)
 
 
@@ -202,8 +184,10 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     """All stable matchings, in a deterministic order, with the minimum balance.
 
     Matchings are ordered by the tuple of every man's partner index (-1
-    when single).  Raises ``TooLarge`` when more than ``limit`` men remain
-    after fixing the mutually-first pairs.
+    when single).  Raises ``TooLarge`` when more than ``limit`` men move
+    between the man- and woman-optimal matchings; only those men's
+    partners differ among the stable matchings, so there are at most
+    ``limit!`` of them.
     """
     rows = _sorted_rows(inst, limit)
     return StableSet(

@@ -97,11 +97,6 @@ def test_verify_disagrees_never(capsys, tmp_path):
     assert not doc["clique_answer"]
 
 
-def test_selftest(capsys):
-    code, doc = run(capsys, "selftest", "--count", "5", "--seed", "7")
-    assert code == 0 and doc["passed"] and doc["failures"] == []
-
-
 def test_usage_errors(capsys, tmp_path):
     assert main(["solve", str(tmp_path / "missing.txt"), "--k", "1"]) == 2
     bad = tmp_path / "bad.txt"
@@ -142,6 +137,27 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, instanc
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: no free dummy\n"
+
+
+def test_gap_left_in_the_kernel_is_internal(capsys, monkeypatch, tmp_path):
+    # A list-form input whose reduced instance at k=12 has rank gaps; with
+    # gap filling broken, the kernel would not be list-form.  That is a
+    # fault of the program, not of the input.
+    path = tmp_path / "inst.txt"
+    path.write_text(
+        "men: m1 m2 m3 m4 m5\nwomen: w1 w2 w3 w4 w5\n"
+        "m1: w5 w3 w2 w4 w1\nm2: w4 w1 w3 w2 w5\nm3: w2 w5 w1 w4 w3\n"
+        "m4: w5 w1 w2 w3 w4\nm5: w4 w2 w1 w5 w3\n"
+        "w1: m2 m4 m3 m5 m1\nw2: m5 m3 m2 m1 m4\nw3: m2 m4 m3 m5 m1\n"
+        "w4: m3 m4 m1 m5 m2\nw5: m3 m1 m2 m5 m4\n"
+    )
+    assert main(["kernelize", str(path), "--k", "12"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(kernel, "_gaps", lambda table: [])
+    assert main(["kernelize", str(path), "--k", "12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: dummy insertion left a gap in the ranks\n"
 
 
 def test_other_value_errors_are_internal(capsys, monkeypatch, instance_file):

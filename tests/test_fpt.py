@@ -15,7 +15,7 @@ from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import Index, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
-from bsm.oracle import DEFAULT_MAX_MEN, _forced_pairs, decide_above_min, enumerate_stable
+from bsm.oracle import DEFAULT_MAX_MEN, decide_above_min, enumerate_stable
 from helpers import naive_certificates, sad_2x2, sad_rich_instance
 
 
@@ -287,17 +287,17 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
 
 
 def test_solver_oracle_sweep_beyond_nine_men():
-    # Every k from one below max(O_M, O_W) to O_M + O_W.  At this seed the
-    # 26th instance leaves 12 men after the mutually-first pairs, beyond the
-    # oracle's default bound of 9.
+    # Every k from one below max(O_M, O_W) to O_M + O_W.  At this seed six
+    # instances have more than the oracle's default bound of 9 men, yet at
+    # most 5 men change partner in any of them, so the oracle takes all.
     rng = random.Random(1)
     beyond_default = 0
     mismatches = []
     for _ in range(40):
         inst = random_instance(rng, max_side=12)
-        beyond_default += len(inst.men) - len(_forced_pairs(inst.index)) > DEFAULT_MAX_MEN
+        beyond_default += len(inst.men) > DEFAULT_MAX_MEN
         opt = optima(inst)
-        bal_opt = enumerate_stable(inst, limit=len(inst.men)).bal_opt
+        bal_opt = enumerate_stable(inst).bal_opt
         for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
             if solve_above_min(inst, k).answer != (bal_opt <= k):
                 mismatches.append((serialize(inst), k))

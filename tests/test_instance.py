@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from bsm.instance import (
     MAN,
     WOMAN,
-    GapError,
     Matching,
     ParseError,
     Person,
     ValidationError,
-    functional_to_lists,
     make_instance,
     parse_instance,
     serialize,
@@ -104,20 +102,7 @@ def test_missing_person_line_means_empty_list():
     assert inst.acceptable(m2) == {}
 
 
-def test_functional_to_lists():
-    ok = functional_instance(
-        {"m1": {"w1": 1, "w2": 2, "w3": 3}},
-        {"w1": {"m1": 1}, "w2": {"m1": 1}, "w3": {"m1": 1}},
-    )
-    assert functional_to_lists(ok).contiguous
-
-    gapped = functional_instance({"m1": {"w1": 1, "w2": 3}}, {"w1": {"m1": 1}, "w2": {"m1": 1}})
-    with pytest.raises(GapError) as err:
-        functional_to_lists(gapped)
-    assert err.value.position == 2
-
-
-def test_functional_to_lists_after_gap_filling():
+def test_gap_filling_gives_a_list_form_kernel():
     import random
 
     from bsm.generate import random_instance
@@ -131,8 +116,7 @@ def test_functional_to_lists_after_gap_filling():
         opt = optima(inst)
         result = kernelize(inst, max(opt.o_m, opt.o_w) + 2)
         if result.outcome == OUTCOME_KERNEL:
-            relisted = functional_to_lists(result.kernel)
-            assert relisted.prefs.ranks == result.kernel.prefs.ranks
+            assert result.kernel.contiguous
             return
     pytest.skip("no kernel outcome in the sample")
 

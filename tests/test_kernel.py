@@ -7,7 +7,6 @@ import pytest
 from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import functional_to_lists
 from bsm.kernel import (
     OUTCOME_KERNEL,
     TRIVIAL_NO,
@@ -261,8 +260,7 @@ def test_fill_gaps_plugs_every_gap():
     st1 = fill_gaps(st0)[0]
     assert st1.k == 10
     assert len(st1.inst.men) == 6 and len(st1.inst.women) == 6
-    listed = functional_to_lists(st1.inst)
-    assert listed.contiguous
+    assert st1.inst.contiguous
     # the rank-2 hole of each original person is plugged by a dummy
     m1 = st1.inst.men[0]
     filler = next(w for w, r in st1.inst.prefs.ranks[m1].items() if r == 2)

@@ -86,7 +86,7 @@ def test_witness_is_the_first_least_balance_matching():
 
 
 def test_size_bound():
-    # A ring of preferences has no mutually-first pair, so nothing collapses.
+    # A ring of preferences: all 11 men change partner, beyond the default 9.
     n = 11
     men = [Person(MAN, f"m{i}") for i in range(n)]
     women = [Person(WOMAN, f"w{i}") for i in range(n)]
@@ -103,11 +103,22 @@ def test_size_bound():
     assert enumerate_stable(inst, limit=n).matchings
 
 
-def test_forced_pairs_do_not_hit_the_bound():
+def test_mutually_first_pairs_do_not_hit_the_bound():
     inst = mutual_first_instance(30, full=False)
     stable = enumerate_stable(inst)
     assert len(stable.matchings) == 1
     assert stable.bal_opt == 30
+
+
+def test_bound_counts_the_men_who_change_partner():
+    # At this seed the 25th instance has 12 men and no mutually-first pair,
+    # but a single stable matching: no man changes partner.
+    rng = random.Random(1)
+    for _ in range(25):
+        inst = random_instance(rng, max_side=12)
+    assert len(inst.men) == 12
+    stable = enumerate_stable(inst)
+    assert stable.matchings == (optima(inst).mu_m,)
 
 
 @st.composite
@@ -207,7 +218,7 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
         inst = random_instance(rng, n, n, 1.0)
         idx = inst.index
         seen = set()
-        for partner, men_cost, women_cost in _stable_matchings(idx):
+        for partner, men_cost, women_cost in _stable_matchings(idx, n):
             mu = idx.matching_from_arrays(partner)
             assert mu not in seen
             seen.add(mu)
