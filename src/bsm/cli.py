@@ -136,6 +136,17 @@ def _trace_json(trace: kernel.KernelTrace) -> list[dict]:
     ]
 
 
+def _non_negative(text: str) -> int:
+    """Argparse type of ``--limit``: an int, and not below 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _target_k(args, inst: Instance) -> int:
     if args.k is not None:
         return args.k
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all stable matchings, from the rotation poset")
     p.add_argument("instance")
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_MAX_MEN,
+    p.add_argument("--limit", type=_non_negative, default=oracle.DEFAULT_MAX_MEN,
                    help="most men that may change partner between the man- and "
                    "woman-optimal matchings")
     p.set_defaults(func=_cmd_enumerate)

@@ -64,33 +64,39 @@ class SolveResult:
 
 
 class _Context:
-    """Kernel facts shared across all subsets, read from the kernel's state."""
+    """Kernel facts shared across all subsets, read from the kernel's integer state."""
 
     def __init__(self, st: KernelState):
         self.inst = st.inst
         self.k = st.k
-        self.optima = st.optima
+        self.o_m = st.o_m
         self.sad_men = st.sad_men
-        self.happy_pairs = st.happy_pairs
-        idx = st.inst.index
         # The man-optimal partner of every man as a woman index, -1 if unmatched.
-        self.mu_m_index = idx.arrays_from_matching(self.optima.mu_m)[0]
+        self.mu_m_index = st.mu_m.by_man
+        # As people: each sad man with his man-optimal partner, and the happy pairs.
+        self.sad_pairs = [(st.men[m], st.women[self.mu_m_index[m]]) for m in st.sad_men]
+        self.happy_pairs = [(st.men[m], st.women[w]) for m, w in st.happy_pairs]
+        # Women no selected man may take: the happy pairs' women.
+        happy_women = {w for _, w in st.happy_pairs}
+        self.happy_taken = [w in happy_women for w in range(len(st.women))]
         # Per man index: the women strictly worse than his man-optimal
         # partner as (rank offset, woman index), best first.
         self.worse: list[list[tuple[int, int]]] = []
-        for m, anchor_w in enumerate(self.mu_m_index):
-            table = idx.m_rank[m]
+        for table, anchor_w in zip(st.m_rank, self.mu_m_index):
             anchor = table[anchor_w] if anchor_w >= 0 else None
             self.worse.append(
                 [] if anchor is None
                 else sorted((r - anchor, w) for w, r in table.items() if r > anchor)
             )
+        # Unpruned subtree sizes by (men from a depth on, budget left).  Offsets are
+        # distinct and positive, so the cut to r candidates drops none within budget.
+        self.sizes: dict[tuple[tuple[int, ...], int], int] = {}
 
 
 def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken=None):
     """Yield every assignment of the selected men with total offset at most r.
 
-    ``m_prime`` holds man indices.  ``counter[0]`` counts the search nodes.
+    ``m_prime`` is a tuple of man indices.  ``counter[0]`` counts the search nodes.
     Given ``taken``, a per-woman-index flag list, a man is never given a
     taken woman and each woman he is given is taken until the search
     backtracks; the certificates yielded are then exactly the injective
@@ -101,11 +107,12 @@ def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken
     depth = len(m_prime)
     cands = [ctx.worse[m][:r] for m in m_prime]
     chosen = [0] * depth
-    sizes: dict[tuple[int, int], int] = {}
+    suffixes = [m_prime[i:] for i in range(depth + 1)]
+    sizes = ctx.sizes
 
     def size(i: int, remaining: int) -> int:
         """Nodes of the unpruned subtree at depth i with this budget left."""
-        key = (i, remaining)
+        key = (suffixes[i], remaining)
         if key not in sizes:
             n = 1
             if i < depth:
@@ -155,15 +162,14 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
         if i is None or ctx.mu_m_index[i] < 0:
             raise ValueError(f"{m} is unmatched in the man-optimal matching")
         selected.append(i)
-    return list(_iter_certificates(ctx, selected, r, [0]))
+    return list(_iter_certificates(ctx, tuple(selected), r, [0]))
 
 
 def _assemble(ctx: _Context, certificate: BranchCertificate, m_prime_set) -> Matching | None:
     pairs = list(certificate.pairs)
-    by_man_m = ctx.optima.mu_m.by_man
-    for m in ctx.sad_men:
+    for m, w in ctx.sad_pairs:
         if m not in m_prime_set:
-            pairs.append((m, by_man_m[m]))
+            pairs.append((m, w))
     pairs.extend(ctx.happy_pairs)
     women = set()
     for _, w in pairs:
@@ -214,24 +220,20 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
             answer, kres.witness, kres.t_input, None, SolveStats(0, 0, 0), kres
         )
     ctx = _Context(kres.state)
-    r = kres.k - ctx.optima.o_m
+    r = kres.k - ctx.o_m
     subsets = 0
     nodes_total = 0
     nodes_max = 0
     if r >= 0:
         men = ctx.inst.men
-        sad = [ctx.inst.index.man_index[m] for m in ctx.sad_men]
-        # Women no selected man may take: the happy pairs' women.
-        happy_taken = [False] * len(ctx.inst.women)
-        for _, w in ctx.happy_pairs:
-            happy_taken[ctx.inst.index.woman_index[w]] = True
+        sad = ctx.sad_men
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
                 subsets += 1
                 counter = [0]
                 hit = None
                 # ... and the man-optimal partners of the unselected sad men.
-                taken = happy_taken.copy()
+                taken = ctx.happy_taken.copy()
                 for m in sad:
                     if m not in m_prime:
                         taken[ctx.mu_m_index[m]] = True

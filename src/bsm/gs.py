@@ -49,24 +49,21 @@ class Optima:
     o_w: int
 
 
-def _deferred_acceptance(order, responder_rank, n_resp, queue=None) -> list[int]:
-    """Proposer-optimal matching; returns each proposer's partner index or -1.
+def _deferred_acceptance(order, responder_rank, n_resp, queue=None):
+    """Proposer-optimal matching as (each proposer's partner, each responder's partner), -1 for none.
 
-    ``order[p]`` lists responder indices from best to worst, ``responder_rank[r]``
-    maps proposer index to rank value.  ``queue`` overrides the processing
+    Iterating ``order[p]`` gives responder indices from best to worst, as
+    a rank table of ``Instance.index`` does; ``responder_rank[r]`` maps
+    proposer index to rank value.  ``queue`` overrides the processing
     order; the result is independent of it.
     """
-    n_prop = len(order)
-    next_choice = [0] * n_prop
+    choices = [iter(c) for c in order]
     holds = [-1] * n_resp
-    matched = [-1] * n_prop
-    pending = deque(range(n_prop) if queue is None else queue)
+    matched = [-1] * len(order)
+    pending = deque(range(len(order)) if queue is None else queue)
     while pending:
         p = pending.popleft()
-        choices = order[p]
-        while next_choice[p] < len(choices):
-            r = choices[next_choice[p]]
-            next_choice[p] += 1
+        for r in choices[p]:
             current = holds[r]
             if current < 0:
                 holds[r] = p
@@ -79,23 +76,19 @@ def _deferred_acceptance(order, responder_rank, n_resp, queue=None) -> list[int]
                 matched[current] = -1
                 pending.append(current)
                 break
-    return matched
+    return matched, holds
 
 
 def man_optimal(inst: Instance) -> Matching:
     """The stable matching in which every man does as well as he possibly can."""
     idx = inst.index
-    matched = _deferred_acceptance(idx.m_order, idx.w_rank, len(idx.women))
-    return idx.matching_from_arrays(matched)
+    return idx.matching_from_arrays(_deferred_acceptance(idx.m_rank, idx.w_rank, len(idx.women))[0])
 
 
 def woman_optimal(inst: Instance) -> Matching:
     """The stable matching in which every woman does as well as she possibly can."""
     idx = inst.index
-    matched = _deferred_acceptance(idx.w_order, idx.m_rank, len(idx.men))
-    return Matching.of(
-        (idx.men[m], idx.women[w]) for w, m in enumerate(matched) if m >= 0
-    )
+    return idx.matching_from_arrays(_deferred_acceptance(idx.w_rank, idx.m_rank, len(idx.men))[1])
 
 
 def validate_matching(inst: Instance, mu: Matching) -> None:
@@ -125,11 +118,10 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[Person, Person]]:
     validate_matching(inst, mu)
     man_to, woman_to = idx.arrays_from_matching(mu)
     result: list[tuple[Person, Person]] = []
-    for m, choices in enumerate(idx.m_order):
-        m_rank = idx.m_rank[m]
+    for m, m_rank in enumerate(idx.m_rank):
         partner = man_to[m]
         limit = m_rank[partner] if partner >= 0 else None
-        for w in choices:
+        for w in m_rank:
             if limit is not None and m_rank[w] >= limit:
                 break  # rank order: everyone from here on is no better
             held = woman_to[w]

@@ -139,13 +139,12 @@ class Index:
     """Integer-indexed view of an instance for the inner algorithm loops.
 
     Men and women are numbered in instance order.  ``m_rank[m]`` maps each
-    acceptable woman's index to man m's rank of her and ``m_order[m]``
-    lists those indices best first; ``w_rank`` and ``w_order`` do the same
-    for women.  Get it as ``Instance.index``, which builds it once.
+    acceptable woman's index to man m's rank of her, in rank order, best
+    first; ``w_rank`` does the same for women.  Get it as
+    ``Instance.index``, which builds it once.
     """
 
-    __slots__ = ("men", "women", "man_index", "woman_index",
-                 "m_rank", "w_rank", "m_order", "w_order")
+    __slots__ = ("men", "women", "man_index", "woman_index", "m_rank", "w_rank")
 
     def __init__(self, inst: Instance):
         self.men = inst.men
@@ -155,11 +154,13 @@ class Index:
         ranks = inst.prefs.ranks
 
         def side(people, partner_index):
-            tables = [{partner_index[q]: r for q, r in ranks[p].items()} for p in people]
-            return tables, [sorted(table, key=table.get) for table in tables]
+            return [
+                {partner_index[q]: r for q, r in sorted(ranks[p].items(), key=lambda item: item[1])}
+                for p in people
+            ]
 
-        self.m_rank, self.m_order = side(inst.men, self.woman_index)
-        self.w_rank, self.w_order = side(inst.women, self.man_index)
+        self.m_rank = side(inst.men, self.woman_index)
+        self.w_rank = side(inst.women, self.man_index)
 
     def matching_from_arrays(self, partner_of_man: list[int]) -> Matching:
         return Matching.of(

@@ -10,12 +10,15 @@ step preserves the answer and never increases the parameter
 ``t = k - min(O_M, O_W)``.  Entry i of the table is reduction rule i
 (rr1 to rr8).
 
-A rule takes a ``KernelState`` and returns None when it does not apply.
-Otherwise it returns ``(next, rows)``: ``next`` is the next state or the
-verdict ``"yes"`` or ``"no"``, and ``rows`` holds, in order, the people
-named by each trace row the application records.  Every row runs from
-the state's k and t to the next state's t; only shrink moves k, by one
-per row.
+The rules run on integer rank tables, a ``KernelState``, whose stable
+optima come from integer deferred acceptance; people are named only in
+the result: trace rows, instances, witness and dummies.  A rule takes a
+``KernelState`` and returns None when it does not apply.  Otherwise it
+returns ``(next, rows)``: ``next`` is the next state or the verdict
+``"yes"`` or ``"no"``, and ``rows`` holds, in order, the people named by
+each trace row the application records.  Every row runs from the
+state's k and t to the next state's t; only shrink moves k, by one per
+row.
 
 Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
@@ -30,17 +33,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from . import gs
-from .instance import (
-    MAN,
-    WOMAN,
-    Instance,
-    Matching,
-    Person,
-    ValidationError,
-    make_instance,
-)
+from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError, make_instance
 
 TRIVIAL_YES = "yes"
 TRIVIAL_NO = "no"
@@ -60,36 +57,64 @@ class OptimaMoved(RuntimeError):
     """Internal invariant failure: a batched rule moved a stable optimum."""
 
 
+class Partners(NamedTuple):
+    """A matching as partner indices: ``by_man[m]`` is man m's woman, -1 if single."""
+
+    by_man: list[int]
+    by_woman: list[int]
+
+
 @dataclass(frozen=True)
 class KernelState:
-    """A functional instance under reduction, with its target and cached optima."""
+    """A functional instance under reduction, as integer tables, with its target and optima.
 
-    inst: Instance
+    People are numbered by position in ``men`` and ``women``; ``m_rank`` and
+    ``w_rank`` are rank tables as in ``Instance.index``, never mutated.
+    """
+
+    men: tuple[Person, ...]
+    women: tuple[Person, ...]
+    m_rank: list[dict[int, int]]
+    w_rank: list[dict[int, int]]
     k: int
-    optima: gs.Optima
-    sad_men: tuple[Person, ...]
-    sad_women: tuple[Person, ...]
-    happy_pairs: tuple[tuple[Person, Person], ...]
+    mu_m: Partners
+    mu_w: Partners
+    o_m: int
+    o_w: int
+    sad_men: tuple[int, ...]
+    sad_women: tuple[int, ...]
+    happy_pairs: tuple[tuple[int, int], ...]
 
     @property
     def t(self) -> int:
-        return self.k - min(self.optima.o_m, self.optima.o_w)
+        return self.k - min(self.o_m, self.o_w)
 
     @staticmethod
     def make(inst: Instance, k: int) -> "KernelState":
-        opt = gs.optima(inst)
-        by_man_m = opt.mu_m.by_man
-        by_man_w = opt.mu_w.by_man
-        by_woman_m = opt.mu_m.by_woman
-        by_woman_w = opt.mu_w.by_woman
-        sad_men = tuple(m for m in inst.men if by_man_m.get(m) != by_man_w.get(m))
-        sad_women = tuple(w for w in inst.women if by_woman_m.get(w) != by_woman_w.get(w))
-        happy = tuple(
-            (m, by_man_m[m])
-            for m in inst.men
-            if m in by_man_m and by_man_m[m] == by_man_w.get(m)
-        )
-        return KernelState(inst, k, opt, sad_men, sad_women, happy)
+        st = _settle(inst.men, inst.women, inst.index.m_rank, inst.index.w_rank, k)
+        vars(st)["inst"] = inst  # the state of an instance names that instance
+        return st
+
+    @cached_property
+    def inst(self) -> Instance:
+        """The state as a people-keyed instance, built on first use."""
+        men, women = self.men, self.women
+        ranks = {men[m]: {women[w]: r for w, r in t.items()} for m, t in enumerate(self.m_rank)}
+        ranks.update({women[w]: {men[m]: r for m, r in t.items()} for w, t in enumerate(self.w_rank)})
+        return make_instance(men, women, ranks, validate=False)
+
+
+def _settle(men, women, m_rank, w_rank, k) -> KernelState:
+    """The state of these tables: both optima by deferred acceptance, then sad and happy people."""
+    mu_m = Partners(*gs._deferred_acceptance(m_rank, w_rank, len(women)))
+    by_woman, by_man = gs._deferred_acceptance(w_rank, m_rank, len(men))
+    o_m = sum(m_rank[m][w] for m, w in enumerate(mu_m.by_man) if w >= 0)
+    o_w = sum(w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
+    sad_men = tuple(m for m, w in enumerate(mu_m.by_man) if w != by_man[m])
+    sad_women = tuple(w for w, m in enumerate(mu_m.by_woman) if m != by_woman[w])
+    happy = tuple((m, w) for m, w in enumerate(mu_m.by_man) if w >= 0 and w == by_man[m])
+    mu_w = Partners(by_man, by_woman)
+    return KernelState(men, women, m_rank, w_rank, k, mu_m, mu_w, o_m, o_w, sad_men, sad_women, happy)
 
 
 @dataclass(frozen=True)
@@ -117,8 +142,9 @@ class KernelResult:
     holds the reduced instance before dummy insertion.  ``witness`` is set
     for outcome "yes" and lives in the *input* instance.  ``lift`` maps any
     matching of the kernel back to the input instance.  ``state`` is the
-    padded functional state the kernel was read from, with its optima and
-    its sad and happy people; it is None unless the outcome is "kernel".
+    padded state the kernel was read from, numbered as the kernel's people,
+    with its optima and its sad and happy people; it is None unless the
+    outcome is "kernel".
     """
 
     outcome: str
@@ -144,22 +170,38 @@ class KernelResult:
 
 # --- the rules --------------------------------------------------------------
 
-def _rebuild(st: KernelState, men, women, ranks, k=None) -> KernelState:
-    inst = make_instance(men, women, ranks, None, validate=False)
-    return KernelState.make(inst, st.k if k is None else k)
+def _sides(st: KernelState, men_anchor, women_anchor):
+    """Men, then women: (own tables, anchor of each, own people, partners, owner is a woman)."""
+    yield st.m_rank, men_anchor, st.men, st.women, False
+    yield st.w_rank, women_anchor, st.women, st.men, True
 
 
-def _without_pair(st: KernelState, a: Person, b: Person) -> KernelState:
-    ranks = dict(st.inst.prefs.ranks)
-    for owner, partner in ((a, b), (b, a)):
-        ranks[owner] = dict(ranks[owner])
-        del ranks[owner][partner]
-    return _rebuild(st, st.inst.men, st.inst.women, ranks)
+def _without_pairs(st: KernelState, pairs) -> KernelState:
+    """The state without the given (man, woman) pairs; only the tables they touch are copied."""
+    m_rank, w_rank = list(st.m_rank), list(st.w_rank)
+    for tables, touched in ((m_rank, {m for m, _ in pairs}), (w_rank, {w for _, w in pairs})):
+        for p in touched:
+            tables[p] = dict(tables[p])
+    for m, w in pairs:
+        del m_rank[m][w], w_rank[w][m]
+    return _settle(st.men, st.women, m_rank, w_rank, st.k)
+
+
+def _kept(st: KernelState, men, women, shift=(-1, 0, -1, 0)) -> KernelState:
+    """The state on these men and women (indices, in order) only, renumbered.
+
+    ``shift`` is (man, amount, woman, amount): those two rank functions rise by their amount.
+    """
+    new_m, new_w = {m: i for i, m in enumerate(men)}, {w: j for j, w in enumerate(women)}
+    m_s, d_m, w_s, d_w = shift
+    m_rank = [{new_w[w]: r + d_m * (m == m_s) for w, r in st.m_rank[m].items() if w in new_w} for m in men]
+    w_rank = [{new_m[m]: r + d_w * (w == w_s) for m, r in st.w_rank[w].items() if m in new_m} for w in women]
+    return _settle(tuple(st.men[m] for m in men), tuple(st.women[w] for w in women), m_rank, w_rank, st.k)
 
 
 def bound_check(st: KernelState):
     """No stable matching can beat both optima, so a target below their max fails."""
-    return (TRIVIAL_NO, [()]) if st.k < max(st.optima.o_m, st.optima.o_w) else None
+    return (TRIVIAL_NO, [()]) if st.k < max(st.o_m, st.o_w) else None
 
 
 def clean_suffix_once(st: KernelState):
@@ -169,16 +211,12 @@ def clean_suffix_once(st: KernelState):
     man-optimal partner; no stable matching uses such a pair, so the
     stable set and both optima are untouched.
     """
-    ranks = st.inst.prefs.ranks
-    anchors = {MAN: st.optima.mu_w.by_man, WOMAN: st.optima.mu_m.by_woman}
-    for a in st.inst.people:
-        anchor = anchors[a.side].get(a)
-        if anchor is None:
-            continue
-        table = ranks[a]
-        worst = max(table, key=table.get)
-        if table[worst] > table[anchor]:
-            return _without_pair(st, a, worst), [(a, worst)]
+    for tables, anchors, owners, partners, flip in _sides(st, st.mu_w.by_man, st.mu_m.by_woman):
+        for a, anchor in enumerate(anchors):
+            worst = next(reversed(tables[a]), -1)  # tables are in rank order
+            if anchor >= 0 and worst != anchor:
+                pair = (worst, a) if flip else (a, worst)
+                return _without_pairs(st, [pair]), [(owners[a], partners[worst])]
     return None
 
 
@@ -187,47 +225,33 @@ def clean_suffix(st: KernelState):
 
     The anchors are the optima, which no drop moves, so one pass over the
     people in instance order, each dropping partners beyond their anchor
-    worst first, makes the same drops in the same order.
+    worst first and skipping pairs already dropped, makes the same drops
+    in the same order.
     """
-    ranks = dict(st.inst.prefs.ranks)
-    anchors = {MAN: st.optima.mu_w.by_man, WOMAN: st.optima.mu_m.by_woman}
-    copied: set[Person] = set()
-    drops: list[tuple[Person, Person]] = []
-    for a in st.inst.people:
-        anchor = anchors[a.side].get(a)
-        if anchor is None:
-            continue
-        table = ranks[a]
-        limit = table[anchor]
-        beyond = sorted((b for b, r in table.items() if r > limit), key=table.get, reverse=True)
-        for b in beyond:
-            for owner, partner in ((a, b), (b, a)):
-                if owner not in copied:
-                    ranks[owner] = dict(ranks[owner])
-                    copied.add(owner)
-                del ranks[owner][partner]
-            drops.append((a, b))
+    drops: dict[tuple[int, int], tuple[Person, Person]] = {}  # (man, woman) -> row
+    for tables, anchors, owners, partners, flip in _sides(st, st.mu_w.by_man, st.mu_m.by_woman):
+        for a, anchor in enumerate(anchors):
+            if anchor >= 0:
+                limit = tables[a][anchor]
+                for b in reversed([b for b, r in tables[a].items() if r > limit]):
+                    drops.setdefault((b, a) if flip else (a, b), (owners[a], partners[b]))
     if not drops:
         return None
-    nxt = _rebuild(st, st.inst.men, st.inst.women, ranks)
-    if nxt.optima != st.optima:
+    nxt = _without_pairs(st, drops)
+    if (nxt.mu_m, nxt.mu_w, nxt.o_m, nxt.o_w) != (st.mu_m, st.mu_w, st.o_m, st.o_w):
         raise OptimaMoved("clean-suffix drops changed the stable optima")
-    return nxt, drops
+    return nxt, list(drops.values())
 
 
 def restrict_matched(st: KernelState):
     """Restrict to the people matched by every stable matching."""
-    matched = set(st.optima.mu_m.by_man) | set(st.optima.mu_m.by_woman)
-    if len(matched) == len(st.inst.people):
+    men = [m for m, w in enumerate(st.mu_m.by_man) if w >= 0]
+    women = [w for w, m in enumerate(st.mu_m.by_woman) if m >= 0]
+    if len(men) == len(st.men) and len(women) == len(st.women):
         return None
-    men = tuple(m for m in st.inst.men if m in matched)
-    women = tuple(w for w in st.inst.women if w in matched)
-    ranks = {
-        p: {q: r for q, r in st.inst.prefs.ranks[p].items() if q in matched}
-        for p in men + women
-    }
-    gone = [p for p in st.inst.people if p not in matched]
-    return _rebuild(st, men, women, ranks), [gone]
+    gone = [st.men[m] for m, w in enumerate(st.mu_m.by_man) if w < 0]
+    gone += [st.women[w] for w, m in enumerate(st.mu_m.by_woman) if m < 0]
+    return _kept(st, men, women), [gone]
 
 
 def bound_sad(st: KernelState):
@@ -242,8 +266,8 @@ def no_sad(st: KernelState):
     """With no sad people the man-optimal matching is the only stable one."""
     if st.sad_men or st.sad_women:
         return None
-    bal = gs.objectives(st.inst, st.optima.mu_m).balance
-    return (TRIVIAL_YES if bal <= st.k else TRIVIAL_NO), [()]
+    women_cost = sum(st.w_rank[w][m] for w, m in enumerate(st.mu_m.by_woman) if m >= 0)
+    return (TRIVIAL_YES if max(st.o_m, women_cost) <= st.k else TRIVIAL_NO), [()]
 
 
 def _remove_happy(st: KernelState, pairs):
@@ -257,32 +281,20 @@ def _remove_happy(st: KernelState, pairs):
         return None
     if not st.sad_men or not st.sad_women:
         m_h, w_h = pairs[0]
-        raise NoSadPerson(f"cannot transfer the cost of ({m_h}, {w_h})")
-    m_s = st.sad_men[0]
-    w_s = st.sad_women[0]
-    ranks = st.inst.prefs.ranks
-    shift_m = sum(ranks[m][w] for m, w in pairs)
-    shift_w = sum(ranks[w][m] for m, w in pairs)
-    removed = {p for pair in pairs for p in pair}
-    new_ranks = {}
-    for p, table in ranks.items():
-        if p in removed:
-            continue
-        if removed & table.keys():
-            table = {q: r for q, r in table.items() if q not in removed}
-        if p == m_s:
-            table = {q: r + shift_m for q, r in table.items()}
-        elif p == w_s:
-            table = {q: r + shift_w for q, r in table.items()}
-        new_ranks[p] = table
-    men = tuple(m for m in st.inst.men if m not in removed)
-    women = tuple(w for w in st.inst.women if w not in removed)
-    return _rebuild(st, men, women, new_ranks), [(m_h, w_h, m_s, w_s) for m_h, w_h in pairs]
+        raise NoSadPerson(f"cannot transfer the cost of ({st.men[m_h]}, {st.women[w_h]})")
+    m_s, w_s = st.sad_men[0], st.sad_women[0]
+    shift = m_s, sum(st.m_rank[m][w] for m, w in pairs), w_s, sum(st.w_rank[w][m] for m, w in pairs)
+    gone_men, gone_women = {m for m, _ in pairs}, {w for _, w in pairs}
+    men = [m for m in range(len(st.men)) if m not in gone_men]
+    women = [w for w in range(len(st.women)) if w not in gone_women]
+    rows = [(st.men[m], st.women[w], st.men[m_s], st.women[w_s]) for m, w in pairs]
+    return _kept(st, men, women, shift), rows, men, women
 
 
 def remove_happy_pair_once(st: KernelState):
     """Remove the first happy pair in canonical order."""
-    return _remove_happy(st, st.happy_pairs[:1])
+    hit = _remove_happy(st, st.happy_pairs[:1])
+    return None if hit is None else hit[:2]
 
 
 def remove_happy_pair(st: KernelState):
@@ -290,20 +302,18 @@ def remove_happy_pair(st: KernelState):
 
     A removal keeps k, t, the sad people and the order of the other happy
     pairs, so every pair moves its cost onto the same first sad man and
-    first sad woman; their shifts add up.
+    first sad woman; their shifts add up.  Every other man keeps his
+    partner in both optima, and a removed woman is nobody's partner.
     """
     hit = _remove_happy(st, st.happy_pairs)
     if hit is None:
         return None
-    happy = set(st.happy_pairs)
-    before, after = st.optima, hit[0].optima
-    if (
-        (after.o_m, after.o_w) != (before.o_m, before.o_w)
-        or after.mu_m.pairs != before.mu_m.pairs - happy
-        or after.mu_w.pairs != before.mu_w.pairs - happy
-    ):
+    nxt, rows, men, women = hit
+    new_w = {w: j for j, w in enumerate(women)} | {-1: -1}
+    expect = [[new_w.get(mu.by_man[m]) for m in men] for mu in (st.mu_m, st.mu_w)]
+    if (nxt.o_m, nxt.o_w, [nxt.mu_m.by_man, nxt.mu_w.by_man]) != (st.o_m, st.o_w, expect):
         raise OptimaMoved("happy-pair removals changed the stable optima")
-    return hit
+    return nxt, rows
 
 
 def truncate(st: KernelState):
@@ -312,52 +322,43 @@ def truncate(st: KernelState):
     Men are checked first against the man-optimal matching, then women
     against the woman-optimal one; the owner's best over-limit partner goes.
     """
-    ranks = st.inst.prefs.ranks
-    opt = st.optima
-    for people, partner_of, cost in (
-        (st.inst.men, opt.mu_m.by_man, opt.o_m),
-        (st.inst.women, opt.mu_w.by_woman, opt.o_w),
-    ):
-        slack = st.k - cost
-        for a in people:
-            anchor = partner_of.get(a)
-            if anchor is None:
-                continue
-            limit = slack + ranks[a][anchor]
-            over = [(r, b) for b, r in ranks[a].items() if r > limit]
-            if over:
-                b = min(over)[1]
-                return _without_pair(st, a, b), [(a, b)]
+    for tables, anchors, owners, partners, flip in _sides(st, st.mu_m.by_man, st.mu_w.by_woman):
+        slack = st.k - (st.o_w if flip else st.o_m)
+        for a, anchor in enumerate(anchors):
+            if anchor >= 0:
+                limit = slack + tables[a][anchor]
+                b = next((b for b, r in tables[a].items() if r > limit), -1)  # the best, by rank order
+                if b >= 0:
+                    pair = (b, a) if flip else (a, b)
+                    return _without_pairs(st, [pair]), [(owners[a], partners[b])]
     return None
 
 
-def _shrink_units(st: KernelState) -> list[tuple[Person, Person]]:
+def _shrink_units(st: KernelState) -> list[tuple[int, int]]:
     """One (man, woman) per unit shift, pairing the men's and the women's excess in order.
 
     Each man contributes one entry per unit by which his man-optimal
     partner ranks above 1, each woman likewise for her woman-optimal one.
     """
-    ranks = st.inst.prefs.ranks
-    by_man = st.optima.mu_m.by_man
-    by_woman = st.optima.mu_w.by_woman
     man_units = [
-        m for m in st.inst.men if m in by_man for _ in range(ranks[m][by_man[m]] - 1)
+        m for m, w in enumerate(st.mu_m.by_man) if w >= 0 for _ in range(st.m_rank[m][w] - 1)
     ]
     woman_units = [
-        w for w in st.inst.women if w in by_woman for _ in range(ranks[w][by_woman[w]] - 1)
+        w for w, m in enumerate(st.mu_w.by_woman) if m >= 0 for _ in range(st.w_rank[w][m] - 1)
     ]
     return list(zip(man_units, woman_units))
 
 
-def _shift(st: KernelState, units: list[tuple[Person, Person]]):
+def _shift(st: KernelState, units: list[tuple[int, int]]):
     """Lower each listed person's whole rank function by one per listing, and k by one per unit."""
     if not units:
         return None
-    ranks = st.inst.prefs.ranks
-    new_ranks = dict(ranks)
-    for p, d in Counter(p for unit in units for p in unit).items():
-        new_ranks[p] = {q: r - d for q, r in ranks[p].items()}
-    return _rebuild(st, st.inst.men, st.inst.women, new_ranks, k=st.k - len(units)), units
+    m_rank, w_rank = list(st.m_rank), list(st.w_rank)
+    for tables, side_units in ((m_rank, [m for m, _ in units]), (w_rank, [w for _, w in units])):
+        for p, d in Counter(side_units).items():
+            tables[p] = {q: r - d for q, r in tables[p].items()}
+    rows = [(st.men[m], st.women[w]) for m, w in units]
+    return _settle(st.men, st.women, m_rank, w_rank, st.k - len(units)), rows
 
 
 def shrink_once(st: KernelState):
@@ -376,12 +377,8 @@ def shrink(st: KernelState):
     if hit is None:
         return None
     total = len(hit[1])
-    before, after = st.optima, hit[0].optima
-    if (
-        (after.o_m, after.o_w) != (before.o_m - total, before.o_w - total)
-        or after.mu_m != before.mu_m
-        or after.mu_w != before.mu_w
-    ):
+    nxt = hit[0]
+    if (nxt.o_m, nxt.o_w, nxt.mu_m, nxt.mu_w) != (st.o_m - total, st.o_w - total, st.mu_m, st.mu_w):
         raise OptimaMoved("shrink shifts changed the stable optima")
     return hit
 
@@ -408,7 +405,7 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
-def _gaps(table: dict[Person, int]) -> list[int]:
+def _gaps(table: dict) -> list[int]:
     if not table:
         return []
     image = set(table.values())
@@ -424,41 +421,40 @@ def fill_gaps(st: KernelState):
     """
     t = st.t
     steps: list[TraceStep] = []
-    original_men = st.inst.men
-    original_women = st.inst.women
-    taken = {p.name for p in st.inst.people}
+    taken = {p.name for p in st.men + st.women}
     xs = tuple(Person(MAN, _fresh(f"x{i + 1}", taken)) for i in range(t))
     ys = tuple(Person(WOMAN, _fresh(f"y{i + 1}", taken)) for i in range(t))
-    ranks = {p: dict(tbl) for p, tbl in st.inst.prefs.ranks.items()}
+    men, women = st.men + xs, st.women + ys
+    m_rank = list(st.m_rank) + [{len(st.women) + i: 1} for i in range(len(xs))]
+    w_rank = list(st.w_rank) + [{len(st.men) + i: 1} for i in range(len(ys))]
     k = st.k
     if t > 0:
-        for x, y in zip(xs, ys):
-            ranks[x] = {y: 1}
-            ranks[y] = {x: 1}
         k += t
         steps.append(TraceStep("add_dummies", xs + ys, st.k, k, t, t))
 
-    def fill(person: Person, pool) -> None:
-        for gap in _gaps(ranks[person]):
-            dummy = next((d for d in pool if d not in ranks[person]), None)
-            if dummy is None:
-                raise DummyExhausted(f"no free dummy for the gap of {person} at {gap}")
-            ranks[person][dummy] = gap
-            ranks[dummy][person] = max(ranks[dummy].values()) + 1
-            steps.append(TraceStep("fill_gap", (person, dummy), k, k, t, t))
+    def fill(own, other, owners, partners) -> None:
+        for p in range(len(own) - len(xs)):
+            gaps = _gaps(own[p])
+            if not gaps:
+                continue
+            table = dict(own[p])
+            for gap in gaps:
+                dummy = next((d for d in range(len(other) - len(xs), len(other)) if d not in table), None)
+                if dummy is None:
+                    raise DummyExhausted(f"no free dummy for the gap of {owners[p]} at {gap}")
+                table[dummy] = gap
+                other[dummy][p] = max(other[dummy].values()) + 1
+                steps.append(TraceStep("fill_gap", (owners[p], partners[dummy]), k, k, t, t))
+            own[p] = dict(sorted(table.items(), key=lambda item: item[1]))
 
-    for m in original_men:
-        fill(m, ys)
-    for w in original_women:
-        fill(w, xs)
-
-    inst = make_instance(original_men + xs, original_women + ys, ranks, None)
-    new_state = KernelState.make(inst, k)
-    if new_state.t != t:
+    fill(m_rank, w_rank, men, women)
+    fill(w_rank, m_rank, women, men)
+    padded = _settle(men, women, m_rank, w_rank, k)
+    if padded.t != t:
         raise DummyExhausted("dummy insertion changed the parameter")
-    if not inst.contiguous:
+    if not padded.inst.contiguous:
         raise DummyExhausted("dummy insertion left a gap in the ranks")
-    return new_state, xs, ys, steps
+    return padded, xs, ys, steps
 
 
 # --- the pipeline -----------------------------------------------------------
@@ -503,7 +499,8 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     if verdict is not None:
         witness = None
         if verdict == TRIVIAL_YES:
-            witness = Matching.of(set(st.optima.mu_m.pairs) | set(removed_happy))
+            mu_m = [(st.men[m], st.women[w]) for m, w in enumerate(st.mu_m.by_man) if w >= 0]
+            witness = Matching.of(mu_m + list(removed_happy))
         return KernelResult(
             verdict, None, None, KernelTrace(tuple(steps), verdict), t_input,
             witness, None, None, removed_happy, (), (),

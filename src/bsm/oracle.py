@@ -51,14 +51,11 @@ def _stable_matchings(idx: Index, limit: int):
     ``TooLarge`` before yielding anything when more than ``limit`` men
     move between the man- and woman-optimal matchings.
     """
-    m_rank, w_rank, m_order = idx.m_rank, idx.w_rank, idx.m_order
+    m_rank, w_rank = idx.m_rank, idx.w_rank
+    m_order = [list(table) for table in m_rank]  # each man's women, best first
     n_men = len(idx.men)
-    partner = gs._deferred_acceptance(m_order, w_rank, len(idx.women))
+    partner, holder = gs._deferred_acceptance(m_rank, w_rank, len(idx.women))
     mu_m = partner.copy()
-    holder = [-1] * len(idx.women)
-    for m, w in enumerate(partner):
-        if w >= 0:
-            holder[w] = m
     men_cost = sum(m_rank[m][w] for m, w in enumerate(partner) if w >= 0)
     women_cost = sum(w_rank[w][m] for w, m in enumerate(holder) if m >= 0)
 

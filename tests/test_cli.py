@@ -47,6 +47,22 @@ def test_enumerate(capsys, instance_file):
     assert {entry["objectives"]["balance"] for entry in doc} == {4}
 
 
+def test_negative_limit_is_a_usage_error(capsys, tmp_path):
+    # No man moves in a mutually-first pair; a negative bound used to reach
+    # the enumerator and report "0 men change partner, beyond the bound -1".
+    path = tmp_path / "pair.txt"
+    path.write_text("men: m1\nwomen: w1\nm1: w1\nw1: m1\n")
+    for argv in (["--limit", "-1"], ["--limit=-1"]):
+        assert main(["enumerate", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "bsm enumerate: error: argument --limit: must not be negative, got -1\n"
+        )
+    code, doc = run(capsys, "enumerate", str(path), "--limit", "0")
+    assert code == 0 and doc[0]["pairs"] == [["m1", "w1"]]
+
+
 def test_kernelize_with_trace(capsys, instance_file):
     code, doc = run(capsys, "kernelize", instance_file, "--trace")
     assert code == 0

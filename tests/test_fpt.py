@@ -198,14 +198,13 @@ def search_kernels():
                 continue
             ctx = _Context(result.state)
             if ctx.sad_men:
-                yield inst, k, result, ctx, result.k - ctx.optima.o_m
+                yield inst, k, result, ctx, result.k - ctx.o_m
 
 
 def busy_women(ctx, selected):
     """Women of the happy pairs and the man-optimal partners of unselected sad men."""
-    by_man = ctx.optima.mu_m.by_man
     return {w for _, w in ctx.happy_pairs} | {
-        by_man[m] for m in ctx.sad_men if m not in selected
+        w for m, w in ctx.sad_pairs if m not in selected
     }
 
 
@@ -226,7 +225,7 @@ def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
     kernels = subsets = skipped = 0
     for *_, ctx, r in search_kernels():
         kernels += 1
-        sad = [ctx.inst.index.man_index[m] for m in ctx.sad_men]
+        sad = ctx.sad_men
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
                 selected = {ctx.inst.men[m] for m in m_prime}
@@ -251,10 +250,10 @@ def unpruned_solve(result, ctx, r):
         for m_prime in combinations(ctx.sad_men, size):
             subsets += 1
             counter = [0]
-            indices = [ctx.inst.index.man_index[m] for m in m_prime]
+            people = [ctx.inst.men[m] for m in m_prime]
             hit = None
-            for certificate in _iter_certificates(ctx, indices, r, counter):
-                hit = assemble_and_check(ctx.inst, certificate, m_prime, _ctx=ctx)
+            for certificate in _iter_certificates(ctx, m_prime, r, counter):
+                hit = assemble_and_check(ctx.inst, certificate, people, _ctx=ctx)
                 if hit is not None:
                     break
             nodes_total += counter[0]

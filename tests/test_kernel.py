@@ -29,7 +29,7 @@ from bsm.kernel import (
     truncate,
 )
 from bsm.oracle import decide_above_min, enumerate_stable
-from helpers import empty_instance, functional_instance, sad_2x2
+from helpers import empty_instance, functional_instance, sad_2x2, sad_rich_instance
 
 
 def state(inst, k):
@@ -38,6 +38,11 @@ def state(inst, k):
 
 def names(people):
     return sorted(p.name for p in people)
+
+
+def optima_of(st):
+    """Both stable optima of a state, as partner indices, with their costs."""
+    return st.mu_m, st.mu_w, st.o_m, st.o_w
 
 
 def step(rule, st):
@@ -89,16 +94,15 @@ def test_rr2_exhaustion_cleans_prefixes_too():
         st = state(inst, 100)
         while (nxt := step(clean_suffix_once, st)) is not None:
             st = nxt
-        opt = st.optima
-        ranks = st.inst.prefs.ranks
-        for m in st.inst.men:
-            if m not in opt.mu_m.by_man:
+        m_rank, w_rank = st.m_rank, st.w_rank
+        for m in range(len(st.men)):
+            if st.mu_m.by_man[m] < 0:
                 continue
-            for w, r in ranks[m].items():
-                assert ranks[m][opt.mu_m.by_man[m]] <= r <= ranks[m][opt.mu_w.by_man[m]]
-                assert ranks[w][opt.mu_w.by_woman[w]] <= ranks[w][m] <= ranks[w][opt.mu_m.by_woman[w]]
+            for w, r in m_rank[m].items():
+                assert m_rank[m][st.mu_m.by_man[m]] <= r <= m_rank[m][st.mu_w.by_man[m]]
+                assert w_rank[w][st.mu_w.by_woman[w]] <= w_rank[w][m] <= w_rank[w][st.mu_m.by_woman[w]]
         for m, w in st.happy_pairs:
-            assert set(ranks[m]) == {w} and set(ranks[w]) == {m}
+            assert set(m_rank[m]) == {w} and set(w_rank[w]) == {m}
 
 
 def test_rr3_removes_isolated_people():
@@ -159,7 +163,7 @@ def test_rr6_transfers_happy_cost():
         k=6,
     )
     st0 = state(inst, 6)
-    assert [(m.name, w.name) for m, w in st0.happy_pairs] == [("m0", "w0")]
+    assert [(st0.men[m].name, st0.women[w].name) for m, w in st0.happy_pairs] == [("m0", "w0")]
     st1 = step(remove_happy_pair_once, st0)
     assert st1 is not None
     assert names(st1.inst.men) == ["m1", "m2"]
@@ -396,7 +400,7 @@ def test_rr2_batch_matches_repeated_single_drops():
             continue
         nxt, got = batch
         assert got == drops
-        assert nxt.inst == ref.inst and nxt.optima == ref.optima
+        assert nxt.inst == ref.inst and optima_of(nxt) == optima_of(ref)
         assert nxt.inst.prefs.ranks == ref.inst.prefs.ranks
         trace = kernelize(inst, k).trace.steps
         assert [(s.rule, s.affected) for s in trace[: len(drops)]] == [
@@ -426,7 +430,7 @@ def test_rr6_batch_matches_repeated_single_removals():
         nxt, got = remove_happy_pair(st)
         assert got == removals
         assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.t == ref.t
-        assert nxt.optima == ref.optima
+        assert optima_of(nxt) == optima_of(ref)
         assert (nxt.sad_men, nxt.sad_women, nxt.happy_pairs) == (ref.sad_men, ref.sad_women, ())
         checked += 1
     assert checked >= 5
@@ -440,11 +444,11 @@ def test_rr6_batch_requires_sad_people():
 
 def test_batches_raise_when_optima_move():
     st = state(sad_2x2(), 4)
-    m1, m2 = st.inst.men
-    w1, w2 = st.inst.women
+    m1, m2 = range(2)  # indices, as the state numbers its people
+    w1, w2 = range(2)
     # Claiming the man-optimal matching is also woman-optimal makes each man
     # drop his second choice, and the real woman-optimal matching changes.
-    stale = dataclasses.replace(st, optima=dataclasses.replace(st.optima, mu_w=st.optima.mu_m))
+    stale = dataclasses.replace(st, mu_w=st.mu_m)
     with pytest.raises(OptimaMoved):
         clean_suffix(stale)
     # (m1, w1) is not happy; removing it leaves (m2, w1) in mu_W without w1.
@@ -469,7 +473,7 @@ def test_rr8_batch_matches_repeated_single_shifts():
             continue
         nxt, got = batch
         assert got == shifts
-        assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.optima == ref.optima
+        assert nxt.inst == ref.inst and nxt.k == ref.k and optima_of(nxt) == optima_of(ref)
         assert nxt.inst.prefs.ranks == ref.inst.prefs.ranks
         assert ts == [(st.k - j, st.k - j - 1, st.t, st.t) for j in range(len(shifts))]
         checked += 1
@@ -500,20 +504,21 @@ def test_rr8_batch_raises_when_optima_move():
     )
     st = state(inst, 8)
     assert shrink(st)[0].k == 6
-    stale = dataclasses.replace(st, optima=dataclasses.replace(st.optima, o_w=st.optima.o_w + 1))
+    stale = dataclasses.replace(st, o_w=st.o_w + 1)
     with pytest.raises(OptimaMoved):
         shrink(stale)
 
 
 def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
+    # Each integer state build runs deferred acceptance twice for both optima.
     calls = [0]
-    real = gs.optima
+    real = kernel._settle
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gs, "optima", counted)
+    monkeypatch.setattr(kernel, "_settle", counted)
     total_calls = total_drops = 0
     for inst in diff_instances(2203, 12):
         for k in (least_k(inst), least_k(inst) + 3):
@@ -529,3 +534,75 @@ def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
             total_drops += rules["clean_suffix"]
     assert total_calls <= 10 * 24
     assert total_drops > 10 * total_calls
+
+
+# --- the integer state against deferred acceptance on people ----------------
+
+def test_every_state_matches_the_optima_of_its_instance(monkeypatch):
+    # gs.optima on a people-keyed copy of each state is the slow reference.
+    states = []
+    real = kernel._settle
+
+    def recorded(*args):
+        states.append(real(*args))
+        return states[-1]
+
+    monkeypatch.setattr(kernel, "_settle", recorded)
+    rng = random.Random(8080)
+    decisions = 0
+    rules = Counter()
+    for i in range(40):
+        inst = sad_rich_instance(rng) if i % 2 else random_instance(rng, max_side=7)
+        opt = optima(inst)
+        for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
+            rules.update(step.rule for step in kernelize(inst, k).trace.steps)
+            decisions += 1
+    assert decisions >= 200
+    assert set(rules) >= {name for name, _ in kernel.RULES} | {"add_dummies", "fill_gap"}
+
+    for st in states:
+        copy = dataclasses.replace(st).inst  # the cached instance is not copied
+        want = gs.optima(copy)
+        men, women = st.men, st.women
+        assert (copy.men, copy.women) == (men, women)
+        for mu, ref in ((st.mu_m, want.mu_m), (st.mu_w, want.mu_w)):
+            assert {(men[m], women[w]) for m, w in enumerate(mu.by_man) if w >= 0} == ref.pairs
+            assert {(men[m], women[w]) for w, m in enumerate(mu.by_woman) if m >= 0} == ref.pairs
+        assert (st.o_m, st.o_w) == (want.o_m, want.o_w)
+        by_m, by_w = want.mu_m, want.mu_w
+        assert [men[m] for m in st.sad_men] == [m for m in men if by_m.partner(m) != by_w.partner(m)]
+        assert [women[w] for w in st.sad_women] == [
+            w for w in women if by_m.partner(w) != by_w.partner(w)
+        ]
+        assert [(men[m], women[w]) for m, w in st.happy_pairs] == [
+            (m, by_m.partner(m)) for m in men
+            if by_m.partner(m) is not None and by_m.partner(m) == by_w.partner(m)
+        ]
+        for table in st.m_rank + st.w_rank:
+            assert list(table.values()) == sorted(table.values())  # rank order, best first
+
+
+def test_kernelize_names_people_only_in_its_result(monkeypatch):
+    made = [0]
+    real = kernel.make_instance
+
+    def counted(*args, **kwargs):
+        made[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "make_instance", counted)
+    outcomes = Counter()
+    busiest = 0
+    for inst in diff_instances(2206, 16, max_n=12):
+        for k in range(least_k(inst) - 1, least_k(inst) + 6):
+            made[0] = 0
+            result = kernelize(inst, k)
+            outcomes[result.outcome] += 1
+            if result.outcome == OUTCOME_KERNEL:
+                # The functional instance and the padded kernel, however many rules fire.
+                assert made[0] <= 2
+                busiest = max(busiest, len(result.trace.steps))
+            else:
+                assert made[0] == 0
+    assert min(outcomes[o] for o in (TRIVIAL_YES, TRIVIAL_NO, OUTCOME_KERNEL)) >= 5
+    assert busiest >= 50
