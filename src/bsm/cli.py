@@ -137,7 +137,7 @@ def _trace_json(trace: kernel.KernelTrace) -> list[dict]:
 
 
 def _non_negative(text: str) -> int:
-    """Argparse type of ``--limit``: an int, and not below 0."""
+    """Argparse type of ``--limit`` and of the target ``--k``: an int, and not below 0."""
     try:
         value = int(text)
     except ValueError:
@@ -279,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernelize", help="shrink an above-min balance question")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_non_negative, default=None)
     p.add_argument("--trace", action="store_true", help="include the rule log")
     p.set_defaults(func=_cmd_kernelize)
 
     p = sub.add_parser("solve", help="decide whether some stable matching has balance at most k")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_non_negative, default=None)
     p.add_argument("--optimize", action="store_true",
                    help="binary-search the minimal achievable balance instead")
     p.set_defaults(func=_cmd_solve)

@@ -6,6 +6,10 @@ them a strictly worse partner under a shared rank-increase budget
 ``r = k - O_M``, assemble the implied matching and keep the first one
 that is stable with balance at most k.
 
+The search runs on the integer arrays of the kernel's padded
+``KernelState``, and makes people only for the witness it lifts and in
+``enumerate_certificates``, the people-level form of the unpruned search.
+
 The search skips a branch as soon as it gives a man a woman who is
 already taken: one in a happy pair, the man-optimal partner of an
 unselected sad man, or the choice of an earlier man on the branch.  No
@@ -64,29 +68,21 @@ class SolveResult:
 
 
 class _Context:
-    """Kernel facts shared across all subsets, read from the kernel's integer state."""
+    """Kernel facts shared across all subsets, read from the kernel's integer state ``st``."""
 
     def __init__(self, st: KernelState):
-        self.inst = st.inst
-        self.k = st.k
-        self.o_m = st.o_m
-        self.sad_men = st.sad_men
-        # The man-optimal partner of every man as a woman index, -1 if unmatched.
-        self.mu_m_index = st.mu_m.by_man
-        # As people: each sad man with his man-optimal partner, and the happy pairs.
-        self.sad_pairs = [(st.men[m], st.women[self.mu_m_index[m]]) for m in st.sad_men]
-        self.happy_pairs = [(st.men[m], st.women[w]) for m, w in st.happy_pairs]
+        self.st = st
         # Women no selected man may take: the happy pairs' women.
         happy_women = {w for _, w in st.happy_pairs}
         self.happy_taken = [w in happy_women for w in range(len(st.women))]
         # Per man index: the women strictly worse than his man-optimal
-        # partner as (rank offset, woman index), best first.
+        # partner as (rank offset, woman index), best first: the tables are
+        # in rank order and a person's ranks are distinct.
         self.worse: list[list[tuple[int, int]]] = []
-        for table, anchor_w in zip(st.m_rank, self.mu_m_index):
+        for table, anchor_w in zip(st.m_rank, st.mu_m.by_man):
             anchor = table[anchor_w] if anchor_w >= 0 else None
             self.worse.append(
-                [] if anchor is None
-                else sorted((r - anchor, w) for w, r in table.items() if r > anchor)
+                [] if anchor is None else [(r - anchor, w) for w, r in table.items() if r > anchor]
             )
         # Unpruned subtree sizes by (men from a depth on, budget left).  Offsets are
         # distinct and positive, so the cut to r candidates drops none within budget.
@@ -96,14 +92,15 @@ class _Context:
 def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken=None):
     """Yield every assignment of the selected men with total offset at most r.
 
-    ``m_prime`` is a tuple of man indices.  ``counter[0]`` counts the search nodes.
-    Given ``taken``, a per-woman-index flag list, a man is never given a
-    taken woman and each woman he is given is taken until the search
-    backtracks; the certificates yielded are then exactly the injective
-    ones, and ``counter`` still receives, for each skipped branch, the
-    nodes the unpruned search would have visited in it.
+    ``m_prime`` is a tuple of man indices; each assignment comes out as
+    (the woman index of each selected man, the total offset).
+    ``counter[0]`` counts the search nodes.  Given ``taken``, a
+    per-woman-index flag list, a man is never given a taken woman and
+    each woman he is given is taken until the search backtracks; the
+    assignments yielded are then exactly the injective ones, and
+    ``counter`` still receives, for each skipped branch, the nodes the
+    unpruned search would have visited in it.
     """
-    men, women = ctx.inst.men, ctx.inst.women
     depth = len(m_prime)
     cands = [ctx.worse[m][:r] for m in m_prime]
     chosen = [0] * depth
@@ -126,8 +123,7 @@ def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken
     def descend(i: int, remaining: int):
         counter[0] += 1
         if i == depth:
-            pairs = tuple((men[m], women[w]) for m, w in zip(m_prime, chosen))
-            yield BranchCertificate(pairs, r - remaining)
+            yield tuple(chosen), r - remaining
             return
         for offset, w in cands[i]:
             if offset > remaining:
@@ -155,53 +151,40 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
     Certificates that give two men the same woman are included: this is
     the unpruned search that the solver's counters describe.
     """
-    ctx = _Context(KernelState.make(inst, inst.target_k or 0))
+    st = KernelState.make(inst, inst.target_k or 0)
     selected = []
     for m in m_prime:
-        i = ctx.inst.index.man_index.get(m)
-        if i is None or ctx.mu_m_index[i] < 0:
+        i = inst.index.man_index.get(m)
+        if i is None or st.mu_m.by_man[i] < 0:
             raise ValueError(f"{m} is unmatched in the man-optimal matching")
         selected.append(i)
-    return list(_iter_certificates(ctx, tuple(selected), r, [0]))
+    return [
+        BranchCertificate(tuple((st.men[m], st.women[w]) for m, w in zip(selected, women)), cost)
+        for women, cost in _iter_certificates(_Context(st), tuple(selected), r, [0])
+    ]
 
 
-def _assemble(ctx: _Context, certificate: BranchCertificate, m_prime_set) -> Matching | None:
-    pairs = list(certificate.pairs)
-    for m, w in ctx.sad_pairs:
-        if m not in m_prime_set:
-            pairs.append((m, w))
-    pairs.extend(ctx.happy_pairs)
-    women = set()
-    for _, w in pairs:
-        if w in women:
-            return None  # two men claim the same woman
-        women.add(w)
-    mu = Matching.of(pairs)
-    if gs.objectives(ctx.inst, mu).balance > ctx.k:
-        return None
-    if gs.blocking_pairs(ctx.inst, mu):
-        return None
-    return mu
+def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:
+    """The woman index of each man (-1 if single) in a certificate's matching, if it is accepted.
 
-
-def assemble_and_check(
-    inst: Instance,
-    certificate: BranchCertificate,
-    m_prime,
-    *,
-    _ctx: _Context | None = None,
-) -> Matching | None:
-    """Complete a certificate into a full matching and accept it only if it
-    is injective, stable and has balance at most the instance's stored k.
-
-    Unselected sad men keep their man-optimal partners and every happy pair
-    is included.  A given ``_ctx`` carries its own instance and k.
+    The selected men ``m_prime`` take ``women``; every other man keeps his
+    man-optimal partner.  None when two men take the same woman, when the
+    women's cost exceeds k, or when some pair blocks the matching.  The
+    men's cost, O_M plus the certificate's offset, is within k by the
+    budget ``r = k - O_M``.
     """
-    if _ctx is None:
-        if inst.target_k is None:
-            raise ValueError("the instance stores no target k")
-        _ctx = _Context(KernelState.make(inst, inst.target_k))
-    return _assemble(_ctx, certificate, frozenset(m_prime))
+    st = ctx.st
+    by_man, by_woman = list(st.mu_m.by_man), list(st.mu_m.by_woman)
+    for m in m_prime:
+        by_woman[by_man[m]] = -1
+    for m, w in zip(m_prime, women):
+        if by_woman[w] >= 0:
+            return None  # two men claim the same woman
+        by_man[m], by_woman[w] = w, m
+    women_cost = sum(st.w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
+    if women_cost > st.k or any(gs._blocking(st.m_rank, st.w_rank, by_man, by_woman)):
+        return None
+    return by_man
 
 
 def solve_above_min(inst: Instance, k: int) -> SolveResult:
@@ -220,13 +203,13 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
             answer, kres.witness, kres.t_input, None, SolveStats(0, 0, 0), kres
         )
     ctx = _Context(kres.state)
-    r = kres.k - ctx.o_m
+    st = ctx.st
+    r = kres.k - st.o_m
     subsets = 0
     nodes_total = 0
     nodes_max = 0
     if r >= 0:
-        men = ctx.inst.men
-        sad = ctx.sad_men
+        sad = st.sad_men
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
                 subsets += 1
@@ -236,18 +219,18 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
                 taken = ctx.happy_taken.copy()
                 for m in sad:
                     if m not in m_prime:
-                        taken[ctx.mu_m_index[m]] = True
-                m_prime_set = frozenset(men[m] for m in m_prime)
-                for certificate in _iter_certificates(ctx, m_prime, r, counter, taken):
-                    hit = _assemble(ctx, certificate, m_prime_set)
+                        taken[st.mu_m.by_man[m]] = True
+                for women, _ in _iter_certificates(ctx, m_prime, r, counter, taken):
+                    hit = _assemble(ctx, m_prime, women)
                     if hit is not None:
                         break
                 nodes_total += counter[0]
                 nodes_max = max(nodes_max, counter[0])
                 if hit is not None:
+                    mu = Matching.of((st.men[m], st.women[w]) for m, w in enumerate(hit) if w >= 0)
                     stats = SolveStats(subsets, nodes_total, nodes_max)
                     return SolveResult(
-                        True, kres.lift(hit), kres.t_input, r, stats, kres
+                        True, kres.lift(mu), kres.t_input, r, stats, kres
                     )
     stats = SolveStats(subsets, nodes_total, nodes_max)
     return SolveResult(False, None, kres.t_input, r, stats, kres)

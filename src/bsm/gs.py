@@ -108,6 +108,24 @@ def validate_matching(inst: Instance, mu: Matching) -> None:
             raise InvalidMatching(f"({man}, {woman}) is not an acceptable pair")
 
 
+def _blocking(m_rank, w_rank, man_to, woman_to):
+    """Yield each blocking pair of a matching given as partner index arrays, as (man, woman).
+
+    ``m_rank`` and ``w_rank`` are rank tables as in ``Instance.index``;
+    ``man_to`` and ``woman_to`` hold each person's partner, -1 if single.
+    Men come in index order, each man's partners in rank order.
+    """
+    for m, table in enumerate(m_rank):
+        partner = man_to[m]
+        limit = table[partner] if partner >= 0 else None
+        for w in table:
+            if limit is not None and table[w] >= limit:
+                break  # rank order: everyone from here on is no better
+            held = woman_to[w]
+            if held < 0 or w_rank[w][m] < w_rank[w][held]:
+                yield m, w
+
+
 def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[Person, Person]]:
     """All acceptable pairs both of whose members prefer each other to their lot.
 
@@ -117,17 +135,8 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[Person, Person]]:
     idx = inst.index
     validate_matching(inst, mu)
     man_to, woman_to = idx.arrays_from_matching(mu)
-    result: list[tuple[Person, Person]] = []
-    for m, m_rank in enumerate(idx.m_rank):
-        partner = man_to[m]
-        limit = m_rank[partner] if partner >= 0 else None
-        for w in m_rank:
-            if limit is not None and m_rank[w] >= limit:
-                break  # rank order: everyone from here on is no better
-            held = woman_to[w]
-            if held < 0 or idx.w_rank[w][m] < idx.w_rank[w][held]:
-                result.append((idx.men[m], idx.women[w]))
-    return result
+    pairs = _blocking(idx.m_rank, idx.w_rank, man_to, woman_to)
+    return [(idx.men[m], idx.women[w]) for m, w in pairs]
 
 
 def objectives(inst: Instance, mu: Matching) -> Objectives:

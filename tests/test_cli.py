@@ -63,6 +63,24 @@ def test_negative_limit_is_a_usage_error(capsys, tmp_path):
     assert code == 0 and doc[0]["pairs"] == [["m1", "w1"]]
 
 
+def test_negative_k_is_a_usage_error(capsys, tmp_path):
+    # A negative target used to be decided: solve printed "answer": false with
+    # exit 1 and kernelize outcome "no", while a stored k: -1 exits 2.
+    path = tmp_path / "nok.txt"
+    path.write_text(SAD_2X2_TEXT.replace("k: 4\n", ""))
+    for verb in ("solve", "kernelize"):
+        for argv in (["--k", "-3"], ["--k=-1"]):
+            assert main([verb, str(path), *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            value = argv[-1].removeprefix("--k=")
+            assert captured.err.endswith(
+                f"bsm {verb}: error: argument --k: must not be negative, got {value}\n"
+            )
+    code, doc = run(capsys, "solve", str(path), "--k", "0")
+    assert code == 1 and not doc["answer"]
+
+
 def test_kernelize_with_trace(capsys, instance_file):
     code, doc = run(capsys, "kernelize", instance_file, "--trace")
     assert code == 0

@@ -2,18 +2,18 @@ import random
 from dataclasses import replace
 from itertools import combinations
 
-from bsm import fpt
+from bsm import fpt, gs
 from bsm.fpt import (
     BranchCertificate,
+    _assemble,
     _Context,
     _iter_certificates,
-    assemble_and_check,
     enumerate_certificates,
     solve_above_min,
 )
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import Index, parse_instance, serialize
+from bsm.instance import Index, Matching, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import DEFAULT_MAX_MEN, decide_above_min, enumerate_stable
 from helpers import naive_certificates, sad_2x2, sad_rich_instance
@@ -89,28 +89,36 @@ def test_certificates_match_brute_force():
     assert compared > 10
 
 
+def people(st, by_man):
+    """The matching of a partner array over the state's people; None stays None."""
+    if by_man is None:
+        return None
+    return Matching.of((st.men[m], st.women[w]) for m, w in enumerate(by_man) if w >= 0)
+
+
 def test_assemble_2x2_kernel():
     result = kernelize(sad_2x2(), 4)
     kin = result.kernel
     kopt = optima(kin)
     sad = [m for m in kin.men if kopt.mu_m.by_man.get(m) != kopt.mu_w.by_man.get(m)]
     assert len(sad) == 2
+    ctx = _Context(result.state)
+    st = ctx.st
+    m_prime = tuple(st.men.index(m) for m in sad)
     # both men move to their second choices: the woman-optimal matching
-    cert_pairs = tuple((m, kopt.mu_w.by_man[m]) for m in sad)
-    cost = sum(kin.rank(m, w) - kin.rank(m, kopt.mu_m.by_man[m]) for m, w in cert_pairs)
-    mu = assemble_and_check(kin, BranchCertificate(cert_pairs, cost), sad)
+    women = tuple(st.mu_w.by_man[m] for m in m_prime)
+    mu = people(st, _assemble(ctx, m_prime, women))
     assert mu is not None
     assert result.lift(mu) == optima(sad_2x2()).mu_w
 
     # the empty certificate assembles the man-optimal matching
-    mu0 = assemble_and_check(kin, BranchCertificate((), 0), [])
+    mu0 = people(st, _assemble(ctx, (), ()))
     assert mu0 == kopt.mu_m
     assert objectives(kin, mu0).balance <= result.k
 
     # a certificate aiming two men at one woman is rejected
-    w = kopt.mu_w.by_man[sad[0]]
-    clash = BranchCertificate(((sad[0], w), (sad[1], w)), 2)
-    assert assemble_and_check(kin, clash, sad) is None
+    clash = (women[0], women[0])
+    assert _assemble(ctx, m_prime, clash) is None
 
 
 def test_solve_examples():
@@ -197,21 +205,21 @@ def search_kernels():
             if result.outcome != OUTCOME_KERNEL:
                 continue
             ctx = _Context(result.state)
-            if ctx.sad_men:
-                yield inst, k, result, ctx, result.k - ctx.o_m
+            if ctx.st.sad_men:
+                yield inst, k, result, ctx, result.k - ctx.st.o_m
 
 
 def busy_women(ctx, selected):
     """Women of the happy pairs and the man-optimal partners of unselected sad men."""
-    return {w for _, w in ctx.happy_pairs} | {
-        w for m, w in ctx.sad_pairs if m not in selected
+    st = ctx.st
+    return {w for _, w in st.happy_pairs} | {
+        st.mu_m.by_man[m] for m in st.sad_men if m not in selected
     }
 
 
-def injective(certificate, busy) -> bool:
+def injective(women, busy) -> bool:
     """No two men share a woman and none takes a busy one."""
-    women = {w for _, w in certificate.pairs}
-    return len(women) == len(certificate.pairs) and not women & busy
+    return len(set(women)) == len(women) and not set(women) & busy
 
 
 def run(ctx, m_prime, r, taken=None):
@@ -225,41 +233,80 @@ def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
     kernels = subsets = skipped = 0
     for *_, ctx, r in search_kernels():
         kernels += 1
-        sad = ctx.sad_men
-        for size in range(len(sad) + 1):
-            for m_prime in combinations(sad, size):
-                selected = {ctx.inst.men[m] for m in m_prime}
-                busy = busy_women(ctx, selected)
-                taken = [w in busy for w in ctx.inst.women]
+        st = ctx.st
+        for size in range(len(st.sad_men) + 1):
+            for m_prime in combinations(st.sad_men, size):
+                busy = busy_women(ctx, m_prime)
+                taken = [w in busy for w in range(len(st.women))]
                 full, full_nodes = run(ctx, m_prime, r)
                 pruned, pruned_nodes = run(ctx, m_prime, r, taken)
-                assert pruned == [(c, nodes) for c, nodes in full if injective(c, busy)]
+                assert pruned == [(c, nodes) for c, nodes in full if injective(c[0], busy)]
                 assert pruned_nodes == full_nodes
-                assert taken == [w in busy for w in ctx.inst.women]
-                public = enumerate_certificates(ctx.inst, [ctx.inst.men[m] for m in m_prime], r)
-                assert public == [c for c, _ in full]
+                assert taken == [w in busy for w in range(len(st.women))]
+                men = [st.men[m] for m in m_prime]
+                public = enumerate_certificates(st.inst, men, r)
+                assert public == [
+                    BranchCertificate(tuple(zip(men, (st.women[w] for w in women))), cost)
+                    for (women, cost), _ in full
+                ]
                 subsets += 1
                 skipped += len(full) - len(pruned)
     assert kernels >= 30 and subsets >= 1000 and skipped >= 10000
 
 
+def reference_assemble(st, pairs, m_prime):
+    """The people-level assembly: the selected men's pairs, the unselected sad
+    men's man-optimal pairs and the happy pairs, accepted when injective,
+    within k and without a blocking pair."""
+    pairs = list(pairs)
+    pairs += [(st.men[m], st.women[st.mu_m.by_man[m]]) for m in st.sad_men if m not in m_prime]
+    pairs += [(st.men[m], st.women[w]) for m, w in st.happy_pairs]
+    if len({w for _, w in pairs}) < len(pairs):
+        return None
+    mu = Matching.of(pairs)
+    if objectives(st.inst, mu).balance > st.k or blocking_pairs(st.inst, mu):
+        return None
+    return mu
+
+
+def test_assemble_accepts_exactly_the_stable_matchings_within_k():
+    certificates = accepted = 0
+    for *_, ctx, r in search_kernels():
+        st = ctx.st
+        for size in range(len(st.sad_men) + 1):
+            for m_prime in combinations(st.sad_men, size):
+                men = [st.men[m] for m in m_prime]
+                # The unpruned certificates, which hold the pruned search's.
+                for (women, _), _ in run(ctx, m_prime, r)[0]:
+                    pairs = zip(men, (st.women[w] for w in women))
+                    want = reference_assemble(st, pairs, m_prime)
+                    got = _assemble(ctx, m_prime, women)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got == st.inst.index.arrays_from_matching(want)[0]
+                        accepted += 1
+                    certificates += 1
+    assert certificates >= 50000 and accepted >= 50
+
+
 def unpruned_solve(result, ctx, r):
     """The solver's loop over every certificate, without pruning."""
+    st = ctx.st
     subsets = nodes_total = nodes_max = 0
-    for size in range(len(ctx.sad_men) + 1):
-        for m_prime in combinations(ctx.sad_men, size):
+    for size in range(len(st.sad_men) + 1):
+        for m_prime in combinations(st.sad_men, size):
             subsets += 1
             counter = [0]
-            people = [ctx.inst.men[m] for m in m_prime]
             hit = None
-            for certificate in _iter_certificates(ctx, m_prime, r, counter):
-                hit = assemble_and_check(ctx.inst, certificate, people, _ctx=ctx)
+            for women, _ in _iter_certificates(ctx, m_prime, r, counter):
+                hit = _assemble(ctx, m_prime, women)
                 if hit is not None:
                     break
             nodes_total += counter[0]
             nodes_max = max(nodes_max, counter[0])
             if hit is not None:
-                return True, result.lift(hit), (subsets, nodes_total, nodes_max)
+                return True, result.lift(people(st, hit)), (subsets, nodes_total, nodes_max)
     return False, None, (subsets, nodes_total, nodes_max)
 
 
@@ -267,9 +314,9 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
     real = fpt._assemble
     assembled = []
 
-    def checked(ctx, certificate, m_prime_set):
-        assembled.append(injective(certificate, busy_women(ctx, m_prime_set)))
-        return real(ctx, certificate, m_prime_set)
+    def checked(ctx, m_prime, women):
+        assembled.append(injective(women, busy_women(ctx, m_prime)))
+        return real(ctx, m_prime, women)
 
     compared = 0
     for inst, k, result, ctx, r in search_kernels():
@@ -283,6 +330,28 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
     assert compared >= 30
     # Only certificates that pair every man with a free woman are assembled.
     assert assembled and all(assembled)
+
+
+def test_branching_makes_no_people_level_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver called a people-level check")
+
+    rng = random.Random(3)
+    cases = []
+    for _ in range(12):
+        inst = sad_rich_instance(rng)
+        opt = optima(inst)
+        cases += [(inst, k, decide_above_min(inst, k).answer)
+                  for k in range(max(opt.o_m, opt.o_w), opt.o_m + opt.o_w + 1)]
+    for name in ("objectives", "blocking_pairs", "validate_matching"):
+        monkeypatch.setattr(gs, name, refuse)
+    branched = {True: 0, False: 0}
+    for inst, k, want in cases:
+        result = solve_above_min(inst, k)
+        assert result.answer == want
+        if result.stats.subsets_tried:
+            branched[result.answer] += 1
+    assert branched[True] >= 5 and branched[False] >= 5
 
 
 def test_solver_oracle_sweep_beyond_nine_men():
@@ -322,11 +391,10 @@ def test_each_instance_is_indexed_once_per_decision(monkeypatch):
             fresh = replace(inst)  # an equal instance that carries no index yet
             built.clear()
             result = solve_above_min(fresh, k)
-            ids = [id(i) for i in built]
-            assert ids[0] == id(fresh) and len(set(ids)) == len(ids)
+            # The kernel and the search run on integer tables: only the input is indexed.
+            assert [id(i) for i in built] == [id(fresh)]
             if result.stats.subsets_tried:
                 branched[result.answer] += 1
-                assert id(result.kernel.state.inst) in ids
             fresh = replace(inst)
             built.clear()
             decide_above_min(fresh, k)

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,52 @@ def test_blocking_pairs_rejects_foreign_pairs():
     partial = parse_instance("men: m1 m2\nwomen: w1\nm1: w1\nw1: m1\n")
     with pytest.raises(InvalidMatching):
         blocking_pairs(partial, Matching.of([(partial.men[1], partial.women[0])]))
+
+
+def definition_blocking_pairs(inst, mu):
+    """Acceptable pairs whose two members each prefer the other to their lot, a
+    single person preferring anyone acceptable: men in instance order, each
+    man's partners in rank order."""
+    ranks = inst.prefs.ranks
+    partner = {**mu.by_man, **mu.by_woman}
+
+    def prefers(a, b):
+        return a not in partner or ranks[a][b] < ranks[a][partner[a]]
+
+    return [
+        (m, w) for m in inst.men for w in sorted(ranks[m], key=ranks[m].get)
+        if prefers(m, w) and prefers(w, m)
+    ]
+
+
+def test_blocking_pairs_match_the_definition():
+    from bsm.instance import make_instance
+
+    rng = random.Random(8)
+    seen = {"gaps": 0, "singles": 0, "blocked": 0, "stable": 0}
+    for _ in range(300):
+        inst = random_instance(rng, max_side=6)
+        if rng.random() < 0.5:  # the same order with random gaps between ranks
+            ranks = {}
+            for p, table in inst.prefs.ranks.items():
+                order = sorted(table, key=table.get)
+                ranks[p] = dict(zip(order, accumulate(rng.randint(1, 3) for _ in order)))
+            inst = make_instance(inst.men, inst.women, ranks)
+            seen["gaps"] += not inst.contiguous
+        acceptable = [(m, w) for m in inst.men for w in inst.prefs.ranks[m]]
+        for _ in range(4):
+            rng.shuffle(acceptable)
+            pairs, used = [], set()
+            for m, w in acceptable:
+                if m not in used and w not in used and rng.random() < 0.6:
+                    pairs.append((m, w))
+                    used |= {m, w}
+            mu = Matching.of(pairs)
+            want = definition_blocking_pairs(inst, mu)
+            assert blocking_pairs(inst, mu) == want
+            seen["singles"] += len(used) < len(inst.people)
+            seen["blocked" if want else "stable"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_objectives_2x2():
