@@ -1,11 +1,15 @@
-"""Deferred acceptance, stability checking and objective functions, on ``Instance.index``."""
+"""Deferred acceptance, stability checking and objective functions, on ``Instance.index``.
+
+Deferred acceptance runs once per instance and side, for ``Instance.mu_m``
+and ``Instance.mu_w``.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .instance import Instance, Matching, Person
+from .instance import Instance, Matching, Partners, Person
 
 
 class InvalidMatching(ValueError):
@@ -79,16 +83,25 @@ def _deferred_acceptance(order, responder_rank, n_resp, queue=None):
     return matched, holds
 
 
+def _mu_m(m_rank, w_rank) -> Partners:
+    """The man-optimal stable matching of these rank tables."""
+    return Partners(*_deferred_acceptance(m_rank, w_rank, len(w_rank)))
+
+
+def _mu_w(m_rank, w_rank) -> Partners:
+    """The woman-optimal stable matching of these rank tables."""
+    by_woman, by_man = _deferred_acceptance(w_rank, m_rank, len(m_rank))
+    return Partners(by_man, by_woman)
+
+
 def man_optimal(inst: Instance) -> Matching:
     """The stable matching in which every man does as well as he possibly can."""
-    idx = inst.index
-    return idx.matching_from_arrays(_deferred_acceptance(idx.m_rank, idx.w_rank, len(idx.women))[0])
+    return inst.index.matching_from_arrays(inst.mu_m.by_man)
 
 
 def woman_optimal(inst: Instance) -> Matching:
     """The stable matching in which every woman does as well as she possibly can."""
-    idx = inst.index
-    return idx.matching_from_arrays(_deferred_acceptance(idx.w_rank, idx.m_rank, len(idx.men))[1])
+    return inst.index.matching_from_arrays(inst.mu_w.by_man)
 
 
 def validate_matching(inst: Instance, mu: Matching) -> None:
@@ -153,9 +166,7 @@ def objectives(inst: Instance, mu: Matching) -> Objectives:
 
 def optima(inst: Instance) -> Optima:
     """Both extreme stable matchings with their owning side's cost sums."""
-    mu_m = man_optimal(inst)
-    mu_w = woman_optimal(inst)
-    ranks = inst.prefs.ranks
-    o_m = sum(ranks[man][woman] for man, woman in mu_m.pairs)
-    o_w = sum(ranks[woman][man] for man, woman in mu_w.pairs)
-    return Optima(mu_m, mu_w, o_m, o_w)
+    idx = inst.index
+    o_m = sum(idx.m_rank[m][w] for m, w in enumerate(inst.mu_m.by_man) if w >= 0)
+    o_w = sum(idx.w_rank[w][m] for w, m in enumerate(inst.mu_w.by_woman) if m >= 0)
+    return Optima(man_optimal(inst), woman_optimal(inst), o_m, o_w)

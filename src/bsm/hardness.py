@@ -3,12 +3,16 @@
 Given a graph and a clique size k, ``reduce_clique`` emits an instance in
 which some stable matching has balance at most the computed target exactly
 when the graph has a k-clique, and whose above-maximum parameter depends
-on k alone.  ``verify_reduction`` checks that equivalence on one graph:
-it runs the rotation engine of ``oracle`` over every stable matching of
-the reduced instance and compares the least balance with clique brute
-force.  Every such matching has the shape the construction allows (a
-vertex subset chooses which vertex pairs swap partners, an edge subset
-chooses which edge pairs swap), but the engine does not rely on it.
+on k alone.  ``verify_reduction`` checks that equivalence on one graph.
+It walks the rotation chain of the reduced instance once, from its
+man-optimal to its woman-optimal matching, and checks that these two are
+the identity and the all-swapped assignments.  It then finds the least
+balance by the bounded closed-set walk of ``oracle``, which skips every
+part of the rotation poset that cannot beat the best balance found, and
+compares that balance with clique brute force.  Every stable matching
+has the shape the construction allows (a vertex subset chooses which
+vertex pairs swap partners, an edge subset chooses which edge pairs
+swap), but the engine does not rely on it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import gs
 from .instance import (
     MAN,
     WOMAN,
@@ -25,7 +28,7 @@ from .instance import (
     Person,
     make_instance,
 )
-from .oracle import TooLarge, _stable_matchings, decide_above_min
+from .oracle import TooLarge, _chain, _least_balance, decide_above_min
 
 CLIQUE_VERTEX_LIMIT = 25
 
@@ -332,23 +335,32 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
 
 # --- swap candidates ----------------------------------------------------------
 
+def _swap_partners(art: ReductionArtifact, chosen_vertices, chosen_edges) -> list[int]:
+    """Candidate matching as each man's woman index: chosen vertex pairs and
+    edge pairs swap partners, everyone else keeps the identity assignment.
+
+    ``reduce_clique`` lists both sides in the same order (tier-1 vertex,
+    tier-2 vertex, tier-1 edge, tier-2 edge, dummy, star), so the identity
+    assignment pairs equal indices.
+    """
+    vertices = art.graph.vertices
+    n_v, n_e = len(vertices), len(art.graph.edges)
+    partner = list(range(len(art.inst.men)))
+    chosen_vertices = set(chosen_vertices)
+    for i, v in enumerate(vertices):
+        if v in chosen_vertices:
+            partner[i], partner[n_v + i] = n_v + i, i
+    for j in set(chosen_edges):
+        a = 2 * n_v + j
+        partner[a], partner[a + n_e] = a + n_e, a
+    return partner
+
+
 def _swap_matching(art: ReductionArtifact, chosen_vertices, chosen_edges) -> Matching:
-    """Candidate matching: chosen vertex pairs and edge pairs swap partners,
-    everyone else keeps the identity assignment."""
-    p = art.people
-    chosen_vertices, chosen_edges = set(chosen_vertices), set(chosen_edges)
-    pairs = []
-    for v in art.graph.vertices:
-        for s in (1, 2):
-            partner = p.woman_v[(3 - s, v)] if v in chosen_vertices else p.woman_v[(s, v)]
-            pairs.append((p.man_v[(s, v)], partner))
-    for j in range(len(art.graph.edges)):
-        for s in (1, 2):
-            partner = p.woman_e[(3 - s, j)] if j in chosen_edges else p.woman_e[(s, j)]
-            pairs.append((p.man_e[(s, j)], partner))
-    pairs.extend(zip(p.man_d, p.woman_d))
-    pairs.append((p.man_star, p.woman_star))
-    return Matching.of(pairs)
+    """The candidate of ``_swap_partners`` as a people matching."""
+    men, women = art.inst.men, art.inst.women
+    partner = _swap_partners(art, chosen_vertices, chosen_edges)
+    return Matching.of((men[m], women[w]) for m, w in enumerate(partner))
 
 
 def witness_matching(art: ReductionArtifact, clique) -> Matching:
@@ -404,16 +416,16 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
             clique, clique is not None, answer, (clique is not None) == answer,
             True, art.delta, art.k_hat, t_expected, None, None, None,
         )
-    # Only the cost sums of the stable matchings are needed; a 10-vertex,
-    # 10-edge graph has about 20,000 of them, each with 1,573 pairs.
-    rows = _stable_matchings(art.inst.index, len(art.inst.men))
-    bal_opt = min(max(men, women) for _, men, women in rows)
+    # Only the least balance and the two ends of the rotation chain are
+    # needed.  A 10-vertex, 10-edge graph has about 20,000 stable matchings,
+    # each with 1,573 pairs; the bounded walk visits about 2,500 of them.
+    chain = _chain(art.inst, len(art.inst.men))
+    bal_opt = _least_balance(chain)
     answer = bal_opt <= art.k_hat
-    opt = gs.optima(art.inst)
-    t_actual = art.k_hat - max(opt.o_m, opt.o_w)
+    t_actual = art.k_hat - max(chain.costs[0], chain.o_w)
     optima_match = (
-        opt.mu_m == _swap_matching(art, (), ())
-        and opt.mu_w == _swap_matching(art, g.vertices, range(len(g.edges)))
+        chain.mu_m == _swap_partners(art, (), ())
+        and chain.mu_w == _swap_partners(art, g.vertices, range(len(g.edges)))
     )
     return ReductionReport(
         clique, clique is not None, answer, (clique is not None) == answer,

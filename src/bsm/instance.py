@@ -6,7 +6,9 @@ rank = more preferred).  When every rank image is exactly {1..len} the
 instance is an ordinary preference-list instance; otherwise the ranks
 form a preference function with gaps.  Both are carried by the same
 ``Instance`` type, distinguished by the ``contiguous`` flag.  The
-algorithms run on ``Instance.index``, built once per instance.
+algorithms run on ``Instance.index``, built once per instance, and start
+from its two extreme stable matchings, ``Instance.mu_m`` and
+``Instance.mu_w``, also built once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 MAN = "M"
 WOMAN = "W"
@@ -77,6 +80,13 @@ class PreferenceTable:
         return PreferenceTable(ranks, contiguous)
 
 
+class Partners(NamedTuple):
+    """A matching as partner indices: ``by_man[m]`` is man m's woman, -1 if single."""
+
+    by_man: list[int]
+    by_woman: list[int]
+
+
 @dataclass(frozen=True)
 class Instance:
     """Two person sets, a preference table and an optional target value."""
@@ -98,6 +108,19 @@ class Instance:
     def index(self) -> "Index":
         """The integer index, built on first use; the preference dicts never change."""
         return Index(self)
+
+    @cached_property
+    def mu_m(self) -> Partners:
+        """The man-optimal stable matching over ``index``, by deferred acceptance on first use.
+
+        Every caller shares these arrays: copy one before editing it.
+        """
+        return gs._mu_m(self.index.m_rank, self.index.w_rank)
+
+    @cached_property
+    def mu_w(self) -> Partners:
+        """The woman-optimal stable matching, as ``mu_m`` is the man-optimal one."""
+        return gs._mu_w(self.index.m_rank, self.index.w_rank)
 
     def acceptable(self, person: Person) -> dict[Person, int]:
         return self.prefs.ranks[person]
@@ -437,3 +460,7 @@ def _serialize_json(inst: Instance) -> str:
         "k": inst.target_k,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# Last, as gs imports this module: by now every name gs needs from it is defined.
+from . import gs  # noqa: E402

@@ -34,10 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 from . import gs
-from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError, make_instance
+from .instance import MAN, WOMAN, Instance, Matching, Partners, Person, ValidationError, make_instance
 
 TRIVIAL_YES = "yes"
 TRIVIAL_NO = "no"
@@ -55,13 +54,6 @@ class DummyExhausted(RuntimeError):
 
 class OptimaMoved(RuntimeError):
     """Internal invariant failure: a batched rule moved a stable optimum."""
-
-
-class Partners(NamedTuple):
-    """A matching as partner indices: ``by_man[m]`` is man m's woman, -1 if single."""
-
-    by_man: list[int]
-    by_woman: list[int]
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ class KernelState:
 
     @staticmethod
     def make(inst: Instance, k: int) -> "KernelState":
-        st = _settle(inst.men, inst.women, inst.index.m_rank, inst.index.w_rank, k)
+        st = _settle(inst.men, inst.women, inst.index.m_rank, inst.index.w_rank, k, inst.mu_m, inst.mu_w)
         vars(st)["inst"] = inst  # the state of an instance names that instance
         return st
 
@@ -104,16 +96,17 @@ class KernelState:
         return make_instance(men, women, ranks, validate=False)
 
 
-def _settle(men, women, m_rank, w_rank, k) -> KernelState:
-    """The state of these tables: both optima by deferred acceptance, then sad and happy people."""
-    mu_m = Partners(*gs._deferred_acceptance(m_rank, w_rank, len(women)))
-    by_woman, by_man = gs._deferred_acceptance(w_rank, m_rank, len(men))
+def _settle(men, women, m_rank, w_rank, k, mu_m=None, mu_w=None) -> KernelState:
+    """The state of these tables: both optima (by deferred acceptance unless given), then sad
+    and happy people."""
+    mu_m = mu_m or gs._mu_m(m_rank, w_rank)
+    mu_w = mu_w or gs._mu_w(m_rank, w_rank)
+    by_man, by_woman = mu_w
     o_m = sum(m_rank[m][w] for m, w in enumerate(mu_m.by_man) if w >= 0)
     o_w = sum(w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
     sad_men = tuple(m for m, w in enumerate(mu_m.by_man) if w != by_man[m])
     sad_women = tuple(w for w, m in enumerate(mu_m.by_woman) if m != by_woman[w])
     happy = tuple((m, w) for m, w in enumerate(mu_m.by_man) if w >= 0 and w == by_man[m])
-    mu_w = Partners(by_man, by_woman)
     return KernelState(men, women, m_rank, w_rank, k, mu_m, mu_w, o_m, o_w, sad_men, sad_women, happy)
 
 

@@ -2,11 +2,22 @@
 
 The stable matchings of an instance are exactly the closed sets of its
 rotation poset (Irving & Leather 1986; Gusfield & Irving 1989, *The
-Stable Marriage Problem: Structure and Algorithms*).  The engine walks one
-maximal chain of exposed rotations from the man-optimal to the
-woman-optimal matching, gives each rotation its direct predecessors, and
-lists the closed sets depth first, each once.  A rotation shifts the two
-side costs by fixed amounts, so every matching comes with its cost sums.
+Stable Marriage Problem: Structure and Algorithms*).  The engine has two
+parts.  The chain walk (``_chain``) follows one maximal chain of exposed
+rotations from the man-optimal to the woman-optimal matching and gives
+each rotation its direct predecessors.  The closed-set walk
+(``_closed_sets``) then lists the closed sets depth first, each once.  A
+rotation shifts the two side costs by fixed amounts, so every matching
+comes with its cost sums.
+
+A rotation moves each of its men to a worse partner and each of its
+women to a better one, so the men's cost rises strictly and the women's
+cost falls strictly along every added rotation; the chain walk checks
+this.  It lets the closed-set walk cut, by branch and bound, every
+subtree that cannot beat the best balance found so far.
+``enumerate_stable`` lists every matching; the oracle decisions and
+``hardness.verify_reduction`` need only the least balance and use the
+bounded walk.
 """
 
 from __future__ import annotations
@@ -14,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import gs
-from .instance import Index, Instance, Matching
+from .instance import Instance, Matching
 
 DEFAULT_MAX_MEN = 9
 
@@ -42,20 +52,58 @@ class OracleDecision(NamedTuple):
     witness: Matching | None
 
 
-def _stable_matchings(idx: Index, limit: int):
-    """Yield ``(partner, men_cost, women_cost)`` for every stable matching.
+class _Chain(NamedTuple):
+    """One maximal chain of rotations from μ_M to μ_W, with what the closed-set walk needs.
 
-    ``partner[m]`` is the woman index of man index m, or -1 if he is
-    single.  The list is changed in place after each yield: copy it to
-    keep it.  The first matching yielded is the man-optimal one.  Raises
-    ``TooLarge`` before yielding anything when more than ``limit`` men
-    move between the man- and woman-optimal matchings.
+    ``mu_m`` and ``mu_w`` are the two ends as each man's woman index (-1
+    when single); never edit them.  ``costs`` is the (men's, women's) cost
+    of μ_M, so ``costs[0]`` is O_M; ``o_w`` is the women's cost of μ_W.
+    Per rotation, in chain order: ``moves`` lists (man, from, to),
+    ``preds`` is a bitmask of its direct predecessors and ``deltas`` the
+    (men's, women's) cost change.  ``suffix[j]`` sums the women's deltas
+    of rotations j onward.
     """
+
+    mu_m: list[int]
+    mu_w: list[int]
+    costs: tuple[int, int]
+    o_w: int
+    moves: list[list[tuple[int, int, int]]]
+    preds: list[int]
+    deltas: list[tuple[int, int]]
+    suffix: list[int]
+
+
+def _deltas(rotation, m_rank, w_rank) -> tuple[int, int]:
+    """The (men's, women's) cost change of a rotation given as (man, from, to) moves.
+
+    The woman each man moves to loses the man who moves from her, so the
+    women's change sums, per move, her rank of him minus his old
+    partner's.  Raises ``RuntimeError`` unless the men's cost rises and
+    the women's falls, as it does along every rotation.
+    """
+    d_men = d_women = 0
+    for m, w_from, w_to in rotation:
+        d_men += m_rank[m][w_to] - m_rank[m][w_from]
+        d_women += w_rank[w_to][m] - w_rank[w_from][m]
+    if not d_men > 0 > d_women:
+        raise RuntimeError(f"a rotation changes the costs by {d_men} (men) and {d_women} (women)")
+    return d_men, d_women
+
+
+def _chain(inst: Instance, limit: int) -> _Chain:
+    """Walk one maximal chain of exposed rotations from μ_M to μ_W.
+
+    Raises ``TooLarge`` when more than ``limit`` men move between the two,
+    and ``RuntimeError`` if a rotation fails to raise the men's cost and
+    lower the women's, which every rotation does.
+    """
+    idx = inst.index
     m_rank, w_rank = idx.m_rank, idx.w_rank
     m_order = [list(table) for table in m_rank]  # each man's women, best first
     n_men = len(idx.men)
-    partner, holder = gs._deferred_acceptance(m_rank, w_rank, len(idx.women))
-    mu_m = partner.copy()
+    mu_m = inst.mu_m
+    partner, holder = list(mu_m.by_man), list(mu_m.by_woman)
     men_cost = sum(m_rank[m][w] for m, w in enumerate(partner) if w >= 0)
     women_cost = sum(w_rank[w][m] for w, m in enumerate(holder) if m >= 0)
 
@@ -83,9 +131,9 @@ def _stable_matchings(idx: Index, limit: int):
         pos[m] = i
         return order[i] if i < len(order) else -1
 
-    moves: list[list[tuple[int, int, int]]] = []  # per rotation: (man, from, to)
-    preds: list[int] = []  # per rotation: bitmask of its direct predecessors
-    deltas: list[tuple[int, int]] = []  # per rotation: (men cost, women cost) change
+    moves: list[list[tuple[int, int, int]]] = []
+    preds: list[int] = []
+    deltas: list[tuple[int, int]] = []
     last_of_man: dict[int, int] = {}
     # Per woman: (rotation, rank of her man before, rank after), in chain order.
     gains: list[list[tuple[int, int, int]]] = [[] for _ in idx.women]
@@ -122,27 +170,44 @@ def _stable_matchings(idx: Index, limit: int):
                 for i, before, after in gains[w]:
                     if after < r < before:
                         mask |= 1 << i
-        d_men = d_women = 0
-        for m, w_from, w_to in rotation:
-            d_men += m_rank[m][w_to] - m_rank[m][w_from]
-            before, after = w_rank[w_to][holder[w_to]], w_rank[w_to][m]
-            d_women += after - before
-            gains[w_to].append((j, before, after))
-        for m, _, w_to in rotation:
+        for m, _, w_to in rotation:  # each woman is some man's w_to once
+            gains[w_to].append((j, w_rank[w_to][holder[w_to]], w_rank[w_to][m]))
             partner[m] = w_to
             holder[w_to] = m
             pos[m] += 1
             last_of_man[m] = j
         moves.append(rotation)
         preds.append(mask)
-        deltas.append((d_men, d_women))
+        deltas.append(_deltas(rotation, m_rank, w_rank))
     if len(last_of_man) > limit:
         raise TooLarge(f"{len(last_of_man)} men change partner, beyond the bound {limit}")
+    suffix = [0] * (len(deltas) + 1)
+    for j in reversed(range(len(deltas))):
+        suffix[j] = suffix[j + 1] + deltas[j][1]
+    return _Chain(
+        mu_m.by_man, partner, (men_cost, women_cost), women_cost + suffix[0],
+        moves, preds, deltas, suffix,
+    )
 
-    # Closed sets, depth first: add rotation j only after the last one
-    # added and only once all its predecessors are in.  Each closed set is
-    # reached once, by adding its rotations in chain order.
-    partner = mu_m
+
+def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False):
+    """Yield ``(partner, men_cost, women_cost)`` for the stable matchings, μ_M first.
+
+    Depth first: add rotation j only after the last one added and only
+    once all its predecessors are in.  Each closed set is reached once, by
+    adding its rotations in chain order.  ``partner`` is edited in place
+    after each yield: copy it to keep it.
+
+    With ``below``, skip every subtree whose matchings all have balance at
+    least ``below``.  Below a set whose last rotation is j, the men's cost
+    only rises and the women's cost falls by at most ``suffix[j + 1]``, so
+    max(men's cost, women's cost + ``suffix[j + 1]``) bounds every balance
+    there.  With ``tighten``, ``below`` falls to each balance yielded: the
+    walk keeps only what can beat the best found so far.
+    """
+    moves, preds, deltas, suffix = chain.moves, chain.preds, chain.deltas, chain.suffix
+    partner = list(chain.mu_m)
+    men_cost, women_cost = chain.costs
     yield partner, men_cost, women_cost
     chosen = 0
     added: list[int] = []
@@ -151,13 +216,19 @@ def _stable_matchings(idx: Index, limit: int):
         while j < len(moves) and preds[j] & ~chosen:
             j += 1
         if j < len(moves):
+            d_men, d_women = deltas[j]
+            if below is not None and max(men_cost + d_men, women_cost + d_women + suffix[j + 1]) >= below:
+                j += 1  # cut the subtree of the set with rotation j added
+                continue
             for m, _, w_to in moves[j]:
                 partner[m] = w_to
             chosen |= 1 << j
-            men_cost += deltas[j][0]
-            women_cost += deltas[j][1]
+            men_cost += d_men
+            women_cost += d_women
             added.append(j)
             yield partner, men_cost, women_cost
+            if tighten:
+                below = min(below, max(men_cost, women_cost))
             j += 1
         elif added:
             j = added.pop()
@@ -171,10 +242,10 @@ def _stable_matchings(idx: Index, limit: int):
             return
 
 
-def _sorted_rows(inst: Instance, limit: int):
-    """The stable matchings of ``inst`` as sorted (partners, men's cost, women's cost) rows."""
-    rows = _stable_matchings(inst.index, limit)
-    return sorted((tuple(partner), men, women) for partner, men, women in rows)
+def _least_balance(chain: _Chain) -> int:
+    """The least balance over the stable matchings, by the bounded walk."""
+    start = max(chain.costs)  # the balance of μ_M, the first row
+    return min(max(men, women) for _, men, women in _closed_sets(chain, start, tighten=True))
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
@@ -186,7 +257,7 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     partners differ among the stable matchings, so there are at most
     ``limit!`` of them.
     """
-    rows = _sorted_rows(inst, limit)
+    rows = sorted((tuple(partner), men, women) for partner, men, women in _closed_sets(_chain(inst, limit)))
     return StableSet(
         tuple(inst.index.matching_from_arrays(partner) for partner, _, _ in rows),
         min(max(men_cost, women_cost) for _, men_cost, women_cost in rows),
@@ -196,21 +267,23 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
 def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
     """The witness is the first matching in ``enumerate_stable`` order with the least balance.
 
-    O_M and O_W are the least men's and women's costs over the stable
-    matchings, attained by μ_M and μ_W (Gusfield & Irving 1989).
+    O_M is the men's cost of μ_M and O_W the women's cost of μ_W, the two
+    ends of the chain (Gusfield & Irving 1989).  One bounded walk finds
+    the least balance; when it is at most k, a second walk, cutting only
+    what cannot reach it, collects the tied matchings.
     """
-    rows = _sorted_rows(inst, limit)
-    o_m = min(row[1] for row in rows)
-    o_w = min(row[2] for row in rows)
-    guarantee = min(o_m, o_w) if above == "min" else max(o_m, o_w)
-    partner, men_cost, women_cost = min(rows, key=lambda row: max(row[1], row[2]))
-    bal_opt = max(men_cost, women_cost)
-    witness = inst.index.matching_from_arrays(partner) if bal_opt <= k else None
-    return OracleDecision(bal_opt <= k, k - guarantee, witness)
+    chain = _chain(inst, limit)
+    o_m, o_w = chain.costs[0], chain.o_w
+    t = k - (min(o_m, o_w) if above == "min" else max(o_m, o_w))
+    bal_opt = _least_balance(chain)
+    if bal_opt > k:
+        return OracleDecision(False, t, None)
+    tied = (tuple(p) for p, men, women in _closed_sets(chain, bal_opt + 1) if max(men, women) == bal_opt)
+    return OracleDecision(True, t, inst.index.matching_from_arrays(min(tied)))
 
 
 def decide_above_min(inst: Instance, k: int, limit: int = DEFAULT_MAX_MEN) -> OracleDecision:
-    """Exhaustively decide whether some stable matching has balance at most k.
+    """Decide exactly whether some stable matching has balance at most k.
 
     The reported parameter is ``k`` minus the smaller of the two optimal
     side costs.

@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
-from bsm import fpt, hardness, kernel
+from bsm import cli, fpt, gs, hardness, kernel
 from bsm.cli import main
+from bsm.generate import random_instance
+from bsm.instance import serialize
 from helpers import SAD_2X2_TEXT
 
 
@@ -103,6 +106,32 @@ def test_solve_optimize(capsys, instance_file):
     code, doc = run(capsys, "solve", instance_file, "--optimize")
     assert code == 0 and doc["bal"] == 4
     assert doc["witness"] is not None
+
+
+def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_path, monkeypatch):
+    # Every decision of the binary search starts from the input's cached
+    # extreme matchings (Instance.mu_m, Instance.mu_w) instead of recomputing them.
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize(random_instance(random.Random(0), 7, 7, 1.0)))
+    read = []
+    real_read, real_da = cli._read_instance, gs._deferred_acceptance
+
+    def reading(p):
+        read.append(real_read(p))
+        return read[-1]
+
+    on_input = [0]
+
+    def counted(order, *args, **kwargs):
+        idx = read[0].index
+        on_input[0] += order is idx.m_rank or order is idx.w_rank
+        return real_da(order, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_instance", reading)
+    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    code, doc = run(capsys, "solve", str(path), "--optimize")
+    assert code == 0 and doc["decisions"] == 5
+    assert on_input[0] == 2  # once from each side
 
 
 def test_reduce_and_verify(capsys, tmp_path):

@@ -226,6 +226,18 @@ def test_verify_reduction_nine_vertices():
     assert report.clique_answer and report.agree and report.ok
 
 
+def test_verify_reduction_makes_no_optima_call(monkeypatch):
+    # O_M, O_W and both optima come from the rotation chain walk.
+    def refuse(inst):
+        raise AssertionError("gs.optima called")
+
+    monkeypatch.setattr(gs, "optima", refuse)
+    full = verify_reduction(planted_graph_7_5(), 3)
+    assert not full.fallback and full.ok and full.optima_match and full.t_actual == 36
+    fallback = verify_reduction(Graph.build(("a", "b", "c"), [("a", "b")]), 3)
+    assert fallback.fallback and fallback.ok
+
+
 def test_verify_reduction_cases():
     planted = verify_reduction(planted_graph_7_5(), 3)
     assert planted.clique_answer and planted.reduction_answer and planted.agree

@@ -10,7 +10,8 @@ from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Matching, Person, make_instance
 from bsm.oracle import (
     TooLarge,
-    _stable_matchings,
+    _chain,
+    _closed_sets,
     decide_above_max,
     decide_above_min,
     enumerate_stable,
@@ -218,7 +219,7 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
         inst = random_instance(rng, n, n, 1.0)
         idx = inst.index
         seen = set()
-        for partner, men_cost, women_cost in _stable_matchings(idx, n):
+        for partner, men_cost, women_cost in _closed_sets(_chain(inst, n)):
             mu = idx.matching_from_arrays(partner)
             assert mu not in seen
             seen.add(mu)
