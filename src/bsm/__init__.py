@@ -1,13 +1,14 @@
 """Toolkit for the balanced stable marriage problem.
 
-Data model, its integer index and formats live in ``instance``; deferred
-acceptance and the objective functions in ``gs``; every stable matching,
-from the rotation poset, in ``oracle``; the parameter-bounded shrinking
-pipeline in ``kernel``; the subset-and-branch solver in ``fpt``; the clique
-reduction generator and verifier in ``hardness``.
+The data model, stored as integer rank tables, and its formats live in
+``instance``; deferred acceptance and the objective functions in ``gs``;
+every stable matching, from the rotation poset, in ``oracle``; the
+parameter-bounded shrinking pipeline in ``kernel``; the subset-and-branch
+solver in ``fpt``; the clique reduction generator and verifier in
+``hardness``.
 """
 
-from .fpt import BranchCertificate, SolveResult, SolveStats, solve_above_min
+from .fpt import SolveResult, SolveStats, solve_above_min
 from .gs import InvalidMatching, Objectives, Optima, blocking_pairs, man_optimal, objectives, optima, woman_optimal
 from .hardness import (
     Graph,
@@ -28,7 +29,6 @@ from .instance import (
     Matching,
     ParseError,
     Person,
-    PreferenceTable,
     ValidationError,
     make_instance,
     parse_instance,

@@ -61,7 +61,7 @@ def _read_matching(path: str, inst: Instance) -> Matching:
 
 
 def _pairs_json(inst: Instance, mu: Matching) -> list[list[str]]:
-    position = inst.index.man_index
+    position = inst.man_index
     ordered = sorted(mu.pairs, key=lambda pair: position.get(pair[0], len(position)))
     return [[m.name, w.name] for m, w in ordered]
 

@@ -7,8 +7,7 @@ them a strictly worse partner under a shared rank-increase budget
 that is stable with balance at most k.
 
 The search runs on the integer arrays of the kernel's padded
-``KernelState``, and makes people only for the witness it lifts and in
-``enumerate_certificates``, the people-level form of the unpruned search.
+``KernelState``, and makes people only for the witness it lifts.
 
 The search skips a branch as soon as it gives a man a woman who is
 already taken: one in a happy pair, the man-optimal partner of an
@@ -27,19 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gs
-from .instance import Instance, Matching, Person
+from .instance import Instance, Matching
 from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, KernelState, kernelize
-
-
-@dataclass(frozen=True)
-class BranchCertificate:
-    """One candidate reassignment: each selected man paired to a worse woman.
-
-    ``cost`` is the total rank increase over the man-optimal matching.
-    """
-
-    pairs: tuple[tuple[Person, Person], ...]
-    cost: int
 
 
 @dataclass(frozen=True)
@@ -47,9 +35,9 @@ class SolveStats:
     """Work of the branching step.
 
     ``branch_nodes`` counts the nodes of the unpruned search, as
-    ``enumerate_certificates`` visits them, up to the first accepted
-    certificate: a branch skipped because it reuses a taken woman counts
-    every node the unpruned search would have visited in it.
+    ``_iter_certificates`` without ``taken`` visits them, up to the first
+    accepted certificate: a branch skipped because it reuses a taken woman
+    counts every node the unpruned search would have visited in it.
     """
 
     subsets_tried: int
@@ -141,27 +129,6 @@ def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken
 
     if r >= 0:
         yield from descend(0, r)
-
-
-def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertificate]:
-    """All ways to move every listed man to a strictly worse woman within budget r.
-
-    Candidates per man are his r most-preferred strictly-worse women; the
-    recursion abandons a branch as soon as the budget would go negative.
-    Certificates that give two men the same woman are included: this is
-    the unpruned search that the solver's counters describe.
-    """
-    st = KernelState.make(inst, inst.target_k or 0)
-    selected = []
-    for m in m_prime:
-        i = inst.index.man_index.get(m)
-        if i is None or st.mu_m.by_man[i] < 0:
-            raise ValueError(f"{m} is unmatched in the man-optimal matching")
-        selected.append(i)
-    return [
-        BranchCertificate(tuple((st.men[m], st.women[w]) for m, w in zip(selected, women)), cost)
-        for women, cost in _iter_certificates(_Context(st), tuple(selected), r, [0])
-    ]
 
 
 def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:

@@ -1,7 +1,8 @@
-"""Deferred acceptance, stability checking and objective functions, on ``Instance.index``.
+"""Deferred acceptance, stability checking and objective functions, on an instance's rank tables.
 
 Deferred acceptance runs once per instance and side, for ``Instance.mu_m``
-and ``Instance.mu_w``.
+and ``Instance.mu_w``.  Matchings of people are read and written through
+the instance's ``man_index`` and ``woman_index``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _deferred_acceptance(order, responder_rank, n_resp, queue=None):
     """Proposer-optimal matching as (each proposer's partner, each responder's partner), -1 for none.
 
     Iterating ``order[p]`` gives responder indices from best to worst, as
-    a rank table of ``Instance.index`` does; ``responder_rank[r]`` maps
+    a table of ``Instance.m_rank`` does; ``responder_rank[r]`` maps
     proposer index to rank value.  ``queue`` overrides the processing
     order; the result is independent of it.
     """
@@ -96,16 +97,16 @@ def _mu_w(m_rank, w_rank) -> Partners:
 
 def man_optimal(inst: Instance) -> Matching:
     """The stable matching in which every man does as well as he possibly can."""
-    return inst.index.matching_from_arrays(inst.mu_m.by_man)
+    return inst.matching_from_arrays(inst.mu_m.by_man)
 
 
 def woman_optimal(inst: Instance) -> Matching:
     """The stable matching in which every woman does as well as she possibly can."""
-    return inst.index.matching_from_arrays(inst.mu_w.by_man)
+    return inst.matching_from_arrays(inst.mu_w.by_man)
 
 
 def validate_matching(inst: Instance, mu: Matching) -> None:
-    man_index, woman_index = inst.index.man_index, inst.index.woman_index
+    man_index, woman_index = inst.man_index, inst.woman_index
     seen_men: set[Person] = set()
     seen_women: set[Person] = set()
     for man, woman in mu.pairs:
@@ -117,14 +118,14 @@ def validate_matching(inst: Instance, mu: Matching) -> None:
             raise InvalidMatching(f"{woman} is matched twice")
         seen_men.add(man)
         seen_women.add(woman)
-        if woman not in inst.prefs.ranks[man]:
+        if woman_index[woman] not in inst.m_rank[man_index[man]]:
             raise InvalidMatching(f"({man}, {woman}) is not an acceptable pair")
 
 
 def _blocking(m_rank, w_rank, man_to, woman_to):
     """Yield each blocking pair of a matching given as partner index arrays, as (man, woman).
 
-    ``m_rank`` and ``w_rank`` are rank tables as in ``Instance.index``;
+    ``m_rank`` and ``w_rank`` are rank tables as ``Instance.m_rank`` and ``w_rank`` are;
     ``man_to`` and ``woman_to`` hold each person's partner, -1 if single.
     Men come in index order, each man's partners in rank order.
     """
@@ -145,11 +146,10 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[Person, Person]]:
     Empty exactly when ``mu`` is stable.  Pairs come out in canonical order:
     men in instance order, each man's partners in rank order.
     """
-    idx = inst.index
     validate_matching(inst, mu)
-    man_to, woman_to = idx.arrays_from_matching(mu)
-    pairs = _blocking(idx.m_rank, idx.w_rank, man_to, woman_to)
-    return [(idx.men[m], idx.women[w]) for m, w in pairs]
+    man_to, woman_to = inst.arrays_from_matching(mu)
+    pairs = _blocking(inst.m_rank, inst.w_rank, man_to, woman_to)
+    return [(inst.men[m], inst.women[w]) for m, w in pairs]
 
 
 def objectives(inst: Instance, mu: Matching) -> Objectives:
@@ -157,16 +157,15 @@ def objectives(inst: Instance, mu: Matching) -> Objectives:
     validate_matching(inst, mu)
     men_cost = 0
     women_cost = 0
-    ranks = inst.prefs.ranks
     for man, woman in mu.pairs:
-        men_cost += ranks[man][woman]
-        women_cost += ranks[woman][man]
+        m, w = inst.man_index[man], inst.woman_index[woman]
+        men_cost += inst.m_rank[m][w]
+        women_cost += inst.w_rank[w][m]
     return Objectives.from_costs(men_cost, women_cost)
 
 
 def optima(inst: Instance) -> Optima:
     """Both extreme stable matchings with their owning side's cost sums."""
-    idx = inst.index
-    o_m = sum(idx.m_rank[m][w] for m, w in enumerate(inst.mu_m.by_man) if w >= 0)
-    o_w = sum(idx.w_rank[w][m] for w, m in enumerate(inst.mu_w.by_woman) if m >= 0)
+    o_m = sum(inst.m_rank[m][w] for m, w in enumerate(inst.mu_m.by_man) if w >= 0)
+    o_w = sum(inst.w_rank[w][m] for w, m in enumerate(inst.mu_w.by_woman) if m >= 0)
     return Optima(man_optimal(inst), woman_optimal(inst), o_m, o_w)

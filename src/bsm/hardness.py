@@ -26,7 +26,6 @@ from .instance import (
     Instance,
     Matching,
     Person,
-    make_instance,
 )
 from .oracle import TooLarge, _chain, _least_balance, decide_above_min
 
@@ -192,13 +191,11 @@ def clique_bruteforce(g: Graph, k: int) -> tuple[str, ...] | None:
 
 
 def _trivial_yes_instance() -> Instance:
-    return make_instance((), (), {}, 0)
+    return Instance((), (), [], [], True, 0)
 
 
 def _trivial_no_instance() -> Instance:
-    m = Person(MAN, "m")
-    w = Person(WOMAN, "w")
-    return make_instance((m,), (w,), {m: {w: 1}, w: {m: 1}}, 0)
+    return Instance((Person(MAN, "m"),), (Person(WOMAN, "w"),), [{0: 1}], [{0: 1}], True, 0)
 
 
 def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
@@ -222,114 +219,99 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     E = g.edges
     deg = {v: g.degree(v) for v in V}
 
-    man_v = {(s, v): Person(MAN, f"m{s}_v{i + 1}") for i, v in enumerate(V) for s in (1, 2)}
-    woman_v = {(s, v): Person(WOMAN, f"w{s}_v{i + 1}") for i, v in enumerate(V) for s in (1, 2)}
-    man_e = {(s, j): Person(MAN, f"m{s}_e{j + 1}") for j in range(n_e) for s in (1, 2)}
-    woman_e = {(s, j): Person(WOMAN, f"w{s}_e{j + 1}") for j in range(n_e) for s in (1, 2)}
-    man_d = tuple(Person(MAN, f"md{i + 1}") for i in range(delta))
-    woman_d = tuple(Person(WOMAN, f"wd{i + 1}") for i in range(delta))
-    man_star = Person(MAN, "mstar")
-    woman_star = Person(WOMAN, "wstar")
+    # Both sides list tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge,
+    # dummy and star people in that order, so one index serves either side.
+    iv = {(s, v): (s - 1) * n_v + i for i, v in enumerate(V) for s in (1, 2)}
+    ie = {(s, j): 2 * n_v + (s - 1) * n_e + j for j in range(n_e) for s in (1, 2)}
+    dummy = [2 * n_v + 2 * n_e + i for i in range(delta)]
+    star = 2 * n_v + 2 * n_e + delta
+    labels = [f"{s}_v{i + 1}" for s in (1, 2) for i in range(n_v)]
+    labels += [f"{s}_e{j + 1}" for s in (1, 2) for j in range(n_e)]
+    labels += [f"d{i + 1}" for i in range(delta)] + ["star"]
+    men = tuple(Person(MAN, "m" + label) for label in labels)
+    women = tuple(Person(WOMAN, "w" + label) for label in labels)
+    m_rank: list[dict[int, int]] = [{} for _ in men]
+    w_rank: list[dict[int, int]] = [{} for _ in women]
 
-    men = (
-        tuple(man_v[(1, v)] for v in V)
-        + tuple(man_v[(2, v)] for v in V)
-        + tuple(man_e[(1, j)] for j in range(n_e))
-        + tuple(man_e[(2, j)] for j in range(n_e))
-        + man_d
-        + (man_star,)
-    )
-    women = (
-        tuple(woman_v[(1, v)] for v in V)
-        + tuple(woman_v[(2, v)] for v in V)
-        + tuple(woman_e[(1, j)] for j in range(n_e))
-        + tuple(woman_e[(2, j)] for j in range(n_e))
-        + woman_d
-        + (woman_star,)
-    )
-
-    ranks: dict[Person, dict[Person, int]] = {}
-
-    # When delta is small, only the dummies that exist are referenced; the
-    # rank values of everyone else stay put, so the tables may have gaps.
+    # Each table is written best rank first.  When delta is small, only the
+    # dummies that exist are referenced; the rank values of everyone else
+    # stay put, so the tables may have gaps.
     # Vertex men: own partner, the two shared dummies, then the twin's partner.
     for v in V:
         for s in (1, 2):
-            table = {woman_v[(s, v)]: 1, woman_v[(3 - s, v)]: 4}
-            if delta >= 1:
-                table[woman_d[0]] = 2
-            if delta >= 2:
-                table[woman_d[1]] = 3
-            ranks[man_v[(s, v)]] = table
+            table = m_rank[iv[(s, v)]]
+            table[iv[(s, v)]] = 1
+            for rank, d in enumerate(dummy[:2], start=2):
+                table[d] = rank
+            table[iv[(3 - s, v)]] = 4
 
     # Edge men: own partner, both endpoint women of the same tier, twin's partner.
     for j, (u, v) in enumerate(E):
         for s in (1, 2):
-            ranks[man_e[(s, j)]] = {
-                woman_e[(s, j)]: 1,
-                woman_v[(s, u)]: 2,
-                woman_v[(s, v)]: 3,
-                woman_e[(3 - s, j)]: 4,
-            }
+            m_rank[ie[(s, j)]].update({ie[(s, j)]: 1, iv[(s, u)]: 2, iv[(s, v)]: 3, ie[(3 - s, j)]: 4})
 
     # Low-index dummy men also rank every edge woman and a tail of vertex women.
     n_ve = n_v * n_e
-    vertex_women_order = tuple(woman_v[(1, v)] for v in V) + tuple(woman_v[(2, v)] for v in V)
-    accepts_dummy = {w: n_e - deg[v] for (s, v), w in woman_v.items()}
-    for i, md in enumerate(man_d, start=1):
-        table = {woman_d[i - 1]: 1}
+    vertex_women_order = [(1, v) for v in V] + [(2, v) for v in V]
+    for i, d in enumerate(dummy, start=1):
+        table = m_rank[d]
+        table[d] = 1
         if i <= n_ve:
-            for j in range(n_e):
-                table[woman_e[(1, j)]] = j + 2
-                table[woman_e[(2, j)]] = n_e + j + 2
-            tail = [w for w in vertex_women_order if i <= accepts_dummy[w]]
-            for pos, w in enumerate(tail, start=1):
-                table[w] = 2 * n_e + pos + 1
-        ranks[md] = table
+            for s in (1, 2):
+                for j in range(n_e):
+                    table[ie[(s, j)]] = (s - 1) * n_e + j + 2
+            tail = [key for key in vertex_women_order if i <= n_e - deg[key[1]]]
+            for pos, key in enumerate(tail, start=1):
+                table[iv[key]] = 2 * n_e + pos + 1
 
-    ranks[man_star] = {wd: i for i, wd in enumerate(woman_d, start=1)}
-    ranks[man_star][woman_star] = delta + 1
+    m_rank[star] = {d: i for i, d in enumerate(dummy, start=1)}
+    m_rank[star][star] = delta + 1
 
     # Vertex women: the twin first, incident edge men at their edge's global
     # slot, acceptable dummies on the unused slots, own man last.
     for v in V:
         for s in (1, 2):
-            w = woman_v[(s, v)]
-            table = {man_v[(3 - s, v)]: 1, man_v[(s, v)]: n_e + 2}
-            free_slots = []
+            table = w_rank[iv[(s, v)]]
+            table[iv[(3 - s, v)]] = 1
+            free = iter(dummy)
             for j, e in enumerate(E):
                 if v in e:
-                    table[man_e[(s, j)]] = j + 2
+                    table[ie[(s, j)]] = j + 2
                 else:
-                    free_slots.append(j + 2)
-            for slot, i in zip(free_slots, range(1, min(n_e - deg[v], delta) + 1)):
-                table[man_d[i - 1]] = slot
-            ranks[w] = table
+                    d = next(free, None)
+                    if d is not None:
+                        table[d] = j + 2
+            table[iv[(s, v)]] = n_e + 2
 
     # Edge women: the twin first, every low-index dummy man, own man last.
     for j in range(n_e):
         for s in (1, 2):
-            w = woman_e[(s, j)]
-            table = {man_e[(3 - s, j)]: 1, man_e[(s, j)]: n_ve + 2}
-            for i in range(1, min(n_ve, delta) + 1):
-                table[man_d[i - 1]] = i + 1
-            ranks[w] = table
+            table = w_rank[ie[(s, j)]]
+            table[ie[(3 - s, j)]] = 1
+            for rank, d in enumerate(dummy[:n_ve], start=2):
+                table[d] = rank
+            table[ie[(s, j)]] = n_ve + 2
 
     # Dummy women: own dummy, the star man, and (for the first two) all vertex men.
-    for i, wd in enumerate(woman_d, start=1):
-        table = {man_d[i - 1]: 1, man_star: 2}
+    for i, d in enumerate(dummy, start=1):
+        table = w_rank[d]
+        table[d] = 1
+        table[star] = 2
         if i <= 2:
-            for pos, v in enumerate(V, start=1):
-                table[man_v[(1, v)]] = pos + 2
-                table[man_v[(2, v)]] = n_v + pos + 2
-        ranks[wd] = table
+            for s in (1, 2):
+                for pos, v in enumerate(V, start=1):
+                    table[iv[(s, v)]] = (s - 1) * n_v + pos + 2
 
-    ranks[woman_star] = {man_star: 1}
+    w_rank[star] = {star: 1}
 
     k_hat = len(men) + delta + 6 * (k + k * (k - 1) // 2)
     t = 6 * (k + k * (k - 1) // 2)
-    inst = make_instance(men, women, ranks, k_hat)
-    people = ReductionPeople(man_v, woman_v, man_e, woman_e, man_d, woman_d, man_star, woman_star)
+    inst = Instance.of_tables(men, women, m_rank, w_rank, k_hat)
+    people = ReductionPeople(
+        {key: men[i] for key, i in iv.items()}, {key: women[i] for key, i in iv.items()},
+        {key: men[i] for key, i in ie.items()}, {key: women[i] for key, i in ie.items()},
+        men[2 * n_v + 2 * n_e:star], women[2 * n_v + 2 * n_e:star], men[star], women[star],
+    )
     return ReductionArtifact(inst, k_hat, delta, t, people, False, g, k)
 
 

@@ -5,10 +5,15 @@ rank function per person over that person's acceptable partners (lower
 rank = more preferred).  When every rank image is exactly {1..len} the
 instance is an ordinary preference-list instance; otherwise the ranks
 form a preference function with gaps.  Both are carried by the same
-``Instance`` type, distinguished by the ``contiguous`` flag.  The
-algorithms run on ``Instance.index``, built once per instance, and start
-from its two extreme stable matchings, ``Instance.mu_m`` and
-``Instance.mu_w``, also built once.
+``Instance`` type, distinguished by the ``contiguous`` flag.
+
+An instance is stored as integer rank tables, ``Instance.m_rank`` and
+``Instance.w_rank``, which the parsers and ``make_instance`` write
+directly.  ``Person`` objects name people at the boundary: in matchings,
+in ``serialize`` and in the people-keyed view ``Instance.prefs``, which
+no code in this package builds.  The algorithms start from the two
+extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, each
+built once per instance.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ class Person:
     """A side-qualified participant; ``side`` is MAN or WOMAN.
 
     The hash, ``hash((side, name))``, is computed once at construction:
-    people are dict keys in every inner loop.
+    people are dict keys wherever matchings are read or written.
     """
 
     side: str
@@ -59,27 +64,6 @@ class Person:
         return f"{self.side}:{self.name}"
 
 
-@dataclass(frozen=True)
-class PreferenceTable:
-    """Per-person rank maps plus the list-form flag.
-
-    ``ranks[a][b]`` is the rank person ``a`` assigns to acceptable partner
-    ``b``.  ``contiguous`` is true when every person's rank image equals
-    {1..number of partners}.  The dicts are never mutated after
-    construction.
-    """
-
-    ranks: dict[Person, dict[Person, int]]
-    contiguous: bool
-
-    @staticmethod
-    def from_ranks(ranks: dict[Person, dict[Person, int]]) -> "PreferenceTable":
-        contiguous = all(
-            sorted(m.values()) == list(range(1, len(m) + 1)) for m in ranks.values()
-        )
-        return PreferenceTable(ranks, contiguous)
-
-
 class Partners(NamedTuple):
     """A matching as partner indices: ``by_man[m]`` is man m's woman, -1 if single."""
 
@@ -87,46 +71,96 @@ class Partners(NamedTuple):
     by_woman: list[int]
 
 
+class PeopleView(NamedTuple):
+    """The rank tables keyed by people: ``ranks[a][b]`` is a's rank of b, in rank order."""
+
+    ranks: dict[Person, dict[Person, int]]
+
+
 @dataclass(frozen=True)
 class Instance:
-    """Two person sets, a preference table and an optional target value."""
+    """Two person sets, their rank tables and an optional target value.
+
+    Men and women are numbered by position in ``men`` and ``women``.
+    ``m_rank[m]`` maps the index of each woman man m accepts to his rank
+    of her, in rank order, best first; ``w_rank`` does the same for the
+    women.  ``contiguous`` is true when every person's rank image is
+    {1..number of partners}.  The tables are never mutated.
+    """
 
     men: tuple[Person, ...]
     women: tuple[Person, ...]
-    prefs: PreferenceTable
+    m_rank: list[dict[int, int]]
+    w_rank: list[dict[int, int]]
+    contiguous: bool
     target_k: int | None = None
 
-    @property
-    def contiguous(self) -> bool:
-        return self.prefs.contiguous
+    @staticmethod
+    def of_tables(men, women, m_rank, w_rank, k: int | None = None) -> "Instance":
+        """The instance of tables that are in rank order and valid by construction; nothing is checked."""
+        contiguous = all(list(t.values()) == list(range(1, len(t) + 1)) for t in m_rank + w_rank)
+        return Instance(tuple(men), tuple(women), m_rank, w_rank, contiguous, k)
 
     @cached_property
     def people(self) -> tuple[Person, ...]:
         return self.men + self.women
 
     @cached_property
-    def index(self) -> "Index":
-        """The integer index, built on first use; the preference dicts never change."""
-        return Index(self)
+    def man_index(self) -> dict[Person, int]:
+        return {p: i for i, p in enumerate(self.men)}
+
+    @cached_property
+    def woman_index(self) -> dict[Person, int]:
+        return {p: i for i, p in enumerate(self.women)}
+
+    @cached_property
+    def prefs(self) -> PeopleView:
+        """The tables keyed by people, built on first use, for callers that want people."""
+        ranks = {}
+        for owners, tables, partners in ((self.men, self.m_rank, self.women), (self.women, self.w_rank, self.men)):
+            for p, table in zip(owners, tables):
+                ranks[p] = {partners[q]: r for q, r in table.items()}
+        return PeopleView(ranks)
 
     @cached_property
     def mu_m(self) -> Partners:
-        """The man-optimal stable matching over ``index``, by deferred acceptance on first use.
+        """The man-optimal stable matching, by deferred acceptance on first use.
 
         Every caller shares these arrays: copy one before editing it.
         """
-        return gs._mu_m(self.index.m_rank, self.index.w_rank)
+        return gs._mu_m(self.m_rank, self.w_rank)
 
     @cached_property
     def mu_w(self) -> Partners:
         """The woman-optimal stable matching, as ``mu_m`` is the man-optimal one."""
-        return gs._mu_w(self.index.m_rank, self.index.w_rank)
+        return gs._mu_w(self.m_rank, self.w_rank)
 
     def acceptable(self, person: Person) -> dict[Person, int]:
-        return self.prefs.ranks[person]
+        if person.side == MAN:
+            table, partners = self.m_rank[self.man_index[person]], self.women
+        else:
+            table, partners = self.w_rank[self.woman_index[person]], self.men
+        return {partners[q]: r for q, r in table.items()}
 
     def rank(self, a: Person, b: Person) -> int:
-        return self.prefs.ranks[a][b]
+        if a.side == MAN:
+            return self.m_rank[self.man_index[a]][self.woman_index[b]]
+        return self.w_rank[self.woman_index[a]][self.man_index[b]]
+
+    def matching_from_arrays(self, partner_of_man: list[int]) -> "Matching":
+        return Matching.of(
+            (self.men[m], self.women[w])
+            for m, w in enumerate(partner_of_man)
+            if w >= 0
+        )
+
+    def arrays_from_matching(self, mu: "Matching") -> tuple[list[int], list[int]]:
+        man_to = [-1] * len(self.men)
+        woman_to = [-1] * len(self.women)
+        for man, woman in mu.pairs:
+            m, w = self.man_index[man], self.woman_index[woman]
+            man_to[m], woman_to[w] = w, m
+        return man_to, woman_to
 
 
 @dataclass(frozen=True)
@@ -158,49 +192,6 @@ class Matching:
         return iter(sorted(self.pairs))
 
 
-class Index:
-    """Integer-indexed view of an instance for the inner algorithm loops.
-
-    Men and women are numbered in instance order.  ``m_rank[m]`` maps each
-    acceptable woman's index to man m's rank of her, in rank order, best
-    first; ``w_rank`` does the same for women.  Get it as
-    ``Instance.index``, which builds it once.
-    """
-
-    __slots__ = ("men", "women", "man_index", "woman_index", "m_rank", "w_rank")
-
-    def __init__(self, inst: Instance):
-        self.men = inst.men
-        self.women = inst.women
-        self.man_index = {p: i for i, p in enumerate(inst.men)}
-        self.woman_index = {p: i for i, p in enumerate(inst.women)}
-        ranks = inst.prefs.ranks
-
-        def side(people, partner_index):
-            return [
-                {partner_index[q]: r for q, r in sorted(ranks[p].items(), key=lambda item: item[1])}
-                for p in people
-            ]
-
-        self.m_rank = side(inst.men, self.woman_index)
-        self.w_rank = side(inst.women, self.man_index)
-
-    def matching_from_arrays(self, partner_of_man: list[int]) -> Matching:
-        return Matching.of(
-            (self.men[m], self.women[w])
-            for m, w in enumerate(partner_of_man)
-            if w >= 0
-        )
-
-    def arrays_from_matching(self, mu: Matching) -> tuple[list[int], list[int]]:
-        man_to = [-1] * len(self.men)
-        woman_to = [-1] * len(self.women)
-        for man, woman in mu.pairs:
-            man_to[self.man_index[man]] = self.woman_index[woman]
-            woman_to[self.woman_index[woman]] = self.man_index[man]
-        return man_to, woman_to
-
-
 def _check_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise ValidationError(f"bad person name {name!r}")
@@ -209,28 +200,36 @@ def _check_name(name: str) -> str:
     return name
 
 
-def make_instance(
-    men,
-    women,
-    ranks: dict[Person, dict[Person, int]],
-    k: int | None = None,
-    *,
-    validate: bool = True,
-) -> Instance:
-    """Build a validated ``Instance``; people missing from ``ranks`` get empty sets.
+# ---------------------------------------------------------------------------
+# The parsers and ``make_instance`` read each person's partners into a row:
+# partner key to rank, in input order.  A key is the partner's index on the
+# other side, ``~i`` for person i of the owner's own side, and not an int
+# for someone outside the instance.
 
-    ``validate=False`` skips the structural checks; it is used internally on
-    tables that are valid by construction.
-    """
+def make_instance(men, women, ranks: dict[Person, dict[Person, int]], k: int | None = None) -> Instance:
+    """Build a validated ``Instance`` from people-keyed rank maps; people missing from ``ranks`` get empty sets."""
     men = tuple(men)
     women = tuple(women)
-    full = {p: ranks.get(p, {}) for p in men + women}
-    if validate:
-        _validate(men, women, full, k)
-    return Instance(men, women, PreferenceTable.from_ranks(full), k)
+    man_at = {p: i for i, p in enumerate(men)}
+    woman_at = {p: j for j, p in enumerate(women)}
+
+    def row(p: Person, partner_at, same_at) -> dict:
+        keyed = {}
+        for b, r in ranks.get(p, {}).items():
+            if b in partner_at:
+                keyed[partner_at[b]] = r
+            else:
+                keyed[~same_at[b] if b in same_at else b] = r
+        return keyed
+
+    m_rows = [row(p, woman_at, man_at) for p in men]
+    w_rows = [row(p, man_at, woman_at) for p in women]
+    _check_people(men, women)
+    return _build(men, women, m_rows, w_rows, k)
 
 
-def _validate(men, women, ranks, k):
+def _check_people(men, women) -> None:
+    """Raise the first bad, reserved or repeated name, then the first person on the wrong side."""
     seen: set[str] = set()
     for p in men + women:
         _check_name(p.name)
@@ -243,25 +242,57 @@ def _validate(men, women, ranks, k):
     for p in women:
         if p.side != WOMAN:
             raise ValidationError(f"{p} listed among women")
-    people = set(men) | set(women)
-    if set(ranks) - people:
-        extra = sorted(set(ranks) - people)[0]
-        raise ValidationError(f"preferences given for unknown person {extra}")
+
+
+def _build(men, women, m_rows, w_rows, k) -> Instance:
+    """Check k and the rows, then store each row in rank order, sorting only those that are not."""
     if k is not None and (not isinstance(k, int) or k < 0):
         raise ValidationError(f"target k must be a non-negative integer, got {k!r}")
-    for a, table in ranks.items():
-        values = list(table.values())
-        if len(set(values)) != len(values):
-            raise ValidationError(f"duplicate rank value in the list of {a}")
-        for b, r in table.items():
-            if b not in people:
-                raise ValidationError(f"{a} ranks unknown person {b}")
-            if b.side == a.side:
-                raise ValidationError(f"{a} ranks {b} on the same side")
-            if not isinstance(r, int) or r < 1:
-                raise ValidationError(f"rank of {b} in list of {a} must be a positive integer")
-            if a not in ranks.get(b, {}):
-                raise ValidationError(f"mutual acceptability violated for ({a}, {b})")
+    _check_rows(men, women, m_rows, w_rows)
+    contiguous = True
+    for rows in (m_rows, w_rows):
+        for i, row in enumerate(rows):
+            ranks = list(row.values())
+            one_to_n = list(range(1, len(ranks) + 1))
+            if ranks != one_to_n:
+                if ranks != sorted(ranks):
+                    rows[i] = dict(sorted(row.items(), key=lambda item: item[1]))
+                contiguous = contiguous and sorted(ranks) == one_to_n
+    return Instance(men, women, m_rows, w_rows, contiguous, k)
+
+
+def _check_rows(men, women, m_rows, w_rows) -> None:
+    """Raise the first fault in the rows, men before women, each row in input order."""
+    for owners, rows, partners, partner_rows in ((men, m_rows, women, w_rows), (women, w_rows, men, m_rows)):
+        for i, row in enumerate(rows):
+            if len(set(row.values())) != len(row):
+                raise ValidationError(f"duplicate rank value in the list of {owners[i]}")
+            a = owners[i]
+            for b, r in row.items():
+                if not isinstance(b, int):
+                    raise ValidationError(f"{a} ranks unknown person {b}")
+                if b < 0:
+                    raise ValidationError(f"{a} ranks {owners[~b]} on the same side")
+                if not isinstance(r, int) or r < 1:
+                    raise ValidationError(f"rank of {partners[b]} in list of {a} must be a positive integer")
+                if i not in partner_rows[b]:
+                    raise ValidationError(f"mutual acceptability violated for ({a}, {partners[b]})")
+
+
+def _names(men, women):
+    """Each name's (side, position), side 0 for men, and per side the row key of each name.
+
+    Raises ``ValidationError`` when a name repeats.
+    """
+    at = {p.name: (0, i) for i, p in enumerate(men)}
+    at.update((p.name, (1, j)) for j, p in enumerate(women))
+    if len(at) != len(men) + len(women):
+        raise ValidationError("person names must be unique")
+    keys = ({}, {})
+    for name, (side, i) in at.items():
+        keys[side][name] = ~i
+        keys[1 - side][name] = i
+    return at, keys
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +351,18 @@ def _parse_text(text: str) -> Instance:
     if men is None or women is None:
         raise ParseError("missing 'men:' or 'women:' line")
 
-    by_name = {p.name: p for p in men + women}
-    if len(by_name) != len(men) + len(women):
-        raise ValidationError("person names must be unique")
-    ranks: dict[Person, dict[Person, int]] = {}
+    at, keys = _names(men, women)
+    rows: tuple[list, list] = ([None] * len(men), [None] * len(women))
     for lineno, name, rest in raw_lines:
-        if name not in by_name:
+        if name not in at:
             raise ValidationError(f"line {lineno}: unknown person {name!r}")
-        owner = by_name[name]
-        if owner in ranks:
+        side, i = at[name]
+        if rows[side][i] is not None:
             raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
-        ranks[owner] = _parse_pref_tokens(rest.split(), by_name, lineno)
-    return make_instance(men, women, ranks, k)
+        rows[side][i] = _parse_pref_tokens(rest, keys[side], lineno)
+    # The names were checked as they were read, and each side holds its own people.
+    m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
+    return _build(tuple(men), tuple(women), m_rows, w_rows, k)
 
 
 def _parse_name(token: str, lineno: int) -> str:
@@ -341,10 +372,10 @@ def _parse_name(token: str, lineno: int) -> str:
         raise ParseError(f"line {lineno}: {e}") from None
 
 
-def _parse_pref_tokens(tokens, by_name, lineno) -> dict[Person, int]:
-    functional = any("=" in t for t in tokens)
-    table: dict[Person, int] = {}
-    for pos, token in enumerate(tokens, start=1):
+def _parse_pref_tokens(rest: str, keys: dict, lineno: int) -> dict:
+    functional = "=" in rest
+    row: dict = {}
+    for pos, token in enumerate(rest.split(), start=1):
         if functional:
             name, sep, value = token.partition("=")
             if not sep:
@@ -355,13 +386,13 @@ def _parse_pref_tokens(tokens, by_name, lineno) -> dict[Person, int]:
                 raise ParseError(f"line {lineno}: bad rank {value!r}") from None
         else:
             name, rank = token, pos
-        if name not in by_name:
+        key = keys.get(name)
+        if key is None:
             raise ValidationError(f"line {lineno}: unknown person {name!r}")
-        partner = by_name[name]
-        if partner in table:
+        if key in row:
             raise ValidationError(f"line {lineno}: duplicate partner {name!r}")
-        table[partner] = rank
-    return table
+        row[key] = rank
+    return row
 
 
 def _is_int(value) -> bool:
@@ -369,9 +400,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _object_without_repeats(pairs) -> dict:
+    """A JSON object, refusing a key it repeats: ``json`` alone keeps the last silently."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _parse_json(text: str) -> Instance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -382,40 +423,39 @@ def _parse_json(text: str) -> Instance:
         for name in doc[key]:
             if not isinstance(name, str):
                 raise ParseError(f"names in {key!r} must be strings, got {name!r}")
-    men = [Person(MAN, n) for n in doc["men"]]
-    women = [Person(WOMAN, n) for n in doc["women"]]
-    by_name = {p.name: p for p in men + women}
-    if len(by_name) != len(men) + len(women):
-        raise ValidationError("person names must be unique")
+    men = tuple(Person(MAN, n) for n in doc["men"])
+    women = tuple(Person(WOMAN, n) for n in doc["women"])
+    at, keys = _names(men, women)
     prefs = doc.get("prefs", {})
     if not isinstance(prefs, dict):
         raise ParseError("'prefs' must be an object")
-    ranks: dict[Person, dict[Person, int]] = {}
+    rows: tuple[list, list] = ([{} for _ in men], [{} for _ in women])
     for name, entries in prefs.items():
-        if name not in by_name:
+        if name not in at:
             raise ValidationError(f"unknown person {name!r} in prefs")
         if not isinstance(entries, list):
             raise ParseError(f"prefs of {name!r} must be an array")
-        table: dict[Person, int] = {}
+        side, i = at[name]
+        row = rows[side][i]
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ParseError(f"prefs of {name!r} must be [partner, rank] pairs")
             partner_name, rank = entry
             if not isinstance(partner_name, str):
                 raise ParseError(f"partner names in prefs of {name!r} must be strings")
-            if partner_name not in by_name:
+            key = keys[side].get(partner_name)
+            if key is None:
                 raise ValidationError(f"unknown person {partner_name!r} in prefs of {name!r}")
-            partner = by_name[partner_name]
-            if partner in table:
+            if key in row:
                 raise ValidationError(f"duplicate partner {partner_name!r} in prefs of {name!r}")
             if not _is_int(rank):
                 raise ParseError(f"rank of {partner_name!r} in prefs of {name!r} must be an integer")
-            table[partner] = rank
-        ranks[by_name[name]] = table
+            row[key] = rank
     k = doc.get("k")
     if k is not None and not _is_int(k):
         raise ParseError("k must be an integer or null")
-    return make_instance(men, women, ranks, k)
+    _check_people(men, women)
+    return _build(men, women, *rows, k)
 
 
 def serialize(inst: Instance, fmt: str = "text") -> str:
@@ -428,8 +468,12 @@ def serialize(inst: Instance, fmt: str = "text") -> str:
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def _sorted_partners(inst: Instance, p: Person) -> list[tuple[Person, int]]:
-    return sorted(inst.prefs.ranks[p].items(), key=lambda item: item[1])
+def _named_rows(inst: Instance):
+    """Each person's name and their partners' (name, rank), men then women, in rank order."""
+    for owners, tables, partners in ((inst.men, inst.m_rank, inst.women), (inst.women, inst.w_rank, inst.men)):
+        names = [p.name for p in partners]
+        for p, table in zip(owners, tables):
+            yield p.name, [(names[q], r) for q, r in table.items()]
 
 
 def _serialize_text(inst: Instance) -> str:
@@ -439,13 +483,12 @@ def _serialize_text(inst: Instance) -> str:
     ]
     if inst.target_k is not None:
         lines.append(f"k: {inst.target_k}")
-    for p in inst.people:
-        entries = _sorted_partners(inst, p)
+    for name, entries in _named_rows(inst):
         if inst.contiguous:
-            body = " ".join(b.name for b, _ in entries)
+            body = " ".join(b for b, _ in entries)
         else:
-            body = " ".join(f"{b.name}={r}" for b, r in entries)
-        lines.append(f"{p.name}: {body}".rstrip())
+            body = " ".join(f"{b}={r}" for b, r in entries)
+        lines.append(f"{name}: {body}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -453,10 +496,7 @@ def _serialize_json(inst: Instance) -> str:
     doc = {
         "men": [p.name for p in inst.men],
         "women": [p.name for p in inst.women],
-        "prefs": {
-            p.name: [[b.name, r] for b, r in _sorted_partners(inst, p)]
-            for p in inst.people
-        },
+        "prefs": {name: [[b, r] for b, r in entries] for name, entries in _named_rows(inst)},
         "k": inst.target_k,
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import gs
-from .instance import MAN, WOMAN, Instance, Matching, Partners, Person, ValidationError, make_instance
+from .instance import MAN, WOMAN, Instance, Matching, Partners, Person, ValidationError
 
 TRIVIAL_YES = "yes"
 TRIVIAL_NO = "no"
@@ -61,7 +61,8 @@ class KernelState:
     """A functional instance under reduction, as integer tables, with its target and optima.
 
     People are numbered by position in ``men`` and ``women``; ``m_rank`` and
-    ``w_rank`` are rank tables as in ``Instance.index``, never mutated.
+    ``w_rank`` are rank tables as ``Instance.m_rank`` and ``w_rank`` are,
+    never mutated, and ``inst`` shares them.
     """
 
     men: tuple[Person, ...]
@@ -83,17 +84,14 @@ class KernelState:
 
     @staticmethod
     def make(inst: Instance, k: int) -> "KernelState":
-        st = _settle(inst.men, inst.women, inst.index.m_rank, inst.index.w_rank, k, inst.mu_m, inst.mu_w)
+        st = _settle(inst.men, inst.women, inst.m_rank, inst.w_rank, k, inst.mu_m, inst.mu_w)
         vars(st)["inst"] = inst  # the state of an instance names that instance
         return st
 
     @cached_property
     def inst(self) -> Instance:
-        """The state as a people-keyed instance, built on first use."""
-        men, women = self.men, self.women
-        ranks = {men[m]: {women[w]: r for w, r in t.items()} for m, t in enumerate(self.m_rank)}
-        ranks.update({women[w]: {men[m]: r for m, r in t.items()} for w, t in enumerate(self.w_rank)})
-        return make_instance(men, women, ranks, validate=False)
+        """The state as an instance on the same tables, built on first use."""
+        return Instance.of_tables(self.men, self.women, self.m_rank, self.w_rank)
 
 
 def _settle(men, women, m_rank, w_rank, k, mu_m=None, mu_w=None) -> KernelState:

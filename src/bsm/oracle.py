@@ -98,10 +98,9 @@ def _chain(inst: Instance, limit: int) -> _Chain:
     and ``RuntimeError`` if a rotation fails to raise the men's cost and
     lower the women's, which every rotation does.
     """
-    idx = inst.index
-    m_rank, w_rank = idx.m_rank, idx.w_rank
+    m_rank, w_rank = inst.m_rank, inst.w_rank
     m_order = [list(table) for table in m_rank]  # each man's women, best first
-    n_men = len(idx.men)
+    n_men = len(inst.men)
     mu_m = inst.mu_m
     partner, holder = list(mu_m.by_man), list(mu_m.by_woman)
     men_cost = sum(m_rank[m][w] for m, w in enumerate(partner) if w >= 0)
@@ -136,7 +135,7 @@ def _chain(inst: Instance, limit: int) -> _Chain:
     deltas: list[tuple[int, int]] = []
     last_of_man: dict[int, int] = {}
     # Per woman: (rotation, rank of her man before, rank after), in chain order.
-    gains: list[list[tuple[int, int, int]]] = [[] for _ in idx.women]
+    gains: list[list[tuple[int, int, int]]] = [[] for _ in inst.women]
     while True:
         # An exposed rotation is a cycle of next(m) = holder[s(m)].
         cycle = None
@@ -259,7 +258,7 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     """
     rows = sorted((tuple(partner), men, women) for partner, men, women in _closed_sets(_chain(inst, limit)))
     return StableSet(
-        tuple(inst.index.matching_from_arrays(partner) for partner, _, _ in rows),
+        tuple(inst.matching_from_arrays(partner) for partner, _, _ in rows),
         min(max(men_cost, women_cost) for _, men_cost, women_cost in rows),
     )
 
@@ -279,7 +278,7 @@ def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
     if bal_opt > k:
         return OracleDecision(False, t, None)
     tied = (tuple(p) for p, men, women in _closed_sets(chain, bal_opt + 1) if max(men, women) == bal_opt)
-    return OracleDecision(True, t, inst.index.matching_from_arrays(min(tied)))
+    return OracleDecision(True, t, inst.matching_from_arrays(min(tied)))
 
 
 def decide_above_min(inst: Instance, k: int, limit: int = DEFAULT_MAX_MEN) -> OracleDecision:

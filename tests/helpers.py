@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 
+from bsm.fpt import _Context, _iter_certificates
 from bsm.gs import optima
 from bsm.instance import MAN, WOMAN, Instance, Matching, Person, make_instance, parse_instance
+from bsm.kernel import KernelState
 
 SAD_2X2_TEXT = """\
 men: m1 m2
@@ -112,3 +114,35 @@ def naive_certificates(inst: Instance, m_prime, r: int) -> set[tuple]:
         if sum(offset for _, offset in combo) <= r:
             out.add(frozenset((m, w) for m, (w, _) in zip(m_prime, combo)))
     return out
+
+
+@dataclass(frozen=True)
+class BranchCertificate:
+    """One candidate reassignment: each selected man paired to a worse woman.
+
+    ``cost`` is the total rank increase over the man-optimal matching.
+    """
+
+    pairs: tuple[tuple[Person, Person], ...]
+    cost: int
+
+
+def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertificate]:
+    """All ways to move every listed man to a strictly worse woman within budget r.
+
+    Candidates per man are his r most-preferred strictly-worse women; the
+    recursion abandons a branch as soon as the budget would go negative.
+    Certificates that give two men the same woman are included: this is
+    the unpruned search that the solver's counters describe, in people.
+    """
+    st = KernelState.make(inst, inst.target_k or 0)
+    selected = []
+    for m in m_prime:
+        i = inst.man_index.get(m)
+        if i is None or st.mu_m.by_man[i] < 0:
+            raise ValueError(f"{m} is unmatched in the man-optimal matching")
+        selected.append(i)
+    return [
+        BranchCertificate(tuple((st.men[m], st.women[w]) for m, w in zip(selected, women)), cost)
+        for women, cost in _iter_certificates(_Context(st), tuple(selected), r, [0])
+    ]

@@ -66,7 +66,7 @@ def test_bounded_walk_gives_the_least_balance_and_decisions_of_the_full_walk():
             answer, t, partner = reference_decision(rows, k, above)
             got = _decide(inst, k, above, limit)
             assert (got.answer, got.t) == (answer, t)
-            want = None if partner is None else inst.index.matching_from_arrays(partner)
+            want = None if partner is None else inst.matching_from_arrays(partner)
             assert got.witness == want
     assert bounded_total < full_total  # the bound cuts somewhere
 

@@ -123,8 +123,7 @@ def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_p
     on_input = [0]
 
     def counted(order, *args, **kwargs):
-        idx = read[0].index
-        on_input[0] += order is idx.m_rank or order is idx.w_rank
+        on_input[0] += order is read[0].m_rank or order is read[0].w_rank
         return real_da(order, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_read_instance", reading)

@@ -1,22 +1,15 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 from bsm import fpt, gs
-from bsm.fpt import (
-    BranchCertificate,
-    _assemble,
-    _Context,
-    _iter_certificates,
-    enumerate_certificates,
-    solve_above_min,
-)
-from bsm.generate import mutual_first_instance, random_instance
+from bsm.fpt import _assemble, _Context, _iter_certificates, solve_above_min
+from bsm.generate import mutual_first_instance, random_graph, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import Index, Matching, parse_instance, serialize
+from bsm.hardness import Graph, verify_reduction
+from bsm.instance import Instance, Matching, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import DEFAULT_MAX_MEN, decide_above_min, enumerate_stable
-from helpers import naive_certificates, sad_2x2, sad_rich_instance
+from helpers import BranchCertificate, enumerate_certificates, naive_certificates, sad_2x2, sad_rich_instance
 
 
 def anchored_instance():
@@ -284,7 +277,7 @@ def test_assemble_accepts_exactly_the_stable_matchings_within_k():
                     if want is None:
                         assert got is None
                     else:
-                        assert got == st.inst.index.arrays_from_matching(want)[0]
+                        assert got == st.inst.arrays_from_matching(want)[0]
                         accepted += 1
                     certificates += 1
     assert certificates >= 50000 and accepted >= 50
@@ -373,30 +366,27 @@ def test_solver_oracle_sweep_beyond_nine_men():
     assert mismatches == []
 
 
-def test_each_instance_is_indexed_once_per_decision(monkeypatch):
-    built = []
-    real = Index.__init__
-
-    def counting(self, inst):
-        built.append(inst)
-        real(self, inst)
-
-    monkeypatch.setattr(Index, "__init__", counting)
+def test_no_decision_builds_the_people_keyed_view(monkeypatch):
+    # Instance.prefs is for callers that want people; every path below runs
+    # on the rank tables, the kernel's and the reduction's instances included.
     rng = random.Random(3)
+    instances = [sad_rich_instance(rng) for _ in range(12)]
+    graphs = [random_graph(random.Random(2), 7, 9, plant_triangle=True), Graph.build("ab", [("a", "b")])]
+    built = []
+    monkeypatch.setattr(Instance, "prefs", property(built.append))
     branched = {True: 0, False: 0}
-    for _ in range(12):
-        inst = sad_rich_instance(rng)
+    for inst in instances:
         opt = optima(inst)
+        for mu in enumerate_stable(inst).matchings:
+            assert not blocking_pairs(inst, mu)
+            objectives(inst, mu)
         for k in range(max(opt.o_m, opt.o_w), opt.o_m + opt.o_w + 1):
-            fresh = replace(inst)  # an equal instance that carries no index yet
-            built.clear()
-            result = solve_above_min(fresh, k)
-            # The kernel and the search run on integer tables: only the input is indexed.
-            assert [id(i) for i in built] == [id(fresh)]
+            result = solve_above_min(inst, k)
             if result.stats.subsets_tried:
                 branched[result.answer] += 1
-            fresh = replace(inst)
-            built.clear()
-            decide_above_min(fresh, k)
-            assert [id(i) for i in built] == [id(fresh)]
+            decide_above_min(inst, k)
+    assert [verify_reduction(g, 3).ok for g in graphs] == [True, True]
+    assert built == []
     assert branched[True] >= 5 and branched[False] >= 5
+    instances[0].prefs
+    assert built == [instances[0]]  # the view, had any path built it, would show here

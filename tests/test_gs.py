@@ -167,11 +167,10 @@ def seeded_instances(draw):
 @settings(max_examples=50, deadline=None)
 @given(seeded_instances(), st.integers(0, 10**6))
 def test_proposal_order_independence(inst, shuffle_seed):
-    idx = inst.index
-    base = gs._deferred_acceptance(idx.m_rank, idx.w_rank, len(idx.women))
-    order = list(range(len(idx.men)))
+    base = gs._deferred_acceptance(inst.m_rank, inst.w_rank, len(inst.women))
+    order = list(range(len(inst.men)))
     random.Random(shuffle_seed).shuffle(order)
-    shuffled = gs._deferred_acceptance(idx.m_rank, idx.w_rank, len(idx.women), queue=order)
+    shuffled = gs._deferred_acceptance(inst.m_rank, inst.w_rank, len(inst.women), queue=order)
     assert base == shuffled
 
 

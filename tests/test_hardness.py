@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from bsm.hardness import (
     verify_reduction,
     witness_matching,
 )
+from bsm.instance import parse_instance, serialize
 from bsm.oracle import decide_above_min, enumerate_stable
 
 
@@ -87,6 +89,26 @@ def test_fallback_small_graph():
     art = reduce_clique(path, 3)  # delta < 0 for such a sparse graph
     assert art.fallback and art.delta < 0
     assert not decide_above_min(art.inst, 0).answer
+
+
+@pytest.mark.parametrize(
+    "graph, k, delta, contiguous, digest",
+    [
+        # With fewer than two dummies the rank tables have gaps.
+        (Graph.build("abcd", []), 1, 0, False, "1a92b00316fb970b"),
+        (Graph.build("abcde", []), 1, 2, True, "889fd5fbffcd15c1"),
+        (Graph.build("abcdefg", [("c", "f")]), 2, 2, False, "989dd1b2ee54aada"),
+        (random_graph(random.Random(4), 7, 9, plant_triangle=True), 3, 812, True, "41f8dad33a283d08"),
+        (random_graph(random.Random(6), 6, 5), 2, 278, True, "aa6e70fe9efb5d80"),
+    ],
+)
+def test_reduced_instance_text_is_pinned(graph, k, delta, contiguous, digest):
+    # The digests are of the text written when the reduction built people-keyed tables.
+    art = reduce_clique(graph, k)
+    text = serialize(art.inst)
+    assert (art.delta, art.inst.contiguous) == (delta, contiguous)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert parse_instance(text) == art.inst and serialize(parse_instance(text)) == text
 
 
 def test_reduce_requires_positive_k():

@@ -75,6 +75,28 @@ def test_parse_errors():
         parse_instance("men: m1 m2\nwomen: w1\nm1: w1=1\nm2: w1=1\nw1: m1=2 m2=2\n")
 
 
+@pytest.mark.parametrize(
+    "text, fmt, first",
+    [
+        # Line order would report w1's rank first: men come before women.
+        ("men: m1 m2\nwomen: w1\nw1: m1=0\nm2: w1\n", "text", "mutual acceptability violated for (M:m2, W:w1)"),
+        # Rank order would report w1's rank first: each list is checked in input order.
+        ("men: m1\nwomen: w1 w2\nm1: w2=3 w1=0\nw1: m1\n", "text", "mutual acceptability violated for (M:m1, W:w2)"),
+        (
+            '{"men": ["m1"], "women": ["w1", "w2"], "prefs": {"m1": [["w2", 3], ["w1", 0]], "w1": [["m1", 1]]}}',
+            "json",
+            "mutual acceptability violated for (M:m1, W:w2)",
+        ),
+        # Parse-time faults come in line order, before any validation fault.
+        ("men: m1\nwomen: w1\nm1: w1=0\nw1: zz\nm1: w1\n", "text", "line 4: unknown person 'zz'"),
+    ],
+)
+def test_the_first_of_two_faults_is_reported(text, fmt, first):
+    with pytest.raises(ValueError) as raised:
+        parse_instance(text, fmt)
+    assert str(raised.value) == first
+
+
 def test_json_booleans_are_not_integers():
     # JSON true would come back from serialize as "k: True", which no parser reads.
     pair = '"men": ["m1"], "women": ["w1"], "prefs": {"m1": [["w1", RANK]], "w1": [["m1", 1]]}'
@@ -94,6 +116,14 @@ def test_json_shapes_are_checked():
         parse_instance('{"men": [1], "women": ["b"]}', "json")
     with pytest.raises(ParseError, match="must be strings"):
         parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [[["b"], 1]]}}', "json")
+    # JSON alone keeps the last of a repeated key; the parser refuses it at any level.
+    repeated = (
+        '{"men": ["m1"], "women": ["w1", "w2"], "prefs": {"m1": [["w1", 1]], "m1": [["w2", 1]], "w2": [["m1", 1]]}}',
+        '{"men": ["m1"], "men": [], "women": ["w1"]}',
+    )
+    for text in repeated:
+        with pytest.raises(ParseError, match="duplicate key '(m1|men)' in a JSON object"):
+            parse_instance(text, "json")
 
 
 def test_missing_person_line_means_empty_list():
@@ -143,7 +173,8 @@ def test_functional_round_trip_preserves_explicit_ranks():
 
 
 @st.composite
-def instances(draw):
+def people_ranks(draw):
+    """(men, women, people-keyed ranks, k); with gaps, each list comes out of rank order."""
     n_men = draw(st.integers(0, 4))
     n_women = draw(st.integers(0, 4))
     men = [Person(MAN, f"m{i}") for i in range(n_men)]
@@ -151,17 +182,27 @@ def instances(draw):
     accept = {
         (m, w): draw(st.booleans()) for m in men for w in women
     }
+    gapped = draw(st.booleans())
+
+    def table(mine):
+        order = draw(st.permutations(mine))
+        if not gapped:
+            return {q: i for i, q in enumerate(order, start=1)}
+        values = sorted(draw(st.sets(st.integers(1, 9), min_size=len(order), max_size=len(order))))
+        return dict(draw(st.permutations(list(zip(order, values)))))
+
     ranks = {}
     for m in men:
-        mine = [w for w in women if accept[(m, w)]]
-        order = draw(st.permutations(mine))
-        ranks[m] = {w: i for i, w in enumerate(order, start=1)}
+        ranks[m] = table([w for w in women if accept[(m, w)]])
     for w in women:
-        mine = [m for m in men if accept[(m, w)]]
-        order = draw(st.permutations(mine))
-        ranks[w] = {m: i for i, m in enumerate(order, start=1)}
+        ranks[w] = table([m for m in men if accept[(m, w)]])
     k = draw(st.one_of(st.none(), st.integers(0, 30)))
-    return make_instance(men, women, ranks, k)
+    return men, women, ranks, k
+
+
+@st.composite
+def instances(draw):
+    return make_instance(*draw(people_ranks()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,6 +210,25 @@ def instances(draw):
 def test_round_trip_property(inst):
     assert parse_instance(serialize(inst)) == inst
     assert parse_instance(serialize(inst, "json"), "json") == inst
+
+
+@settings(max_examples=80, deadline=None)
+@given(people_ranks())
+def test_people_and_table_constructors_build_equal_instances(case):
+    men, women, ranks, k = case
+    # The reference: each list keyed by partner position, sorted by rank.
+    position = {p: i for side in (men, women) for i, p in enumerate(side)}
+    want = [
+        [(position[q], r) for q, r in sorted(ranks[p].items(), key=lambda item: item[1])]
+        for p in men + women
+    ]
+    contiguous = all(sorted(t.values()) == list(range(1, len(t) + 1)) for t in ranks.values())
+    inst = make_instance(men, women, ranks, k)
+    for built in (inst, parse_instance(serialize(inst)), parse_instance(serialize(inst, "json"), "json")):
+        assert [list(t.items()) for t in built.m_rank + built.w_rank] == want
+        assert (built.contiguous, built.target_k) == (contiguous, k)
+        assert built == inst
+    assert inst.prefs.ranks == ranks
 
 
 def test_matching_partner_lookup():

@@ -7,6 +7,7 @@ import pytest
 from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
+from bsm.instance import Instance
 from bsm.kernel import (
     OUTCOME_KERNEL,
     TRIVIAL_NO,
@@ -584,13 +585,13 @@ def test_every_state_matches_the_optima_of_its_instance(monkeypatch):
 
 def test_kernelize_names_people_only_in_its_result(monkeypatch):
     made = [0]
-    real = kernel.make_instance
+    real = Instance.of_tables
 
     def counted(*args, **kwargs):
         made[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "make_instance", counted)
+    monkeypatch.setattr(Instance, "of_tables", staticmethod(counted))
     outcomes = Counter()
     busiest = 0
     for inst in diff_instances(2206, 16, max_n=12):

@@ -217,10 +217,9 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
     for i in range(240):
         n = 3 + i % 6
         inst = random_instance(rng, n, n, 1.0)
-        idx = inst.index
         seen = set()
         for partner, men_cost, women_cost in _closed_sets(_chain(inst, n)):
-            mu = idx.matching_from_arrays(partner)
+            mu = inst.matching_from_arrays(partner)
             assert mu not in seen
             seen.add(mu)
             assert not blocking_pairs(inst, mu)
