@@ -1,11 +1,12 @@
 """Toolkit for the balanced stable marriage problem.
 
-The data model, stored as integer rank tables, and its formats live in
+The data model, stored as integer rank tables with the facts of its two
+extreme stable matchings derived once, and its formats live in
 ``instance``; deferred acceptance and the objective functions in ``gs``;
 every stable matching, from the rotation poset, in ``oracle``; the
-parameter-bounded shrinking pipeline in ``kernel``; the subset-and-branch
-solver in ``fpt``; the clique reduction generator and verifier in
-``hardness``.
+parameter-bounded shrinking pipeline, on an instance and its target k,
+in ``kernel``; the subset-and-branch solver in ``fpt``; the clique
+reduction generator and verifier in ``hardness``.
 """
 
 from .fpt import SolveResult, SolveStats, solve_above_min

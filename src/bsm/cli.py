@@ -39,7 +39,7 @@ def _read_text(path: str) -> str:
 
 def _read_instance(path: str) -> Instance:
     text = _read_text(path)
-    fmt = "json" if text.lstrip().startswith("{") else "text"
+    fmt = "json" if text.lstrip()[:1] in ("{", "[") else "text"
     return parse_instance(text, fmt)
 
 

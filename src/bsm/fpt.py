@@ -6,8 +6,8 @@ them a strictly worse partner under a shared rank-increase budget
 ``r = k - O_M``, assemble the implied matching and keep the first one
 that is stable with balance at most k.
 
-The search runs on the integer arrays of the kernel's padded
-``KernelState``, and makes people only for the witness it lifts.
+The search runs on the integer tables and man-optimal partner arrays of
+the kernel instance, and makes people only for the witness it lifts.
 
 The search skips a branch as soon as it gives a man a woman who is
 already taken: one in a happy pair, the man-optimal partner of an
@@ -27,7 +27,7 @@ from itertools import combinations
 
 from . import gs
 from .instance import Instance, Matching
-from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, KernelState, kernelize
+from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,19 @@ class SolveResult:
 
 
 class _Context:
-    """Kernel facts shared across all subsets, read from the kernel's integer state ``st``."""
+    """Kernel facts shared across all subsets, read from the kernel instance and its target k."""
 
-    def __init__(self, st: KernelState):
-        self.st = st
+    def __init__(self, kernel: Instance, k: int):
+        self.inst = kernel
+        self.k = k
         # Women no selected man may take: the happy pairs' women.
-        happy_women = {w for _, w in st.happy_pairs}
-        self.happy_taken = [w in happy_women for w in range(len(st.women))]
+        happy_women = {w for _, w in kernel.happy_pairs}
+        self.happy_taken = [w in happy_women for w in range(len(kernel.women))]
         # Per man index: the women strictly worse than his man-optimal
         # partner as (rank offset, woman index), best first: the tables are
         # in rank order and a person's ranks are distinct.
         self.worse: list[list[tuple[int, int]]] = []
-        for table, anchor_w in zip(st.m_rank, st.mu_m.by_man):
+        for table, anchor_w in zip(kernel.m_rank, kernel.mu_m.by_man):
             anchor = table[anchor_w] if anchor_w >= 0 else None
             self.worse.append(
                 [] if anchor is None else [(r - anchor, w) for w, r in table.items() if r > anchor]
@@ -140,16 +141,16 @@ def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:
     men's cost, O_M plus the certificate's offset, is within k by the
     budget ``r = k - O_M``.
     """
-    st = ctx.st
-    by_man, by_woman = list(st.mu_m.by_man), list(st.mu_m.by_woman)
+    inst = ctx.inst
+    by_man, by_woman = list(inst.mu_m.by_man), list(inst.mu_m.by_woman)
     for m in m_prime:
         by_woman[by_man[m]] = -1
     for m, w in zip(m_prime, women):
         if by_woman[w] >= 0:
             return None  # two men claim the same woman
         by_man[m], by_woman[w] = w, m
-    women_cost = sum(st.w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
-    if women_cost > st.k or any(gs._blocking(st.m_rank, st.w_rank, by_man, by_woman)):
+    women_cost = sum(inst.w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
+    if women_cost > ctx.k or any(gs._blocking(inst.m_rank, inst.w_rank, by_man, by_woman)):
         return None
     return by_man
 
@@ -169,14 +170,14 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
         return SolveResult(
             answer, kres.witness, kres.t_input, None, SolveStats(0, 0, 0), kres
         )
-    ctx = _Context(kres.state)
-    st = ctx.st
-    r = kres.k - st.o_m
+    kernel = kres.kernel
+    ctx = _Context(kernel, kres.k)
+    r = kres.k - kernel.o_m
     subsets = 0
     nodes_total = 0
     nodes_max = 0
     if r >= 0:
-        sad = st.sad_men
+        sad = kernel.sad_men
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
                 subsets += 1
@@ -186,7 +187,7 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
                 taken = ctx.happy_taken.copy()
                 for m in sad:
                     if m not in m_prime:
-                        taken[st.mu_m.by_man[m]] = True
+                        taken[kernel.mu_m.by_man[m]] = True
                 for women, _ in _iter_certificates(ctx, m_prime, r, counter, taken):
                     hit = _assemble(ctx, m_prime, women)
                     if hit is not None:
@@ -194,7 +195,7 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
                 nodes_total += counter[0]
                 nodes_max = max(nodes_max, counter[0])
                 if hit is not None:
-                    mu = Matching.of((st.men[m], st.women[w]) for m, w in enumerate(hit) if w >= 0)
+                    mu = Matching.of((kernel.men[m], kernel.women[w]) for m, w in enumerate(hit) if w >= 0)
                     stats = SolveStats(subsets, nodes_total, nodes_max)
                     return SolveResult(
                         True, kres.lift(mu), kres.t_input, r, stats, kres

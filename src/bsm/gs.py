@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .instance import Instance, Matching, Partners, Person
+from .instance import Instance, Matching, Person
 
 
 class InvalidMatching(ValueError):
@@ -84,17 +84,6 @@ def _deferred_acceptance(order, responder_rank, n_resp, queue=None):
     return matched, holds
 
 
-def _mu_m(m_rank, w_rank) -> Partners:
-    """The man-optimal stable matching of these rank tables."""
-    return Partners(*_deferred_acceptance(m_rank, w_rank, len(w_rank)))
-
-
-def _mu_w(m_rank, w_rank) -> Partners:
-    """The woman-optimal stable matching of these rank tables."""
-    by_woman, by_man = _deferred_acceptance(w_rank, m_rank, len(m_rank))
-    return Partners(by_man, by_woman)
-
-
 def man_optimal(inst: Instance) -> Matching:
     """The stable matching in which every man does as well as he possibly can."""
     return inst.matching_from_arrays(inst.mu_m.by_man)
@@ -166,6 +155,4 @@ def objectives(inst: Instance, mu: Matching) -> Objectives:
 
 def optima(inst: Instance) -> Optima:
     """Both extreme stable matchings with their owning side's cost sums."""
-    o_m = sum(inst.m_rank[m][w] for m, w in enumerate(inst.mu_m.by_man) if w >= 0)
-    o_w = sum(inst.w_rank[w][m] for w, m in enumerate(inst.mu_w.by_woman) if m >= 0)
-    return Optima(man_optimal(inst), woman_optimal(inst), o_m, o_w)
+    return Optima(man_optimal(inst), woman_optimal(inst), inst.o_m, inst.o_w)

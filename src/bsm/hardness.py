@@ -123,48 +123,40 @@ def serialize_graph(g: Graph) -> str:
 
 
 @dataclass(frozen=True)
-class ReductionPeople:
-    """The people of a full reduction: vertex people keyed by (tier, vertex),
-    edge people by (tier, edge position), tiers 1 and 2, then dummies and stars."""
-
-    man_v: dict[tuple[int, str], Person]
-    woman_v: dict[tuple[int, str], Person]
-    man_e: dict[tuple[int, int], Person]
-    woman_e: dict[tuple[int, int], Person]
-    man_d: tuple[Person, ...]
-    woman_d: tuple[Person, ...]
-    man_star: Person
-    woman_star: Person
-
-
-@dataclass(frozen=True)
 class ReductionArtifact:
-    """The generated instance plus the bookkeeping that ties it to the graph; no people on a fallback."""
+    """The generated instance plus the bookkeeping that ties it to the graph."""
 
     inst: Instance
     k_hat: int
     delta: int
     t: int
-    people: ReductionPeople | None
     fallback: bool
     graph: Graph
     k: int
 
     @property
     def name_maps(self) -> dict:
-        """The person names of each vertex, edge and star, for the ``bsm reduce`` meta JSON."""
-        p = self.people
-        if p is None:
-            return {}
+        """The person names of each vertex, edge and star, for the ``bsm reduce`` meta JSON.
 
-        def names(men, women, key):
-            groups = (("m", men), ("w", women))
-            return {f"{side}{s}": group[(s, key)].name for side, group in groups for s in (1, 2)}
+        Empty on a fallback.  The names are read at the indices where
+        ``reduce_clique`` lays out both sides.
+        """
+        if self.fallback:
+            return {}
+        men, women = self.inst.men, self.inst.women
+        n_v, n_e = len(self.graph.vertices), len(self.graph.edges)
+
+        def names(first, count, j):
+            """The four people of item j of a group whose tier 1 starts at index ``first``."""
+            return {
+                f"{side}{s}": people[first + (s - 1) * count + j].name
+                for side, people in (("m", men), ("w", women)) for s in (1, 2)
+            }
 
         return {
-            "vertices": {v: names(p.man_v, p.woman_v, v) for v in self.graph.vertices},
-            "edges": {f"{u} {v}": names(p.man_e, p.woman_e, j) for j, (u, v) in enumerate(self.graph.edges)},
-            "star": {"m": p.man_star.name, "w": p.woman_star.name},
+            "vertices": {v: names(0, n_v, i) for i, v in enumerate(self.graph.vertices)},
+            "edges": {f"{u} {v}": names(2 * n_v, n_e, j) for j, (u, v) in enumerate(self.graph.edges)},
+            "star": {"m": men[-1].name, "w": women[-1].name},
         }
 
 
@@ -191,11 +183,11 @@ def clique_bruteforce(g: Graph, k: int) -> tuple[str, ...] | None:
 
 
 def _trivial_yes_instance() -> Instance:
-    return Instance((), (), [], [], True, 0)
+    return Instance((), (), [], [], 0)
 
 
 def _trivial_no_instance() -> Instance:
-    return Instance((Person(MAN, "m"),), (Person(WOMAN, "w"),), [{0: 1}], [{0: 1}], True, 0)
+    return Instance((Person(MAN, "m"),), (Person(WOMAN, "w"),), [{0: 1}], [{0: 1}], 0)
 
 
 def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
@@ -213,7 +205,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
         clique = clique_bruteforce(g, k)
         inst = _trivial_yes_instance() if clique else _trivial_no_instance()
         t = 0 if clique else -1
-        return ReductionArtifact(inst, 0, delta, t, None, True, g, k)
+        return ReductionArtifact(inst, 0, delta, t, True, g, k)
 
     V = g.vertices
     E = g.edges
@@ -306,13 +298,8 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
 
     k_hat = len(men) + delta + 6 * (k + k * (k - 1) // 2)
     t = 6 * (k + k * (k - 1) // 2)
-    inst = Instance.of_tables(men, women, m_rank, w_rank, k_hat)
-    people = ReductionPeople(
-        {key: men[i] for key, i in iv.items()}, {key: women[i] for key, i in iv.items()},
-        {key: men[i] for key, i in ie.items()}, {key: women[i] for key, i in ie.items()},
-        men[2 * n_v + 2 * n_e:star], women[2 * n_v + 2 * n_e:star], men[star], women[star],
-    )
-    return ReductionArtifact(inst, k_hat, delta, t, people, False, g, k)
+    inst = Instance(men, women, m_rank, w_rank, k_hat)
+    return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
 
 
 # --- swap candidates ----------------------------------------------------------

@@ -5,15 +5,16 @@ rank function per person over that person's acceptable partners (lower
 rank = more preferred).  When every rank image is exactly {1..len} the
 instance is an ordinary preference-list instance; otherwise the ranks
 form a preference function with gaps.  Both are carried by the same
-``Instance`` type, distinguished by the ``contiguous`` flag.
+``Instance`` type, told apart by its derived ``contiguous`` flag.
 
 An instance is stored as integer rank tables, ``Instance.m_rank`` and
 ``Instance.w_rank``, which the parsers and ``make_instance`` write
 directly.  ``Person`` objects name people at the boundary: in matchings,
 in ``serialize`` and in the people-keyed view ``Instance.prefs``, which
 no code in this package builds.  The algorithms start from the two
-extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, each
-built once per instance.
+extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, and
+the facts read off them: the optimal costs ``o_m`` and ``o_w`` and the
+sad and happy people.  Each is derived once per instance, on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 MAN = "M"
@@ -29,6 +29,23 @@ WOMAN = "W"
 
 _NAME_RE = re.compile(r"[^\s:=#]+\Z")
 _RESERVED_NAMES = frozenset({"men", "women", "k"})
+
+
+class _derived:
+    """``functools.cached_property`` without the lock that CPython 3.11 takes on every first read.
+
+    The lock costs about 1 µs, and a kernel state reads seven derived
+    values of its instance.  Two threads that race compute a value twice.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class ParseError(ValueError):
@@ -84,36 +101,36 @@ class Instance:
     Men and women are numbered by position in ``men`` and ``women``.
     ``m_rank[m]`` maps the index of each woman man m accepts to his rank
     of her, in rank order, best first; ``w_rank`` does the same for the
-    women.  ``contiguous`` is true when every person's rank image is
-    {1..number of partners}.  The tables are never mutated.
+    women.  The tables are never mutated.  Building an instance checks
+    nothing: ``make_instance`` and the parsers check their input first.
+    Everything else an instance offers is derived from these fields on
+    first use and kept.
     """
 
     men: tuple[Person, ...]
     women: tuple[Person, ...]
     m_rank: list[dict[int, int]]
     w_rank: list[dict[int, int]]
-    contiguous: bool
     target_k: int | None = None
 
-    @staticmethod
-    def of_tables(men, women, m_rank, w_rank, k: int | None = None) -> "Instance":
-        """The instance of tables that are in rank order and valid by construction; nothing is checked."""
-        contiguous = all(list(t.values()) == list(range(1, len(t) + 1)) for t in m_rank + w_rank)
-        return Instance(tuple(men), tuple(women), m_rank, w_rank, contiguous, k)
+    @_derived
+    def contiguous(self) -> bool:
+        """True when each person's n ranks are 1..n: as they are distinct and positive, when the largest is n."""
+        return all(max(t.values(), default=0) == len(t) for t in self.m_rank + self.w_rank)
 
-    @cached_property
+    @_derived
     def people(self) -> tuple[Person, ...]:
         return self.men + self.women
 
-    @cached_property
+    @_derived
     def man_index(self) -> dict[Person, int]:
         return {p: i for i, p in enumerate(self.men)}
 
-    @cached_property
+    @_derived
     def woman_index(self) -> dict[Person, int]:
         return {p: i for i, p in enumerate(self.women)}
 
-    @cached_property
+    @_derived
     def prefs(self) -> PeopleView:
         """The tables keyed by people, built on first use, for callers that want people."""
         ranks = {}
@@ -122,18 +139,47 @@ class Instance:
                 ranks[p] = {partners[q]: r for q, r in table.items()}
         return PeopleView(ranks)
 
-    @cached_property
+    @_derived
     def mu_m(self) -> Partners:
         """The man-optimal stable matching, by deferred acceptance on first use.
 
         Every caller shares these arrays: copy one before editing it.
         """
-        return gs._mu_m(self.m_rank, self.w_rank)
+        return Partners(*gs._deferred_acceptance(self.m_rank, self.w_rank, len(self.women)))
 
-    @cached_property
+    @_derived
     def mu_w(self) -> Partners:
         """The woman-optimal stable matching, as ``mu_m`` is the man-optimal one."""
-        return gs._mu_w(self.m_rank, self.w_rank)
+        by_woman, by_man = gs._deferred_acceptance(self.w_rank, self.m_rank, len(self.men))
+        return Partners(by_man, by_woman)
+
+    @_derived
+    def o_m(self) -> int:
+        """O_M, the men's cost of ``mu_m``: the least men's cost of any stable matching."""
+        return sum(self.m_rank[m][w] for m, w in enumerate(self.mu_m.by_man) if w >= 0)
+
+    @_derived
+    def o_w(self) -> int:
+        """O_W, the women's cost of ``mu_w``: the least women's cost of any stable matching."""
+        return sum(self.w_rank[w][m] for w, m in enumerate(self.mu_w.by_woman) if m >= 0)
+
+    @_derived
+    def sad_men(self) -> tuple[int, ...]:
+        """The men whose partner differs between ``mu_m`` and ``mu_w``, in index order."""
+        by_man = self.mu_w.by_man
+        return tuple(m for m, w in enumerate(self.mu_m.by_man) if w != by_man[m])
+
+    @_derived
+    def sad_women(self) -> tuple[int, ...]:
+        """The women whose partner differs between ``mu_m`` and ``mu_w``, in index order."""
+        by_woman = self.mu_w.by_woman
+        return tuple(w for w, m in enumerate(self.mu_m.by_woman) if m != by_woman[w])
+
+    @_derived
+    def happy_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (man, woman) pairs of both ``mu_m`` and ``mu_w``, in man order."""
+        by_man = self.mu_w.by_man
+        return tuple((m, w) for m, w in enumerate(self.mu_m.by_man) if w >= 0 and w == by_man[m])
 
     def acceptable(self, person: Person) -> dict[Person, int]:
         if person.side == MAN:
@@ -173,11 +219,11 @@ class Matching:
     def of(pairs) -> "Matching":
         return Matching(frozenset(pairs))
 
-    @cached_property
+    @_derived
     def by_man(self) -> dict[Person, Person]:
         return {m: w for m, w in self.pairs}
 
-    @cached_property
+    @_derived
     def by_woman(self) -> dict[Person, Person]:
         return {w: m for m, w in self.pairs}
 
@@ -225,6 +271,9 @@ def make_instance(men, women, ranks: dict[Person, dict[Person, int]], k: int | N
     m_rows = [row(p, woman_at, man_at) for p in men]
     w_rows = [row(p, man_at, woman_at) for p in women]
     _check_people(men, women)
+    for p in ranks:
+        if p not in man_at and p not in woman_at:
+            raise ValidationError(f"preferences given for unknown person {p}")
     return _build(men, women, m_rows, w_rows, k)
 
 
@@ -249,16 +298,12 @@ def _build(men, women, m_rows, w_rows, k) -> Instance:
     if k is not None and (not isinstance(k, int) or k < 0):
         raise ValidationError(f"target k must be a non-negative integer, got {k!r}")
     _check_rows(men, women, m_rows, w_rows)
-    contiguous = True
     for rows in (m_rows, w_rows):
         for i, row in enumerate(rows):
             ranks = list(row.values())
-            one_to_n = list(range(1, len(ranks) + 1))
-            if ranks != one_to_n:
-                if ranks != sorted(ranks):
-                    rows[i] = dict(sorted(row.items(), key=lambda item: item[1]))
-                contiguous = contiguous and sorted(ranks) == one_to_n
-    return Instance(men, women, m_rows, w_rows, contiguous, k)
+            if ranks != sorted(ranks):
+                rows[i] = dict(sorted(row.items(), key=lambda item: item[1]))
+    return Instance(men, women, m_rows, w_rows, k)
 
 
 def _check_rows(men, women, m_rows, w_rows) -> None:

@@ -10,15 +10,16 @@ step preserves the answer and never increases the parameter
 ``t = k - min(O_M, O_W)``.  Entry i of the table is reduction rule i
 (rr1 to rr8).
 
-The rules run on integer rank tables, a ``KernelState``, whose stable
-optima come from integer deferred acceptance; people are named only in
-the result: trace rows, instances, witness and dummies.  A rule takes a
-``KernelState`` and returns None when it does not apply.  Otherwise it
-returns ``(next, rows)``: ``next`` is the next state or the verdict
-``"yes"`` or ``"no"``, and ``rows`` holds, in order, the people named by
-each trace row the application records.  Every row runs from the
-state's k and t to the next state's t; only shrink moves k, by one per
-row.
+A ``KernelState`` is an instance and its target k.  The instance holds
+the integer rank tables and derives from them, once, its two stable
+optima, O_M, O_W and its sad and happy people; a rule that changes the
+tables builds a new instance from them.  The dummies are the only
+people the pipeline makes.  A rule takes a ``KernelState`` and returns None when it does
+not apply.  Otherwise it returns ``(next, rows)``: ``next`` is the next
+state or the verdict ``"yes"`` or ``"no"``, and ``rows`` holds, in
+order, the people named by each trace row the application records.
+Every row runs from the state's k and t to the next state's t; only
+shrink moves k, by one per row.
 
 Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
@@ -32,11 +33,9 @@ are the references the batches are tested against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
-from . import gs
-from .instance import MAN, WOMAN, Instance, Matching, Partners, Person, ValidationError
+from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError
 
 TRIVIAL_YES = "yes"
 TRIVIAL_NO = "no"
@@ -58,54 +57,18 @@ class OptimaMoved(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelState:
-    """A functional instance under reduction, as integer tables, with its target and optima.
+    """A functional instance under reduction and its target k.
 
-    People are numbered by position in ``men`` and ``women``; ``m_rank`` and
-    ``w_rank`` are rank tables as ``Instance.m_rank`` and ``w_rank`` are,
-    never mutated, and ``inst`` shares them.
+    People are numbered by position in ``inst.men`` and ``inst.women``;
+    the instance's tables are never mutated.
     """
 
-    men: tuple[Person, ...]
-    women: tuple[Person, ...]
-    m_rank: list[dict[int, int]]
-    w_rank: list[dict[int, int]]
+    inst: Instance
     k: int
-    mu_m: Partners
-    mu_w: Partners
-    o_m: int
-    o_w: int
-    sad_men: tuple[int, ...]
-    sad_women: tuple[int, ...]
-    happy_pairs: tuple[tuple[int, int], ...]
 
     @property
     def t(self) -> int:
-        return self.k - min(self.o_m, self.o_w)
-
-    @staticmethod
-    def make(inst: Instance, k: int) -> "KernelState":
-        st = _settle(inst.men, inst.women, inst.m_rank, inst.w_rank, k, inst.mu_m, inst.mu_w)
-        vars(st)["inst"] = inst  # the state of an instance names that instance
-        return st
-
-    @cached_property
-    def inst(self) -> Instance:
-        """The state as an instance on the same tables, built on first use."""
-        return Instance.of_tables(self.men, self.women, self.m_rank, self.w_rank)
-
-
-def _settle(men, women, m_rank, w_rank, k, mu_m=None, mu_w=None) -> KernelState:
-    """The state of these tables: both optima (by deferred acceptance unless given), then sad
-    and happy people."""
-    mu_m = mu_m or gs._mu_m(m_rank, w_rank)
-    mu_w = mu_w or gs._mu_w(m_rank, w_rank)
-    by_man, by_woman = mu_w
-    o_m = sum(m_rank[m][w] for m, w in enumerate(mu_m.by_man) if w >= 0)
-    o_w = sum(w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
-    sad_men = tuple(m for m, w in enumerate(mu_m.by_man) if w != by_man[m])
-    sad_women = tuple(w for w, m in enumerate(mu_m.by_woman) if m != by_woman[w])
-    happy = tuple((m, w) for m, w in enumerate(mu_m.by_man) if w >= 0 and w == by_man[m])
-    return KernelState(men, women, m_rank, w_rank, k, mu_m, mu_w, o_m, o_w, sad_men, sad_women, happy)
+        return self.k - min(self.inst.o_m, self.inst.o_w)
 
 
 @dataclass(frozen=True)
@@ -132,10 +95,7 @@ class KernelResult:
     new target both in ``k`` and in ``kernel.target_k``; ``functional``
     holds the reduced instance before dummy insertion.  ``witness`` is set
     for outcome "yes" and lives in the *input* instance.  ``lift`` maps any
-    matching of the kernel back to the input instance.  ``state`` is the
-    padded state the kernel was read from, numbered as the kernel's people,
-    with its optima and its sad and happy people; it is None unless the
-    outcome is "kernel".
+    matching of the kernel back to the input instance.
     """
 
     outcome: str
@@ -149,7 +109,6 @@ class KernelResult:
     removed_happy: tuple[tuple[Person, Person], ...]
     dummy_men: tuple[Person, ...]
     dummy_women: tuple[Person, ...]
-    state: KernelState | None = None
 
     def lift(self, matching: Matching) -> Matching:
         dummies = set(self.dummy_men) | set(self.dummy_women)
@@ -161,21 +120,22 @@ class KernelResult:
 
 # --- the rules --------------------------------------------------------------
 
-def _sides(st: KernelState, men_anchor, women_anchor):
+def _sides(inst: Instance, men_anchor, women_anchor):
     """Men, then women: (own tables, anchor of each, own people, partners, owner is a woman)."""
-    yield st.m_rank, men_anchor, st.men, st.women, False
-    yield st.w_rank, women_anchor, st.women, st.men, True
+    yield inst.m_rank, men_anchor, inst.men, inst.women, False
+    yield inst.w_rank, women_anchor, inst.women, inst.men, True
 
 
 def _without_pairs(st: KernelState, pairs) -> KernelState:
     """The state without the given (man, woman) pairs; only the tables they touch are copied."""
-    m_rank, w_rank = list(st.m_rank), list(st.w_rank)
+    inst = st.inst
+    m_rank, w_rank = list(inst.m_rank), list(inst.w_rank)
     for tables, touched in ((m_rank, {m for m, _ in pairs}), (w_rank, {w for _, w in pairs})):
         for p in touched:
             tables[p] = dict(tables[p])
     for m, w in pairs:
         del m_rank[m][w], w_rank[w][m]
-    return _settle(st.men, st.women, m_rank, w_rank, st.k)
+    return KernelState(Instance(inst.men, inst.women, m_rank, w_rank), st.k)
 
 
 def _kept(st: KernelState, men, women, shift=(-1, 0, -1, 0)) -> KernelState:
@@ -183,16 +143,18 @@ def _kept(st: KernelState, men, women, shift=(-1, 0, -1, 0)) -> KernelState:
 
     ``shift`` is (man, amount, woman, amount): those two rank functions rise by their amount.
     """
+    inst = st.inst
     new_m, new_w = {m: i for i, m in enumerate(men)}, {w: j for j, w in enumerate(women)}
     m_s, d_m, w_s, d_w = shift
-    m_rank = [{new_w[w]: r + d_m * (m == m_s) for w, r in st.m_rank[m].items() if w in new_w} for m in men]
-    w_rank = [{new_m[m]: r + d_w * (w == w_s) for m, r in st.w_rank[w].items() if m in new_m} for w in women]
-    return _settle(tuple(st.men[m] for m in men), tuple(st.women[w] for w in women), m_rank, w_rank, st.k)
+    m_rank = [{new_w[w]: r + d_m * (m == m_s) for w, r in inst.m_rank[m].items() if w in new_w} for m in men]
+    w_rank = [{new_m[m]: r + d_w * (w == w_s) for m, r in inst.w_rank[w].items() if m in new_m} for w in women]
+    kept = Instance(tuple(inst.men[m] for m in men), tuple(inst.women[w] for w in women), m_rank, w_rank)
+    return KernelState(kept, st.k)
 
 
 def bound_check(st: KernelState):
     """No stable matching can beat both optima, so a target below their max fails."""
-    return (TRIVIAL_NO, [()]) if st.k < max(st.o_m, st.o_w) else None
+    return (TRIVIAL_NO, [()]) if st.k < max(st.inst.o_m, st.inst.o_w) else None
 
 
 def clean_suffix_once(st: KernelState):
@@ -202,7 +164,8 @@ def clean_suffix_once(st: KernelState):
     man-optimal partner; no stable matching uses such a pair, so the
     stable set and both optima are untouched.
     """
-    for tables, anchors, owners, partners, flip in _sides(st, st.mu_w.by_man, st.mu_m.by_woman):
+    inst = st.inst
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
         for a, anchor in enumerate(anchors):
             worst = next(reversed(tables[a]), -1)  # tables are in rank order
             if anchor >= 0 and worst != anchor:
@@ -219,8 +182,9 @@ def clean_suffix(st: KernelState):
     worst first and skipping pairs already dropped, makes the same drops
     in the same order.
     """
+    inst = st.inst
     drops: dict[tuple[int, int], tuple[Person, Person]] = {}  # (man, woman) -> row
-    for tables, anchors, owners, partners, flip in _sides(st, st.mu_w.by_man, st.mu_m.by_woman):
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
         for a, anchor in enumerate(anchors):
             if anchor >= 0:
                 limit = tables[a][anchor]
@@ -229,36 +193,41 @@ def clean_suffix(st: KernelState):
     if not drops:
         return None
     nxt = _without_pairs(st, drops)
-    if (nxt.mu_m, nxt.mu_w, nxt.o_m, nxt.o_w) != (st.mu_m, st.mu_w, st.o_m, st.o_w):
+    new = nxt.inst
+    if (new.mu_m, new.mu_w, new.o_m, new.o_w) != (inst.mu_m, inst.mu_w, inst.o_m, inst.o_w):
         raise OptimaMoved("clean-suffix drops changed the stable optima")
     return nxt, list(drops.values())
 
 
 def restrict_matched(st: KernelState):
     """Restrict to the people matched by every stable matching."""
-    men = [m for m, w in enumerate(st.mu_m.by_man) if w >= 0]
-    women = [w for w, m in enumerate(st.mu_m.by_woman) if m >= 0]
-    if len(men) == len(st.men) and len(women) == len(st.women):
+    inst = st.inst
+    men = [m for m, w in enumerate(inst.mu_m.by_man) if w >= 0]
+    women = [w for w, m in enumerate(inst.mu_m.by_woman) if m >= 0]
+    if len(men) == len(inst.men) and len(women) == len(inst.women):
         return None
-    gone = [st.men[m] for m, w in enumerate(st.mu_m.by_man) if w < 0]
-    gone += [st.women[w] for w, m in enumerate(st.mu_m.by_woman) if m < 0]
+    gone = [inst.men[m] for m, w in enumerate(inst.mu_m.by_man) if w < 0]
+    gone += [inst.women[w] for w, m in enumerate(inst.mu_m.by_woman) if m < 0]
     return _kept(st, men, women), [gone]
 
 
 def bound_sad(st: KernelState):
     """More than 2t sad people on one side already forces the answer to be no."""
     bound = 2 * st.t
-    if len(st.sad_men) > bound or len(st.sad_women) > bound:
+    if len(st.inst.sad_men) > bound or len(st.inst.sad_women) > bound:
         return TRIVIAL_NO, [()]
     return None
 
 
 def no_sad(st: KernelState):
-    """With no sad people the man-optimal matching is the only stable one."""
-    if st.sad_men or st.sad_women:
+    """With no sad people the man-optimal matching is the only stable one.
+
+    It is also the woman-optimal one, so its balance is max(O_M, O_W).
+    """
+    inst = st.inst
+    if inst.sad_men or inst.sad_women:
         return None
-    women_cost = sum(st.w_rank[w][m] for w, m in enumerate(st.mu_m.by_woman) if m >= 0)
-    return (TRIVIAL_YES if max(st.o_m, women_cost) <= st.k else TRIVIAL_NO), [()]
+    return (TRIVIAL_YES if max(inst.o_m, inst.o_w) <= st.k else TRIVIAL_NO), [()]
 
 
 def _remove_happy(st: KernelState, pairs):
@@ -270,21 +239,22 @@ def _remove_happy(st: KernelState, pairs):
     """
     if not pairs:
         return None
-    if not st.sad_men or not st.sad_women:
+    inst = st.inst
+    if not inst.sad_men or not inst.sad_women:
         m_h, w_h = pairs[0]
-        raise NoSadPerson(f"cannot transfer the cost of ({st.men[m_h]}, {st.women[w_h]})")
-    m_s, w_s = st.sad_men[0], st.sad_women[0]
-    shift = m_s, sum(st.m_rank[m][w] for m, w in pairs), w_s, sum(st.w_rank[w][m] for m, w in pairs)
+        raise NoSadPerson(f"cannot transfer the cost of ({inst.men[m_h]}, {inst.women[w_h]})")
+    m_s, w_s = inst.sad_men[0], inst.sad_women[0]
+    shift = m_s, sum(inst.m_rank[m][w] for m, w in pairs), w_s, sum(inst.w_rank[w][m] for m, w in pairs)
     gone_men, gone_women = {m for m, _ in pairs}, {w for _, w in pairs}
-    men = [m for m in range(len(st.men)) if m not in gone_men]
-    women = [w for w in range(len(st.women)) if w not in gone_women]
-    rows = [(st.men[m], st.women[w], st.men[m_s], st.women[w_s]) for m, w in pairs]
+    men = [m for m in range(len(inst.men)) if m not in gone_men]
+    women = [w for w in range(len(inst.women)) if w not in gone_women]
+    rows = [(inst.men[m], inst.women[w], inst.men[m_s], inst.women[w_s]) for m, w in pairs]
     return _kept(st, men, women, shift), rows, men, women
 
 
 def remove_happy_pair_once(st: KernelState):
     """Remove the first happy pair in canonical order."""
-    hit = _remove_happy(st, st.happy_pairs[:1])
+    hit = _remove_happy(st, st.inst.happy_pairs[:1])
     return None if hit is None else hit[:2]
 
 
@@ -296,13 +266,15 @@ def remove_happy_pair(st: KernelState):
     first sad woman; their shifts add up.  Every other man keeps his
     partner in both optima, and a removed woman is nobody's partner.
     """
-    hit = _remove_happy(st, st.happy_pairs)
+    inst = st.inst
+    hit = _remove_happy(st, inst.happy_pairs)
     if hit is None:
         return None
     nxt, rows, men, women = hit
+    new = nxt.inst
     new_w = {w: j for j, w in enumerate(women)} | {-1: -1}
-    expect = [[new_w.get(mu.by_man[m]) for m in men] for mu in (st.mu_m, st.mu_w)]
-    if (nxt.o_m, nxt.o_w, [nxt.mu_m.by_man, nxt.mu_w.by_man]) != (st.o_m, st.o_w, expect):
+    expect = [[new_w.get(mu.by_man[m]) for m in men] for mu in (inst.mu_m, inst.mu_w)]
+    if (new.o_m, new.o_w, [new.mu_m.by_man, new.mu_w.by_man]) != (inst.o_m, inst.o_w, expect):
         raise OptimaMoved("happy-pair removals changed the stable optima")
     return nxt, rows
 
@@ -313,8 +285,9 @@ def truncate(st: KernelState):
     Men are checked first against the man-optimal matching, then women
     against the woman-optimal one; the owner's best over-limit partner goes.
     """
-    for tables, anchors, owners, partners, flip in _sides(st, st.mu_m.by_man, st.mu_w.by_woman):
-        slack = st.k - (st.o_w if flip else st.o_m)
+    inst = st.inst
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman):
+        slack = st.k - (inst.o_w if flip else inst.o_m)
         for a, anchor in enumerate(anchors):
             if anchor >= 0:
                 limit = slack + tables[a][anchor]
@@ -331,11 +304,12 @@ def _shrink_units(st: KernelState) -> list[tuple[int, int]]:
     Each man contributes one entry per unit by which his man-optimal
     partner ranks above 1, each woman likewise for her woman-optimal one.
     """
+    inst = st.inst
     man_units = [
-        m for m, w in enumerate(st.mu_m.by_man) if w >= 0 for _ in range(st.m_rank[m][w] - 1)
+        m for m, w in enumerate(inst.mu_m.by_man) if w >= 0 for _ in range(inst.m_rank[m][w] - 1)
     ]
     woman_units = [
-        w for w, m in enumerate(st.mu_w.by_woman) if m >= 0 for _ in range(st.w_rank[w][m] - 1)
+        w for w, m in enumerate(inst.mu_w.by_woman) if m >= 0 for _ in range(inst.w_rank[w][m] - 1)
     ]
     return list(zip(man_units, woman_units))
 
@@ -344,12 +318,13 @@ def _shift(st: KernelState, units: list[tuple[int, int]]):
     """Lower each listed person's whole rank function by one per listing, and k by one per unit."""
     if not units:
         return None
-    m_rank, w_rank = list(st.m_rank), list(st.w_rank)
+    inst = st.inst
+    m_rank, w_rank = list(inst.m_rank), list(inst.w_rank)
     for tables, side_units in ((m_rank, [m for m, _ in units]), (w_rank, [w for _, w in units])):
         for p, d in Counter(side_units).items():
             tables[p] = {q: r - d for q, r in tables[p].items()}
-    rows = [(st.men[m], st.women[w]) for m, w in units]
-    return _settle(st.men, st.women, m_rank, w_rank, st.k - len(units)), rows
+    rows = [(inst.men[m], inst.women[w]) for m, w in units]
+    return KernelState(Instance(inst.men, inst.women, m_rank, w_rank), st.k - len(units)), rows
 
 
 def shrink_once(st: KernelState):
@@ -368,8 +343,8 @@ def shrink(st: KernelState):
     if hit is None:
         return None
     total = len(hit[1])
-    nxt = hit[0]
-    if (nxt.o_m, nxt.o_w, nxt.mu_m, nxt.mu_w) != (st.o_m - total, st.o_w - total, st.mu_m, st.mu_w):
+    old, new = st.inst, hit[0].inst
+    if (new.o_m, new.o_w, new.mu_m, new.mu_w) != (old.o_m - total, old.o_w - total, old.mu_m, old.mu_w):
         raise OptimaMoved("shrink shifts changed the stable optima")
     return hit
 
@@ -408,16 +383,18 @@ def fill_gaps(st: KernelState):
 
     The target grows by exactly t, once; afterwards every rank image is an
     unbroken range starting at 1, or ``DummyExhausted`` is raised.  Returns
-    the padded state, the dummy men, the dummy women and the trace steps.
+    the padded state, whose instance carries the new target, the dummy
+    men, the dummy women and the trace steps.
     """
     t = st.t
+    inst = st.inst
     steps: list[TraceStep] = []
-    taken = {p.name for p in st.men + st.women}
+    taken = {p.name for p in inst.men + inst.women}
     xs = tuple(Person(MAN, _fresh(f"x{i + 1}", taken)) for i in range(t))
     ys = tuple(Person(WOMAN, _fresh(f"y{i + 1}", taken)) for i in range(t))
-    men, women = st.men + xs, st.women + ys
-    m_rank = list(st.m_rank) + [{len(st.women) + i: 1} for i in range(len(xs))]
-    w_rank = list(st.w_rank) + [{len(st.men) + i: 1} for i in range(len(ys))]
+    men, women = inst.men + xs, inst.women + ys
+    m_rank = list(inst.m_rank) + [{len(inst.women) + i: 1} for i in range(len(xs))]
+    w_rank = list(inst.w_rank) + [{len(inst.men) + i: 1} for i in range(len(ys))]
     k = st.k
     if t > 0:
         k += t
@@ -440,7 +417,7 @@ def fill_gaps(st: KernelState):
 
     fill(m_rank, w_rank, men, women)
     fill(w_rank, m_rank, women, men)
-    padded = _settle(men, women, m_rank, w_rank, k)
+    padded = KernelState(Instance(men, women, m_rank, w_rank, k), k)
     if padded.t != t:
         raise DummyExhausted("dummy insertion changed the parameter")
     if not padded.inst.contiguous:
@@ -462,7 +439,7 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
             "the instance has gaps in its ranks; kernelize and solve need "
             "preference lists ranked 1, 2, 3, ... for every person"
         )
-    st = KernelState.make(inst, k)
+    st = KernelState(inst, k)
     t_input = st.t
     steps: list[TraceStep] = []
     verdict = None
@@ -490,7 +467,8 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     if verdict is not None:
         witness = None
         if verdict == TRIVIAL_YES:
-            mu_m = [(st.men[m], st.women[w]) for m, w in enumerate(st.mu_m.by_man) if w >= 0]
+            men, women = st.inst.men, st.inst.women
+            mu_m = [(men[m], women[w]) for m, w in enumerate(st.inst.mu_m.by_man) if w >= 0]
             witness = Matching.of(mu_m + list(removed_happy))
         return KernelResult(
             verdict, None, None, KernelTrace(tuple(steps), verdict), t_input,
@@ -500,7 +478,7 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     steps.extend(fill_steps)
     return KernelResult(
         OUTCOME_KERNEL,
-        replace(padded.inst, target_k=padded.k),
+        padded.inst,
         padded.k,
         KernelTrace(tuple(steps), "reduced"),
         t_input,
@@ -510,5 +488,4 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         removed_happy,
         xs,
         ys,
-        padded,
     )

@@ -103,7 +103,6 @@ def _chain(inst: Instance, limit: int) -> _Chain:
     n_men = len(inst.men)
     mu_m = inst.mu_m
     partner, holder = list(mu_m.by_man), list(mu_m.by_woman)
-    men_cost = sum(m_rank[m][w] for m, w in enumerate(partner) if w >= 0)
     women_cost = sum(w_rank[w][m] for w, m in enumerate(holder) if m >= 0)
 
     # Where each man's search for s(m) resumes.  Women only improve along
@@ -184,7 +183,7 @@ def _chain(inst: Instance, limit: int) -> _Chain:
     for j in reversed(range(len(deltas))):
         suffix[j] = suffix[j + 1] + deltas[j][1]
     return _Chain(
-        mu_m.by_man, partner, (men_cost, women_cost), women_cost + suffix[0],
+        mu_m.by_man, partner, (inst.o_m, women_cost), women_cost + suffix[0],
         moves, preds, deltas, suffix,
     )
 

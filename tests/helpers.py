@@ -8,7 +8,6 @@ from itertools import product
 from bsm.fpt import _Context, _iter_certificates
 from bsm.gs import optima
 from bsm.instance import MAN, WOMAN, Instance, Matching, Person, make_instance, parse_instance
-from bsm.kernel import KernelState
 
 SAD_2X2_TEXT = """\
 men: m1 m2
@@ -135,14 +134,13 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
     Certificates that give two men the same woman are included: this is
     the unpruned search that the solver's counters describe, in people.
     """
-    st = KernelState.make(inst, inst.target_k or 0)
     selected = []
     for m in m_prime:
         i = inst.man_index.get(m)
-        if i is None or st.mu_m.by_man[i] < 0:
+        if i is None or inst.mu_m.by_man[i] < 0:
             raise ValueError(f"{m} is unmatched in the man-optimal matching")
         selected.append(i)
     return [
-        BranchCertificate(tuple((st.men[m], st.women[w]) for m, w in zip(selected, women)), cost)
-        for women, cost in _iter_certificates(_Context(st), tuple(selected), r, [0])
+        BranchCertificate(tuple((inst.men[m], inst.women[w]) for m, w in zip(selected, women)), cost)
+        for women, cost in _iter_certificates(_Context(inst, inst.target_k or 0), tuple(selected), r, [0])
     ]

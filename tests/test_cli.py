@@ -151,6 +151,42 @@ def test_reduce_and_verify(capsys, tmp_path):
     assert code == 0 and doc["agree"] and doc["ok"]
 
 
+REDUCE_META_PATH_4_K2 = {
+    "delta": 50,
+    "k_hat": 133,
+    "t": 18,
+    "fallback": False,
+    "name_maps": {
+        "vertices": {
+            v: {"m1": f"m1_v{i}", "m2": f"m2_v{i}", "w1": f"w1_v{i}", "w2": f"w2_v{i}"}
+            for i, v in enumerate("abcd", start=1)
+        },
+        "edges": {
+            e: {"m1": f"m1_e{j}", "m2": f"m2_e{j}", "w1": f"w1_e{j}", "w2": f"w2_e{j}"}
+            for j, e in enumerate(("a b", "b c", "c d"), start=1)
+        },
+        "star": {"m": "mstar", "w": "wstar"},
+    },
+}
+
+
+def test_reduce_meta_is_pinned(capsys, tmp_path):
+    # Every name of a full reduction: 4 vertices and 3 edges, each with two
+    # tiers of men and women, then the star.  The sidecar text is pinned
+    # byte for byte, key order included.
+    graph = tmp_path / "path.txt"
+    graph.write_text("a b\nb c\nc d\n")
+    out = tmp_path / "reduced.txt"
+    code, doc = run(capsys, "reduce", "--graph", str(graph), "--k", "2", "--out", str(out))
+    assert code == 0
+    assert doc == {"written": str(out), **REDUCE_META_PATH_4_K2}
+    sidecar = (tmp_path / "reduced.txt.meta.json").read_text()
+    assert sidecar == json.dumps(REDUCE_META_PATH_4_K2, indent=2) + "\n"
+    code, doc = run(capsys, "reduce", "--graph", str(graph), "--k", "2")
+    assert code == 0 and doc.pop("instance") == out.read_text()
+    assert doc == REDUCE_META_PATH_4_K2
+
+
 def test_verify_disagrees_never(capsys, tmp_path):
     graph = tmp_path / "g.txt"
     graph.write_text("vertices: a b c d e f g\na b\nb c\nc d\nd e\n")
@@ -279,6 +315,17 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, doc):
         assert main([verb, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["[1]", "[]", "\n  [\"men\", \"women\"]\n"])
+def test_a_json_array_is_read_as_json(capsys, tmp_path, text):
+    # It used to be read as text: "error: line 1: expected 'name: ...'".
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    for verb in ("optima", "enumerate"):
+        assert main([verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: JSON instance must be an object\n"
 
 
 def test_any_other_exception_is_internal(capsys, monkeypatch, instance_file):

@@ -95,8 +95,8 @@ def test_assemble_2x2_kernel():
     kopt = optima(kin)
     sad = [m for m in kin.men if kopt.mu_m.by_man.get(m) != kopt.mu_w.by_man.get(m)]
     assert len(sad) == 2
-    ctx = _Context(result.state)
-    st = ctx.st
+    ctx = _Context(result.kernel, result.k)
+    st = ctx.inst
     m_prime = tuple(st.men.index(m) for m in sad)
     # both men move to their second choices: the woman-optimal matching
     women = tuple(st.mu_w.by_man[m] for m in m_prime)
@@ -197,14 +197,14 @@ def search_kernels():
             result = kernelize(inst, k)
             if result.outcome != OUTCOME_KERNEL:
                 continue
-            ctx = _Context(result.state)
-            if ctx.st.sad_men:
-                yield inst, k, result, ctx, result.k - ctx.st.o_m
+            ctx = _Context(result.kernel, result.k)
+            if ctx.inst.sad_men:
+                yield inst, k, result, ctx, result.k - ctx.inst.o_m
 
 
 def busy_women(ctx, selected):
     """Women of the happy pairs and the man-optimal partners of unselected sad men."""
-    st = ctx.st
+    st = ctx.inst
     return {w for _, w in st.happy_pairs} | {
         st.mu_m.by_man[m] for m in st.sad_men if m not in selected
     }
@@ -226,7 +226,7 @@ def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
     kernels = subsets = skipped = 0
     for *_, ctx, r in search_kernels():
         kernels += 1
-        st = ctx.st
+        st = ctx.inst
         for size in range(len(st.sad_men) + 1):
             for m_prime in combinations(st.sad_men, size):
                 busy = busy_women(ctx, m_prime)
@@ -237,7 +237,7 @@ def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
                 assert pruned_nodes == full_nodes
                 assert taken == [w in busy for w in range(len(st.women))]
                 men = [st.men[m] for m in m_prime]
-                public = enumerate_certificates(st.inst, men, r)
+                public = enumerate_certificates(st, men, r)
                 assert public == [
                     BranchCertificate(tuple(zip(men, (st.women[w] for w in women))), cost)
                     for (women, cost), _ in full
@@ -247,7 +247,7 @@ def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
     assert kernels >= 30 and subsets >= 1000 and skipped >= 10000
 
 
-def reference_assemble(st, pairs, m_prime):
+def reference_assemble(st, k, pairs, m_prime):
     """The people-level assembly: the selected men's pairs, the unselected sad
     men's man-optimal pairs and the happy pairs, accepted when injective,
     within k and without a blocking pair."""
@@ -257,7 +257,7 @@ def reference_assemble(st, pairs, m_prime):
     if len({w for _, w in pairs}) < len(pairs):
         return None
     mu = Matching.of(pairs)
-    if objectives(st.inst, mu).balance > st.k or blocking_pairs(st.inst, mu):
+    if objectives(st, mu).balance > k or blocking_pairs(st, mu):
         return None
     return mu
 
@@ -265,19 +265,19 @@ def reference_assemble(st, pairs, m_prime):
 def test_assemble_accepts_exactly_the_stable_matchings_within_k():
     certificates = accepted = 0
     for *_, ctx, r in search_kernels():
-        st = ctx.st
+        st = ctx.inst
         for size in range(len(st.sad_men) + 1):
             for m_prime in combinations(st.sad_men, size):
                 men = [st.men[m] for m in m_prime]
                 # The unpruned certificates, which hold the pruned search's.
                 for (women, _), _ in run(ctx, m_prime, r)[0]:
                     pairs = zip(men, (st.women[w] for w in women))
-                    want = reference_assemble(st, pairs, m_prime)
+                    want = reference_assemble(st, ctx.k, pairs, m_prime)
                     got = _assemble(ctx, m_prime, women)
                     if want is None:
                         assert got is None
                     else:
-                        assert got == st.inst.arrays_from_matching(want)[0]
+                        assert got == st.arrays_from_matching(want)[0]
                         accepted += 1
                     certificates += 1
     assert certificates >= 50000 and accepted >= 50
@@ -285,7 +285,7 @@ def test_assemble_accepts_exactly_the_stable_matchings_within_k():
 
 def unpruned_solve(result, ctx, r):
     """The solver's loop over every certificate, without pruning."""
-    st = ctx.st
+    st = ctx.inst
     subsets = nodes_total = nodes_max = 0
     for size in range(len(st.sad_men) + 1):
         for m_prime in combinations(st.sad_men, size):

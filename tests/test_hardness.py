@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bsm import gs
+from bsm import gs, hardness
 from bsm.generate import random_graph, random_triangle_free_graph
 from bsm.hardness import (
     Graph,
@@ -258,6 +258,28 @@ def test_verify_reduction_makes_no_optima_call(monkeypatch):
     assert not full.fallback and full.ok and full.optima_match and full.t_actual == 36
     fallback = verify_reduction(Graph.build(("a", "b", "c"), [("a", "b")]), 3)
     assert fallback.fallback and fallback.ok
+
+
+def test_verify_reduction_runs_deferred_acceptance_on_its_instance_once(monkeypatch):
+    # Only for mu_M, which the chain walk starts from; the walk reaches mu_W itself.
+    made = []
+    real_reduce, real_da = hardness.reduce_clique, gs._deferred_acceptance
+
+    def reducing(g, k):
+        made.append(real_reduce(g, k))
+        return made[-1]
+
+    on_input = [0]
+
+    def counted(order, *args, **kwargs):
+        on_input[0] += order is made[0].inst.m_rank or order is made[0].inst.w_rank
+        return real_da(order, *args, **kwargs)
+
+    monkeypatch.setattr(hardness, "reduce_clique", reducing)
+    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    report = verify_reduction(planted_graph_7_5(), 3)
+    assert not report.fallback and report.ok
+    assert len(made) == 1 and on_input[0] == 1
 
 
 def test_verify_reduction_cases():

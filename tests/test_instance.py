@@ -75,6 +75,22 @@ def test_parse_errors():
         parse_instance("men: m1 m2\nwomen: w1\nm1: w1=1\nm2: w1=1\nw1: m1=2 m2=2\n")
 
 
+def test_make_instance_refuses_preferences_of_unknown_people():
+    m, w, x = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "x")
+    with pytest.raises(ValidationError, match="^preferences given for unknown person M:x$"):
+        make_instance((m,), (w,), {m: {w: 1}, w: {m: 1}, x: {w: 1}})
+    # A known name on the other side is someone else.
+    with pytest.raises(ValidationError, match="^preferences given for unknown person W:m$"):
+        make_instance((m,), (w,), {m: {w: 1}, w: {m: 1}, Person(WOMAN, "m"): {}})
+    # Checked after the names and sides, before the rows and k.
+    with pytest.raises(ValidationError, match="reserved"):
+        make_instance((Person(MAN, "k"),), (w,), {x: {w: 1}})
+    with pytest.raises(ValidationError, match="listed among men"):
+        make_instance((Person(WOMAN, "z"),), (w,), {x: {w: 1}})
+    with pytest.raises(ValidationError, match="unknown person M:x"):
+        make_instance((m,), (w,), {m: {w: 1}, x: {w: 1}}, k=-1)  # m's row is not mutual, k is negative
+
+
 @pytest.mark.parametrize(
     "text, fmt, first",
     [

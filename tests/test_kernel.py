@@ -7,7 +7,7 @@ import pytest
 from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import Instance
+from bsm.instance import Instance, Person
 from bsm.kernel import (
     OUTCOME_KERNEL,
     TRIVIAL_NO,
@@ -34,7 +34,7 @@ from helpers import empty_instance, functional_instance, sad_2x2, sad_rich_insta
 
 
 def state(inst, k):
-    return KernelState.make(inst, k)
+    return KernelState(inst, k)
 
 
 def names(people):
@@ -43,7 +43,7 @@ def names(people):
 
 def optima_of(st):
     """Both stable optima of a state, as partner indices, with their costs."""
-    return st.mu_m, st.mu_w, st.o_m, st.o_w
+    return st.inst.mu_m, st.inst.mu_w, st.inst.o_m, st.inst.o_w
 
 
 def step(rule, st):
@@ -95,14 +95,15 @@ def test_rr2_exhaustion_cleans_prefixes_too():
         st = state(inst, 100)
         while (nxt := step(clean_suffix_once, st)) is not None:
             st = nxt
-        m_rank, w_rank = st.m_rank, st.w_rank
-        for m in range(len(st.men)):
-            if st.mu_m.by_man[m] < 0:
+        kin = st.inst
+        m_rank, w_rank = kin.m_rank, kin.w_rank
+        for m in range(len(kin.men)):
+            if kin.mu_m.by_man[m] < 0:
                 continue
             for w, r in m_rank[m].items():
-                assert m_rank[m][st.mu_m.by_man[m]] <= r <= m_rank[m][st.mu_w.by_man[m]]
-                assert w_rank[w][st.mu_w.by_woman[w]] <= w_rank[w][m] <= w_rank[w][st.mu_m.by_woman[w]]
-        for m, w in st.happy_pairs:
+                assert m_rank[m][kin.mu_m.by_man[m]] <= r <= m_rank[m][kin.mu_w.by_man[m]]
+                assert w_rank[w][kin.mu_w.by_woman[w]] <= w_rank[w][m] <= w_rank[w][kin.mu_m.by_woman[w]]
+        for m, w in kin.happy_pairs:
             assert set(m_rank[m]) == {w} and set(w_rank[w]) == {m}
 
 
@@ -164,7 +165,8 @@ def test_rr6_transfers_happy_cost():
         k=6,
     )
     st0 = state(inst, 6)
-    assert [(st0.men[m].name, st0.women[w].name) for m, w in st0.happy_pairs] == [("m0", "w0")]
+    kin = st0.inst
+    assert [(kin.men[m].name, kin.women[w].name) for m, w in kin.happy_pairs] == [("m0", "w0")]
     st1 = step(remove_happy_pair_once, st0)
     assert st1 is not None
     assert names(st1.inst.men) == ["m1", "m2"]
@@ -422,7 +424,7 @@ def test_rr6_batch_matches_repeated_single_removals():
     checked = 0
     for inst in diff_instances(2202, 20):
         st = cleaned(state(inst, least_k(inst) + 2))
-        if not st.happy_pairs or not st.sad_men:
+        if not st.inst.happy_pairs or not st.inst.sad_men:
             continue
         ref, removals = st, []
         while (hit := remove_happy_pair_once(ref)) is not None:
@@ -432,7 +434,8 @@ def test_rr6_batch_matches_repeated_single_removals():
         assert got == removals
         assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.t == ref.t
         assert optima_of(nxt) == optima_of(ref)
-        assert (nxt.sad_men, nxt.sad_women, nxt.happy_pairs) == (ref.sad_men, ref.sad_women, ())
+        new, old = nxt.inst, ref.inst
+        assert (new.sad_men, new.sad_women, new.happy_pairs) == (old.sad_men, old.sad_women, ())
         checked += 1
     assert checked >= 5
 
@@ -443,17 +446,28 @@ def test_rr6_batch_requires_sad_people():
         remove_happy_pair(state(mutual_first_instance(2), 5))
 
 
+FACTS = ("mu_m", "mu_w", "o_m", "o_w", "sad_men", "sad_women", "happy_pairs")
+
+
+def seeded(st, **facts):
+    """The state on a copy of its instance that has the same derived facts, but for ``facts``."""
+    inst = st.inst
+    copy = Instance(inst.men, inst.women, inst.m_rank, inst.w_rank, inst.target_k)
+    vars(copy).update({name: getattr(inst, name) for name in FACTS}, **facts)
+    return KernelState(copy, st.k)
+
+
 def test_batches_raise_when_optima_move():
     st = state(sad_2x2(), 4)
     m1, m2 = range(2)  # indices, as the state numbers its people
     w1, w2 = range(2)
     # Claiming the man-optimal matching is also woman-optimal makes each man
     # drop his second choice, and the real woman-optimal matching changes.
-    stale = dataclasses.replace(st, mu_w=st.mu_m)
+    stale = seeded(st, mu_w=st.inst.mu_m)
     with pytest.raises(OptimaMoved):
         clean_suffix(stale)
     # (m1, w1) is not happy; removing it leaves (m2, w1) in mu_W without w1.
-    fake = dataclasses.replace(st, sad_men=(m2,), sad_women=(w2,), happy_pairs=((m1, w1),))
+    fake = seeded(st, sad_men=(m2,), sad_women=(w2,), happy_pairs=((m1, w1),))
     with pytest.raises(OptimaMoved):
         remove_happy_pair(fake)
 
@@ -505,21 +519,22 @@ def test_rr8_batch_raises_when_optima_move():
     )
     st = state(inst, 8)
     assert shrink(st)[0].k == 6
-    stale = dataclasses.replace(st, o_w=st.o_w + 1)
+    stale = seeded(st, o_w=st.inst.o_w + 1)
     with pytest.raises(OptimaMoved):
         shrink(stale)
 
 
 def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
-    # Each integer state build runs deferred acceptance twice for both optima.
+    # Each state a rule builds has a new instance, which runs deferred
+    # acceptance once for each optimum.
     calls = [0]
-    real = kernel._settle
+    real = kernel.KernelState
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "_settle", counted)
+    monkeypatch.setattr(kernel, "KernelState", counted)
     total_calls = total_drops = 0
     for inst in diff_instances(2203, 12):
         for k in (least_k(inst), least_k(inst) + 3):
@@ -540,15 +555,16 @@ def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
 # --- the integer state against deferred acceptance on people ----------------
 
 def test_every_state_matches_the_optima_of_its_instance(monkeypatch):
-    # gs.optima on a people-keyed copy of each state is the slow reference.
+    # The people-level extreme matchings of a fresh copy of each state's
+    # instance, and their costs by gs.objectives, are the slow reference.
     states = []
-    real = kernel._settle
+    real = kernel.KernelState
 
     def recorded(*args):
         states.append(real(*args))
         return states[-1]
 
-    monkeypatch.setattr(kernel, "_settle", recorded)
+    monkeypatch.setattr(kernel, "KernelState", recorded)
     rng = random.Random(8080)
     decisions = 0
     rules = Counter()
@@ -561,37 +577,36 @@ def test_every_state_matches_the_optima_of_its_instance(monkeypatch):
     assert decisions >= 200
     assert set(rules) >= {name for name, _ in kernel.RULES} | {"add_dummies", "fill_gap"}
 
-    for st in states:
-        copy = dataclasses.replace(st).inst  # the cached instance is not copied
-        want = gs.optima(copy)
-        men, women = st.men, st.women
+    for kin in (st.inst for st in states):
+        copy = Instance(kin.men, kin.women, kin.m_rank, kin.w_rank)  # nothing derived yet
+        by_m, by_w = gs.man_optimal(copy), gs.woman_optimal(copy)
+        men, women = kin.men, kin.women
         assert (copy.men, copy.women) == (men, women)
-        for mu, ref in ((st.mu_m, want.mu_m), (st.mu_w, want.mu_w)):
+        for mu, ref in ((kin.mu_m, by_m), (kin.mu_w, by_w)):
             assert {(men[m], women[w]) for m, w in enumerate(mu.by_man) if w >= 0} == ref.pairs
             assert {(men[m], women[w]) for w, m in enumerate(mu.by_woman) if m >= 0} == ref.pairs
-        assert (st.o_m, st.o_w) == (want.o_m, want.o_w)
-        by_m, by_w = want.mu_m, want.mu_w
-        assert [men[m] for m in st.sad_men] == [m for m in men if by_m.partner(m) != by_w.partner(m)]
-        assert [women[w] for w in st.sad_women] == [
+        assert (kin.o_m, kin.o_w) == (objectives(copy, by_m).men_cost, objectives(copy, by_w).women_cost)
+        assert [men[m] for m in kin.sad_men] == [m for m in men if by_m.partner(m) != by_w.partner(m)]
+        assert [women[w] for w in kin.sad_women] == [
             w for w in women if by_m.partner(w) != by_w.partner(w)
         ]
-        assert [(men[m], women[w]) for m, w in st.happy_pairs] == [
+        assert [(men[m], women[w]) for m, w in kin.happy_pairs] == [
             (m, by_m.partner(m)) for m in men
             if by_m.partner(m) is not None and by_m.partner(m) == by_w.partner(m)
         ]
-        for table in st.m_rank + st.w_rank:
+        for table in kin.m_rank + kin.w_rank:
             assert list(table.values()) == sorted(table.values())  # rank order, best first
 
 
 def test_kernelize_names_people_only_in_its_result(monkeypatch):
     made = [0]
-    real = Instance.of_tables
+    real = Person.__post_init__
 
-    def counted(*args, **kwargs):
+    def counted(self):
         made[0] += 1
-        return real(*args, **kwargs)
+        real(self)
 
-    monkeypatch.setattr(Instance, "of_tables", staticmethod(counted))
+    monkeypatch.setattr(Person, "__post_init__", counted)
     outcomes = Counter()
     busiest = 0
     for inst in diff_instances(2206, 16, max_n=12):
@@ -600,8 +615,8 @@ def test_kernelize_names_people_only_in_its_result(monkeypatch):
             result = kernelize(inst, k)
             outcomes[result.outcome] += 1
             if result.outcome == OUTCOME_KERNEL:
-                # The functional instance and the padded kernel, however many rules fire.
-                assert made[0] <= 2
+                # Only the t dummy men and t dummy women, however many rules fire.
+                assert made[0] == 2 * (result.k - result.functional_k) == len(result.dummy_men + result.dummy_women)
                 busiest = max(busiest, len(result.trace.steps))
             else:
                 assert made[0] == 0

@@ -192,6 +192,21 @@ def test_decide_makes_no_optima_call(monkeypatch):
             assert decide_above_max(inst, k).t == k - max(opt.o_m, opt.o_w)
 
 
+def test_enumerate_runs_deferred_acceptance_on_its_instance_once(monkeypatch):
+    # Only for mu_M, which the chain walk starts from; the walk reaches mu_W itself.
+    inst = random_instance(random.Random(3), 8, 8, 1.0)
+    real_da = gs._deferred_acceptance
+    on_input = [0]
+
+    def counted(order, *args, **kwargs):
+        on_input[0] += order is inst.m_rank or order is inst.w_rank
+        return real_da(order, *args, **kwargs)
+
+    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    assert len(enumerate_stable(inst, limit=8).matchings) > 1
+    assert on_input[0] == 1
+
+
 def seeded_small_instances():
     """Full-list and sparse seeded instances of at most 5 per side."""
     rng = random.Random(20240807)
