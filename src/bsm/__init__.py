@@ -9,7 +9,7 @@ in ``kernel``; the subset-and-branch solver in ``fpt``; the clique
 reduction generator and verifier in ``hardness``.
 """
 
-from .fpt import SolveResult, SolveStats, solve_above_min
+from .fpt import SolveResult, SolveStats, minimal_balance, solve_above_min
 from .gs import InvalidMatching, Objectives, Optima, blocking_pairs, man_optimal, objectives, optima, woman_optimal
 from .hardness import (
     Graph,

@@ -1,5 +1,10 @@
 """Command-line surface: one verb per invocation, one JSON document on stdout.
 
+The CLI reads the input, calls the library, prints what the library
+returns and maps the outcome to an exit code; every record prints from its
+own fields.  ``solve --optimize`` prints ``fpt.minimal_balance``, the
+binary search for the least balance.
+
 Exit codes: 0 for success or a yes answer, 1 for a no answer (or a failed
 check), 2 for usage and input errors, 3 for an internal invariant failure
 or any other error.
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import fpt, gs, hardness, kernel, oracle
 from .instance import (
@@ -46,6 +52,7 @@ def _read_instance(path: str) -> Instance:
 def _read_matching(path: str, inst: Instance) -> Matching:
     by_name = {p.name: p for p in inst.people}
     pairs = []
+    seen = set()
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,24 +63,20 @@ def _read_matching(path: str, inst: Instance) -> Matching:
         man, woman = (by_name.get(parts[0]), by_name.get(parts[1]))
         if man is None or woman is None:
             raise gs.InvalidMatching(f"line {lineno}: unknown person")
+        for person in (man, woman):
+            if person in seen:
+                raise gs.InvalidMatching(f"line {lineno}: {person} is matched twice")
+            seen.add(person)
         pairs.append((man, woman))
     return Matching.of(pairs)
 
 
-def _pairs_json(inst: Instance, mu: Matching) -> list[list[str]]:
+def _pairs_json(inst: Instance, mu: Matching | None) -> list[list[str]] | None:
+    if mu is None:
+        return None
     position = inst.man_index
     ordered = sorted(mu.pairs, key=lambda pair: position.get(pair[0], len(position)))
     return [[m.name, w.name] for m, w in ordered]
-
-
-def _objectives_json(obj: gs.Objectives) -> dict:
-    return {
-        "men_cost": obj.men_cost,
-        "women_cost": obj.women_cost,
-        "balance": obj.balance,
-        "egalitarian": obj.egalitarian,
-        "sex_equal": obj.sex_equal,
-    }
 
 
 def _emit(payload) -> None:
@@ -90,8 +93,8 @@ def _cmd_optima(args) -> int:
         "o_m": opt.o_m,
         "o_w": opt.o_w,
         "objectives": {
-            "mu_m": _objectives_json(gs.objectives(inst, opt.mu_m)),
-            "mu_w": _objectives_json(gs.objectives(inst, opt.mu_w)),
+            "mu_m": asdict(gs.objectives(inst, opt.mu_m)),
+            "mu_w": asdict(gs.objectives(inst, opt.mu_w)),
         },
     })
     return EXIT_YES
@@ -104,7 +107,7 @@ def _cmd_check(args) -> int:
     _emit({
         "stable": not blocking,
         "blocking_pairs": [[m.name, w.name] for m, w in blocking],
-        "objectives": _objectives_json(gs.objectives(inst, mu)),
+        "objectives": asdict(gs.objectives(inst, mu)),
     })
     return EXIT_YES if not blocking else EXIT_NO
 
@@ -115,7 +118,7 @@ def _cmd_enumerate(args) -> int:
     _emit([
         {
             "pairs": _pairs_json(inst, mu),
-            "objectives": _objectives_json(gs.objectives(inst, mu)),
+            "objectives": asdict(gs.objectives(inst, mu)),
         }
         for mu in stable.matchings
     ])
@@ -123,17 +126,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _trace_json(trace: kernel.KernelTrace) -> list[dict]:
-    return [
-        {
-            "rule": step.rule,
-            "affected": [p.name for p in step.affected],
-            "k_before": step.k_before,
-            "k_after": step.k_after,
-            "t_before": step.t_before,
-            "t_after": step.t_after,
-        }
-        for step in trace.steps
-    ]
+    return [{**vars(step), "affected": [p.name for p in step.affected]} for step in trace.steps]
 
 
 def _non_negative(text: str) -> int:
@@ -175,36 +168,15 @@ def _cmd_kernelize(args) -> int:
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     if args.optimize:
-        opt = gs.optima(inst)
-        low = max(opt.o_m, opt.o_w)
-        high = gs.objectives(inst, opt.mu_m).balance
-        decisions = 0
-        while low < high:
-            mid = (low + high) // 2
-            decisions += 1
-            if fpt.solve_above_min(inst, mid).answer:
-                high = mid
-            else:
-                low = mid + 1
-        final = fpt.solve_above_min(inst, low)
-        decisions += 1
-        _emit({
-            "bal": low,
-            "witness": _pairs_json(inst, final.witness) if final.witness is not None else None,
-            "t": final.t,
-            "decisions": decisions,
-        })
+        bal, final, decisions = fpt.minimal_balance(inst)
+        _emit({"bal": bal, "witness": _pairs_json(inst, final.witness), "t": final.t, "decisions": decisions})
         return EXIT_YES
     result = fpt.solve_above_min(inst, _target_k(args, inst))
     _emit({
         "answer": result.answer,
-        "witness": _pairs_json(inst, result.witness) if result.witness is not None else None,
+        "witness": _pairs_json(inst, result.witness),
         "t": result.t,
-        "stats": {
-            "subsets_tried": result.stats.subsets_tried,
-            "branch_nodes": result.stats.branch_nodes,
-            "max_branch_nodes": result.stats.max_branch_nodes,
-        },
+        "stats": asdict(result.stats),
     })
     return EXIT_YES if result.answer else EXIT_NO
 
@@ -235,20 +207,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     graph = hardness.parse_graph(_read_text(args.graph))
     report = hardness.verify_reduction(graph, args.k)
-    _emit({
-        "clique": list(report.clique) if report.clique else None,
-        "clique_answer": report.clique_answer,
-        "reduction_answer": report.reduction_answer,
-        "agree": report.agree,
-        "fallback": report.fallback,
-        "delta": report.delta,
-        "k_hat": report.k_hat,
-        "t_expected": report.t_expected,
-        "t_actual": report.t_actual,
-        "optima_match": report.optima_match,
-        "bal_opt": report.bal_opt,
-        "ok": report.ok,
-    })
+    _emit({**asdict(report), "ok": report.ok})
     return EXIT_YES if report.ok else EXIT_NO
 
 

@@ -18,6 +18,9 @@ counts in ``SolveStats`` still describe the unpruned search: each skipped
 branch adds the nodes the unpruned search would have visited in it, so
 its ``4 * 2**r`` bound per subset holds and the counts do not depend on
 how much the search prunes.
+
+``minimal_balance`` turns the decision into the least balance by binary
+search over k; ``bsm solve --optimize`` prints what it returns.
 """
 
 from __future__ import annotations
@@ -195,10 +198,30 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
                 nodes_total += counter[0]
                 nodes_max = max(nodes_max, counter[0])
                 if hit is not None:
-                    mu = Matching.of((kernel.men[m], kernel.women[w]) for m, w in enumerate(hit) if w >= 0)
                     stats = SolveStats(subsets, nodes_total, nodes_max)
                     return SolveResult(
-                        True, kres.lift(mu), kres.t_input, r, stats, kres
+                        True, kres.lift(kernel.matching_from_arrays(hit)), kres.t_input, r, stats, kres
                     )
     stats = SolveStats(subsets, nodes_total, nodes_max)
     return SolveResult(False, None, kres.t_input, r, stats, kres)
+
+
+def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
+    """The least balance of a stable matching of ``inst``, by binary search over k.
+
+    No stable matching has balance below max(O_M, O_W), and μ_M's balance,
+    max(O_M, the women's cost of μ_M), is attained; the search runs
+    between the two.  Returns the least balance, the decision at it, whose
+    witness has that balance, and the number of decisions made.
+    """
+    women_cost = sum(inst.w_rank[w][m] for w, m in enumerate(inst.mu_m.by_woman) if m >= 0)
+    low, high = max(inst.o_m, inst.o_w), max(inst.o_m, women_cost)
+    decisions = 0
+    while low < high:
+        mid = (low + high) // 2
+        decisions += 1
+        if solve_above_min(inst, mid).answer:
+            high = mid
+        else:
+            low = mid + 1
+    return low, solve_above_min(inst, low), decisions + 1

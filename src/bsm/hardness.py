@@ -27,7 +27,7 @@ from .instance import (
     Matching,
     Person,
 )
-from .oracle import TooLarge, _chain, _least_balance, decide_above_min
+from .oracle import TooLarge, _chain, _least_balance
 
 CLIQUE_VERTEX_LIMIT = 25
 
@@ -327,9 +327,7 @@ def _swap_partners(art: ReductionArtifact, chosen_vertices, chosen_edges) -> lis
 
 def _swap_matching(art: ReductionArtifact, chosen_vertices, chosen_edges) -> Matching:
     """The candidate of ``_swap_partners`` as a people matching."""
-    men, women = art.inst.men, art.inst.women
-    partner = _swap_partners(art, chosen_vertices, chosen_edges)
-    return Matching.of((men[m], women[w]) for m, w in enumerate(partner))
+    return art.inst.matching_from_arrays(_swap_partners(art, chosen_vertices, chosen_edges))
 
 
 def witness_matching(art: ReductionArtifact, clique) -> Matching:
@@ -379,18 +377,18 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
     art = reduce_clique(g, k)
     clique = clique_bruteforce(g, k)
     t_expected = 6 * (k + k * (k - 1) // 2)
+    # Only the least balance and the two ends of the rotation chain are
+    # needed.  A 10-vertex, 10-edge graph has about 20,000 stable matchings,
+    # each with 1,573 pairs; the bounded walk visits about 2,500 of them.
+    # A fallback instance carries k_hat = 0 as its target.
+    chain = _chain(art.inst, len(art.inst.men))
+    bal_opt = _least_balance(chain)
+    answer = bal_opt <= art.k_hat
     if art.fallback:
-        answer = decide_above_min(art.inst, art.inst.target_k or 0).answer
         return ReductionReport(
             clique, clique is not None, answer, (clique is not None) == answer,
             True, art.delta, art.k_hat, t_expected, None, None, None,
         )
-    # Only the least balance and the two ends of the rotation chain are
-    # needed.  A 10-vertex, 10-edge graph has about 20,000 stable matchings,
-    # each with 1,573 pairs; the bounded walk visits about 2,500 of them.
-    chain = _chain(art.inst, len(art.inst.men))
-    bal_opt = _least_balance(chain)
-    answer = bal_opt <= art.k_hat
     t_actual = art.k_hat - max(chain.costs[0], chain.o_w)
     optima_match = (
         chain.mu_m == _swap_partners(art, (), ())

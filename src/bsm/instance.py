@@ -181,18 +181,6 @@ class Instance:
         by_man = self.mu_w.by_man
         return tuple((m, w) for m, w in enumerate(self.mu_m.by_man) if w >= 0 and w == by_man[m])
 
-    def acceptable(self, person: Person) -> dict[Person, int]:
-        if person.side == MAN:
-            table, partners = self.m_rank[self.man_index[person]], self.women
-        else:
-            table, partners = self.w_rank[self.woman_index[person]], self.men
-        return {partners[q]: r for q, r in table.items()}
-
-    def rank(self, a: Person, b: Person) -> int:
-        if a.side == MAN:
-            return self.m_rank[self.man_index[a]][self.woman_index[b]]
-        return self.w_rank[self.woman_index[a]][self.man_index[b]]
-
     def matching_from_arrays(self, partner_of_man: list[int]) -> "Matching":
         return Matching.of(
             (self.men[m], self.women[w])

@@ -128,6 +128,7 @@ def test_criterion_4_classical_properties(corpus):
         opt = gs.optima(inst)
         stable = oracle.enumerate_stable(inst)
         assert opt.mu_m in stable.matchings and opt.mu_w in stable.matchings
+        ranks = inst.prefs.ranks
         matched = None
         for mu in stable.matchings:
             people = frozenset(p for pair in mu.pairs for p in pair)
@@ -135,10 +136,10 @@ def test_criterion_4_classical_properties(corpus):
                 matched = people
             assert people == matched  # same matched set in every stable matching
             for m, w in mu.pairs:
-                assert inst.rank(m, opt.mu_m.by_man[m]) <= inst.rank(m, w)
-                assert inst.rank(m, w) <= inst.rank(m, opt.mu_w.by_man[m])
-                assert inst.rank(w, opt.mu_w.by_woman[w]) <= inst.rank(w, m)
-                assert inst.rank(w, m) <= inst.rank(w, opt.mu_m.by_woman[w])
+                assert ranks[m][opt.mu_m.by_man[m]] <= ranks[m][w]
+                assert ranks[m][w] <= ranks[m][opt.mu_w.by_man[m]]
+                assert ranks[w][opt.mu_w.by_woman[w]] <= ranks[w][m]
+                assert ranks[w][m] <= ranks[w][opt.mu_m.by_woman[w]]
 
 
 def test_criterion_5_branching_bounds():
@@ -247,7 +248,7 @@ def test_criterion_8_gap_filling():
             assert len(result.dummy_men) == len(result.dummy_women) == t
             dummy_men = set(result.dummy_men)
             for x, y in zip(result.dummy_men, result.dummy_women):
-                assert kin.rank(x, y) == 1 and kin.rank(y, x) == 1
+                assert kin.prefs.ranks[x][y] == 1 and kin.prefs.ranks[y][x] == 1
             assert sum(1 for m in kin.men if m in dummy_men) == t
             bal_before = oracle.enumerate_stable(result.functional, limit=ORACLE_LIMIT).bal_opt
             bal_after = oracle.enumerate_stable(kin, limit=ORACLE_LIMIT).bal_opt

@@ -215,6 +215,20 @@ def test_check_rejects_bad_matching_file(capsys, tmp_path, instance_file):
     assert main(["check", instance_file, str(duplicated)]) == 2
 
 
+def test_check_refuses_a_second_line_for_a_person(capsys, tmp_path, instance_file):
+    # A repeated pair used to vanish into the matching's set of pairs:
+    # "m1 w1" twice then "m2 w2" printed "stable": true with exit 0.
+    for text, err in (
+        ("m1 w1\nm1 w1\nm2 w2\n", "error: line 2: M:m1 is matched twice\n"),
+        ("m1 w1\n# note\nm1 w2\n", "error: line 3: M:m1 is matched twice\n"),
+        ("m2 w1\nm1 w1\n", "error: line 2: W:w1 is matched twice\n"),
+    ):
+        matching = tmp_path / "matching.txt"
+        matching.write_text(text)
+        assert main(["check", instance_file, str(matching)]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_solve_empty_instance_has_an_empty_witness(capsys, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("men:\nwomen:\n")
@@ -337,3 +351,123 @@ def test_any_other_exception_is_internal(capsys, monkeypatch, instance_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: 'w9'\n"
+
+
+BRANCHING_3X3_TEXT = """\
+men: m1 m2 m3
+women: w1 w2 w3
+m1: w3 w2 w1
+m2: w2 w3 w1
+m3: w1 w3 w2
+w1: m2 m1 m3
+w2: m1 m3 m2
+w3: m2 m3 m1
+"""
+
+OBJECTIVES_KEYS = ("men_cost", "women_cost", "balance", "egalitarian", "sex_equal")
+TRACE_KEYS = ("rule", "affected", "k_before", "k_after", "t_before", "t_after")
+VERIFY_KEYS = (
+    "clique", "clique_answer", "reduction_answer", "agree", "fallback", "delta", "k_hat",
+    "t_expected", "t_actual", "optima_match", "bal_opt", "ok",
+)
+
+
+def _objectives(*values):
+    return dict(zip(OBJECTIVES_KEYS, values))
+
+
+def _verify(*values):
+    return dict(zip(VERIFY_KEYS, values))
+
+
+# The trace of the 3x3 instance at k=7, one (rule, affected, k_before,
+# k_after, t_before, t_after) row per step.
+TRACE_3X3_K7 = [
+    ("clean_suffix", ["m1", "w1"], 7, 7, 4, 4),
+    ("clean_suffix", ["m2", "w1"], 7, 7, 4, 4),
+    ("clean_suffix", ["m3", "w2"], 7, 7, 4, 4),
+    ("clean_suffix", ["m3", "w3"], 7, 7, 4, 4),
+    ("remove_happy_pair", ["m3", "w1", "m1", "w2"], 7, 7, 4, 4),
+    ("shrink", ["m1", "w2"], 7, 6, 4, 4),
+    ("add_dummies", ["x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"], 6, 10, 4, 4),
+    ("fill_gap", ["w2", "x1"], 10, 10, 4, 4),
+    ("fill_gap", ["w2", "x2"], 10, 10, 4, 4),
+    ("fill_gap", ["w2", "x3"], 10, 10, 4, 4),
+    ("fill_gap", ["w3", "x1"], 10, 10, 4, 4),
+]
+
+KERNEL_3X3_K7 = (
+    "men: m1 m2 x1 x2 x3 x4\nwomen: w2 w3 y1 y2 y3 y4\nk: 10\n"
+    "m1: w3 w2\nm2: w2 w3\nx1: y1 w2 w3\nx2: y2 w2\nx3: y3 w2\nx4: y4\n"
+    "w2: x1 x2 m1 x3 m2\nw3: m2 x1 m1\ny1: x1\ny2: x2\ny3: x3\ny4: x4\n"
+)
+
+WITNESS_3X3 = [["m1", "w2"], ["m2", "w3"], ["m3", "w1"]]
+
+# argv (with {file} placeholders), exit code, and the JSON document whose
+# json.dumps(..., indent=2) text is the whole of stdout, key order included.
+PINNED_RUNS = {
+    "optima": (["optima", "{sad}"], 0, {
+        "mu_m": [["m1", "w1"], ["m2", "w2"]],
+        "mu_w": [["m1", "w2"], ["m2", "w1"]],
+        "o_m": 2,
+        "o_w": 2,
+        "objectives": {"mu_m": _objectives(2, 4, 4, 6, -2), "mu_w": _objectives(4, 2, 4, 6, 2)},
+    }),
+    "check": (["check", "{sad}", "{good}"], 0, {
+        "stable": True, "blocking_pairs": [], "objectives": _objectives(2, 4, 4, 6, -2),
+    }),
+    "check-empty": (["check", "{sad}", "{empty}"], 1, {
+        "stable": False,
+        "blocking_pairs": [["m1", "w1"], ["m1", "w2"], ["m2", "w2"], ["m2", "w1"]],
+        "objectives": _objectives(0, 0, 0, 0, 0),
+    }),
+    "solve-k": (["solve", "{branching}", "--k", "7"], 0, {
+        "answer": True,
+        "witness": WITNESS_3X3,
+        "t": 4,
+        "stats": {"subsets_tried": 4, "branch_nodes": 8, "max_branch_nodes": 3},
+    }),
+    "solve-optimize": (["solve", "{branching}", "--optimize"], 0, {
+        "bal": 5, "witness": WITNESS_3X3, "t": 2, "decisions": 4,
+    }),
+    "kernelize-trace": (["kernelize", "{branching}", "--k", "7", "--trace"], 0, {
+        "outcome": "kernel",
+        "k": 10,
+        "t_input": 4,
+        "instance": KERNEL_3X3_K7,
+        "trace": [dict(zip(TRACE_KEYS, row)) for row in TRACE_3X3_K7],
+    }),
+    "verify-full": (["verify", "--graph", "{graph}", "--k", "3"], 0, _verify(
+        ["v1", "v2", "v3"], True, True, True, False, 156, 373, 36, 36, True, 373, True,
+    )),
+    "verify-fallback-no": (["verify", "--graph", "{path4}", "--k", "3"], 0, _verify(
+        None, False, False, True, True, -28, 0, 36, None, None, None, True,
+    )),
+    "verify-fallback-yes": (["verify", "--graph", "{triangle}", "--k", "2"], 0, _verify(
+        ["a", "b"], True, True, True, True, 30, 0, 18, None, None, None, True,
+    )),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_cli_output_is_pinned(capsys, tmp_path, name):
+    # The whole of stdout, byte for byte, and the exit code of one run per verb shape.
+    files = {
+        "sad": SAD_2X2_TEXT,
+        "branching": BRANCHING_3X3_TEXT,
+        "good": "m1 w1\nm2 w2\n",
+        "empty": "",
+        "graph": "v1 v2\nv1 v3\nv2 v3\nv4 v5\nv6 v7\n",
+        "path4": "a b\nb c\nc d\n",
+        "triangle": "a b\nb c\na c\n",
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text)
+    argv, want_code, want_doc = PINNED_RUNS[name]
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (want_code, "")
+    assert captured.out == json.dumps(want_doc, indent=2) + "\n"

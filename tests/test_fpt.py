@@ -8,7 +8,7 @@ from bsm.gs import blocking_pairs, objectives, optima
 from bsm.hardness import Graph, verify_reduction
 from bsm.instance import Instance, Matching, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
-from bsm.oracle import DEFAULT_MAX_MEN, decide_above_min, enumerate_stable
+from bsm.oracle import DEFAULT_MAX_MEN, _chain, _least_balance, decide_above_min, enumerate_stable
 from helpers import BranchCertificate, enumerate_certificates, naive_certificates, sad_2x2, sad_rich_instance
 
 
@@ -390,3 +390,16 @@ def test_no_decision_builds_the_people_keyed_view(monkeypatch):
     assert branched[True] >= 5 and branched[False] >= 5
     instances[0].prefs
     assert built == [instances[0]]  # the view, had any path built it, would show here
+
+
+def test_minimal_balance_is_the_least_balance_with_a_stable_witness():
+    rng = random.Random(20240807)
+    instances = [random_instance(rng, max_side=7) for _ in range(200)]
+    rng = random.Random(8)
+    instances += [random_instance(rng, n, n, 1.0) for n in (8, 9) for _ in range(2)]
+    for inst in instances:
+        bal, result, decisions = fpt.minimal_balance(inst)
+        assert bal == _least_balance(_chain(inst, len(inst.men)))
+        assert result.answer and decisions >= 1
+        assert not blocking_pairs(inst, result.witness)
+        assert objectives(inst, result.witness).balance == bal

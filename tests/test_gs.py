@@ -23,9 +23,10 @@ def test_man_optimal_2x2():
     stable = naive_stable(inst)
     assert len(stable) == 2
     mu_m = man_optimal(inst)
+    ranks = inst.prefs.ranks
     for mu in stable:
         for m in inst.men:
-            assert inst.rank(m, mu_m.partner(m)) <= inst.rank(m, mu.partner(m))
+            assert ranks[m][mu_m.partner(m)] <= ranks[m][mu.partner(m)]
 
 
 def test_woman_optimal_2x2():
@@ -202,12 +203,13 @@ def test_extremes_bound_every_stable_matching(inst):
     assert mu_m in stable and mu_w in stable
     matched_sets = {frozenset(p for pair in mu.pairs for p in pair) for mu in stable}
     assert len(matched_sets) == 1  # the same people are matched in every stable matching
+    ranks = inst.prefs.ranks
     for mu in stable:
         for m in inst.men:
             if mu.partner(m) is not None:
-                r = inst.rank(m, mu.partner(m))
-                assert inst.rank(m, mu_m.partner(m)) <= r <= inst.rank(m, mu_w.partner(m))
+                r = ranks[m][mu.partner(m)]
+                assert ranks[m][mu_m.partner(m)] <= r <= ranks[m][mu_w.partner(m)]
         for w in inst.women:
             if mu.partner(w) is not None:
-                r = inst.rank(w, mu.partner(w))
-                assert inst.rank(w, mu_w.partner(w)) <= r <= inst.rank(w, mu_m.partner(w))
+                r = ranks[w][mu.partner(w)]
+                assert ranks[w][mu_w.partner(w)] <= r <= ranks[w][mu_m.partner(w)]

@@ -27,8 +27,9 @@ def test_parse_list_form():
     assert inst.contiguous
     m1, m2 = inst.men
     w1, w2 = inst.women
-    assert inst.rank(m1, w1) == 1 and inst.rank(m1, w2) == 2
-    assert inst.rank(w1, m2) == 1 and inst.rank(w1, m1) == 2
+    ranks = inst.prefs.ranks
+    assert ranks[m1][w1] == 1 and ranks[m1][w2] == 2
+    assert ranks[w1][m2] == 1 and ranks[w1][m1] == 2
 
 
 def test_parse_duplicate_partner_rejected():
@@ -145,7 +146,7 @@ def test_json_shapes_are_checked():
 def test_missing_person_line_means_empty_list():
     inst = parse_instance("men: m1 m2\nwomen: w1\nm1: w1\nw1: m1\n")
     m2 = inst.men[1]
-    assert inst.acceptable(m2) == {}
+    assert inst.prefs.ranks[m2] == {}
 
 
 def test_gap_filling_gives_a_list_form_kernel():
