@@ -98,7 +98,7 @@ def validate_matching(inst: Instance, mu: Matching) -> None:
     man_index, woman_index = inst.man_index, inst.woman_index
     seen_men: set[Person] = set()
     seen_women: set[Person] = set()
-    for man, woman in mu.pairs:
+    for man, woman in mu:  # sorted, so the first fault named is the same in every run
         if man not in man_index or woman not in woman_index:
             raise InvalidMatching(f"({man}, {woman}) uses people outside the instance")
         if man in seen_men:
@@ -120,9 +120,9 @@ def _blocking(m_rank, w_rank, man_to, woman_to):
     """
     for m, table in enumerate(m_rank):
         partner = man_to[m]
-        limit = table[partner] if partner >= 0 else None
+        cutoff = table[partner] if partner >= 0 else None
         for w in table:
-            if limit is not None and table[w] >= limit:
+            if cutoff is not None and table[w] >= cutoff:
                 break  # rank order: everyone from here on is no better
             held = woman_to[w]
             if held < 0 or w_rank[w][m] < w_rank[w][held]:

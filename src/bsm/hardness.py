@@ -296,8 +296,8 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
 
     w_rank[star] = {star: 1}
 
-    k_hat = len(men) + delta + 6 * (k + k * (k - 1) // 2)
     t = 6 * (k + k * (k - 1) // 2)
+    k_hat = len(men) + delta + t
     inst = Instance(men, women, m_rank, w_rank, k_hat)
     return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
 
@@ -374,28 +374,23 @@ class ReductionReport:
 
 def verify_reduction(g: Graph, k: int) -> ReductionReport:
     """Cross-check the reduction against clique brute force on one graph."""
+    # Brute force first, to refuse a graph beyond its bound before building
+    # the reduction; below k = 1, ``reduce_clique`` refuses the input.
+    clique = clique_bruteforce(g, k) if k >= 1 else None
     art = reduce_clique(g, k)
-    clique = clique_bruteforce(g, k)
-    t_expected = 6 * (k + k * (k - 1) // 2)
     # Only the least balance and the two ends of the rotation chain are
     # needed.  A 10-vertex, 10-edge graph has about 20,000 stable matchings,
     # each with 1,573 pairs; the bounded walk visits about 2,500 of them.
     # A fallback instance carries k_hat = 0 as its target.
-    chain = _chain(art.inst, len(art.inst.men))
+    chain = _chain(art.inst)
     bal_opt = _least_balance(chain)
-    answer = bal_opt <= art.k_hat
+    found, answer = clique is not None, bal_opt <= art.k_hat
+    t_expected = 6 * (k + k * (k - 1) // 2)
+    shared = (clique, found, answer, found == answer, art.fallback, art.delta, art.k_hat, t_expected)
     if art.fallback:
-        return ReductionReport(
-            clique, clique is not None, answer, (clique is not None) == answer,
-            True, art.delta, art.k_hat, t_expected, None, None, None,
-        )
-    t_actual = art.k_hat - max(chain.costs[0], chain.o_w)
+        return ReductionReport(*shared, None, None, None)
     optima_match = (
         chain.mu_m == _swap_partners(art, (), ())
         and chain.mu_w == _swap_partners(art, g.vertices, range(len(g.edges)))
     )
-    return ReductionReport(
-        clique, clique is not None, answer, (clique is not None) == answer,
-        False, art.delta, art.k_hat, t_expected, t_actual, optima_match,
-        bal_opt,
-    )
+    return ReductionReport(*shared, art.k_hat - max(chain.costs[0], chain.o_w), optima_match, bal_opt)

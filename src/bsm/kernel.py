@@ -187,8 +187,8 @@ def clean_suffix(st: KernelState):
     for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
         for a, anchor in enumerate(anchors):
             if anchor >= 0:
-                limit = tables[a][anchor]
-                for b in reversed([b for b, r in tables[a].items() if r > limit]):
+                cutoff = tables[a][anchor]
+                for b in reversed([b for b, r in tables[a].items() if r > cutoff]):
                     drops.setdefault((b, a) if flip else (a, b), (owners[a], partners[b]))
     if not drops:
         return None
@@ -283,15 +283,15 @@ def truncate(st: KernelState):
     """Delete one pair too far beyond its owner's optimal partner to fit under k.
 
     Men are checked first against the man-optimal matching, then women
-    against the woman-optimal one; the owner's best over-limit partner goes.
+    against the woman-optimal one; the owner's best partner past the cutoff goes.
     """
     inst = st.inst
     for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman):
         slack = st.k - (inst.o_w if flip else inst.o_m)
         for a, anchor in enumerate(anchors):
             if anchor >= 0:
-                limit = slack + tables[a][anchor]
-                b = next((b for b, r in tables[a].items() if r > limit), -1)  # the best, by rank order
+                cutoff = slack + tables[a][anchor]
+                b = next((b for b, r in tables[a].items() if r > cutoff), -1)  # the best, by rank order
                 if b >= 0:
                     pair = (b, a) if flip else (a, b)
                     return _without_pairs(st, [pair]), [(owners[a], partners[b])]

@@ -15,9 +15,9 @@ women to a better one, so the men's cost rises strictly and the women's
 cost falls strictly along every added rotation; the chain walk checks
 this.  It lets the closed-set walk cut, by branch and bound, every
 subtree that cannot beat the best balance found so far.
-``enumerate_stable`` lists every matching; the oracle decisions and
-``hardness.verify_reduction`` need only the least balance and use the
-bounded walk.
+``enumerate_stable`` lists every matching, so it alone takes a size bound;
+the oracle decisions and ``hardness.verify_reduction`` need only the least
+balance and one witness, use the bounded walk and take no bound.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ DEFAULT_MAX_MEN = 9
 class TooLarge(ValueError):
     """The instance is beyond the size bound of an exhaustive check.
 
-    For ``enumerate_stable`` and the oracle decisions the bound is on the
-    men whose partner differs between the man- and woman-optimal matchings.
+    For ``enumerate_stable``, the one bounded call of the engine, the bound
+    is on the men whose partner differs between μ_M and μ_W.
     """
 
 
@@ -91,12 +91,12 @@ def _deltas(rotation, m_rank, w_rank) -> tuple[int, int]:
     return d_men, d_women
 
 
-def _chain(inst: Instance, limit: int) -> _Chain:
+def _chain(inst: Instance) -> _Chain:
     """Walk one maximal chain of exposed rotations from μ_M to μ_W.
 
-    Raises ``TooLarge`` when more than ``limit`` men move between the two,
-    and ``RuntimeError`` if a rotation fails to raise the men's cost and
-    lower the women's, which every rotation does.
+    No size bound: it visits each rotation once, and there are at most as
+    many rotations as acceptable pairs.  Raises ``RuntimeError`` if a
+    rotation fails to raise the men's cost and lower the women's.
     """
     m_rank, w_rank = inst.m_rank, inst.w_rank
     m_order = [list(table) for table in m_rank]  # each man's women, best first
@@ -177,8 +177,6 @@ def _chain(inst: Instance, limit: int) -> _Chain:
         moves.append(rotation)
         preds.append(mask)
         deltas.append(_deltas(rotation, m_rank, w_rank))
-    if len(last_of_man) > limit:
-        raise TooLarge(f"{len(last_of_man)} men change partner, beyond the bound {limit}")
     suffix = [0] * (len(deltas) + 1)
     for j in reversed(range(len(deltas))):
         suffix[j] = suffix[j + 1] + deltas[j][1]
@@ -253,16 +251,20 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     when single).  Raises ``TooLarge`` when more than ``limit`` men move
     between the man- and woman-optimal matchings; only those men's
     partners differ among the stable matchings, so there are at most
-    ``limit!`` of them.
+    ``limit!`` of them.  The decisions, which return one witness, take no bound.
     """
-    rows = sorted((tuple(partner), men, women) for partner, men, women in _closed_sets(_chain(inst, limit)))
+    chain = _chain(inst)
+    n = sum(a != b for a, b in zip(chain.mu_m, chain.mu_w))
+    if n > limit:
+        raise TooLarge(f"{n} men change partner, beyond the bound {limit}")
+    rows = sorted((tuple(partner), men, women) for partner, men, women in _closed_sets(chain))
     return StableSet(
         tuple(inst.matching_from_arrays(partner) for partner, _, _ in rows),
         min(max(men_cost, women_cost) for _, men_cost, women_cost in rows),
     )
 
 
-def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
+def _decide(inst: Instance, k: int, above: str) -> OracleDecision:
     """The witness is the first matching in ``enumerate_stable`` order with the least balance.
 
     O_M is the men's cost of μ_M and O_W the women's cost of μ_W, the two
@@ -270,7 +272,7 @@ def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
     the least balance; when it is at most k, a second walk, cutting only
     what cannot reach it, collects the tied matchings.
     """
-    chain = _chain(inst, limit)
+    chain = _chain(inst)
     o_m, o_w = chain.costs[0], chain.o_w
     t = k - (min(o_m, o_w) if above == "min" else max(o_m, o_w))
     bal_opt = _least_balance(chain)
@@ -280,15 +282,15 @@ def _decide(inst: Instance, k: int, above: str, limit: int) -> OracleDecision:
     return OracleDecision(True, t, inst.matching_from_arrays(min(tied)))
 
 
-def decide_above_min(inst: Instance, k: int, limit: int = DEFAULT_MAX_MEN) -> OracleDecision:
+def decide_above_min(inst: Instance, k: int) -> OracleDecision:
     """Decide exactly whether some stable matching has balance at most k.
 
     The reported parameter is ``k`` minus the smaller of the two optimal
     side costs.
     """
-    return _decide(inst, k, "min", limit)
+    return _decide(inst, k, "min")
 
 
-def decide_above_max(inst: Instance, k: int, limit: int = DEFAULT_MAX_MEN) -> OracleDecision:
+def decide_above_max(inst: Instance, k: int) -> OracleDecision:
     """Same question, parameterized above the larger of the two optima."""
-    return _decide(inst, k, "max", limit)
+    return _decide(inst, k, "max")

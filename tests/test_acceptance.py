@@ -87,7 +87,7 @@ def test_criterion_2_kernel_equivalence_and_bounds(corpus):
                 continue
             kernels += 1
             kin, kk = result.kernel, result.k
-            assert oracle.decide_above_min(kin, kk, limit=ORACLE_LIMIT).answer == expected
+            assert oracle.decide_above_min(kin, kk).answer == expected
             kopt = gs.optima(kin)
             t = kk - min(kopt.o_m, kopt.o_w)
             assert t <= result.t_input

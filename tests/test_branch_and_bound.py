@@ -53,8 +53,7 @@ def differential_instances():
 def test_bounded_walk_gives_the_least_balance_and_decisions_of_the_full_walk():
     full_total = bounded_total = 0
     for inst in differential_instances():
-        limit = len(inst.men)
-        chain = _chain(inst, limit)
+        chain = _chain(inst)
         rows = full_rows(chain)
         bal_opt = min(max(men, women) for _, men, women in rows)
         assert _least_balance(chain) == bal_opt
@@ -64,7 +63,7 @@ def test_bounded_walk_gives_the_least_balance_and_decisions_of_the_full_walk():
         bounded_total += nodes
         for k, above in ((bal_opt - 1, "min"), (bal_opt, "max"), (bal_opt + 3, "min")):
             answer, t, partner = reference_decision(rows, k, above)
-            got = _decide(inst, k, above, limit)
+            got = _decide(inst, k, above)
             assert (got.answer, got.t) == (answer, t)
             want = None if partner is None else inst.matching_from_arrays(partner)
             assert got.witness == want
@@ -83,7 +82,7 @@ def test_bounded_walk_gives_the_least_balance_on_every_recorded_reduction_graph(
     assert len(cases) == 20
     for key, graph, k in cases:
         inst = reduce_clique(graph, k).inst
-        chain = _chain(inst, len(inst.men))
+        chain = _chain(inst)
         full = [max(men, women) for _, men, women in _closed_sets(chain)]
         assert _least_balance(chain) == min(full), key
         assert bounded_nodes(chain) <= len(full), key
@@ -131,7 +130,7 @@ def flipped(side):
 def test_chain_walk_raises_on_a_wrong_signed_rotation(monkeypatch, capsys, tmp_path, side):
     monkeypatch.setattr(oracle, "_deltas", flipped(side))
     with pytest.raises(RuntimeError):
-        _chain(sad_2x2(), 2)
+        _chain(sad_2x2())
     with pytest.raises(RuntimeError):
         decide_above_min(sad_2x2(), 4)
     with pytest.raises(RuntimeError):

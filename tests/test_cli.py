@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bsm
 from bsm import cli, fpt, gs, hardness, kernel
 from bsm.cli import main
 from bsm.generate import random_instance
@@ -438,6 +443,13 @@ PINNED_RUNS = {
         "instance": KERNEL_3X3_K7,
         "trace": [dict(zip(TRACE_KEYS, row)) for row in TRACE_3X3_K7],
     }),
+    "kernelize-no": (["kernelize", "{sad}", "--k", "1"], 1, {
+        "outcome": "no", "k": None, "t_input": -1, "instance": None,
+    }),
+    "reduce-fallback": (["reduce", "--graph", "{path4}", "--k", "3"], 0, {
+        "instance": "men: m\nwomen: w\nk: 0\nm: w\nw: m\n",
+        "delta": -28, "k_hat": 0, "t": -1, "fallback": True, "name_maps": {},
+    }),
     "verify-full": (["verify", "--graph", "{graph}", "--k", "3"], 0, _verify(
         ["v1", "v2", "v3"], True, True, True, False, 156, 373, 36, 36, True, 373, True,
     )),
@@ -471,3 +483,50 @@ def test_cli_output_is_pinned(capsys, tmp_path, name):
     captured = capsys.readouterr()
     assert (code, captured.err) == (want_code, "")
     assert captured.out == json.dumps(want_doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    pytest.param(["check", "{sad}", "{short}"], "error: line 2: expected 'man woman'", id="check-short-line"),
+    pytest.param(["solve", "{sad}", "--k", "x"], "bsm solve: error: argument --k: invalid int value: 'x'",
+                 id="solve-k"),
+    pytest.param(["kernelize", "{sad}", "--k", "1.5"],
+                 "bsm kernelize: error: argument --k: invalid int value: '1.5'", id="kernelize-k"),
+    pytest.param(["enumerate", "{sad}", "--limit", "x"],
+                 "bsm enumerate: error: argument --limit: invalid int value: 'x'", id="enumerate-limit"),
+])
+def test_each_usage_error_names_its_fault(capsys, tmp_path, argv, err):
+    paths = {"sad": tmp_path / "sad.txt", "short": tmp_path / "short.txt"}
+    paths["sad"].write_text(SAD_2X2_TEXT)
+    paths["short"].write_text("m1 w1\nm2\n")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == err
+
+
+def _run_module(args, stdin=None, hash_seed="0"):
+    """Run ``python -m bsm`` on the package under test, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bsm.__file__).parents[1]), "PYTHONHASHSEED": hash_seed}
+    return subprocess.run(
+        [sys.executable, "-m", "bsm", *args], input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_check_names_the_same_bad_pair_under_every_hash_seed(tmp_path):
+    # Three unacceptable pairs.  The first named used to follow the string
+    # hash seed: m1's, m2's or m3's from run to run.
+    inst = tmp_path / "inst.txt"
+    inst.write_text("men: m1 m2 m3\nwomen: w1 w2 w3\nm1: w1\nm2: w2\nm3: w3\nw1: m1\nw2: m2\nw3: m3\n")
+    matching = tmp_path / "matching.txt"
+    matching.write_text("m1 w2\nm2 w3\nm3 w1\n")
+    for seed in range(6):
+        done = _run_module(["check", str(inst), str(matching)], hash_seed=str(seed))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: (M:m1, W:w2) is not an acceptable pair\n"
+
+
+def test_module_entry_point_reads_the_instance_from_stdin(capsys, instance_file):
+    assert main(["optima", instance_file]) == 0
+    want = capsys.readouterr().out
+    done = _run_module(["optima", "-"], stdin=SAD_2X2_TEXT)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")

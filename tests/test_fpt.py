@@ -349,8 +349,8 @@ def test_branching_makes_no_people_level_check(monkeypatch):
 
 def test_solver_oracle_sweep_beyond_nine_men():
     # Every k from one below max(O_M, O_W) to O_M + O_W.  At this seed six
-    # instances have more than the oracle's default bound of 9 men, yet at
-    # most 5 men change partner in any of them, so the oracle takes all.
+    # instances have more men than enumeration's default bound of 9; the
+    # bounded walk that gives the reference takes any size.
     rng = random.Random(1)
     beyond_default = 0
     mismatches = []
@@ -358,7 +358,7 @@ def test_solver_oracle_sweep_beyond_nine_men():
         inst = random_instance(rng, max_side=12)
         beyond_default += len(inst.men) > DEFAULT_MAX_MEN
         opt = optima(inst)
-        bal_opt = enumerate_stable(inst).bal_opt
+        bal_opt = _least_balance(_chain(inst))
         for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
             if solve_above_min(inst, k).answer != (bal_opt <= k):
                 mismatches.append((serialize(inst), k))
@@ -399,7 +399,7 @@ def test_minimal_balance_is_the_least_balance_with_a_stable_witness():
     instances += [random_instance(rng, n, n, 1.0) for n in (8, 9) for _ in range(2)]
     for inst in instances:
         bal, result, decisions = fpt.minimal_balance(inst)
-        assert bal == _least_balance(_chain(inst, len(inst.men)))
+        assert bal == _least_balance(_chain(inst))
         assert result.answer and decisions >= 1
         assert not blocking_pairs(inst, result.witness)
         assert objectives(inst, result.witness).balance == bal

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bsm import gs
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import InvalidMatching, blocking_pairs, man_optimal, objectives, optima, woman_optimal
-from bsm.instance import Matching, parse_instance
+from bsm.instance import MAN, WOMAN, Matching, Person, parse_instance
 from helpers import naive_stable, sad_2x2, single_pair
 
 
@@ -213,3 +213,18 @@ def test_extremes_bound_every_stable_matching(inst):
             if mu.partner(w) is not None:
                 r = ranks[w][mu.partner(w)]
                 assert ranks[w][mu_w.partner(w)] <= r <= ranks[w][mu_m.partner(w)]
+
+
+@pytest.mark.parametrize("pairs, message", [
+    pytest.param([("mx", "wx")], "(M:mx, W:wx) uses people outside the instance", id="foreign-pair"),
+    pytest.param([("m2", "w1"), ("m2", "w2")], "M:m2 is matched twice", id="man-twice"),
+    pytest.param([("m1", "w2"), ("m2", "w2")], "W:w2 is matched twice", id="woman-twice"),
+    pytest.param([("m1", "w1")], "(M:m1, W:w1) is not an acceptable pair", id="not-acceptable"),
+])
+def test_each_invalid_matching_names_its_fault(pairs, message):
+    inst = parse_instance("men: m1 m2\nwomen: w1 w2\nm1: w2\nm2: w1 w2\nw1: m2\nw2: m1 m2\n")
+    mu = Matching.of((Person(MAN, m), Person(WOMAN, w)) for m, w in pairs)
+    for check in (blocking_pairs, objectives):
+        with pytest.raises(InvalidMatching) as raised:
+            check(inst, mu)
+        assert str(raised.value) == message

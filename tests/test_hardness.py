@@ -7,6 +7,7 @@ from bsm import gs, hardness
 from bsm.generate import random_graph, random_triangle_free_graph
 from bsm.hardness import (
     Graph,
+    GraphError,
     NotAClique,
     _swap_matching,
     clique_bruteforce,
@@ -17,7 +18,7 @@ from bsm.hardness import (
     witness_matching,
 )
 from bsm.instance import parse_instance, serialize
-from bsm.oracle import decide_above_min, enumerate_stable
+from bsm.oracle import TooLarge, decide_above_min, enumerate_stable
 
 
 def planted_graph_7_5():
@@ -293,3 +294,46 @@ def test_verify_reduction_cases():
 
     fallback = verify_reduction(Graph.build(("a", "b", "c"), [("a", "b")]), 3)
     assert fallback.fallback and fallback.agree and fallback.ok
+
+
+def graph_26_40():
+    """26 vertices on a ring, 40 edges: one past the brute-force bound of 25."""
+    vertices = tuple(f"v{i}" for i in range(26))
+    edges = [(vertices[i], vertices[(i + 1) % 26]) for i in range(26)]
+    edges += [(vertices[i], vertices[i + 2]) for i in range(14)]
+    return Graph.build(vertices, edges)
+
+
+def test_verify_reduction_refuses_a_graph_beyond_the_bound_before_building_it(monkeypatch):
+    # At k=3 this graph's reduction has 79,017 people per side.
+    def refuse(g, k):
+        raise AssertionError("reduce_clique called")
+
+    monkeypatch.setattr(hardness, "reduce_clique", refuse)
+    for k in (1, 3, 7):  # k=7 would be a fallback
+        with pytest.raises(TooLarge, match=r"\A26 vertices exceeds the bound 25\Z"):
+            verify_reduction(graph_26_40(), k)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Graph(("a", "b"), (("b", "a"),)), GraphError,
+                 "edge (b, a) must list the earlier vertex first", id="reversed-edge"),
+    pytest.param(lambda: parse_graph("# a comment\n\na b c\n"), GraphError,
+                 "line 3: expected 'u v'", id="graph-line"),
+    pytest.param(lambda: witness_matching(reduce_clique(planted_graph_7_5(), 3), ("v1", "v2", "zz")),
+                 NotAClique, "unknown vertex 'zz'", id="witness-unknown-vertex"),
+    pytest.param(lambda: witness_matching(reduce_clique(Graph.build("abc", [("a", "b")]), 3), ("a", "b", "c")),
+                 ValueError, "fallback artifacts carry no structured matchings", id="witness-fallback"),
+    pytest.param(lambda: clique_bruteforce(graph_26_40(), 3), TooLarge,
+                 "26 vertices exceeds the bound 25", id="clique-bound"),
+    pytest.param(lambda: reduce_clique(graph_26_40(), 7), TooLarge,
+                 "26 vertices exceeds the bound 25", id="reduce-fallback-bound"),
+    pytest.param(lambda: verify_reduction(graph_26_40(), 3), TooLarge,
+                 "26 vertices exceeds the bound 25", id="verify-bound"),
+    pytest.param(lambda: verify_reduction(graph_26_40(), 0), GraphError,
+                 "k must be at least 1", id="verify-k-below-1"),
+])
+def test_each_reduction_error_names_its_fault(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -268,3 +268,66 @@ def test_person_hash_is_the_hash_of_side_and_name():
     assert copied == a and hash(copied) == hash(a)
     assert dataclasses.replace(a, name="b") == Person(MAN, "b")
     assert hash(dataclasses.replace(a, name="b")) == hash((MAN, "b"))
+
+
+_M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Person(WOMAN, "z")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    # The text parser, one fault per input.
+    pytest.param(lambda: parse_instance("men: m1\nmen: m2\nwomen: w1\n"), ParseError,
+                 "line 2: duplicate 'men:' line", id="text-duplicate-men"),
+    pytest.param(lambda: parse_instance("men: m1\nwomen: w1\nwomen: w2\n"), ParseError,
+                 "line 3: duplicate 'women:' line", id="text-duplicate-women"),
+    pytest.param(lambda: parse_instance("men: m1\nwomen: w1\nk: 1\nk: 2\n"), ParseError,
+                 "line 4: duplicate 'k:' line", id="text-duplicate-k"),
+    pytest.param(lambda: parse_instance("women: w1\n"), ParseError,
+                 "missing 'men:' or 'women:' line", id="text-missing-men"),
+    pytest.param(lambda: parse_instance("men: m1\n"), ParseError,
+                 "missing 'men:' or 'women:' line", id="text-missing-women"),
+    pytest.param(lambda: parse_instance("men: m1\nwomen: w1\nz9: w1\n"), ValidationError,
+                 "line 3: unknown person 'z9'", id="text-unknown-owner"),
+    pytest.param(lambda: parse_instance("men: m1\nwomen: w1\nm1: w1\nm1: w1\nw1: m1\n"), ParseError,
+                 "line 4: duplicate preference line for 'm1'", id="text-duplicate-line"),
+    pytest.param(lambda: parse_instance("men: m1\nwomen: w1 w2\nm1: w1=1 w2\n"), ParseError,
+                 "line 3: mixed list and functional tokens", id="text-mixed-tokens"),
+    pytest.param(lambda: parse_instance("men: m1\nwomen: w1\nm1: w1=x\n"), ParseError,
+                 "line 3: bad rank 'x'", id="text-bad-rank"),
+    # The JSON parser.
+    pytest.param(lambda: parse_instance("{bad json", "json"), ParseError,
+                 "bad JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+                 id="json-bad"),
+    pytest.param(lambda: parse_instance('{"women": []}', "json"), ParseError,
+                 "JSON instance needs a 'men' array", id="json-missing-men"),
+    pytest.param(lambda: parse_instance('{"men": [], "women": [], "prefs": {"z": []}}', "json"),
+                 ValidationError, "unknown person 'z' in prefs", id="json-unknown-owner"),
+    pytest.param(lambda: parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [["b"]]}}', "json"),
+                 ParseError, "prefs of 'a' must be [partner, rank] pairs", id="json-not-a-pair"),
+    pytest.param(lambda: parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [["c", 1]]}}', "json"),
+                 ValidationError, "unknown person 'c' in prefs of 'a'", id="json-unknown-partner"),
+    pytest.param(
+        lambda: parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [["b", 1], ["b", 2]]}}', "json"),
+        ValidationError, "duplicate partner 'b' in prefs of 'a'", id="json-duplicate-partner"),
+    # Formats.
+    pytest.param(lambda: parse_instance("", "yaml"), ParseError, "unknown format 'yaml'", id="parse-format"),
+    pytest.param(lambda: serialize(sad_2x2(), "yaml"), ParseError, "unknown format 'yaml'", id="serialize-format"),
+    # make_instance.
+    pytest.param(lambda: make_instance((Person(MAN, "a b"),), (), {}), ValidationError,
+                 "bad person name 'a b'", id="make-bad-name"),
+    pytest.param(lambda: make_instance((_M,), (Person(WOMAN, "m"),), {}), ValidationError,
+                 "duplicate person name 'm'", id="make-duplicate-name"),
+    pytest.param(lambda: make_instance((), (Person(MAN, "z"),), {}), ValidationError,
+                 "M:z listed among women", id="make-man-among-women"),
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_W: 1}, _W: {_M: 1}}, k=-1), ValidationError,
+                 "target k must be a non-negative integer, got -1", id="make-bad-k"),
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_Z: 1}}), ValidationError,
+                 "M:m ranks unknown person W:z", id="make-unknown-partner"),
+    pytest.param(lambda: make_instance((_M, _M2), (_W,), {_M: {_M2: 1}}), ValidationError,
+                 "M:m ranks M:m2 on the same side", id="make-same-side"),
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_W: 0}, _W: {_M: 1}}), ValidationError,
+                 "rank of W:w in list of M:m must be a positive integer", id="make-non-positive-rank"),
+])
+def test_each_input_error_names_its_fault(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message

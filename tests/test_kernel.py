@@ -7,7 +7,7 @@ import pytest
 from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import Instance, Person
+from bsm.instance import Instance, Person, parse_instance, serialize
 from bsm.kernel import (
     OUTCOME_KERNEL,
     TRIVIAL_NO,
@@ -292,7 +292,7 @@ def test_kernelize_2x2():
     t = result.k - min(optima(result.kernel).o_m, optima(result.kernel).o_w)
     assert t == 2 and t <= result.t_input
     assert len(result.kernel.men) <= 3 * t
-    assert decide_above_min(result.kernel, result.k, limit=16).answer is True
+    assert decide_above_min(result.kernel, result.k).answer is True
 
 
 def test_kernelize_trivial_outcomes():
@@ -341,7 +341,7 @@ def test_kernel_equivalence_up_to_eight_per_side():
             result = kernelize(inst, k)
             if result.outcome == OUTCOME_KERNEL:
                 kernels += 1
-                got = decide_above_min(result.kernel, result.k, limit=64).answer
+                got = decide_above_min(result.kernel, result.k).answer
             else:
                 got = result.outcome == TRIVIAL_YES
             assert got == want
@@ -359,7 +359,7 @@ def test_kernel_equivalence_random():
             result = kernelize(inst, k)
             if result.outcome == OUTCOME_KERNEL:
                 kernels += 1
-                got = decide_above_min(result.kernel, result.k, limit=64).answer
+                got = decide_above_min(result.kernel, result.k).answer
             else:
                 got = result.outcome == TRIVIAL_YES
             assert got == want
@@ -622,3 +622,18 @@ def test_kernelize_names_people_only_in_its_result(monkeypatch):
                 assert made[0] == 0
     assert min(outcomes[o] for o in (TRIVIAL_YES, TRIVIAL_NO, OUTCOME_KERNEL)) >= 5
     assert busiest >= 50
+
+
+@pytest.mark.parametrize("men, women, dummy_men, dummy_women", [
+    pytest.param("x1 x2", "y1 y2", ["x1_", "x2_"], ["y1_", "y2_"], id="both-taken"),
+    pytest.param("x1 x1_", "y2 w2", ["x1__", "x2"], ["y1", "y2_"], id="taken-twice"),
+])
+def test_dummies_skip_names_already_taken(men, women, dummy_men, dummy_women):
+    # The sad 2x2 instance, renamed: t = 2 at k = 4, so two dummy pairs.
+    (a, b), (c, d) = men.split(), women.split()
+    text = f"men: {a} {b}\nwomen: {c} {d}\n{a}: {c} {d}\n{b}: {d} {c}\n{c}: {b} {a}\n{d}: {a} {b}\n"
+    result = kernelize(parse_instance(text), 4)
+    assert result.outcome == OUTCOME_KERNEL and result.k == 6
+    assert [p.name for p in result.dummy_men] == dummy_men
+    assert [p.name for p in result.dummy_women] == dummy_women
+    assert parse_instance(serialize(result.kernel)) == result.kernel

@@ -88,6 +88,7 @@ def test_witness_is_the_first_least_balance_matching():
 
 def test_size_bound():
     # A ring of preferences: all 11 men change partner, beyond the default 9.
+    # Only enumeration is bounded; the decisions answer at any size.
     n = 11
     men = [Person(MAN, f"m{i}") for i in range(n)]
     women = [Person(WOMAN, f"w{i}") for i in range(n)]
@@ -99,9 +100,15 @@ def test_size_bound():
         order = [men[(i + 1 + j) % n] for j in range(n)]
         ranks[w] = {m: r for r, m in enumerate(order, start=1)}
     inst = make_instance(men, women, ranks)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"\A11 men change partner, beyond the bound 9\Z"):
         enumerate_stable(inst)
-    assert enumerate_stable(inst, limit=n).matchings
+    stable = enumerate_stable(inst, limit=n)
+    assert stable.matchings
+    least = [mu for mu in stable.matchings if objectives(inst, mu).balance == stable.bal_opt]
+    for decide in (decide_above_min, decide_above_max):
+        assert not decide(inst, stable.bal_opt - 1).answer
+        yes = decide(inst, stable.bal_opt)
+        assert yes.answer and yes.witness == least[0]
 
 
 def test_mutually_first_pairs_do_not_hit_the_bound():
@@ -233,7 +240,7 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
         n = 3 + i % 6
         inst = random_instance(rng, n, n, 1.0)
         seen = set()
-        for partner, men_cost, women_cost in _closed_sets(_chain(inst, n)):
+        for partner, men_cost, women_cost in _closed_sets(_chain(inst)):
             mu = inst.matching_from_arrays(partner)
             assert mu not in seen
             seen.add(mu)
