@@ -126,7 +126,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _trace_json(trace: kernel.KernelTrace) -> list[dict]:
-    return [{**vars(step), "affected": [p.name for p in step.affected]} for step in trace.steps]
+    return [{**step._asdict(), "affected": [p.name for p in step.affected]} for step in trace.steps]
 
 
 def _non_negative(text: str) -> int:

@@ -182,12 +182,21 @@ def clique_bruteforce(g: Graph, k: int) -> tuple[str, ...] | None:
     return None
 
 
-def _trivial_yes_instance() -> Instance:
-    return Instance((), (), [], [], 0)
+def _plan(g: Graph, k: int) -> tuple[int, bool]:
+    """The dummy count and whether ``reduce_clique`` falls back; k below 1 is refused."""
+    if k < 1:
+        raise GraphError("k must be at least 1")
+    n_v = len(g.vertices)
+    delta = _delta(n_v, len(g.edges), k)
+    return delta, delta < 0 or n_v <= k + k * (k - 1) // 2
 
 
-def _trivial_no_instance() -> Instance:
-    return Instance((Person(MAN, "m"),), (Person(WOMAN, "w"),), [{0: 1}], [{0: 1}], 0)
+def _fallback(g: Graph, k: int, delta: int, clique: tuple[str, ...] | None) -> ReductionArtifact:
+    """The trivial instance at target 0 that clique brute force settled: no one on a yes, one pair on a no."""
+    if clique:
+        return ReductionArtifact(Instance((), (), [], [], 0), 0, delta, 0, True, g, k)
+    inst = Instance((Person(MAN, "m"),), (Person(WOMAN, "w"),), [{0: 1}], [{0: 1}], 0)
+    return ReductionArtifact(inst, 0, delta, -1, True, g, k)
 
 
 def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
@@ -197,16 +206,11 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     The fallback fires when the dummy count would be negative or the graph
     has at most k + k(k-1)/2 vertices.
     """
-    if k < 1:
-        raise GraphError("k must be at least 1")
-    n_v, n_e = len(g.vertices), len(g.edges)
-    delta = _delta(n_v, n_e, k)
-    if delta < 0 or n_v <= k + k * (k - 1) // 2:
-        clique = clique_bruteforce(g, k)
-        inst = _trivial_yes_instance() if clique else _trivial_no_instance()
-        t = 0 if clique else -1
-        return ReductionArtifact(inst, 0, delta, t, True, g, k)
+    delta, fallback = _plan(g, k)
+    if fallback:
+        return _fallback(g, k, delta, clique_bruteforce(g, k))
 
+    n_v, n_e = len(g.vertices), len(g.edges)
     V = g.vertices
     E = g.edges
     deg = {v: g.degree(v) for v in V}
@@ -375,9 +379,11 @@ class ReductionReport:
 def verify_reduction(g: Graph, k: int) -> ReductionReport:
     """Cross-check the reduction against clique brute force on one graph."""
     # Brute force first, to refuse a graph beyond its bound before building
-    # the reduction; below k = 1, ``reduce_clique`` refuses the input.
+    # the reduction; below k = 1, ``_plan`` refuses the input.  A fallback
+    # reuses the clique rather than searching again.
     clique = clique_bruteforce(g, k) if k >= 1 else None
-    art = reduce_clique(g, k)
+    delta, fallback = _plan(g, k)
+    art = _fallback(g, k, delta, clique) if fallback else reduce_clique(g, k)
     # Only the least balance and the two ends of the rotation chain are
     # needed.  A 10-vertex, 10-edge graph has about 20,000 stable matchings,
     # each with 1,573 pairs; the bounded walk visits about 2,500 of them.

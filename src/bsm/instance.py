@@ -11,7 +11,8 @@ An instance is stored as integer rank tables, ``Instance.m_rank`` and
 ``Instance.w_rank``, which the parsers and ``make_instance`` write
 directly.  ``Person`` objects name people at the boundary: in matchings,
 in ``serialize`` and in the people-keyed view ``Instance.prefs``, which
-no code in this package builds.  The algorithms start from the two
+no code in this package builds.  A ``Person`` is a ``NamedTuple`` and
+equals its plain ``(side, name)`` tuple.  The algorithms start from the two
 extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, and
 the facts read off them: the optimal costs ``o_m`` and ``o_w`` and the
 sad and happy people.  Each is derived once per instance, on first use.
@@ -56,26 +57,14 @@ class ValidationError(ValueError):
     """A table violates mutuality, injectivity or the person model."""
 
 
-@dataclass(frozen=True, order=True)
-class Person:
+class Person(NamedTuple):
     """A side-qualified participant; ``side`` is MAN or WOMAN.
 
-    The hash, ``hash((side, name))``, is computed once at construction:
-    people are dict keys wherever matchings are read or written.
+    As a tuple it equals, hashes and orders as its ``(side, name)`` tuple.
     """
 
     side: str
     name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.side, self.name)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy, the hash.
-        return Person, (self.side, self.name)
 
     def __repr__(self):
         return f"{self.side}:{self.name}"
@@ -283,7 +272,7 @@ def _check_people(men, women) -> None:
 
 def _build(men, women, m_rows, w_rows, k) -> Instance:
     """Check k and the rows, then store each row in rank order, sorting only those that are not."""
-    if k is not None and (not isinstance(k, int) or k < 0):
+    if k is not None and (not _is_int(k) or k < 0):
         raise ValidationError(f"target k must be a non-negative integer, got {k!r}")
     _check_rows(men, women, m_rows, w_rows)
     for rows in (m_rows, w_rows):
@@ -306,7 +295,7 @@ def _check_rows(men, women, m_rows, w_rows) -> None:
                     raise ValidationError(f"{a} ranks unknown person {b}")
                 if b < 0:
                     raise ValidationError(f"{a} ranks {owners[~b]} on the same side")
-                if not isinstance(r, int) or r < 1:
+                if not _is_int(r) or r < 1:
                     raise ValidationError(f"rank of {partners[b]} in list of {a} must be a positive integer")
                 if i not in partner_rows[b]:
                     raise ValidationError(f"mutual acceptability violated for ({a}, {partners[b]})")

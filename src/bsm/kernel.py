@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError
 
@@ -71,8 +72,10 @@ class KernelState:
         return self.k - min(self.inst.o_m, self.inst.o_w)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One trace row: ``rule`` fired on the people ``affected``, taking the
+    target k from ``k_before`` to ``k_after`` and t from ``t_before`` to ``t_after``."""
+
     rule: str
     affected: tuple[Person, ...]
     k_before: int

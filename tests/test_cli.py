@@ -523,6 +523,23 @@ def test_check_names_the_same_bad_pair_under_every_hash_seed(tmp_path):
         done = _run_module(["check", str(inst), str(matching)], hash_seed=str(seed))
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: (M:m1, W:w2) is not an acceptable pair\n"
+    # Every other verb whose output names people prints the same bytes
+    # under every seed: people hash as their (side, name) strings.
+    full = tmp_path / "full.txt"
+    full.write_text(serialize(random_instance(random.Random(11), 8, 8)))  # 6 sad men; a kernel at k=23
+    graph = tmp_path / "graph.txt"
+    graph.write_text("v1 v2\nv1 v3\nv2 v3\nv4 v5\nv6 v7\n")
+    for argv in (
+        ["solve", str(full), "--k", "23"],
+        ["solve", str(full), "--optimize"],
+        ["kernelize", str(full), "--k", "23", "--trace"],
+        ["enumerate", str(full)],
+        ["verify", "--graph", str(graph), "--k", "3"],
+    ):
+        runs = [_run_module(argv, hash_seed=str(seed)) for seed in range(6)]
+        assert (runs[0].returncode, runs[0].stderr) == (0, "") and runs[0].stdout
+        for done in runs[1:]:
+            assert (done.returncode, done.stdout, done.stderr) == (0, runs[0].stdout, "")
 
 
 def test_module_entry_point_reads_the_instance_from_stdin(capsys, instance_file):

@@ -283,6 +283,26 @@ def test_verify_reduction_runs_deferred_acceptance_on_its_instance_once(monkeypa
     assert len(made) == 1 and on_input[0] == 1
 
 
+def test_verify_reduction_runs_clique_brute_force_once(monkeypatch):
+    calls = [0]
+    real = hardness.clique_bruteforce
+
+    def counted(g, k):
+        calls[0] += 1
+        return real(g, k)
+
+    monkeypatch.setattr(hardness, "clique_bruteforce", counted)
+    for g, k, fallback in [
+        (planted_graph_7_5(), 3, False),
+        (Graph.build(("a", "b", "c"), [("a", "b")]), 3, True),
+        (random_graph(random.Random(1), 9, 12, plant_triangle=True), 4, True),
+    ]:
+        calls[0] = 0
+        report = verify_reduction(g, k)
+        assert report.fallback == fallback and report.ok
+        assert calls[0] == 1
+
+
 def test_verify_reduction_cases():
     planted = verify_reduction(planted_graph_7_5(), 3)
     assert planted.clique_answer and planted.reduction_answer and planted.agree

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 
 import pytest
@@ -263,11 +262,11 @@ def test_person_hash_is_the_hash_of_side_and_name():
     a, b = Person(MAN, "a"), Person(MAN, "a")
     assert hash(a) == hash(b) == hash((MAN, "a"))
     assert a == b and a != Person(WOMAN, "a") and a < Person(MAN, "b")
-    assert repr(a) == "M:a" and [f.name for f in dataclasses.fields(a)] == ["side", "name"]
+    assert repr(a) == "M:a" and list(Person._fields) == ["side", "name"]
     copied = pickle.loads(pickle.dumps(a))
     assert copied == a and hash(copied) == hash(a)
-    assert dataclasses.replace(a, name="b") == Person(MAN, "b")
-    assert hash(dataclasses.replace(a, name="b")) == hash((MAN, "b"))
+    assert a._replace(name="b") == Person(MAN, "b")
+    assert hash(a._replace(name="b")) == hash((MAN, "b"))
 
 
 _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Person(WOMAN, "z")
@@ -326,6 +325,10 @@ _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Perso
                  "M:m ranks M:m2 on the same side", id="make-same-side"),
     pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_W: 0}, _W: {_M: 1}}), ValidationError,
                  "rank of W:w in list of M:m must be a positive integer", id="make-non-positive-rank"),
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_W: 1}, _W: {_M: 1}}, k=True), ValidationError,
+                 "target k must be a non-negative integer, got True", id="make-bool-k"),
+    pytest.param(lambda: make_instance((_M,), (_W, _Z), {_M: {_W: True, _Z: 3}, _W: {_M: 1}, _Z: {_M: 1}}),
+                 ValidationError, "rank of W:w in list of M:m must be a positive integer", id="make-bool-rank"),
 ])
 def test_each_input_error_names_its_fault(build, error, message):
     with pytest.raises(error) as raised:
