@@ -22,7 +22,11 @@ Inputs: every k from ``max(O_M, O_W) - 1`` to ``O_M + O_W`` on the first
 plus six full-list instances at each of n = 12, 16, 20 and 24 with
 ``k = max(O_M, O_W) + {0, 2, 5}``, plus four full-list instances at each
 of n = 9 and 10 at every k from ``max(O_M, O_W)`` to the balance of the
-man-optimal matching, where the solver branches the most.
+man-optimal matching, where the solver branches the most.  The
+``pool-*`` decisions take the 32 instances of the benchmark's
+``perfbench/optimize_pool.json``, and the ``cyclic-*`` ones the n x n
+cyclic instances of ``generate.cyclic_instance`` at n = 6 and 8, each at
+every k from ``max(O_M, O_W) - 1`` to its least balance plus 2.
 
 Two more kinds of case hash the stable-matching enumerators:
 
@@ -49,10 +53,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from bsm import cli, fpt, gs, hardness, kernel, oracle  # noqa: E402
-from bsm.generate import random_graph, random_instance, random_triangle_free_graph  # noqa: E402
+from bsm.generate import (  # noqa: E402
+    cyclic_instance, random_graph, random_instance, random_triangle_free_graph,
+)
 from bsm.instance import serialize  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "data" / "kernel_golden.json"
+OPTIMIZE_POOL = ROOT / "perfbench" / "optimize_pool.json"
 SEED = 20240807
 CORPUS_COUNT = 200
 FULL_SIZES = (12, 16, 20, 24)
@@ -60,6 +67,8 @@ FULL_PER_SIZE = 6
 FULL_OFFSETS = (0, 2, 5)
 BRANCH_SIZES = (9, 10)
 BRANCH_PER_SIZE = 4
+CYCLIC_SIZES = (6, 8)
+BALANCE_ABOVE = 2  # the sweeps around the least balance end this far above it
 STABLE_CORPUS_COUNT = 1000
 STABLE_FULL_SIZES = (8, 9, 10)
 STABLE_FULL_PER_SIZE = 4
@@ -160,6 +169,15 @@ def cases():
             top = gs.objectives(inst, opt.mu_m).balance
             for k in range(max(opt.o_m, opt.o_w), top + 1):
                 yield f"branch-n{n}-{j}-k{k}", inst, k
+    sweeps = [
+        (f"pool-n{n}-s{gen_seed}", random_instance(random.Random(gen_seed), n, n, 1.0))
+        for n, gen_seed, *_ in json.loads(OPTIMIZE_POOL.read_text())["entries"]
+    ]
+    sweeps += [(f"cyclic-n{n}", cyclic_instance(n)) for n in CYCLIC_SIZES]
+    for name, inst in sweeps:
+        bal_opt = oracle.enumerate_stable(inst, limit=len(inst.men)).bal_opt
+        for k in range(max(inst.o_m, inst.o_w) - 1, bal_opt + BALANCE_ABOVE + 1):
+            yield f"{name}-k{k}", inst, k
 
 
 def stable_cases():

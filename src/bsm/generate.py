@@ -56,6 +56,18 @@ def mutual_first_instance(n: int, full: bool = False) -> Instance:
     return make_instance(men, women, ranks)
 
 
+def cyclic_instance(n: int) -> Instance:
+    """Man i ranks women i, i+1, ... and woman i ranks men i+1, i+2, ...
+    (indices mod n): n stable matchings, and many sad men left to branch over."""
+    men = tuple(Person(MAN, f"m{i + 1}") for i in range(n))
+    women = tuple(Person(WOMAN, f"w{i + 1}") for i in range(n))
+    ranks: dict[Person, dict[Person, int]] = {}
+    for i in range(n):
+        ranks[men[i]] = {women[(i + j) % n]: j + 1 for j in range(n)}
+        ranks[women[i]] = {men[(i + 1 + j) % n]: j + 1 for j in range(n)}
+    return make_instance(men, women, ranks)
+
+
 def random_graph(
     rng: random.Random,
     n_vertices: int,

@@ -5,7 +5,9 @@ The digests in ``data/kernel_golden.json`` were written by
 ``scripts/record_kernel_golden.py``: the kernel and solver digests before
 the shrink rule was batched and before the solver pruned its search, the
 ``stable-*`` and ``verify-*`` digests before both enumerators were replaced
-by the rotation engine.  Any change to an outcome, kernel, trace row,
+by the rotation engine, and the ``pool-*`` and ``cyclic-*`` digests before
+the solver cut branches on partial stability and counted its nodes from
+the shape of the unpruned tree.  Any change to an outcome, kernel, trace row,
 witness, solver answer or counter, to the ordered stable matchings or
 least balance of ``enumerate_stable``, or to a field of a
 ``verify_reduction`` report on those cases fails here.
