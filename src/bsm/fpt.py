@@ -9,15 +9,28 @@ that is stable with balance at most k.
 The search runs on the integer tables and man-optimal partner arrays of
 the kernel instance, and makes people only for the witness it lifts.
 
-The search skips a branch as soon as it gives a man a woman who is
-already taken: one in a happy pair, the man-optimal partner of an
-unselected sad man, or the choice of an earlier man on the branch.  No
-certificate below such a branch can be a matching, so the skip changes
-neither the visit order nor the first accepted certificate.  The node
-counts in ``SolveStats`` still describe the unpruned search: each skipped
-branch adds the nodes the unpruned search would have visited in it, so
-its ``4 * 2**r`` bound per subset holds and the counts do not depend on
-how much the search prunes.
+A person is *fixed* on a branch once their partner in every certificate
+below it is known: the happy pairs, the unselected sad men with their
+man-optimal partners, and the men given a woman earlier on the branch
+with those women.  A woman whose man-optimal partner was selected is
+free until the leaf.  The search never gives man m woman w when
+
+- w is fixed: no certificate below is a matching;
+- (m, w) already makes a blocking pair with a fixed person: a fixed woman
+  whom m prefers to w and who prefers m to her partner, or a fixed man
+  whom w prefers to m and who prefers w to his partner.  That pair blocks
+  every matching below (the partial-stability cut).
+
+Each skip drops only certificates that ``_assemble`` rejects, so the
+certificates left come in the unpruned order and the first accepted one,
+the witness, is the unpruned search's.
+
+The node counts in ``SolveStats`` describe the unpruned search, but the
+pruned walk counts nothing: the counts are read from the unpruned tree's
+shape.  A subset without an accepted certificate adds the size of its
+whole unpruned tree; the accepting subset adds the preorder position of
+its accepted leaf in that tree.  So the ``4 * 2**r`` bound per subset
+holds and the counts do not depend on how much the search prunes.
 
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
@@ -37,10 +50,11 @@ from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize
 class SolveStats:
     """Work of the branching step.
 
-    ``branch_nodes`` counts the nodes of the unpruned search, as
-    ``_iter_certificates`` without ``taken`` visits them, up to the first
-    accepted certificate: a branch skipped because it reuses a taken woman
-    counts every node the unpruned search would have visited in it.
+    ``branch_nodes`` counts the nodes of the unpruned search, which tries
+    every assignment of worse women within budget, up to the first
+    accepted certificate.  They are read from the unpruned tree's shape,
+    not counted: the whole tree of each rejected subset and, for the
+    accepting subset, the preorder position of its accepted leaf.
     """
 
     subsets_tried: int
@@ -59,80 +73,139 @@ class SolveResult:
 
 
 class _Context:
-    """Kernel facts shared across all subsets, read from the kernel instance and its target k."""
+    """Kernel facts shared across all subsets, read from the kernel instance
+    and its target k, and the partner arrays the search patches per subset."""
 
     def __init__(self, kernel: Instance, k: int):
         self.inst = kernel
         self.k = k
-        # Women no selected man may take: the happy pairs' women.
-        happy_women = {w for _, w in kernel.happy_pairs}
-        self.happy_taken = [w in happy_women for w in range(len(kernel.women))]
-        # Per man index: the women strictly worse than his man-optimal
-        # partner as (rank offset, woman index), best first: the tables are
-        # in rank order and a person's ranks are distinct.
+        self.r = k - kernel.o_m
+        # Per man index: the rank of his man-optimal partner, and the women
+        # strictly worse than her as (rank offset, woman index), best first:
+        # the tables are in rank order and a person's ranks are distinct.
+        self.anchor: list[int] = []
         self.worse: list[list[tuple[int, int]]] = []
         for table, anchor_w in zip(kernel.m_rank, kernel.mu_m.by_man):
-            anchor = table[anchor_w] if anchor_w >= 0 else None
+            anchor = table[anchor_w] if anchor_w >= 0 else 0
+            self.anchor.append(anchor)
             self.worse.append(
-                [] if anchor is None else [(r - anchor, w) for w, r in table.items() if r > anchor]
+                [] if anchor_w < 0 else [(r - anchor, w) for w, r in table.items() if r > anchor]
             )
-        # Unpruned subtree sizes by (men from a depth on, budget left).  Offsets are
-        # distinct and positive, so the cut to r candidates drops none within budget.
-        self.sizes: dict[tuple[tuple[int, ...], int], int] = {}
+        # Each fixed person's partner, -1 for everyone else.  Between subsets
+        # that is μ_M: every man it matches is happy or sad.
+        self.wife = list(kernel.mu_m.by_man)
+        self.husband = list(kernel.mu_m.by_woman)
+        # Per tuple of selected men, the unpruned subtree sizes from each
+        # depth on by budget left, 0 until known: see ``_size_rows``.
+        self.sizes: dict[tuple[int, ...], list[list[int]]] = {(): [[1] * (max(self.r, 0) + 1)]}
 
 
-def _iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int], taken=None):
-    """Yield every assignment of the selected men with total offset at most r.
+def _size_rows(sizes: dict, m_prime, r: int) -> list[list[int]]:
+    """Per depth i, the node counts of the unpruned subtree of ``m_prime[i:]``
+    by budget left, 0 until known.
 
-    ``m_prime`` is a tuple of man indices; each assignment comes out as
-    (the woman index of each selected man, the total offset).
-    ``counter[0]`` counts the search nodes.  Given ``taken``, a
-    per-woman-index flag list, a man is never given a taken woman and
-    each woman he is given is taken until the search backtracks; the
-    assignments yielded are then exactly the injective ones, and
-    ``counter`` still receives, for each skipped branch, the nodes the
-    unpruned search would have visited in it.
+    Offsets are distinct and positive, so a count follows from the men
+    and the budget alone, and ``m_prime`` shares the rows of its suffixes.
     """
+    rows = sizes.get(m_prime)
+    if rows is None:
+        rows = sizes[m_prime] = [[0] * (r + 1)] + _size_rows(sizes, m_prime[1:], r)
+    return rows
+
+
+def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
+    """The matching of the first certificate of ``m_prime`` that ``_assemble``
+    accepts, or None, with the nodes of the unpruned search up to it.
+
+    ``m_prime`` is a tuple of sad man indices, each given a strictly worse
+    woman within the shared budget ``ctx.r``.  Without an accepted
+    certificate the node count is the whole unpruned tree's.
+    """
+    inst = ctx.inst
+    m_rank, w_rank = inst.m_rank, inst.w_rank
+    wife, husband, anchors = ctx.wife, ctx.husband, ctx.anchor
     depth = len(m_prime)
-    cands = [ctx.worse[m][:r] for m in m_prime]
-    chosen = [0] * depth
-    suffixes = [m_prime[i:] for i in range(depth + 1)]
-    sizes = ctx.sizes
+    cands = [ctx.worse[m] for m in m_prime]
+    women = [-1] * depth
 
-    def size(i: int, remaining: int) -> int:
-        """Nodes of the unpruned subtree at depth i with this budget left."""
-        key = (suffixes[i], remaining)
-        if key not in sizes:
-            n = 1
-            if i < depth:
-                for offset, _ in cands[i]:
-                    if offset > remaining:
-                        break
-                    n += size(i + 1, remaining - offset)
-            sizes[key] = n
-        return sizes[key]
-
-    def descend(i: int, remaining: int):
-        counter[0] += 1
+    def descend(i: int, remaining: int) -> list[int] | None:
         if i == depth:
-            yield tuple(chosen), r - remaining
-            return
+            return _assemble(ctx, m_prime, women)
+        m = m_prime[i]
+        table = m_rank[m]
+        anchor = anchors[m]
+        # A fixed woman whom m ranks at least as high as his man-optimal
+        # partner, and who prefers m to her partner, rules out every
+        # candidate.  Only a woman given earlier on the branch can be one:
+        # the others are fixed at their man-optimal partners, and μ_M is
+        # stable.
+        for earlier in range(i):
+            w = women[earlier]
+            if table.get(w, anchor + 1) <= anchor and w_rank[w][m] < w_rank[w][m_prime[earlier]]:
+                return None
         for offset, w in cands[i]:
             if offset > remaining:
                 break
-            if taken is None:
-                chosen[i] = w
-                yield from descend(i + 1, remaining - offset)
-            elif taken[w]:
-                counter[0] += size(i + 1, remaining - offset)
-            else:
-                chosen[i] = w
-                taken[w] = True
-                yield from descend(i + 1, remaining - offset)
-                taken[w] = False
+            h = husband[w]
+            if h >= 0:
+                if w_rank[w][m] < w_rank[w][h]:
+                    break  # (m, w) blocks: so does every woman m ranks lower
+                continue
+            # A fixed man whom w prefers to m, and who prefers w to his partner.
+            # The scan stops at m himself at the latest.
+            ranks = w_rank[w]
+            mine = ranks[m]
+            for rival, rank in ranks.items():
+                if rank >= mine:
+                    break
+                f = wife[rival]
+                if f >= 0 and m_rank[rival][w] < m_rank[rival][f]:
+                    break
+            if rank < mine:
+                continue
+            women[i] = w
+            wife[m], husband[w] = w, m
+            hit = descend(i + 1, remaining - offset)
+            wife[m], husband[w] = -1, -1
+            if hit is not None:
+                return hit
+        return None
 
-    if r >= 0:
-        yield from descend(0, r)
+    mu = inst.mu_m.by_man
+    for m in m_prime:
+        husband[mu[m]] = wife[m] = -1
+    hit = descend(0, ctx.r)
+    for m in m_prime:
+        wife[m], husband[mu[m]] = mu[m], m
+
+    rows = _size_rows(ctx.sizes, m_prime, ctx.r)
+
+    def size(i: int, remaining: int) -> int:
+        """Nodes of the unpruned subtree at depth i with this budget left,
+        which ``rows[i][remaining]`` holds once known."""
+        n = 1
+        below = rows[i + 1]
+        for offset, _ in cands[i]:
+            if offset > remaining:
+                break
+            n += below[remaining - offset] or size(i + 1, remaining - offset)
+        rows[i][remaining] = n
+        return n
+
+    if hit is None:
+        return None, rows[0][ctx.r] or size(0, ctx.r)
+    # The accepted leaf's preorder position: at each depth the node itself
+    # and the whole subtrees of the candidates before the woman given, all
+    # within budget as offsets increase; then the leaf.
+    nodes, remaining = 1, ctx.r
+    for i, given in enumerate(women):
+        nodes += 1
+        for offset, w in cands[i]:
+            if w == given:
+                remaining -= offset
+                break
+            nodes += rows[i + 1][remaining - offset] or size(i + 1, remaining - offset)
+    return hit, nodes
 
 
 def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:
@@ -175,7 +248,7 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
         )
     kernel = kres.kernel
     ctx = _Context(kernel, kres.k)
-    r = kres.k - kernel.o_m
+    r = ctx.r
     subsets = 0
     nodes_total = 0
     nodes_max = 0
@@ -184,19 +257,10 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
         for size in range(len(sad) + 1):
             for m_prime in combinations(sad, size):
                 subsets += 1
-                counter = [0]
-                hit = None
-                # ... and the man-optimal partners of the unselected sad men.
-                taken = ctx.happy_taken.copy()
-                for m in sad:
-                    if m not in m_prime:
-                        taken[kernel.mu_m.by_man[m]] = True
-                for women, _ in _iter_certificates(ctx, m_prime, r, counter, taken):
-                    hit = _assemble(ctx, m_prime, women)
-                    if hit is not None:
-                        break
-                nodes_total += counter[0]
-                nodes_max = max(nodes_max, counter[0])
+                hit, nodes = _first_accepted(ctx, m_prime)
+                nodes_total += nodes
+                if nodes > nodes_max:
+                    nodes_max = nodes
                 if hit is not None:
                     stats = SolveStats(subsets, nodes_total, nodes_max)
                     return SolveResult(

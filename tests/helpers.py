@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 
-from bsm.fpt import _Context, _iter_certificates
+from bsm.fpt import _Context
 from bsm.gs import optima
 from bsm.instance import MAN, WOMAN, Instance, Matching, Person, make_instance, parse_instance
 
@@ -115,6 +115,33 @@ def naive_certificates(inst: Instance, m_prime, r: int) -> set[tuple]:
     return out
 
 
+def iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int]):
+    """Yield every assignment of the selected men to strictly worse women
+    with total offset at most r: the unpruned search that ``SolveStats``
+    describes, with no woman ever ruled out.
+
+    ``m_prime`` is a tuple of man indices; each assignment comes out as
+    (the woman index of each selected man, the total offset).
+    ``counter[0]`` counts the search nodes as they are visited.
+    """
+    depth = len(m_prime)
+    chosen = [0] * depth
+
+    def descend(i: int, remaining: int):
+        counter[0] += 1
+        if i == depth:
+            yield tuple(chosen), r - remaining
+            return
+        for offset, w in ctx.worse[m_prime[i]]:
+            if offset > remaining:
+                break
+            chosen[i] = w
+            yield from descend(i + 1, remaining - offset)
+
+    if r >= 0:
+        yield from descend(0, r)
+
+
 @dataclass(frozen=True)
 class BranchCertificate:
     """One candidate reassignment: each selected man paired to a worse woman.
@@ -142,5 +169,5 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
         selected.append(i)
     return [
         BranchCertificate(tuple((inst.men[m], inst.women[w]) for m, w in zip(selected, women)), cost)
-        for women, cost in _iter_certificates(_Context(inst, inst.target_k or 0), tuple(selected), r, [0])
+        for women, cost in iter_certificates(_Context(inst, inst.target_k or 0), tuple(selected), r, [0])
     ]

@@ -1,15 +1,24 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from bsm import fpt, gs
-from bsm.fpt import _assemble, _Context, _iter_certificates, solve_above_min
-from bsm.generate import mutual_first_instance, random_graph, random_instance
+from bsm.fpt import _assemble, _Context, _first_accepted, solve_above_min
+from bsm.generate import cyclic_instance, mutual_first_instance, random_graph, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.hardness import Graph, verify_reduction
 from bsm.instance import Instance, Matching, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import DEFAULT_MAX_MEN, _chain, _least_balance, decide_above_min, enumerate_stable
-from helpers import BranchCertificate, enumerate_certificates, naive_certificates, sad_2x2, sad_rich_instance
+from helpers import (
+    BranchCertificate,
+    enumerate_certificates,
+    iter_certificates,
+    naive_certificates,
+    sad_2x2,
+    sad_rich_instance,
+)
 
 
 def anchored_instance():
@@ -215,36 +224,73 @@ def injective(women, busy) -> bool:
     return len(set(women)) == len(women) and not set(women) & busy
 
 
-def run(ctx, m_prime, r, taken=None):
-    """Each certificate with the node count when it came out, and the final count."""
+def run(ctx, m_prime, r):
+    """Each unpruned certificate with the node count when it came out, and the final count."""
     counter = [0]
-    out = [(c, counter[0]) for c in _iter_certificates(ctx, m_prime, r, counter, taken)]
+    out = [(c, counter[0]) for c in iter_certificates(ctx, m_prime, r, counter)]
     return out, counter[0]
 
 
-def test_pruned_search_yields_the_injective_certificates_at_unpruned_counts():
-    kernels = subsets = skipped = 0
+def reference_first_accepted(ctx, m_prime, r):
+    """The matching of the unpruned search's first certificate that
+    ``_assemble`` accepts, or None, and the nodes visited up to it."""
+    counter = [0]
+    for women, _ in iter_certificates(ctx, m_prime, r, counter):
+        hit = _assemble(ctx, m_prime, women)
+        if hit is not None:
+            return hit, counter[0]
+    return None, counter[0]
+
+
+def test_pruned_search_finds_the_unpruned_first_certificate_at_its_node_count():
+    kernels = subsets = accepted = 0
     for *_, ctx, r in search_kernels():
         kernels += 1
         st = ctx.inst
         for size in range(len(st.sad_men) + 1):
             for m_prime in combinations(st.sad_men, size):
-                busy = busy_women(ctx, m_prime)
-                taken = [w in busy for w in range(len(st.women))]
-                full, full_nodes = run(ctx, m_prime, r)
-                pruned, pruned_nodes = run(ctx, m_prime, r, taken)
-                assert pruned == [(c, nodes) for c, nodes in full if injective(c[0], busy)]
-                assert pruned_nodes == full_nodes
-                assert taken == [w in busy for w in range(len(st.women))]
+                want = reference_first_accepted(ctx, m_prime, r)
+                assert _first_accepted(ctx, m_prime) == want
+                # The partner arrays are back at μ_M for the next subset.
+                assert (ctx.wife, ctx.husband) == (list(st.mu_m.by_man), list(st.mu_m.by_woman))
                 men = [st.men[m] for m in m_prime]
-                public = enumerate_certificates(st, men, r)
-                assert public == [
+                assert enumerate_certificates(st, men, r) == [
                     BranchCertificate(tuple(zip(men, (st.women[w] for w in women))), cost)
-                    for (women, cost), _ in full
+                    for (women, cost), _ in run(ctx, m_prime, r)[0]
                 ]
                 subsets += 1
-                skipped += len(full) - len(pruned)
-    assert kernels >= 30 and subsets >= 1000 and skipped >= 10000
+                accepted += want[0] is not None
+    assert kernels >= 30 and subsets >= 1000 and accepted >= 50
+
+
+def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch):
+    # With every certificate rejected, the search reaches all it keeps.
+    reached = []
+
+    def reject(ctx, m_prime, women):
+        reached.append(tuple(women))
+
+    subsets = skipped = cut = 0
+    for *_, ctx, r in search_kernels():
+        st = ctx.inst
+        for size in range(len(st.sad_men) + 1):
+            for m_prime in combinations(st.sad_men, size):
+                full = [women for (women, _), _ in run(ctx, m_prime, r)[0]]
+                reached.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(fpt, "_assemble", reject)
+                    _first_accepted(ctx, m_prime)
+                kept = set(reached)
+                assert reached == [women for women in full if women in kept]
+                busy = busy_women(ctx, m_prime)
+                for women in full:
+                    if women not in kept:
+                        assert _assemble(ctx, m_prime, women) is None
+                        skipped += 1
+                        # Injective: the partial-stability cut, not the taken-woman skip.
+                        cut += injective(women, busy)
+                subsets += 1
+    assert subsets >= 1000 and skipped >= 10000 and cut > 0
 
 
 def reference_assemble(st, k, pairs, m_prime):
@@ -292,7 +338,7 @@ def unpruned_solve(result, ctx, r):
             subsets += 1
             counter = [0]
             hit = None
-            for women, _ in _iter_certificates(ctx, m_prime, r, counter):
+            for women, _ in iter_certificates(ctx, m_prime, r, counter):
                 hit = _assemble(ctx, m_prime, women)
                 if hit is not None:
                     break
@@ -403,3 +449,15 @@ def test_minimal_balance_is_the_least_balance_with_a_stable_witness():
         assert result.answer and decisions >= 1
         assert not blocking_pairs(inst, result.witness)
         assert objectives(inst, result.witness).balance == bal
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_minimal_balance_on_the_cyclic_family(n):
+    inst = cyclic_instance(n)
+    bal, result, _ = fpt.minimal_balance(inst)
+    assert bal == _least_balance(_chain(inst))
+    assert result.answer and not blocking_pairs(inst, result.witness)
+    stats = (result.stats.subsets_tried, result.stats.branch_nodes, result.stats.max_branch_nodes)
+    # The counts of the solver that visited every node of the pruned search.
+    recorded = {6: (64, 40188, 4112), 8: (256, 13034431, 1689384)}
+    assert stats == recorded.get(n, stats)
