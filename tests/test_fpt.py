@@ -458,6 +458,6 @@ def test_minimal_balance_on_the_cyclic_family(n):
     assert bal == _least_balance(_chain(inst))
     assert result.answer and not blocking_pairs(inst, result.witness)
     stats = (result.stats.subsets_tried, result.stats.branch_nodes, result.stats.max_branch_nodes)
-    # The counts of the solver that visited every node of the pruned search.
+    # As recorded while the solver still counted each node as it walked.
     recorded = {6: (64, 40188, 4112), 8: (256, 13034431, 1689384)}
     assert stats == recorded.get(n, stats)
