@@ -20,7 +20,10 @@ digests do not depend on the hash seed.
 Inputs: every k from ``max(O_M, O_W) - 1`` to ``O_M + O_W`` on the first
 200 instances of the benchmark corpus (seed 20240807, at most 7 per side),
 plus six full-list instances at each of n = 12, 16, 20 and 24 with
-``k = max(O_M, O_W) + {0, 2, 5}``, plus four full-list instances at each
+``k = max(O_M, O_W) + {0, 2, 5}``, plus six ``large-*`` full-list
+instances at each of n = 20, 30 and 40, drawn as the benchmark's
+``large`` workload draws them, with the same k offsets, plus four
+full-list instances at each
 of n = 9 and 10 at every k from ``max(O_M, O_W)`` to the balance of the
 man-optimal matching, where the solver branches the most.  The
 ``pool-*`` decisions take the 32 instances of the benchmark's
@@ -65,6 +68,7 @@ CORPUS_COUNT = 200
 FULL_SIZES = (12, 16, 20, 24)
 FULL_PER_SIZE = 6
 FULL_OFFSETS = (0, 2, 5)
+LARGE_SIZES = (20, 30, 40)
 BRANCH_SIZES = (9, 10)
 BRANCH_PER_SIZE = 4
 CYCLIC_SIZES = (6, 8)
@@ -154,13 +158,14 @@ def cases():
         opt = gs.optima(inst)
         for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
             yield f"corpus-{i}-k{k}", inst, k
-    rng = random.Random(SEED + 1)
-    for n in FULL_SIZES:
-        for j in range(FULL_PER_SIZE):
-            inst = random_instance(rng, n, n, 1.0)
-            opt = gs.optima(inst)
-            d = FULL_OFFSETS[j % len(FULL_OFFSETS)]
-            yield f"full-n{n}-{j}-d{d}", inst, max(opt.o_m, opt.o_w) + d
+    for prefix, gen_seed, sizes in (("full", SEED + 1, FULL_SIZES), ("large", SEED + 5, LARGE_SIZES)):
+        rng = random.Random(gen_seed)
+        for n in sizes:
+            for j in range(FULL_PER_SIZE):
+                inst = random_instance(rng, n, n, 1.0)
+                opt = gs.optima(inst)
+                d = FULL_OFFSETS[j % len(FULL_OFFSETS)]
+                yield f"{prefix}-n{n}-{j}-d{d}", inst, max(opt.o_m, opt.o_w) + d
     rng = random.Random(SEED + 2)
     for n in BRANCH_SIZES:
         for j in range(BRANCH_PER_SIZE):

@@ -7,7 +7,9 @@ the shrink rule was batched and before the solver pruned its search, the
 ``stable-*`` and ``verify-*`` digests before both enumerators were replaced
 by the rotation engine, and the ``pool-*`` and ``cyclic-*`` digests before
 the solver cut branches on partial stability and counted its nodes from
-the shape of the unpruned tree.  Any change to an outcome, kernel, trace row,
+the shape of the unpruned tree, and the ``large-*`` digests (full lists
+at n = 20, 30 and 40) before the kernel stored its trace as one entry per
+rule application.  Any change to an outcome, kernel, trace row,
 witness, solver answer or counter, to the ordered stable matchings or
 least balance of ``enumerate_stable``, or to a field of a
 ``verify_reduction`` report on those cases fails here.
