@@ -40,6 +40,7 @@ from .kernel import (
     KernelState,
     KernelTrace,
     NoSadPerson,
+    TraceEntry,
     TraceStep,
     fill_gaps,
     kernelize,

@@ -237,12 +237,13 @@ def make_instance(men, women, ranks: dict[Person, dict[Person, int]], k: int | N
     woman_at = {p: j for j, p in enumerate(women)}
 
     def row(p: Person, partner_at, same_at) -> dict:
+        """p's row: a partner keyed by index, a person of p's side by ~index, anyone else by (b,)."""
         keyed = {}
         for b, r in ranks.get(p, {}).items():
             if b in partner_at:
                 keyed[partner_at[b]] = r
             else:
-                keyed[~same_at[b] if b in same_at else b] = r
+                keyed[~same_at[b] if b in same_at else (b,)] = r
         return keyed
 
     m_rows = [row(p, woman_at, man_at) for p in men]
@@ -292,7 +293,7 @@ def _check_rows(men, women, m_rows, w_rows) -> None:
             a = owners[i]
             for b, r in row.items():
                 if not isinstance(b, int):
-                    raise ValidationError(f"{a} ranks unknown person {b}")
+                    raise ValidationError(f"{a} ranks unknown person {b[0]}")
                 if b < 0:
                     raise ValidationError(f"{a} ranks {owners[~b]} on the same side")
                 if not _is_int(r) or r < 1:

@@ -19,7 +19,11 @@ not apply.  Otherwise it returns ``(next, rows)``: ``next`` is the next
 state or the verdict ``"yes"`` or ``"no"``, and ``rows`` holds, in
 order, the people named by each trace row the application records.
 Every row runs from the state's k and t to the next state's t; only
-shrink moves k, by one per row.
+shrink moves k, by one per row.  The trace keeps one ``TraceEntry`` per
+application, dummy insertion included: its rule, rows, k before, k step
+per row and t before and after.  ``KernelTrace.steps`` expands the
+entries into one ``TraceStep`` per row the first time it is read, so a
+decision that never reads its trace builds no rows.
 
 Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
@@ -36,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError
+from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError, _derived
 
 TRIVIAL_YES = "yes"
 TRIVIAL_NO = "no"
@@ -84,10 +88,50 @@ class TraceStep(NamedTuple):
     t_after: int
 
 
-@dataclass(frozen=True)
+class TraceEntry(NamedTuple):
+    """One rule application: ``rule`` recorded one row per item of ``rows``.
+
+    Row j runs k from ``k_before - j * k_step`` down by ``k_step`` (1 for
+    shrink, -t for add_dummies, 0 for every other rule) and t from
+    ``t_before`` to ``t_after``.
+    """
+
+    rule: str
+    rows: tuple[tuple[Person, ...], ...]
+    k_before: int
+    k_step: int
+    t_before: int
+    t_after: int
+
+
+@dataclass(frozen=True, eq=False)
 class KernelTrace:
-    steps: tuple[TraceStep, ...]
+    """The rule log of one kernelization: one entry per rule application.
+
+    ``steps`` expands the entries into one ``TraceStep`` per row, in
+    order, the first time it is read, and keeps them.  Two traces are
+    equal when their rows and outcomes are, however the rows are grouped
+    into entries.
+    """
+
+    entries: tuple[TraceEntry, ...]
     outcome: str  # "reduced" | "yes" | "no"
+
+    @_derived
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(
+            TraceStep(rule, tuple(row), k - j * step, k - (j + 1) * step, t_before, t_after)
+            for rule, rows, k, step, t_before, t_after in self.entries
+            for j, row in enumerate(rows)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, KernelTrace):
+            return NotImplemented
+        return (self.steps, self.outcome) == (other.steps, other.outcome)
+
+    def __hash__(self):
+        return hash((self.steps, self.outcome))
 
 
 @dataclass(frozen=True)
@@ -191,7 +235,9 @@ def clean_suffix(st: KernelState):
         for a, anchor in enumerate(anchors):
             if anchor >= 0:
                 cutoff = tables[a][anchor]
-                for b in reversed([b for b, r in tables[a].items() if r > cutoff]):
+                for b, r in reversed(tables[a].items()):  # the suffix past the anchor, worst first
+                    if r <= cutoff:
+                        break
                     drops.setdefault((b, a) if flip else (a, b), (owners[a], partners[b]))
     if not drops:
         return None
@@ -387,11 +433,12 @@ def fill_gaps(st: KernelState):
     The target grows by exactly t, once; afterwards every rank image is an
     unbroken range starting at 1, or ``DummyExhausted`` is raised.  Returns
     the padded state, whose instance carries the new target, the dummy
-    men, the dummy women and the trace steps.
+    men, the dummy women and the trace entries.
     """
     t = st.t
     inst = st.inst
-    steps: list[TraceStep] = []
+    entries: list[TraceEntry] = []
+    fill_rows: list[tuple[Person, Person]] = []
     taken = {p.name for p in inst.men + inst.women}
     xs = tuple(Person(MAN, _fresh(f"x{i + 1}", taken)) for i in range(t))
     ys = tuple(Person(WOMAN, _fresh(f"y{i + 1}", taken)) for i in range(t))
@@ -401,31 +448,36 @@ def fill_gaps(st: KernelState):
     k = st.k
     if t > 0:
         k += t
-        steps.append(TraceStep("add_dummies", xs + ys, st.k, k, t, t))
+        entries.append(TraceEntry("add_dummies", (xs + ys,), st.k, -t, t, t))
 
     def fill(own, other, owners, partners) -> None:
+        # A real person's table holds no dummy yet, so their j-th gap takes
+        # the j-th dummy; a dummy's ranks stay 1..len, so p gets len + 1.
+        first = len(other) - len(xs)
         for p in range(len(own) - len(xs)):
             gaps = _gaps(own[p])
             if not gaps:
                 continue
             table = dict(own[p])
-            for gap in gaps:
-                dummy = next((d for d in range(len(other) - len(xs), len(other)) if d not in table), None)
-                if dummy is None:
+            for j, gap in enumerate(gaps):
+                if j == len(xs):
                     raise DummyExhausted(f"no free dummy for the gap of {owners[p]} at {gap}")
+                dummy = first + j
                 table[dummy] = gap
-                other[dummy][p] = max(other[dummy].values()) + 1
-                steps.append(TraceStep("fill_gap", (owners[p], partners[dummy]), k, k, t, t))
+                other[dummy][p] = len(other[dummy]) + 1
+                fill_rows.append((owners[p], partners[dummy]))
             own[p] = dict(sorted(table.items(), key=lambda item: item[1]))
 
     fill(m_rank, w_rank, men, women)
     fill(w_rank, m_rank, women, men)
+    if fill_rows:
+        entries.append(TraceEntry("fill_gap", tuple(fill_rows), k, 0, t, t))
     padded = KernelState(Instance(men, women, m_rank, w_rank, k), k)
     if padded.t != t:
         raise DummyExhausted("dummy insertion changed the parameter")
     if not padded.inst.contiguous:
         raise DummyExhausted("dummy insertion left a gap in the ranks")
-    return padded, xs, ys, steps
+    return padded, xs, ys, entries
 
 
 # --- the pipeline -----------------------------------------------------------
@@ -444,7 +496,7 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         )
     st = KernelState(inst, k)
     t_input = st.t
-    steps: list[TraceStep] = []
+    entries: list[TraceEntry] = []
     verdict = None
     while verdict is None:
         for name, rule in RULES:
@@ -456,17 +508,13 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         nxt, rows = hit
         after = st if isinstance(nxt, str) else nxt
         per_row = (st.k - after.k) // len(rows)  # 1 for shrink, 0 for every other rule
-        t_before, t_after = st.t, after.t
-        steps.extend(
-            TraceStep(name, tuple(row), st.k - j * per_row, st.k - (j + 1) * per_row, t_before, t_after)
-            for j, row in enumerate(rows)
-        )
+        entries.append(TraceEntry(name, tuple(rows), st.k, per_row, st.t, after.t))
         if isinstance(nxt, str):
             verdict = nxt
         else:
             st = nxt
 
-    removed_happy = tuple(s.affected[:2] for s in steps if s.rule == "remove_happy_pair")
+    removed_happy = tuple(row[:2] for e in entries if e.rule == "remove_happy_pair" for row in e.rows)
     if verdict is not None:
         witness = None
         if verdict == TRIVIAL_YES:
@@ -474,16 +522,16 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
             mu_m = [(men[m], women[w]) for m, w in enumerate(st.inst.mu_m.by_man) if w >= 0]
             witness = Matching.of(mu_m + list(removed_happy))
         return KernelResult(
-            verdict, None, None, KernelTrace(tuple(steps), verdict), t_input,
+            verdict, None, None, KernelTrace(tuple(entries), verdict), t_input,
             witness, None, None, removed_happy, (), (),
         )
-    padded, xs, ys, fill_steps = fill_gaps(st)
-    steps.extend(fill_steps)
+    padded, xs, ys, fill_entries = fill_gaps(st)
+    entries.extend(fill_entries)
     return KernelResult(
         OUTCOME_KERNEL,
         padded.inst,
         padded.k,
-        KernelTrace(tuple(steps), "reduced"),
+        KernelTrace(tuple(entries), "reduced"),
         t_input,
         None,
         st.inst,

@@ -242,6 +242,34 @@ def reference_first_accepted(ctx, m_prime, r):
     return None, counter[0]
 
 
+def cut_kernels():
+    """Kernels with more sad men and free women than those of ``search_kernels``.
+
+    The 6x6 cyclic instance at its least balance, two instances of
+    ``perfbench/optimize_pool.json`` (n = 9, seed 52 and n = 12, seed 285)
+    at the balance of μ_M, and a full list of 11 on which a search that
+    left a backtracked man fixed at his last woman accepts another first
+    certificate.
+    """
+    draws = [(cyclic_instance(6), 24)]
+    draws += [(random_instance(random.Random(seed), n, n, 1.0), k) for n, seed, k in ((9, 52, 35), (12, 285, 57))]
+    draws += [(random_instance(random.Random(315), 11, 11, 1.0), 48)]
+    for inst, k in draws:
+        result = kernelize(inst, k)
+        ctx = _Context(result.kernel, result.k)
+        yield ctx, result.k - ctx.inst.o_m
+
+
+def check_first_accepted(ctx, m_prime, r):
+    """``_first_accepted`` against the unpruned reference; returns the reference's answer."""
+    st = ctx.inst
+    want = reference_first_accepted(ctx, m_prime, r)
+    assert _first_accepted(ctx, m_prime) == want
+    # The partner arrays are back at μ_M for the next subset.
+    assert (ctx.wife, ctx.husband) == (list(st.mu_m.by_man), list(st.mu_m.by_woman))
+    return want
+
+
 def test_pruned_search_finds_the_unpruned_first_certificate_at_its_node_count():
     kernels = subsets = accepted = 0
     for *_, ctx, r in search_kernels():
@@ -249,10 +277,7 @@ def test_pruned_search_finds_the_unpruned_first_certificate_at_its_node_count():
         st = ctx.inst
         for size in range(len(st.sad_men) + 1):
             for m_prime in combinations(st.sad_men, size):
-                want = reference_first_accepted(ctx, m_prime, r)
-                assert _first_accepted(ctx, m_prime) == want
-                # The partner arrays are back at μ_M for the next subset.
-                assert (ctx.wife, ctx.husband) == (list(st.mu_m.by_man), list(st.mu_m.by_woman))
+                want = check_first_accepted(ctx, m_prime, r)
                 men = [st.men[m] for m in m_prime]
                 assert enumerate_certificates(st, men, r) == [
                     BranchCertificate(tuple(zip(men, (st.women[w] for w in women))), cost)
@@ -261,6 +286,18 @@ def test_pruned_search_finds_the_unpruned_first_certificate_at_its_node_count():
                 subsets += 1
                 accepted += want[0] is not None
     assert kernels >= 30 and subsets >= 1000 and accepted >= 50
+
+
+def test_pruned_search_finds_the_unpruned_first_certificate_on_cut_heavy_kernels():
+    subsets = accepted = 0
+    for ctx, r in cut_kernels():
+        st = ctx.inst
+        assert len(st.sad_men) >= 6
+        for size in range(len(st.sad_men) + 1):
+            for m_prime in combinations(st.sad_men, size):
+                accepted += check_first_accepted(ctx, m_prime, r)[0] is not None
+                subsets += 1
+    assert subsets == 64 + 128 + 64 + 128 and accepted >= 10
 
 
 def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch):

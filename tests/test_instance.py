@@ -321,6 +321,13 @@ _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Perso
                  "target k must be a non-negative integer, got -1", id="make-bad-k"),
     pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_Z: 1}}), ValidationError,
                  "M:m ranks unknown person W:z", id="make-unknown-partner"),
+    # An int key is not a person, not an index into the other side.
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {0: 1}, _W: {_M: 1}}), ValidationError,
+                 "M:m ranks unknown person 0", id="make-int-partner-in-range"),
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {5: 1}}), ValidationError,
+                 "M:m ranks unknown person 5", id="make-int-partner-out-of-range"),
+    pytest.param(lambda: make_instance((_M,), (_W,), {_M: {-1: 1}}), ValidationError,
+                 "M:m ranks unknown person -1", id="make-negative-int-partner"),
     pytest.param(lambda: make_instance((_M, _M2), (_W,), {_M: {_M2: 1}}), ValidationError,
                  "M:m ranks M:m2 on the same side", id="make-same-side"),
     pytest.param(lambda: make_instance((_M,), (_W,), {_M: {_W: 0}, _W: {_M: 1}}), ValidationError,

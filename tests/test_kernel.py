@@ -12,8 +12,10 @@ from bsm.kernel import (
     OUTCOME_KERNEL,
     TRIVIAL_NO,
     TRIVIAL_YES,
+    DummyExhausted,
     KernelState,
     NoSadPerson,
+    TraceEntry,
     OptimaMoved,
     bound_check,
     bound_sad,
@@ -29,6 +31,7 @@ from bsm.kernel import (
     shrink_once,
     truncate,
 )
+from bsm.fpt import solve_above_min
 from bsm.oracle import decide_above_min, enumerate_stable
 from helpers import empty_instance, functional_instance, sad_2x2, sad_rich_instance
 
@@ -274,6 +277,37 @@ def test_fill_gaps_plugs_every_gap():
     assert filler not in inst.women and filler.name.startswith("y")
     # balance of the padded instance grows by exactly t
     assert enumerate_stable(st1.inst).bal_opt == enumerate_stable(inst).bal_opt + 4
+
+
+def test_fill_gaps_records_one_entry_for_the_dummies_and_one_for_the_gaps():
+    inst = functional_instance(
+        {"m1": {"w1": 1, "w2": 4}, "m2": {"w2": 1, "w1": 3}},
+        {"w1": {"m2": 1, "m1": 3}, "w2": {"m1": 1, "m2": 2}},
+    )
+    st0 = state(inst, 5)
+    assert st0.t == 3
+    st1, xs, ys, entries = fill_gaps(st0)
+    m1, m2 = inst.men
+    w1, w2 = inst.women
+    assert entries == [
+        TraceEntry("add_dummies", (xs + ys,), 5, -3, 3, 3),
+        # m1's gaps at 2 and 3 take the first two dummy women, m2's at 2 the
+        # first; w1's gap at 2 takes the first dummy man.
+        TraceEntry("fill_gap", ((m1, ys[0]), (m1, ys[1]), (m2, ys[0]), (w1, xs[0])), 8, 0, 3, 3),
+    ]
+    ranks = st1.inst.prefs.ranks
+    assert ranks[ys[0]] == {xs[0]: 1, m1: 2, m2: 3} and ranks[ys[1]] == {xs[1]: 1, m1: 2}
+    assert ranks[xs[0]] == {ys[0]: 1, w1: 2}
+    assert st1.inst.contiguous and st1.k == 8
+
+
+def test_fill_gaps_names_a_gap_no_dummy_is_left_for():
+    # One dummy pair (t = 1) cannot plug m1's two gaps.
+    inst = functional_instance({"m1": {"w1": 1, "w2": 4}}, {"w1": {"m1": 1}, "w2": {"m1": 1}})
+    st0 = state(inst, 2)
+    assert st0.t == 1
+    with pytest.raises(DummyExhausted, match=r"^no free dummy for the gap of M:m1 at 3$"):
+        fill_gaps(st0)
 
 
 def test_fill_gaps_without_gaps_adds_only_dummies():
@@ -637,3 +671,30 @@ def test_dummies_skip_names_already_taken(men, women, dummy_men, dummy_women):
     assert [p.name for p in result.dummy_men] == dummy_men
     assert [p.name for p in result.dummy_women] == dummy_women
     assert parse_instance(serialize(result.kernel)) == result.kernel
+
+
+def test_trace_rows_are_built_on_first_read_only(monkeypatch):
+    built = []
+
+    class Counted(kernel.TraceStep):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(kernel, "TraceStep", Counted)
+    results = []
+    for inst in diff_instances(1717, 12, max_n=20):
+        for k in (least_k(inst), least_k(inst) + 2, least_k(inst) + 6):
+            results.append(kernelize(inst, k))
+            solve_above_min(inst, k)
+    assert built == []
+    rules = Counter()
+    for result in results:
+        before = len(built)
+        steps = result.trace.steps
+        assert len(built) - before == len(steps) == sum(len(e.rows) for e in result.trace.entries)
+        assert result.trace.steps is steps and len(built) - before == len(steps)
+        rules.update(step.rule for step in steps)
+    assert set(rules) >= {"clean_suffix", "remove_happy_pair", "shrink", "add_dummies", "fill_gap", "bound_sad"}
