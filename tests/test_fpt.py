@@ -251,9 +251,10 @@ def cut_kernels():
     left a backtracked man fixed at his last woman accepts another first
     certificate.
     """
-    draws = [(cyclic_instance(6), 24)]
-    draws += [(random_instance(random.Random(seed), n, n, 1.0), k) for n, seed, k in ((9, 52, 35), (12, 285, 57))]
-    draws += [(random_instance(random.Random(315), 11, 11, 1.0), 48)]
+    draws = [(cyclic_instance(6), 24)] + [
+        (random_instance(random.Random(seed), n, n, 1.0), k)
+        for n, seed, k in ((9, 52, 35), (12, 285, 57), (11, 315, 48))
+    ]
     for inst, k in draws:
         result = kernelize(inst, k)
         ctx = _Context(result.kernel, result.k)
