@@ -14,7 +14,17 @@ A rotation moves each of its men to a worse partner and each of its
 women to a better one, so the men's cost rises strictly and the women's
 cost falls strictly along every added rotation; the chain walk checks
 this.  It lets the closed-set walk cut, by branch and bound, every
-subtree that cannot beat the best balance found so far.
+subtree that cannot beat the best balance found so far.  Below a set,
+the walk may add only rotations later in the chain, and a set there has
+balance under ``below`` only if the men's rises it adds fit in the men's
+slack ``below - 1 - men`` while its women's drops reach
+``women - below + 1``.  The bound is the linear-programming relaxation
+of that knapsack (Dantzig 1957): ignore precedence, allow fractions of a
+rotation, and fill the slack greedily by women's drop per unit of men's
+rise, which is the relaxation's optimum.  Every set in the subtree is a
+feasible 0/1 point of the relaxation, so when even its optimum falls
+short of the drop needed, no set there beats ``below``.
+
 ``enumerate_stable`` lists every matching, so it alone takes a size bound;
 the oracle decisions and ``hardness.verify_reduction`` need only the least
 balance and one witness, use the bounded walk and take no bound.
@@ -23,6 +33,7 @@ balance and one witness, use the bounded walk and take no bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .instance import Instance, Matching
@@ -60,8 +71,7 @@ class _Chain(NamedTuple):
     of μ_M, so ``costs[0]`` is O_M; ``o_w`` is the women's cost of μ_W.
     Per rotation, in chain order: ``moves`` lists (man, from, to),
     ``preds`` is a bitmask of its direct predecessors and ``deltas`` the
-    (men's, women's) cost change.  ``suffix[j]`` sums the women's deltas
-    of rotations j onward.
+    (men's, women's) cost change.
     """
 
     mu_m: list[int]
@@ -71,7 +81,6 @@ class _Chain(NamedTuple):
     moves: list[list[tuple[int, int, int]]]
     preds: list[int]
     deltas: list[tuple[int, int]]
-    suffix: list[int]
 
 
 def _deltas(rotation, m_rank, w_rank) -> tuple[int, int]:
@@ -177,13 +186,36 @@ def _chain(inst: Instance) -> _Chain:
         moves.append(rotation)
         preds.append(mask)
         deltas.append(_deltas(rotation, m_rank, w_rank))
-    suffix = [0] * (len(deltas) + 1)
-    for j in reversed(range(len(deltas))):
-        suffix[j] = suffix[j + 1] + deltas[j][1]
-    return _Chain(
-        mu_m.by_man, partner, (inst.o_m, women_cost), women_cost + suffix[0],
-        moves, preds, deltas, suffix,
-    )
+    o_w = women_cost + sum(d_women for _, d_women in deltas)
+    return _Chain(mu_m.by_man, partner, (inst.o_m, women_cost), o_w, moves, preds, deltas)
+
+
+def _later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
+    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first."""
+    ranked = sorted(range(len(deltas)), key=lambda i: Fraction(-deltas[i][1], deltas[i][0]), reverse=True)
+    return [[(deltas[i][0], -deltas[i][1]) for i in ranked if i > j] for j in range(len(deltas))]
+
+
+def _may_beat(later, men: int, women: int, below: int) -> bool:
+    """Whether adding some of ``later`` to a set of costs (men, women) may bring its balance under ``below``.
+
+    ``later`` is one list of ``_later_by_ratio``.  The men's rise must fit
+    in the slack ``below - 1 - men`` while the women's drop reaches
+    ``women - below + 1``; False means even the greedy fractional fill,
+    the relaxation's optimum, falls short.  The rotation taken in part is
+    compared by cross-multiplication.
+    """
+    slack, need = below - 1 - men, women - below + 1
+    if slack < 0:
+        return False
+    for rise, drop in later:
+        if need <= 0:
+            return True
+        if rise > slack:
+            return drop * slack >= need * rise
+        slack -= rise
+        need -= drop
+    return need <= 0
 
 
 def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False):
@@ -195,13 +227,17 @@ def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False)
     after each yield: copy it to keep it.
 
     With ``below``, skip every subtree whose matchings all have balance at
-    least ``below``.  Below a set whose last rotation is j, the men's cost
-    only rises and the women's cost falls by at most ``suffix[j + 1]``, so
-    max(men's cost, women's cost + ``suffix[j + 1]``) bounds every balance
-    there.  With ``tighten``, ``below`` falls to each balance yielded: the
-    walk keeps only what can beat the best found so far.
+    least ``below``.  The subtree of a set whose last rotation is j holds
+    that set plus closed choices of the rotations after j.  ``_may_beat``
+    tests them all at once by the relaxation that ignores precedence and
+    allows fractions: every set in the subtree is one of its points, so
+    none beats ``below`` when the relaxation cannot.  With ``tighten``,
+    ``below`` falls to each balance yielded: the walk keeps only what can
+    beat the best found so far.
     """
-    moves, preds, deltas, suffix = chain.moves, chain.preds, chain.deltas, chain.suffix
+    moves, preds, deltas = chain.moves, chain.preds, chain.deltas
+    n = len(moves)
+    later = None if below is None else _later_by_ratio(deltas)
     partner = list(chain.mu_m)
     men_cost, women_cost = chain.costs
     yield partner, men_cost, women_cost
@@ -209,11 +245,11 @@ def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False)
     added: list[int] = []
     j = 0
     while True:
-        while j < len(moves) and preds[j] & ~chosen:
+        while j < n and preds[j] & ~chosen:
             j += 1
-        if j < len(moves):
+        if j < n:
             d_men, d_women = deltas[j]
-            if below is not None and max(men_cost + d_men, women_cost + d_women + suffix[j + 1]) >= below:
+            if below is not None and not _may_beat(later[j], men_cost + d_men, women_cost + d_women, below):
                 j += 1  # cut the subtree of the set with rotation j added
                 continue
             for m, _, w_to in moves[j]:

@@ -171,3 +171,52 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
         BranchCertificate(tuple((inst.men[m], inst.women[w]) for m, w in zip(selected, women)), cost)
         for women, cost in iter_certificates(_Context(inst, inst.target_k or 0), tuple(selected), r, [0])
     ]
+
+
+def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
+    """The closed-set walk of ``oracle._closed_sets`` under the looser suffix bound.
+
+    Adding rotation j is cut when max(men's cost after it, women's cost
+    after it plus every later rotation's women's delta) is at least
+    ``below``: the later rotations may all be added for the women's drop,
+    whatever they add to the men's cost.  Yields the same ``(partner,
+    men_cost, women_cost)`` rows, with ``partner`` edited in place.
+    """
+    moves, preds, deltas = chain.moves, chain.preds, chain.deltas
+    suffix = [0] * (len(deltas) + 1)
+    for j in reversed(range(len(deltas))):
+        suffix[j] = suffix[j + 1] + deltas[j][1]
+    partner = list(chain.mu_m)
+    men_cost, women_cost = chain.costs
+    yield partner, men_cost, women_cost
+    chosen = 0
+    added: list[int] = []
+    j = 0
+    while True:
+        while j < len(moves) and preds[j] & ~chosen:
+            j += 1
+        if j < len(moves):
+            d_men, d_women = deltas[j]
+            if below is not None and max(men_cost + d_men, women_cost + d_women + suffix[j + 1]) >= below:
+                j += 1
+                continue
+            for m, _, w_to in moves[j]:
+                partner[m] = w_to
+            chosen |= 1 << j
+            men_cost += d_men
+            women_cost += d_women
+            added.append(j)
+            yield partner, men_cost, women_cost
+            if tighten:
+                below = min(below, max(men_cost, women_cost))
+            j += 1
+        elif added:
+            j = added.pop()
+            for m, w_from, _ in moves[j]:
+                partner[m] = w_from
+            chosen ^= 1 << j
+            men_cost -= deltas[j][0]
+            women_cost -= deltas[j][1]
+            j += 1
+        else:
+            return

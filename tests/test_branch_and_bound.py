@@ -7,16 +7,26 @@ witness as the first least-balance row in ``enumerate_stable`` order.
 
 import importlib.util
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from bsm import oracle
 from bsm.cli import main
-from bsm.generate import random_instance
+from bsm.generate import cyclic_instance, random_graph, random_instance
 from bsm.hardness import parse_graph, reduce_clique, verify_reduction
-from bsm.oracle import _chain, _closed_sets, _deltas, _decide, _least_balance, decide_above_min
-from helpers import SAD_2X2_TEXT, sad_2x2
+from bsm.oracle import (
+    _chain,
+    _closed_sets,
+    _deltas,
+    _decide,
+    _later_by_ratio,
+    _least_balance,
+    _may_beat,
+    decide_above_min,
+)
+from helpers import SAD_2X2_TEXT, sad_2x2, suffix_bound_walk
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -86,6 +96,103 @@ def test_bounded_walk_gives_the_least_balance_on_every_recorded_reduction_graph(
         full = [max(men, women) for _, men, women in _closed_sets(chain)]
         assert _least_balance(chain) == min(full), key
         assert bounded_nodes(chain) <= len(full), key
+
+
+# --- the relaxation bound against brute force and against the suffix bound ----
+
+def small_chains():
+    """Chains of 2 to 12 rotations from corpus instances and small reduction graphs.
+
+    Few corpus instances have two rotations or more, so full-list ones
+    and the cyclic family join them.
+    """
+    rng = random.Random(2024)
+    insts = [random_instance(rng, max_side=7) for _ in range(1000)]
+    insts += [random_instance(rng, n, n, 1.0) for n in range(6, 11) for _ in range(20)]
+    insts.append(cyclic_instance(6))
+    shapes = ((4, 3, 2), (5, 5, 2), (6, 6, 2), (7, 5, 3))
+    insts += [
+        reduce_clique(random_graph(rng, n_v, n_e, plant_triangle=planted), k).inst
+        for n_v, n_e, k in shapes for planted in (True, False)
+    ]
+    chains = [_chain(inst) for inst in insts]
+    return [chain for chain in chains if 2 <= len(chain.deltas) <= 12]
+
+
+def test_relaxation_bound_never_cuts_a_set_that_beats_below():
+    rng = random.Random(7)
+    chains = small_chains()
+    assert len(chains) >= 40 and max(len(chain.deltas) for chain in chains) == 12
+    cuts = cuts_beyond_suffix = 0
+    for chain in chains:
+        later = _later_by_ratio(chain.deltas)
+        for j in range(len(chain.deltas)):
+            rest = chain.deltas[j + 1:]
+            sums = {
+                (sum(d_men for d_men, _ in subset), sum(d_women for _, d_women in subset))
+                for size in range(len(rest) + 1) for subset in combinations(rest, size)
+            }
+            rise, drop = sum(d for d, _ in rest), -sum(d for _, d in rest)
+            for _ in range(20):
+                below = rng.randint(1, 2 * max(chain.costs))
+                men = below - 1 - rng.randint(-1, rise + 1)
+                women = below - 1 + rng.randint(-1, drop + 1)
+                suffix_cuts = max(men, women - drop) >= below
+                if _may_beat(later[j], men, women, below):
+                    assert not suffix_cuts, (j, men, women, below)  # it cuts all the suffix bound cuts
+                    continue
+                cuts += 1
+                cuts_beyond_suffix += not suffix_cuts
+                assert all(max(men + a, women + b) >= below for a, b in sums), (j, men, women, below)
+    assert cuts_beyond_suffix > 0 and cuts > cuts_beyond_suffix  # cuts where the suffix bound would not
+
+
+def test_relaxation_bound_takes_the_last_rotation_in_part():
+    # Slack 1 buys half of a rotation that rises 2 and drops 3: a drop of 1.5.
+    assert _may_beat([(2, 3)], 9, 10, 11)  # need 0: the set itself beats below
+    assert _may_beat([(2, 3)], 9, 11, 11)  # need 1
+    assert not _may_beat([(2, 3)], 9, 12, 11)  # need 2
+    assert not _may_beat([(2, 3)], 11, 5, 11)  # the men's cost is already at below
+    # Best drop per rise first: 3/1 whole, then 1 of the 2 rise left buys 2 of 4.
+    later = _later_by_ratio([(5, -1), (2, -4), (1, -3)])[0]
+    assert later == [(1, 3), (2, 4)]
+    assert _may_beat(later, 8, 15, 11) and not _may_beat(later, 8, 16, 11)
+
+
+def rows(walk):
+    return [(tuple(p), men, women) for p, men, women in walk]
+
+
+def is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(row in rest for row in short)
+
+
+def thinned_nodes(chain) -> tuple[int, int]:
+    """Check both bounded walks against the suffix-bound walk; return (their rows, the reference's)."""
+    start = max(chain.costs)
+    least = rows(_closed_sets(chain, start, tighten=True))
+    reference = rows(suffix_bound_walk(chain, start, tighten=True))
+    assert is_subsequence(least, reference)
+    bal_opt = min(max(row[1:]) for row in least)
+    assert bal_opt == min(max(row[1:]) for row in reference)
+    tied, tied_reference = rows(_closed_sets(chain, bal_opt + 1)), rows(suffix_bound_walk(chain, bal_opt + 1))
+    assert is_subsequence(tied, tied_reference)
+    assert [row for row in tied if max(row[1:]) == bal_opt] == [
+        row for row in tied_reference if max(row[1:]) == bal_opt
+    ]
+    return len(least) + len(tied), len(reference) + len(tied_reference)
+
+
+def test_relaxation_bound_walk_keeps_a_subsequence_of_the_suffix_bound_walk():
+    for inst in [*differential_instances(), cyclic_instance(6), cyclic_instance(8)]:
+        thinned_nodes(_chain(inst))
+    got_total = reference_total = 0
+    for key, graph, k in verify_cases():
+        got, reference = thinned_nodes(_chain(reduce_clique(graph, k).inst))
+        got_total += got
+        reference_total += reference
+    assert got_total < reference_total
 
 
 # --- the sign check on every rotation ------------------------------------

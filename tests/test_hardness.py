@@ -46,6 +46,11 @@ def test_graph_round_trip():
     bare = parse_graph("v2 v1\nv1 v3\n")
     assert bare.vertices == ("v2", "v1", "v3")
     assert bare.edges == (("v2", "v1"), ("v1", "v3"))
+    # A declared order pins wherever the line stands; undeclared endpoints follow.
+    late = parse_graph("a b\nvertices: c b a\nd a\n")
+    assert late.vertices == ("c", "b", "a", "d")
+    assert late.edges == (("b", "a"), ("a", "d"))
+    assert parse_graph(serialize_graph(late)) == late
 
 
 def test_clique_bruteforce():
@@ -340,6 +345,10 @@ def test_verify_reduction_refuses_a_graph_beyond_the_bound_before_building_it(mo
                  "edge (b, a) must list the earlier vertex first", id="reversed-edge"),
     pytest.param(lambda: parse_graph("# a comment\n\na b c\n"), GraphError,
                  "line 3: expected 'u v'", id="graph-line"),
+    pytest.param(lambda: parse_graph("a b\nvertices: a c a\n"), GraphError,
+                 "line 2: duplicate vertex 'a'", id="graph-repeated-vertex"),
+    pytest.param(lambda: parse_graph("vertices: a\na b\nvertices: c\n"), GraphError,
+                 "line 3: duplicate 'vertices:' line", id="graph-second-vertices-line"),
     pytest.param(lambda: witness_matching(reduce_clique(planted_graph_7_5(), 3), ("v1", "v2", "zz")),
                  NotAClique, "unknown vertex 'zz'", id="witness-unknown-vertex"),
     pytest.param(lambda: witness_matching(reduce_clique(Graph.build("abc", [("a", "b")]), 3), ("a", "b", "c")),
