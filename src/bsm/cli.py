@@ -244,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide whether some stable matching has balance at most k")
     p.add_argument("instance")
-    p.add_argument("--k", type=_non_negative, default=None)
-    p.add_argument("--optimize", action="store_true",
-                   help="binary-search the minimal achievable balance instead")
+    target = p.add_mutually_exclusive_group()  # the search neither starts from K nor reports t at K
+    target.add_argument("--k", type=_non_negative, default=None)
+    target.add_argument("--optimize", action="store_true",
+                        help="binary-search the minimal achievable balance instead")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="build the clique reduction instance")

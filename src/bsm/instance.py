@@ -16,6 +16,18 @@ equals its plain ``(side, name)`` tuple.  The algorithms start from the two
 extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, and
 the facts read off them: the optimal costs ``o_m`` and ``o_w`` and the
 sad and happy people.  Each is derived once per instance, on first use.
+
+Each reader proves what it reads, so the per-entry checks run only where
+it cannot.  Every key either reader writes is an int: a partner's index,
+or ``~i`` for a name of the owner's own side.  The text reader's list form
+ranks each row's partners 1..len, so those ranks are distinct, positive
+and in rank order; a functional row's ranks are ints.  The JSON reader
+proves every rank a non-bool int.  What is left is tested once per
+table: distinct ranks of at least 1 in the rows not in list form, no
+partner of the owner's own side, and mutual acceptability.  Only when
+that test fails does the ordered scan ``_check_rows`` run, to name the
+first fault.  ``make_instance``, whose keys and ranks may be anything,
+always runs the scan.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 MAN = "M"
@@ -271,21 +285,58 @@ def _check_people(men, women) -> None:
             raise ValidationError(f"{p} listed among women")
 
 
-def _build(men, women, m_rows, w_rows, k) -> Instance:
-    """Check k and the rows, then store each row in rank order, sorting only those that are not."""
+def _build(men, women, m_rows, w_rows, k, loose=None) -> Instance:
+    """Check k and the rows, then store each row in rank order, sorting only those that are not.
+
+    ``make_instance`` proves nothing about its rows, so each is scanned
+    entry by entry.  A reader has proven that every key is an int and
+    every rank a non-bool int, and passes ``loose``: the rows whose ranks
+    it has not proven to be 1..len in order.  Its rows are scanned only
+    when ``_rows_hold`` finds a fault, so that the scan names it.
+    """
     if k is not None and (not _is_int(k) or k < 0):
         raise ValidationError(f"target k must be a non-negative integer, got {k!r}")
-    _check_rows(men, women, m_rows, w_rows)
-    for rows in (m_rows, w_rows):
-        for i, row in enumerate(rows):
-            ranks = list(row.values())
-            if ranks != sorted(ranks):
-                rows[i] = dict(sorted(row.items(), key=lambda item: item[1]))
+    if loose is None or not _rows_hold(m_rows, w_rows, loose):
+        _check_rows(men, women, m_rows, w_rows)
+    for row in m_rows + w_rows if loose is None else loose:
+        ranks = list(row.values())
+        if ranks != sorted(ranks):
+            items = sorted(row.items(), key=itemgetter(1))
+            row.clear()
+            row.update(items)
     return Instance(men, women, m_rows, w_rows, k)
 
 
+def _rows_hold(m_rows, w_rows, loose) -> bool:
+    """Whether ``_check_rows`` finds no fault in rows whose keys and ranks are ints.
+
+    Each row not in ``loose`` ranks its partners 1..len, so only the loose
+    rows need their ranks tested: distinct and at least 1.  Each man's
+    entry must be found in his woman's row; a negative key, someone of his
+    own side, finds no woman.  Keys are unique, so the entries found are
+    distinct: when the two sides hold as many entries, the women's side
+    holds exactly the men's pairs, and no key of a woman's own side.
+    """
+    for row in loose:
+        ranks = row.values()
+        if ranks and (min(ranks) < 1 or len(set(ranks)) != len(row)):
+            return False
+    owners = chain.from_iterable(map(repeat, range(len(m_rows)), map(len, m_rows)))  # man i per entry
+    women = map(dict(enumerate(w_rows)).__getitem__, chain.from_iterable(m_rows))
+    try:
+        if not all(map(dict.__contains__, women, owners)):
+            return False
+    except KeyError:  # a negative key: someone of the man's own side
+        return False
+    return sum(map(len, m_rows)) == sum(map(len, w_rows))
+
+
 def _check_rows(men, women, m_rows, w_rows) -> None:
-    """Raise the first fault in the rows, men before women, each row in input order."""
+    """Raise the first fault in the rows, men before women, each row in input order.
+
+    This is the one place that names a fault in the rows, and the slow
+    path that ``_rows_hold`` stands in for when it finds none.
+    """
     for owners, rows, partners, partner_rows in ((men, m_rows, women, w_rows), (women, w_rows, men, m_rows)):
         for i, row in enumerate(rows):
             if len(set(row.values())) != len(row):
@@ -302,20 +353,20 @@ def _check_rows(men, women, m_rows, w_rows) -> None:
                     raise ValidationError(f"mutual acceptability violated for ({a}, {partners[b]})")
 
 
-def _names(men, women):
-    """Each name's (side, position), side 0 for men, and per side the row key of each name.
+def _names(men, women) -> tuple[dict, dict]:
+    """Per side, the row key of each name: ``keys[0]`` for the men's rows, ``keys[1]`` for the women's.
 
-    Raises ``ValidationError`` when a name repeats.
+    So ``keys[0]`` also tells an owner's side and position: a woman's
+    index, or ``~i`` for man i.  Raises ``ValidationError`` when a name repeats.
     """
-    at = {p.name: (0, i) for i, p in enumerate(men)}
-    at.update((p.name, (1, j)) for j, p in enumerate(women))
-    if len(at) != len(men) + len(women):
+    m_names, w_names = [p.name for p in men], [p.name for p in women]
+    n_m, n_w = len(m_names), len(w_names)
+    keys = (dict(zip(w_names, range(n_w))), dict(zip(m_names, range(n_m))))
+    keys[0].update(zip(m_names, range(-1, -n_m - 1, -1)))
+    keys[1].update(zip(w_names, range(-1, -n_w - 1, -1)))
+    if len(keys[0]) != n_m + n_w:
         raise ValidationError("person names must be unique")
-    keys = ({}, {})
-    for name, (side, i) in at.items():
-        keys[side][name] = ~i
-        keys[1 - side][name] = i
-    return at, keys
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -341,51 +392,79 @@ def parse_instance(text: str, fmt: str = "text") -> Instance:
 
 
 def _parse_text(text: str) -> Instance:
+    """Read the text format in one pass over its lines.
+
+    A person line is read where it stands, or, when it comes before a name
+    line, as soon as both name lines are read.  Faults come as if the men,
+    women and k lines were read first: a fault in the shape of a line or
+    in a men, women or k line, by line; a missing name line; a repeated
+    name; then the first fault of a person line, by line.  So a repeated
+    name or a fault in a person line is held until the last line is read.
+    """
     men: list[Person] | None = None
     women: list[Person] | None = None
     k: int | None = None
-    raw_lines: list[tuple[int, str, str]] = []
+    rows: _TextRows | None = None
+    waiting: list[tuple[int, str, str]] = []  # person lines met before both name lines
+    held: ValueError | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         head, sep, rest = line.partition(":")
         if not sep:
             raise ParseError(f"line {lineno}: expected 'name: ...'")
-        head = head.strip()
-        rest = rest.strip()
+        head = head.rstrip()
         if head == "men":
             if men is not None:
                 raise ParseError(f"line {lineno}: duplicate 'men:' line")
-            men = [Person(MAN, _parse_name(t, lineno)) for t in rest.split()]
+            men = _read_names(MAN, rest, lineno)
         elif head == "women":
             if women is not None:
                 raise ParseError(f"line {lineno}: duplicate 'women:' line")
-            women = [Person(WOMAN, _parse_name(t, lineno)) for t in rest.split()]
+            women = _read_names(WOMAN, rest, lineno)
         elif head == "k":
             if k is not None:
                 raise ParseError(f"line {lineno}: duplicate 'k:' line")
             try:
-                k = int(rest)
+                k = int(rest.strip())  # str.strip() drops a \x1f, which int() refuses
             except ValueError:
                 raise ParseError(f"line {lineno}: k must be an integer") from None
-        else:
-            raw_lines.append((lineno, head, rest))
+        elif rows is None:
+            waiting.append((lineno, head, rest))
+        elif held is None:
+            try:
+                rows.read(lineno, head, rest)
+            except (ParseError, ValidationError) as e:
+                held = e
+        if rows is None and held is None and men is not None and women is not None:
+            try:  # both name lines are read: so are the person lines met before them
+                rows = _TextRows(men, women)
+                for waited in waiting:
+                    rows.read(*waited)
+            except (ParseError, ValidationError) as e:
+                held = e
     if men is None or women is None:
         raise ParseError("missing 'men:' or 'women:' line")
-
-    at, keys = _names(men, women)
-    rows: tuple[list, list] = ([None] * len(men), [None] * len(women))
-    for lineno, name, rest in raw_lines:
-        if name not in at:
-            raise ValidationError(f"line {lineno}: unknown person {name!r}")
-        side, i = at[name]
-        if rows[side][i] is not None:
-            raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
-        rows[side][i] = _parse_pref_tokens(rest, keys[side], lineno)
+    if held is not None:
+        raise held
     # The names were checked as they were read, and each side holds its own people.
-    m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
-    return _build(tuple(men), tuple(women), m_rows, w_rows, k)
+    m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows.rows)
+    return _build(tuple(men), tuple(women), m_rows, w_rows, k, rows.loose)
+
+
+def _read_names(side: str, rest: str, lineno: int) -> list[Person]:
+    """The people of a ``men:`` or ``women:`` line.
+
+    A token of ``rest.split()`` holds no whitespace and, as comments are
+    cut first, no ``#``; so only a line with a ``:``, a ``=`` or a reserved
+    name can hold a bad one, and only there is each name checked.
+    """
+    names = rest.split()
+    if ":" in rest or "=" in rest or not _RESERVED_NAMES.isdisjoint(names):
+        for name in names:
+            _parse_name(name, lineno)
+    return list(map(tuple.__new__, repeat(Person), zip(repeat(side), names)))  # Person(side, name), built in C
 
 
 def _parse_name(token: str, lineno: int) -> str:
@@ -395,10 +474,50 @@ def _parse_name(token: str, lineno: int) -> str:
         raise ParseError(f"line {lineno}: {e}") from None
 
 
-def _parse_pref_tokens(rest: str, keys: dict, lineno: int) -> dict:
-    functional = "=" in rest
+class _TextRows:
+    """The rows of a text instance, read one person line at a time.
+
+    Every key a row gets is an int.  A list-form row ranks its partners
+    1..len in order; a functional row's ranks are ints, and it also goes
+    to ``loose``.
+    """
+
+    def __init__(self, men: list[Person], women: list[Person]):
+        self.keys = _names(men, women)
+        self.rows: tuple[list, list] = ([None] * len(men), [None] * len(women))
+        self.loose: list[dict] = []
+
+    def read(self, lineno: int, name: str, rest: str) -> None:
+        key = self.keys[0].get(name)
+        if key is None:
+            raise ValidationError(f"line {lineno}: unknown person {name!r}")
+        side, i = (0, ~key) if key < 0 else (1, key)
+        rows = self.rows[side]
+        if rows[i] is not None:
+            raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
+        if "=" in rest:
+            rows[i] = _token_row(rest.split(), self.keys[side], lineno, True)
+            self.loose.append(rows[i])
+        else:
+            rows[i] = _list_row(rest.split(), self.keys[side], lineno)
+
+
+def _list_row(tokens: list[str], keys: dict, lineno: int) -> dict:
+    """A list-form row, built in one step; the token loop names an unknown or repeated partner."""
+    try:
+        row = dict(zip(map(keys.__getitem__, tokens), range(1, len(tokens) + 1)))
+    except KeyError:
+        pass
+    else:
+        if len(row) == len(tokens):
+            return row
+    return _token_row(tokens, keys, lineno, False)
+
+
+def _token_row(tokens: list[str], keys: dict, lineno: int, functional: bool) -> dict:
+    """A row read token by token, raising at the first bad token."""
     row: dict = {}
-    for pos, token in enumerate(rest.split(), start=1):
+    for pos, token in enumerate(tokens, start=1):
         if functional:
             name, sep, value = token.partition("=")
             if not sep:
@@ -448,17 +567,18 @@ def _parse_json(text: str) -> Instance:
                 raise ParseError(f"names in {key!r} must be strings, got {name!r}")
     men = tuple(Person(MAN, n) for n in doc["men"])
     women = tuple(Person(WOMAN, n) for n in doc["women"])
-    at, keys = _names(men, women)
+    keys = _names(men, women)
     prefs = doc.get("prefs", {})
     if not isinstance(prefs, dict):
         raise ParseError("'prefs' must be an object")
     rows: tuple[list, list] = ([{} for _ in men], [{} for _ in women])
     for name, entries in prefs.items():
-        if name not in at:
+        key = keys[0].get(name)
+        if key is None:
             raise ValidationError(f"unknown person {name!r} in prefs")
         if not isinstance(entries, list):
             raise ParseError(f"prefs of {name!r} must be an array")
-        side, i = at[name]
+        side, i = (0, ~key) if key < 0 else (1, key)
         row = rows[side][i]
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 2):
@@ -478,7 +598,7 @@ def _parse_json(text: str) -> Instance:
     if k is not None and not _is_int(k):
         raise ParseError("k must be an integer or null")
     _check_people(men, women)
-    return _build(men, women, *rows, k)
+    return _build(men, women, *rows, k, rows[0] + rows[1])
 
 
 def serialize(inst: Instance, fmt: str = "text") -> str:

@@ -29,9 +29,8 @@ Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
 those three rules fire as one batch with a single rebuild; the batch
 makes the same changes, in the same order and with the same rows, as
-restarting after every single application would.  The single-step
-``clean_suffix_once``, ``remove_happy_pair_once`` and ``shrink_once``
-are the references the batches are tested against.
+restarting after every single application would.  The tests hold each
+batch to a single-step reference that makes one change per application.
 """
 
 from __future__ import annotations
@@ -204,30 +203,16 @@ def bound_check(st: KernelState):
     return (TRIVIAL_NO, [()]) if st.k < max(st.inst.o_m, st.inst.o_w) else None
 
 
-def clean_suffix_once(st: KernelState):
-    """Drop a person's worst partner when ranked beyond their worst stable partner.
+def clean_suffix(st: KernelState):
+    """Drop every partner ranked beyond their owner's worst stable partner, with one rebuild.
 
     Men are bounded by their woman-optimal partner, women by their
     man-optimal partner; no stable matching uses such a pair, so the
-    stable set and both optima are untouched.
-    """
-    inst = st.inst
-    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
-        for a, anchor in enumerate(anchors):
-            worst = next(reversed(tables[a]), -1)  # tables are in rank order
-            if anchor >= 0 and worst != anchor:
-                pair = (worst, a) if flip else (a, worst)
-                return _without_pairs(st, [pair]), [(owners[a], partners[worst])]
-    return None
-
-
-def clean_suffix(st: KernelState):
-    """Every drop that repeating ``clean_suffix_once`` makes, with one rebuild.
-
-    The anchors are the optima, which no drop moves, so one pass over the
-    people in instance order, each dropping partners beyond their anchor
-    worst first and skipping pairs already dropped, makes the same drops
-    in the same order.
+    stable set and both optima are untouched.  The anchors are the optima,
+    which no drop moves, so one pass over the people in instance order,
+    each dropping partners beyond their anchor worst first and skipping
+    pairs already dropped, makes the same drops in the same order as
+    dropping one worst partner at a time and restarting.
     """
     inst = st.inst
     drops: dict[tuple[int, int], tuple[Person, Person]] = {}  # (man, woman) -> row
@@ -301,19 +286,15 @@ def _remove_happy(st: KernelState, pairs):
     return _kept(st, men, women, shift), rows, men, women
 
 
-def remove_happy_pair_once(st: KernelState):
-    """Remove the first happy pair in canonical order."""
-    hit = _remove_happy(st, st.inst.happy_pairs[:1])
-    return None if hit is None else hit[:2]
-
-
 def remove_happy_pair(st: KernelState):
-    """Every removal that repeating ``remove_happy_pair_once`` makes, with one rebuild.
+    """Remove every happy pair, in canonical order, with one rebuild.
 
-    A removal keeps k, t, the sad people and the order of the other happy
-    pairs, so every pair moves its cost onto the same first sad man and
-    first sad woman; their shifts add up.  Every other man keeps his
-    partner in both optima, and a removed woman is nobody's partner.
+    Removing one pair at a time and restarting makes the same removals in
+    the same order.  A removal keeps k, t, the sad people and the order of
+    the other happy pairs, so every pair moves its cost onto the same first
+    sad man and first sad woman; their shifts add up.  Every other man
+    keeps his partner in both optima, and a removed woman is nobody's
+    partner.
     """
     inst = st.inst
     hit = _remove_happy(st, inst.happy_pairs)
@@ -376,17 +357,14 @@ def _shift(st: KernelState, units: list[tuple[int, int]]):
     return KernelState(Instance(inst.men, inst.women, m_rank, w_rank), st.k - len(units)), rows
 
 
-def shrink_once(st: KernelState):
-    """Shift one man's and one woman's whole rank function down by 1, and k with them."""
-    return _shift(st, _shrink_units(st)[:1])
-
-
 def shrink(st: KernelState):
-    """Every shift that repeating ``shrink_once`` makes, with one rebuild.
+    """Shift whole rank functions down, one man's and one woman's by 1 per unit, with one rebuild.
 
-    A shift moves no optimum pair, slack, sad or happy person, so no
-    earlier rule can fire between two shifts and each one goes to the first
-    man and the first woman whose optimal partner still ranks above 1.
+    Each unit lowers k by 1.  Shifting one unit at a time and restarting
+    makes the same shifts in the same order: a shift moves no optimum
+    pair, slack, sad or happy person, so no earlier rule can fire between
+    two shifts and each one goes to the first man and the first woman
+    whose optimal partner still ranks above 1.
     """
     hit = _shift(st, _shrink_units(st))
     if hit is None:

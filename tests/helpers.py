@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from itertools import product
 
 from bsm.fpt import _Context
+from bsm.kernel import KernelState, _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
-from bsm.instance import MAN, WOMAN, Instance, Matching, Person, make_instance, parse_instance
+from bsm.instance import (
+    MAN,
+    WOMAN,
+    Instance,
+    Matching,
+    ParseError,
+    Person,
+    ValidationError,
+    _check_name,
+    _check_people,
+    _is_int,
+    _object_without_repeats,
+    make_instance,
+    parse_instance,
+)
 
 SAD_2X2_TEXT = """\
 men: m1 m2
@@ -220,3 +236,209 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
             j += 1
         else:
             return
+
+
+# --- single-step kernel rules -------------------------------------------------
+# The batched rules of ``bsm.kernel`` make one rebuild per application; these
+# make one change per application, and the tests hold the batches to them.
+
+def clean_suffix_once(st: KernelState):
+    """Drop a person's worst partner when ranked beyond their worst stable partner.
+
+    Men are bounded by their woman-optimal partner, women by their
+    man-optimal partner; no stable matching uses such a pair, so the
+    stable set and both optima are untouched.
+    """
+    inst = st.inst
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
+        for a, anchor in enumerate(anchors):
+            worst = next(reversed(tables[a]), -1)  # tables are in rank order
+            if anchor >= 0 and worst != anchor:
+                pair = (worst, a) if flip else (a, worst)
+                return _without_pairs(st, [pair]), [(owners[a], partners[worst])]
+    return None
+
+
+def remove_happy_pair_once(st: KernelState):
+    """Remove the first happy pair in canonical order."""
+    hit = _remove_happy(st, st.inst.happy_pairs[:1])
+    return None if hit is None else hit[:2]
+
+
+def shrink_once(st: KernelState):
+    """Shift one man's and one woman's whole rank function down by 1, and k with them."""
+    return _shift(st, _shrink_units(st)[:1])
+
+
+# --- the reference reader ---------------------------------------------------
+# ``parse_instance`` as it was before the readers proved what they read: every
+# person line is read in a second pass, and every entry of every row is
+# checked by the ordered scan.  The differential tests hold the library's
+# readers to its results, faults included.
+
+def reference_parse(text: str, fmt: str = "text") -> Instance:
+    fmt = fmt.lower()
+    if fmt == "text":
+        return _reference_text(text)
+    if fmt == "json":
+        return _reference_json(text)
+    raise ParseError(f"unknown format {fmt!r}")
+
+
+def _reference_names(men, women):
+    at = {p.name: (0, i) for i, p in enumerate(men)}
+    at.update((p.name, (1, j)) for j, p in enumerate(women))
+    if len(at) != len(men) + len(women):
+        raise ValidationError("person names must be unique")
+    keys = ({}, {})
+    for name, (side, i) in at.items():
+        keys[side][name] = ~i
+        keys[1 - side][name] = i
+    return at, keys
+
+
+def _reference_build(men, women, m_rows, w_rows, k) -> Instance:
+    if k is not None and (not _is_int(k) or k < 0):
+        raise ValidationError(f"target k must be a non-negative integer, got {k!r}")
+    for owners, rows, partners, partner_rows in ((men, m_rows, women, w_rows), (women, w_rows, men, m_rows)):
+        for i, row in enumerate(rows):
+            if len(set(row.values())) != len(row):
+                raise ValidationError(f"duplicate rank value in the list of {owners[i]}")
+            a = owners[i]
+            for b, r in row.items():
+                if not isinstance(b, int):
+                    raise ValidationError(f"{a} ranks unknown person {b[0]}")
+                if b < 0:
+                    raise ValidationError(f"{a} ranks {owners[~b]} on the same side")
+                if not _is_int(r) or r < 1:
+                    raise ValidationError(f"rank of {partners[b]} in list of {a} must be a positive integer")
+                if i not in partner_rows[b]:
+                    raise ValidationError(f"mutual acceptability violated for ({a}, {partners[b]})")
+    for rows in (m_rows, w_rows):
+        for i, row in enumerate(rows):
+            ranks = list(row.values())
+            if ranks != sorted(ranks):
+                rows[i] = dict(sorted(row.items(), key=lambda item: item[1]))
+    return Instance(men, women, m_rows, w_rows, k)
+
+
+def _reference_text(text: str) -> Instance:
+    men = women = k = None
+    raw_lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise ParseError(f"line {lineno}: expected 'name: ...'")
+        head = head.strip()
+        rest = rest.strip()
+        if head == "men":
+            if men is not None:
+                raise ParseError(f"line {lineno}: duplicate 'men:' line")
+            men = [Person(MAN, _reference_name(t, lineno)) for t in rest.split()]
+        elif head == "women":
+            if women is not None:
+                raise ParseError(f"line {lineno}: duplicate 'women:' line")
+            women = [Person(WOMAN, _reference_name(t, lineno)) for t in rest.split()]
+        elif head == "k":
+            if k is not None:
+                raise ParseError(f"line {lineno}: duplicate 'k:' line")
+            try:
+                k = int(rest)
+            except ValueError:
+                raise ParseError(f"line {lineno}: k must be an integer") from None
+        else:
+            raw_lines.append((lineno, head, rest))
+    if men is None or women is None:
+        raise ParseError("missing 'men:' or 'women:' line")
+    at, keys = _reference_names(men, women)
+    rows = ([None] * len(men), [None] * len(women))
+    for lineno, name, rest in raw_lines:
+        if name not in at:
+            raise ValidationError(f"line {lineno}: unknown person {name!r}")
+        side, i = at[name]
+        if rows[side][i] is not None:
+            raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
+        rows[side][i] = _reference_tokens(rest, keys[side], lineno)
+    m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
+    return _reference_build(tuple(men), tuple(women), m_rows, w_rows, k)
+
+
+def _reference_name(token: str, lineno: int) -> str:
+    try:
+        return _check_name(token)
+    except ValidationError as e:
+        raise ParseError(f"line {lineno}: {e}") from None
+
+
+def _reference_tokens(rest: str, keys: dict, lineno: int) -> dict:
+    functional = "=" in rest
+    row = {}
+    for pos, token in enumerate(rest.split(), start=1):
+        if functional:
+            name, sep, value = token.partition("=")
+            if not sep:
+                raise ParseError(f"line {lineno}: mixed list and functional tokens")
+            try:
+                rank = int(value)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad rank {value!r}") from None
+        else:
+            name, rank = token, pos
+        key = keys.get(name)
+        if key is None:
+            raise ValidationError(f"line {lineno}: unknown person {name!r}")
+        if key in row:
+            raise ValidationError(f"line {lineno}: duplicate partner {name!r}")
+        row[key] = rank
+    return row
+
+
+def _reference_json(text: str) -> Instance:
+    try:
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("JSON instance must be an object")
+    for key in ("men", "women"):
+        if not isinstance(doc.get(key), list):
+            raise ParseError(f"JSON instance needs a {key!r} array")
+        for name in doc[key]:
+            if not isinstance(name, str):
+                raise ParseError(f"names in {key!r} must be strings, got {name!r}")
+    men = tuple(Person(MAN, n) for n in doc["men"])
+    women = tuple(Person(WOMAN, n) for n in doc["women"])
+    at, keys = _reference_names(men, women)
+    prefs = doc.get("prefs", {})
+    if not isinstance(prefs, dict):
+        raise ParseError("'prefs' must be an object")
+    rows = ([{} for _ in men], [{} for _ in women])
+    for name, entries in prefs.items():
+        if name not in at:
+            raise ValidationError(f"unknown person {name!r} in prefs")
+        if not isinstance(entries, list):
+            raise ParseError(f"prefs of {name!r} must be an array")
+        side, i = at[name]
+        row = rows[side][i]
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ParseError(f"prefs of {name!r} must be [partner, rank] pairs")
+            partner_name, rank = entry
+            if not isinstance(partner_name, str):
+                raise ParseError(f"partner names in prefs of {name!r} must be strings")
+            key = keys[side].get(partner_name)
+            if key is None:
+                raise ValidationError(f"unknown person {partner_name!r} in prefs of {name!r}")
+            if key in row:
+                raise ValidationError(f"duplicate partner {partner_name!r} in prefs of {name!r}")
+            if not _is_int(rank):
+                raise ParseError(f"rank of {partner_name!r} in prefs of {name!r} must be an integer")
+            row[key] = rank
+    k = doc.get("k")
+    if k is not None and not _is_int(k):
+        raise ParseError("k must be an integer or null")
+    _check_people(men, women)
+    return _reference_build(men, women, *rows, k)

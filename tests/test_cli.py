@@ -113,6 +113,19 @@ def test_solve_optimize(capsys, instance_file):
     assert doc["witness"] is not None
 
 
+def test_solve_optimize_refuses_a_target_k(capsys, instance_file):
+    # --optimize used to ignore --k silently: the search neither starts from it nor reports t at it.
+    for argv, message in (
+        (["--optimize", "--k", "4"], "argument --k: not allowed with argument --optimize"),
+        (["--k=4", "--optimize"], "argument --optimize: not allowed with argument --k"),
+    ):
+        assert main(["solve", instance_file, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: bsm solve")
+        assert captured.err.endswith(f"bsm solve: error: {message}\n")
+
+
 def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_path, monkeypatch):
     # Every decision of the binary search starts from the input's cached
     # extreme matchings (Instance.mu_m, Instance.mu_w) instead of recomputing them.

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import pytest
@@ -11,11 +12,12 @@ from bsm.instance import (
     ParseError,
     Person,
     ValidationError,
+    _rows_hold,
     make_instance,
     parse_instance,
     serialize,
 )
-from helpers import empty_instance, functional_instance, sad_2x2, single_pair
+from helpers import empty_instance, functional_instance, reference_parse, sad_2x2, single_pair
 
 
 def test_parse_list_form():
@@ -341,3 +343,173 @@ def test_each_input_error_names_its_fault(build, error, message):
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+# --- the readers against the reference reader -------------------------------
+
+def reads_alike(text: str, fmt: str) -> bool:
+    """Assert that ``parse_instance`` reads ``text`` as the reference reader does; True if it is valid.
+
+    A fault must come with the same class and message.  A valid input must
+    give the reference's instance, equal, rows in the same order, to
+    ``make_instance`` of the same tables.
+    """
+    try:
+        want = reference_parse(text, fmt)
+    except (ParseError, ValidationError) as fault:
+        with pytest.raises(type(fault)) as raised:
+            parse_instance(text, fmt)
+        assert type(raised.value) is type(fault) and str(raised.value) == str(fault)
+        return False
+    got = parse_instance(text, fmt)
+    # Valid rows pass the whole-table test: the ordered scan runs only to name a fault.
+    assert _rows_hold(got.m_rank, got.w_rank, got.m_rank + got.w_rank)
+    rebuilt = make_instance(want.men, want.women, want.prefs.ranks, want.target_k)
+    assert got == want == rebuilt
+    assert [list(t.items()) for t in got.m_rank + got.w_rank] == [
+        list(t.items()) for t in rebuilt.m_rank + rebuilt.w_rank
+    ]
+    return True
+
+
+MUTATIONS = (
+    "unknown-partner", "unknown-owner", "repeated-partner", "same-side", "women-only-pair",
+    "rank-0", "rank-minus-1", "repeated-rank", "mixed-rows", "negative-k",
+)
+
+
+@st.composite
+def read_cases(draw, fmt: str, mutation: str | None) -> str:
+    """A serialized instance in ``fmt``, with ``mutation`` and maybe one more applied.
+
+    Rows are [owner, [[partner, rank], ...], functional]; a row in list form
+    is written without its ranks, so its partners rank 1..len in order.
+    """
+    men, women, ranks, k = draw(people_ranks())
+    m_names, w_names = [p.name for p in men], [p.name for p in women]
+    rows = [
+        [p.name, [[q.name, r] for q, r in sorted(ranks[p].items(), key=lambda item: item[1])], False]
+        for p in men + women
+    ]
+    for row in rows:
+        row[2] = [r for _, r in row[1]] != list(range(1, len(row[1]) + 1))
+    mutations = [mutation, *draw(st.lists(st.sampled_from(MUTATIONS), max_size=1))] if mutation else []
+    for mutation in mutations:
+        pick = draw(st.integers(0, max(len(rows) - 1, 0)))
+        row = rows[pick] if rows else None
+        if mutation == "unknown-partner" and row:
+            row[1].insert(draw(st.integers(0, len(row[1]))), ["z9", len(row[1]) + 1])
+        elif mutation == "unknown-owner":
+            rows.insert(pick, ["z9", [], False])
+        elif mutation == "repeated-partner" and row and row[1]:
+            partner = draw(st.sampled_from(row[1]))[0]
+            row[1].insert(draw(st.integers(0, len(row[1]))), [partner, len(row[1]) + 1])
+        elif mutation == "same-side" and row:
+            # A list-form row after clean ones: the first row read stays clean.
+            pick = max(pick, 1) if len(rows) > 1 else pick
+            row = rows[pick]
+            own = m_names if row[0] in m_names else w_names if row[0] in w_names else []
+            if own:
+                row[1].append([draw(st.sampled_from(own)), len(row[1]) + 1])
+        elif mutation == "women-only-pair":
+            free = [(m, w) for m in m_names for w in w_names if all(b != w for b, _ in rows[m_names.index(m)][1])]
+            if free:
+                m, w = draw(st.sampled_from(free))
+                entries = next(r for r in rows if r[0] == w)[1]
+                entries.append([m, max((r for _, r in entries), default=0) + 1])
+        elif mutation in ("rank-0", "rank-minus-1", "repeated-rank") and row and row[1]:
+            row[2] = True
+            at = draw(st.integers(0, len(row[1]) - 1))
+            if mutation == "repeated-rank":
+                row[1][at][1] = draw(st.sampled_from(row[1]))[1] if len(row[1]) > 1 else row[1][at][1]
+            else:
+                row[1][at][1] = 0 if mutation == "rank-0" else -1
+        elif mutation == "mixed-rows":
+            for row in rows:
+                if draw(st.booleans()):
+                    row[2] = True
+                    row[1] = draw(st.permutations(row[1]))
+        elif mutation == "negative-k":
+            k = -1
+    if fmt == "json":
+        prefs = {}
+        for owner, entries, _ in rows:
+            prefs.setdefault(owner, []).extend(entries)
+        return json.dumps({"men": m_names, "women": w_names, "prefs": prefs, "k": k})
+    heads = [f"men: {' '.join(m_names)}", f"women: {' '.join(w_names)}"] + ([] if k is None else [f"k: {k}"])
+    body = [
+        f"{owner}: " + " ".join(f"{b}={r}" if functional else b for b, r in entries)
+        for owner, entries, functional in rows
+    ]
+    # The name lines may come anywhere: person lines before them are read once both are.
+    lines = draw(st.permutations(heads + body)) if draw(st.booleans()) else heads + body
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    "men: m1\nwomen: w1\nm1: w1\nw1: m1\n",
+    # Person lines before the name lines, faults among them.
+    "m1: w1\nmen: m1\nwomen: w1\nw1: m1\n",
+    "w1: zz\nm1: yy\nmen: m1\nwomen: w1\n",
+    "m1: zz\nmen: m1\nwomen: w1\nk: 1\nk: 2\n",
+    "men: m1\nm1: w1\nm1: w1\nwomen: w1\nbad line\n",
+    # A fault of a line's shape, or of a name, k or repeated name line, beats an earlier person line's.
+    "men: m1\nwomen: w1\nm1: zz\nbad line\n",
+    "men: m1\nwomen: w1\nm1: w1=x\nwomen: w2\n",
+    "men: m1\nwomen: w1\nw1: m1 m1\nk: x\n",
+    "men: a\nwomen: a\na: b\n",
+    "men: a\nwomen: a\nk: x\n",
+    "men: a\nwomen: a\nmen: b\n",
+    "men: m1\nwomen: w1\nm1: zz\nmen: m2\n",
+    # Names: a ':' or '=' inside, reserved ones, other whitespace.
+    "men: a:b\nwomen: w\n",
+    "men: x=1 y\nwomen: w\n",
+    "men: a k\nwomen: w\n",
+    "men: a b c\nwomen: w\nb: w\nw: b\n",
+    "men: m1 # men: m2\nwomen: w1 #\nm1 : w1\nw1 :m1\n",
+    "men: m1\nwomen: w1\nk:\x1f3\nm1:\n",
+    # Rows: same side after clean rows, a pair only the women list, bad functional ranks.
+    "men: m1 m2\nwomen: w1\nm1: w1\nm2: w1 m1\nw1: m1 m2\n",
+    "men: m1 m2\nwomen: w1 w2\nm1: w1\nm2: w2\nw1: m1 w2\nw2: m2\n",
+    "men: m1 m2\nwomen: w1\nm1: w1\nw1: m1 m2\n",
+    # Two faults that keep the entry counts equal: the row check must still find them.
+    "men: m0 m1\nwomen: w0 w1\nm0: w0 m1\nw0: m0\nw1: m0\n",
+    "men: m0\nwomen: w0 w1\nm0: w0\nw1: m0\n",
+    "men: m0 m1\nwomen: w0\nm0: m1\n",
+    "men: m1\nwomen: w1 w2\nm1: w1=0 w2=1\nw1: m1\nw2: m1\n",
+    "men: m1\nwomen: w1 w2\nm1: w1=2 w2=-1\nw1: m1\nw2: m1\n",
+    "men: m1\nwomen: w1 w2\nm1: w1=2 w2=2\nw1: m1\nw2: m1\n",
+    "men: m1\nwomen: w1\nm1: w1=1 w1=2\nw1: m1\n",
+    "men: m1\nwomen: w1 w2\nm1: w1=1 w2\nw1: m1\n",
+    # List-form and functional rows mixed, functional ones out of rank order.
+    "men: m1 m2\nwomen: w1 w2\nm1: w2=2 w1=1\nm2: w1 w2\nw1: m1 m2\nw2: m2=1 m1=5\n",
+    "men: m1 m2\nwomen: w1 w2\nk: 7\nm1: w2=9 w1=4\nm2: w2 w1\nw1: m2=3 m1=1\nw2: m1 m2\n",
+    "men: m1 m2\nwomen: w1 w2\nk: -1\nm1: w2 w1\nm2: w1 w2\nw1: m1\nw2: m1 m2\n",
+])
+def test_text_reader_matches_the_reference_reader_on_hand_cases(text):
+    reads_alike(text, "text")
+
+
+@pytest.mark.parametrize("text", [
+    '{"men": ["m1"], "women": ["w1", "w2"], "prefs": {"m1": [["w2", 2], ["w1", 1]], "w1": [["m1", 1]],'
+    ' "w2": [["m1", 4]]}, "k": 3}',
+    '{"men": ["m1", "m2"], "women": ["w1"], "prefs": {"m1": [["w1", 1]], "m2": [["w1", 1], ["m1", 2]],'
+    ' "w1": [["m1", 1], ["m2", 2]]}}',
+    '{"men": ["m1", "m2"], "women": ["w1"], "prefs": {"m1": [["w1", 1]], "w1": [["m1", 1], ["m2", 2]]}}',
+    '{"men": ["m1"], "women": ["w1"], "prefs": {"m1": [["w1", 0]], "w1": [["m1", 1]]}}',
+    '{"men": ["m1"], "women": ["w1", "w2"], "prefs": {"m1": [["w1", 3], ["w2", 3]], "w1": [["m1", 1]],'
+    ' "w2": [["m1", 1]]}}',
+    '{"men": ["m1"], "women": ["w1"], "prefs": {"w1": [["m1", -1]]}, "k": -2}',
+    '{"men": ["a b"], "women": ["w"], "prefs": {"w": [["a b", 1]]}}',
+])
+def test_json_reader_matches_the_reference_reader_on_hand_cases(text):
+    reads_alike(text, "json")
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_readers_match_the_reference_reader(fmt, mutation, data):
+    valid = reads_alike(data.draw(read_cases(fmt, mutation)), fmt)
+    assert valid or mutation is not None  # a serialized instance, lines in any order, reads

@@ -20,20 +20,25 @@ from bsm.kernel import (
     bound_check,
     bound_sad,
     clean_suffix,
-    clean_suffix_once,
     fill_gaps,
     kernelize,
     no_sad,
     remove_happy_pair,
-    remove_happy_pair_once,
     restrict_matched,
     shrink,
-    shrink_once,
     truncate,
 )
 from bsm.fpt import solve_above_min
 from bsm.oracle import decide_above_min, enumerate_stable
-from helpers import empty_instance, functional_instance, sad_2x2, sad_rich_instance
+from helpers import (
+    clean_suffix_once,
+    empty_instance,
+    functional_instance,
+    remove_happy_pair_once,
+    sad_2x2,
+    sad_rich_instance,
+    shrink_once,
+)
 
 
 def state(inst, k):
