@@ -19,10 +19,11 @@ sad and happy people.  Each is derived once per instance, on first use.
 
 Each reader proves what it reads, so the per-entry checks run only where
 it cannot.  Every key either reader writes is an int: a partner's index,
-or ``~i`` for a name of the owner's own side.  The text reader's list form
-ranks each row's partners 1..len, so those ranks are distinct, positive
-and in rank order; a functional row's ranks are ints.  The JSON reader
-proves every rank a non-bool int.  What is left is tested once per
+or ``~i`` for a name of the owner's own side.  The text reader reads its
+lines in two passes, the name and k lines before the person lines.  Its
+list form ranks each row's partners 1..len, so those ranks are distinct,
+positive and in rank order; a functional row's ranks are ints.  The JSON
+reader proves every rank a non-bool int.  What is left is tested once per
 table: distinct ranks of at least 1 in the rows not in list form, no
 partner of the owner's own side, and mutual acceptability.  Only when
 that test fails does the ordered scan ``_check_rows`` run, to name the
@@ -392,21 +393,18 @@ def parse_instance(text: str, fmt: str = "text") -> Instance:
 
 
 def _parse_text(text: str) -> Instance:
-    """Read the text format in one pass over its lines.
+    """Read the text format in two passes over its lines.
 
-    A person line is read where it stands, or, when it comes before a name
-    line, as soon as both name lines are read.  Faults come as if the men,
-    women and k lines were read first: a fault in the shape of a line or
-    in a men, women or k line, by line; a missing name line; a repeated
-    name; then the first fault of a person line, by line.  So a repeated
-    name or a fault in a person line is held until the last line is read.
+    The first pass reads the shape of each line and the men, women and k
+    lines, and keeps the person lines; the second reads the person lines
+    in line order.  So faults come in this order: a fault in the shape of a
+    line or in a men, women or k line, by line; a missing name line; a
+    repeated name; then the first fault of a person line, by line.
     """
     men: list[Person] | None = None
     women: list[Person] | None = None
     k: int | None = None
-    rows: _TextRows | None = None
-    waiting: list[tuple[int, str, str]] = []  # person lines met before both name lines
-    held: ValueError | None = None
+    person_lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -430,27 +428,28 @@ def _parse_text(text: str) -> Instance:
                 k = int(rest.strip())  # str.strip() drops a \x1f, which int() refuses
             except ValueError:
                 raise ParseError(f"line {lineno}: k must be an integer") from None
-        elif rows is None:
-            waiting.append((lineno, head, rest))
-        elif held is None:
-            try:
-                rows.read(lineno, head, rest)
-            except (ParseError, ValidationError) as e:
-                held = e
-        if rows is None and held is None and men is not None and women is not None:
-            try:  # both name lines are read: so are the person lines met before them
-                rows = _TextRows(men, women)
-                for waited in waiting:
-                    rows.read(*waited)
-            except (ParseError, ValidationError) as e:
-                held = e
+        else:
+            person_lines.append((lineno, head, rest))
     if men is None or women is None:
         raise ParseError("missing 'men:' or 'women:' line")
-    if held is not None:
-        raise held
+    keys = _names(men, women)
+    rows: tuple[list, list] = ([None] * len(men), [None] * len(women))
+    loose = []  # the functional rows: a list-form row ranks its partners 1..len in order
+    for lineno, name, rest in person_lines:
+        key = keys[0].get(name)
+        if key is None:
+            raise ValidationError(f"line {lineno}: unknown person {name!r}")
+        side, i = (0, ~key) if key < 0 else (1, key)
+        if rows[side][i] is not None:
+            raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
+        if "=" in rest:
+            rows[side][i] = _token_row(rest.split(), keys[side], lineno, True)
+            loose.append(rows[side][i])
+        else:
+            rows[side][i] = _list_row(rest.split(), keys[side], lineno)
     # The names were checked as they were read, and each side holds its own people.
-    m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows.rows)
-    return _build(tuple(men), tuple(women), m_rows, w_rows, k, rows.loose)
+    m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
+    return _build(tuple(men), tuple(women), m_rows, w_rows, k, loose)
 
 
 def _read_names(side: str, rest: str, lineno: int) -> list[Person]:
@@ -472,34 +471,6 @@ def _parse_name(token: str, lineno: int) -> str:
         return _check_name(token)
     except ValidationError as e:
         raise ParseError(f"line {lineno}: {e}") from None
-
-
-class _TextRows:
-    """The rows of a text instance, read one person line at a time.
-
-    Every key a row gets is an int.  A list-form row ranks its partners
-    1..len in order; a functional row's ranks are ints, and it also goes
-    to ``loose``.
-    """
-
-    def __init__(self, men: list[Person], women: list[Person]):
-        self.keys = _names(men, women)
-        self.rows: tuple[list, list] = ([None] * len(men), [None] * len(women))
-        self.loose: list[dict] = []
-
-    def read(self, lineno: int, name: str, rest: str) -> None:
-        key = self.keys[0].get(name)
-        if key is None:
-            raise ValidationError(f"line {lineno}: unknown person {name!r}")
-        side, i = (0, ~key) if key < 0 else (1, key)
-        rows = self.rows[side]
-        if rows[i] is not None:
-            raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
-        if "=" in rest:
-            rows[i] = _token_row(rest.split(), self.keys[side], lineno, True)
-            self.loose.append(rows[i])
-        else:
-            rows[i] = _list_row(rest.split(), self.keys[side], lineno)
 
 
 def _list_row(tokens: list[str], keys: dict, lineno: int) -> dict:
@@ -555,7 +526,9 @@ def _object_without_repeats(pairs) -> dict:
 def _parse_json(text: str) -> Instance:
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
-    except json.JSONDecodeError as e:
+    except ParseError:  # a repeated key
+        raise
+    except (ValueError, RecursionError) as e:  # also an integer past the digit limit, or deep nesting
         raise ParseError(f"bad JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("JSON instance must be an object")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -24,6 +25,9 @@ from bsm.instance import (
     make_instance,
     parse_instance,
 )
+
+# The most digits int() reads from a string; 0 when there is no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 SAD_2X2_TEXT = """\
 men: m1 m2

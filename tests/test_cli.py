@@ -12,7 +12,7 @@ from bsm import cli, fpt, gs, hardness, kernel
 from bsm.cli import main
 from bsm.generate import random_instance
 from bsm.instance import serialize
-from helpers import SAD_2X2_TEXT
+from helpers import INT_DIGITS, SAD_2X2_TEXT
 
 
 @pytest.fixture
@@ -347,6 +347,20 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, doc):
         assert main([verb, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"men": [], "women": [], "k": %s}' % ("9" * (INT_DIGITS + 1)), id="too-many-digits",
+                 marks=pytest.mark.skipif(not INT_DIGITS, reason="no digit limit")),
+    pytest.param('{"men": %s, "women": []}' % ("[" * 100_000 + "]" * 100_000), id="too-deep"),
+])
+def test_json_too_long_or_too_deep_is_a_usage_error(capsys, tmp_path, text):
+    # json.loads raises a plain ValueError or a RecursionError here: both used to exit 3.
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert main(["optima", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad JSON: ")
 
 
 @pytest.mark.parametrize("text", ["[1]", "[]", "\n  [\"men\", \"women\"]\n"])

@@ -17,7 +17,7 @@ from bsm.instance import (
     parse_instance,
     serialize,
 )
-from helpers import empty_instance, functional_instance, reference_parse, sad_2x2, single_pair
+from helpers import INT_DIGITS, empty_instance, functional_instance, reference_parse, sad_2x2, single_pair
 
 
 def test_parse_list_form():
@@ -272,8 +272,6 @@ def test_person_hash_is_the_hash_of_side_and_name():
 
 
 _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Person(WOMAN, "z")
-
-
 @pytest.mark.parametrize("build, error, message", [
     # The text parser, one fault per input.
     pytest.param(lambda: parse_instance("men: m1\nmen: m2\nwomen: w1\n"), ParseError,
@@ -309,6 +307,16 @@ _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Perso
     pytest.param(
         lambda: parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [["b", 1], ["b", 2]]}}', "json"),
         ValidationError, "duplicate partner 'b' in prefs of 'a'", id="json-duplicate-partner"),
+    pytest.param(lambda: parse_instance('{"men": [], "men": [], "women": []}', "json"), ParseError,
+                 "duplicate key 'men' in a JSON object", id="json-duplicate-key"),
+    # json.loads raises a plain ValueError for these, not a JSONDecodeError.
+    pytest.param(lambda: parse_instance('{"men": [], "women": [], "k": %s}' % ("9" * (INT_DIGITS + 1)), "json"),
+                 ParseError, f"bad JSON: Exceeds the limit ({INT_DIGITS} digits) for integer string conversion: "
+                 f"value has {INT_DIGITS + 1} digits; use sys.set_int_max_str_digits() to increase the limit",
+                 id="json-too-many-digits", marks=pytest.mark.skipif(not INT_DIGITS, reason="no digit limit")),
+    pytest.param(lambda: parse_instance('{"men": %s, "women": []}' % ("[" * 100_000 + "]" * 100_000), "json"),
+                 ParseError, "bad JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+                 id="json-too-deep"),
     # Formats.
     pytest.param(lambda: parse_instance("", "yaml"), ParseError, "unknown format 'yaml'", id="parse-format"),
     pytest.param(lambda: serialize(sad_2x2(), "yaml"), ParseError, "unknown format 'yaml'", id="serialize-format"),
@@ -441,7 +449,7 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
         f"{owner}: " + " ".join(f"{b}={r}" if functional else b for b, r in entries)
         for owner, entries, functional in rows
     ]
-    # The name lines may come anywhere: person lines before them are read once both are.
+    # The name lines may come anywhere: person lines are read in a second pass.
     lines = draw(st.permutations(heads + body)) if draw(st.booleans()) else heads + body
     return "\n".join(lines) + "\n"
 
@@ -453,6 +461,8 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     "w1: zz\nm1: yy\nmen: m1\nwomen: w1\n",
     "m1: zz\nmen: m1\nwomen: w1\nk: 1\nk: 2\n",
     "men: m1\nm1: w1\nm1: w1\nwomen: w1\nbad line\n",
+    "m1: zz\nmen: m1\n",
+    "m1: w1\nm1: w1\nmen: m1\nwomen: w1\nk: x\n",
     # A fault of a line's shape, or of a name, k or repeated name line, beats an earlier person line's.
     "men: m1\nwomen: w1\nm1: zz\nbad line\n",
     "men: m1\nwomen: w1\nm1: w1=x\nwomen: w2\n",
@@ -460,6 +470,7 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     "men: a\nwomen: a\na: b\n",
     "men: a\nwomen: a\nk: x\n",
     "men: a\nwomen: a\nmen: b\n",
+    "men: a\nwomen: a\nbad line\n",
     "men: m1\nwomen: w1\nm1: zz\nmen: m2\n",
     # Names: a ':' or '=' inside, reserved ones, other whitespace.
     "men: a:b\nwomen: w\n",
