@@ -9,7 +9,10 @@ by the rotation engine, and the ``pool-*`` and ``cyclic-*`` digests before
 the solver cut branches on partial stability and counted its nodes from
 the shape of the unpruned tree, and the ``large-*`` digests (full lists
 at n = 20, 30 and 40) before the kernel stored its trace as one entry per
-rule application.  Any change to an outcome, kernel, trace row,
+rule application.  The solver fields (``r``, the three counters and the
+witness) of the 106 decisions that branched although μ_M or μ_W already
+fit were recorded again when the solver began answering from the
+extreme matchings before kernelizing; no other digest moved.  Any change to an outcome, kernel, trace row,
 witness, solver answer or counter, to the ordered stable matchings or
 least balance of ``enumerate_stable``, or to a field of a
 ``verify_reduction`` report on those cases fails here.
