@@ -1,5 +1,10 @@
 """Single-exponential decision procedure for the above-minimum balance question.
 
+Both extreme stable matchings, μ_M and μ_W, are stable, so when either
+one's balance is at most k the answer is yes and that matching is the
+witness: the solver returns it before it kernelizes, μ_M first.  Only
+when k is below both balances does it kernelize and branch.
+
 After kernelization the search space is tiny: pick the subset of sad men
 that will be moved off their man-optimal partners, enumerate for each of
 them a strictly worse partner under a shared rank-increase budget
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gs
-from .instance import Instance, Matching
-from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize
+from .instance import Instance, Matching, Partners
+from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, require_lists
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,10 @@ class SolveResult:
     answer: bool
     witness: Matching | None
     t: int
-    r: int | None  # budget on the kernel; None when the kernel decided alone
+    # Budget on the kernel; None when an extreme matching or the kernel decided alone.
+    r: int | None
     stats: SolveStats
-    kernel: KernelResult
+    kernel: KernelResult | None  # None when an extreme matching decided: nothing was kernelized
 
 
 class _Context:
@@ -225,20 +231,47 @@ def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:
         if by_woman[w] >= 0:
             return None  # two men claim the same woman
         by_man[m], by_woman[w] = w, m
-    women_cost = sum(inst.w_rank[w][m] for w, m in enumerate(by_woman) if m >= 0)
+    women_cost = _cost(inst.w_rank, by_woman)
     if women_cost > ctx.k or any(gs._blocking(inst.m_rank, inst.w_rank, by_man, by_woman)):
         return None
     return by_man
 
 
+def _cost(tables, partner) -> int:
+    """One side's cost of a matching: each matched person's rank of their
+    partner, summed over ``partner``, a partner index array (-1 if single)."""
+    return sum(tables[p][q] for p, q in enumerate(partner) if q >= 0)
+
+
+def _balance(inst: Instance, mu: Partners) -> int:
+    """The balance of the matching ``mu``, the larger of its two sides' costs."""
+    return max(_cost(inst.m_rank, mu.by_man), _cost(inst.w_rank, mu.by_woman))
+
+
 def solve_above_min(inst: Instance, k: int) -> SolveResult:
     """Decide whether some stable matching of ``inst`` has balance at most k.
 
+    Answers yes with μ_M, else μ_W, when its balance is at most k; such a
+    result has no kernel, ``r`` None and zero stats.  Otherwise decides on
+    the kernel (``_solve_on_kernel``).  The witness, when present, is a
+    stable matching of the *input* instance with balance at most k.
+    Input with gaps in its ranks raises ``ValidationError`` either way.
+    """
+    require_lists(inst)
+    for mu in (inst.mu_m, inst.mu_w):
+        if _balance(inst, mu) <= k:
+            witness = inst.matching_from_arrays(mu.by_man)
+            t = k - min(inst.o_m, inst.o_w)
+            return SolveResult(True, witness, t, None, SolveStats(0, 0, 0), None)
+    return _solve_on_kernel(inst, k)
+
+
+def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
+    """``solve_above_min`` without the extreme matchings: the paper's procedure.
+
     Kernelizes first; if that does not settle the answer, tries every
     subset of the kernel's sad men in increasing cardinality and accepts on
-    the first assembled stable matching within target.  The witness, when
-    present, is a stable matching of the *input* instance with balance at
-    most k.
+    the first assembled stable matching within target.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -273,13 +306,12 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
 def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
     """The least balance of a stable matching of ``inst``, by binary search over k.
 
-    No stable matching has balance below max(O_M, O_W), and μ_M's balance,
-    max(O_M, the women's cost of μ_M), is attained; the search runs
-    between the two.  Returns the least balance, the decision at it, whose
-    witness has that balance, and the number of decisions made.
+    No stable matching has balance below max(O_M, O_W), and μ_M's balance
+    is attained; the search runs between the two.  Returns the least
+    balance, the decision at it, whose witness has that balance, and the
+    number of decisions made.
     """
-    women_cost = sum(inst.w_rank[w][m] for w, m in enumerate(inst.mu_m.by_woman) if m >= 0)
-    low, high = max(inst.o_m, inst.o_w), max(inst.o_m, women_cost)
+    low, high = max(inst.o_m, inst.o_w), _balance(inst, inst.mu_m)
     decisions = 0
     while low < high:
         mid = (low + high) // 2

@@ -460,6 +460,15 @@ def fill_gaps(st: KernelState):
 
 # --- the pipeline -----------------------------------------------------------
 
+def require_lists(inst: Instance) -> None:
+    """Raise ``ValidationError`` unless every person's ranks are 1, 2, 3, ..."""
+    if not inst.contiguous:
+        raise ValidationError(
+            "the instance has gaps in its ranks; kernelize and solve need "
+            "preference lists ranked 1, 2, 3, ... for every person"
+        )
+
+
 def kernelize(inst: Instance, k: int) -> KernelResult:
     """Run the whole reduction on a list-form instance.
 
@@ -467,11 +476,7 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     no, or an equivalent list-form kernel whose people count is linear in
     the parameter.
     """
-    if not inst.contiguous:
-        raise ValidationError(
-            "the instance has gaps in its ranks; kernelize and solve need "
-            "preference lists ranked 1, 2, 3, ... for every person"
-        )
+    require_lists(inst)
     st = KernelState(inst, k)
     t_input = st.t
     entries: list[TraceEntry] = []

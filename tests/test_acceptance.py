@@ -146,11 +146,13 @@ def test_criterion_5_branching_bounds():
     rng = random.Random(5)
     solved_nontrivially = 0
     certificate_checks = 0
-    for _ in range(40):
+    for _ in range(80):
         inst = sad_rich_instance(rng, max_side=7)
         opt = gs.optima(inst)
         bal = oracle.enumerate_stable(inst).bal_opt
-        for k in {max(opt.o_m, opt.o_w), bal - 1, bal, opt.o_m + opt.o_w}:
+        # The largest k that an extreme matching does not settle before the kernel.
+        below = min(gs.objectives(inst, mu).balance for mu in (opt.mu_m, opt.mu_w)) - 1
+        for k in {max(opt.o_m, opt.o_w), bal - 1, bal, below}:
             result = fpt.solve_above_min(inst, k)
             if result.r is None:
                 continue

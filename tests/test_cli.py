@@ -262,7 +262,8 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, instanc
 
     monkeypatch.setattr(kernel, "kernelize", broken)
     monkeypatch.setattr(fpt, "kernelize", broken)
-    for argv in (["kernelize", instance_file], ["solve", instance_file, "--k", "4"]):
+    # At k=3, below the balance 4 of both extreme matchings, solve reaches the kernel.
+    for argv in (["kernelize", instance_file], ["solve", instance_file, "--k", "3"]):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -458,7 +459,8 @@ PINNED_RUNS = {
         "answer": True,
         "witness": WITNESS_3X3,
         "t": 4,
-        "stats": {"subsets_tried": 4, "branch_nodes": 8, "max_branch_nodes": 3},
+        # μ_W's balance, 5, is within k: it is the witness, and nothing branched.
+        "stats": {"subsets_tried": 0, "branch_nodes": 0, "max_branch_nodes": 0},
     }),
     "solve-optimize": (["solve", "{branching}", "--optimize"], 0, {
         "bal": 5, "witness": WITNESS_3X3, "t": 2, "decisions": 4,
@@ -531,12 +533,25 @@ def test_each_usage_error_names_its_fault(capsys, tmp_path, argv, err):
     assert captured.err.splitlines()[-1] == err
 
 
-def _run_module(args, stdin=None, hash_seed="0"):
+def _run_module(args, stdin=None, hash_seed="0", timeout=60):
     """Run ``python -m bsm`` on the package under test, in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(bsm.__file__).parents[1]), "PYTHONHASHSEED": hash_seed}
     return subprocess.run(
-        [sys.executable, "-m", "bsm", *args], input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "bsm", *args], input=stdin, capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_solve_at_a_huge_k_answers_at_once_from_the_man_optimal_matching(instance_file):
+    # A kernel at this k would hold about k dummy pairs and never be done.
+    # μ_M's balance, 4, is within k, so no kernel is built.
+    done = _run_module(["solve", instance_file, "--k", "99999999999999999999"], timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {
+        "answer": True,
+        "witness": [["m1", "w1"], ["m2", "w2"]],
+        "t": 99999999999999999999 - 2,
+        "stats": {"subsets_tried": 0, "branch_nodes": 0, "max_branch_nodes": 0},
+    }
 
 
 def test_check_names_the_same_bad_pair_under_every_hash_seed(tmp_path):
@@ -553,13 +568,15 @@ def test_check_names_the_same_bad_pair_under_every_hash_seed(tmp_path):
     # Every other verb whose output names people prints the same bytes
     # under every seed: people hash as their (side, name) strings.
     full = tmp_path / "full.txt"
-    full.write_text(serialize(random_instance(random.Random(11), 8, 8)))  # 6 sad men; a kernel at k=23
+    # 7 sad men; at k=26, below the balance of both extreme matchings (29 and
+    # 36), solve branches on the kernel and lifts its witness.
+    full.write_text(serialize(random_instance(random.Random(18), 8, 8)))
     graph = tmp_path / "graph.txt"
     graph.write_text("v1 v2\nv1 v3\nv2 v3\nv4 v5\nv6 v7\n")
     for argv in (
-        ["solve", str(full), "--k", "23"],
+        ["solve", str(full), "--k", "26"],
         ["solve", str(full), "--optimize"],
-        ["kernelize", str(full), "--k", "23", "--trace"],
+        ["kernelize", str(full), "--k", "26", "--trace"],
         ["enumerate", str(full)],
         ["verify", "--graph", str(graph), "--k", "3"],
     ):

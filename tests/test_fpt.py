@@ -8,12 +8,13 @@ from bsm.fpt import _assemble, _Context, _first_accepted, solve_above_min
 from bsm.generate import cyclic_instance, mutual_first_instance, random_graph, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.hardness import Graph, verify_reduction
-from bsm.instance import Instance, Matching, parse_instance, serialize
+from bsm.instance import Instance, Matching, ValidationError, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import DEFAULT_MAX_MEN, _chain, _least_balance, decide_above_min, enumerate_stable
 from helpers import (
     BranchCertificate,
     enumerate_certificates,
+    functional_instance,
     iter_certificates,
     naive_certificates,
     sad_2x2,
@@ -191,12 +192,44 @@ def test_witness_is_lifted_to_the_input_instance():
     assert lifted > 0
 
 
+# --- the extreme matchings against the kernel path --------------------------
+
+def test_extreme_matchings_decide_as_the_kernel_path_does():
+    # Every k from max(O_M, O_W) - 1 to O_M + O_W on the first 200 corpus
+    # instances, and full lists at n = 12..24 at max(O_M, O_W) + {0, 2, 5}.
+    rng = random.Random(20240807)
+    cases = []
+    for inst in [random_instance(rng, max_side=7) for _ in range(200)]:
+        cases += [(inst, k) for k in range(max(inst.o_m, inst.o_w) - 1, inst.o_m + inst.o_w + 1)]
+    rng = random.Random(20240808)
+    for inst in [random_instance(rng, n, n, 1.0) for n in (12, 16, 20, 24) for _ in range(6)]:
+        cases += [(inst, max(inst.o_m, inst.o_w) + d) for d in (0, 2, 5)]
+    decided = {True: 0, False: 0}  # by whether an extreme matching decided
+    for inst, k in cases:
+        got, slow = solve_above_min(inst, k), fpt._solve_on_kernel(inst, k)
+        assert (got.answer, got.t) == (slow.answer, slow.t)
+        decided[got.kernel is None] += 1
+        if got.kernel is None:
+            assert got.witness in (gs.man_optimal(inst), gs.woman_optimal(inst))
+            assert not blocking_pairs(inst, got.witness)
+            assert objectives(inst, got.witness).balance <= k
+            assert (got.answer, got.r, got.stats) == (True, None, fpt.SolveStats(0, 0, 0))
+    assert decided[True] >= 750 and decided[False] >= 250
+
+
+def test_gap_ranked_input_is_refused_at_any_k():
+    # μ_M's balance is 1, yet the check for list form comes first.
+    gapped = functional_instance({"m1": {"w1": 1, "w2": 3}}, {"w1": {"m1": 1}, "w2": {"m1": 1}})
+    with pytest.raises(ValidationError, match="gaps in its ranks"):
+        solve_above_min(gapped, 10**20)
+
+
 # --- the pruned search against the unpruned reference -----------------------
 
-def search_kernels():
-    """Seeded kernels that branch: corpus draws at every k, full lists n=9..12."""
+def search_kernels(corpus: int = 150):
+    """Seeded kernels that branch: ``corpus`` corpus draws at every k, full lists n=9..12."""
     rng = random.Random(20240807)
-    draws = [random_instance(rng, max_side=7) for _ in range(150)]
+    draws = [random_instance(rng, max_side=7) for _ in range(corpus)]
     rng = random.Random(7)
     draws += [random_instance(rng, n, n, 1.0) for n in (9, 10, 11, 12) for _ in range(2)]
     for inst in draws:
@@ -396,7 +429,11 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
         return real(ctx, m_prime, women)
 
     compared = 0
-    for inst, k, result, ctx, r in search_kernels():
+    # More corpus draws than the other tests take: only the k below both
+    # extreme balances reach the kernel through the solver.
+    for inst, k, result, ctx, r in search_kernels(corpus=400):
+        if k >= min(objectives(inst, mu).balance for mu in (gs.man_optimal(inst), gs.woman_optimal(inst))):
+            continue
         want = unpruned_solve(result, ctx, r)
         with monkeypatch.context() as patch:
             patch.setattr(fpt, "_assemble", checked)
@@ -415,7 +452,7 @@ def test_branching_makes_no_people_level_check(monkeypatch):
 
     rng = random.Random(3)
     cases = []
-    for _ in range(12):
+    for _ in range(30):
         inst = sad_rich_instance(rng)
         opt = optima(inst)
         cases += [(inst, k, decide_above_min(inst, k).answer)
@@ -454,7 +491,7 @@ def test_no_decision_builds_the_people_keyed_view(monkeypatch):
     # Instance.prefs is for callers that want people; every path below runs
     # on the rank tables, the kernel's and the reduction's instances included.
     rng = random.Random(3)
-    instances = [sad_rich_instance(rng) for _ in range(12)]
+    instances = [sad_rich_instance(rng) for _ in range(30)]
     graphs = [random_graph(random.Random(2), 7, 9, plant_triangle=True), Graph.build("ab", [("a", "b")])]
     built = []
     monkeypatch.setattr(Instance, "prefs", property(built.append))
