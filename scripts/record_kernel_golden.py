@@ -13,7 +13,10 @@ instance as text, ``k``, ``t_input``, the trace rows as ``bsm kernelize
 --trace`` prints them, the witness, the removed happy pairs, the dummies,
 the functional instance before dummy insertion, and the solver's answer,
 ``t``, budget ``r``, witness and search counters (``subsets_tried``,
-``branch_nodes``, ``max_branch_nodes``).
+``branch_nodes``, ``max_branch_nodes``).  The two node counters were
+re-recorded on every decision that branches when the solver began
+counting the nodes its pruned search visits, in place of the unpruned
+tree's size: each fell or stayed, and no other field moved.
 Matchings are written as sorted name pairs, never through ``repr``, so the
 digests do not depend on the hash seed.
 

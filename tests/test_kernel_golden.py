@@ -12,7 +12,12 @@ at n = 20, 30 and 40) before the kernel stored its trace as one entry per
 rule application.  The solver fields (``r``, the three counters and the
 witness) of the 106 decisions that branched although μ_M or μ_W already
 fit were recorded again when the solver began answering from the
-extreme matchings before kernelizing; no other digest moved.  Any change to an outcome, kernel, trace row,
+extreme matchings before kernelizing; no other digest moved.  The
+``branch_nodes`` and ``max_branch_nodes`` of the 336 decisions that branch
+were recorded again when the solver began counting the nodes its pruned
+search visits instead of reading the unpruned tree's size; each count
+fell or, for ``max_branch_nodes`` on three decisions, stayed, and no
+other field moved.  Any change to an outcome, kernel, trace row,
 witness, solver answer or counter, to the ordered stable matchings or
 least balance of ``enumerate_stable``, or to a field of a
 ``verify_reduction`` report on those cases fails here.
