@@ -28,14 +28,9 @@ free until the leaf.  The search never gives man m woman w when
 
 Each skip drops only certificates that ``_assemble`` rejects, so the
 certificates left come in the unpruned order and the first accepted one,
-the witness, is the unpruned search's.
-
-The node counts in ``SolveStats`` describe the unpruned search, but the
-pruned walk counts nothing: the counts are read from the unpruned tree's
-shape.  A subset without an accepted certificate adds the size of its
-whole unpruned tree; the accepting subset adds the preorder position of
-its accepted leaf in that tree.  So the ``4 * 2**r`` bound per subset
-holds and the counts do not depend on how much the search prunes.
+the witness, is the unpruned search's.  ``SolveStats`` counts the nodes
+the pruned walk visits, never more than the unpruned tree has, so the
+``4 * 2**r`` bound per subset holds.
 
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
@@ -53,14 +48,8 @@ from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, requir
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work of the branching step.
-
-    ``branch_nodes`` counts the nodes of the unpruned search, which tries
-    every assignment of worse women within budget, up to the first
-    accepted certificate.  They are read from the unpruned tree's shape,
-    not counted: the whole tree of each rejected subset and, for the
-    accepting subset, the preorder position of its accepted leaf.
-    """
+    """Work of the branching step: ``branch_nodes`` counts the search nodes
+    visited, up to the first accepted certificate."""
 
     subsets_tried: int
     branch_nodes: int
@@ -101,31 +90,14 @@ class _Context:
         # that is μ_M: every man it matches is happy or sad.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
-        # Per tuple of selected men, the unpruned subtree sizes from each
-        # depth on by budget left, 0 until known: see ``_size_rows``.
-        self.sizes: dict[tuple[int, ...], list[list[int]]] = {(): [[1] * (max(self.r, 0) + 1)]}
-
-
-def _size_rows(sizes: dict, m_prime, r: int) -> list[list[int]]:
-    """Per depth i, the node counts of the unpruned subtree of ``m_prime[i:]``
-    by budget left, 0 until known.
-
-    Offsets are distinct and positive, so a count follows from the men
-    and the budget alone, and ``m_prime`` shares the rows of its suffixes.
-    """
-    rows = sizes.get(m_prime)
-    if rows is None:
-        rows = sizes[m_prime] = [[0] * (r + 1)] + _size_rows(sizes, m_prime[1:], r)
-    return rows
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     """The matching of the first certificate of ``m_prime`` that ``_assemble``
-    accepts, or None, with the nodes of the unpruned search up to it.
+    accepts, or None, with the number of search nodes visited up to it.
 
     ``m_prime`` is a tuple of sad man indices, each given a strictly worse
-    woman within the shared budget ``ctx.r``.  Without an accepted
-    certificate the node count is the whole unpruned tree's.
+    woman within the shared budget ``ctx.r``.
     """
     inst = ctx.inst
     m_rank, w_rank = inst.m_rank, inst.w_rank
@@ -133,8 +105,11 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     depth = len(m_prime)
     cands = [ctx.worse[m] for m in m_prime]
     women = [-1] * depth
+    nodes = 0
 
     def descend(i: int, remaining: int) -> list[int] | None:
+        nonlocal nodes
+        nodes += 1
         if i == depth:
             return _assemble(ctx, m_prime, women)
         m = m_prime[i]
@@ -183,34 +158,6 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     hit = descend(0, ctx.r)
     for m in m_prime:
         wife[m], husband[mu[m]] = mu[m], m
-
-    rows = _size_rows(ctx.sizes, m_prime, ctx.r)
-
-    def size(i: int, remaining: int) -> int:
-        """Nodes of the unpruned subtree at depth i with this budget left,
-        which ``rows[i][remaining]`` holds once known."""
-        n = 1
-        below = rows[i + 1]
-        for offset, _ in cands[i]:
-            if offset > remaining:
-                break
-            n += below[remaining - offset] or size(i + 1, remaining - offset)
-        rows[i][remaining] = n
-        return n
-
-    if hit is None:
-        return None, rows[0][ctx.r] or size(0, ctx.r)
-    # The accepted leaf's preorder position: at each depth the node itself
-    # and the whole subtrees of the candidates before the woman given, all
-    # within budget as offsets increase; then the leaf.
-    nodes, remaining = 1, ctx.r
-    for i, given in enumerate(women):
-        nodes += 1
-        for offset, w in cands[i]:
-            if w == given:
-                remaining -= offset
-                break
-            nodes += rows[i + 1][remaining - offset] or size(i + 1, remaining - offset)
     return hit, nodes
 
 
@@ -287,8 +234,8 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     nodes_max = 0
     if r >= 0:
         sad = kernel.sad_men
-        for size in range(len(sad) + 1):
-            for m_prime in combinations(sad, size):
+        for cardinality in range(len(sad) + 1):
+            for m_prime in combinations(sad, cardinality):
                 subsets += 1
                 hit, nodes = _first_accepted(ctx, m_prime)
                 nodes_total += nodes
@@ -306,12 +253,13 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
 def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
     """The least balance of a stable matching of ``inst``, by binary search over k.
 
-    No stable matching has balance below max(O_M, O_W), and μ_M's balance
-    is attained; the search runs between the two.  Returns the least
-    balance, the decision at it, whose witness has that balance, and the
-    number of decisions made.
+    No stable matching has balance below max(O_M, O_W), and the lower of
+    μ_M's and μ_W's balances is attained; the search runs between the two.
+    Returns the least balance, the decision at it, whose witness has that
+    balance, and the number of decisions made.
     """
-    low, high = max(inst.o_m, inst.o_w), _balance(inst, inst.mu_m)
+    low = max(inst.o_m, inst.o_w)
+    high = min(_balance(inst, inst.mu_m), _balance(inst, inst.mu_w))
     decisions = 0
     while low < high:
         mid = (low + high) // 2

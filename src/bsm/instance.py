@@ -537,7 +537,7 @@ def _parse_json(text: str) -> Instance:
             raise ParseError(f"JSON instance needs a {key!r} array")
         for name in doc[key]:
             if not isinstance(name, str):
-                raise ParseError(f"names in {key!r} must be strings, got {name!r}")
+                raise ParseError(f"names in {key!r} must be strings, got {type(name).__name__}")
     men = tuple(Person(MAN, n) for n in doc["men"])
     women = tuple(Person(WOMAN, n) for n in doc["women"])
     keys = _names(men, women)

@@ -137,8 +137,8 @@ def naive_certificates(inst: Instance, m_prime, r: int) -> set[tuple]:
 
 def iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int]):
     """Yield every assignment of the selected men to strictly worse women
-    with total offset at most r: the unpruned search that ``SolveStats``
-    describes, with no woman ever ruled out.
+    with total offset at most r: the unpruned search, with no woman ever
+    ruled out, whose node count bounds the solver's per subset.
 
     ``m_prime`` is a tuple of man indices; each assignment comes out as
     (the woman index of each selected man, the total offset).
@@ -179,7 +179,7 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
     Candidates per man are his r most-preferred strictly-worse women; the
     recursion abandons a branch as soon as the budget would go negative.
     Certificates that give two men the same woman are included: this is
-    the unpruned search that the solver's counters describe, in people.
+    the unpruned search whose nodes bound the solver's counters, in people.
     """
     selected = []
     for m in m_prime:
@@ -412,7 +412,7 @@ def _reference_json(text: str) -> Instance:
             raise ParseError(f"JSON instance needs a {key!r} array")
         for name in doc[key]:
             if not isinstance(name, str):
-                raise ParseError(f"names in {key!r} must be strings, got {name!r}")
+                raise ParseError(f"names in {key!r} must be strings, got {type(name).__name__}")
     men = tuple(Person(MAN, n) for n in doc["men"])
     women = tuple(Person(WOMAN, n) for n in doc["women"])
     at, keys = _reference_names(men, women)

@@ -147,7 +147,7 @@ def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_p
     monkeypatch.setattr(cli, "_read_instance", reading)
     monkeypatch.setattr(gs, "_deferred_acceptance", counted)
     code, doc = run(capsys, "solve", str(path), "--optimize")
-    assert code == 0 and doc["decisions"] == 5
+    assert code == 0 and doc["decisions"] == 4
     assert on_input[0] == 2  # once from each side
 
 
@@ -364,6 +364,16 @@ def test_json_too_long_or_too_deep_is_a_usage_error(capsys, tmp_path, text):
     assert captured.out == "" and captured.err.startswith("error: bad JSON: ")
 
 
+def test_a_deeply_nested_name_is_named_by_its_type(capsys, tmp_path):
+    # Nested 900 deep, within the recursion limit: the message used to echo
+    # the whole value, 1,844 bytes of brackets on one line.
+    path = tmp_path / "inst.json"
+    path.write_text('{"men": [%s], "women": []}' % ("[" * 900 + "]" * 900))
+    assert main(["optima", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: names in 'men' must be strings, got list\n"
+
+
 @pytest.mark.parametrize("text", ["[1]", "[]", "\n  [\"men\", \"women\"]\n"])
 def test_a_json_array_is_read_as_json(capsys, tmp_path, text):
     # It used to be read as text: "error: line 1: expected 'name: ...'".
@@ -462,8 +472,9 @@ PINNED_RUNS = {
         # μ_W's balance, 5, is within k: it is the witness, and nothing branched.
         "stats": {"subsets_tried": 0, "branch_nodes": 0, "max_branch_nodes": 0},
     }),
+    # μ_W's balance, 5, is the least: the search starts there and decides once.
     "solve-optimize": (["solve", "{branching}", "--optimize"], 0, {
-        "bal": 5, "witness": WITNESS_3X3, "t": 2, "decisions": 4,
+        "bal": 5, "witness": WITNESS_3X3, "t": 2, "decisions": 1,
     }),
     "kernelize-trace": (["kernelize", "{branching}", "--k", "7", "--trace"], 0, {
         "outcome": "kernel",

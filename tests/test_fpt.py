@@ -266,7 +266,7 @@ def run(ctx, m_prime, r):
 
 def reference_first_accepted(ctx, m_prime, r):
     """The matching of the unpruned search's first certificate that
-    ``_assemble`` accepts, or None, and the nodes visited up to it."""
+    ``_assemble`` accepts, or None, and the unpruned nodes up to it."""
     counter = [0]
     for women, _ in iter_certificates(ctx, m_prime, r, counter):
         hit = _assemble(ctx, m_prime, women)
@@ -295,16 +295,19 @@ def cut_kernels():
 
 
 def check_first_accepted(ctx, m_prime, r):
-    """``_first_accepted`` against the unpruned reference; returns the reference's answer."""
+    """``_first_accepted`` against the unpruned reference: the same matching,
+    in no more nodes.  Returns the reference's answer."""
     st = ctx.inst
     want = reference_first_accepted(ctx, m_prime, r)
-    assert _first_accepted(ctx, m_prime) == want
+    hit, nodes = _first_accepted(ctx, m_prime)
+    assert hit == want[0]
+    assert 1 <= nodes <= want[1]
     # The partner arrays are back at μ_M for the next subset.
     assert (ctx.wife, ctx.husband) == (list(st.mu_m.by_man), list(st.mu_m.by_woman))
     return want
 
 
-def test_pruned_search_finds_the_unpruned_first_certificate_at_its_node_count():
+def test_pruned_search_finds_the_unpruned_first_certificate_within_its_node_count():
     kernels = subsets = accepted = 0
     for *_, ctx, r in search_kernels():
         kernels += 1
@@ -401,32 +404,32 @@ def test_assemble_accepts_exactly_the_stable_matchings_within_k():
 
 
 def unpruned_solve(result, ctx, r):
-    """The solver's loop over every certificate, without pruning."""
+    """The solver's loop over every certificate, without pruning: the answer,
+    the witness, and the unpruned node count of each subset tried."""
     st = ctx.inst
-    subsets = nodes_total = nodes_max = 0
+    nodes = []
     for size in range(len(st.sad_men) + 1):
         for m_prime in combinations(st.sad_men, size):
-            subsets += 1
-            counter = [0]
-            hit = None
-            for women, _ in iter_certificates(ctx, m_prime, r, counter):
-                hit = _assemble(ctx, m_prime, women)
-                if hit is not None:
-                    break
-            nodes_total += counter[0]
-            nodes_max = max(nodes_max, counter[0])
+            hit, count = reference_first_accepted(ctx, m_prime, r)
+            nodes.append(count)
             if hit is not None:
-                return True, result.lift(people(st, hit)), (subsets, nodes_total, nodes_max)
-    return False, None, (subsets, nodes_total, nodes_max)
+                return True, result.lift(people(st, hit)), nodes
+    return False, None, nodes
 
 
-def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
-    real = fpt._assemble
+def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch):
+    real_assemble, real_first = fpt._assemble, fpt._first_accepted
     assembled = []
+    visited = []
 
     def checked(ctx, m_prime, women):
         assembled.append(injective(women, busy_women(ctx, m_prime)))
-        return real(ctx, m_prime, women)
+        return real_assemble(ctx, m_prime, women)
+
+    def counted(ctx, m_prime):
+        hit, nodes = real_first(ctx, m_prime)
+        visited.append(nodes)
+        return hit, nodes
 
     compared = 0
     # More corpus draws than the other tests take: only the k below both
@@ -434,12 +437,17 @@ def test_solver_counts_and_witness_match_the_unpruned_search(monkeypatch):
     for inst, k, result, ctx, r in search_kernels(corpus=400):
         if k >= min(objectives(inst, mu).balance for mu in (gs.man_optimal(inst), gs.woman_optimal(inst))):
             continue
-        want = unpruned_solve(result, ctx, r)
+        answer, witness, unpruned = unpruned_solve(result, ctx, r)
+        visited.clear()
         with monkeypatch.context() as patch:
             patch.setattr(fpt, "_assemble", checked)
+            patch.setattr(fpt, "_first_accepted", counted)
             got = solve_above_min(inst, k)
-        stats = (got.stats.subsets_tried, got.stats.branch_nodes, got.stats.max_branch_nodes)
-        assert (got.answer, got.witness, stats) == want
+        assert (got.answer, got.witness, got.stats.subsets_tried) == (answer, witness, len(unpruned))
+        # Each subset's visited nodes are at most its unpruned tree's, and the
+        # stats sum them.
+        assert all(v <= u for v, u in zip(visited, unpruned, strict=True))
+        assert (got.stats.branch_nodes, got.stats.max_branch_nodes) == (sum(visited), max(visited))
         compared += 1
     assert compared >= 30
     # Only certificates that pair every man with a free woman are assembled.
@@ -533,6 +541,7 @@ def test_minimal_balance_on_the_cyclic_family(n):
     assert bal == _least_balance(_chain(inst))
     assert result.answer and not blocking_pairs(inst, result.witness)
     stats = (result.stats.subsets_tried, result.stats.branch_nodes, result.stats.max_branch_nodes)
-    # As recorded while the solver still counted each node as it walked.
-    recorded = {6: (64, 40188, 4112), 8: (256, 13034431, 1689384)}
+    # The nodes the pruned walk visits; the unpruned trees up to the same
+    # witness have (64, 40188, 4112) and (256, 13034431, 1689384).
+    recorded = {6: (64, 200, 39), 8: (256, 1161, 264)}
     assert stats == recorded.get(n, stats)

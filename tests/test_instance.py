@@ -298,6 +298,9 @@ _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Perso
                  id="json-bad"),
     pytest.param(lambda: parse_instance('{"women": []}', "json"), ParseError,
                  "JSON instance needs a 'men' array", id="json-missing-men"),
+    # The fault names the value's type: the value itself may be nested far and long.
+    pytest.param(lambda: parse_instance('{"men": [["a"]], "women": []}', "json"), ParseError,
+                 "names in 'men' must be strings, got list", id="json-name-not-a-string"),
     pytest.param(lambda: parse_instance('{"men": [], "women": [], "prefs": {"z": []}}', "json"),
                  ValidationError, "unknown person 'z' in prefs", id="json-unknown-owner"),
     pytest.param(lambda: parse_instance('{"men": ["a"], "women": ["b"], "prefs": {"a": [["b"]]}}', "json"),
