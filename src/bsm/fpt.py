@@ -32,6 +32,19 @@ the witness, is the unpruned search's.  ``SolveStats`` counts the nodes
 the pruned walk visits, never more than the unpruned tree has, so the
 ``4 * 2**r`` bound per subset holds.
 
+Most subsets die at the root.  A man who leaves his man-optimal partner
+can take only a woman whose own man-optimal partner left too (Gusfield &
+Irving 1989, *The Stable Marriage Problem: Structure and Algorithms*).
+At the root no woman has been given yet, so a woman whose μ_M husband is
+not selected is fixed: the first man's walk skips her, or stops at her
+when she prefers him to her husband.  His *start set* holds the μ_M
+husbands of the women he meets in that walk within the budget, up to
+and including the first who stops it.  When it holds no selected man,
+the walk meets no free woman and returns after one node, so
+``_first_accepted`` returns no hit and one visited node at once, exactly
+what the walk would count.  A man whose walk meets a woman single in
+μ_M has no start set and is never skipped.
+
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
 """
@@ -90,6 +103,25 @@ class _Context:
         # that is μ_M: every man it matches is happy or sad.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
+        # Per sad man, his start set (module docstring), if he has one.
+        self.starts = {m: s for m in kernel.sad_men if (s := _start_set(self, m)) is not None}
+
+
+def _start_set(ctx: _Context, m: int) -> set[int] | None:
+    """The μ_M husbands of the women m meets at the root within the budget,
+    up to the first who prefers m to hers; None if one of them has none."""
+    w_rank = ctx.inst.w_rank
+    start = set()
+    for offset, w in ctx.worse[m]:
+        if offset > ctx.r:
+            break
+        h = ctx.husband[w]
+        if h < 0:
+            return None
+        start.add(h)
+        if w_rank[w][m] < w_rank[w][h]:
+            break
+    return start
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
@@ -97,8 +129,12 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     accepts, or None, with the number of search nodes visited up to it.
 
     ``m_prime`` is a tuple of sad man indices, each given a strictly worse
-    woman within the shared budget ``ctx.r``.
+    woman within the shared budget ``ctx.r``.  When the first man's start
+    set misses every selected man, the root is the only node visited.
     """
+    start = ctx.starts.get(m_prime[0]) if m_prime else None
+    if start is not None and start.isdisjoint(m_prime):
+        return None, 1
     inst = ctx.inst
     m_rank, w_rank = inst.m_rank, inst.w_rank
     wife, husband, anchors = ctx.wife, ctx.husband, ctx.anchor
@@ -256,16 +292,22 @@ def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
     No stable matching has balance below max(O_M, O_W), and the lower of
     μ_M's and μ_W's balances is attained; the search runs between the two.
     Returns the least balance, the decision at it, whose witness has that
-    balance, and the number of decisions made.
+    balance, and the number of decisions made.  The decision at the least
+    balance is the search's last yes; only when the search never decided
+    that k is it decided at the end.
     """
     low = max(inst.o_m, inst.o_w)
     high = min(_balance(inst, inst.mu_m), _balance(inst, inst.mu_w))
     decisions = 0
+    last_yes = None
     while low < high:
         mid = (low + high) // 2
         decisions += 1
-        if solve_above_min(inst, mid).answer:
-            high = mid
+        result = solve_above_min(inst, mid)
+        if result.answer:
+            high, last_yes = mid, result
         else:
             low = mid + 1
-    return low, solve_above_min(inst, low), decisions + 1
+    if last_yes is None:
+        last_yes, decisions = solve_above_min(inst, low), decisions + 1
+    return low, last_yes, decisions

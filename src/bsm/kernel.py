@@ -31,6 +31,16 @@ those three rules fire as one batch with a single rebuild; the batch
 makes the same changes, in the same order and with the same rows, as
 restarting after every single application would.  The tests hold each
 batch to a single-step reference that makes one change per application.
+
+From k = max(O_M, O_W) up, bound_check does not fire, and until
+clean_suffix and restrict_matched both stop firing no later rule is
+reached.  Neither reads k or moves O_M or O_W, so every such decision on
+an instance starts with the same applications of those two.  That
+prefix, the cleaned instance with the rows of each application, is
+derived once per instance and kept with it, as its stable optima are;
+each decision stamps the prefix's entries with its own k and t and goes
+on from the cleaned instance.  Below max(O_M, O_W) bound_check answers
+no at once, as it always has.
 """
 
 from __future__ import annotations
@@ -242,7 +252,7 @@ def restrict_matched(st: KernelState):
         return None
     gone = [inst.men[m] for m, w in enumerate(inst.mu_m.by_man) if w < 0]
     gone += [inst.women[w] for w, m in enumerate(inst.mu_m.by_woman) if m < 0]
-    return _kept(st, men, women), [gone]
+    return _kept(st, men, women), [tuple(gone)]
 
 
 def bound_sad(st: KernelState):
@@ -469,25 +479,62 @@ def require_lists(inst: Instance) -> None:
         )
 
 
-def kernelize(inst: Instance, k: int) -> KernelResult:
-    """Run the whole reduction on a list-form instance.
+def _k_free_prefix(inst: Instance) -> tuple[Instance, tuple[tuple[str, tuple], ...]]:
+    """The k-independent prefix (module docstring): the instance after
+    clean_suffix and restrict_matched reach their fixed point, and the
+    (rule, rows) of each application, in order.
 
-    Returns either a trivial yes (with an input-level witness), a trivial
-    no, or an equivalent list-form kernel whose people count is linear in
-    the parameter.
+    Derived once per instance and kept in its derived-value store, as
+    ``Instance.mu_m`` is.
     """
-    require_lists(inst)
-    st = KernelState(inst, k)
-    t_input = st.t
-    entries: list[TraceEntry] = []
-    verdict = None
-    while verdict is None:
-        for name, rule in RULES:
+    kept = inst.__dict__.get("_k_free_prefix")
+    if kept is not None:
+        return kept
+    st = KernelState(inst, max(inst.o_m, inst.o_w))
+    applied = []
+    while True:
+        for name, rule in RULES[1:3]:  # clean_suffix, restrict_matched
             hit = rule(st)
             if hit is not None:
                 break
         else:
             break
+        st, rows = hit
+        applied.append((name, tuple(rows)))
+    cleaned = st.inst
+    if (cleaned.o_m, cleaned.o_w) != (inst.o_m, inst.o_w):
+        raise OptimaMoved("the k-independent rules changed an optimal cost")
+    kept = inst.__dict__["_k_free_prefix"] = cleaned, tuple(applied)
+    return kept
+
+
+def kernelize(inst: Instance, k: int) -> KernelResult:
+    """Run the whole reduction on a list-form instance.
+
+    Returns either a trivial yes (with an input-level witness), a trivial
+    no, or an equivalent list-form kernel whose people count is linear in
+    the parameter.  From k = max(O_M, O_W) up the pipeline starts from the
+    instance's k-independent prefix, each of its applications stamped with
+    this k and t, and its first round starts past the prefix's rules, as
+    none of them applies at the prefix's fixed point.
+    """
+    require_lists(inst)
+    t_input = k - min(inst.o_m, inst.o_w)
+    start, entries, rules = inst, [], RULES
+    if k >= max(inst.o_m, inst.o_w):
+        start, applied = _k_free_prefix(inst)
+        entries = [TraceEntry(name, rows, k, 0, t_input, t_input) for name, rows in applied]
+        rules = RULES[3:]  # past bound_check, clean_suffix and restrict_matched
+    st = KernelState(start, k)
+    verdict = None
+    while verdict is None:
+        for name, rule in rules:
+            hit = rule(st)
+            if hit is not None:
+                break
+        else:
+            break
+        rules = RULES
         nxt, rows = hit
         after = st if isinstance(nxt, str) else nxt
         per_row = (st.k - after.k) // len(rows)  # 1 for shrink, 0 for every other rule

@@ -151,6 +151,18 @@ def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_p
     assert on_input[0] == 2  # once from each side
 
 
+def test_solve_optimize_keeps_its_last_yes(capsys, tmp_path):
+    # Instance (9, 52) of perfbench/optimize_pool.json: the search answers
+    # yes at its least balance before it rules out the k below, and prints
+    # that decision instead of making it a sixth time.
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize(random_instance(random.Random(52), 9, 9, 1.0)))
+    code, doc = run(capsys, "solve", str(path), "--optimize")
+    assert code == 0 and (doc["bal"], doc["t"], doc["decisions"]) == (27, 14, 5)
+    code, decided = run(capsys, "solve", str(path), "--k", "27")
+    assert code == 0 and decided["witness"] == doc["witness"] and decided["t"] == doc["t"]
+
+
 def test_reduce_and_verify(capsys, tmp_path):
     graph = tmp_path / "g.txt"
     graph.write_text("v1 v2\nv1 v3\nv2 v3\nv4 v5\nv6 v7\n")

@@ -8,7 +8,7 @@ from bsm.fpt import _assemble, _Context, _first_accepted, solve_above_min
 from bsm.generate import cyclic_instance, mutual_first_instance, random_graph, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.hardness import Graph, verify_reduction
-from bsm.instance import Instance, Matching, ValidationError, parse_instance, serialize
+from bsm.instance import Instance, Matching, Partners, ValidationError, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import DEFAULT_MAX_MEN, _chain, _least_balance, decide_above_min, enumerate_stable
 from helpers import (
@@ -337,6 +337,59 @@ def test_pruned_search_finds_the_unpruned_first_certificate_on_cut_heavy_kernels
     assert subsets == 64 + 128 + 64 + 128 and accepted >= 10
 
 
+def search_and_cut_kernels():
+    """Every context of ``search_kernels`` and ``cut_kernels``, with its budget."""
+    for *_, ctx, r in search_kernels():
+        yield ctx, r
+    yield from cut_kernels()
+
+
+def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):
+    # The same walk with the skip disabled: every start set widened to all
+    # sad men, so it holds the first selected man and misses no subset.
+    subsets = decided = 0
+    for ctx, _ in search_and_cut_kernels():
+        st = ctx.inst
+        every = [m_prime for size in range(len(st.sad_men) + 1) for m_prime in combinations(st.sad_men, size)]
+        got = [_first_accepted(ctx, m_prime) for m_prime in every]
+        with monkeypatch.context() as patch:
+            for m in ctx.starts:
+                patch.setitem(ctx.starts, m, set(st.sad_men))
+            walked = [_first_accepted(ctx, m_prime) for m_prime in every]
+        assert got == walked
+        for m_prime, (hit, nodes) in zip(every, got):
+            start = ctx.starts.get(m_prime[0]) if m_prime else None
+            if start is not None and start.isdisjoint(m_prime):
+                assert (hit, nodes) == (None, 1)
+                decided += 1
+        subsets += len(every)
+    assert subsets >= 1000 and decided >= 0.5 * subsets
+
+
+def test_a_man_who_meets_a_woman_single_in_mu_m_is_never_skipped():
+    # Not a kernel: w2 is single in μ_M and sits first in m0's worse list.
+    # μ_W is seeded with a matching in which both men move, so both are sad.
+    inst = parse_instance("""
+men: m0 m1
+women: w0 w1 w2
+m0: w0 w2 w1
+m1: w1 w0
+w0: m1 m0
+w1: m0 m1
+w2: m0
+""")
+    assert inst.mu_m.by_man == [0, 1] and inst.mu_m.by_woman[2] == -1
+    vars(inst)["mu_w"] = Partners([1, 0], [1, 0, -1])
+    ctx = _Context(inst, 4)
+    assert ctx.inst.sad_men == (0, 1) and ctx.worse[0][0] == (1, 2)
+    assert 0 not in ctx.starts and ctx.starts[1] == {0}
+    for size in range(3):
+        for m_prime in combinations(ctx.inst.sad_men, size):
+            check_first_accepted(ctx, m_prime, ctx.r)
+            if m_prime[:1] == (0,):
+                assert _first_accepted(ctx, m_prime)[1] > 1  # m0 takes w2 at the root: no skip
+
+
 def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch):
     # With every certificate rejected, the search reaches all it keeps.
     reached = []
@@ -532,6 +585,39 @@ def test_minimal_balance_is_the_least_balance_with_a_stable_witness():
         assert result.answer and decisions >= 1
         assert not blocking_pairs(inst, result.witness)
         assert objectives(inst, result.witness).balance == bal
+
+
+def test_minimal_balance_decides_each_k_once(monkeypatch):
+    # The decision returned at the least balance is the search's last yes
+    # when it made one; it is made again only if no decision answered that k.
+    real = fpt.solve_above_min
+    decided = {}
+
+    def recorded(inst, k):
+        assert k not in decided
+        decided[k] = real(inst, k)
+        return decided[k]
+
+    monkeypatch.setattr(fpt, "solve_above_min", recorded)
+    rng = random.Random(20240807)
+    instances = [random_instance(rng, max_side=7) for _ in range(60)]
+    # Eight instances of perfbench/optimize_pool.json.
+    pool = ((9, 52), (9, 173), (10, 15), (10, 16), (11, 19), (11, 195), (12, 4), (12, 285))
+    instances += [random_instance(random.Random(seed), n, n, 1.0) for n, seed in pool]
+    kept = 0
+    for inst in instances:
+        decided.clear()
+        bal, result, decisions = fpt.minimal_balance(inst)
+        assert bal == _least_balance(_chain(inst)) and decisions == len(decided)
+        assert result is decided[bal]
+        fresh = real(parse_instance(serialize(inst)), bal)
+        assert (result.answer, result.witness, result.t, result.r, result.stats) == (
+            fresh.answer, fresh.witness, fresh.t, fresh.r, fresh.stats
+        )
+        # Below the lower extreme balance the least balance was answered
+        # yes by a decision of the search, which is kept.
+        kept += bal < min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w))
+    assert kept >= 8
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])

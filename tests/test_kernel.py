@@ -28,9 +28,10 @@ from bsm.kernel import (
     shrink,
     truncate,
 )
-from bsm.fpt import solve_above_min
-from bsm.oracle import decide_above_min, enumerate_stable
+from bsm.fpt import _balance, solve_above_min
+from bsm.oracle import _chain, _least_balance, decide_above_min, enumerate_stable
 from helpers import (
+    SAD_2X2_TEXT,
     clean_suffix_once,
     empty_instance,
     functional_instance,
@@ -509,6 +510,12 @@ def test_batches_raise_when_optima_move():
     fake = seeded(st, sad_men=(m2,), sad_women=(w2,), happy_pairs=((m1, w1),))
     with pytest.raises(OptimaMoved):
         remove_happy_pair(fake)
+    # The k-independent prefix holds O_M and O_W: restrict_matched drops the
+    # listless m3, and the rebuilt instance's O_M is not the one claimed.
+    lonely = parse_instance(SAD_2X2_TEXT.replace("men: m1 m2", "men: m1 m2 m3"))
+    assert kernel._k_free_prefix(lonely)[1] == (("restrict_matched", ((Person("M", "m3"),),)),)
+    with pytest.raises(OptimaMoved):
+        kernel._k_free_prefix(seeded(state(lonely, 4), o_m=lonely.o_m + 1).inst)
 
 
 def test_rr8_batch_matches_repeated_single_shifts():
@@ -589,6 +596,43 @@ def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
             total_drops += rules["clean_suffix"]
     assert total_calls <= 10 * 24
     assert total_drops > 10 * total_calls
+
+
+def test_decisions_on_one_instance_share_its_k_independent_prefix(monkeypatch):
+    inst = random_instance(random.Random(125), 8, 8, 0.6)
+    text = serialize(inst)
+    low, least = least_k(inst), _least_balance(_chain(inst))
+    ks = (least, low - 1, low, _balance(inst, inst.mu_m), least - 1)
+    assert least - 1 > low  # five distinct k, on both sides of max(O_M, O_W)
+    runs = []
+    real = gs._deferred_acceptance
+
+    def counted(*args):
+        runs[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    results = []
+    for k in ks:
+        runs.append(0)
+        results.append(kernelize(inst, k))
+    # The first decision derives the prefix; the later ones start from it.
+    assert all(later < runs[0] for later in runs[1:])
+    assert [e.rule for e in results[0].trace.entries[:2]] == ["clean_suffix", "restrict_matched"]
+    assert results[0].outcome == OUTCOME_KERNEL and results[1].outcome == TRIVIAL_NO
+    for k, got in zip(ks, results):
+        want = kernelize(parse_instance(text), k)
+        assert (got.outcome, got.kernel, got.k, got.t_input, got.witness) == (
+            want.outcome, want.kernel, want.k, want.t_input, want.witness
+        )
+        assert (got.removed_happy, got.dummy_men, got.dummy_women) == (
+            want.removed_happy, want.dummy_men, want.dummy_women
+        )
+        assert got.trace.steps == want.trace.steps
+        # Rule, rows, k before, k step and t before and after of every entry.
+        assert got.trace.entries == want.trace.entries
+        assert got == want
+    assert serialize(inst) == text and parse_instance(text) == inst
 
 
 # --- the integer state against deferred acceptance on people ----------------
