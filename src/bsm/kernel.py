@@ -32,21 +32,18 @@ makes the same changes, in the same order and with the same rows, as
 restarting after every single application would.  The tests hold each
 batch to a single-step reference that makes one change per application.
 
-From k = max(O_M, O_W) up, bound_check does not fire, and until
-clean_suffix and restrict_matched both stop firing no later rule is
-reached.  Neither reads k or moves O_M or O_W, so every such decision on
-an instance starts with the same applications of those two.  That
-prefix, the cleaned instance with the rows of each application, is
-derived once per instance and kept with it, as its stable optima are;
-each decision stamps the prefix's entries with its own k and t and goes
-on from the cleaned instance.  Below max(O_M, O_W) bound_check answers
-no at once, as it always has.
+clean_suffix, restrict_matched, remove_happy_pair and shrink read no k,
+and shrink moves it by a fixed step.  The table applies each of them
+through ``_k_free``, which keeps the rule's outcome on an instance with
+that instance, as its stable optima are kept: every later decision on
+the instance reuses it at its own k.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import wraps
 from typing import NamedTuple
 
 from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError, _derived
@@ -252,7 +249,10 @@ def restrict_matched(st: KernelState):
         return None
     gone = [inst.men[m] for m, w in enumerate(inst.mu_m.by_man) if w < 0]
     gone += [inst.women[w] for w, m in enumerate(inst.mu_m.by_woman) if m < 0]
-    return _kept(st, men, women), [tuple(gone)]
+    nxt = _kept(st, men, women)
+    if (nxt.inst.o_m, nxt.inst.o_w) != (inst.o_m, inst.o_w):
+        raise OptimaMoved("restricting to the matched people changed an optimal cost")
+    return nxt, [tuple(gone)]
 
 
 def bound_sad(st: KernelState):
@@ -267,6 +267,8 @@ def no_sad(st: KernelState):
     """With no sad people the man-optimal matching is the only stable one.
 
     It is also the woman-optimal one, so its balance is max(O_M, O_W).
+    Inside ``kernelize`` only the yes is reached: every round opens with
+    bound_check, which already answers no whenever k < max(O_M, O_W).
     """
     inst = st.inst
     if inst.sad_men or inst.sad_women:
@@ -386,15 +388,37 @@ def shrink(st: KernelState):
     return hit
 
 
+def _k_free(rule):
+    """``rule``, which reads no k and moves it by a fixed step, with its
+    outcome on an instance kept in that instance's derived-value store.
+
+    The store is keyed by ``rule`` itself and holds None or (next
+    instance, k step, rows); a later call on the same instance returns
+    them at its own k without running the rule.
+    """
+
+    @wraps(rule)
+    def apply(st: KernelState):
+        kept = st.inst.__dict__.setdefault("_k_free", {})
+        if rule in kept:
+            hit = kept[rule]
+            return None if hit is None else (KernelState(hit[0], st.k - hit[1]), hit[2])
+        hit = rule(st)
+        kept[rule] = None if hit is None else (hit[0].inst, st.k - hit[0].k, tuple(hit[1]))
+        return hit
+
+    return apply
+
+
 RULES = (
     ("bound_check", bound_check),
-    ("clean_suffix", clean_suffix),
-    ("restrict_matched", restrict_matched),
+    ("clean_suffix", _k_free(clean_suffix)),
+    ("restrict_matched", _k_free(restrict_matched)),
     ("bound_sad", bound_sad),
     ("no_sad", no_sad),
-    ("remove_happy_pair", remove_happy_pair),
+    ("remove_happy_pair", _k_free(remove_happy_pair)),
     ("truncate", truncate),
-    ("shrink", shrink),
+    ("shrink", _k_free(shrink)),
 )
 
 
@@ -479,62 +503,26 @@ def require_lists(inst: Instance) -> None:
         )
 
 
-def _k_free_prefix(inst: Instance) -> tuple[Instance, tuple[tuple[str, tuple], ...]]:
-    """The k-independent prefix (module docstring): the instance after
-    clean_suffix and restrict_matched reach their fixed point, and the
-    (rule, rows) of each application, in order.
-
-    Derived once per instance and kept in its derived-value store, as
-    ``Instance.mu_m`` is.
-    """
-    kept = inst.__dict__.get("_k_free_prefix")
-    if kept is not None:
-        return kept
-    st = KernelState(inst, max(inst.o_m, inst.o_w))
-    applied = []
-    while True:
-        for name, rule in RULES[1:3]:  # clean_suffix, restrict_matched
-            hit = rule(st)
-            if hit is not None:
-                break
-        else:
-            break
-        st, rows = hit
-        applied.append((name, tuple(rows)))
-    cleaned = st.inst
-    if (cleaned.o_m, cleaned.o_w) != (inst.o_m, inst.o_w):
-        raise OptimaMoved("the k-independent rules changed an optimal cost")
-    kept = inst.__dict__["_k_free_prefix"] = cleaned, tuple(applied)
-    return kept
-
-
 def kernelize(inst: Instance, k: int) -> KernelResult:
     """Run the whole reduction on a list-form instance.
 
     Returns either a trivial yes (with an input-level witness), a trivial
     no, or an equivalent list-form kernel whose people count is linear in
-    the parameter.  From k = max(O_M, O_W) up the pipeline starts from the
-    instance's k-independent prefix, each of its applications stamped with
-    this k and t, and its first round starts past the prefix's rules, as
-    none of them applies at the prefix's fixed point.
+    the parameter.  The rules that read no k reuse their outcomes on this
+    instance from earlier decisions (module docstring).
     """
     require_lists(inst)
-    t_input = k - min(inst.o_m, inst.o_w)
-    start, entries, rules = inst, [], RULES
-    if k >= max(inst.o_m, inst.o_w):
-        start, applied = _k_free_prefix(inst)
-        entries = [TraceEntry(name, rows, k, 0, t_input, t_input) for name, rows in applied]
-        rules = RULES[3:]  # past bound_check, clean_suffix and restrict_matched
-    st = KernelState(start, k)
+    st = KernelState(inst, k)
+    t_input = st.t
+    entries: list[TraceEntry] = []
     verdict = None
     while verdict is None:
-        for name, rule in rules:
+        for name, rule in RULES:
             hit = rule(st)
             if hit is not None:
                 break
         else:
             break
-        rules = RULES
         nxt, rows = hit
         after = st if isinstance(nxt, str) else nxt
         per_row = (st.k - after.k) // len(rows)  # 1 for shrink, 0 for every other rule

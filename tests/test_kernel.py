@@ -29,7 +29,7 @@ from bsm.kernel import (
     truncate,
 )
 from bsm.fpt import _balance, solve_above_min
-from bsm.oracle import _chain, _least_balance, decide_above_min, enumerate_stable
+from bsm.oracle import decide_above_min, enumerate_stable
 from helpers import (
     SAD_2X2_TEXT,
     clean_suffix_once,
@@ -510,12 +510,12 @@ def test_batches_raise_when_optima_move():
     fake = seeded(st, sad_men=(m2,), sad_women=(w2,), happy_pairs=((m1, w1),))
     with pytest.raises(OptimaMoved):
         remove_happy_pair(fake)
-    # The k-independent prefix holds O_M and O_W: restrict_matched drops the
-    # listless m3, and the rebuilt instance's O_M is not the one claimed.
+    # restrict_matched holds O_M and O_W: it drops the listless m3, and the
+    # rebuilt instance's O_M is not the one claimed.
     lonely = parse_instance(SAD_2X2_TEXT.replace("men: m1 m2", "men: m1 m2 m3"))
-    assert kernel._k_free_prefix(lonely)[1] == (("restrict_matched", ((Person("M", "m3"),),)),)
+    assert restrict_matched(state(lonely, 4))[1] == [(Person("M", "m3"),)]
     with pytest.raises(OptimaMoved):
-        kernel._k_free_prefix(seeded(state(lonely, 4), o_m=lonely.o_m + 1).inst)
+        restrict_matched(seeded(state(lonely, 4), o_m=lonely.o_m + 1))
 
 
 def test_rr8_batch_matches_repeated_single_shifts():
@@ -542,7 +542,10 @@ def test_rr8_batch_matches_repeated_single_shifts():
 
 
 def test_kernelize_trace_matches_single_shifts(monkeypatch):
-    single = tuple((name, shrink_once if rule is shrink else rule) for name, rule in kernel.RULES)
+    single = tuple(
+        (name, shrink_once if getattr(rule, "__wrapped__", None) is shrink else rule)
+        for name, rule in kernel.RULES
+    )
     assert single != kernel.RULES
 
     decisions = shrinks = 0
@@ -571,24 +574,24 @@ def test_rr8_batch_raises_when_optima_move():
 
 
 def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
-    # Each state a rule builds has a new instance, which runs deferred
-    # acceptance once for each optimum.
+    # Each instance a rule builds runs deferred acceptance once for each
+    # optimum; an outcome kept from an earlier decision builds none.
     calls = [0]
-    real = kernel.KernelState
+    real = kernel.Instance
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "KernelState", counted)
+    monkeypatch.setattr(kernel, "Instance", counted)
     total_calls = total_drops = 0
     for inst in diff_instances(2203, 12):
         for k in (least_k(inst), least_k(inst) + 3):
             calls[0] = 0
             result = kernelize(inst, k)
             rules = Counter(step.rule for step in result.trace.steps)
-            # One call to start, one per batch, one per single-step rebuild and
-            # one for the dummies; the clean-suffix and happy-pair batches fire
+            # One build per batch, one per single-step rebuild and one for
+            # the dummies; the clean-suffix and happy-pair batches fire
             # again only after a single step, the shrink batch once at the end.
             singles = rules["restrict_matched"] + rules["truncate"]
             assert calls[0] <= 5 + 3 * singles
@@ -598,12 +601,12 @@ def test_kernelize_reruns_optima_a_few_times_per_decision(monkeypatch):
     assert total_drops > 10 * total_calls
 
 
-def test_decisions_on_one_instance_share_its_k_independent_prefix(monkeypatch):
+def test_decisions_on_one_instance_share_its_k_free_rule_outcomes(monkeypatch):
     inst = random_instance(random.Random(125), 8, 8, 0.6)
     text = serialize(inst)
-    low, least = least_k(inst), _least_balance(_chain(inst))
-    ks = (least, low - 1, low, _balance(inst, inst.mu_m), least - 1)
-    assert least - 1 > low  # five distinct k, on both sides of max(O_M, O_W)
+    low = least_k(inst)
+    ks = list(range(low - 1, _balance(inst, inst.mu_m) + 1))
+    shuffled = random.Random(5).sample(ks, len(ks))
     runs = []
     real = gs._deferred_acceptance
 
@@ -612,27 +615,75 @@ def test_decisions_on_one_instance_share_its_k_independent_prefix(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(gs, "_deferred_acceptance", counted)
-    results = []
+    fresh = {}
     for k in ks:
         runs.append(0)
-        results.append(kernelize(inst, k))
-    # The first decision derives the prefix; the later ones start from it.
-    assert all(later < runs[0] for later in runs[1:])
-    assert [e.rule for e in results[0].trace.entries[:2]] == ["clean_suffix", "restrict_matched"]
-    assert results[0].outcome == OUTCOME_KERNEL and results[1].outcome == TRIVIAL_NO
-    for k, got in zip(ks, results):
-        want = kernelize(parse_instance(text), k)
-        assert (got.outcome, got.kernel, got.k, got.t_input, got.witness) == (
-            want.outcome, want.kernel, want.k, want.t_input, want.witness
-        )
-        assert (got.removed_happy, got.dummy_men, got.dummy_women) == (
-            want.removed_happy, want.dummy_men, want.dummy_women
-        )
-        assert got.trace.steps == want.trace.steps
-        # Rule, rows, k before, k step and t before and after of every entry.
-        assert got.trace.entries == want.trace.entries
-        assert got == want
-    assert serialize(inst) == text and parse_instance(text) == inst
+        fresh[k] = kernelize(parse_instance(text), k), runs[-1]
+    rules = {k: [e.rule for e in want.trace.entries] for k, (want, _) in fresh.items()}
+    # Every k-free rule fires before any truncate on some k, and truncate fires on others.
+    assert any({"remove_happy_pair", "shrink"} <= set(r) and "truncate" not in r for r in rules.values())
+    assert any("truncate" in r for r in rules.values())
+    assert fresh[low - 1][0].outcome == TRIVIAL_NO
+
+    for order in (ks, ks[::-1], shuffled):
+        one = parse_instance(text)
+        untruncated = 0  # kernel decisions so far on which no truncate fired
+        for i, k in enumerate(order):
+            runs.append(0)
+            got = kernelize(one, k)
+            want, first_runs = fresh[k]
+            assert (got.outcome, got.kernel, got.k, got.t_input, got.witness) == (
+                want.outcome, want.kernel, want.k, want.t_input, want.witness
+            )
+            assert (got.removed_happy, got.dummy_men, got.dummy_women) == (
+                want.removed_happy, want.dummy_men, want.dummy_women
+            )
+            assert got.trace.steps == want.trace.steps
+            # Rule, rows, k before, k step and t before and after of every entry.
+            assert got.trace.entries == want.trace.entries
+            assert got == want
+            # A later decision reuses every k-free outcome on the instances
+            # it shares with earlier ones.  Decisions with no truncate share
+            # all of theirs, so after the first such one the others build
+            # only the padded kernel, whose t check runs both optima.
+            assert runs[-1] == first_runs if i == 0 else runs[-1] < first_runs
+            if "truncate" not in rules[k] and want.outcome == OUTCOME_KERNEL:
+                assert untruncated == 0 or runs[-1] == 2
+                untruncated += 1
+        assert serialize(one) == text and parse_instance(text) == one
+
+
+def test_kept_outcomes_are_keyed_by_the_rule(monkeypatch):
+    # Single-step references given to the table after a batched decision
+    # must run on the same instance, not read the batch's kept outcomes,
+    # so the traces below come from two computations.
+    references = {
+        "clean_suffix": clean_suffix_once,
+        "remove_happy_pair": remove_happy_pair_once,
+        "shrink": shrink_once,
+    }
+    calls = Counter()
+
+    def counted(name):
+        def apply(st):
+            calls[name] += 1
+            return references[name](st)
+        return apply
+
+    single = tuple((name, counted(name) if name in references else rule) for name, rule in kernel.RULES)
+    checked = 0
+    for inst in diff_instances(2206, 16, max_n=20):
+        for k in (least_k(inst), least_k(inst) + 2, least_k(inst) + 6):
+            batched = kernelize(inst, k)
+            if not set(references) <= {e.rule for e in batched.trace.entries}:
+                continue
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "RULES", single)
+                assert kernelize(inst, k).trace == batched.trace
+            assert all(calls[name] > 0 for name in references)
+            checked += 1
+    assert checked >= 5
 
 
 # --- the integer state against deferred acceptance on people ----------------
