@@ -12,7 +12,14 @@ them a strictly worse partner under a shared rank-increase budget
 that is stable with balance at most k.
 
 The search runs on the integer tables and man-optimal partner arrays of
-the kernel instance, and makes people only for the witness it lifts.
+the functional kernel, before dummy insertion, and makes people only for
+the witness it lifts.  The padded kernel would give the same search.
+Every stable matching of it holds the t dummy pairs, so both side costs
+and k rise by t, and r and every rank comparison stay.  A dummy woman is
+matched to her dummy man in μ_M and ranks him first: the walk skips her
+without a node, she never blocks, and she adds only dummy men, never sad,
+to start sets.  The dummies come after the real people, so the sad men
+and the subset order are the same.
 
 A person is *fixed* on a branch once their partner in every certificate
 below it is known: the happy pairs, the unselected sad men with their
@@ -81,8 +88,9 @@ class SolveResult:
 
 
 class _Context:
-    """Kernel facts shared across all subsets, read from the kernel instance
-    and its target k, and the partner arrays the search patches per subset."""
+    """Kernel facts shared across all subsets, read from the functional
+    kernel and its target k, and the partner arrays the search patches per
+    subset.  A padded kernel and its k give the same search (module docstring)."""
 
     def __init__(self, kernel: Instance, k: int):
         self.inst = kernel
@@ -253,8 +261,9 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     """``solve_above_min`` without the extreme matchings: the paper's procedure.
 
     Kernelizes first; if that does not settle the answer, tries every
-    subset of the kernel's sad men in increasing cardinality and accepts on
-    the first assembled stable matching within target.
+    subset of the functional kernel's sad men in increasing cardinality and
+    accepts on the first assembled stable matching within target.  No
+    dummy is added.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -262,8 +271,8 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
         return SolveResult(
             answer, kres.witness, kres.t_input, None, SolveStats(0, 0, 0), kres
         )
-    kernel = kres.kernel
-    ctx = _Context(kernel, kres.k)
+    kernel = kres.functional
+    ctx = _Context(kernel, kres.functional_k)
     r = ctx.r
     subsets = 0
     nodes_total = 0

@@ -3,12 +3,13 @@
 The pipeline takes a list-form instance as a functional one and applies
 the eight reduction rules of ``RULES`` exhaustively: at each round the
 first rule in table order that applies fires, and the next round starts
-again from the first rule.  The result is then padded with
-mutually-first dummy pairs that fill the gaps left in the rank images,
-and the gap-free functions are read back as preference lists.  Every
-step preserves the answer and never increases the parameter
-``t = k - min(O_M, O_W)``.  Entry i of the table is reduction rule i
-(rr1 to rr8).
+again from the first rule.  The result, the functional kernel, has gaps
+in its rank images.  ``fill_gaps`` pads it with t mutually-first dummy
+pairs that fill the gaps, and the gap-free functions are read back as
+preference lists; a ``KernelResult`` does this the first time its padded
+kernel, target, dummies or trace is read.  Every step preserves the
+answer and never increases the parameter ``t = k - min(O_M, O_W)``.
+Entry i of the table is reduction rule i (rr1 to rr8).
 
 A ``KernelState`` is an instance and its target k.  The instance holds
 the integer rank tables and derives from them, once, its two stable
@@ -144,31 +145,67 @@ class KernelTrace:
 class KernelResult:
     """Outcome of the full pipeline plus everything needed to audit it.
 
-    For outcome "kernel", ``kernel`` is a list-form instance carrying the
-    new target both in ``k`` and in ``kernel.target_k``; ``functional``
-    holds the reduced instance before dummy insertion.  ``witness`` is set
-    for outcome "yes" and lives in the *input* instance.  ``lift`` maps any
-    matching of the kernel back to the input instance.
+    For outcome "kernel", ``functional`` is the reduced instance with gaps
+    in its rank functions and ``functional_k`` its target; the solver
+    branches on these.  ``kernel`` is the list-form instance that dummy
+    insertion makes from them, carrying the new target both in ``k`` and
+    in ``kernel.target_k``.  ``kernel``, ``k``, ``dummy_men``,
+    ``dummy_women`` and the dummy-insertion entries of ``trace`` come from
+    one ``fill_gaps`` call, made the first time any of them is read and
+    kept, as an instance keeps its optima.  ``rule_trace`` is the trace of
+    the reduction rules alone.  ``witness`` is set for outcome "yes" and lives
+    in the *input* instance.  ``lift`` maps any matching of the functional
+    or the padded kernel back to the input instance.
     """
 
     outcome: str
-    kernel: Instance | None
-    k: int | None
-    trace: KernelTrace
+    rule_trace: KernelTrace
     t_input: int
     witness: Matching | None
     functional: Instance | None
     functional_k: int | None
     removed_happy: tuple[tuple[Person, Person], ...]
-    dummy_men: tuple[Person, ...]
-    dummy_women: tuple[Person, ...]
+
+    @_derived
+    def _padded(self):
+        """(kernel, k, dummy men, dummy women, dummy-insertion entries); no dummies without a kernel."""
+        if self.functional is None:
+            return None, None, (), (), ()
+        padded, xs, ys, entries = fill_gaps(KernelState(self.functional, self.functional_k))
+        return padded.inst, padded.k, xs, ys, tuple(entries)
+
+    @property
+    def kernel(self) -> Instance | None:
+        return self._padded[0]
+
+    @property
+    def k(self) -> int | None:
+        return self._padded[1]
+
+    @property
+    def dummy_men(self) -> tuple[Person, ...]:
+        return self._padded[2]
+
+    @property
+    def dummy_women(self) -> tuple[Person, ...]:
+        return self._padded[3]
+
+    @_derived
+    def trace(self) -> KernelTrace:
+        """The rule log, dummy insertion included."""
+        return KernelTrace(self.rule_trace.entries + self._padded[4], self.rule_trace.outcome)
 
     def lift(self, matching: Matching) -> Matching:
-        dummies = set(self.dummy_men) | set(self.dummy_women)
-        kept = [
-            (m, w) for m, w in matching.pairs if m not in dummies and w not in dummies
-        ]
-        return Matching.of(kept + list(self.removed_happy))
+        """``matching`` without the dummies' pairs, plus the removed happy pairs.
+
+        Of a kernel's matching only the pairs of two people of the
+        functional instance are kept; after a trivial outcome every pair is.
+        """
+        kept = matching.pairs
+        if self.functional is not None:
+            men, women = self.functional.man_index, self.functional.woman_index
+            kept = [(m, w) for m, w in kept if m in men and w in women]
+        return Matching.of([*kept, *self.removed_happy])
 
 
 # --- the rules --------------------------------------------------------------
@@ -507,8 +544,9 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     """Run the whole reduction on a list-form instance.
 
     Returns either a trivial yes (with an input-level witness), a trivial
-    no, or an equivalent list-form kernel whose people count is linear in
-    the parameter.  The rules that read no k reuse their outcomes on this
+    no, or an equivalent functional kernel whose people count is linear in
+    the parameter; the result pads it to a list-form one when that is
+    first read.  The rules that read no k reuse their outcomes on this
     instance from earlier decisions (module docstring).
     """
     require_lists(inst)
@@ -533,28 +571,12 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
             st = nxt
 
     removed_happy = tuple(row[:2] for e in entries if e.rule == "remove_happy_pair" for row in e.rows)
-    if verdict is not None:
-        witness = None
-        if verdict == TRIVIAL_YES:
-            men, women = st.inst.men, st.inst.women
-            mu_m = [(men[m], women[w]) for m, w in enumerate(st.inst.mu_m.by_man) if w >= 0]
-            witness = Matching.of(mu_m + list(removed_happy))
-        return KernelResult(
-            verdict, None, None, KernelTrace(tuple(entries), verdict), t_input,
-            witness, None, None, removed_happy, (), (),
-        )
-    padded, xs, ys, fill_entries = fill_gaps(st)
-    entries.extend(fill_entries)
-    return KernelResult(
-        OUTCOME_KERNEL,
-        padded.inst,
-        padded.k,
-        KernelTrace(tuple(entries), "reduced"),
-        t_input,
-        None,
-        st.inst,
-        st.k,
-        removed_happy,
-        xs,
-        ys,
-    )
+    rule_trace = KernelTrace(tuple(entries), "reduced" if verdict is None else verdict)
+    if verdict is None:
+        return KernelResult(OUTCOME_KERNEL, rule_trace, t_input, None, st.inst, st.k, removed_happy)
+    witness = None
+    if verdict == TRIVIAL_YES:
+        men, women = st.inst.men, st.inst.women
+        mu_m = [(men[m], women[w]) for m, w in enumerate(st.inst.mu_m.by_man) if w >= 0]
+        witness = Matching.of(mu_m + list(removed_happy))
+    return KernelResult(verdict, rule_trace, t_input, witness, None, None, removed_happy)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from bsm import fpt, gs
+from bsm import fpt, gs, kernel
 from bsm.fpt import _assemble, _Context, _first_accepted, solve_above_min
 from bsm.generate import cyclic_instance, mutual_first_instance, random_graph, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
@@ -291,7 +291,7 @@ def cut_kernels():
     for inst, k in draws:
         result = kernelize(inst, k)
         ctx = _Context(result.kernel, result.k)
-        yield ctx, result.k - ctx.inst.o_m
+        yield result, ctx, result.k - ctx.inst.o_m
 
 
 def check_first_accepted(ctx, m_prime, r):
@@ -327,7 +327,7 @@ def test_pruned_search_finds_the_unpruned_first_certificate_within_its_node_coun
 
 def test_pruned_search_finds_the_unpruned_first_certificate_on_cut_heavy_kernels():
     subsets = accepted = 0
-    for ctx, r in cut_kernels():
+    for _, ctx, r in cut_kernels():
         st = ctx.inst
         assert len(st.sad_men) >= 6
         for size in range(len(st.sad_men) + 1):
@@ -341,7 +341,78 @@ def search_and_cut_kernels():
     """Every context of ``search_kernels`` and ``cut_kernels``, with its budget."""
     for *_, ctx, r in search_kernels():
         yield ctx, r
-    yield from cut_kernels()
+    for _, ctx, r in cut_kernels():
+        yield ctx, r
+
+
+def test_the_functional_kernel_branches_as_the_padded_kernel_does():
+    # The padded kernel of the helpers above is the reference.  Its t dummy
+    # pairs come after the real people, so every sad man keeps his index; a
+    # dummy woman, held by her dummy man whom she ranks first, is skipped
+    # without a node and only adds dummy men to start sets.
+    kernels = subsets = accepted = 0
+    contexts = [(result, ctx) for _, _, result, ctx, _ in search_kernels()]
+    contexts += [(result, ctx) for result, ctx, _ in cut_kernels()]
+    for result, padded in contexts:
+        fun = _Context(result.functional, result.functional_k)
+        dummy_men = set(range(len(fun.inst.men), len(padded.inst.men)))
+        assert padded.inst.men[len(fun.inst.men):] == result.dummy_men
+        assert (fun.r, fun.inst.sad_men) == (padded.r, padded.inst.sad_men)
+        assert fun.starts == {m: start - dummy_men for m, start in padded.starts.items()}
+        for size in range(len(fun.inst.sad_men) + 1):
+            for m_prime in combinations(fun.inst.sad_men, size):
+                lifted = []
+                for ctx in (fun, padded):
+                    hit, nodes = _first_accepted(ctx, m_prime)
+                    lifted.append((None if hit is None else result.lift(people(ctx.inst, hit)), nodes))
+                assert lifted[0] == lifted[1]
+                subsets += 1
+                accepted += lifted[0][0] is not None
+        kernels += 1
+    assert kernels >= 30 and subsets >= 1000 and accepted >= 50
+
+
+def test_a_decision_pads_no_kernel(monkeypatch):
+    def refuse(st):
+        raise AssertionError("a decision padded its kernel")
+
+    rng = random.Random(3)
+    cases = []
+    for _ in range(30):
+        inst = sad_rich_instance(rng)
+        cases += [(inst, k) for k in range(max(inst.o_m, inst.o_w), inst.o_m + inst.o_w + 1)]
+    want = [solve_above_min(inst, k) for inst, k in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "fill_gaps", refuse)
+        got = [solve_above_min(inst, k) for inst, k in cases]
+    branched = {True: 0, False: 0}
+    for a, b in zip(want, got):
+        assert (b.answer, b.witness, b.t, b.r, b.stats) == (a.answer, a.witness, a.t, a.r, a.stats)
+        if b.stats.subsets_tried:
+            branched[b.answer] += 1
+    assert branched[True] >= 5 and branched[False] >= 5
+
+    # Reading the padded kernel, its trace and its dummies pads it once.
+    real = kernel.fill_gaps
+    calls = []
+
+    def counted(st):
+        calls.append(st)
+        return real(st)
+
+    monkeypatch.setattr(kernel, "fill_gaps", counted)
+    padded = 0
+    for (inst, k), result in zip(cases, got):
+        kres = result.kernel
+        if kres is None or kres.outcome != OUTCOME_KERNEL:
+            continue
+        calls.clear()
+        read = (kres.kernel, kres.k, kres.trace, kres.dummy_men, kres.dummy_women)
+        assert kres.kernel is read[0] and kres.trace is read[2] and len(calls) == 1
+        fresh = kernelize(parse_instance(serialize(inst)), k)
+        assert read == (fresh.kernel, fresh.k, fresh.trace, fresh.dummy_men, fresh.dummy_women)
+        padded += 1
+    assert padded >= 10
 
 
 def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from bsm import gs, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
-from bsm.instance import Instance, Person, parse_instance, serialize
+from bsm.instance import MAN, WOMAN, Instance, Matching, Person, parse_instance, serialize
 from bsm.kernel import (
     OUTCOME_KERNEL,
     TRIVIAL_NO,
@@ -618,7 +618,9 @@ def test_decisions_on_one_instance_share_its_k_free_rule_outcomes(monkeypatch):
     fresh = {}
     for k in ks:
         runs.append(0)
-        fresh[k] = kernelize(parse_instance(text), k), runs[-1]
+        want = kernelize(parse_instance(text), k)
+        want.kernel  # the padded kernel is built on first read: count it here
+        fresh[k] = want, runs[-1]
     rules = {k: [e.rule for e in want.trace.entries] for k, (want, _) in fresh.items()}
     # Every k-free rule fires before any truncate on some k, and truncate fires on others.
     assert any({"remove_happy_pair", "shrink"} <= set(r) and "truncate" not in r for r in rules.values())
@@ -631,6 +633,7 @@ def test_decisions_on_one_instance_share_its_k_free_rule_outcomes(monkeypatch):
         for i, k in enumerate(order):
             runs.append(0)
             got = kernelize(one, k)
+            got.kernel  # in this decision's window too
             want, first_runs = fresh[k]
             assert (got.outcome, got.kernel, got.k, got.t_input, got.witness) == (
                 want.outcome, want.kernel, want.k, want.t_input, want.witness
@@ -748,14 +751,35 @@ def test_kernelize_names_people_only_in_its_result(monkeypatch):
             made[0] = 0
             result = kernelize(inst, k)
             outcomes[result.outcome] += 1
+            # The reduction makes nobody, however many rules fire.
+            assert made[0] == 0
             if result.outcome == OUTCOME_KERNEL:
-                # Only the t dummy men and t dummy women, however many rules fire.
+                # Reading the padded kernel makes the t dummy men and t dummy women.
+                result.kernel
                 assert made[0] == 2 * (result.k - result.functional_k) == len(result.dummy_men + result.dummy_women)
                 busiest = max(busiest, len(result.trace.steps))
-            else:
-                assert made[0] == 0
     assert min(outcomes[o] for o in (TRIVIAL_YES, TRIVIAL_NO, OUTCOME_KERNEL)) >= 5
     assert busiest >= 50
+
+
+def test_lift_of_a_trivial_outcome_keeps_every_pair_and_adds_the_removed_happy_ones():
+    # Without a kernel there are no dummies: lift drops no pair, not even
+    # one of people from no instance.
+    stranger = (Person(MAN, "zz"), Person(WOMAN, "zz"))
+    lifted = 0
+    for inst in diff_instances(2206, 16, max_n=12):
+        mu = gs.man_optimal(inst)
+        for k in range(least_k(inst) - 1, least_k(inst) + 6):
+            result = kernelize(inst, k)
+            if result.outcome == OUTCOME_KERNEL:
+                continue
+            assert result.functional is None and result.kernel is None
+            removed = set(result.removed_happy)
+            assert removed <= mu.pairs
+            kept = Matching.of([p for p in mu.pairs if p not in removed] + [stranger])
+            assert result.lift(kept) == Matching.of([*mu.pairs, stranger])
+            lifted += bool(removed)
+    assert lifted >= 10
 
 
 @pytest.mark.parametrize("men, women, dummy_men, dummy_women", [
