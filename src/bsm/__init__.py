@@ -1,16 +1,15 @@
 """Toolkit for the balanced stable marriage problem.
 
-The data model, stored as integer rank tables with the facts of its two
-extreme stable matchings derived once, and its formats live in
-``instance``; deferred acceptance and the objective functions in ``gs``;
-every stable matching, from the rotation poset, in ``oracle``; the
-parameter-bounded shrinking pipeline, on an instance and its target k,
-in ``kernel``; the subset-and-branch solver in ``fpt``; the clique
-reduction generator and verifier in ``hardness``.
+The data model, stored as integer rank tables with its two extreme stable
+matchings found once by deferred acceptance, and its formats live in
+``instance``; the checks of people matchings in ``gs``; every stable
+matching, from the rotation poset, in ``oracle``; the parameter-bounded
+shrinking pipeline, on an instance and its target k, in ``kernel``; the
+subset-and-branch solver in ``fpt``; the clique reduction in ``hardness``.
 """
 
 from .fpt import SolveResult, SolveStats, minimal_balance, solve_above_min
-from .gs import InvalidMatching, Objectives, Optima, blocking_pairs, man_optimal, objectives, optima, woman_optimal
+from .gs import InvalidMatching, Objectives, Optima, blocking_pairs, objectives, optima
 from .hardness import (
     Graph,
     NotAClique,

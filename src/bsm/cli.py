@@ -63,6 +63,8 @@ def _read_matching(path: str, inst: Instance) -> Matching:
         man, woman = (by_name.get(parts[0]), by_name.get(parts[1]))
         if man is None or woman is None:
             raise gs.InvalidMatching(f"line {lineno}: unknown person")
+        if man not in inst.man_index or woman not in inst.woman_index:
+            raise gs.InvalidMatching(f"line {lineno}: expected 'man woman'")
         for person in (man, woman):
             if person in seen:
                 raise gs.InvalidMatching(f"line {lineno}: {person} is matched twice")

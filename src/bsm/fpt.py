@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gs
-from .instance import Instance, Matching, Partners
+from .instance import Instance, Matching, Partners, cost
 from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, require_lists
 
 
@@ -222,21 +222,15 @@ def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:
         if by_woman[w] >= 0:
             return None  # two men claim the same woman
         by_man[m], by_woman[w] = w, m
-    women_cost = _cost(inst.w_rank, by_woman)
+    women_cost = cost(inst.w_rank, by_woman)
     if women_cost > ctx.k or any(gs._blocking(inst.m_rank, inst.w_rank, by_man, by_woman)):
         return None
     return by_man
 
 
-def _cost(tables, partner) -> int:
-    """One side's cost of a matching: each matched person's rank of their
-    partner, summed over ``partner``, a partner index array (-1 if single)."""
-    return sum(tables[p][q] for p, q in enumerate(partner) if q >= 0)
-
-
 def _balance(inst: Instance, mu: Partners) -> int:
     """The balance of the matching ``mu``, the larger of its two sides' costs."""
-    return max(_cost(inst.m_rank, mu.by_man), _cost(inst.w_rank, mu.by_woman))
+    return max(cost(inst.m_rank, mu.by_man), cost(inst.w_rank, mu.by_woman))
 
 
 def solve_above_min(inst: Instance, k: int) -> SolveResult:

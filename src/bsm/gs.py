@@ -1,16 +1,16 @@
-"""Deferred acceptance, stability checking and objective functions, on an instance's rank tables.
+"""Stability checking and objective functions for matchings of people.
 
-Deferred acceptance runs once per instance and side, for ``Instance.mu_m``
-and ``Instance.mu_w``.  Matchings of people are read and written through
-the instance's ``man_index`` and ``woman_index``.
+Deferred acceptance lives with the instance, which runs it once per side
+for ``Instance.mu_m`` and ``Instance.mu_w``.  Here a matching of people is
+checked and turned into partner index arrays once, by ``validate_matching``,
+and its blocking pairs and costs are read off those arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .instance import Instance, Matching, Person
+from .instance import Instance, Matching, Person, cost
 
 
 class InvalidMatching(ValueError):
@@ -54,61 +54,25 @@ class Optima:
     o_w: int
 
 
-def _deferred_acceptance(order, responder_rank, n_resp, queue=None):
-    """Proposer-optimal matching as (each proposer's partner, each responder's partner), -1 for none.
+def validate_matching(inst: Instance, mu: Matching) -> tuple[list[int], list[int]]:
+    """Check that ``mu`` is a matching of ``inst`` over acceptable pairs.
 
-    Iterating ``order[p]`` gives responder indices from best to worst, as
-    a table of ``Instance.m_rank`` does; ``responder_rank[r]`` maps
-    proposer index to rank value.  ``queue`` overrides the processing
-    order; the result is independent of it.
+    Returns it as partner index arrays ``(man_to, woman_to)``, -1 if single.
     """
-    choices = [iter(c) for c in order]
-    holds = [-1] * n_resp
-    matched = [-1] * len(order)
-    pending = deque(range(len(order)) if queue is None else queue)
-    while pending:
-        p = pending.popleft()
-        for r in choices[p]:
-            current = holds[r]
-            if current < 0:
-                holds[r] = p
-                matched[p] = r
-                break
-            rank = responder_rank[r]
-            if rank[p] < rank[current]:
-                holds[r] = p
-                matched[p] = r
-                matched[current] = -1
-                pending.append(current)
-                break
-    return matched, holds
-
-
-def man_optimal(inst: Instance) -> Matching:
-    """The stable matching in which every man does as well as he possibly can."""
-    return inst.matching_from_arrays(inst.mu_m.by_man)
-
-
-def woman_optimal(inst: Instance) -> Matching:
-    """The stable matching in which every woman does as well as she possibly can."""
-    return inst.matching_from_arrays(inst.mu_w.by_man)
-
-
-def validate_matching(inst: Instance, mu: Matching) -> None:
     man_index, woman_index = inst.man_index, inst.woman_index
-    seen_men: set[Person] = set()
-    seen_women: set[Person] = set()
+    man_to, woman_to = [-1] * len(inst.men), [-1] * len(inst.women)
     for man, woman in mu:  # sorted, so the first fault named is the same in every run
-        if man not in man_index or woman not in woman_index:
+        m, w = man_index.get(man), woman_index.get(woman)
+        if m is None or w is None:
             raise InvalidMatching(f"({man}, {woman}) uses people outside the instance")
-        if man in seen_men:
+        if man_to[m] >= 0:
             raise InvalidMatching(f"{man} is matched twice")
-        if woman in seen_women:
+        if woman_to[w] >= 0:
             raise InvalidMatching(f"{woman} is matched twice")
-        seen_men.add(man)
-        seen_women.add(woman)
-        if woman_index[woman] not in inst.m_rank[man_index[man]]:
+        if w not in inst.m_rank[m]:
             raise InvalidMatching(f"({man}, {woman}) is not an acceptable pair")
+        man_to[m], woman_to[w] = w, m
+    return man_to, woman_to
 
 
 def _blocking(m_rank, w_rank, man_to, woman_to):
@@ -135,24 +99,18 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[Person, Person]]:
     Empty exactly when ``mu`` is stable.  Pairs come out in canonical order:
     men in instance order, each man's partners in rank order.
     """
-    validate_matching(inst, mu)
-    man_to, woman_to = inst.arrays_from_matching(mu)
+    man_to, woman_to = validate_matching(inst, mu)
     pairs = _blocking(inst.m_rank, inst.w_rank, man_to, woman_to)
     return [(inst.men[m], inst.women[w]) for m, w in pairs]
 
 
 def objectives(inst: Instance, mu: Matching) -> Objectives:
     """Exact integer cost sums of ``mu``; stability is not required."""
-    validate_matching(inst, mu)
-    men_cost = 0
-    women_cost = 0
-    for man, woman in mu.pairs:
-        m, w = inst.man_index[man], inst.woman_index[woman]
-        men_cost += inst.m_rank[m][w]
-        women_cost += inst.w_rank[w][m]
-    return Objectives.from_costs(men_cost, women_cost)
+    man_to, woman_to = validate_matching(inst, mu)
+    return Objectives.from_costs(cost(inst.m_rank, man_to), cost(inst.w_rank, woman_to))
 
 
 def optima(inst: Instance) -> Optima:
     """Both extreme stable matchings with their owning side's cost sums."""
-    return Optima(man_optimal(inst), woman_optimal(inst), inst.o_m, inst.o_w)
+    mu_m, mu_w = (inst.matching_from_arrays(mu.by_man) for mu in (inst.mu_m, inst.mu_w))
+    return Optima(mu_m, mu_w, inst.o_m, inst.o_w)

@@ -327,11 +327,6 @@ def _swap_partners(art: ReductionArtifact, chosen_vertices, chosen_edges) -> lis
     return partner
 
 
-def _swap_matching(art: ReductionArtifact, chosen_vertices, chosen_edges) -> Matching:
-    """The candidate of ``_swap_partners`` as a people matching."""
-    return art.inst.matching_from_arrays(_swap_partners(art, chosen_vertices, chosen_edges))
-
-
 def witness_matching(art: ReductionArtifact, clique) -> Matching:
     """The stable matching certified by a k-clique: its vertex pairs and all
     edge pairs inside it swap, everything else stays put."""
@@ -347,7 +342,7 @@ def witness_matching(art: ReductionArtifact, clique) -> Matching:
         if not art.graph.has_edge(u, v):
             raise NotAClique(f"missing edge ({u}, {v})")
     edge_ids = [j for j, (u, v) in enumerate(art.graph.edges) if u in members and v in members]
-    return _swap_matching(art, members, edge_ids)
+    return art.inst.matching_from_arrays(_swap_partners(art, members, edge_ids))
 
 
 # --- end-to-end verification --------------------------------------------------

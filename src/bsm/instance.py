@@ -13,9 +13,12 @@ directly.  ``Person`` objects name people at the boundary: in matchings,
 in ``serialize`` and in the people-keyed view ``Instance.prefs``, which
 no code in this package builds.  A ``Person`` is a ``NamedTuple`` and
 equals its plain ``(side, name)`` tuple.  The algorithms start from the two
-extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, and
-the facts read off them: the optimal costs ``o_m`` and ``o_w`` and the
-sad and happy people.  Each is derived once per instance, on first use.
+extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, which
+deferred acceptance finds here, and the facts read off them: the optimal
+costs ``o_m`` and ``o_w``, each a side's ``cost``, and the sad and happy
+people.  Each is derived once per instance, on first use.
+``Instance.matching_from_arrays`` turns partner arrays into a matching of
+people; ``gs.validate_matching`` checks such a matching and turns it back.
 
 Each reader proves what it reads, so the per-entry checks run only where
 it cannot.  Every key either reader writes is an int: a partner's index,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -98,6 +102,41 @@ class PeopleView(NamedTuple):
     ranks: dict[Person, dict[Person, int]]
 
 
+def _deferred_acceptance(order, responder_rank, n_resp):
+    """Proposer-optimal matching as (each proposer's partner, each responder's partner), -1 for none.
+
+    Iterating ``order[p]`` gives responder indices from best to worst, as
+    a table of ``Instance.m_rank`` does; ``responder_rank[r]`` maps
+    proposer index to rank value.
+    """
+    choices = [iter(c) for c in order]
+    holds = [-1] * n_resp
+    matched = [-1] * len(order)
+    pending = deque(range(len(order)))
+    while pending:
+        p = pending.popleft()
+        for r in choices[p]:
+            current = holds[r]
+            if current < 0:
+                holds[r] = p
+                matched[p] = r
+                break
+            rank = responder_rank[r]
+            if rank[p] < rank[current]:
+                holds[r] = p
+                matched[p] = r
+                matched[current] = -1
+                pending.append(current)
+                break
+    return matched, holds
+
+
+def cost(tables, partner) -> int:
+    """One side's cost of a matching: each matched person's rank of their
+    partner, summed over ``partner``, a partner index array (-1 if single)."""
+    return sum(tables[p][q] for p, q in enumerate(partner) if q >= 0)
+
+
 @dataclass(frozen=True)
 class Instance:
     """Two person sets, their rank tables and an optional target value.
@@ -149,23 +188,23 @@ class Instance:
 
         Every caller shares these arrays: copy one before editing it.
         """
-        return Partners(*gs._deferred_acceptance(self.m_rank, self.w_rank, len(self.women)))
+        return Partners(*_deferred_acceptance(self.m_rank, self.w_rank, len(self.women)))
 
     @_derived
     def mu_w(self) -> Partners:
         """The woman-optimal stable matching, as ``mu_m`` is the man-optimal one."""
-        by_woman, by_man = gs._deferred_acceptance(self.w_rank, self.m_rank, len(self.men))
+        by_woman, by_man = _deferred_acceptance(self.w_rank, self.m_rank, len(self.men))
         return Partners(by_man, by_woman)
 
     @_derived
     def o_m(self) -> int:
         """O_M, the men's cost of ``mu_m``: the least men's cost of any stable matching."""
-        return sum(self.m_rank[m][w] for m, w in enumerate(self.mu_m.by_man) if w >= 0)
+        return cost(self.m_rank, self.mu_m.by_man)
 
     @_derived
     def o_w(self) -> int:
         """O_W, the women's cost of ``mu_w``: the least women's cost of any stable matching."""
-        return sum(self.w_rank[w][m] for w, m in enumerate(self.mu_w.by_woman) if m >= 0)
+        return cost(self.w_rank, self.mu_w.by_woman)
 
     @_derived
     def sad_men(self) -> tuple[int, ...]:
@@ -192,14 +231,6 @@ class Instance:
             if w >= 0
         )
 
-    def arrays_from_matching(self, mu: "Matching") -> tuple[list[int], list[int]]:
-        man_to = [-1] * len(self.men)
-        woman_to = [-1] * len(self.women)
-        for man, woman in mu.pairs:
-            m, w = self.man_index[man], self.woman_index[woman]
-            man_to[m], woman_to[w] = w, m
-        return man_to, woman_to
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -213,15 +244,8 @@ class Matching:
 
     @_derived
     def by_man(self) -> dict[Person, Person]:
+        """Each matched man's woman; ``perfbench/make_optimize_pool.py`` reads it."""
         return {m: w for m, w in self.pairs}
-
-    @_derived
-    def by_woman(self) -> dict[Person, Person]:
-        return {w: m for m, w in self.pairs}
-
-    def partner(self, person: Person) -> Person | None:
-        table = self.by_man if person.side == MAN else self.by_woman
-        return table.get(person)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -616,7 +640,3 @@ def _serialize_json(inst: Instance) -> str:
         "k": inst.target_k,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-# Last, as gs imports this module: by now every name gs needs from it is defined.
-from . import gs  # noqa: E402

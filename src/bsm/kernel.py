@@ -576,7 +576,5 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
         return KernelResult(OUTCOME_KERNEL, rule_trace, t_input, None, st.inst, st.k, removed_happy)
     witness = None
     if verdict == TRIVIAL_YES:
-        men, women = st.inst.men, st.inst.women
-        mu_m = [(men[m], women[w]) for m, w in enumerate(st.inst.mu_m.by_man) if w >= 0]
-        witness = Matching.of(mu_m + list(removed_happy))
+        witness = Matching.of([*st.inst.matching_from_arrays(st.inst.mu_m.by_man).pairs, *removed_happy])
     return KernelResult(verdict, rule_trace, t_input, witness, None, None, removed_happy)

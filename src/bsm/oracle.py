@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .instance import Instance, Matching
+from .instance import Instance, Matching, cost
 
 DEFAULT_MAX_MEN = 9
 
@@ -112,7 +112,7 @@ def _chain(inst: Instance) -> _Chain:
     n_men = len(inst.men)
     mu_m = inst.mu_m
     partner, holder = list(mu_m.by_man), list(mu_m.by_woman)
-    women_cost = sum(w_rank[w][m] for w, m in enumerate(holder) if m >= 0)
+    women_cost = cost(w_rank, holder)
 
     # Where each man's search for s(m) resumes.  Women only improve along
     # the chain, so a woman passed over once never qualifies again.

@@ -84,6 +84,11 @@ def sad_rich_instance(rng, max_side: int = 6, tries: int = 400) -> Instance:
     raise RuntimeError("no instance with sad people found")
 
 
+def partners(mu: Matching) -> dict[Person, Person]:
+    """Each matched person's partner, men and women alike, read from ``mu.pairs``."""
+    return {p: q for m, w in mu.pairs for p, q in ((m, w), (w, m))}
+
+
 def naive_stable(inst: Instance) -> set[Matching]:
     """Every stable matching, by filtering all injective partial assignments.
 

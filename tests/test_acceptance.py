@@ -35,7 +35,8 @@ def corpus():
 
 def sad_people(inst, opt):
     men = [m for m in inst.men if opt.mu_m.by_man.get(m) != opt.mu_w.by_man.get(m)]
-    women = [w for w in inst.women if opt.mu_m.by_woman.get(w) != opt.mu_w.by_woman.get(w)]
+    by_woman = [{w: m for m, w in mu.pairs} for mu in (opt.mu_m, opt.mu_w)]
+    women = [w for w in inst.women if by_woman[0].get(w) != by_woman[1].get(w)]
     return men, women
 
 
@@ -129,6 +130,7 @@ def test_criterion_4_classical_properties(corpus):
         stable = oracle.enumerate_stable(inst)
         assert opt.mu_m in stable.matchings and opt.mu_w in stable.matchings
         ranks = inst.prefs.ranks
+        man_in_mu_w, man_in_mu_m = ({w: m for m, w in mu.pairs} for mu in (opt.mu_w, opt.mu_m))
         matched = None
         for mu in stable.matchings:
             people = frozenset(p for pair in mu.pairs for p in pair)
@@ -138,8 +140,8 @@ def test_criterion_4_classical_properties(corpus):
             for m, w in mu.pairs:
                 assert ranks[m][opt.mu_m.by_man[m]] <= ranks[m][w]
                 assert ranks[m][w] <= ranks[m][opt.mu_w.by_man[m]]
-                assert ranks[w][opt.mu_w.by_woman[w]] <= ranks[w][m]
-                assert ranks[w][m] <= ranks[w][opt.mu_m.by_woman[w]]
+                assert ranks[w][man_in_mu_w[w]] <= ranks[w][m]
+                assert ranks[w][m] <= ranks[w][man_in_mu_m[w]]
 
 
 def test_criterion_5_branching_bounds():
@@ -190,9 +192,9 @@ def test_criterion_6_reduction_arithmetic():
     assert art.t == 36
     opt = gs.optima(art.inst)
     assert opt.o_m == 337 and opt.o_w == 181
-    assert opt.mu_m == hardness._swap_matching(art, set(), set())
-    assert opt.mu_w == hardness._swap_matching(
-        art, set(g.vertices), set(range(len(g.edges)))
+    assert opt.mu_m == art.inst.matching_from_arrays(hardness._swap_partners(art, set(), set()))
+    assert opt.mu_w == art.inst.matching_from_arrays(
+        hardness._swap_partners(art, set(g.vertices), set(range(len(g.edges))))
     )
     assert time.time() - start < 5
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bsm
-from bsm import cli, fpt, gs, hardness, kernel
+from bsm import cli, fpt, hardness, instance, kernel
 from bsm.cli import main
 from bsm.generate import random_instance
 from bsm.instance import serialize
@@ -132,7 +132,7 @@ def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_p
     path = tmp_path / "inst.txt"
     path.write_text(serialize(random_instance(random.Random(0), 7, 7, 1.0)))
     read = []
-    real_read, real_da = cli._read_instance, gs._deferred_acceptance
+    real_read, real_da = cli._read_instance, instance._deferred_acceptance
 
     def reading(p):
         read.append(real_read(p))
@@ -145,7 +145,7 @@ def test_solve_optimize_runs_deferred_acceptance_on_its_input_once(capsys, tmp_p
         return real_da(order, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_read_instance", reading)
-    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     code, doc = run(capsys, "solve", str(path), "--optimize")
     assert code == 0 and doc["decisions"] == 4
     assert on_input[0] == 2  # once from each side
@@ -539,6 +539,8 @@ def test_cli_output_is_pinned(capsys, tmp_path, name):
 
 @pytest.mark.parametrize("argv, err", [
     pytest.param(["check", "{sad}", "{short}"], "error: line 2: expected 'man woman'", id="check-short-line"),
+    pytest.param(["check", "{sad}", "{woman_first}"], "error: line 2: expected 'man woman'", id="check-woman-first"),
+    pytest.param(["check", "{sad}", "{same_side}"], "error: line 1: expected 'man woman'", id="check-same-side"),
     pytest.param(["solve", "{sad}", "--k", "x"], "bsm solve: error: argument --k: invalid int value: 'x'",
                  id="solve-k"),
     pytest.param(["kernelize", "{sad}", "--k", "1.5"],
@@ -547,9 +549,10 @@ def test_cli_output_is_pinned(capsys, tmp_path, name):
                  "bsm enumerate: error: argument --limit: invalid int value: 'x'", id="enumerate-limit"),
 ])
 def test_each_usage_error_names_its_fault(capsys, tmp_path, argv, err):
-    paths = {"sad": tmp_path / "sad.txt", "short": tmp_path / "short.txt"}
-    paths["sad"].write_text(SAD_2X2_TEXT)
-    paths["short"].write_text("m1 w1\nm2\n")
+    files = {"sad": SAD_2X2_TEXT, "short": "m1 w1\nm2\n", "woman_first": "m1 w1\nw2 m2\n", "same_side": "m1 m2\n"}
+    paths = {key: tmp_path / f"{key}.txt" for key in files}
+    for key, text in files.items():
+        paths[key].write_text(text)
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

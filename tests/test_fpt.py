@@ -210,7 +210,7 @@ def test_extreme_matchings_decide_as_the_kernel_path_does():
         assert (got.answer, got.t) == (slow.answer, slow.t)
         decided[got.kernel is None] += 1
         if got.kernel is None:
-            assert got.witness in (gs.man_optimal(inst), gs.woman_optimal(inst))
+            assert got.witness in (optima(inst).mu_m, optima(inst).mu_w)
             assert not blocking_pairs(inst, got.witness)
             assert objectives(inst, got.witness).balance <= k
             assert (got.answer, got.r, got.stats) == (True, None, fpt.SolveStats(0, 0, 0))
@@ -521,7 +521,7 @@ def test_assemble_accepts_exactly_the_stable_matchings_within_k():
                     if want is None:
                         assert got is None
                     else:
-                        assert got == st.arrays_from_matching(want)[0]
+                        assert got == gs.validate_matching(st, want)[0]
                         accepted += 1
                     certificates += 1
     assert certificates >= 50000 and accepted >= 50
@@ -559,7 +559,7 @@ def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch
     # More corpus draws than the other tests take: only the k below both
     # extreme balances reach the kernel through the solver.
     for inst, k, result, ctx, r in search_kernels(corpus=400):
-        if k >= min(objectives(inst, mu).balance for mu in (gs.man_optimal(inst), gs.woman_optimal(inst))):
+        if k >= min(objectives(inst, mu).balance for mu in (optima(inst).mu_m, optima(inst).mu_w)):
             continue
         answer, witness, unpruned = unpruned_solve(result, ctx, r)
         visited.clear()

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsm import gs
 from bsm.generate import mutual_first_instance, random_instance
-from bsm.gs import InvalidMatching, blocking_pairs, man_optimal, objectives, optima, woman_optimal
-from bsm.instance import MAN, WOMAN, Matching, Person, parse_instance
-from helpers import naive_stable, sad_2x2, single_pair
+from bsm.gs import InvalidMatching, blocking_pairs, objectives, optima, validate_matching
+from bsm.instance import MAN, WOMAN, Matching, Person, _deferred_acceptance, parse_instance
+from helpers import naive_stable, partners, sad_2x2, single_pair
 
 
 def pairs_by_name(mu):
@@ -18,33 +17,33 @@ def pairs_by_name(mu):
 
 def test_man_optimal_2x2():
     inst = sad_2x2()
-    assert pairs_by_name(man_optimal(inst)) == [("m1", "w1"), ("m2", "w2")]
+    assert pairs_by_name(optima(inst).mu_m) == [("m1", "w1"), ("m2", "w2")]
     # cross-check: best for every man among all stable matchings
     stable = naive_stable(inst)
     assert len(stable) == 2
-    mu_m = man_optimal(inst)
+    mu_m = dict(optima(inst).mu_m.pairs)
     ranks = inst.prefs.ranks
     for mu in stable:
         for m in inst.men:
-            assert ranks[m][mu_m.partner(m)] <= ranks[m][mu.partner(m)]
+            assert ranks[m][mu_m[m]] <= ranks[m][dict(mu.pairs)[m]]
 
 
 def test_woman_optimal_2x2():
     inst = sad_2x2()
-    assert pairs_by_name(woman_optimal(inst)) == [("m1", "w2"), ("m2", "w1")]
+    assert pairs_by_name(optima(inst).mu_w) == [("m1", "w2"), ("m2", "w1")]
 
 
 def test_mutual_first_choices_marry():
     inst = mutual_first_instance(4, full=True)
     expected = [(f"m{i}", f"w{i}") for i in range(1, 5)]
-    assert pairs_by_name(man_optimal(inst)) == expected
-    assert pairs_by_name(woman_optimal(inst)) == expected
+    assert pairs_by_name(optima(inst).mu_m) == expected
+    assert pairs_by_name(optima(inst).mu_w) == expected
 
 
 def test_blocking_pairs_of_stable_matching_empty():
     inst = sad_2x2()
-    assert blocking_pairs(inst, man_optimal(inst)) == []
-    assert blocking_pairs(inst, woman_optimal(inst)) == []
+    assert blocking_pairs(inst, optima(inst).mu_m) == []
+    assert blocking_pairs(inst, optima(inst).mu_w) == []
 
 
 def test_blocking_pairs_of_empty_matching():
@@ -88,7 +87,7 @@ def definition_blocking_pairs(inst, mu):
     single person preferring anyone acceptable: men in instance order, each
     man's partners in rank order."""
     ranks = inst.prefs.ranks
-    partner = {**mu.by_man, **mu.by_woman}
+    partner = partners(mu)
 
     def prefers(a, b):
         return a not in partner or ranks[a][b] < ranks[a][partner[a]]
@@ -131,14 +130,14 @@ def test_blocking_pairs_match_the_definition():
 
 def test_objectives_2x2():
     inst = sad_2x2()
-    obj = objectives(inst, man_optimal(inst))
+    obj = objectives(inst, optima(inst).mu_m)
     assert (obj.men_cost, obj.women_cost, obj.balance) == (2, 4, 4)
     assert obj.egalitarian == 6 and obj.sex_equal == -2
 
 
 def test_objectives_single_pair():
     inst = single_pair()
-    obj = objectives(inst, man_optimal(inst))
+    obj = objectives(inst, optima(inst).mu_m)
     assert (obj.men_cost, obj.women_cost, obj.balance) == (1, 1, 1)
     assert obj.egalitarian == 2 and obj.sex_equal == 0
 
@@ -150,11 +149,19 @@ def test_optima_values():
     n = 5
     opt = optima(mutual_first_instance(n, full=True))
     assert opt.o_m == n and opt.o_w == n
+    rng = random.Random(26)
+    for _ in range(200):
+        inst = random_instance(rng)
+        for mu in (inst.mu_m, inst.mu_w):
+            assert validate_matching(inst, inst.matching_from_arrays(mu.by_man)) == (mu.by_man, mu.by_woman)
+        opt = optima(inst)
+        assert objectives(inst, opt.mu_m).men_cost == inst.o_m
+        assert objectives(inst, opt.mu_w).women_cost == inst.o_w
 
 
 def test_unmatched_contribute_zero():
     inst = parse_instance("men: m1 m2\nwomen: w1\nm1: w1\nm2: w1\nw1: m1 m2\n")
-    obj = objectives(inst, man_optimal(inst))
+    obj = objectives(inst, optima(inst).mu_m)
     assert obj.men_cost == 1 and obj.women_cost == 1
 
 
@@ -168,11 +175,14 @@ def seeded_instances(draw):
 @settings(max_examples=50, deadline=None)
 @given(seeded_instances(), st.integers(0, 10**6))
 def test_proposal_order_independence(inst, shuffle_seed):
-    base = gs._deferred_acceptance(inst.m_rank, inst.w_rank, len(inst.women))
-    order = list(range(len(inst.men)))
+    # Renumber the men, so that they propose in another order.
+    by_man, by_woman = _deferred_acceptance(inst.m_rank, inst.w_rank, len(inst.women))
+    order = list(range(len(inst.men)))  # new man i is man order[i]
     random.Random(shuffle_seed).shuffle(order)
-    shuffled = gs._deferred_acceptance(inst.m_rank, inst.w_rank, len(inst.women), queue=order)
-    assert base == shuffled
+    new_index = {m: i for i, m in enumerate(order)}
+    w_rank = [{new_index[m]: r for m, r in table.items()} for table in inst.w_rank]
+    shuffled = _deferred_acceptance([inst.m_rank[m] for m in order], w_rank, len(inst.women))
+    assert shuffled == ([by_man[m] for m in order], [new_index.get(m, -1) for m in by_woman])
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,28 +201,29 @@ def test_monotone_rank_relabel_leaves_extremes_alone(inst, seed):
     from bsm.instance import make_instance
 
     other = make_instance(inst.men, inst.women, relabeled)
-    assert man_optimal(other) == man_optimal(inst)
-    assert woman_optimal(other) == woman_optimal(inst)
+    assert optima(other).mu_m == optima(inst).mu_m
+    assert optima(other).mu_w == optima(inst).mu_w
 
 
 @settings(max_examples=30, deadline=None)
 @given(seeded_instances())
 def test_extremes_bound_every_stable_matching(inst):
     stable = naive_stable(inst)
-    mu_m, mu_w = man_optimal(inst), woman_optimal(inst)
-    assert mu_m in stable and mu_w in stable
+    opt = optima(inst)
+    assert opt.mu_m in stable and opt.mu_w in stable
     matched_sets = {frozenset(p for pair in mu.pairs for p in pair) for mu in stable}
     assert len(matched_sets) == 1  # the same people are matched in every stable matching
     ranks = inst.prefs.ranks
-    for mu in stable:
+    mu_m, mu_w = partners(opt.mu_m), partners(opt.mu_w)
+    for mu in map(partners, stable):
         for m in inst.men:
-            if mu.partner(m) is not None:
-                r = ranks[m][mu.partner(m)]
-                assert ranks[m][mu_m.partner(m)] <= r <= ranks[m][mu_w.partner(m)]
+            if m in mu:
+                r = ranks[m][mu[m]]
+                assert ranks[m][mu_m[m]] <= r <= ranks[m][mu_w[m]]
         for w in inst.women:
-            if mu.partner(w) is not None:
-                r = ranks[w][mu.partner(w)]
-                assert ranks[w][mu_w.partner(w)] <= r <= ranks[w][mu_m.partner(w)]
+            if w in mu:
+                r = ranks[w][mu[w]]
+                assert ranks[w][mu_w[w]] <= r <= ranks[w][mu_m[w]]
 
 
 @pytest.mark.parametrize("pairs, message", [

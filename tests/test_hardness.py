@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from bsm import gs, hardness
+from bsm import gs, hardness, instance
 from bsm.generate import random_graph, random_triangle_free_graph
 from bsm.hardness import (
     Graph,
     GraphError,
     NotAClique,
-    _swap_matching,
+    _swap_partners,
     clique_bruteforce,
     parse_graph,
     reduce_clique,
@@ -78,8 +78,10 @@ def test_reduction_arithmetic_7_5_3():
 def test_closed_form_optima():
     art = reduce_clique(planted_graph_7_5(), 3)
     opt = gs.optima(art.inst)
-    identity = _swap_matching(art, set(), set())
-    swapped = _swap_matching(art, set(art.graph.vertices), set(range(len(art.graph.edges))))
+    identity = art.inst.matching_from_arrays(_swap_partners(art, set(), set()))
+    swapped = art.inst.matching_from_arrays(
+        _swap_partners(art, set(art.graph.vertices), set(range(len(art.graph.edges))))
+    )
     assert opt.mu_m == identity
     assert opt.mu_w == swapped
 
@@ -143,7 +145,7 @@ def test_witness_matching_k1():
     art = reduce_clique(g, 1)
     assert not art.fallback
     mu = witness_matching(art, ("v3",))
-    identity = _swap_matching(art, set(), set())
+    identity = art.inst.matching_from_arrays(_swap_partners(art, set(), set()))
     diff = {p for pair in (mu.pairs ^ identity.pairs) for p in pair}
     names = {p.name for p in diff}
     assert names == {"m1_v3", "m2_v3", "w1_v3", "w2_v3"}
@@ -153,7 +155,7 @@ def test_witness_matching_k1():
 def test_swapped_edge_with_endpoint_outside_needs_blocking_pair():
     art = reduce_clique(planted_graph_7_5(), 3)
     # edge v1-v2 swapped but v1 not chosen: its first edge man blocks with v1's woman
-    mu = _swap_matching(art, {"v2", "v3"}, {0})
+    mu = art.inst.matching_from_arrays(_swap_partners(art, {"v2", "v3"}, {0}))
     blockers = gs.blocking_pairs(art.inst, mu)
     assert blockers
     names = {(m.name, w.name) for m, w in blockers}
@@ -179,10 +181,11 @@ def test_engine_on_planted_artifact():
     star_m = next(p for p in art.inst.men if p.name == "mstar")
     star_w = next(p for p in art.inst.women if p.name == "wstar")
     for matching in stable.matchings[:50]:
-        assert matching.partner(star_m) == star_w
+        partner = dict(matching.pairs)
+        assert partner[star_m] == star_w
         for d in art.inst.men:
             if d.name.startswith("md"):
-                assert matching.partner(d).name == "wd" + d.name[2:]
+                assert partner[d].name == "wd" + d.name[2:]
 
 
 def stable_swap_candidates(art):
@@ -193,7 +196,7 @@ def stable_swap_candidates(art):
     for mask in range(1 << (n_v + n_e)):
         chosen_v = [v for i, v in enumerate(g.vertices) if mask >> i & 1]
         chosen_e = [j for j in range(n_e) if mask >> (n_v + j) & 1]
-        mu = _swap_matching(art, chosen_v, chosen_e)
+        mu = art.inst.matching_from_arrays(_swap_partners(art, chosen_v, chosen_e))
         if not gs.blocking_pairs(art.inst, mu):
             found.add(mu)
     return found
@@ -269,7 +272,7 @@ def test_verify_reduction_makes_no_optima_call(monkeypatch):
 def test_verify_reduction_runs_deferred_acceptance_on_its_instance_once(monkeypatch):
     # Only for mu_M, which the chain walk starts from; the walk reaches mu_W itself.
     made = []
-    real_reduce, real_da = hardness.reduce_clique, gs._deferred_acceptance
+    real_reduce, real_da = hardness.reduce_clique, instance._deferred_acceptance
 
     def reducing(g, k):
         made.append(real_reduce(g, k))
@@ -282,7 +285,7 @@ def test_verify_reduction_runs_deferred_acceptance_on_its_instance_once(monkeypa
         return real_da(order, *args, **kwargs)
 
     monkeypatch.setattr(hardness, "reduce_clique", reducing)
-    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     report = verify_reduction(planted_graph_7_5(), 3)
     assert not report.fallback and report.ok
     assert len(made) == 1 and on_input[0] == 1

@@ -254,9 +254,9 @@ def test_matching_partner_lookup():
     m1, m2 = inst.men
     w1, w2 = inst.women
     mu = Matching.of([(m1, w1), (m2, w2)])
-    assert mu.partner(m1) == w1
-    assert mu.partner(w2) == m2
-    assert mu.partner(Person(MAN, "m3")) is None
+    assert mu.by_man == dict(mu.pairs) == {m1: w1, m2: w2}
+    assert {w: m for m, w in mu.pairs}[w2] == m2
+    assert Person(MAN, "m3") not in mu.by_man
     assert len(mu) == 2
 
 

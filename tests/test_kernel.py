@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from bsm import gs, kernel
+from bsm import instance, kernel
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Instance, Matching, Person, parse_instance, serialize
@@ -35,6 +35,7 @@ from helpers import (
     clean_suffix_once,
     empty_instance,
     functional_instance,
+    partners,
     remove_happy_pair_once,
     sad_2x2,
     sad_rich_instance,
@@ -608,13 +609,13 @@ def test_decisions_on_one_instance_share_its_k_free_rule_outcomes(monkeypatch):
     ks = list(range(low - 1, _balance(inst, inst.mu_m) + 1))
     shuffled = random.Random(5).sample(ks, len(ks))
     runs = []
-    real = gs._deferred_acceptance
+    real = instance._deferred_acceptance
 
     def counted(*args):
         runs[-1] += 1
         return real(*args)
 
-    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     fresh = {}
     for k in ks:
         runs.append(0)
@@ -716,20 +717,19 @@ def test_every_state_matches_the_optima_of_its_instance(monkeypatch):
 
     for kin in (st.inst for st in states):
         copy = Instance(kin.men, kin.women, kin.m_rank, kin.w_rank)  # nothing derived yet
-        by_m, by_w = gs.man_optimal(copy), gs.woman_optimal(copy)
+        opt = optima(copy)
+        by_m, by_w = opt.mu_m, opt.mu_w
         men, women = kin.men, kin.women
         assert (copy.men, copy.women) == (men, women)
         for mu, ref in ((kin.mu_m, by_m), (kin.mu_w, by_w)):
             assert {(men[m], women[w]) for m, w in enumerate(mu.by_man) if w >= 0} == ref.pairs
             assert {(men[m], women[w]) for w, m in enumerate(mu.by_woman) if m >= 0} == ref.pairs
         assert (kin.o_m, kin.o_w) == (objectives(copy, by_m).men_cost, objectives(copy, by_w).women_cost)
-        assert [men[m] for m in kin.sad_men] == [m for m in men if by_m.partner(m) != by_w.partner(m)]
-        assert [women[w] for w in kin.sad_women] == [
-            w for w in women if by_m.partner(w) != by_w.partner(w)
-        ]
+        pm, pw = partners(by_m), partners(by_w)
+        assert [men[m] for m in kin.sad_men] == [m for m in men if pm.get(m) != pw.get(m)]
+        assert [women[w] for w in kin.sad_women] == [w for w in women if pm.get(w) != pw.get(w)]
         assert [(men[m], women[w]) for m, w in kin.happy_pairs] == [
-            (m, by_m.partner(m)) for m in men
-            if by_m.partner(m) is not None and by_m.partner(m) == by_w.partner(m)
+            (m, pm.get(m)) for m in men if pm.get(m) is not None and pm.get(m) == pw.get(m)
         ]
         for table in kin.m_rank + kin.w_rank:
             assert list(table.values()) == sorted(table.values())  # rank order, best first
@@ -768,7 +768,7 @@ def test_lift_of_a_trivial_outcome_keeps_every_pair_and_adds_the_removed_happy_o
     stranger = (Person(MAN, "zz"), Person(WOMAN, "zz"))
     lifted = 0
     for inst in diff_instances(2206, 16, max_n=12):
-        mu = gs.man_optimal(inst)
+        mu = optima(inst).mu_m
         for k in range(least_k(inst) - 1, least_k(inst) + 6):
             result = kernelize(inst, k)
             if result.outcome == OUTCOME_KERNEL:

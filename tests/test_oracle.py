@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsm import gs
+from bsm import gs, instance
 from bsm.generate import mutual_first_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Matching, Person, make_instance
@@ -202,14 +202,14 @@ def test_decide_makes_no_optima_call(monkeypatch):
 def test_enumerate_runs_deferred_acceptance_on_its_instance_once(monkeypatch):
     # Only for mu_M, which the chain walk starts from; the walk reaches mu_W itself.
     inst = random_instance(random.Random(3), 8, 8, 1.0)
-    real_da = gs._deferred_acceptance
+    real_da = instance._deferred_acceptance
     on_input = [0]
 
     def counted(order, *args, **kwargs):
         on_input[0] += order is inst.m_rank or order is inst.w_rank
         return real_da(order, *args, **kwargs)
 
-    monkeypatch.setattr(gs, "_deferred_acceptance", counted)
+    monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     assert len(enumerate_stable(inst, limit=8).matchings) > 1
     assert on_input[0] == 1
 
