@@ -700,5 +700,5 @@ def test_minimal_balance_on_the_cyclic_family(n):
     stats = (result.stats.subsets_tried, result.stats.branch_nodes, result.stats.max_branch_nodes)
     # The nodes the pruned walk visits; the unpruned trees up to the same
     # witness have (64, 40188, 4112) and (256, 13034431, 1689384).
-    recorded = {6: (64, 200, 39), 8: (256, 1161, 264)}
+    recorded = {6: (64, 102, 39), 8: (256, 519, 264)}
     assert stats == recorded.get(n, stats)

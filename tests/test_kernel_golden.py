@@ -17,7 +17,11 @@ extreme matchings before kernelizing; no other digest moved.  The
 were recorded again when the solver began counting the nodes its pruned
 search visits instead of reading the unpruned tree's size; each count
 fell or, for ``max_branch_nodes`` on three decisions, stayed, and no
-other field moved.  Any change to an outcome, kernel, trace row,
+other field moved.  The same two counters of 323 decisions (251
+``pool-*``, 44 ``cyclic-*``, 14 ``corpus-*`` and 14 ``branch-*``) were
+recorded again when the solver began cutting every subset in which a
+selected man's start set or claimers miss the selection; each fell or
+stayed, and no other field moved.  Any change to an outcome, kernel, trace row,
 witness, solver answer or counter, to the ordered stable matchings or
 least balance of ``enumerate_stable``, or to a field of a
 ``verify_reduction`` report on those cases fails here.
