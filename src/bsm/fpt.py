@@ -18,8 +18,9 @@ Every stable matching of it holds the t dummy pairs, so both side costs
 and k rise by t, and r and every rank comparison stay.  A dummy woman is
 matched to her dummy man in μ_M and ranks him first: the walk skips her
 without a node, she never blocks, and she adds only dummy men, never sad,
-to start sets.  The dummies come after the real people, so the sad men
-and the subset order are the same.
+to start sets.  Claim sets hold sad men only, so they stay.  The dummies
+come after the real people, so the sad men and the subset order are the
+same.
 
 A person is *fixed* on a branch once their partner in every certificate
 below it is known: the happy pairs, the unselected sad men with their
@@ -39,18 +40,32 @@ the witness, is the unpruned search's.  ``SolveStats`` counts the nodes
 the pruned walk visits, never more than the unpruned tree has, so the
 ``4 * 2**r`` bound per subset holds.
 
-Most subsets die at the root.  A man who leaves his man-optimal partner
-can take only a woman whose own man-optimal partner left too (Gusfield &
-Irving 1989, *The Stable Marriage Problem: Structure and Algorithms*).
-At the root no woman has been given yet, so a woman whose μ_M husband is
-not selected is fixed: the first man's walk skips her, or stops at her
-when she prefers him to her husband.  His *start set* holds the μ_M
-husbands of the women he meets in that walk within the budget, up to
-and including the first who stops it.  When it holds no selected man,
-the walk meets no free woman and returns after one node, so
-``_first_accepted`` returns no hit and one visited node at once, exactly
-what the walk would count.  A man whose walk meets a woman single in
-μ_M has no start set and is never skipped.
+Most subsets die before the walk (Gusfield & Irving 1989, *The Stable
+Marriage Problem: Structure and Algorithms*).  Two tests read each
+selected man m against the whole selection.  When either fails for any
+selected man, the subset has no accepted certificate: ``_first_accepted``
+returns no hit at once and counts the root as its one visited node.
+
+- *Start set.*  At the root no woman has been given yet, so a woman whose
+  μ_M husband is not selected is fixed: m's walk skips her, or stops at
+  her when she prefers m to her husband.  His start set holds the μ_M
+  husbands of the women he meets in that walk within the budget, up to
+  and including the first who stops it.  When it holds no selected man,
+  the walk meets no free woman.  That holds wherever m stands on the
+  branch: a deeper walk has a budget of at most r, so it walks a prefix
+  of the root walk, and a woman given earlier on the branch had a
+  selected husband in μ_M, so she is not in that prefix.  A man whose
+  walk meets a woman single in μ_M has no start set and is never cut by
+  this test.
+- *Claim.*  Every woman of the kernel is matched in every stable matching
+  (the Rural Hospitals theorem), and every woman weakly prefers any
+  stable matching to μ_M.  So a stable matching that moves m off his μ_M
+  partner w0 gives her a man she prefers to m.  That man has left his own
+  μ_M partner, so he is selected, and he ranks w0 below that partner
+  within the budget.  m's claimers are the sad men who meet these terms.
+  When none of them is selected, every certificate leaves w0 single or
+  with a man she likes less than m, so (m, w0) blocks it and
+  ``_assemble`` rejects it.
 
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
@@ -69,7 +84,8 @@ from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, requir
 @dataclass(frozen=True)
 class SolveStats:
     """Work of the branching step: ``branch_nodes`` counts the search nodes
-    visited, up to the first accepted certificate."""
+    visited, up to the first accepted certificate.  A subset that the
+    start-set or claim test cuts before its walk counts one node."""
 
     subsets_tried: int
     branch_nodes: int
@@ -111,8 +127,10 @@ class _Context:
         # that is μ_M: every man it matches is happy or sad.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
-        # Per sad man, his start set (module docstring), if he has one.
+        # Per sad man, his start set, if he has one, and the sad men who can
+        # claim his man-optimal partner (module docstring).
         self.starts = {m: s for m in kernel.sad_men if (s := _start_set(self, m)) is not None}
+        self.claims = {m: _claimers(self, m) for m in kernel.sad_men}
 
 
 def _start_set(ctx: _Context, m: int) -> set[int] | None:
@@ -132,17 +150,40 @@ def _start_set(ctx: _Context, m: int) -> set[int] | None:
     return start
 
 
+def _claimers(ctx: _Context, m: int) -> set[int]:
+    """The sad men who can take m's man-optimal partner w0: she prefers
+    them to m, and each ranks her below his own within the budget.  A sad
+    man is matched in μ_M, as in every stable matching."""
+    inst = ctx.inst
+    w0 = inst.mu_m.by_man[m]
+    sad = set(inst.sad_men)
+    ranks = inst.w_rank[w0]
+    mine = ranks[m]
+    claimers = set()
+    for m2, rank in ranks.items():
+        if rank >= mine:
+            break
+        # μ_M is stable and w0 prefers m2 to her husband there, so m2 ranks
+        # her strictly below his man-optimal partner: the offset is positive.
+        if m2 in sad and inst.m_rank[m2][w0] - ctx.anchor[m2] <= ctx.r:
+            claimers.add(m2)
+    return claimers
+
+
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     """The matching of the first certificate of ``m_prime`` that ``_assemble``
     accepts, or None, with the number of search nodes visited up to it.
 
     ``m_prime`` is a tuple of sad man indices, each given a strictly worse
-    woman within the shared budget ``ctx.r``.  When the first man's start
-    set misses every selected man, the root is the only node visited.
+    woman within the shared budget ``ctx.r``.  When some selected man's
+    start set or claimers miss every selected man, the root is the only
+    node visited.
     """
-    start = ctx.starts.get(m_prime[0]) if m_prime else None
-    if start is not None and start.isdisjoint(m_prime):
-        return None, 1
+    starts, claims = ctx.starts, ctx.claims
+    for m in m_prime:
+        start = starts.get(m)
+        if claims[m].isdisjoint(m_prime) or (start is not None and start.isdisjoint(m_prime)):
+            return None, 1
     inst = ctx.inst
     m_rank, w_rank = inst.m_rank, inst.w_rank
     wife, husband, anchors = ctx.wife, ctx.husband, ctx.anchor

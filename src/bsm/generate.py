@@ -6,6 +6,7 @@ import random
 
 from .hardness import Graph
 from .instance import MAN, WOMAN, Instance, Person, make_instance
+from .oracle import _chain
 
 
 def random_instance(
@@ -65,6 +66,52 @@ def cyclic_instance(n: int) -> Instance:
     for i in range(n):
         ranks[men[i]] = {women[(i + j) % n]: j + 1 for j in range(n)}
         ranks[women[i]] = {men[(i + 1 + j) % n]: j + 1 for j in range(n)}
+    return make_instance(men, women, ranks)
+
+
+def planted_instance(rng: random.Random, n: int, cores: int, extra: int) -> Instance:
+    """An n x n instance close to its optimum on both sides.
+
+    ``cores`` cores of 6 to 8 per side each take a random full-list
+    instance with at least 3 rotations.  Everyone else is in a
+    mutually-first pair, which every stable matching holds.  A man outside
+    the cores accepts up to ``extra`` more women outside them, and a woman
+    up to ``extra`` more men, ranked below the first choice in random
+    order: none of these pairs ever blocks.  Names are dealt at random, so
+    no index tells a core from a pair.
+    """
+    sizes = [rng.randint(6, 8) for _ in range(cores)]
+    if sum(sizes) > n:
+        raise ValueError(f"{cores} cores of sizes {sizes} do not fit in {n} per side")
+    # Each side's positions 0..n-1: the cores first, then the pairs.
+    m_rank: list[dict[int, int]] = []
+    w_rank: list[dict[int, int]] = []
+    for size in sizes:
+        core = random_instance(rng, size, size, 1.0)
+        while len(_chain(core).moves) < 3:
+            core = random_instance(rng, size, size, 1.0)
+        base = len(m_rank)
+        m_rank += [{base + w: r for w, r in table.items()} for table in core.m_rank]
+        w_rank += [{base + m: r for m, r in table.items()} for table in core.w_rank]
+    paired = range(len(m_rank), n)
+    m_rank += [{i: 1} for i in paired]
+    w_rank += [{i: 1} for i in paired]
+    # The men take their extras in random order, so each side's come in
+    # random order too.
+    for i in rng.sample(paired, len(paired)):
+        for _ in range(extra):
+            j = rng.choice(paired)
+            if len(w_rank[j]) <= extra and j not in m_rank[i]:
+                m_rank[i][j] = len(m_rank[i]) + 1
+                w_rank[j][i] = len(w_rank[j]) + 1
+    men = tuple(Person(MAN, f"m{i + 1}") for i in range(n))
+    women = tuple(Person(WOMAN, f"w{i + 1}") for i in range(n))
+    man_at, woman_at = rng.sample(range(n), n), rng.sample(range(n), n)
+    ranks: dict[Person, dict[Person, int]] = {}
+    for i, table in enumerate(m_rank):
+        ranks[men[man_at[i]]] = {women[woman_at[w]]: r for w, r in table.items()}
+    for j, table in enumerate(w_rank):
+        ranks[women[woman_at[j]]] = {men[man_at[m]]: r for m, r in table.items()}
     return make_instance(men, women, ranks)
 
 

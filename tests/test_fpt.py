@@ -5,12 +5,16 @@ import pytest
 
 from bsm import fpt, gs, kernel
 from bsm.fpt import _assemble, _Context, _first_accepted, solve_above_min
-from bsm.generate import cyclic_instance, mutual_first_instance, random_graph, random_instance
+from bsm.generate import (
+    cyclic_instance, mutual_first_instance, planted_instance, random_graph, random_instance,
+)
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.hardness import Graph, verify_reduction
 from bsm.instance import Instance, Matching, Partners, ValidationError, parse_instance, serialize
 from bsm.kernel import OUTCOME_KERNEL, kernelize
-from bsm.oracle import DEFAULT_MAX_MEN, _chain, _least_balance, decide_above_min, enumerate_stable
+from bsm.oracle import (
+    DEFAULT_MAX_MEN, _chain, _closed_sets, _least_balance, decide_above_min, enumerate_stable,
+)
 from helpers import (
     BranchCertificate,
     enumerate_certificates,
@@ -359,6 +363,7 @@ def test_the_functional_kernel_branches_as_the_padded_kernel_does():
         assert padded.inst.men[len(fun.inst.men):] == result.dummy_men
         assert (fun.r, fun.inst.sad_men) == (padded.r, padded.inst.sad_men)
         assert fun.starts == {m: start - dummy_men for m, start in padded.starts.items()}
+        assert fun.claims == padded.claims
         for size in range(len(fun.inst.sad_men) + 1):
             for m_prime in combinations(fun.inst.sad_men, size):
                 lifted = []
@@ -415,9 +420,19 @@ def test_a_decision_pads_no_kernel(monkeypatch):
     assert padded >= 10
 
 
+def cut(ctx, m_prime) -> bool:
+    """Whether a selected man's start set or claimers miss every selected man."""
+    for m in m_prime:
+        start = ctx.starts.get(m)
+        if ctx.claims[m].isdisjoint(m_prime) or (start is not None and start.isdisjoint(m_prime)):
+            return True
+    return False
+
+
 def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):
-    # The same walk with the skip disabled: every start set widened to all
-    # sad men, so it holds the first selected man and misses no subset.
+    # The same walk with both cuts disabled: every start set and every claim
+    # set widened to all sad men, so each holds a selected man and no subset
+    # is cut.  The cuts keep every hit; a cut subset counts its root only.
     subsets = decided = 0
     for ctx, _ in search_and_cut_kernels():
         st = ctx.inst
@@ -426,13 +441,17 @@ def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):
         with monkeypatch.context() as patch:
             for m in ctx.starts:
                 patch.setitem(ctx.starts, m, set(st.sad_men))
+            for m in ctx.claims:
+                patch.setitem(ctx.claims, m, set(st.sad_men))
             walked = [_first_accepted(ctx, m_prime) for m_prime in every]
-        assert got == walked
-        for m_prime, (hit, nodes) in zip(every, got):
-            start = ctx.starts.get(m_prime[0]) if m_prime else None
-            if start is not None and start.isdisjoint(m_prime):
+        assert [hit for hit, _ in got] == [hit for hit, _ in walked]
+        for m_prime, (hit, nodes), (_, walked_nodes) in zip(every, got, walked):
+            assert 1 <= nodes <= walked_nodes
+            if cut(ctx, m_prime):
                 assert (hit, nodes) == (None, 1)
                 decided += 1
+            else:
+                assert nodes == walked_nodes
         subsets += len(every)
     assert subsets >= 1000 and decided >= 0.5 * subsets
 
@@ -454,11 +473,65 @@ w2: m0
     ctx = _Context(inst, 4)
     assert ctx.inst.sad_men == (0, 1) and ctx.worse[0][0] == (1, 2)
     assert 0 not in ctx.starts and ctx.starts[1] == {0}
+    # Only m1 can take w0 from m0, and only m0 can take w1 from m1, so
+    # (m0,) is cut: nobody claims w0.
+    assert ctx.claims == {0: {1}, 1: {0}}
     for size in range(3):
         for m_prime in combinations(ctx.inst.sad_men, size):
             check_first_accepted(ctx, m_prime, ctx.r)
-            if m_prime[:1] == (0,):
+            if m_prime[:1] == (0,) and not any(ctx.claims[m].isdisjoint(m_prime) for m in m_prime):
                 assert _first_accepted(ctx, m_prime)[1] > 1  # m0 takes w2 at the root: no skip
+    assert _first_accepted(ctx, (0,)) == (None, 1)
+
+
+def engine_contexts():
+    """Each context of ``search_and_cut_kernels`` and the functional kernel's
+    at every k the solver branches at on cyclic 6 and 8 and four instances
+    of ``perfbench/optimize_pool.json``, with the largest budget at which
+    its cut subsets' unpruned trees are walked (None for any).  On cyclic 8
+    those trees pass 150,000 nodes from r = 11 on."""
+    for ctx, _ in search_and_cut_kernels():
+        yield ctx, None
+    draws = [(cyclic_instance(6), None), (cyclic_instance(8), 10)] + [
+        (random_instance(random.Random(seed), n, n, 1.0), None)
+        for n, seed in ((9, 52), (9, 173), (10, 16), (12, 285))
+    ]
+    for inst, walk_up_to in draws:
+        low = max(inst.o_m, inst.o_w)
+        high = min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w))
+        for k in range(low, high):
+            result = kernelize(inst, k)
+            if result.outcome == OUTCOME_KERNEL:
+                ctx = _Context(result.functional, result.functional_k)
+                if ctx.r >= 0:
+                    yield ctx, walk_up_to
+
+
+def test_the_cuts_keep_every_stable_matching_within_the_budget():
+    # The rotation engine lists every stable matching of the kernel.  The men
+    # one of them moves off μ_M, when its men's cost is within O_M + r, are
+    # a subset the solver must walk: no selected man may fail a test.  And
+    # no certificate of a cut subset is accepted.
+    contexts = moved_sets = cut_subsets = walked = 0
+    for ctx, walk_up_to in engine_contexts():
+        st = ctx.inst
+        mu = st.mu_m.by_man
+        for partner, men_cost, _ in _closed_sets(_chain(st)):
+            if men_cost <= st.o_m + ctx.r:
+                moved = tuple(m for m, w in enumerate(partner) if w != mu[m])
+                assert set(moved) <= set(st.sad_men) and not cut(ctx, moved)
+                moved_sets += bool(moved)
+        contexts += 1
+        if walk_up_to is not None and ctx.r > walk_up_to:
+            continue
+        for size in range(len(st.sad_men) + 1):
+            for m_prime in combinations(st.sad_men, size):
+                if cut(ctx, m_prime):
+                    for women, _ in iter_certificates(ctx, m_prime, ctx.r, [0]):
+                        assert _assemble(ctx, m_prime, women) is None
+                        walked += 1
+                    cut_subsets += 1
+    assert contexts >= 150 and moved_sets >= 300 and cut_subsets >= 10000 and walked >= 500000
 
 
 def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch):
@@ -702,3 +775,42 @@ def test_minimal_balance_on_the_cyclic_family(n):
     # witness have (64, 40188, 4112) and (256, 13034431, 1689384).
     recorded = {6: (64, 102, 39), 8: (256, 519, 264)}
     assert stats == recorded.get(n, stats)
+
+
+# --- the planted near-optimum family -------------------------------------------
+
+def test_planted_instances_hold_their_cores_and_mutually_first_pairs():
+    rng = random.Random(11)
+    for n, cores, extra in ((20, 1, 0), (50, 2, 5), (200, 3, 2)):
+        inst = planted_instance(rng, n, cores, extra)
+        assert (len(inst.men), len(inst.women)) == (n, n)
+        # Each core has at least 3 rotations and at most 8 men, each of whom
+        # may be sad; everyone else is in a mutually-first pair.
+        assert len(_chain(inst).moves) >= 3 * cores
+        assert 2 * cores <= len(inst.sad_men) <= 8 * cores
+        first = [min(table, key=table.get) for table in inst.m_rank]
+        mutual = sum(min(inst.w_rank[w], key=inst.w_rank[w].get) == m for m, w in enumerate(first))
+        assert mutual >= n - 8 * cores
+        assert max(len(table) for table in inst.m_rank + inst.w_rank) <= max(8, extra + 1)
+    with pytest.raises(ValueError):
+        planted_instance(rng, 17, 3, 5)  # three cores need at least 18 per side
+
+
+@pytest.mark.parametrize("n, count", [(50, 6), (200, 3)])
+def test_planted_decisions_agree_with_the_rotation_engine(n, count):
+    # Two cores per instance: every kernel holds the sad men of both.
+    rng = random.Random(20240807 + n)
+    branched = 0
+    for _ in range(count):
+        inst = planted_instance(rng, n, 2, 5)
+        bal = _least_balance(_chain(inst))
+        for k in range(bal - 2, bal + 3):
+            result = solve_above_min(inst, k)
+            assert result.answer == (k >= bal)
+            if result.answer:
+                assert not blocking_pairs(inst, result.witness)
+                assert objectives(inst, result.witness).balance <= k
+            branched += result.stats.subsets_tried > 0
+        got, result, _ = fpt.minimal_balance(inst)
+        assert got == bal and objectives(inst, result.witness).balance == bal
+    assert branched >= 1
