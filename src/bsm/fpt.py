@@ -40,11 +40,16 @@ the witness, is the unpruned search's.  ``SolveStats`` counts the nodes
 the pruned walk visits, never more than the unpruned tree has, so the
 ``4 * 2**r`` bound per subset holds.
 
-Most subsets die before the walk (Gusfield & Irving 1989, *The Stable
+Most subsets are never walked (Gusfield & Irving 1989, *The Stable
 Marriage Problem: Structure and Algorithms*).  Two tests read each
-selected man m against the whole selection.  When either fails for any
-selected man, the subset has no accepted certificate: ``_first_accepted``
-returns no hit at once and counts the root as its one visited node.
+selected man m against the whole selection; when either fails for any
+selected man, the subset has no accepted certificate.  ``_live`` builds,
+once per kernel, the family of the subsets that pass both, as one
+integer of 2^s bits for s sad men, and the solver walks only those, in
+the order of the subset loop.  A cut subset is never built: it still
+counts as tried and as one visited node, its root, so the stats are
+those of a loop that tried every subset and returned at the root of
+each cut one.
 
 - *Start set.*  At the root no woman has been given yet, so a woman whose
   μ_M husband is not selected is fixed: m's walk skips her, or stops at
@@ -74,7 +79,7 @@ search over k; ``bsm solve --optimize`` prints what it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
@@ -83,9 +88,10 @@ from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, requir
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work of the branching step: ``branch_nodes`` counts the search nodes
-    visited, up to the first accepted certificate.  A subset that the
-    start-set or claim test cuts before its walk counts one node."""
+    """Work of the branching step, up to the first accepted certificate:
+    ``subsets_tried`` counts the subsets of the subset loop up to it and
+    ``branch_nodes`` the search nodes visited.  A subset that the start-set
+    or claim test cuts is never walked and counts one node, its root."""
 
     subsets_tried: int
     branch_nodes: int
@@ -128,9 +134,12 @@ class _Context:
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
         # Per sad man, his start set, if he has one, and the sad men who can
-        # claim his man-optimal partner (module docstring).
+        # claim his man-optimal partner (module docstring); then the subsets
+        # in which every selected man passes both tests.
+        sad = set(kernel.sad_men)
         self.starts = {m: s for m in kernel.sad_men if (s := _start_set(self, m)) is not None}
-        self.claims = {m: _claimers(self, m) for m in kernel.sad_men}
+        self.claims = {m: _claimers(self, m, sad) for m in kernel.sad_men}
+        self.live = _live(self)
 
 
 def _start_set(ctx: _Context, m: int) -> set[int] | None:
@@ -150,13 +159,12 @@ def _start_set(ctx: _Context, m: int) -> set[int] | None:
     return start
 
 
-def _claimers(ctx: _Context, m: int) -> set[int]:
-    """The sad men who can take m's man-optimal partner w0: she prefers
-    them to m, and each ranks her below his own within the budget.  A sad
-    man is matched in μ_M, as in every stable matching."""
+def _claimers(ctx: _Context, m: int, sad: set[int]) -> set[int]:
+    """The men of ``sad`` who can take m's man-optimal partner w0: she
+    prefers them to m, and each ranks her below his own within the budget.
+    A sad man is matched in μ_M, as in every stable matching."""
     inst = ctx.inst
     w0 = inst.mu_m.by_man[m]
-    sad = set(inst.sad_men)
     ranks = inst.w_rank[w0]
     mine = ranks[m]
     claimers = set()
@@ -170,20 +178,74 @@ def _claimers(ctx: _Context, m: int) -> set[int]:
     return claimers
 
 
+def _subsets_of(mask: int) -> int:
+    """The family of every subset of ``mask``: bit S is set for each S within it."""
+    family = 1
+    while mask:
+        low = mask & -mask
+        family |= family << low
+        mask ^= low
+    return family
+
+
+def _live(ctx: _Context) -> int:
+    """The family of the subsets of the sad men in which every selected man's
+    start set, if he has one, and claimers meet the selection: bit S is set
+    when subset S is in it.
+
+    Sad man i of s holds bit s-1-i of S, so within one cardinality the
+    subset loop's order is descending S.  A man m with need N cuts every
+    subset that holds m and misses N: a subset of the other men outside N,
+    with m's bit added.
+    """
+    sad = ctx.inst.sad_men
+    s = len(sad)
+    bit = {m: 1 << (s - 1 - i) for i, m in enumerate(sad)}
+    full = (1 << s) - 1
+    cut = 0
+    for m in sad:
+        needs = [ctx.claims[m]] if m not in ctx.starts else [ctx.claims[m], ctx.starts[m]]
+        for need in needs:
+            outside = full & ~bit[m] & ~sum(bit.get(x, 0) for x in need)
+            cut |= _subsets_of(outside) << bit[m]
+    return ((1 << (1 << s)) - 1) & ~cut
+
+
+def _in_loop_order(family: int) -> list[int]:
+    """The subsets in ``family`` in the subset loop's order: by cardinality,
+    and within one, in descending order."""
+    bits = bin(family)
+    top = len(bits) - 1
+    subsets = []
+    j = bits.find("1", 2)
+    while j >= 0:
+        subsets.append(top - j)
+        j = bits.find("1", j + 1)
+    subsets.sort(key=int.bit_count)
+    return subsets
+
+
+def _loop_position(subset: int, s: int) -> int:
+    """How many subsets of s sad men the subset loop tries before ``subset``."""
+    left = subset.bit_count()
+    position = sum(comb(s, i) for i in range(left))
+    # Those of its cardinality come first that agree with it above some
+    # bit p it lacks and hold p: the rest of their men lie below p.
+    for p in range(s - 1, -1, -1):
+        if subset >> p & 1:
+            left -= 1
+        elif left:
+            position += comb(p, left - 1)
+    return position
+
+
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     """The matching of the first certificate of ``m_prime`` that ``_assemble``
     accepts, or None, with the number of search nodes visited up to it.
 
     ``m_prime`` is a tuple of sad man indices, each given a strictly worse
-    woman within the shared budget ``ctx.r``.  When some selected man's
-    start set or claimers miss every selected man, the root is the only
-    node visited.
+    woman within the shared budget ``ctx.r``.
     """
-    starts, claims = ctx.starts, ctx.claims
-    for m in m_prime:
-        start = starts.get(m)
-        if claims[m].isdisjoint(m_prime) or (start is not None and start.isdisjoint(m_prime)):
-            return None, 1
     inst = ctx.inst
     m_rank, w_rank = inst.m_rank, inst.w_rank
     wife, husband, anchors = ctx.wife, ctx.husband, ctx.anchor
@@ -297,8 +359,9 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
 
     Kernelizes first; if that does not settle the answer, tries every
     subset of the functional kernel's sad men in increasing cardinality and
-    accepts on the first assembled stable matching within target.  No
-    dummy is added.
+    accepts on the first assembled stable matching within target.  Only
+    the subsets in ``ctx.live`` are walked; the stats count the others as
+    tried at one node each.  No dummy is added.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -309,25 +372,28 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     kernel = kres.functional
     ctx = _Context(kernel, kres.functional_k)
     r = ctx.r
-    subsets = 0
-    nodes_total = 0
-    nodes_max = 0
-    if r >= 0:
-        sad = kernel.sad_men
-        for cardinality in range(len(sad) + 1):
-            for m_prime in combinations(sad, cardinality):
-                subsets += 1
-                hit, nodes = _first_accepted(ctx, m_prime)
-                nodes_total += nodes
-                if nodes > nodes_max:
-                    nodes_max = nodes
-                if hit is not None:
-                    stats = SolveStats(subsets, nodes_total, nodes_max)
-                    return SolveResult(
-                        True, kres.lift(kernel.matching_from_arrays(hit)), kres.t_input, r, stats, kres
-                    )
-    stats = SolveStats(subsets, nodes_total, nodes_max)
-    return SolveResult(False, None, kres.t_input, r, stats, kres)
+    if r < 0:
+        return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
+    sad = kernel.sad_men
+    s = len(sad)
+    walked = nodes_total = nodes_max = 0
+    hit = None
+    for subset in _in_loop_order(ctx.live):
+        m_prime = tuple(m for i, m in enumerate(sad) if subset >> (s - 1 - i) & 1)
+        hit, nodes = _first_accepted(ctx, m_prime)
+        walked += 1
+        nodes_total += nodes
+        if nodes > nodes_max:
+            nodes_max = nodes
+        if hit is not None:
+            break
+    tried = 1 << s if hit is None else _loop_position(subset, s) + 1
+    cut = tried - walked
+    stats = SolveStats(tried, nodes_total + cut, max(nodes_max, min(cut, 1)))
+    if hit is None:
+        return SolveResult(False, None, kres.t_input, r, stats, kres)
+    witness = kres.lift(kernel.matching_from_arrays(hit))
+    return SolveResult(True, witness, kres.t_input, r, stats, kres)
 
 
 def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:

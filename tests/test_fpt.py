@@ -429,10 +429,22 @@ def cut(ctx, m_prime) -> bool:
     return False
 
 
+def subset_bit(st, m_prime) -> int:
+    """The bit of ``m_prime`` in a family of subsets: sad man i of s holds bit s-1-i."""
+    s = len(st.sad_men)
+    return sum(1 << (s - 1 - st.sad_men.index(m)) for m in m_prime)
+
+
+def live(ctx, m_prime) -> bool:
+    """Whether ``m_prime`` is in the context's family of live subsets."""
+    return ctx.live >> subset_bit(ctx.inst, m_prime) & 1 == 1
+
+
 def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):
     # The same walk with both cuts disabled: every start set and every claim
     # set widened to all sad men, so each holds a selected man and no subset
-    # is cut.  The cuts keep every hit; a cut subset counts its root only.
+    # is cut.  The cuts keep every hit; a cut subset is left out of the
+    # family, so the solver never walks it.
     subsets = decided = 0
     for ctx, _ in search_and_cut_kernels():
         st = ctx.inst
@@ -448,10 +460,10 @@ def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):
         for m_prime, (hit, nodes), (_, walked_nodes) in zip(every, got, walked):
             assert 1 <= nodes <= walked_nodes
             if cut(ctx, m_prime):
-                assert (hit, nodes) == (None, 1)
+                assert hit is None and not live(ctx, m_prime)
                 decided += 1
             else:
-                assert nodes == walked_nodes
+                assert nodes == walked_nodes and live(ctx, m_prime)
         subsets += len(every)
     assert subsets >= 1000 and decided >= 0.5 * subsets
 
@@ -481,7 +493,8 @@ w2: m0
             check_first_accepted(ctx, m_prime, ctx.r)
             if m_prime[:1] == (0,) and not any(ctx.claims[m].isdisjoint(m_prime) for m in m_prime):
                 assert _first_accepted(ctx, m_prime)[1] > 1  # m0 takes w2 at the root: no skip
-    assert _first_accepted(ctx, (0,)) == (None, 1)
+    assert _first_accepted(ctx, (0,))[0] is None and not live(ctx, (0,))
+    assert live(ctx, ()) and live(ctx, (0, 1)) and not live(ctx, (1,))
 
 
 def engine_contexts():
@@ -532,6 +545,33 @@ def test_the_cuts_keep_every_stable_matching_within_the_budget():
                         walked += 1
                     cut_subsets += 1
     assert contexts >= 150 and moved_sets >= 300 and cut_subsets >= 10000 and walked >= 500000
+
+
+def test_the_live_family_holds_exactly_the_subsets_the_cuts_keep_in_loop_order():
+    # The family against ``cut`` on every subset, and its walk against the
+    # subset loop with the cut subsets left out.
+    contexts = subsets = kept = 0
+    for ctx, _ in engine_contexts():
+        st = ctx.inst
+        every = [m_prime for size in range(len(st.sad_men) + 1) for m_prime in combinations(st.sad_men, size)]
+        assert len(every) == 1 << len(st.sad_men)
+        want = [subset_bit(st, m_prime) for m_prime in every if not cut(ctx, m_prime)]
+        assert ctx.live == sum(1 << bit for bit in want)
+        assert fpt._in_loop_order(ctx.live) == want
+        contexts += 1
+        subsets += len(every)
+        kept += len(want)
+    assert contexts >= 150 and subsets >= 20000 and 500 <= kept <= 0.05 * subsets
+
+
+def test_the_loop_position_counts_the_subsets_tried_before_a_subset():
+    for s in range(11):
+        before = 0
+        for size in range(s + 1):
+            for rank, m_prime in enumerate(combinations(range(s), size)):
+                assert fpt._loop_position(sum(1 << (s - 1 - i) for i in m_prime), s) == before + rank
+            before += rank + 1
+        assert before == 1 << s
 
 
 def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch):
@@ -602,16 +642,16 @@ def test_assemble_accepts_exactly_the_stable_matchings_within_k():
 
 def unpruned_solve(result, ctx, r):
     """The solver's loop over every certificate, without pruning: the answer,
-    the witness, and the unpruned node count of each subset tried."""
+    the witness, and each subset tried with its unpruned node count."""
     st = ctx.inst
-    nodes = []
+    tried = []
     for size in range(len(st.sad_men) + 1):
         for m_prime in combinations(st.sad_men, size):
             hit, count = reference_first_accepted(ctx, m_prime, r)
-            nodes.append(count)
+            tried.append((m_prime, count))
             if hit is not None:
-                return True, result.lift(people(st, hit)), nodes
-    return False, None, nodes
+                return True, result.lift(people(st, hit)), tried
+    return False, None, tried
 
 
 def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch):
@@ -641,10 +681,14 @@ def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch
             patch.setattr(fpt, "_first_accepted", counted)
             got = solve_above_min(inst, k)
         assert (got.answer, got.witness, got.stats.subsets_tried) == (answer, witness, len(unpruned))
-        # Each subset's visited nodes are at most its unpruned tree's, and the
-        # stats sum them.
-        assert all(v <= u for v, u in zip(visited, unpruned, strict=True))
-        assert (got.stats.branch_nodes, got.stats.max_branch_nodes) == (sum(visited), max(visited))
+        # Only the subsets the cuts keep are walked, each in at most its
+        # unpruned tree's nodes.  The stats sum them and count every cut
+        # subset as one node.
+        kept = [count for m_prime, count in unpruned if not cut(ctx, m_prime)]
+        assert all(v <= u for v, u in zip(visited, kept, strict=True))
+        skipped = got.stats.subsets_tried - len(visited)
+        assert got.stats.branch_nodes == sum(visited) + skipped
+        assert got.stats.max_branch_nodes == max(visited + [1] * (skipped > 0))
         compared += 1
     assert compared >= 30
     # Only certificates that pair every man with a free woman are assembled.
@@ -778,6 +822,24 @@ def test_minimal_balance_on_the_cyclic_family(n):
 
 
 # --- the planted near-optimum family -------------------------------------------
+
+def test_minimal_balance_walks_only_the_live_subsets_of_three_planted_cores(monkeypatch):
+    # 20 sad men in three independent cores: the decision at the least
+    # balance counts 405,110 subsets tried, and nearly all are cut.
+    inst = planted_instance(random.Random(3), 200, 3, 5)
+    real_first = fpt._first_accepted
+    walked = []
+
+    def counted(ctx, m_prime):
+        walked.append(m_prime)
+        return real_first(ctx, m_prime)
+
+    monkeypatch.setattr(fpt, "_first_accepted", counted)
+    bal, result, decisions = fpt.minimal_balance(inst)
+    assert bal == 239 == _least_balance(_chain(inst))
+    assert (result.stats, decisions) == (fpt.SolveStats(405110, 405414, 17), 5)
+    assert len(inst.sad_men) == 20 and len(walked) < 1000
+
 
 def test_planted_instances_hold_their_cores_and_mutually_first_pairs():
     rng = random.Random(11)
