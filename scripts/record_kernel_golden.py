@@ -19,6 +19,10 @@ counting the nodes its pruned search visits, in place of the unpruned
 tree's size, and again on 323 decisions when it began cutting every
 subset in which a selected man's start set or claimers miss the
 selection: both times every count fell or stayed, and no other field moved.
+``subsets_tried`` and ``branch_nodes`` were re-recorded on all 336
+decisions that branch (255 ``pool-*``, 44 ``cyclic-*``, 19 ``branch-*``
+and 18 ``corpus-*``) when the solver stopped counting the subsets it cuts:
+both fell on each, ``max_branch_nodes`` stayed, and no other field moved.
 Matchings are written as sorted name pairs, never through ``repr``, so the
 digests do not depend on the hash seed.
 

@@ -100,8 +100,10 @@ def test_kernelize_with_trace(capsys, instance_file):
 def test_solve_exit_codes(capsys, instance_file):
     code, doc = run(capsys, "solve", instance_file, "--k", "4")
     assert code == 0 and doc["answer"] and doc["t"] == 2
+    # Both singletons are cut: the solver walks the empty subset and the pair.
     code, doc = run(capsys, "solve", instance_file, "--k", "3")
     assert code == 1 and not doc["answer"]
+    assert doc["stats"] == {"subsets_tried": 2, "branch_nodes": 3, "max_branch_nodes": 2}
     # --k defaults to the instance's stored k
     code, doc = run(capsys, "solve", instance_file)
     assert code == 0 and doc["answer"]

@@ -815,17 +815,18 @@ def test_minimal_balance_on_the_cyclic_family(n):
     assert bal == _least_balance(_chain(inst))
     assert result.answer and not blocking_pairs(inst, result.witness)
     stats = (result.stats.subsets_tried, result.stats.branch_nodes, result.stats.max_branch_nodes)
-    # The nodes the pruned walk visits; the unpruned trees up to the same
-    # witness have (64, 40188, 4112) and (256, 13034431, 1689384).
-    recorded = {6: (64, 102, 39), 8: (256, 519, 264)}
+    # The subsets walked and the nodes visited in them; the unpruned trees
+    # up to the same witness have (64, 40188, 4112) and (256, 13034431, 1689384).
+    recorded = {6: (2, 40, 39), 8: (2, 265, 264)}
     assert stats == recorded.get(n, stats)
 
 
 # --- the planted near-optimum family -------------------------------------------
 
 def test_minimal_balance_walks_only_the_live_subsets_of_three_planted_cores(monkeypatch):
-    # 20 sad men in three independent cores: the decision at the least
-    # balance counts 405,110 subsets tried, and nearly all are cut.
+    # 20 sad men in three independent cores: the subset loop up to the
+    # decision's witness at the least balance holds 405,110 subsets, and
+    # all but 43 are cut.
     inst = planted_instance(random.Random(3), 200, 3, 5)
     real_first = fpt._first_accepted
     walked = []
@@ -837,7 +838,7 @@ def test_minimal_balance_walks_only_the_live_subsets_of_three_planted_cores(monk
     monkeypatch.setattr(fpt, "_first_accepted", counted)
     bal, result, decisions = fpt.minimal_balance(inst)
     assert bal == 239 == _least_balance(_chain(inst))
-    assert (result.stats, decisions) == (fpt.SolveStats(405110, 405414, 17), 5)
+    assert (result.stats, decisions) == (fpt.SolveStats(43, 347, 17), 5)
     assert len(inst.sad_men) == 20 and len(walked) < 1000
 
 

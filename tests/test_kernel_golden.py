@@ -21,10 +21,14 @@ other field moved.  The same two counters of 323 decisions (251
 ``pool-*``, 44 ``cyclic-*``, 14 ``corpus-*`` and 14 ``branch-*``) were
 recorded again when the solver began cutting every subset in which a
 selected man's start set or claimers miss the selection; each fell or
-stayed, and no other field moved.  Any change to an outcome, kernel, trace row,
-witness, solver answer or counter, to the ordered stable matchings or
-least balance of ``enumerate_stable``, or to a field of a
-``verify_reduction`` report on those cases fails here.
+stayed, and no other field moved.  The ``subsets_tried`` and
+``branch_nodes`` of all 336 decisions that branch (255 ``pool-*``, 44
+``cyclic-*``, 19 ``branch-*`` and 18 ``corpus-*``) were recorded again
+when the solver stopped counting each subset it cuts as tried at one
+node; both fell on each, and no other field moved.  Any change to an
+outcome, kernel, trace row, witness, solver answer or counter, to the
+ordered stable matchings or least balance of ``enumerate_stable``, or to
+a field of a ``verify_reduction`` report on those cases fails here.
 """
 
 import importlib.util
