@@ -36,9 +36,9 @@ free until the leaf.  The search never gives man m woman w when
 
 Each skip drops only certificates that ``_assemble`` rejects, so the
 certificates left come in the unpruned order and the first accepted one,
-the witness, is the unpruned search's.  ``SolveStats`` counts the nodes
-the pruned walk visits, never more than the unpruned tree has, so the
-``4 * 2**r`` bound per subset holds.
+the witness, is the unpruned search's.  ``SolveStats`` counts the
+subsets the solver walks and the nodes it visits in them, never more
+than the unpruned tree has, so the ``4 * 2**r`` bound per subset holds.
 
 Most subsets are never walked (Gusfield & Irving 1989, *The Stable
 Marriage Problem: Structure and Algorithms*).  Two tests read each
@@ -46,10 +46,8 @@ selected man m against the whole selection; when either fails for any
 selected man, the subset has no accepted certificate.  ``_live`` builds,
 once per kernel, the family of the subsets that pass both, as one
 integer of 2^s bits for s sad men, and the solver walks only those, in
-the order of the subset loop.  A cut subset is never built: it still
-counts as tried and as one visited node, its root, so the stats are
-those of a loop that tried every subset and returned at the root of
-each cut one.
+the order of the subset loop.  A cut subset is never built and never
+counted.
 
 - *Start set.*  At the root no woman has been given yet, so a woman whose
   μ_M husband is not selected is fixed: m's walk skips her, or stops at
@@ -79,7 +77,6 @@ search over k; ``bsm solve --optimize`` prints what it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
@@ -89,9 +86,8 @@ from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, requir
 @dataclass(frozen=True)
 class SolveStats:
     """Work of the branching step, up to the first accepted certificate:
-    ``subsets_tried`` counts the subsets of the subset loop up to it and
-    ``branch_nodes`` the search nodes visited.  A subset that the start-set
-    or claim test cuts is never walked and counts one node, its root."""
+    ``subsets_tried`` counts the subsets walked and ``branch_nodes`` the
+    search nodes visited in them."""
 
     subsets_tried: int
     branch_nodes: int
@@ -225,20 +221,6 @@ def _in_loop_order(family: int) -> list[int]:
     return subsets
 
 
-def _loop_position(subset: int, s: int) -> int:
-    """How many subsets of s sad men the subset loop tries before ``subset``."""
-    left = subset.bit_count()
-    position = sum(comb(s, i) for i in range(left))
-    # Those of its cardinality come first that agree with it above some
-    # bit p it lacks and hold p: the rest of their men lie below p.
-    for p in range(s - 1, -1, -1):
-        if subset >> p & 1:
-            left -= 1
-        elif left:
-            position += comb(p, left - 1)
-    return position
-
-
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     """The matching of the first certificate of ``m_prime`` that ``_assemble``
     accepts, or None, with the number of search nodes visited up to it.
@@ -360,8 +342,8 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     Kernelizes first; if that does not settle the answer, tries every
     subset of the functional kernel's sad men in increasing cardinality and
     accepts on the first assembled stable matching within target.  Only
-    the subsets in ``ctx.live`` are walked; the stats count the others as
-    tried at one node each.  No dummy is added.
+    the subsets in ``ctx.live`` are walked, and the stats count only those.
+    No dummy is added.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -376,20 +358,15 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
         return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
     sad = kernel.sad_men
     s = len(sad)
-    walked = nodes_total = nodes_max = 0
+    walked = []  # the nodes visited in each subset walked
     hit = None
     for subset in _in_loop_order(ctx.live):
         m_prime = tuple(m for i, m in enumerate(sad) if subset >> (s - 1 - i) & 1)
         hit, nodes = _first_accepted(ctx, m_prime)
-        walked += 1
-        nodes_total += nodes
-        if nodes > nodes_max:
-            nodes_max = nodes
+        walked.append(nodes)
         if hit is not None:
             break
-    tried = 1 << s if hit is None else _loop_position(subset, s) + 1
-    cut = tried - walked
-    stats = SolveStats(tried, nodes_total + cut, max(nodes_max, min(cut, 1)))
+    stats = SolveStats(len(walked), sum(walked), max(walked, default=0))
     if hit is None:
         return SolveResult(False, None, kres.t_input, r, stats, kres)
     witness = kres.lift(kernel.matching_from_arrays(hit))

@@ -10,7 +10,10 @@ from bsm.generate import (
 )
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.hardness import Graph, verify_reduction
-from bsm.instance import Instance, Matching, Partners, ValidationError, parse_instance, serialize
+from bsm.instance import (
+    MAN, WOMAN, Instance, Matching, Partners, Person, ValidationError, make_instance, parse_instance,
+    serialize,
+)
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import (
     DEFAULT_MAX_MEN, _chain, _closed_sets, _least_balance, decide_above_min, enumerate_stable,
@@ -440,31 +443,20 @@ def live(ctx, m_prime) -> bool:
     return ctx.live >> subset_bit(ctx.inst, m_prime) & 1 == 1
 
 
-def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root(monkeypatch):
-    # The same walk with both cuts disabled: every start set and every claim
-    # set widened to all sad men, so each holds a selected man and no subset
-    # is cut.  The cuts keep every hit; a cut subset is left out of the
-    # family, so the solver never walks it.
+def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root():
+    # A cut subset has no hit and is left out of the family, so the solver
+    # never walks it; every other subset is in the family.
     subsets = decided = 0
     for ctx, _ in search_and_cut_kernels():
         st = ctx.inst
-        every = [m_prime for size in range(len(st.sad_men) + 1) for m_prime in combinations(st.sad_men, size)]
-        got = [_first_accepted(ctx, m_prime) for m_prime in every]
-        with monkeypatch.context() as patch:
-            for m in ctx.starts:
-                patch.setitem(ctx.starts, m, set(st.sad_men))
-            for m in ctx.claims:
-                patch.setitem(ctx.claims, m, set(st.sad_men))
-            walked = [_first_accepted(ctx, m_prime) for m_prime in every]
-        assert [hit for hit, _ in got] == [hit for hit, _ in walked]
-        for m_prime, (hit, nodes), (_, walked_nodes) in zip(every, got, walked):
-            assert 1 <= nodes <= walked_nodes
-            if cut(ctx, m_prime):
-                assert hit is None and not live(ctx, m_prime)
-                decided += 1
-            else:
-                assert nodes == walked_nodes and live(ctx, m_prime)
-        subsets += len(every)
+        for size in range(len(st.sad_men) + 1):
+            for m_prime in combinations(st.sad_men, size):
+                if cut(ctx, m_prime):
+                    assert _first_accepted(ctx, m_prime)[0] is None and not live(ctx, m_prime)
+                    decided += 1
+                else:
+                    assert live(ctx, m_prime)
+                subsets += 1
     assert subsets >= 1000 and decided >= 0.5 * subsets
 
 
@@ -562,16 +554,6 @@ def test_the_live_family_holds_exactly_the_subsets_the_cuts_keep_in_loop_order()
         subsets += len(every)
         kept += len(want)
     assert contexts >= 150 and subsets >= 20000 and 500 <= kept <= 0.05 * subsets
-
-
-def test_the_loop_position_counts_the_subsets_tried_before_a_subset():
-    for s in range(11):
-        before = 0
-        for size in range(s + 1):
-            for rank, m_prime in enumerate(combinations(range(s), size)):
-                assert fpt._loop_position(sum(1 << (s - 1 - i) for i in m_prime), s) == before + rank
-            before += rank + 1
-        assert before == 1 << s
 
 
 def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch):
@@ -680,15 +662,12 @@ def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch
             patch.setattr(fpt, "_assemble", checked)
             patch.setattr(fpt, "_first_accepted", counted)
             got = solve_above_min(inst, k)
-        assert (got.answer, got.witness, got.stats.subsets_tried) == (answer, witness, len(unpruned))
+        assert (got.answer, got.witness) == (answer, witness)
         # Only the subsets the cuts keep are walked, each in at most its
-        # unpruned tree's nodes.  The stats sum them and count every cut
-        # subset as one node.
+        # unpruned tree's nodes, and the stats are those of the walk.
         kept = [count for m_prime, count in unpruned if not cut(ctx, m_prime)]
         assert all(v <= u for v, u in zip(visited, kept, strict=True))
-        skipped = got.stats.subsets_tried - len(visited)
-        assert got.stats.branch_nodes == sum(visited) + skipped
-        assert got.stats.max_branch_nodes == max(visited + [1] * (skipped > 0))
+        assert got.stats == fpt.SolveStats(len(visited), sum(visited), max(visited))
         compared += 1
     assert compared >= 30
     # Only certificates that pair every man with a free woman are assembled.
@@ -877,3 +856,42 @@ def test_planted_decisions_agree_with_the_rotation_engine(n, count):
         got, result, _ = fpt.minimal_balance(inst)
         assert got == bal and objectives(inst, result.witness).balance == bal
     assert branched >= 1
+
+
+def relabelled(inst, rng):
+    """``inst`` with both sides in a new order and every person renamed."""
+    men, women = rng.sample(inst.men, len(inst.men)), rng.sample(inst.women, len(inst.women))
+    new = {p: Person(MAN, f"a{i}") for i, p in enumerate(men)}
+    new.update((p, Person(WOMAN, f"b{i}")) for i, p in enumerate(women))
+    ranks = {new[p]: {new[q]: r for q, r in row.items()} for p, row in inst.prefs.ranks.items()}
+    return make_instance([new[p] for p in men], [new[p] for p in women], ranks)
+
+
+def with_a_mutually_first_pair(inst):
+    """``inst`` with one more man and woman who accept only each other."""
+    m, w = Person(MAN, "m_extra"), Person(WOMAN, "w_extra")
+    ranks = {**inst.prefs.ranks, m: {w: 1}, w: {m: 1}}
+    return make_instance(inst.men + (m,), inst.women + (w,), ranks)
+
+
+def test_relabelling_and_a_mutually_first_pair_move_the_decisions_as_they_should():
+    # Renaming and reordering both sides changes no decision.  A new
+    # mutually-first pair is in every stable matching and adds 1 to both
+    # side costs, so the least balance and every answer move up by one.
+    rng = random.Random(29)
+    branched = 0
+    for _ in range(3):
+        inst = planted_instance(rng, 50, 2, 5)
+        bal = fpt.minimal_balance(inst)[0]
+        ks = range(bal - 2, bal + 3)
+        results = [solve_above_min(inst, k) for k in ks]
+        answers = [result.answer for result in results]
+        assert answers == [k >= bal for k in ks]
+        branched += sum(result.stats.subsets_tried > 0 for result in results)
+        renamed = relabelled(inst, rng)
+        assert fpt.minimal_balance(renamed)[0] == bal
+        assert [solve_above_min(renamed, k).answer for k in ks] == answers
+        grown = with_a_mutually_first_pair(inst)
+        assert fpt.minimal_balance(grown)[0] == bal + 1
+        assert [solve_above_min(grown, k + 1).answer for k in ks] == answers
+    assert branched >= 12
