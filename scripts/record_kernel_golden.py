@@ -38,7 +38,12 @@ man-optimal matching, where the solver branches the most.  The
 ``pool-*`` decisions take the 32 instances of the benchmark's
 ``perfbench/optimize_pool.json``, and the ``cyclic-*`` ones the n x n
 cyclic instances of ``generate.cyclic_instance`` at n = 6 and 8, each at
-every k from ``max(O_M, O_W) - 1`` to its least balance plus 2.
+every k from ``max(O_M, O_W) - 1`` to its least balance plus 2.  The
+``planted-*`` decisions take ``generate.planted_instance(Random(seed),
+200, 3, 5)`` for seeds 0, 1 and 2 (14 to 17 sad men each), at every k
+within 2 of the least balance the rotation engine finds; they were added,
+with no other digest moving, before the solver listed its live subsets
+by a pruned walk over the sad men.
 
 Two more kinds of case hash the stable-matching enumerators:
 
@@ -66,7 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bsm import cli, fpt, gs, hardness, kernel, oracle  # noqa: E402
 from bsm.generate import (  # noqa: E402
-    cyclic_instance, random_graph, random_instance, random_triangle_free_graph,
+    cyclic_instance, planted_instance, random_graph, random_instance, random_triangle_free_graph,
 )
 from bsm.instance import serialize  # noqa: E402
 
@@ -82,6 +87,9 @@ BRANCH_SIZES = (9, 10)
 BRANCH_PER_SIZE = 4
 CYCLIC_SIZES = (6, 8)
 BALANCE_ABOVE = 2  # the sweeps around the least balance end this far above it
+PLANTED_SEEDS = (0, 1, 2)
+PLANTED_SHAPE = (200, 3, 5)  # n per side, cores, extra partners
+PLANTED_AROUND = 2  # the planted sweeps run this far below and above the least balance
 STABLE_CORPUS_COUNT = 1000
 STABLE_FULL_SIZES = (8, 9, 10)
 STABLE_FULL_PER_SIZE = 4
@@ -192,6 +200,11 @@ def cases():
         bal_opt = oracle.enumerate_stable(inst, limit=len(inst.men)).bal_opt
         for k in range(max(inst.o_m, inst.o_w) - 1, bal_opt + BALANCE_ABOVE + 1):
             yield f"{name}-k{k}", inst, k
+    for seed in PLANTED_SEEDS:
+        inst = planted_instance(random.Random(seed), *PLANTED_SHAPE)
+        bal = oracle._least_balance(oracle._chain(inst))
+        for k in range(bal - PLANTED_AROUND, bal + PLANTED_AROUND + 1):
+            yield f"planted-s{seed}-k{k}", inst, k
 
 
 def stable_cases():

@@ -25,7 +25,11 @@ stayed, and no other field moved.  The ``subsets_tried`` and
 ``branch_nodes`` of all 336 decisions that branch (255 ``pool-*``, 44
 ``cyclic-*``, 19 ``branch-*`` and 18 ``corpus-*``) were recorded again
 when the solver stopped counting each subset it cuts as tried at one
-node; both fell on each, and no other field moved.  Any change to an
+node; both fell on each, and no other field moved.  The 15 ``planted-*``
+decisions (three 200x200 instances with three planted cores, at every k
+within 2 of the least balance) were recorded, with no other digest
+moving, before the solver listed its live subsets by a pruned walk over
+the sad men in place of a family of 2^s bits.  Any change to an
 outcome, kernel, trace row, witness, solver answer or counter, to the
 ordered stable matchings or least balance of ``enumerate_stable``, or to
 a field of a ``verify_reduction`` report on those cases fails here.
