@@ -279,8 +279,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:
-        # Not an input error: an invariant failed or a bug raised.
-        print(f"internal error: {e}", file=sys.stderr)
+        # Not an input error: an invariant failed or a bug raised.  Some
+        # exceptions, such as MemoryError, carry no text: name their type.
+        print(f"internal error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -18,9 +18,9 @@ Every stable matching of it holds the t dummy pairs, so both side costs
 and k rise by t, and r and every rank comparison stay.  A dummy woman is
 matched to her dummy man in μ_M and ranks him first: the walk skips her
 without a node, she never blocks, and she adds only dummy men, never sad,
-to start sets.  Claim sets hold sad men only, so they stay.  The dummies
-come after the real people, so the sad men and the subset order are the
-same.
+to start sets; they hold no bit in its mask.  Claim sets hold sad men
+only, so they stay.  The dummies come after the real people, so the sad
+men and the subset order are the same.
 
 A person is *fixed* on a branch once their partner in every certificate
 below it is known: the happy pairs, the unselected sad men with their
@@ -43,11 +43,11 @@ than the unpruned tree has, so the ``4 * 2**r`` bound per subset holds.
 Most subsets are never walked (Gusfield & Irving 1989, *The Stable
 Marriage Problem: Structure and Algorithms*).  Two tests read each
 selected man m against the whole selection; when either fails for any
-selected man, the subset has no accepted certificate.  ``_live`` builds,
-once per kernel, the family of the subsets that pass both, as one
-integer of 2^s bits for s sad men, and the solver walks only those, in
-the order of the subset loop.  A cut subset is never built and never
-counted.
+selected man, the subset has no accepted certificate.  ``_live`` lists,
+once per kernel, the subsets that pass both, by a walk over the sad men
+that never extends a selection in which some selected man's test can no
+longer pass, and the solver walks only those, in the order of the subset
+loop.  A cut subset is never walked and never counted.
 
 - *Start set.*  At the root no woman has been given yet, so a woman whose
   μ_M husband is not selected is fixed: m's walk skips her, or stops at
@@ -129,96 +129,90 @@ class _Context:
         # that is μ_M: every man it matches is happy or sad.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
-        # Per sad man, his start set, if he has one, and the sad men who can
-        # claim his man-optimal partner (module docstring); then the subsets
-        # in which every selected man passes both tests.
-        sad = set(kernel.sad_men)
-        self.starts = {m: s for m in kernel.sad_men if (s := _start_set(self, m)) is not None}
-        self.claims = {m: _claimers(self, m, sad) for m in kernel.sad_men}
-        self.live = _live(self)
+        # Per sad man, in the order of ``sad_men``, his needs: the sad men who
+        # can claim his man-optimal partner, then his start set if he has one
+        # (module docstring), each as a mask in which sad man i holds bit i.
+        bit = {m: 1 << i for i, m in enumerate(kernel.sad_men)}
+        self.needs: list[list[int]] = []
+        for m in kernel.sad_men:
+            start = _start_set(self, m, bit)
+            claim = _claimers(self, m, bit)
+            self.needs.append([claim] if start is None else [claim, start])
 
 
-def _start_set(ctx: _Context, m: int) -> set[int] | None:
+def _start_set(ctx: _Context, m: int, bit: dict[int, int]) -> int | None:
     """The μ_M husbands of the women m meets at the root within the budget,
-    up to the first who prefers m to hers; None if one of them has none."""
+    up to the first who prefers m to hers, as a mask of the sad men in
+    ``bit``; None if one of the women has none."""
     w_rank = ctx.inst.w_rank
-    start = set()
+    start = 0
     for offset, w in ctx.worse[m]:
         if offset > ctx.r:
             break
         h = ctx.husband[w]
         if h < 0:
             return None
-        start.add(h)
+        start |= bit.get(h, 0)
         if w_rank[w][m] < w_rank[w][h]:
             break
     return start
 
 
-def _claimers(ctx: _Context, m: int, sad: set[int]) -> set[int]:
-    """The men of ``sad`` who can take m's man-optimal partner w0: she
-    prefers them to m, and each ranks her below his own within the budget.
-    A sad man is matched in μ_M, as in every stable matching."""
+def _claimers(ctx: _Context, m: int, bit: dict[int, int]) -> int:
+    """The mask of the sad men in ``bit`` who can take m's man-optimal
+    partner w0: she prefers them to m, and each ranks her below his own
+    within the budget.  A sad man is matched in μ_M, as in every stable
+    matching."""
     inst = ctx.inst
     w0 = inst.mu_m.by_man[m]
     ranks = inst.w_rank[w0]
     mine = ranks[m]
-    claimers = set()
+    claimers = 0
     for m2, rank in ranks.items():
         if rank >= mine:
             break
         # μ_M is stable and w0 prefers m2 to her husband there, so m2 ranks
         # her strictly below his man-optimal partner: the offset is positive.
-        if m2 in sad and inst.m_rank[m2][w0] - ctx.anchor[m2] <= ctx.r:
-            claimers.add(m2)
+        if m2 in bit and inst.m_rank[m2][w0] - ctx.anchor[m2] <= ctx.r:
+            claimers |= bit[m2]
     return claimers
 
 
-def _subsets_of(mask: int) -> int:
-    """The family of every subset of ``mask``: bit S is set for each S within it."""
-    family = 1
-    while mask:
-        low = mask & -mask
-        family |= family << low
-        mask ^= low
-    return family
+def _live(ctx: _Context) -> list[int]:
+    """The subsets of the sad men in which every selected man's needs meet
+    the selection, as masks (sad man i holds bit i), in the subset loop's
+    order: by cardinality, and within one, in ``combinations`` order.
 
-
-def _live(ctx: _Context) -> int:
-    """The family of the subsets of the sad men in which every selected man's
-    start set, if he has one, and claimers meet the selection: bit S is set
-    when subset S is in it.
-
-    Sad man i of s holds bit s-1-i of S, so within one cardinality the
-    subset loop's order is descending S.  A man m with need N cuts every
-    subset that holds m and misses N: a subset of the other men outside N,
-    with m's bit added.
+    A depth-first walk adds men in index order, so it lists the subsets of
+    each cardinality in ``combinations`` order and a stable sort by size
+    gives the loop's order.  It never adds a man past the last man of a
+    need that no selected man meets yet, and never adds a man whose own
+    unmet need has no later man: no subset below such a step is live.
     """
-    sad = ctx.inst.sad_men
-    s = len(sad)
-    bit = {m: 1 << (s - 1 - i) for i, m in enumerate(sad)}
-    full = (1 << s) - 1
-    cut = 0
-    for m in sad:
-        needs = [ctx.claims[m]] if m not in ctx.starts else [ctx.claims[m], ctx.starts[m]]
-        for need in needs:
-            outside = full & ~bit[m] & ~sum(bit.get(x, 0) for x in need)
-            cut |= _subsets_of(outside) << bit[m]
-    return ((1 << (1 << s)) - 1) & ~cut
+    needs = ctx.needs
+    s = len(needs)
+    live = [0]
 
+    def grow(chosen: int, unmet: list[int], stop: int) -> None:
+        # ``unmet`` holds the needs of the men in ``chosen`` that it misses;
+        # from ``stop`` on, the one whose last man comes first can no longer be met.
+        for i in range(chosen.bit_length(), stop):
+            bit = 1 << i
+            grown = chosen | bit
+            left = [need for need in unmet if not need & bit] if unmet else []
+            for need in needs[i]:
+                if not need & grown:
+                    left.append(need)
+            if not left:
+                live.append(grown)
+                if i + 1 < s:
+                    grow(grown, left, s)
+            elif (end := min(left).bit_length()) > i + 1:
+                grow(grown, left, end)
 
-def _in_loop_order(family: int) -> list[int]:
-    """The subsets in ``family`` in the subset loop's order: by cardinality,
-    and within one, in descending order."""
-    bits = bin(family)
-    top = len(bits) - 1
-    subsets = []
-    j = bits.find("1", 2)
-    while j >= 0:
-        subsets.append(top - j)
-        j = bits.find("1", j + 1)
-    subsets.sort(key=int.bit_count)
-    return subsets
+    grow(0, [], s)
+    live.sort(key=int.bit_count)
+    return live
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
@@ -342,7 +336,7 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     Kernelizes first; if that does not settle the answer, tries every
     subset of the functional kernel's sad men in increasing cardinality and
     accepts on the first assembled stable matching within target.  Only
-    the subsets in ``ctx.live`` are walked, and the stats count only those.
+    the subsets ``_live`` lists are walked, and the stats count only those.
     No dummy is added.
     """
     kres = kernelize(inst, k)
@@ -357,11 +351,10 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     if r < 0:
         return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
     sad = kernel.sad_men
-    s = len(sad)
     walked = []  # the nodes visited in each subset walked
     hit = None
-    for subset in _in_loop_order(ctx.live):
-        m_prime = tuple(m for i, m in enumerate(sad) if subset >> (s - 1 - i) & 1)
+    for subset in _live(ctx):
+        m_prime = tuple(m for i, m in enumerate(sad) if subset >> i & 1)
         hit, nodes = _first_accepted(ctx, m_prime)
         walked.append(nodes)
         if hit is not None:

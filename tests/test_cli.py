@@ -316,6 +316,17 @@ def test_other_value_errors_are_internal(capsys, monkeypatch, instance_file):
     assert captured.err == "internal error: bad index\n"
 
 
+def test_an_internal_error_without_text_is_named_by_its_type(capsys, monkeypatch, instance_file):
+    def exhausted(inst, k):
+        raise MemoryError()
+
+    monkeypatch.setattr(fpt, "solve_above_min", exhausted)
+    assert main(["solve", instance_file, "--k", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: MemoryError\n"
+
+
 def test_bad_graph_input_is_a_usage_error(capsys, tmp_path):
     graph = tmp_path / "g.txt"
     for text in ("a b c\n", "a a\n", "a b\na b\n"):

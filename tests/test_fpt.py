@@ -356,17 +356,15 @@ def test_the_functional_kernel_branches_as_the_padded_kernel_does():
     # The padded kernel of the helpers above is the reference.  Its t dummy
     # pairs come after the real people, so every sad man keeps his index; a
     # dummy woman, held by her dummy man whom she ranks first, is skipped
-    # without a node and only adds dummy men to start sets.
+    # without a node and only adds dummy men, who hold no bit, to start sets.
     kernels = subsets = accepted = 0
     contexts = [(result, ctx) for _, _, result, ctx, _ in search_kernels()]
     contexts += [(result, ctx) for result, ctx, _ in cut_kernels()]
     for result, padded in contexts:
         fun = _Context(result.functional, result.functional_k)
-        dummy_men = set(range(len(fun.inst.men), len(padded.inst.men)))
         assert padded.inst.men[len(fun.inst.men):] == result.dummy_men
         assert (fun.r, fun.inst.sad_men) == (padded.r, padded.inst.sad_men)
-        assert fun.starts == {m: start - dummy_men for m, start in padded.starts.items()}
-        assert fun.claims == padded.claims
+        assert fun.needs == padded.needs
         for size in range(len(fun.inst.sad_men) + 1):
             for m_prime in combinations(fun.inst.sad_men, size):
                 lifted = []
@@ -425,37 +423,31 @@ def test_a_decision_pads_no_kernel(monkeypatch):
 
 def cut(ctx, m_prime) -> bool:
     """Whether a selected man's start set or claimers miss every selected man."""
-    for m in m_prime:
-        start = ctx.starts.get(m)
-        if ctx.claims[m].isdisjoint(m_prime) or (start is not None and start.isdisjoint(m_prime)):
-            return True
-    return False
+    sad = ctx.inst.sad_men
+    chosen = sum(1 << sad.index(m) for m in m_prime)
+    return any(not need & chosen for m in m_prime for need in ctx.needs[sad.index(m)])
 
 
-def subset_bit(st, m_prime) -> int:
-    """The bit of ``m_prime`` in a family of subsets: sad man i of s holds bit s-1-i."""
-    s = len(st.sad_men)
-    return sum(1 << (s - 1 - st.sad_men.index(m)) for m in m_prime)
-
-
-def live(ctx, m_prime) -> bool:
-    """Whether ``m_prime`` is in the context's family of live subsets."""
-    return ctx.live >> subset_bit(ctx.inst, m_prime) & 1 == 1
+def listed(ctx) -> list[tuple[int, ...]]:
+    """The subsets ``_live`` lists for the context, as tuples of sad men, in its order."""
+    sad = ctx.inst.sad_men
+    return [tuple(m for i, m in enumerate(sad) if subset >> i & 1) for subset in fpt._live(ctx)]
 
 
 def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root():
-    # A cut subset has no hit and is left out of the family, so the solver
-    # never walks it; every other subset is in the family.
+    # A cut subset has no hit and is left out of the listing, so the solver
+    # never walks it; every other subset is listed.
     subsets = decided = 0
     for ctx, _ in search_and_cut_kernels():
         st = ctx.inst
+        live = set(listed(ctx))
         for size in range(len(st.sad_men) + 1):
             for m_prime in combinations(st.sad_men, size):
                 if cut(ctx, m_prime):
-                    assert _first_accepted(ctx, m_prime)[0] is None and not live(ctx, m_prime)
+                    assert _first_accepted(ctx, m_prime)[0] is None and m_prime not in live
                     decided += 1
                 else:
-                    assert live(ctx, m_prime)
+                    assert m_prime in live
                 subsets += 1
     assert subsets >= 1000 and decided >= 0.5 * subsets
 
@@ -476,17 +468,19 @@ w2: m0
     vars(inst)["mu_w"] = Partners([1, 0], [1, 0, -1])
     ctx = _Context(inst, 4)
     assert ctx.inst.sad_men == (0, 1) and ctx.worse[0][0] == (1, 2)
-    assert 0 not in ctx.starts and ctx.starts[1] == {0}
     # Only m1 can take w0 from m0, and only m0 can take w1 from m1, so
-    # (m0,) is cut: nobody claims w0.
-    assert ctx.claims == {0: {1}, 1: {0}}
+    # (m0,) is cut: nobody claims w0.  m0 has no start set; m1's is {m0}.
+    # Sad man i holds bit i: m0 bit 0b01, m1 bit 0b10.
+    assert ctx.needs == [[0b10], [0b01, 0b01]]
     for size in range(3):
         for m_prime in combinations(ctx.inst.sad_men, size):
             check_first_accepted(ctx, m_prime, ctx.r)
-            if m_prime[:1] == (0,) and not any(ctx.claims[m].isdisjoint(m_prime) for m in m_prime):
+            chosen = sum(1 << m for m in m_prime)
+            if m_prime[:1] == (0,) and all(ctx.needs[m][0] & chosen for m in m_prime):
                 assert _first_accepted(ctx, m_prime)[1] > 1  # m0 takes w2 at the root: no skip
-    assert _first_accepted(ctx, (0,))[0] is None and not live(ctx, (0,))
-    assert live(ctx, ()) and live(ctx, (0, 1)) and not live(ctx, (1,))
+    live = listed(ctx)
+    assert _first_accepted(ctx, (0,))[0] is None and (0,) not in live
+    assert live == [(), (0, 1)]
 
 
 def engine_contexts():
@@ -540,16 +534,15 @@ def test_the_cuts_keep_every_stable_matching_within_the_budget():
 
 
 def test_the_live_family_holds_exactly_the_subsets_the_cuts_keep_in_loop_order():
-    # The family against ``cut`` on every subset, and its walk against the
-    # subset loop with the cut subsets left out.
+    # The listing against the subset loop with the subsets ``cut`` rejects
+    # left out: the same subsets in the same order.
     contexts = subsets = kept = 0
     for ctx, _ in engine_contexts():
         st = ctx.inst
         every = [m_prime for size in range(len(st.sad_men) + 1) for m_prime in combinations(st.sad_men, size)]
         assert len(every) == 1 << len(st.sad_men)
-        want = [subset_bit(st, m_prime) for m_prime in every if not cut(ctx, m_prime)]
-        assert ctx.live == sum(1 << bit for bit in want)
-        assert fpt._in_loop_order(ctx.live) == want
+        want = [m_prime for m_prime in every if not cut(ctx, m_prime)]
+        assert listed(ctx) == want
         contexts += 1
         subsets += len(every)
         kept += len(want)
@@ -821,9 +814,24 @@ def test_minimal_balance_walks_only_the_live_subsets_of_three_planted_cores(monk
     assert len(inst.sad_men) == 20 and len(walked) < 1000
 
 
+def test_five_planted_cores_with_31_sad_men_are_decided_from_the_live_subsets():
+    # A family of one bit per subset would need 2^31 bits here; the walk
+    # lists only the subsets the cuts keep, and a no walks all of them.
+    inst = planted_instance(random.Random(3), 1000, 5, 5)
+    assert len(inst.sad_men) == 31 and _least_balance(_chain(inst)) == 1059
+    below, at = solve_above_min(inst, 1058), solve_above_min(inst, 1059)
+    assert (below.answer, at.answer) == (False, True)
+    assert decide_above_min(inst, 1058).answer is False and decide_above_min(inst, 1059).answer is True
+    assert not blocking_pairs(inst, at.witness) and objectives(inst, at.witness).balance == 1059
+    assert at.stats == fpt.SolveStats(360, 5331, 69)
+    assert below.stats == fpt.SolveStats(3920, 119861, 193)
+    kres = below.kernel
+    assert len(fpt._live(_Context(kres.functional, kres.functional_k))) == 3920
+
+
 def test_planted_instances_hold_their_cores_and_mutually_first_pairs():
     rng = random.Random(11)
-    for n, cores, extra in ((20, 1, 0), (50, 2, 5), (200, 3, 2)):
+    for n, cores, extra in ((20, 1, 0), (50, 2, 5), (200, 3, 2), (1000, 5, 5)):
         inst = planted_instance(rng, n, cores, extra)
         assert (len(inst.men), len(inst.women)) == (n, n)
         # Each core has at least 3 rotations and at most 8 men, each of whom
