@@ -43,11 +43,12 @@ than the unpruned tree has, so the ``4 * 2**r`` bound per subset holds.
 Most subsets are never walked (Gusfield & Irving 1989, *The Stable
 Marriage Problem: Structure and Algorithms*).  Two tests read each
 selected man m against the whole selection; when either fails for any
-selected man, the subset has no accepted certificate.  ``_live`` lists,
-once per kernel, the subsets that pass both, by a walk over the sad men
-that never extends a selection in which some selected man's test can no
-longer pass, and the solver walks only those, in the order of the subset
-loop.  A cut subset is never walked and never counted.
+selected man, the subset has no accepted certificate.  ``_live`` yields
+the subsets that pass both, one cardinality at a time, by a walk over the
+sad men that never extends a selection in which some selected man's test
+can no longer pass, and the solver walks only those, in the order of the
+subset loop, and stops pulling at its first accepted certificate.  A cut
+subset is never walked and never counted.
 
 - *Start set.*  At the root no woman has been given yet, so a woman whose
   μ_M husband is not selected is fixed: m's walk skips her, or stops at
@@ -70,17 +71,25 @@ loop.  A cut subset is never walked and never counted.
   with a man she likes less than m, so (m, w0) blocks it and
   ``_assemble`` rejects it.
 
+Decisions on one instance at several k share what reads no k, kept in
+the instance's derived-value store (``kernel._keep``), as the kernel's
+k-free rule outcomes are: the balances of μ_M and μ_W per input instance,
+and per functional kernel its anchor and worse tables and each sad man's
+claimers and start-set walk as steps by rank offset, from which each
+decision reads his tests at its own budget.
+
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
-from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, kernelize, require_lists
+from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, _keep, kernelize, require_lists
 
 
 @dataclass(frozen=True)
@@ -108,111 +117,118 @@ class SolveResult:
 class _Context:
     """Kernel facts shared across all subsets, read from the functional
     kernel and its target k, and the partner arrays the search patches per
-    subset.  A padded kernel and its k give the same search (module docstring)."""
+    subset.  A padded kernel and its k give the same search (module docstring).
+
+    The tables that read no k come from ``_tables``, made once per kernel
+    and kept with it; only ``needs`` is read at this context's budget r.
+    """
 
     def __init__(self, kernel: Instance, k: int):
         self.inst = kernel
         self.k = k
-        self.r = k - kernel.o_m
-        # Per man index: the rank of his man-optimal partner, and the women
-        # strictly worse than her as (rank offset, woman index), best first:
-        # the tables are in rank order and a person's ranks are distinct.
-        self.anchor: list[int] = []
-        self.worse: list[list[tuple[int, int]]] = []
-        for table, anchor_w in zip(kernel.m_rank, kernel.mu_m.by_man):
-            anchor = table[anchor_w] if anchor_w >= 0 else 0
-            self.anchor.append(anchor)
-            self.worse.append(
-                [] if anchor_w < 0 else [(r - anchor, w) for w, r in table.items() if r > anchor]
-            )
+        self.r = r = k - kernel.o_m
+        self.anchor, self.worse, steps = _keep(kernel, _tables)
         # Each fixed person's partner, -1 for everyone else.  Between subsets
         # that is μ_M: every man it matches is happy or sad.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
-        # Per sad man, in the order of ``sad_men``, his needs: the sad men who
-        # can claim his man-optimal partner, then his start set if he has one
-        # (module docstring), each as a mask in which sad man i holds bit i.
-        bit = {m: 1 << i for i, m in enumerate(kernel.sad_men)}
+        # Per sad man, in the order of ``sad_men``, his needs at r: the sad men
+        # who can claim his man-optimal partner, then his start set if he has
+        # one (module docstring), each as a mask in which sad man i holds bit i.
         self.needs: list[list[int]] = []
-        for m in kernel.sad_men:
-            start = _start_set(self, m, bit)
-            claim = _claimers(self, m, bit)
+        for claim_at, claims, start_at, starts in steps:
+            claim, start = claims[bisect_right(claim_at, r)], starts[bisect_right(start_at, r)]
             self.needs.append([claim] if start is None else [claim, start])
 
 
-def _start_set(ctx: _Context, m: int, bit: dict[int, int]) -> int | None:
-    """The μ_M husbands of the women m meets at the root within the budget,
-    up to the first who prefers m to hers, as a mask of the sad men in
-    ``bit``; None if one of the women has none."""
-    w_rank = ctx.inst.w_rank
-    start = 0
-    for offset, w in ctx.worse[m]:
-        if offset > ctx.r:
-            break
-        h = ctx.husband[w]
-        if h < 0:
-            return None
-        start |= bit.get(h, 0)
-        if w_rank[w][m] < w_rank[w][h]:
-            break
-    return start
+def _tables(kernel: Instance):
+    """The branching tables of a kernel that read no k: (anchor, worse, steps).
+
+    Per man index, ``anchor`` holds the rank of his man-optimal partner and
+    ``worse`` the women strictly worse than her as (rank offset, woman
+    index), best first: the tables are in rank order and a person's ranks
+    are distinct.  Per sad man, ``steps`` holds his claimers and his start
+    set as steps by rank offset, each sad man i holding bit i: (claim
+    offsets, claim masks, start offsets, start masks), offsets rising, in
+    which the mask at index ``bisect_right(offsets, r)`` is the need at
+    budget r.
+    """
+    anchor: list[int] = []
+    worse: list[list[tuple[int, int]]] = []
+    for table, anchor_w in zip(kernel.m_rank, kernel.mu_m.by_man):
+        rank = table[anchor_w] if anchor_w >= 0 else 0
+        anchor.append(rank)
+        worse.append([] if anchor_w < 0 else [(r - rank, w) for w, r in table.items() if r > rank])
+    m_rank, w_rank, husband = kernel.m_rank, kernel.w_rank, kernel.mu_m.by_woman
+    bit = {m: 1 << i for i, m in enumerate(kernel.sad_men)}
+    steps = []
+    for m in kernel.sad_men:
+        # His claimers: the sad men whom his man-optimal partner w0 prefers to
+        # him, each from the offset at which he ranks her below his own.  μ_M
+        # is stable and w0 prefers each to her husband there, so it is
+        # positive.  A sad man is matched in μ_M, as in every stable matching.
+        w0 = kernel.mu_m.by_man[m]
+        ranks = w_rank[w0]
+        mine = ranks[m]
+        claims = [(m_rank[m2][w0] - anchor[m2], bit[m2]) for m2, rank in ranks.items() if rank < mine and m2 in bit]
+        claim_at, claim_masks = [], [0]
+        for offset, b in sorted(claims):
+            claim_at.append(offset)
+            claim_masks.append(claim_masks[-1] | b)
+        # His start set: the μ_M husbands of the women he meets at the root,
+        # up to the first who prefers him to hers; None from a single one on.
+        start_at, start_masks = [], [0]
+        for offset, w in worse[m]:
+            h = husband[w]
+            start_at.append(offset)
+            if h < 0:
+                start_masks.append(None)
+                break
+            start_masks.append(start_masks[-1] | bit.get(h, 0))
+            if w_rank[w][m] < w_rank[w][h]:
+                break
+        steps.append((claim_at, claim_masks, start_at, start_masks))
+    return anchor, worse, steps
 
 
-def _claimers(ctx: _Context, m: int, bit: dict[int, int]) -> int:
-    """The mask of the sad men in ``bit`` who can take m's man-optimal
-    partner w0: she prefers them to m, and each ranks her below his own
-    within the budget.  A sad man is matched in μ_M, as in every stable
-    matching."""
-    inst = ctx.inst
-    w0 = inst.mu_m.by_man[m]
-    ranks = inst.w_rank[w0]
-    mine = ranks[m]
-    claimers = 0
-    for m2, rank in ranks.items():
-        if rank >= mine:
-            break
-        # μ_M is stable and w0 prefers m2 to her husband there, so m2 ranks
-        # her strictly below his man-optimal partner: the offset is positive.
-        if m2 in bit and inst.m_rank[m2][w0] - ctx.anchor[m2] <= ctx.r:
-            claimers |= bit[m2]
-    return claimers
-
-
-def _live(ctx: _Context) -> list[int]:
+def _live(ctx: _Context):
     """The subsets of the sad men in which every selected man's needs meet
     the selection, as masks (sad man i holds bit i), in the subset loop's
     order: by cardinality, and within one, in ``combinations`` order.
 
-    A depth-first walk adds men in index order, so it lists the subsets of
-    each cardinality in ``combinations`` order and a stable sort by size
-    gives the loop's order.  It never adds a man past the last man of a
+    A walk adds men in index order, one cardinality per level, and yields
+    each live subset as it reaches it.  Expanding a level's selections in
+    order, each by its men in index order, reaches the next level in
+    ``combinations`` order.  It never adds a man past the last man of a
     need that no selected man meets yet, and never adds a man whose own
-    unmet need has no later man: no subset below such a step is live.
+    unmet need has no later man: no subset below such a step is live.  It
+    builds a level only when the one before is used up, so a caller that
+    stops early builds little.
     """
     needs = ctx.needs
     s = len(needs)
-    live = [0]
-
-    def grow(chosen: int, unmet: list[int], stop: int) -> None:
-        # ``unmet`` holds the needs of the men in ``chosen`` that it misses;
-        # from ``stop`` on, the one whose last man comes first can no longer be met.
-        for i in range(chosen.bit_length(), stop):
-            bit = 1 << i
-            grown = chosen | bit
-            left = [need for need in unmet if not need & bit] if unmet else []
-            for need in needs[i]:
-                if not need & grown:
-                    left.append(need)
-            if not left:
-                live.append(grown)
-                if i + 1 < s:
-                    grow(grown, left, s)
-            elif (end := min(left).bit_length()) > i + 1:
-                grow(grown, left, end)
-
-    grow(0, [], s)
-    live.sort(key=int.bit_count)
-    return live
+    yield 0
+    # Each selection that may grow: its mask, the needs of its men that it
+    # misses, and the man from whom on the one whose last man comes first
+    # can no longer be met.
+    level = [(0, (), s)]
+    while level:
+        grown_level = []
+        for chosen, unmet, stop in level:
+            for i in range(chosen.bit_length(), stop):
+                bit = 1 << i
+                grown = chosen | bit
+                left = [need for need in unmet if not need & bit] if unmet else []
+                for need in needs[i]:
+                    if not need & grown:
+                        left.append(need)
+                if not left:
+                    yield grown
+                    if i + 1 < s:
+                        grown_level.append((grown, left, s))
+                elif (end := min(left).bit_length()) > i + 1:
+                    grown_level.append((grown, left, end))
+        level = grown_level
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
@@ -312,6 +328,16 @@ def _balance(inst: Instance, mu: Partners) -> int:
     return max(cost(inst.m_rank, mu.by_man), cost(inst.w_rank, mu.by_woman))
 
 
+def _mu_m_balance(inst: Instance) -> int:
+    """The balance of μ_M; kept with the instance (``_keep``)."""
+    return _balance(inst, inst.mu_m)
+
+
+def _mu_w_balance(inst: Instance) -> int:
+    """The balance of μ_W; kept with the instance (``_keep``)."""
+    return _balance(inst, inst.mu_w)
+
+
 def solve_above_min(inst: Instance, k: int) -> SolveResult:
     """Decide whether some stable matching of ``inst`` has balance at most k.
 
@@ -322,8 +348,8 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
     Input with gaps in its ranks raises ``ValidationError`` either way.
     """
     require_lists(inst)
-    for mu in (inst.mu_m, inst.mu_w):
-        if _balance(inst, mu) <= k:
+    for balance, mu in ((_mu_m_balance, inst.mu_m), (_mu_w_balance, inst.mu_w)):
+        if _keep(inst, balance) <= k:
             witness = inst.matching_from_arrays(mu.by_man)
             t = k - min(inst.o_m, inst.o_w)
             return SolveResult(True, witness, t, None, SolveStats(0, 0, 0), None)
@@ -336,7 +362,7 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     Kernelizes first; if that does not settle the answer, tries every
     subset of the functional kernel's sad men in increasing cardinality and
     accepts on the first assembled stable matching within target.  Only
-    the subsets ``_live`` lists are walked, and the stats count only those.
+    the subsets ``_live`` yields are walked, and the stats count only those.
     No dummy is added.
     """
     kres = kernelize(inst, k)
@@ -377,7 +403,7 @@ def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
     that k is it decided at the end.
     """
     low = max(inst.o_m, inst.o_w)
-    high = min(_balance(inst, inst.mu_m), _balance(inst, inst.mu_w))
+    high = min(_keep(inst, _mu_m_balance), _keep(inst, _mu_w_balance))
     decisions = 0
     last_yes = None
     while low < high:

@@ -247,6 +247,84 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
             return
 
 
+# --- the branching tables and truncate, from scratch --------------------------
+# ``bsm.fpt`` keeps a kernel's anchor, worse and need tables with the kernel
+# and reads each decision's needs from them at its budget, and
+# ``kernel.truncate`` keeps each owner's rank excess with the instance.  These
+# rebuild them for one decision, as every decision once did; the tests hold
+# the kept tables to them.
+
+def reference_tables(kernel: Instance, k: int):
+    """(anchor, worse, needs) of the branching context of ``kernel`` at
+    target k, walked from scratch at the budget r = k - O_M."""
+    r = k - kernel.o_m
+    anchor, worse = [], []
+    for table, anchor_w in zip(kernel.m_rank, kernel.mu_m.by_man):
+        rank = table[anchor_w] if anchor_w >= 0 else 0
+        anchor.append(rank)
+        worse.append([] if anchor_w < 0 else [(q - rank, w) for w, q in table.items() if q > rank])
+    bit = {m: 1 << i for i, m in enumerate(kernel.sad_men)}
+    needs = []
+    for m in kernel.sad_men:
+        start = _start_set(kernel, worse[m], r, m, bit)
+        claim = _claimers(kernel, anchor, r, m, bit)
+        needs.append([claim] if start is None else [claim, start])
+    return anchor, worse, needs
+
+
+def _start_set(kernel: Instance, worse, r: int, m: int, bit: dict[int, int]) -> int | None:
+    """The μ_M husbands of the women m meets at the root within the budget,
+    up to the first who prefers m to hers, as a mask of the sad men in
+    ``bit``; None if one of the women has none."""
+    w_rank, husband = kernel.w_rank, kernel.mu_m.by_woman
+    start = 0
+    for offset, w in worse:
+        if offset > r:
+            break
+        h = husband[w]
+        if h < 0:
+            return None
+        start |= bit.get(h, 0)
+        if w_rank[w][m] < w_rank[w][h]:
+            break
+    return start
+
+
+def _claimers(kernel: Instance, anchor, r: int, m: int, bit: dict[int, int]) -> int:
+    """The mask of the sad men in ``bit`` who can take m's man-optimal
+    partner w0: she prefers them to m, and each ranks her below his own
+    within the budget."""
+    w0 = kernel.mu_m.by_man[m]
+    ranks = kernel.w_rank[w0]
+    mine = ranks[m]
+    claimers = 0
+    for m2, rank in ranks.items():
+        if rank >= mine:
+            break
+        if m2 in bit and kernel.m_rank[m2][w0] - anchor[m2] <= r:
+            claimers |= bit[m2]
+    return claimers
+
+
+def truncate_scan(st: KernelState):
+    """``kernel.truncate`` by a scan of every owner's table, at every call.
+
+    Men are checked first against the man-optimal matching, then women
+    against the woman-optimal one; the owner's best partner past the cutoff goes.
+    """
+    inst = st.inst
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman):
+        slack = st.k - (inst.o_w if flip else inst.o_m)
+        for a, anchor in enumerate(anchors):
+            if anchor >= 0:
+                cutoff = slack + tables[a][anchor]
+                b = next((b for b, r in tables[a].items() if r > cutoff), -1)  # the best, by rank order
+                if b >= 0:
+                    pair = (b, a) if flip else (a, b)
+                    return _without_pairs(st, [pair]), [(owners[a], partners[b])]
+    return None
+
+
 # --- single-step kernel rules -------------------------------------------------
 # The batched rules of ``bsm.kernel`` make one rebuild per application; these
 # make one change per application, and the tests hold the batches to them.

@@ -1,5 +1,9 @@
+import json
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,8 +28,10 @@ from helpers import (
     functional_instance,
     iter_certificates,
     naive_certificates,
+    reference_tables,
     sad_2x2,
     sad_rich_instance,
+    truncate_scan,
 )
 
 
@@ -249,6 +255,29 @@ def search_kernels(corpus: int = 150):
             ctx = _Context(result.kernel, result.k)
             if ctx.inst.sad_men:
                 yield inst, k, result, ctx, result.k - ctx.inst.o_m
+
+
+def test_truncate_drops_the_pair_the_per_owner_scan_drops_on_every_searched_state(monkeypatch):
+    # Every state the pipeline reaches while ``search_kernels`` kernelizes,
+    # and its instance at other k in both directions: truncate's excess
+    # lists, kept with the instance and extended as the slack needs, pick
+    # the pair the scan picks.
+    real = kernel.bound_check
+    states, dropped = [0], [0]
+
+    def checked(st):
+        for k in (st.k, st.k + 3, st.k - 1, st.k + 1, st.k - 3):
+            at_k = kernel.KernelState(st.inst, k)
+            got = kernel.truncate(at_k)
+            assert got == truncate_scan(at_k)
+            states[0] += 1
+            dropped[0] += got is not None
+        return real(st)
+
+    rules = [(name, checked if rule is real else rule) for name, rule in kernel.RULES]
+    monkeypatch.setattr(kernel, "RULES", tuple(rules))
+    kernels = sum(1 for _ in search_kernels())
+    assert kernels >= 30 and states[0] >= 3500 and dropped[0] >= 1500
 
 
 def busy_women(ctx, selected):
@@ -504,6 +533,27 @@ def engine_contexts():
                 ctx = _Context(result.functional, result.functional_k)
                 if ctx.r >= 0:
                     yield ctx, walk_up_to
+
+
+def test_the_kept_tables_read_at_each_budget_are_the_tables_walked_from_scratch():
+    # Contexts at other k on the same kernel fill its store first; every
+    # context reads the same anchor, worse and needs as the walks made
+    # from scratch at its own budget, and shares the kernel's tables.  The
+    # budgets run, shuffled, from -1 past the kernel's largest rank offset,
+    # so every step of every table is crossed.
+    rng = random.Random(31)
+    contexts = budgets = differ = 0
+    for ctx, _ in engine_contexts():
+        kernel_ = ctx.inst
+        top = max((offset for worse in ctx.worse for offset, _ in worse), default=0)
+        for r in rng.sample(range(-1, top + 2), top + 3):
+            other = _Context(kernel_, kernel_.o_m + r)
+            assert (other.anchor, other.worse, other.needs) == reference_tables(kernel_, other.k)
+            assert other.anchor is ctx.anchor and other.worse is ctx.worse
+            differ += other.needs != ctx.needs
+            budgets += 1
+        contexts += 1
+    assert contexts >= 150 and budgets >= 1500 and differ >= 1000
 
 
 def test_the_cuts_keep_every_stable_matching_within_the_budget():
@@ -814,6 +864,107 @@ def test_minimal_balance_walks_only_the_live_subsets_of_three_planted_cores(monk
     assert len(inst.sad_men) == 20 and len(walked) < 1000
 
 
+def test_the_live_walk_builds_a_level_only_when_the_one_before_is_used_up():
+    # 20 sad men, each needing all the others: every subset but the 20
+    # singletons is live, 1,048,556 in all.  The first 211 come out, in loop
+    # order, before the walk holds more than one level of pairs.
+    s = 20
+    everyone = (1 << s) - 1
+    ctx = SimpleNamespace(needs=[[everyone ^ 1 << i] for i in range(s)])
+    want = [sum(1 << i for i in c) for size in (0, 2, 3) for c in combinations(range(s), size)][:211]
+    tracemalloc.start()
+    try:
+        first = list(islice(fpt._live(ctx), 211))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == want
+    assert peak < 1 << 20
+
+
+def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypatch):
+    real = fpt._live
+    pulled, listed_all = [], []
+
+    def counted(ctx):
+        pulled.append(0)
+        listed_all.append(sum(1 for _ in real(ctx)))
+        for subset in real(ctx):
+            pulled[-1] += 1
+            yield subset
+
+    monkeypatch.setattr(fpt, "_live", counted)
+    yes = early = no = 0
+    for n, seed, *_ in pool_entries():
+        inst = random_instance(random.Random(seed), n, n, 1.0)
+        low = max(inst.o_m, inst.o_w)
+        for k in range(low, min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w))):
+            pulled.clear()
+            listed_all.clear()
+            result = solve_above_min(inst, k)
+            if not pulled:
+                continue
+            assert pulled == [result.stats.subsets_tried]
+            if result.answer:
+                yes += 1
+                early += pulled[0] < listed_all[0]
+            else:
+                assert pulled == listed_all
+                no += 1
+    assert yes >= 200 and early >= 200 and no >= 100
+
+
+def pool_entries():
+    """The entries of ``perfbench/optimize_pool.json``: (n, seed, nodes, least balance)."""
+    return json.loads((Path(__file__).parents[1] / "perfbench" / "optimize_pool.json").read_text())["entries"]
+
+
+def bisection_order(ks):
+    """``ks`` in the order a binary search meets them: the middle, then the
+    middles of the two halves, level by level."""
+    order, spans = [], [ks]
+    while spans:
+        later = []
+        for span in spans:
+            if span:
+                mid = len(span) // 2
+                order.append(span[mid])
+                later += [span[:mid], span[mid + 1:]]
+        spans = later
+    return order
+
+
+def test_decisions_on_one_instance_do_not_depend_on_their_order():
+    # Each order decides every k on one parsed instance, whose store keeps
+    # the extreme balances, the k-free rule outcomes, truncate's excess
+    # tables and the kernels' branching tables from the decisions before.
+    # Truncate leaves a kernel no partner beyond its budget, so a kernel
+    # that several k share reads the same needs at each of them, and
+    # ``test_the_kept_tables_read_at_each_budget_are_the_tables_walked_from_scratch``
+    # holds the needs read at other budgets.
+    inputs = [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
+    inputs += [cyclic_instance(n) for n in (6, 8, 10)]
+    inputs += [planted_instance(random.Random(seed), 200, 3, 5) for seed in range(3)]
+    assert len(inputs) == 38
+    branched = 0
+    for inst in inputs:
+        text = serialize(inst)
+        bal = _least_balance(_chain(inst))
+        ks = list(range(bal - 2, bal + 3))
+        fresh = {k: solve_above_min(parse_instance(text), k) for k in ks}
+        assert [fresh[k].answer for k in ks] == [k >= bal for k in ks]
+        for order in (ks, ks[::-1], bisection_order(ks)):
+            assert sorted(order) == ks
+            one = parse_instance(text)
+            for k in order:
+                got, want = solve_above_min(one, k), fresh[k]
+                assert (got.answer, got.witness, got.t, got.r, got.stats) == (
+                    want.answer, want.witness, want.t, want.r, want.stats
+                )
+        branched += sum(fresh[k].stats.subsets_tried > 0 for k in ks)
+    assert branched >= 60
+
+
 def test_five_planted_cores_with_31_sad_men_are_decided_from_the_live_subsets():
     # A family of one bit per subset would need 2^31 bits here; the walk
     # lists only the subsets the cuts keep, and a no walks all of them.
@@ -826,7 +977,7 @@ def test_five_planted_cores_with_31_sad_men_are_decided_from_the_live_subsets():
     assert at.stats == fpt.SolveStats(360, 5331, 69)
     assert below.stats == fpt.SolveStats(3920, 119861, 193)
     kres = below.kernel
-    assert len(fpt._live(_Context(kres.functional, kres.functional_k))) == 3920
+    assert sum(1 for _ in fpt._live(_Context(kres.functional, kres.functional_k))) == 3920
 
 
 def test_planted_instances_hold_their_cores_and_mutually_first_pairs():
