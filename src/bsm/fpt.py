@@ -76,7 +76,16 @@ the instance's derived-value store (``kernel._keep``), as the kernel's
 k-free rule outcomes are: the balances of μ_M and μ_W per input instance,
 and per functional kernel its anchor and worse tables and each sad man's
 claimers and start-set walk as steps by rank offset, from which each
-decision reads his tests at its own budget.
+decision reads his tests at its own budget.  Each functional kernel also
+keeps its live-subset walk, keyed by the needs it reads: the subsets
+listed so far and the paused ``_live`` walk.  A decision reads the
+listed subsets in order and resumes the walk only past them, so the
+subsets, their order and the stats are those of a walk from scratch.
+Truncate leaves a kernel no partner more than r ranks below a man's μ_M
+partner, so every k that reaches a kernel reads the needs read at
+r = ∞, and all of them share one walk.  The kept walk holds the needs
+and the sad men only, never the kernel or a context, so it goes with
+its instance without the cyclic collector.
 
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
@@ -86,6 +95,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
@@ -121,6 +131,9 @@ class _Context:
 
     The tables that read no k come from ``_tables``, made once per kernel
     and kept with it; only ``needs`` is read at this context's budget r.
+    On a kernel ``kernelize`` returns no step lies beyond r, so ``needs``
+    are those at r = ∞, and the decision finds the kernel's kept walk
+    under them (``_walks``).
     """
 
     def __init__(self, kernel: Instance, k: int):
@@ -191,10 +204,11 @@ def _tables(kernel: Instance):
     return anchor, worse, steps
 
 
-def _live(ctx: _Context):
-    """The subsets of the sad men in which every selected man's needs meet
-    the selection, as masks (sad man i holds bit i), in the subset loop's
-    order: by cardinality, and within one, in ``combinations`` order.
+def _live(needs):
+    """The subsets of the sad men in which every selected man's ``needs``
+    (a ``_Context``'s, one list of masks per sad man) meet the selection,
+    as masks (sad man i holds bit i), in the subset loop's order: by
+    cardinality, and within one, in ``combinations`` order.
 
     A walk adds men in index order, one cardinality per level, and yields
     each live subset as it reaches it.  Expanding a level's selections in
@@ -203,9 +217,10 @@ def _live(ctx: _Context):
     need that no selected man meets yet, and never adds a man whose own
     unmet need has no later man: no subset below such a step is live.  It
     builds a level only when the one before is used up, so a caller that
-    stops early builds little.
+    stops early builds little.  It reads nothing but ``needs``, so a walk
+    paused with a kernel (``_selections``) keeps neither the kernel nor a
+    context alive.
     """
-    needs = ctx.needs
     s = len(needs)
     yield 0
     # Each selection that may grow: its mask, the needs of its men that it
@@ -229,6 +244,22 @@ def _live(ctx: _Context):
                 elif (end := min(left).bit_length()) > i + 1:
                     grown_level.append((grown, left, end))
         level = grown_level
+
+
+def _walks(kernel: Instance) -> dict:
+    """The kernel's paused live-subset walks, keyed by the needs they read,
+    each as (the selections listed so far, the walk that lists the rest);
+    kept with the kernel (``_keep``)."""
+    return {}
+
+
+def _selections(sad, needs, listed: list):
+    """The live subsets of ``_live(needs)`` as tuples of the sad men ``sad``,
+    each appended to ``listed`` as it is yielded."""
+    for subset in _live(needs):
+        m_prime = tuple(m for i, m in enumerate(sad) if subset >> i & 1)
+        listed.append(m_prime)
+        yield m_prime
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
@@ -295,6 +326,9 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     for m in m_prime:
         husband[mu[m]] = wife[m] = -1
     hit = descend(0, ctx.r)
+    # ``descend`` reaches itself through its closure; unbound, it and the
+    # context it reads are freed at once, not left to the cyclic collector.
+    del descend
     for m in m_prime:
         wife[m], husband[mu[m]] = mu[m], m
     return hit, nodes
@@ -363,7 +397,9 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     subset of the functional kernel's sad men in increasing cardinality and
     accepts on the first assembled stable matching within target.  Only
     the subsets ``_live`` yields are walked, and the stats count only those.
-    No dummy is added.
+    They are read from the kernel's kept walk at the context's needs: first
+    the selections earlier decisions listed, then the paused walk, resumed
+    only as far as this decision reads.  No dummy is added.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -376,15 +412,24 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     r = ctx.r
     if r < 0:
         return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
-    sad = kernel.sad_men
+    # ``chain`` reads the listed selections by index to the end, then the
+    # paused walk, which appends each further one to that list as it yields
+    # it.  The entry is put back only when the decision ends, so a walk cut
+    # short by an exception, and its short list, are never read again.
+    walks = _keep(kernel, _walks)
+    key = tuple(map(tuple, ctx.needs))
+    entry = walks.pop(key, None)
+    if entry is None:
+        listed: list[tuple[int, ...]] = []
+        entry = listed, _selections(kernel.sad_men, ctx.needs, listed)
     walked = []  # the nodes visited in each subset walked
     hit = None
-    for subset in _live(ctx):
-        m_prime = tuple(m for i, m in enumerate(sad) if subset >> i & 1)
+    for m_prime in chain(*entry):
         hit, nodes = _first_accepted(ctx, m_prime)
         walked.append(nodes)
         if hit is not None:
             break
+    walks[key] = entry
     stats = SolveStats(len(walked), sum(walked), max(walked, default=0))
     if hit is None:
         return SolveResult(False, None, kres.t_input, r, stats, kres)

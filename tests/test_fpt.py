@@ -1,9 +1,10 @@
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 from itertools import combinations, islice
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -460,7 +461,7 @@ def cut(ctx, m_prime) -> bool:
 def listed(ctx) -> list[tuple[int, ...]]:
     """The subsets ``_live`` lists for the context, as tuples of sad men, in its order."""
     sad = ctx.inst.sad_men
-    return [tuple(m for i, m in enumerate(sad) if subset >> i & 1) for subset in fpt._live(ctx)]
+    return [tuple(m for i, m in enumerate(sad) if subset >> i & 1) for subset in fpt._live(ctx.needs)]
 
 
 def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root():
@@ -870,11 +871,11 @@ def test_the_live_walk_builds_a_level_only_when_the_one_before_is_used_up():
     # order, before the walk holds more than one level of pairs.
     s = 20
     everyone = (1 << s) - 1
-    ctx = SimpleNamespace(needs=[[everyone ^ 1 << i] for i in range(s)])
+    needs = [[everyone ^ 1 << i] for i in range(s)]
     want = [sum(1 << i for i in c) for size in (0, 2, 3) for c in combinations(range(s), size)][:211]
     tracemalloc.start()
     try:
-        first = list(islice(fpt._live(ctx), 211))
+        first = list(islice(fpt._live(needs), 211))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -883,35 +884,116 @@ def test_the_live_walk_builds_a_level_only_when_the_one_before_is_used_up():
 
 
 def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypatch):
-    real = fpt._live
-    pulled, listed_all = [], []
+    # Every k of each pool instance's search range is decided on one parse,
+    # highest first, so yeses that stop early come before the noes, and
+    # later decisions reach kernels whose walk an earlier one kept.  Each
+    # decision reads, in the kept order, exactly the subsets it walks, and
+    # the kept list grows only as far as some decision on its kernel read:
+    # to the end after a no.  Each kernel's subsets are walked once.
+    real_first, real_live = fpt._first_accepted, fpt._live
+    read = []
+    walks = []
 
-    def counted(ctx):
-        pulled.append(0)
-        listed_all.append(sum(1 for _ in real(ctx)))
-        for subset in real(ctx):
-            pulled[-1] += 1
-            yield subset
+    def counted(ctx, m_prime):
+        read.append(m_prime)
+        return real_first(ctx, m_prime)
 
-    monkeypatch.setattr(fpt, "_live", counted)
-    yes = early = no = 0
+    def started(needs):
+        walks.append(needs)
+        return real_live(needs)
+
+    monkeypatch.setattr(fpt, "_first_accepted", counted)
+    monkeypatch.setattr(fpt, "_live", started)
+    yes = early = no = again = 0
     for n, seed, *_ in pool_entries():
         inst = random_instance(random.Random(seed), n, n, 1.0)
+        most = {}  # per kernel reached, by id, the most subsets any decision on it read
         low = max(inst.o_m, inst.o_w)
-        for k in range(low, min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w))):
-            pulled.clear()
-            listed_all.clear()
+        for k in reversed(range(low, min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w)))):
+            read.clear()
+            walks.clear()
             result = solve_above_min(inst, k)
-            if not pulled:
+            if not read:
                 continue
-            assert pulled == [result.stats.subsets_tried]
+            kernel_ = result.kernel.functional
+            ctx = _Context(kernel_, result.kernel.functional_k)
+            kept, walk = kernel._store(kernel_)[fpt._walks][tuple(map(tuple, ctx.needs))]
+            assert len(walks) == (id(kernel_) not in most)
+            everything = listed(ctx)
+            assert len(read) == result.stats.subsets_tried
+            assert read == kept[:len(read)] == everything[:len(read)]
+            again += id(kernel_) in most
+            most[id(kernel_)] = max(most.get(id(kernel_), 0), len(read))
+            assert len(kept) <= most[id(kernel_)]
             if result.answer:
                 yes += 1
-                early += pulled[0] < listed_all[0]
+                early += len(read) < len(everything)
             else:
-                assert pulled == listed_all
+                assert kept == everything and next(walk, None) is None
                 no += 1
-    assert yes >= 200 and early >= 200 and no >= 100
+    assert yes >= 200 and early >= 200 and no >= 100 and again >= 300
+
+
+def test_the_kept_walk_frees_with_its_instance(monkeypatch):
+    # The kept walks hold neither their kernel nor a context: with the
+    # cyclic collector off, every kernel a walk was kept with goes as soon
+    # as its instance does.  A search ends on a no that walks to the end,
+    # so a second parse is decided only at the least balance, a yes that
+    # leaves its walk paused.
+    refs = []
+
+    def walks(kernel_):
+        refs.append(weakref.ref(kernel_))
+        return {}
+
+    monkeypatch.setattr(fpt, "_walks", walks)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    paused = 0
+    try:
+        for n, seed, *_ in pool_entries()[:8]:
+            inst = random_instance(random.Random(seed), n, n, 1.0)
+            bal = fpt.minimal_balance(inst)[0]
+            fresh = random_instance(random.Random(seed), n, n, 1.0)
+            assert solve_above_min(fresh, bal).answer
+            kept = [walk for ref in refs if ref() for _, walk in kernel._store(ref())[walks].values()]
+            paused += sum(walk.gi_frame is not None for walk in kept)
+            del inst, fresh, kept
+            assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(refs) >= 12 and paused >= 5
+
+
+def test_no_kernel_kernelize_returns_has_a_need_beyond_its_budget():
+    # Truncate leaves no man of a kernel a partner more than r ranks below
+    # his μ_M partner: every worse offset and every claimer offset lies
+    # within r, so the needs read at r are those at r = ∞, and decisions at
+    # several k on one kernel read one kept walk.
+    rng = random.Random(20240807)
+    draws = [(random_instance(rng, max_side=7), None) for _ in range(300)]
+    draws += [(random_instance(random.Random(seed), n, n, 1.0), bal) for n, seed, _, bal in pool_entries()]
+    kernels = offsets = 0
+    for inst, bal in draws:
+        if bal is None:
+            ks = range(max(inst.o_m, inst.o_w) - 1, inst.o_m + inst.o_w + 1)
+        else:
+            ks = range(max(inst.o_m, inst.o_w), min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w)))
+        for k in ks:
+            result = kernelize(inst, k)
+            if result.outcome != OUTCOME_KERNEL:
+                continue
+            kernel_ = result.functional
+            ctx = _Context(kernel_, result.functional_k)
+            _, _, steps = kernel._keep(kernel_, fpt._tables)
+            found = [offset for worse in ctx.worse for offset, _ in worse]
+            found += [offset for claim_at, *_ in steps for offset in claim_at]
+            assert all(offset <= ctx.r for offset in found)
+            assert ctx.needs == _Context(kernel_, kernel_.o_m + 10**9).needs
+            kernels += 1
+            offsets += len(found)
+    assert kernels >= 550 and offsets >= 12000
 
 
 def pool_entries():
@@ -937,7 +1019,8 @@ def bisection_order(ks):
 def test_decisions_on_one_instance_do_not_depend_on_their_order():
     # Each order decides every k on one parsed instance, whose store keeps
     # the extreme balances, the k-free rule outcomes, truncate's excess
-    # tables and the kernels' branching tables from the decisions before.
+    # tables and the kernels' branching tables and paused live-subset walks
+    # from the decisions before.
     # Truncate leaves a kernel no partner beyond its budget, so a kernel
     # that several k share reads the same needs at each of them, and
     # ``test_the_kept_tables_read_at_each_budget_are_the_tables_walked_from_scratch``
@@ -977,7 +1060,7 @@ def test_five_planted_cores_with_31_sad_men_are_decided_from_the_live_subsets():
     assert at.stats == fpt.SolveStats(360, 5331, 69)
     assert below.stats == fpt.SolveStats(3920, 119861, 193)
     kres = below.kernel
-    assert sum(1 for _ in fpt._live(_Context(kres.functional, kres.functional_k))) == 3920
+    assert sum(1 for _ in fpt._live(_Context(kres.functional, kres.functional_k).needs)) == 3920
 
 
 def test_planted_instances_hold_their_cores_and_mutually_first_pairs():
