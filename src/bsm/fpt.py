@@ -74,18 +74,26 @@ subset is never walked and never counted.
 Decisions on one instance at several k share what reads no k, kept in
 the instance's derived-value store (``kernel._keep``), as the kernel's
 k-free rule outcomes are: the balances of μ_M and μ_W per input instance,
-and per functional kernel its anchor and worse tables and each sad man's
-claimers and start-set walk as steps by rank offset, from which each
-decision reads his tests at its own budget.  Each functional kernel also
-keeps its live-subset walk, keyed by the needs it reads: the subsets
-listed so far and the paused ``_live`` walk.  A decision reads the
-listed subsets in order and resumes the walk only past them, so the
-subsets, their order and the stats are those of a walk from scratch.
-Truncate leaves a kernel no partner more than r ranks below a man's μ_M
-partner, so every k that reaches a kernel reads the needs read at
-r = ∞, and all of them share one walk.  The kept walk holds the needs
-and the sad men only, never the kernel or a context, so it goes with
-its instance without the cyclic collector.
+and per functional kernel its anchor and worse tables, each sad man's
+claimers and start set (his needs) read at r = ∞, and its live-subset
+walk: the subsets listed so far and the paused ``_live`` walk.  A
+decision reads the listed subsets in order and resumes the walk only
+past them, so the subsets, their order and the stats are those of a
+walk from scratch.  The needs at r = ∞ are those at r on every kernel
+``kernelize`` returns, and safe at any budget:
+
+- *Equality.*  Truncate is at its fixpoint on a returned kernel: no man
+  keeps a partner more than r ranks below his μ_M partner.  Shrink lowers
+  k and O_M together, so r is the budget truncate cut at.  Every claimer
+  and start-set offset lies within r, so the needs at r are those at ∞.
+- *Safety.*  At a budget r that binds, a claim set at ∞ holds the one at
+  r, and a start set at ∞ holds the one at r or is None (the walk goes on
+  to a single woman).  A selection that meets the needs at r meets those
+  at ∞, so they cut no subset the needs at r keep.
+
+The kept walk holds the needs and the masks it listed only, never the
+kernel or a context, so it goes with its instance without the cyclic
+collector.
 
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
@@ -93,13 +101,12 @@ search over k; ``bsm solve --optimize`` prints what it returns.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
-from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, _keep, kernelize, require_lists
+from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, _keep, _store, kernelize, require_lists
 
 
 @dataclass(frozen=True)
@@ -129,42 +136,31 @@ class _Context:
     kernel and its target k, and the partner arrays the search patches per
     subset.  A padded kernel and its k give the same search (module docstring).
 
-    The tables that read no k come from ``_tables``, made once per kernel
-    and kept with it; only ``needs`` is read at this context's budget r.
-    On a kernel ``kernelize`` returns no step lies beyond r, so ``needs``
-    are those at r = ∞, and the decision finds the kernel's kept walk
-    under them (``_walks``).
+    The tables come from ``_tables``, made once per kernel and kept with
+    it; only the budget r reads k.
     """
 
     def __init__(self, kernel: Instance, k: int):
         self.inst = kernel
         self.k = k
-        self.r = r = k - kernel.o_m
-        self.anchor, self.worse, steps = _keep(kernel, _tables)
+        self.r = k - kernel.o_m
+        self.anchor, self.worse, self.needs = _keep(kernel, _tables)
         # Each fixed person's partner, -1 for everyone else.  Between subsets
         # that is μ_M: every man it matches is happy or sad.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
-        # Per sad man, in the order of ``sad_men``, his needs at r: the sad men
-        # who can claim his man-optimal partner, then his start set if he has
-        # one (module docstring), each as a mask in which sad man i holds bit i.
-        self.needs: list[list[int]] = []
-        for claim_at, claims, start_at, starts in steps:
-            claim, start = claims[bisect_right(claim_at, r)], starts[bisect_right(start_at, r)]
-            self.needs.append([claim] if start is None else [claim, start])
 
 
 def _tables(kernel: Instance):
-    """The branching tables of a kernel that read no k: (anchor, worse, steps).
+    """The branching tables of a kernel, which read no k: (anchor, worse, needs).
 
     Per man index, ``anchor`` holds the rank of his man-optimal partner and
     ``worse`` the women strictly worse than her as (rank offset, woman
     index), best first: the tables are in rank order and a person's ranks
-    are distinct.  Per sad man, ``steps`` holds his claimers and his start
-    set as steps by rank offset, each sad man i holding bit i: (claim
-    offsets, claim masks, start offsets, start masks), offsets rising, in
-    which the mask at index ``bisect_right(offsets, r)`` is the need at
-    budget r.
+    are distinct.  Per sad man, in the order of ``sad_men``, ``needs`` holds
+    the sad men who can claim his man-optimal partner, then his start set
+    if he has one (module docstring), each read at r = ∞ as a mask in which
+    sad man i holds bit i.
     """
     anchor: list[int] = []
     worse: list[list[tuple[int, int]]] = []
@@ -172,36 +168,33 @@ def _tables(kernel: Instance):
         rank = table[anchor_w] if anchor_w >= 0 else 0
         anchor.append(rank)
         worse.append([] if anchor_w < 0 else [(r - rank, w) for w, r in table.items() if r > rank])
-    m_rank, w_rank, husband = kernel.m_rank, kernel.w_rank, kernel.mu_m.by_woman
+    w_rank, husband = kernel.w_rank, kernel.mu_m.by_woman
     bit = {m: 1 << i for i, m in enumerate(kernel.sad_men)}
-    steps = []
+    needs = []
     for m in kernel.sad_men:
         # His claimers: the sad men whom his man-optimal partner w0 prefers to
-        # him, each from the offset at which he ranks her below his own.  μ_M
-        # is stable and w0 prefers each to her husband there, so it is
-        # positive.  A sad man is matched in μ_M, as in every stable matching.
-        w0 = kernel.mu_m.by_man[m]
-        ranks = w_rank[w0]
+        # him.  μ_M is stable, so each ranks w0 below his own partner.  A sad
+        # man is matched in μ_M, as in every stable matching.
+        ranks = w_rank[kernel.mu_m.by_man[m]]
         mine = ranks[m]
-        claims = [(m_rank[m2][w0] - anchor[m2], bit[m2]) for m2, rank in ranks.items() if rank < mine and m2 in bit]
-        claim_at, claim_masks = [], [0]
-        for offset, b in sorted(claims):
-            claim_at.append(offset)
-            claim_masks.append(claim_masks[-1] | b)
-        # His start set: the μ_M husbands of the women he meets at the root,
-        # up to the first who prefers him to hers; None from a single one on.
-        start_at, start_masks = [], [0]
-        for offset, w in worse[m]:
-            h = husband[w]
-            start_at.append(offset)
-            if h < 0:
-                start_masks.append(None)
+        claim = 0
+        for m2, rank in ranks.items():
+            if rank >= mine:
                 break
-            start_masks.append(start_masks[-1] | bit.get(h, 0))
+            claim |= bit.get(m2, 0)
+        # His start set: the μ_M husbands of the women he meets at the root,
+        # up to the first who prefers him to hers; None if one is single.
+        start = 0
+        for _, w in worse[m]:
+            h = husband[w]
+            if h < 0:
+                start = None
+                break
+            start |= bit.get(h, 0)
             if w_rank[w][m] < w_rank[w][h]:
                 break
-        steps.append((claim_at, claim_masks, start_at, start_masks))
-    return anchor, worse, steps
+        needs.append([claim] if start is None else [claim, start])
+    return anchor, worse, needs
 
 
 def _live(needs):
@@ -218,8 +211,8 @@ def _live(needs):
     unmet need has no later man: no subset below such a step is live.  It
     builds a level only when the one before is used up, so a caller that
     stops early builds little.  It reads nothing but ``needs``, so a walk
-    paused with a kernel (``_selections``) keeps neither the kernel nor a
-    context alive.
+    paused with a kernel (``_walk``) keeps neither the kernel nor a context
+    alive.
     """
     s = len(needs)
     yield 0
@@ -246,20 +239,10 @@ def _live(needs):
         level = grown_level
 
 
-def _walks(kernel: Instance) -> dict:
-    """The kernel's paused live-subset walks, keyed by the needs they read,
-    each as (the selections listed so far, the walk that lists the rest);
-    kept with the kernel (``_keep``)."""
-    return {}
-
-
-def _selections(sad, needs, listed: list):
-    """The live subsets of ``_live(needs)`` as tuples of the sad men ``sad``,
-    each appended to ``listed`` as it is yielded."""
-    for subset in _live(needs):
-        m_prime = tuple(m for i, m in enumerate(sad) if subset >> i & 1)
-        listed.append(m_prime)
-        yield m_prime
+def _walk(kernel: Instance):
+    """A fresh walk of the kernel's live subsets, to keep with it: (the
+    subsets listed so far, as ``_live``'s masks; the paused ``_live``)."""
+    return [], _live(_keep(kernel, _tables)[2])
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
@@ -397,9 +380,9 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     subset of the functional kernel's sad men in increasing cardinality and
     accepts on the first assembled stable matching within target.  Only
     the subsets ``_live`` yields are walked, and the stats count only those.
-    They are read from the kernel's kept walk at the context's needs: first
-    the selections earlier decisions listed, then the paused walk, resumed
-    only as far as this decision reads.  No dummy is added.
+    They are read from the kernel's kept walk: first the subsets earlier
+    decisions listed, then the paused walk, resumed only as far as this
+    decision reads.  No dummy is added.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -412,24 +395,23 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     r = ctx.r
     if r < 0:
         return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
-    # ``chain`` reads the listed selections by index to the end, then the
-    # paused walk, which appends each further one to that list as it yields
-    # it.  The entry is put back only when the decision ends, so a walk cut
-    # short by an exception, and its short list, are never read again.
-    walks = _keep(kernel, _walks)
-    key = tuple(map(tuple, ctx.needs))
-    entry = walks.pop(key, None)
-    if entry is None:
-        listed: list[tuple[int, ...]] = []
-        entry = listed, _selections(kernel.sad_men, ctx.needs, listed)
+    # ``chain`` reads the listed subsets to the end, then the paused walk;
+    # each subset the walk yields is appended to the list.  The entry is put
+    # back only when the decision ends, so a walk cut short by an exception,
+    # and its short list, are never read again.
+    store = _store(kernel)
+    listed, walk = entry = store.pop(_walk, None) or _walk(kernel)
+    sad = kernel.sad_men
     walked = []  # the nodes visited in each subset walked
     hit = None
-    for m_prime in chain(*entry):
-        hit, nodes = _first_accepted(ctx, m_prime)
+    for subset in chain(listed, walk):
+        if len(walked) == len(listed):
+            listed.append(subset)
+        hit, nodes = _first_accepted(ctx, tuple(m for i, m in enumerate(sad) if subset >> i & 1))
         walked.append(nodes)
         if hit is not None:
             break
-    walks[key] = entry
+    store[_walk] = entry
     stats = SolveStats(len(walked), sum(walked), max(walked, default=0))
     if hit is None:
         return SolveResult(False, None, kres.t_input, r, stats, kres)

@@ -474,7 +474,10 @@ def _store(inst: Instance) -> dict:
     do, under ``"_k_free"``: a function key put straight into the
     instance's ``__dict__`` would make ``dir(inst)`` raise.
     """
-    return inst.__dict__.setdefault("_k_free", {})
+    store = inst.__dict__.get("_k_free")
+    if store is None:
+        store = inst.__dict__["_k_free"] = {}
+    return store
 
 
 def _keep(inst: Instance, make):

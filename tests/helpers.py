@@ -248,11 +248,11 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
 
 
 # --- the branching tables and truncate, from scratch --------------------------
-# ``bsm.fpt`` keeps a kernel's anchor, worse and need tables with the kernel
-# and reads each decision's needs from them at its budget, and
-# ``kernel.truncate`` keeps each owner's rank excess with the instance.  These
-# rebuild them for one decision, as every decision once did; the tests hold
-# the kept tables to them.
+# ``bsm.fpt`` keeps a kernel's anchor, worse and need tables with the kernel,
+# its needs read at an unbounded budget, and ``kernel.truncate`` keeps each
+# owner's rank excess with the instance.  These rebuild them for one
+# decision at its own budget, as every decision once did; the tests hold the
+# kept tables to them.
 
 def reference_tables(kernel: Instance, k: int):
     """(anchor, worse, needs) of the branching context of ``kernel`` at

@@ -458,10 +458,14 @@ def cut(ctx, m_prime) -> bool:
     return any(not need & chosen for m in m_prime for need in ctx.needs[sad.index(m)])
 
 
+def as_tuple(sad, subset: int) -> tuple[int, ...]:
+    """The sad men ``sad`` whose bits ``subset`` holds, in order."""
+    return tuple(m for i, m in enumerate(sad) if subset >> i & 1)
+
+
 def listed(ctx) -> list[tuple[int, ...]]:
     """The subsets ``_live`` lists for the context, as tuples of sad men, in its order."""
-    sad = ctx.inst.sad_men
-    return [tuple(m for i, m in enumerate(sad) if subset >> i & 1) for subset in fpt._live(ctx.needs)]
+    return [as_tuple(ctx.inst.sad_men, subset) for subset in fpt._live(ctx.needs)]
 
 
 def test_start_sets_skip_only_subsets_whose_walk_ends_at_the_root():
@@ -536,25 +540,41 @@ def engine_contexts():
                     yield ctx, walk_up_to
 
 
-def test_the_kept_tables_read_at_each_budget_are_the_tables_walked_from_scratch():
+def covers(kept, need) -> bool:
+    """Whether every selection that meets each of a sad man's ``need``
+    masks (``[claim]`` or ``[claim, start]``) meets each of his ``kept``
+    ones: each kept mask holds the one it stands for, and a kept start set
+    is present only where ``need`` has one."""
+    claim, *start = kept
+    need_claim, *need_start = need
+    if need_claim & ~claim:
+        return False
+    return not start or bool(need_start) and not need_start[0] & ~start[0]
+
+
+def test_the_kept_needs_cut_no_subset_the_needs_at_any_budget_keep():
     # Contexts at other k on the same kernel fill its store first; every
-    # context reads the same anchor, worse and needs as the walks made
-    # from scratch at its own budget, and shares the kernel's tables.  The
-    # budgets run, shuffled, from -1 past the kernel's largest rank offset,
-    # so every step of every table is crossed.
+    # context shares the kernel's tables, its anchor and worse tables are
+    # the ones walked from scratch at its own budget, and each kept need,
+    # read at r = ∞, holds the one read at that budget or is None against
+    # it.  The budgets run, shuffled, from -1 past the kernel's largest
+    # rank offset, so the budget binds below it.
     rng = random.Random(31)
-    contexts = budgets = differ = 0
+    contexts = budgets = weaker = 0
     for ctx, _ in engine_contexts():
         kernel_ = ctx.inst
         top = max((offset for worse in ctx.worse for offset, _ in worse), default=0)
         for r in rng.sample(range(-1, top + 2), top + 3):
             other = _Context(kernel_, kernel_.o_m + r)
-            assert (other.anchor, other.worse, other.needs) == reference_tables(kernel_, other.k)
-            assert other.anchor is ctx.anchor and other.worse is ctx.worse
-            differ += other.needs != ctx.needs
+            anchor, worse, needs = reference_tables(kernel_, other.k)
+            assert (other.anchor, other.worse) == (anchor, worse)
+            assert other.anchor is ctx.anchor and other.worse is ctx.worse and other.needs is ctx.needs
+            assert len(other.needs) == len(needs)
+            assert all(covers(kept, need) for kept, need in zip(other.needs, needs))
+            weaker += other.needs != needs
             budgets += 1
         contexts += 1
-    assert contexts >= 150 and budgets >= 1500 and differ >= 1000
+    assert contexts >= 150 and budgets >= 1500 and weaker >= 1000
 
 
 def test_the_cuts_keep_every_stable_matching_within_the_budget():
@@ -889,7 +909,8 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
     # later decisions reach kernels whose walk an earlier one kept.  Each
     # decision reads, in the kept order, exactly the subsets it walks, and
     # the kept list grows only as far as some decision on its kernel read:
-    # to the end after a no.  Each kernel's subsets are walked once.
+    # to the end after a no.  Each kernel's subsets are walked once, and
+    # the kept list holds ``_live``'s masks.
     real_first, real_live = fpt._first_accepted, fpt._live
     read = []
     walks = []
@@ -904,7 +925,7 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
 
     monkeypatch.setattr(fpt, "_first_accepted", counted)
     monkeypatch.setattr(fpt, "_live", started)
-    yes = early = no = again = 0
+    yes = early = no = again = masks = 0
     for n, seed, *_ in pool_entries():
         inst = random_instance(random.Random(seed), n, n, 1.0)
         most = {}  # per kernel reached, by id, the most subsets any decision on it read
@@ -917,11 +938,14 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
                 continue
             kernel_ = result.kernel.functional
             ctx = _Context(kernel_, result.kernel.functional_k)
-            kept, walk = kernel._store(kernel_)[fpt._walks][tuple(map(tuple, ctx.needs))]
+            kept, walk = kernel._store(kernel_)[fpt._walk]
             assert len(walks) == (id(kernel_) not in most)
+            assert all(type(subset) is int for subset in kept)
+            masks += len(kept)
             everything = listed(ctx)
+            sad = kernel_.sad_men
             assert len(read) == result.stats.subsets_tried
-            assert read == kept[:len(read)] == everything[:len(read)]
+            assert read == [as_tuple(sad, subset) for subset in kept[:len(read)]] == everything[:len(read)]
             again += id(kernel_) in most
             most[id(kernel_)] = max(most.get(id(kernel_), 0), len(read))
             assert len(kept) <= most[id(kernel_)]
@@ -929,9 +953,9 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
                 yes += 1
                 early += len(read) < len(everything)
             else:
-                assert kept == everything and next(walk, None) is None
+                assert [as_tuple(sad, subset) for subset in kept] == everything and next(walk, None) is None
                 no += 1
-    assert yes >= 200 and early >= 200 and no >= 100 and again >= 300
+    assert yes >= 200 and early >= 200 and no >= 100 and again >= 300 and masks >= 1000
 
 
 def test_the_kept_walk_frees_with_its_instance(monkeypatch):
@@ -941,12 +965,13 @@ def test_the_kept_walk_frees_with_its_instance(monkeypatch):
     # so a second parse is decided only at the least balance, a yes that
     # leaves its walk paused.
     refs = []
+    real_walk = fpt._walk
 
-    def walks(kernel_):
+    def walk(kernel_):
         refs.append(weakref.ref(kernel_))
-        return {}
+        return real_walk(kernel_)
 
-    monkeypatch.setattr(fpt, "_walks", walks)
+    monkeypatch.setattr(fpt, "_walk", walk)
     was_enabled = gc.isenabled()
     gc.disable()
     paused = 0
@@ -956,8 +981,8 @@ def test_the_kept_walk_frees_with_its_instance(monkeypatch):
             bal = fpt.minimal_balance(inst)[0]
             fresh = random_instance(random.Random(seed), n, n, 1.0)
             assert solve_above_min(fresh, bal).answer
-            kept = [walk for ref in refs if ref() for _, walk in kernel._store(ref())[walks].values()]
-            paused += sum(walk.gi_frame is not None for walk in kept)
+            kept = [kernel._store(ref())[walk][1] for ref in refs if ref()]
+            paused += sum(live.gi_frame is not None for live in kept)
             del inst, fresh, kept
             assert [ref() for ref in refs] == [None] * len(refs)
     finally:
@@ -969,8 +994,8 @@ def test_the_kept_walk_frees_with_its_instance(monkeypatch):
 def test_no_kernel_kernelize_returns_has_a_need_beyond_its_budget():
     # Truncate leaves no man of a kernel a partner more than r ranks below
     # his μ_M partner: every worse offset and every claimer offset lies
-    # within r, so the needs read at r are those at r = ∞, and decisions at
-    # several k on one kernel read one kept walk.
+    # within r, so the needs read at r = ∞ and kept with the kernel are
+    # those the walk from scratch reads at r.
     rng = random.Random(20240807)
     draws = [(random_instance(rng, max_side=7), None) for _ in range(300)]
     draws += [(random_instance(random.Random(seed), n, n, 1.0), bal) for n, seed, _, bal in pool_entries()]
@@ -986,11 +1011,17 @@ def test_no_kernel_kernelize_returns_has_a_need_beyond_its_budget():
                 continue
             kernel_ = result.functional
             ctx = _Context(kernel_, result.functional_k)
-            _, _, steps = kernel._keep(kernel_, fpt._tables)
+            m_rank, w_rank, mu = kernel_.m_rank, kernel_.w_rank, kernel_.mu_m.by_man
+            sad = set(kernel_.sad_men)
             found = [offset for worse in ctx.worse for offset, _ in worse]
-            found += [offset for claim_at, *_ in steps for offset in claim_at]
+            found += [
+                m_rank[m2][mu[m]] - ctx.anchor[m2]
+                for m in kernel_.sad_men
+                for m2, rank in w_rank[mu[m]].items()
+                if rank < w_rank[mu[m]][m] and m2 in sad
+            ]
             assert all(offset <= ctx.r for offset in found)
-            assert ctx.needs == _Context(kernel_, kernel_.o_m + 10**9).needs
+            assert ctx.needs == reference_tables(kernel_, result.functional_k)[2]
             kernels += 1
             offsets += len(found)
     assert kernels >= 550 and offsets >= 12000
@@ -1022,9 +1053,9 @@ def test_decisions_on_one_instance_do_not_depend_on_their_order():
     # tables and the kernels' branching tables and paused live-subset walks
     # from the decisions before.
     # Truncate leaves a kernel no partner beyond its budget, so a kernel
-    # that several k share reads the same needs at each of them, and
-    # ``test_the_kept_tables_read_at_each_budget_are_the_tables_walked_from_scratch``
-    # holds the needs read at other budgets.
+    # that several k share reads the needs walked from scratch at each of
+    # them, and ``test_the_kept_needs_cut_no_subset_the_needs_at_any_budget_keep``
+    # holds the kept needs against those read at other budgets.
     inputs = [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
     inputs += [cyclic_instance(n) for n in (6, 8, 10)]
     inputs += [planted_instance(random.Random(seed), 200, 3, 5) for seed in range(3)]
