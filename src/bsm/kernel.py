@@ -37,16 +37,13 @@ clean_suffix, restrict_matched, remove_happy_pair and shrink read no k,
 and shrink moves it by a fixed step.  The table applies each of them
 through ``_k_free``, which keeps the rule's outcome on an instance with
 that instance, as its stable optima are kept: every later decision on
-the instance reuses it at its own k.  truncate keeps with the instance,
-per side, the owners whose rank excess, the last rank of their table
-minus their anchor's, tops every earlier owner's (``_excess``), and
-reads only the slack at each k.  Both keep their values in the
-instance's store (``_store``), which the solver shares.
+the instance reuses it at its own k.  The outcomes live in the
+instance's store (``_store``), which the solver shares.  truncate reads
+k, so it scans its instance at every call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
@@ -363,59 +360,25 @@ def remove_happy_pair(st: KernelState):
     return nxt, rows
 
 
-def _excess(inst: Instance, side: int, tables, anchors, slack: int):
-    """The owners of one side, in index order, whose rank excess tops every
-    earlier owner's, as (excesses, owners), both rising, listed at least
-    up to the first whose excess tops ``slack`` or to the last owner.
-
-    An owner's excess is the last rank of their table minus the rank of
-    their anchor; owners without an anchor have none.  The lists are kept
-    in the instance's store and extended only when a call needs owners
-    past the ones listed, so the first call scans no further than the
-    owner it needs.  An extension stores new lists in place of the old,
-    so no call sees a half-extended one.
-    """
-    key = (_excess, side)
-    store = _store(inst)
-    excesses, firsts, scanned = store.get(key, ((), (), 0))
-    if (not excesses or excesses[-1] <= slack) and scanned < len(anchors):
-        excesses, firsts = list(excesses), list(firsts)
-        top = excesses[-1] if excesses else -1  # below every excess
-        for a in range(scanned, len(anchors)):
-            anchor = anchors[a]
-            if anchor >= 0:
-                table = tables[a]
-                excess = next(reversed(table.values())) - table[anchor]  # tables are in rank order
-                if excess > top:
-                    excesses.append(excess)
-                    firsts.append(a)
-                    top = excess
-                    if excess > slack:
-                        break
-        store[key] = excesses, firsts, a + 1
-    return excesses, firsts
-
-
 def truncate(st: KernelState):
     """Delete one pair too far beyond its owner's optimal partner to fit under k.
 
     Men are checked first against the man-optimal matching, then women
-    against the woman-optimal one; the owner's best partner past the cutoff goes.
-    That owner is the first whose excess tops the slack, so it is the
-    first of ``_excess``'s owners to top it.
+    against the woman-optimal one.  The first owner, in index order, with
+    a partner ranked past the cutoff (the slack plus the rank of their
+    anchor) loses the best such partner.
     """
     inst = st.inst
-    sides = _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman)
-    for side, (tables, anchors, owners, partners, flip) in enumerate(sides):
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman):
         slack = st.k - (inst.o_w if flip else inst.o_m)
-        excesses, firsts = _excess(inst, side, tables, anchors, slack)
-        i = bisect_right(excesses, slack)
-        if i < len(firsts):
-            a = firsts[i]
-            cutoff = slack + tables[a][anchors[a]]
-            b = next(b for b, r in tables[a].items() if r > cutoff)  # the best, by rank order
-            pair = (b, a) if flip else (a, b)
-            return _without_pairs(st, [pair]), [(owners[a], partners[b])]
+        for a, anchor in enumerate(anchors):
+            if anchor >= 0:
+                table = tables[a]
+                cutoff = slack + table[anchor]
+                if next(reversed(table.values())) > cutoff:  # tables are in rank order
+                    b = next(b for b, r in table.items() if r > cutoff)  # the best
+                    pair = (b, a) if flip else (a, b)
+                    return _without_pairs(st, [pair]), [(owners[a], partners[b])]
     return None
 
 

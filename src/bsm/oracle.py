@@ -33,7 +33,7 @@ balance and one witness, use the bounded walk and take no bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple
 
 from .instance import Instance, Matching, cost
@@ -42,10 +42,12 @@ DEFAULT_MAX_MEN = 9
 
 
 class TooLarge(ValueError):
-    """The instance is beyond the size bound of an exhaustive check.
+    """The input is beyond the size bound of an exhaustive check.
 
     For ``enumerate_stable``, the one bounded call of the engine, the bound
-    is on the men whose partner differs between μ_M and μ_W.
+    is on the men whose partner differs between μ_M and μ_W.  For
+    ``hardness.clique_bruteforce`` it is on the graph's vertices
+    (``CLIQUE_VERTEX_LIMIT``, 25).
     """
 
 
@@ -191,8 +193,15 @@ def _chain(inst: Instance) -> _Chain:
 
 
 def _later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
-    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first."""
-    ranked = sorted(range(len(deltas)), key=lambda i: Fraction(-deltas[i][1], deltas[i][0]), reverse=True)
+    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first.
+
+    Drops per rise are compared by cross-multiplication (every rise is
+    positive); ties keep their index order.
+    """
+    def before(i, j):  # negative when i's drop per rise tops j's
+        return deltas[i][1] * deltas[j][0] - deltas[j][1] * deltas[i][0]
+
+    ranked = sorted(range(len(deltas)), key=cmp_to_key(before))
     return [[(deltas[i][0], -deltas[i][1]) for i in ranked if i > j] for j in range(len(deltas))]
 
 

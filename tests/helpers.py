@@ -247,12 +247,107 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
             return
 
 
-# --- the branching tables and truncate, from scratch --------------------------
-# ``bsm.fpt`` keeps a kernel's anchor, worse and need tables with the kernel,
-# its needs read at an unbounded budget, and ``kernel.truncate`` keeps each
-# owner's rank excess with the instance.  These rebuild them for one
-# decision at its own budget, as every decision once did; the tests hold the
-# kept tables to them.
+# --- the least balance by components, without the engine ----------------------
+# A pair blocks only within a connected component of the acceptability graph,
+# so a stable matching is one stable matching per component, chosen freely.
+
+COMPONENT_SIDE_LIMIT = 8
+
+
+def component_least_balance(inst: Instance) -> int:
+    """The least balance of a stable matching of ``inst``, one component at a time.
+
+    A component in which every first choice is mutual has one stable
+    matching, everyone with their first choice.  Any other is
+    brute-forced (``_component_costs``), up to ``COMPONENT_SIDE_LIMIT``
+    people per side.  Every stable matching's (men's, women's) cost is a
+    sum of one cost pair per component; the merge keeps, component by
+    component, only the sums that no other beats on both sides.
+    """
+    n_men = len(inst.men)
+    root = list(range(n_men + len(inst.women)))
+
+    def find(p: int) -> int:
+        while root[p] != p:
+            root[p] = p = root[root[p]]
+        return p
+
+    for m, table in enumerate(inst.m_rank):
+        for w in table:
+            root[find(m)] = find(n_men + w)
+    men: dict[int, list[int]] = {}
+    women: dict[int, list[int]] = {}
+    for m in range(n_men):
+        men.setdefault(find(m), []).append(m)
+    for w in range(len(inst.women)):
+        women.setdefault(find(n_men + w), []).append(w)
+    front = [(0, 0)]
+    for part in sorted(men.keys() | women.keys()):
+        ms, ws = men.get(part, []), women.get(part, [])
+        firsts = [(min(inst.m_rank[m], key=inst.m_rank[m].get), m) for m in ms if inst.m_rank[m]]
+        if len(firsts) == len(ws) and all(min(inst.w_rank[w], key=inst.w_rank[w].get) == m for w, m in firsts):
+            costs = {(sum(inst.m_rank[m][w] for w, m in firsts), sum(inst.w_rank[w][m] for w, m in firsts))}
+        else:
+            costs = _component_costs(inst, ms, ws)
+        sums = sorted({(a + c, b + d) for a, b in front for c, d in costs})
+        front, least = [], None
+        for men_cost, women_cost in sums:
+            if least is None or women_cost < least:
+                front.append((men_cost, women_cost))
+                least = women_cost
+    return min(max(pair) for pair in front)
+
+
+def _component_costs(inst: Instance, men: list[int], women: list[int]) -> set[tuple[int, int]]:
+    """The (men's, women's) costs of every stable matching of one component,
+    by backtracking over its men, each given a free woman or none.
+
+    A pair of two people whose partners are both settled is checked as
+    soon as the second is; a woman nobody took is checked at the leaf.
+    """
+    if max(len(men), len(women)) > COMPONENT_SIDE_LIMIT:
+        raise ValueError(f"a component of {len(men)} men and {len(women)} women exceeds {COMPONENT_SIDE_LIMIT}")
+    m_rank, w_rank = inst.m_rank, inst.w_rank
+    husband: dict[int, int] = {}
+    wife: dict[int, int] = {}
+    found = set()
+
+    def leaves(m: int, w: int) -> bool:  # m would leave his wife, or being single, for w
+        return m not in wife or m_rank[m][w] < m_rank[m][wife[m]]
+
+    def blocked(i: int, m: int, w: int | None) -> bool:
+        """Whether m, given w (None: single), blocks with a taken woman or
+        his wife blocks with a man settled before him."""
+        if any(w_rank[w2][m] < w_rank[w2][husband[w2]] for w2 in m_rank[m] if w2 in husband and leaves(m, w2)):
+            return True
+        ranks = {} if w is None else w_rank[w]
+        return any(m2 in ranks and ranks[m2] < ranks[m] and leaves(m2, w) for m2 in men[:i])
+
+    def settle(i: int) -> None:
+        if i == len(men):
+            if not any(leaves(m, w) for w in women if w not in husband for m in w_rank[w]):
+                found.add((sum(m_rank[m][w] for m, w in wife.items()), sum(w_rank[w][m] for w, m in husband.items())))
+            return
+        m = men[i]
+        for w in [*m_rank[m], None]:
+            if w in husband:
+                continue
+            if w is not None:
+                wife[m], husband[w] = w, m
+            if not blocked(i, m, w):
+                settle(i + 1)
+            if w is not None:
+                del wife[m], husband[w]
+
+    settle(0)
+    return found
+
+
+# --- the branching tables, from scratch ---------------------------------------
+# ``bsm.fpt`` keeps a kernel's anchor, worse and need tables with the kernel.
+# It reads the needs at an unbounded budget.  These rebuild the tables for
+# one decision at its own budget, as every decision once did.  The tests
+# hold the kept tables to them.
 
 def reference_tables(kernel: Instance, k: int):
     """(anchor, worse, needs) of the branching context of ``kernel`` at
@@ -304,25 +399,6 @@ def _claimers(kernel: Instance, anchor, r: int, m: int, bit: dict[int, int]) -> 
         if m2 in bit and kernel.m_rank[m2][w0] - anchor[m2] <= r:
             claimers |= bit[m2]
     return claimers
-
-
-def truncate_scan(st: KernelState):
-    """``kernel.truncate`` by a scan of every owner's table, at every call.
-
-    Men are checked first against the man-optimal matching, then women
-    against the woman-optimal one; the owner's best partner past the cutoff goes.
-    """
-    inst = st.inst
-    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman):
-        slack = st.k - (inst.o_w if flip else inst.o_m)
-        for a, anchor in enumerate(anchors):
-            if anchor >= 0:
-                cutoff = slack + tables[a][anchor]
-                b = next((b for b, r in tables[a].items() if r > cutoff), -1)  # the best, by rank order
-                if b >= 0:
-                    pair = (b, a) if flip else (a, b)
-                    return _without_pairs(st, [pair]), [(owners[a], partners[b])]
-    return None
 
 
 # --- single-step kernel rules -------------------------------------------------

@@ -580,6 +580,17 @@ def _run_module(args, stdin=None, hash_seed="0", timeout=60):
     )
 
 
+def test_import_bsm_loads_no_bisect_fractions_or_decimal():
+    # Every command starts with this import; none of these modules is needed.
+    src = str(Path(bsm.__file__).parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import bsm; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = set(done.stdout.split())
+    assert "bsm.oracle" in loaded
+    assert not loaded & {"bisect", "fractions", "decimal"}
+
+
 def test_solve_at_a_huge_k_answers_at_once_from_the_man_optimal_matching(instance_file):
     # A kernel at this k would hold about k dummy pairs and never be done.
     # μ_M's balance, 4, is within k, so no kernel is built.

@@ -25,6 +25,7 @@ from bsm.oracle import (
 )
 from helpers import (
     BranchCertificate,
+    component_least_balance,
     enumerate_certificates,
     functional_instance,
     iter_certificates,
@@ -32,7 +33,6 @@ from helpers import (
     reference_tables,
     sad_2x2,
     sad_rich_instance,
-    truncate_scan,
 )
 
 
@@ -256,29 +256,6 @@ def search_kernels(corpus: int = 150):
             ctx = _Context(result.kernel, result.k)
             if ctx.inst.sad_men:
                 yield inst, k, result, ctx, result.k - ctx.inst.o_m
-
-
-def test_truncate_drops_the_pair_the_per_owner_scan_drops_on_every_searched_state(monkeypatch):
-    # Every state the pipeline reaches while ``search_kernels`` kernelizes,
-    # and its instance at other k in both directions: truncate's excess
-    # lists, kept with the instance and extended as the slack needs, pick
-    # the pair the scan picks.
-    real = kernel.bound_check
-    states, dropped = [0], [0]
-
-    def checked(st):
-        for k in (st.k, st.k + 3, st.k - 1, st.k + 1, st.k - 3):
-            at_k = kernel.KernelState(st.inst, k)
-            got = kernel.truncate(at_k)
-            assert got == truncate_scan(at_k)
-            states[0] += 1
-            dropped[0] += got is not None
-        return real(st)
-
-    rules = [(name, checked if rule is real else rule) for name, rule in kernel.RULES]
-    monkeypatch.setattr(kernel, "RULES", tuple(rules))
-    kernels = sum(1 for _ in search_kernels())
-    assert kernels >= 30 and states[0] >= 3500 and dropped[0] >= 1500
 
 
 def busy_women(ctx, selected):
@@ -864,6 +841,17 @@ def test_minimal_balance_on_the_cyclic_family(n):
     assert stats == recorded.get(n, stats)
 
 
+@pytest.mark.parametrize("n", [200, 1000])
+def test_minimal_balance_is_the_least_balance_of_planted_instances_component_by_component(n):
+    # The same instances as the engine's test against the reference, up to
+    # 4 cores; no rotation is built on either side of the comparison.
+    for cores in (2, 3, 4):
+        inst = planted_instance(random.Random(n + cores), n, cores, 5)
+        bal, result, _ = fpt.minimal_balance(inst)
+        assert bal == component_least_balance(inst)
+        assert not blocking_pairs(inst, result.witness) and objectives(inst, result.witness).balance == bal
+
+
 # --- the planted near-optimum family -------------------------------------------
 
 def test_minimal_balance_walks_only_the_live_subsets_of_three_planted_cores(monkeypatch):
@@ -929,6 +917,7 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
     for n, seed, *_ in pool_entries():
         inst = random_instance(random.Random(seed), n, n, 1.0)
         most = {}  # per kernel reached, by id, the most subsets any decision on it read
+        reached = []  # the kernels themselves, so that no id is reused by a later one
         low = max(inst.o_m, inst.o_w)
         for k in reversed(range(low, min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w)))):
             read.clear()
@@ -937,6 +926,7 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
             if not read:
                 continue
             kernel_ = result.kernel.functional
+            reached.append(kernel_)
             ctx = _Context(kernel_, result.kernel.functional_k)
             kept, walk = kernel._store(kernel_)[fpt._walk]
             assert len(walks) == (id(kernel_) not in most)
@@ -1048,10 +1038,10 @@ def bisection_order(ks):
 
 
 def test_decisions_on_one_instance_do_not_depend_on_their_order():
-    # Each order decides every k on one parsed instance, whose store keeps
-    # the extreme balances, the k-free rule outcomes, truncate's excess
-    # tables and the kernels' branching tables and paused live-subset walks
-    # from the decisions before.
+    # Each order decides every k on one parsed instance.  Its store keeps
+    # what the decisions before it made: the extreme balances and the
+    # k-free rule outcomes.  Each kernel keeps its branching tables and
+    # its paused live-subset walk.
     # Truncate leaves a kernel no partner beyond its budget, so a kernel
     # that several k share reads the needs walked from scratch at each of
     # them, and ``test_the_kept_needs_cut_no_subset_the_needs_at_any_budget_keep``

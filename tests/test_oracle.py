@@ -5,18 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsm import gs, instance
-from bsm.generate import mutual_first_instance, random_instance
+from bsm.generate import cyclic_instance, mutual_first_instance, planted_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Matching, Person, make_instance
 from bsm.oracle import (
     TooLarge,
     _chain,
     _closed_sets,
+    _least_balance,
     decide_above_max,
     decide_above_min,
     enumerate_stable,
 )
-from helpers import empty_instance, naive_stable, sad_2x2, single_pair
+from helpers import component_least_balance, empty_instance, naive_stable, sad_2x2, single_pair
 
 
 def test_enumerate_2x2():
@@ -251,3 +252,20 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
         assert opt.mu_m in seen and opt.mu_w in seen
         total += len(seen)
     assert total > 400  # 240 instances, so many have several
+
+
+def test_the_component_reference_gives_the_naive_least_balance():
+    for inst in seeded_small_instances():
+        want = min(objectives(inst, mu).balance for mu in naive_stable(inst))
+        assert component_least_balance(inst) == want
+    with pytest.raises(ValueError, match="exceeds 8"):
+        component_least_balance(cyclic_instance(9))
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_the_engine_finds_the_least_balance_of_planted_instances_component_by_component(n):
+    # Up to 80 people per side in the cores, far past enumeration; the
+    # reference brute-forces each core and never builds a rotation.
+    for cores in range(2, 11):
+        inst = planted_instance(random.Random(n + cores), n, cores, 5)
+        assert _least_balance(_chain(inst)) == component_least_balance(inst)
