@@ -36,7 +36,6 @@ from .instance import (
 )
 from .kernel import (
     KernelResult,
-    KernelState,
     KernelTrace,
     NoSadPerson,
     TraceEntry,

@@ -345,14 +345,9 @@ def _balance(inst: Instance, mu: Partners) -> int:
     return max(cost(inst.m_rank, mu.by_man), cost(inst.w_rank, mu.by_woman))
 
 
-def _mu_m_balance(inst: Instance) -> int:
-    """The balance of μ_M; kept with the instance (``_keep``)."""
-    return _balance(inst, inst.mu_m)
-
-
-def _mu_w_balance(inst: Instance) -> int:
-    """The balance of μ_W; kept with the instance (``_keep``)."""
-    return _balance(inst, inst.mu_w)
+def _extreme_balances(inst: Instance) -> tuple[int, int]:
+    """The balances of μ_M and μ_W; kept with the instance (``_keep``)."""
+    return _balance(inst, inst.mu_m), _balance(inst, inst.mu_w)
 
 
 def solve_above_min(inst: Instance, k: int) -> SolveResult:
@@ -365,8 +360,8 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
     Input with gaps in its ranks raises ``ValidationError`` either way.
     """
     require_lists(inst)
-    for balance, mu in ((_mu_m_balance, inst.mu_m), (_mu_w_balance, inst.mu_w)):
-        if _keep(inst, balance) <= k:
+    for balance, mu in zip(_keep(inst, _extreme_balances), (inst.mu_m, inst.mu_w)):
+        if balance <= k:
             witness = inst.matching_from_arrays(mu.by_man)
             t = k - min(inst.o_m, inst.o_w)
             return SolveResult(True, witness, t, None, SolveStats(0, 0, 0), None)
@@ -430,7 +425,7 @@ def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
     that k is it decided at the end.
     """
     low = max(inst.o_m, inst.o_w)
-    high = min(_keep(inst, _mu_m_balance), _keep(inst, _mu_w_balance))
+    high = min(_keep(inst, _extreme_balances))
     decisions = 0
     last_yes = None
     while low < high:

@@ -54,8 +54,8 @@ _RESERVED_NAMES = frozenset({"men", "women", "k"})
 class _derived:
     """``functools.cached_property`` without the lock that CPython 3.11 takes on every first read.
 
-    The lock costs about 1 µs, and a kernel state reads seven derived
-    values of its instance.  Two threads that race compute a value twice.
+    The lock costs about 1 µs, and the kernel rules read seven derived
+    values of an instance.  Two threads that race compute a value twice.
     """
 
     def __init__(self, func):

@@ -11,20 +11,28 @@ kernel, target, dummies or trace is read.  Every step preserves the
 answer and never increases the parameter ``t = k - min(O_M, O_W)``.
 Entry i of the table is reduction rule i (rr1 to rr8).
 
-A ``KernelState`` is an instance and its target k.  The instance holds
-the integer rank tables and derives from them, once, its two stable
-optima, O_M, O_W and its sad and happy people; a rule that changes the
-tables builds a new instance from them.  The dummies are the only
-people the pipeline makes.  A rule takes a ``KernelState`` and returns None when it does
-not apply.  Otherwise it returns ``(next, rows)``: ``next`` is the next
-state or the verdict ``"yes"`` or ``"no"``, and ``rows`` holds, in
-order, the people named by each trace row the application records.
-Every row runs from the state's k and t to the next state's t; only
-shrink moves k, by one per row.  The trace keeps one ``TraceEntry`` per
-application, dummy insertion included: its rule, rows, k before, k step
-per row and t before and after.  ``KernelTrace.steps`` expands the
-entries into one ``TraceStep`` per row the first time it is read, so a
-decision that never reads its trace builds no rows.
+The rules run on an instance and its target k.  The instance holds the
+integer rank tables and derives from them, once, its two stable optima,
+O_M, O_W and its sad and happy people; a rule that changes the tables
+builds a new instance from them.  The dummies are the only people the
+pipeline makes.  A rule returns None when it does not apply.  Otherwise
+it returns ``(next, rows)``: ``next`` is the next instance or the verdict
+``"yes"`` or ``"no"``, and ``rows`` is a tuple holding, in order, the
+people named by each trace row the application records.
+
+Each table entry is (name, rule, k step).  bound_check, bound_sad, no_sad
+and truncate read k: they take the instance and k, and their k step is
+None.  clean_suffix, restrict_matched, remove_happy_pair and shrink read
+no k: they take the instance alone, and ``kernelize`` reads their outcome
+through ``_keep``.  So each runs once per instance: its outcome is kept
+with the instance, as the stable optima are, and every later decision on
+the instance reuses it at its own k.  Their k step is how far k falls per
+row: 1 for shrink, 0 for the others.  Every row runs from the current k
+and t to the next instance's t.  The trace keeps one ``TraceEntry`` per application,
+dummy insertion included: its rule, rows, k before, k step per row and t
+before and after.  ``KernelTrace.steps`` expands the entries into one
+``TraceStep`` per row the first time it is read, so a decision that never
+reads its trace builds no rows.
 
 Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
@@ -32,21 +40,12 @@ those three rules fire as one batch with a single rebuild; the batch
 makes the same changes, in the same order and with the same rows, as
 restarting after every single application would.  The tests hold each
 batch to a single-step reference that makes one change per application.
-
-clean_suffix, restrict_matched, remove_happy_pair and shrink read no k,
-and shrink moves it by a fixed step.  The table applies each of them
-through ``_k_free``, which keeps the rule's outcome on an instance with
-that instance, as its stable optima are kept: every later decision on
-the instance reuses it at its own k.  The outcomes live in the
-instance's store (``_store``), which the solver shares.  truncate reads
-k, so it scans its instance at every call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import wraps
 from typing import NamedTuple
 
 from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError, _derived
@@ -67,22 +66,6 @@ class DummyExhausted(RuntimeError):
 
 class OptimaMoved(RuntimeError):
     """Internal invariant failure: a batched rule moved a stable optimum."""
-
-
-@dataclass(frozen=True)
-class KernelState:
-    """A functional instance under reduction and its target k.
-
-    People are numbered by position in ``inst.men`` and ``inst.women``;
-    the instance's tables are never mutated.
-    """
-
-    inst: Instance
-    k: int
-
-    @property
-    def t(self) -> int:
-        return self.k - min(self.inst.o_m, self.inst.o_w)
 
 
 class TraceStep(NamedTuple):
@@ -173,8 +156,8 @@ class KernelResult:
         """(kernel, k, dummy men, dummy women, dummy-insertion entries); no dummies without a kernel."""
         if self.functional is None:
             return None, None, (), (), ()
-        padded, xs, ys, entries = fill_gaps(KernelState(self.functional, self.functional_k))
-        return padded.inst, padded.k, xs, ys, tuple(entries)
+        padded, xs, ys, entries = fill_gaps(self.functional, self.functional_k)
+        return padded, padded.target_k, xs, ys, tuple(entries)
 
     @property
     def kernel(self) -> Instance | None:
@@ -218,38 +201,35 @@ def _sides(inst: Instance, men_anchor, women_anchor):
     yield inst.w_rank, women_anchor, inst.women, inst.men, True
 
 
-def _without_pairs(st: KernelState, pairs) -> KernelState:
-    """The state without the given (man, woman) pairs; only the tables they touch are copied."""
-    inst = st.inst
+def _without_pairs(inst: Instance, pairs) -> Instance:
+    """The instance without the given (man, woman) pairs; only the tables they touch are copied."""
     m_rank, w_rank = list(inst.m_rank), list(inst.w_rank)
     for tables, touched in ((m_rank, {m for m, _ in pairs}), (w_rank, {w for _, w in pairs})):
         for p in touched:
             tables[p] = dict(tables[p])
     for m, w in pairs:
         del m_rank[m][w], w_rank[w][m]
-    return KernelState(Instance(inst.men, inst.women, m_rank, w_rank), st.k)
+    return Instance(inst.men, inst.women, m_rank, w_rank)
 
 
-def _kept(st: KernelState, men, women, shift=(-1, 0, -1, 0)) -> KernelState:
-    """The state on these men and women (indices, in order) only, renumbered.
+def _kept(inst: Instance, men, women, shift=(-1, 0, -1, 0)) -> Instance:
+    """The instance on these men and women (indices, in order) only, renumbered.
 
     ``shift`` is (man, amount, woman, amount): those two rank functions rise by their amount.
     """
-    inst = st.inst
     new_m, new_w = {m: i for i, m in enumerate(men)}, {w: j for j, w in enumerate(women)}
     m_s, d_m, w_s, d_w = shift
     m_rank = [{new_w[w]: r + d_m * (m == m_s) for w, r in inst.m_rank[m].items() if w in new_w} for m in men]
     w_rank = [{new_m[m]: r + d_w * (w == w_s) for m, r in inst.w_rank[w].items() if m in new_m} for w in women]
-    kept = Instance(tuple(inst.men[m] for m in men), tuple(inst.women[w] for w in women), m_rank, w_rank)
-    return KernelState(kept, st.k)
+    return Instance(tuple(inst.men[m] for m in men), tuple(inst.women[w] for w in women), m_rank, w_rank)
 
 
-def bound_check(st: KernelState):
+def bound_check(inst: Instance, k: int):
     """No stable matching can beat both optima, so a target below their max fails."""
-    return (TRIVIAL_NO, [()]) if st.k < max(st.inst.o_m, st.inst.o_w) else None
+    return (TRIVIAL_NO, ((),)) if k < max(inst.o_m, inst.o_w) else None
 
 
-def clean_suffix(st: KernelState):
+def clean_suffix(inst: Instance):
     """Drop every partner ranked beyond their owner's worst stable partner, with one rebuild.
 
     Men are bounded by their woman-optimal partner, women by their
@@ -260,7 +240,6 @@ def clean_suffix(st: KernelState):
     pairs already dropped, makes the same drops in the same order as
     dropping one worst partner at a time and restarting.
     """
-    inst = st.inst
     drops: dict[tuple[int, int], tuple[Person, Person]] = {}  # (man, woman) -> row
     for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
         for a, anchor in enumerate(anchors):
@@ -272,50 +251,47 @@ def clean_suffix(st: KernelState):
                     drops.setdefault((b, a) if flip else (a, b), (owners[a], partners[b]))
     if not drops:
         return None
-    nxt = _without_pairs(st, drops)
-    new = nxt.inst
+    new = _without_pairs(inst, drops)
     if (new.mu_m, new.mu_w, new.o_m, new.o_w) != (inst.mu_m, inst.mu_w, inst.o_m, inst.o_w):
         raise OptimaMoved("clean-suffix drops changed the stable optima")
-    return nxt, list(drops.values())
+    return new, tuple(drops.values())
 
 
-def restrict_matched(st: KernelState):
+def restrict_matched(inst: Instance):
     """Restrict to the people matched by every stable matching."""
-    inst = st.inst
     men = [m for m, w in enumerate(inst.mu_m.by_man) if w >= 0]
     women = [w for w, m in enumerate(inst.mu_m.by_woman) if m >= 0]
     if len(men) == len(inst.men) and len(women) == len(inst.women):
         return None
     gone = [inst.men[m] for m, w in enumerate(inst.mu_m.by_man) if w < 0]
     gone += [inst.women[w] for w, m in enumerate(inst.mu_m.by_woman) if m < 0]
-    nxt = _kept(st, men, women)
-    if (nxt.inst.o_m, nxt.inst.o_w) != (inst.o_m, inst.o_w):
+    new = _kept(inst, men, women)
+    if (new.o_m, new.o_w) != (inst.o_m, inst.o_w):
         raise OptimaMoved("restricting to the matched people changed an optimal cost")
-    return nxt, [tuple(gone)]
+    return new, (tuple(gone),)
 
 
-def bound_sad(st: KernelState):
+def bound_sad(inst: Instance, k: int):
     """More than 2t sad people on one side already forces the answer to be no."""
-    bound = 2 * st.t
-    if len(st.inst.sad_men) > bound or len(st.inst.sad_women) > bound:
-        return TRIVIAL_NO, [()]
+    bound = 2 * (k - min(inst.o_m, inst.o_w))
+    if len(inst.sad_men) > bound or len(inst.sad_women) > bound:
+        return TRIVIAL_NO, ((),)
     return None
 
 
-def no_sad(st: KernelState):
+def no_sad(inst: Instance, k: int):
     """With no sad people the man-optimal matching is the only stable one.
 
     It is also the woman-optimal one, so its balance is max(O_M, O_W).
     Inside ``kernelize`` only the yes is reached: every round opens with
     bound_check, which already answers no whenever k < max(O_M, O_W).
     """
-    inst = st.inst
     if inst.sad_men or inst.sad_women:
         return None
-    return (TRIVIAL_YES if max(inst.o_m, inst.o_w) <= st.k else TRIVIAL_NO), [()]
+    return (TRIVIAL_YES if max(inst.o_m, inst.o_w) <= k else TRIVIAL_NO), ((),)
 
 
-def _remove_happy(st: KernelState, pairs):
+def _remove_happy(inst: Instance, pairs):
     """Remove the given happy pairs, moving their rank contributions onto sad people.
 
     Every pair's ranks are added to every rank of the first sad man and
@@ -324,7 +300,6 @@ def _remove_happy(st: KernelState, pairs):
     """
     if not pairs:
         return None
-    inst = st.inst
     if not inst.sad_men or not inst.sad_women:
         m_h, w_h = pairs[0]
         raise NoSadPerson(f"cannot transfer the cost of ({inst.men[m_h]}, {inst.women[w_h]})")
@@ -333,11 +308,11 @@ def _remove_happy(st: KernelState, pairs):
     gone_men, gone_women = {m for m, _ in pairs}, {w for _, w in pairs}
     men = [m for m in range(len(inst.men)) if m not in gone_men]
     women = [w for w in range(len(inst.women)) if w not in gone_women]
-    rows = [(inst.men[m], inst.women[w], inst.men[m_s], inst.women[w_s]) for m, w in pairs]
-    return _kept(st, men, women, shift), rows, men, women
+    rows = tuple((inst.men[m], inst.women[w], inst.men[m_s], inst.women[w_s]) for m, w in pairs)
+    return _kept(inst, men, women, shift), rows, men, women
 
 
-def remove_happy_pair(st: KernelState):
+def remove_happy_pair(inst: Instance):
     """Remove every happy pair, in canonical order, with one rebuild.
 
     Removing one pair at a time and restarting makes the same removals in
@@ -347,20 +322,18 @@ def remove_happy_pair(st: KernelState):
     keeps his partner in both optima, and a removed woman is nobody's
     partner.
     """
-    inst = st.inst
-    hit = _remove_happy(st, inst.happy_pairs)
+    hit = _remove_happy(inst, inst.happy_pairs)
     if hit is None:
         return None
-    nxt, rows, men, women = hit
-    new = nxt.inst
+    new, rows, men, women = hit
     new_w = {w: j for j, w in enumerate(women)} | {-1: -1}
     expect = [[new_w.get(mu.by_man[m]) for m in men] for mu in (inst.mu_m, inst.mu_w)]
     if (new.o_m, new.o_w, [new.mu_m.by_man, new.mu_w.by_man]) != (inst.o_m, inst.o_w, expect):
         raise OptimaMoved("happy-pair removals changed the stable optima")
-    return nxt, rows
+    return new, rows
 
 
-def truncate(st: KernelState):
+def truncate(inst: Instance, k: int):
     """Delete one pair too far beyond its owner's optimal partner to fit under k.
 
     Men are checked first against the man-optimal matching, then women
@@ -368,9 +341,8 @@ def truncate(st: KernelState):
     a partner ranked past the cutoff (the slack plus the rank of their
     anchor) loses the best such partner.
     """
-    inst = st.inst
     for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_m.by_man, inst.mu_w.by_woman):
-        slack = st.k - (inst.o_w if flip else inst.o_m)
+        slack = k - (inst.o_w if flip else inst.o_m)
         for a, anchor in enumerate(anchors):
             if anchor >= 0:
                 table = tables[a]
@@ -378,17 +350,16 @@ def truncate(st: KernelState):
                 if next(reversed(table.values())) > cutoff:  # tables are in rank order
                     b = next(b for b, r in table.items() if r > cutoff)  # the best
                     pair = (b, a) if flip else (a, b)
-                    return _without_pairs(st, [pair]), [(owners[a], partners[b])]
+                    return _without_pairs(inst, [pair]), ((owners[a], partners[b]),)
     return None
 
 
-def _shrink_units(st: KernelState) -> list[tuple[int, int]]:
+def _shrink_units(inst: Instance) -> list[tuple[int, int]]:
     """One (man, woman) per unit shift, pairing the men's and the women's excess in order.
 
     Each man contributes one entry per unit by which his man-optimal
     partner ranks above 1, each woman likewise for her woman-optimal one.
     """
-    inst = st.inst
     man_units = [
         m for m, w in enumerate(inst.mu_m.by_man) if w >= 0 for _ in range(inst.m_rank[m][w] - 1)
     ]
@@ -398,34 +369,33 @@ def _shrink_units(st: KernelState) -> list[tuple[int, int]]:
     return list(zip(man_units, woman_units))
 
 
-def _shift(st: KernelState, units: list[tuple[int, int]]):
-    """Lower each listed person's whole rank function by one per listing, and k by one per unit."""
+def _shift(inst: Instance, units: list[tuple[int, int]]):
+    """Lower each listed person's whole rank function by one per listing; one row per unit."""
     if not units:
         return None
-    inst = st.inst
     m_rank, w_rank = list(inst.m_rank), list(inst.w_rank)
     for tables, side_units in ((m_rank, [m for m, _ in units]), (w_rank, [w for _, w in units])):
         for p, d in Counter(side_units).items():
             tables[p] = {q: r - d for q, r in tables[p].items()}
-    rows = [(inst.men[m], inst.women[w]) for m, w in units]
-    return KernelState(Instance(inst.men, inst.women, m_rank, w_rank), st.k - len(units)), rows
+    rows = tuple((inst.men[m], inst.women[w]) for m, w in units)
+    return Instance(inst.men, inst.women, m_rank, w_rank), rows
 
 
-def shrink(st: KernelState):
+def shrink(inst: Instance):
     """Shift whole rank functions down, one man's and one woman's by 1 per unit, with one rebuild.
 
-    Each unit lowers k by 1.  Shifting one unit at a time and restarting
-    makes the same shifts in the same order: a shift moves no optimum
-    pair, slack, sad or happy person, so no earlier rule can fire between
-    two shifts and each one goes to the first man and the first woman
-    whose optimal partner still ranks above 1.
+    Each unit lowers k by 1 (the table's k step).  Shifting one unit at a
+    time and restarting makes the same shifts in the same order: a shift
+    moves no optimum pair, slack, sad or happy person, so no earlier rule
+    can fire between two shifts and each one goes to the first man and the
+    first woman whose optimal partner still ranks above 1.
     """
-    hit = _shift(st, _shrink_units(st))
+    hit = _shift(inst, _shrink_units(inst))
     if hit is None:
         return None
-    total = len(hit[1])
-    old, new = st.inst, hit[0].inst
-    if (new.o_m, new.o_w, new.mu_m, new.mu_w) != (old.o_m - total, old.o_w - total, old.mu_m, old.mu_w):
+    new, rows = hit
+    total = len(rows)
+    if (new.o_m, new.o_w, new.mu_m, new.mu_w) != (inst.o_m - total, inst.o_w - total, inst.mu_m, inst.mu_w):
         raise OptimaMoved("shrink shifts changed the stable optima")
     return hit
 
@@ -434,12 +404,12 @@ def _store(inst: Instance) -> dict:
     """The values that decisions on ``inst`` keep for later ones, by key.
 
     It lives in the instance's derived-value store, as its stable optima
-    do, under ``"_k_free"``: a function key put straight into the
+    do, under ``"_store"``: a function key put straight into the
     instance's ``__dict__`` would make ``dir(inst)`` raise.
     """
-    store = inst.__dict__.get("_k_free")
+    store = inst.__dict__.get("_store")
     if store is None:
-        store = inst.__dict__["_k_free"] = {}
+        store = inst.__dict__["_store"] = {}
     return store
 
 
@@ -452,37 +422,16 @@ def _keep(inst: Instance, make):
     return store[make]
 
 
-def _k_free(rule):
-    """``rule``, which reads no k and moves it by a fixed step, with its
-    outcome on an instance kept in that instance's store (``_store``).
-
-    The store is keyed by ``rule`` itself and holds None or (next
-    instance, k step, rows); a later call on the same instance returns
-    them at its own k without running the rule.
-    """
-
-    @wraps(rule)
-    def apply(st: KernelState):
-        kept = _store(st.inst)
-        if rule in kept:
-            hit = kept[rule]
-            return None if hit is None else (KernelState(hit[0], st.k - hit[1]), hit[2])
-        hit = rule(st)
-        kept[rule] = None if hit is None else (hit[0].inst, st.k - hit[0].k, tuple(hit[1]))
-        return hit
-
-    return apply
-
-
+# (name, rule, k step): k step None for a rule that reads k (module docstring).
 RULES = (
-    ("bound_check", bound_check),
-    ("clean_suffix", _k_free(clean_suffix)),
-    ("restrict_matched", _k_free(restrict_matched)),
-    ("bound_sad", bound_sad),
-    ("no_sad", no_sad),
-    ("remove_happy_pair", _k_free(remove_happy_pair)),
-    ("truncate", truncate),
-    ("shrink", _k_free(shrink)),
+    ("bound_check", bound_check, None),
+    ("clean_suffix", clean_suffix, 0),
+    ("restrict_matched", restrict_matched, 0),
+    ("bound_sad", bound_sad, None),
+    ("no_sad", no_sad, None),
+    ("remove_happy_pair", remove_happy_pair, 0),
+    ("truncate", truncate, None),
+    ("shrink", shrink, 1),
 )
 
 
@@ -503,16 +452,15 @@ def _gaps(table: dict) -> list[int]:
     return [i for i in range(1, max(image)) if i not in image]
 
 
-def fill_gaps(st: KernelState):
+def fill_gaps(inst: Instance, k: int):
     """Add t mutually-first dummy pairs and use them to plug every rank gap.
 
     The target grows by exactly t, once; afterwards every rank image is an
     unbroken range starting at 1, or ``DummyExhausted`` is raised.  Returns
-    the padded state, whose instance carries the new target, the dummy
-    men, the dummy women and the trace entries.
+    the padded instance, which carries the new target as ``target_k``, the
+    dummy men, the dummy women and the trace entries.
     """
-    t = st.t
-    inst = st.inst
+    t = k - min(inst.o_m, inst.o_w)
     entries: list[TraceEntry] = []
     fill_rows: list[tuple[Person, Person]] = []
     taken = {p.name for p in inst.men + inst.women}
@@ -521,10 +469,9 @@ def fill_gaps(st: KernelState):
     men, women = inst.men + xs, inst.women + ys
     m_rank = list(inst.m_rank) + [{len(inst.women) + i: 1} for i in range(len(xs))]
     w_rank = list(inst.w_rank) + [{len(inst.men) + i: 1} for i in range(len(ys))]
-    k = st.k
     if t > 0:
+        entries.append(TraceEntry("add_dummies", (xs + ys,), k, -t, t, t))
         k += t
-        entries.append(TraceEntry("add_dummies", (xs + ys,), st.k, -t, t, t))
 
     def fill(own, other, owners, partners) -> None:
         # A real person's table holds no dummy yet, so their j-th gap takes
@@ -548,10 +495,10 @@ def fill_gaps(st: KernelState):
     fill(w_rank, m_rank, women, men)
     if fill_rows:
         entries.append(TraceEntry("fill_gap", tuple(fill_rows), k, 0, t, t))
-    padded = KernelState(Instance(men, women, m_rank, w_rank, k), k)
-    if padded.t != t:
+    padded = Instance(men, women, m_rank, w_rank, k)
+    if k - min(padded.o_m, padded.o_w) != t:
         raise DummyExhausted("dummy insertion changed the parameter")
-    if not padded.inst.contiguous:
+    if not padded.contiguous:
         raise DummyExhausted("dummy insertion left a gap in the ranks")
     return padded, xs, ys, entries
 
@@ -577,31 +524,32 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
     instance from earlier decisions (module docstring).
     """
     require_lists(inst)
-    st = KernelState(inst, k)
-    t_input = st.t
+    t = t_input = k - min(inst.o_m, inst.o_w)
     entries: list[TraceEntry] = []
     verdict = None
     while verdict is None:
-        for name, rule in RULES:
-            hit = rule(st)
+        for name, rule, k_step in RULES:
+            hit = rule(inst, k) if k_step is None else _keep(inst, rule)
             if hit is not None:
                 break
         else:
             break
         nxt, rows = hit
-        after = st if isinstance(nxt, str) else nxt
-        per_row = (st.k - after.k) // len(rows)  # 1 for shrink, 0 for every other rule
-        entries.append(TraceEntry(name, tuple(rows), st.k, per_row, st.t, after.t))
         if isinstance(nxt, str):
+            entries.append(TraceEntry(name, rows, k, 0, t, t))
             verdict = nxt
         else:
-            st = nxt
+            step = k_step or 0  # a rule that reads k moves none
+            k_after = k - step * len(rows)
+            t_after = k_after - min(nxt.o_m, nxt.o_w)
+            entries.append(TraceEntry(name, rows, k, step, t, t_after))
+            inst, k, t = nxt, k_after, t_after
 
     removed_happy = tuple(row[:2] for e in entries if e.rule == "remove_happy_pair" for row in e.rows)
     rule_trace = KernelTrace(tuple(entries), "reduced" if verdict is None else verdict)
     if verdict is None:
-        return KernelResult(OUTCOME_KERNEL, rule_trace, t_input, None, st.inst, st.k, removed_happy)
+        return KernelResult(OUTCOME_KERNEL, rule_trace, t_input, None, inst, k, removed_happy)
     witness = None
     if verdict == TRIVIAL_YES:
-        witness = Matching.of([*st.inst.matching_from_arrays(st.inst.mu_m.by_man).pairs, *removed_happy])
+        witness = Matching.of([*inst.matching_from_arrays(inst.mu_m.by_man).pairs, *removed_happy])
     return KernelResult(verdict, rule_trace, t_input, witness, None, None, removed_happy)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from bsm.fpt import _Context
-from bsm.kernel import KernelState, _remove_happy, _shift, _shrink_units, _sides, _without_pairs
+from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
 from bsm.instance import (
     MAN,
@@ -401,36 +401,43 @@ def _claimers(kernel: Instance, anchor, r: int, m: int, bit: dict[int, int]) -> 
     return claimers
 
 
+def swapped(inst: Instance) -> Instance:
+    """``inst`` with the sides traded: every woman becomes a man and every man
+    a woman, each with the same name and the same ranks (the tables are shared)."""
+    men = tuple(Person(MAN, w.name) for w in inst.women)
+    women = tuple(Person(WOMAN, m.name) for m in inst.men)
+    return Instance(men, women, inst.w_rank, inst.m_rank, inst.target_k)
+
+
 # --- single-step kernel rules -------------------------------------------------
 # The batched rules of ``bsm.kernel`` make one rebuild per application; these
 # make one change per application, and the tests hold the batches to them.
 
-def clean_suffix_once(st: KernelState):
+def clean_suffix_once(inst: Instance):
     """Drop a person's worst partner when ranked beyond their worst stable partner.
 
     Men are bounded by their woman-optimal partner, women by their
     man-optimal partner; no stable matching uses such a pair, so the
     stable set and both optima are untouched.
     """
-    inst = st.inst
     for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
         for a, anchor in enumerate(anchors):
             worst = next(reversed(tables[a]), -1)  # tables are in rank order
             if anchor >= 0 and worst != anchor:
                 pair = (worst, a) if flip else (a, worst)
-                return _without_pairs(st, [pair]), [(owners[a], partners[worst])]
+                return _without_pairs(inst, [pair]), ((owners[a], partners[worst]),)
     return None
 
 
-def remove_happy_pair_once(st: KernelState):
+def remove_happy_pair_once(inst: Instance):
     """Remove the first happy pair in canonical order."""
-    hit = _remove_happy(st, st.inst.happy_pairs[:1])
+    hit = _remove_happy(inst, inst.happy_pairs[:1])
     return None if hit is None else hit[:2]
 
 
-def shrink_once(st: KernelState):
-    """Shift one man's and one woman's whole rank function down by 1, and k with them."""
-    return _shift(st, _shrink_units(st)[:1])
+def shrink_once(inst: Instance):
+    """Shift one man's and one woman's whole rank function down by 1; k falls by 1 with them."""
+    return _shift(inst, _shrink_units(inst)[:1])
 
 
 # --- the reference reader ---------------------------------------------------

@@ -33,6 +33,7 @@ from helpers import (
     reference_tables,
     sad_2x2,
     sad_rich_instance,
+    swapped,
 )
 
 
@@ -386,7 +387,7 @@ def test_the_functional_kernel_branches_as_the_padded_kernel_does():
 
 
 def test_a_decision_pads_no_kernel(monkeypatch):
-    def refuse(st):
+    def refuse(inst, k):
         raise AssertionError("a decision padded its kernel")
 
     rng = random.Random(3)
@@ -409,9 +410,9 @@ def test_a_decision_pads_no_kernel(monkeypatch):
     real = kernel.fill_gaps
     calls = []
 
-    def counted(st):
-        calls.append(st)
-        return real(st)
+    def counted(inst, k):
+        calls.append((inst, k))
+        return real(inst, k)
 
     monkeypatch.setattr(kernel, "fill_gaps", counted)
     padded = 0
@@ -1158,3 +1159,38 @@ def test_relabelling_and_a_mutually_first_pair_move_the_decisions_as_they_should
         assert fpt.minimal_balance(grown)[0] == bal + 1
         assert [solve_above_min(grown, k + 1).answer for k in ks] == answers
     assert branched >= 12
+
+
+def test_swapping_the_sides_changes_no_least_balance_and_no_answer():
+    # Balance is symmetric in the sides, but the kernel and the branching are
+    # not: the solver branches on sad men and truncate checks men first.  So
+    # each instance and its side swap are two different searches for one
+    # answer, and every yes witness must hold in its own instance.
+    pool = pool_entries()[::4]
+    inputs = [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool]
+    inputs += [cyclic_instance(n) for n in (6, 8, 10)]
+    inputs += [planted_instance(random.Random(seed), 200, 3, 5) for seed in range(3)]
+    rng = random.Random(1707)
+    for _ in range(40):
+        n = rng.randint(6, 9)
+        inputs.append(random_instance(rng, n, n, rng.uniform(0.4, 0.9)))
+    decisions = branched = 0
+    for inst in inputs:
+        twin = swapped(inst)
+        assert (twin.men, twin.women) == (
+            tuple(Person(MAN, w.name) for w in inst.women), tuple(Person(WOMAN, m.name) for m in inst.men)
+        )
+        assert (twin.o_m, twin.o_w) == (inst.o_w, inst.o_m)
+        bal = _least_balance(_chain(inst))
+        assert fpt.minimal_balance(inst)[0] == bal == fpt.minimal_balance(twin)[0]
+        for k in range(bal - 2, bal + 3):
+            results = [solve_above_min(one, k) for one in (inst, twin)]
+            assert results[0].answer == results[1].answer == (k >= bal)
+            for one, result in zip((inst, twin), results):
+                if result.answer:
+                    assert not blocking_pairs(one, result.witness)
+                    assert objectives(one, result.witness).balance <= k
+                branched += result.stats.subsets_tried > 0
+            decisions += 2
+    assert len(inputs) == 54 and decisions == 540
+    assert branched >= 120

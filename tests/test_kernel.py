@@ -13,7 +13,6 @@ from bsm.kernel import (
     TRIVIAL_NO,
     TRIVIAL_YES,
     DummyExhausted,
-    KernelState,
     NoSadPerson,
     TraceEntry,
     OptimaMoved,
@@ -43,30 +42,35 @@ from helpers import (
 )
 
 
-def state(inst, k):
-    return KernelState(inst, k)
+# How far k falls per row of each rule; None for a rule that reads k.
+K_STEP = {name: k_step for name, _, k_step in kernel.RULES}
+
+
+def t_of(inst, k):
+    """The parameter t = k - min(O_M, O_W) of an instance at target k."""
+    return k - min(inst.o_m, inst.o_w)
 
 
 def names(people):
     return sorted(p.name for p in people)
 
 
-def optima_of(st):
-    """Both stable optima of a state, as partner indices, with their costs."""
-    return st.inst.mu_m, st.inst.mu_w, st.inst.o_m, st.inst.o_w
+def optima_of(inst):
+    """Both stable optima of an instance, as partner indices, with their costs."""
+    return inst.mu_m, inst.mu_w, inst.o_m, inst.o_w
 
 
-def step(rule, st):
-    """The next state or verdict of one rule application, or None if the rule does not apply."""
-    hit = rule(st)
+def step(rule, *args):
+    """The next instance or verdict of one rule application, or None if the rule does not apply."""
+    hit = rule(*args)
     return None if hit is None else hit[0]
 
 
 def test_rr1_bound_check():
     inst = sad_2x2()
-    assert bound_check(state(inst, 1)) == (TRIVIAL_NO, [()])
-    assert bound_check(state(inst, 4)) is None
-    assert bound_check(state(empty_instance(), 0)) is None
+    assert bound_check(inst, 1) == (TRIVIAL_NO, ((),))
+    assert bound_check(inst, 4) is None
+    assert bound_check(empty_instance(), 0) is None
 
 
 def test_rr2_clean_suffix_removes_worst_pair():
@@ -74,26 +78,25 @@ def test_rr2_clean_suffix_removes_worst_pair():
         {"m1": {"w1": 1, "w2": 2}, "m2": {"w2": 2}},
         {"w1": {"m1": 1}, "w2": {"m1": 1, "m2": 2}},
     )
-    st0 = state(inst, 10)
-    st1 = step(clean_suffix_once, st0)
+    st1 = step(clean_suffix_once, inst)
     assert st1 is not None
-    m1 = st1.inst.men[0]
-    assert names(st1.inst.prefs.ranks[m1]) == ["w1"]
+    m1 = st1.men[0]
+    assert names(st1.prefs.ranks[m1]) == ["w1"]
     # the stable set is untouched
-    assert set(enumerate_stable(inst).matchings) == set(enumerate_stable(st1.inst).matchings)
+    assert set(enumerate_stable(inst).matchings) == set(enumerate_stable(st1).matchings)
 
 
 def test_rr2_none_without_suffixes():
-    assert clean_suffix_once(state(mutual_first_instance(3), 5)) is None
+    assert clean_suffix_once(mutual_first_instance(3)) is None
 
 
 def test_rr2_exhaustion_preserves_stable_set():
     rng = random.Random(21)
     inst = random_instance(rng, 5, 5, density=0.8)
-    st = state(inst, 50)
+    st = inst
     while (nxt := step(clean_suffix_once, st)) is not None:
         st = nxt
-    assert set(enumerate_stable(inst).matchings) == set(enumerate_stable(st.inst).matchings)
+    assert set(enumerate_stable(inst).matchings) == set(enumerate_stable(st).matchings)
 
 
 def test_rr2_exhaustion_cleans_prefixes_too():
@@ -102,10 +105,9 @@ def test_rr2_exhaustion_cleans_prefixes_too():
     rng = random.Random(77)
     for _ in range(15):
         inst = random_instance(rng, 6, 6, density=1.0)
-        st = state(inst, 100)
-        while (nxt := step(clean_suffix_once, st)) is not None:
-            st = nxt
-        kin = st.inst
+        kin = inst
+        while (nxt := step(clean_suffix_once, kin)) is not None:
+            kin = nxt
         m_rank, w_rank = kin.m_rank, kin.w_rank
         for m in range(len(kin.men)):
             if kin.mu_m.by_man[m] < 0:
@@ -122,9 +124,9 @@ def test_rr3_removes_isolated_people():
         {"m1": {"w1": 1}, "m2": {}},
         {"w1": {"m1": 1}},
     )
-    st1 = step(restrict_matched, state(inst, 10))
+    st1 = step(restrict_matched, inst)
     assert st1 is not None
-    assert names(st1.inst.men) == ["m1"]
+    assert names(st1.men) == ["m1"]
     assert restrict_matched(st1) is None
 
 
@@ -132,15 +134,15 @@ def test_rr3_preserves_stable_set_after_suffix_cleaning():
     rng = random.Random(8)
     for _ in range(20):
         inst = random_instance(rng, 4, 3, density=0.6)
-        st = state(inst, 60)
+        st = inst
         while (nxt := step(clean_suffix_once, st)) is not None:
             st = nxt
         cleaned = st
         restricted = step(restrict_matched, cleaned)
         if restricted is None:
             continue
-        assert set(enumerate_stable(cleaned.inst).matchings) == set(
-            enumerate_stable(restricted.inst).matchings
+        assert set(enumerate_stable(cleaned).matchings) == set(
+            enumerate_stable(restricted).matchings
         )
         return
     pytest.skip("no instance with unmatched people in the sample")
@@ -148,16 +150,16 @@ def test_rr3_preserves_stable_set_after_suffix_cleaning():
 
 def test_rr4_bound_sad():
     inst = sad_2x2()
-    assert bound_sad(state(inst, 2)) == (TRIVIAL_NO, [()])  # t = 0 but two sad men
-    assert bound_sad(state(inst, 4)) is None
-    assert bound_sad(state(mutual_first_instance(3), 3)) is None
+    assert bound_sad(inst, 2) == (TRIVIAL_NO, ((),))  # t = 0 but two sad men
+    assert bound_sad(inst, 4) is None
+    assert bound_sad(mutual_first_instance(3), 3) is None
 
 
 def test_rr5_no_sad():
     three = mutual_first_instance(3)
-    assert no_sad(state(three, 3)) == (TRIVIAL_YES, [()])
-    assert no_sad(state(three, 2)) == (TRIVIAL_NO, [()])
-    assert no_sad(state(sad_2x2(), 4)) is None
+    assert no_sad(three, 3) == (TRIVIAL_YES, ((),))
+    assert no_sad(three, 2) == (TRIVIAL_NO, ((),))
+    assert no_sad(sad_2x2(), 4) is None
 
 
 def test_rr6_transfers_happy_cost():
@@ -174,37 +176,36 @@ def test_rr6_transfers_happy_cost():
         },
         k=6,
     )
-    st0 = state(inst, 6)
-    kin = st0.inst
+    kin = inst
     assert [(kin.men[m].name, kin.women[w].name) for m, w in kin.happy_pairs] == [("m0", "w0")]
-    st1 = step(remove_happy_pair_once, st0)
+    st1 = step(remove_happy_pair_once, inst)
     assert st1 is not None
-    assert names(st1.inst.men) == ["m1", "m2"]
-    ranks = {p.name: {q.name: r for q, r in tbl.items()} for p, tbl in st1.inst.prefs.ranks.items()}
+    assert names(st1.men) == ["m1", "m2"]
+    ranks = {p.name: {q.name: r for q, r in tbl.items()} for p, tbl in st1.prefs.ranks.items()}
     # the first sad man and first sad woman each absorb the removed rank 1
     assert ranks["m1"] == {"w1": 2, "w2": 3}
     assert ranks["w1"] == {"m2": 2, "m1": 3}
     assert ranks["m2"] == {"w2": 1, "w1": 2}
     # the best achievable balance is preserved
-    assert enumerate_stable(inst).bal_opt == enumerate_stable(st1.inst).bal_opt
+    assert enumerate_stable(inst).bal_opt == enumerate_stable(st1).bal_opt
 
 
 def test_rr6_none_without_happy_pairs():
-    assert remove_happy_pair_once(state(sad_2x2(), 4)) is None
+    assert remove_happy_pair_once(sad_2x2()) is None
 
 
 def test_rr6_requires_sad_people():
     with pytest.raises(NoSadPerson):
-        remove_happy_pair_once(state(mutual_first_instance(2), 5))
+        remove_happy_pair_once(mutual_first_instance(2))
 
 
 def test_rr7_truncates_over_threshold():
     inst = sad_2x2()
-    st1 = step(truncate, state(inst, 2))  # k = O_M, so any man's rank-2 woman goes
+    st1 = step(truncate, inst, 2)  # k = O_M, so any man's rank-2 woman goes
     assert st1 is not None
-    m1 = st1.inst.men[0]
-    assert names(st1.inst.prefs.ranks[m1]) == ["w1"]
-    assert truncate(state(inst, 50)) is None
+    m1 = st1.men[0]
+    assert names(st1.prefs.ranks[m1]) == ["w1"]
+    assert truncate(inst, 50) is None
 
 
 def test_rr7_exhaustion_keeps_the_answer():
@@ -213,13 +214,13 @@ def test_rr7_exhaustion_keeps_the_answer():
     for _ in range(30):
         inst = random_instance(rng, 5, 5)
         bal = enumerate_stable(inst).bal_opt
-        st = state(inst, bal)
-        if bound_check(st) is not None:
+        if bound_check(inst, bal) is not None:
             continue
-        while (nxt := step(truncate, st)) is not None:
+        st = inst
+        while (nxt := step(truncate, st, bal)) is not None:
             st = nxt
         tried += 1
-        assert enumerate_stable(st.inst).bal_opt == bal
+        assert enumerate_stable(st).bal_opt == bal
     assert tried > 0
 
 
@@ -228,18 +229,18 @@ def test_rr8_shifts_one_man_and_one_woman():
         {"m1": {"w1": 2, "w2": 3}, "m2": {"w2": 2, "w1": 3}},
         {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
     )
-    st0 = state(inst, 8)
-    st1 = step(shrink_once, st0)
-    assert st1 is not None
-    assert st1.k == 7
-    ranks = {p.name: {q.name: r for q, r in tbl.items()} for p, tbl in st1.inst.prefs.ranks.items()}
+    hit = shrink_once(inst)
+    assert hit is not None
+    st1, rows = hit
+    assert 8 - K_STEP["shrink"] * len(rows) == 7
+    ranks = {p.name: {q.name: r for q, r in tbl.items()} for p, tbl in st1.prefs.ranks.items()}
     assert ranks["m1"] == {"w1": 1, "w2": 2}
     assert ranks["w1"] == {"m2": 1, "m1": 3}
     assert ranks["m2"] == {"w2": 2, "w1": 3}  # untouched
 
 
 def test_rr8_none_when_a_side_is_settled():
-    assert shrink_once(state(sad_2x2(), 4)) is None
+    assert shrink_once(sad_2x2()) is None
 
 
 def test_rr8_keeps_the_stable_set_and_drops_best_balance_by_one():
@@ -247,9 +248,9 @@ def test_rr8_keeps_the_stable_set_and_drops_best_balance_by_one():
         {"m1": {"w1": 2, "w2": 3}, "m2": {"w2": 2, "w1": 3}},
         {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
     )
-    st1 = step(shrink_once, state(inst, 9))
+    st1 = step(shrink_once, inst)
     before = enumerate_stable(inst)
-    after = enumerate_stable(st1.inst)
+    after = enumerate_stable(st1)
     pair_sets = lambda ss: {frozenset((m.name, w.name) for m, w in mu.pairs) for mu in ss.matchings}
     assert pair_sets(before) == pair_sets(after)
     assert after.bal_opt == before.bal_opt - 1
@@ -272,18 +273,17 @@ def test_fill_gaps_plugs_every_gap():
         {"m1": {"w1": 1, "w2": 3}, "m2": {"w2": 1, "w1": 3}},
         {"w1": {"m2": 1, "m1": 3}, "w2": {"m1": 1, "m2": 3}},
     )
-    st0 = state(inst, 6)
-    assert st0.t == 4
-    st1 = fill_gaps(st0)[0]
-    assert st1.k == 10
-    assert len(st1.inst.men) == 6 and len(st1.inst.women) == 6
-    assert st1.inst.contiguous
+    assert t_of(inst, 6) == 4
+    st1 = fill_gaps(inst, 6)[0]
+    assert st1.target_k == 10
+    assert len(st1.men) == 6 and len(st1.women) == 6
+    assert st1.contiguous
     # the rank-2 hole of each original person is plugged by a dummy
-    m1 = st1.inst.men[0]
-    filler = next(w for w, r in st1.inst.prefs.ranks[m1].items() if r == 2)
+    m1 = st1.men[0]
+    filler = next(w for w, r in st1.prefs.ranks[m1].items() if r == 2)
     assert filler not in inst.women and filler.name.startswith("y")
     # balance of the padded instance grows by exactly t
-    assert enumerate_stable(st1.inst).bal_opt == enumerate_stable(inst).bal_opt + 4
+    assert enumerate_stable(st1).bal_opt == enumerate_stable(inst).bal_opt + 4
 
 
 def test_fill_gaps_records_one_entry_for_the_dummies_and_one_for_the_gaps():
@@ -291,9 +291,8 @@ def test_fill_gaps_records_one_entry_for_the_dummies_and_one_for_the_gaps():
         {"m1": {"w1": 1, "w2": 4}, "m2": {"w2": 1, "w1": 3}},
         {"w1": {"m2": 1, "m1": 3}, "w2": {"m1": 1, "m2": 2}},
     )
-    st0 = state(inst, 5)
-    assert st0.t == 3
-    st1, xs, ys, entries = fill_gaps(st0)
+    assert t_of(inst, 5) == 3
+    st1, xs, ys, entries = fill_gaps(inst, 5)
     m1, m2 = inst.men
     w1, w2 = inst.women
     assert entries == [
@@ -302,28 +301,26 @@ def test_fill_gaps_records_one_entry_for_the_dummies_and_one_for_the_gaps():
         # first; w1's gap at 2 takes the first dummy man.
         TraceEntry("fill_gap", ((m1, ys[0]), (m1, ys[1]), (m2, ys[0]), (w1, xs[0])), 8, 0, 3, 3),
     ]
-    ranks = st1.inst.prefs.ranks
+    ranks = st1.prefs.ranks
     assert ranks[ys[0]] == {xs[0]: 1, m1: 2, m2: 3} and ranks[ys[1]] == {xs[1]: 1, m1: 2}
     assert ranks[xs[0]] == {ys[0]: 1, w1: 2}
-    assert st1.inst.contiguous and st1.k == 8
+    assert st1.contiguous and st1.target_k == 8
 
 
 def test_fill_gaps_names_a_gap_no_dummy_is_left_for():
     # One dummy pair (t = 1) cannot plug m1's two gaps.
     inst = functional_instance({"m1": {"w1": 1, "w2": 4}}, {"w1": {"m1": 1}, "w2": {"m1": 1}})
-    st0 = state(inst, 2)
-    assert st0.t == 1
+    assert t_of(inst, 2) == 1
     with pytest.raises(DummyExhausted, match=r"^no free dummy for the gap of M:m1 at 3$"):
-        fill_gaps(st0)
+        fill_gaps(inst, 2)
 
 
 def test_fill_gaps_without_gaps_adds_only_dummies():
-    st0 = state(sad_2x2(), 4)
-    st1 = fill_gaps(st0)[0]
-    assert st1.k == 6
-    assert len(st1.inst.men) == 4
-    for p in st1.inst.people:
-        image = sorted(st1.inst.prefs.ranks[p].values())
+    st1 = fill_gaps(sad_2x2(), 4)[0]
+    assert st1.target_k == 6
+    assert len(st1.men) == 4
+    for p in st1.people:
+        image = sorted(st1.prefs.ranks[p].values())
         assert image == list(range(1, len(image) + 1))
 
 
@@ -433,78 +430,78 @@ def least_k(inst):
 def test_rr2_batch_matches_repeated_single_drops():
     for inst in diff_instances(2201, 14):
         k = least_k(inst)
-        ref = st = state(inst, k)
+        ref = inst
         drops = []
         while (hit := clean_suffix_once(ref)) is not None:
             ref, rows = hit
             drops.extend(rows)
-        batch = clean_suffix(st)
+        batch = clean_suffix(inst)
         if not drops:
             assert batch is None
             continue
         nxt, got = batch
-        assert got == drops
-        assert nxt.inst == ref.inst and optima_of(nxt) == optima_of(ref)
-        assert nxt.inst.prefs.ranks == ref.inst.prefs.ranks
+        assert got == tuple(drops)
+        assert nxt == ref and optima_of(nxt) == optima_of(ref)
+        assert nxt.prefs.ranks == ref.prefs.ranks
         trace = kernelize(inst, k).trace.steps
         assert [(s.rule, s.affected) for s in trace[: len(drops)]] == [
             ("clean_suffix", pair) for pair in drops
         ]
 
 
-def cleaned(st):
+def cleaned(inst):
     """Exhaust the clean-suffix and restrict-to-matched rules, as kernelize does first."""
     while True:
-        nxt = step(clean_suffix, st) or step(restrict_matched, st)
+        nxt = step(clean_suffix, inst) or step(restrict_matched, inst)
         if nxt is None:
-            return st
-        st = nxt
+            return inst
+        inst = nxt
 
 
 def test_rr6_batch_matches_repeated_single_removals():
     checked = 0
     for inst in diff_instances(2202, 20):
-        st = cleaned(state(inst, least_k(inst) + 2))
-        if not st.inst.happy_pairs or not st.inst.sad_men:
+        k = least_k(inst) + 2
+        st = cleaned(inst)
+        if not st.happy_pairs or not st.sad_men:
             continue
         ref, removals = st, []
         while (hit := remove_happy_pair_once(ref)) is not None:
             ref, rows = hit
             removals.extend(rows)
         nxt, got = remove_happy_pair(st)
-        assert got == removals
-        assert nxt.inst == ref.inst and nxt.k == ref.k and nxt.t == ref.t
+        assert got == tuple(removals)
+        assert nxt == ref and K_STEP["remove_happy_pair"] == 0 and t_of(nxt, k) == t_of(ref, k)
         assert optima_of(nxt) == optima_of(ref)
-        new, old = nxt.inst, ref.inst
+        new, old = nxt, ref
         assert (new.sad_men, new.sad_women, new.happy_pairs) == (old.sad_men, old.sad_women, ())
         checked += 1
     assert checked >= 5
 
 
 def test_rr6_batch_requires_sad_people():
-    assert remove_happy_pair(state(sad_2x2(), 4)) is None
+    assert remove_happy_pair(sad_2x2()) is None
     with pytest.raises(NoSadPerson):
-        remove_happy_pair(state(mutual_first_instance(2), 5))
+        remove_happy_pair(mutual_first_instance(2))
 
 
 FACTS = ("mu_m", "mu_w", "o_m", "o_w", "sad_men", "sad_women", "happy_pairs")
 
 
-def seeded(st, **facts):
-    """The state on a copy of its instance that has the same derived facts, but for ``facts``."""
-    inst = st.inst
+def seeded(inst, **facts):
+    """A copy of the instance that has the same derived facts, but for ``facts``."""
     copy = Instance(inst.men, inst.women, inst.m_rank, inst.w_rank, inst.target_k)
     vars(copy).update({name: getattr(inst, name) for name in FACTS}, **facts)
-    return KernelState(copy, st.k)
+    return copy
 
 
 def test_batches_raise_when_optima_move():
-    st = state(sad_2x2(), 4)
-    m1, m2 = range(2)  # indices, as the state numbers its people
+    st = sad_2x2()
+    m1, m2 = range(2)  # indices, as the instance numbers its people
     w1, w2 = range(2)
     # Claiming the man-optimal matching is also woman-optimal makes each man
     # drop his second choice, and the real woman-optimal matching changes.
-    stale = seeded(st, mu_w=st.inst.mu_m)
+    stale = seeded(st, mu_w=st.mu_m)
     with pytest.raises(OptimaMoved):
         clean_suffix(stale)
     # (m1, w1) is not happy; removing it leaves (m2, w1) in mu_W without w1.
@@ -514,38 +511,40 @@ def test_batches_raise_when_optima_move():
     # restrict_matched holds O_M and O_W: it drops the listless m3, and the
     # rebuilt instance's O_M is not the one claimed.
     lonely = parse_instance(SAD_2X2_TEXT.replace("men: m1 m2", "men: m1 m2 m3"))
-    assert restrict_matched(state(lonely, 4))[1] == [(Person("M", "m3"),)]
+    assert restrict_matched(lonely)[1] == ((Person("M", "m3"),),)
     with pytest.raises(OptimaMoved):
-        restrict_matched(seeded(state(lonely, 4), o_m=lonely.o_m + 1))
+        restrict_matched(seeded(lonely, o_m=lonely.o_m + 1))
 
 
 def test_rr8_batch_matches_repeated_single_shifts():
     checked = 0
     for inst in diff_instances(2204, 20):
-        st = cleaned(state(inst, least_k(inst) + 3))
-        ref, shifts, ts = st, [], []
+        k = least_k(inst) + 3
+        st = cleaned(inst)
+        ref, ref_k, shifts, ts = st, k, [], []
         while (hit := shrink_once(ref)) is not None:
             nxt, rows = hit
             shifts.extend(rows)
-            ts.append((ref.k, nxt.k, ref.t, nxt.t))
-            ref = nxt
+            nxt_k = ref_k - K_STEP["shrink"] * len(rows)
+            ts.append((ref_k, nxt_k, t_of(ref, ref_k), t_of(nxt, nxt_k)))
+            ref, ref_k = nxt, nxt_k
         batch = shrink(st)
         if not shifts:
             assert batch is None
             continue
         nxt, got = batch
-        assert got == shifts
-        assert nxt.inst == ref.inst and nxt.k == ref.k and optima_of(nxt) == optima_of(ref)
-        assert nxt.inst.prefs.ranks == ref.inst.prefs.ranks
-        assert ts == [(st.k - j, st.k - j - 1, st.t, st.t) for j in range(len(shifts))]
+        assert got == tuple(shifts)
+        nxt_k = k - K_STEP["shrink"] * len(got)
+        assert nxt == ref and nxt_k == ref_k and optima_of(nxt) == optima_of(ref)
+        assert nxt.prefs.ranks == ref.prefs.ranks
+        assert ts == [(k - j, k - j - 1, t_of(st, k), t_of(st, k)) for j in range(len(shifts))]
         checked += 1
     assert checked >= 5
 
 
 def test_kernelize_trace_matches_single_shifts(monkeypatch):
     single = tuple(
-        (name, shrink_once if getattr(rule, "__wrapped__", None) is shrink else rule)
-        for name, rule in kernel.RULES
+        (name, shrink_once if rule is shrink else rule, k_step) for name, rule, k_step in kernel.RULES
     )
     assert single != kernel.RULES
 
@@ -567,9 +566,8 @@ def test_rr8_batch_raises_when_optima_move():
         {"m1": {"w1": 2, "w2": 3}, "m2": {"w2": 2, "w1": 3}},
         {"w1": {"m2": 2, "m1": 4}, "w2": {"m1": 2, "m2": 3}},
     )
-    st = state(inst, 8)
-    assert shrink(st)[0].k == 6
-    stale = seeded(st, o_w=st.inst.o_w + 1)
+    assert 8 - K_STEP["shrink"] * len(shrink(inst)[1]) == 6
+    stale = seeded(inst, o_w=inst.o_w + 1)
     with pytest.raises(OptimaMoved):
         shrink(stale)
 
@@ -657,10 +655,64 @@ def test_decisions_on_one_instance_share_its_k_free_rule_outcomes(monkeypatch):
         assert serialize(one) == text and parse_instance(text) == one
 
 
+def test_each_k_free_rule_runs_once_per_instance_it_meets(monkeypatch):
+    # Counters wrap the four k-free entries of the table, and every read
+    # through ``_keep`` is logged.  Each order decides one freshly parsed
+    # instance at every k of its range.  ``seen`` holds every instance a
+    # counter or a read met, so no id is reused while the test runs.
+    inst = random_instance(random.Random(125), 8, 8, 0.6)
+    text = serialize(inst)
+    ks = list(range(least_k(inst) - 1, _balance(inst, inst.mu_m) + 1))
+    seen, runs, made, reads = [], Counter(), {}, []
+    decision = [0]
+
+    def counted(name, rule):
+        def apply(one):
+            seen.append(one)
+            runs[name, id(one)] += 1
+            made[name, id(one)] = decision[0], rule(one)
+            return made[name, id(one)][1]
+        return apply
+
+    table = tuple(
+        (name, rule if k_step is None else counted(name, rule), k_step) for name, rule, k_step in kernel.RULES
+    )
+    names = {rule: name for name, rule, k_step in table if k_step is not None}
+    assert len(names) == 4
+    real_keep = kernel._keep
+
+    def logged(one, make):
+        got = real_keep(one, make)
+        seen.append(one)
+        reads.append((decision[0], names[make], one, got))
+        return got
+
+    monkeypatch.setattr(kernel, "RULES", table)
+    monkeypatch.setattr(kernel, "_keep", logged)
+    for order in (ks, ks[::-1], random.Random(5).sample(ks, len(ks))):
+        one = parse_instance(text)
+        for k in order:
+            decision[0] += 1
+            kernelize(one, k)
+    assert decision[0] == 3 * len(ks)
+    assert runs and set(runs.values()) == {1}
+    later = Counter()
+    for when, name, one, got in reads:
+        first, kept = made[name, id(one)]
+        assert got is kept
+        if when > first and got is not None:
+            later[name] += 1
+    # Every k-free rule applies on this instance, and later decisions read
+    # back each one's kept outcome.
+    assert set(later) == set(names.values())
+    assert min(later.values()) >= len(ks)
+
+
 def test_kept_outcomes_are_keyed_by_the_rule(monkeypatch):
     # Single-step references given to the table after a batched decision
     # must run on the same instance, not read the batch's kept outcomes,
-    # so the traces below come from two computations.
+    # so the traces below come from two computations.  Each decision gets
+    # new references, which no earlier decision's kept outcome answers.
     references = {
         "clean_suffix": clean_suffix_once,
         "remove_happy_pair": remove_happy_pair_once,
@@ -669,18 +721,21 @@ def test_kept_outcomes_are_keyed_by_the_rule(monkeypatch):
     calls = Counter()
 
     def counted(name):
-        def apply(st):
+        def apply(inst):
             calls[name] += 1
-            return references[name](st)
+            return references[name](inst)
         return apply
 
-    single = tuple((name, counted(name) if name in references else rule) for name, rule in kernel.RULES)
     checked = 0
     for inst in diff_instances(2206, 16, max_n=20):
         for k in (least_k(inst), least_k(inst) + 2, least_k(inst) + 6):
             batched = kernelize(inst, k)
             if not set(references) <= {e.rule for e in batched.trace.entries}:
                 continue
+            single = tuple(
+                (name, counted(name) if name in references else rule, k_step)
+                for name, rule, k_step in kernel.RULES
+            )
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(kernel, "RULES", single)
@@ -690,32 +745,34 @@ def test_kept_outcomes_are_keyed_by_the_rule(monkeypatch):
     assert checked >= 5
 
 
-# --- the integer state against deferred acceptance on people ----------------
+# --- the integer instances against deferred acceptance on people -------------
 
 def test_every_state_matches_the_optima_of_its_instance(monkeypatch):
-    # The people-level extreme matchings of a fresh copy of each state's
-    # instance, and their costs by gs.objectives, are the slow reference.
-    states = []
-    real = kernel.KernelState
+    # The people-level extreme matchings of a fresh copy of each instance
+    # the pipeline reads, and their costs by gs.objectives, are the slow
+    # reference: every input, and every instance a rule or dummy insertion builds.
+    instances = []
+    real = kernel.Instance
 
     def recorded(*args):
-        states.append(real(*args))
-        return states[-1]
+        instances.append(real(*args))
+        return instances[-1]
 
-    monkeypatch.setattr(kernel, "KernelState", recorded)
+    monkeypatch.setattr(kernel, "Instance", recorded)
     rng = random.Random(8080)
     decisions = 0
     rules = Counter()
     for i in range(40):
         inst = sad_rich_instance(rng) if i % 2 else random_instance(rng, max_side=7)
+        instances.append(inst)
         opt = optima(inst)
         for k in range(max(opt.o_m, opt.o_w) - 1, opt.o_m + opt.o_w + 1):
             rules.update(step.rule for step in kernelize(inst, k).trace.steps)
             decisions += 1
     assert decisions >= 200
-    assert set(rules) >= {name for name, _ in kernel.RULES} | {"add_dummies", "fill_gap"}
+    assert set(rules) >= {name for name, _, _ in kernel.RULES} | {"add_dummies", "fill_gap"}
 
-    for kin in (st.inst for st in states):
+    for kin in instances:
         copy = Instance(kin.men, kin.women, kin.m_rank, kin.w_rank)  # nothing derived yet
         opt = optima(copy)
         by_m, by_w = opt.mu_m, opt.mu_w
