@@ -8,8 +8,10 @@ when k is below both balances does it kernelize and branch.
 After kernelization the search space is tiny: pick the subset of sad men
 that will be moved off their man-optimal partners, enumerate for each of
 them a strictly worse partner under a shared rank-increase budget
-``r = k - O_M``, assemble the implied matching and keep the first one
-that is stable with balance at most k.
+``r = k - O_M``, and keep the first implied matching that is stable with
+balance at most k.  The walk patches one pair of partner arrays as it
+goes, so at each leaf they hold the certificate's matching, and
+``_accept`` reads it there.
 
 The search runs on the integer tables and man-optimal partner arrays of
 the functional kernel, before dummy insertion, and makes people only for
@@ -34,7 +36,7 @@ free until the leaf.  The search never gives man m woman w when
   whom w prefers to m and who prefers w to his partner.  That pair blocks
   every matching below (the partial-stability cut).
 
-Each skip drops only certificates that ``_assemble`` rejects, so the
+Each skip drops only certificates that imply no stable matching, so the
 certificates left come in the unpruned order and the first accepted one,
 the witness, is the unpruned search's.  ``SolveStats`` counts the
 subsets the solver walks and the nodes it visits in them, never more
@@ -68,18 +70,17 @@ subset is never walked and never counted.
   μ_M partner, so he is selected, and he ranks w0 below that partner
   within the budget.  m's claimers are the sad men who meet these terms.
   When none of them is selected, every certificate leaves w0 single or
-  with a man she likes less than m, so (m, w0) blocks it and
-  ``_assemble`` rejects it.
+  with a man she likes less than m, so (m, w0) blocks its matching.
 
 Decisions on one instance at several k share what reads no k, kept in
-the instance's derived-value store (``kernel._keep``), as the kernel's
-k-free rule outcomes are: the balances of μ_M and μ_W per input instance,
-and per functional kernel its anchor and worse tables, each sad man's
-claimers and start set (his needs) read at r = ∞, and its live-subset
-walk: the subsets listed so far and the paused ``_live`` walk.  A
-decision reads the listed subsets in order and resumes the walk only
-past them, so the subsets, their order and the stats are those of a
-walk from scratch.  The needs at r = ∞ are those at r on every kernel
+the instance's store (``Instance._store``, filled by ``kernel._keep``)
+as the kernel's k-free rule outcomes are: the balances of μ_M and μ_W
+per input instance, and per functional kernel its anchor and worse
+tables, each sad man's claimers and start set (his needs) read at
+r = ∞, and its live-subset walk: the subsets listed so far and the
+paused ``_live`` walk.  A decision reads the listed subsets in order and
+resumes the walk only past them, so the subsets, their order and the
+stats are those of a walk from scratch.  The needs at r = ∞ are those at r on every kernel
 ``kernelize`` returns, and safe at any budget:
 
 - *Equality.*  Truncate is at its fixpoint on a returned kernel: no man
@@ -106,7 +107,7 @@ from itertools import chain
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
-from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, _keep, _store, kernelize, require_lists
+from .kernel import OUTCOME_KERNEL, TRIVIAL_YES, KernelResult, _keep, kernelize, require_lists
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,8 @@ class _Context:
         self.r = k - kernel.o_m
         self.anchor, self.worse, self.needs = _keep(kernel, _tables)
         # Each fixed person's partner, -1 for everyone else.  Between subsets
-        # that is μ_M: every man it matches is happy or sad.
+        # that is μ_M: every man it matches is happy or sad.  At a leaf they
+        # hold the certificate's matching, which ``_accept`` reads.
         self.wife = list(kernel.mu_m.by_man)
         self.husband = list(kernel.mu_m.by_woman)
 
@@ -246,7 +248,7 @@ def _walk(kernel: Instance):
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
-    """The matching of the first certificate of ``m_prime`` that ``_assemble``
+    """The matching of the first certificate of ``m_prime`` that ``_accept``
     accepts, or None, with the number of search nodes visited up to it.
 
     ``m_prime`` is a tuple of sad man indices, each given a strictly worse
@@ -257,14 +259,13 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     wife, husband, anchors = ctx.wife, ctx.husband, ctx.anchor
     depth = len(m_prime)
     cands = [ctx.worse[m] for m in m_prime]
-    women = [-1] * depth
     nodes = 0
 
     def descend(i: int, remaining: int) -> list[int] | None:
         nonlocal nodes
         nodes += 1
         if i == depth:
-            return _assemble(ctx, m_prime, women)
+            return _accept(ctx)
         m = m_prime[i]
         table = m_rank[m]
         anchor = anchors[m]
@@ -273,9 +274,9 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
         # candidate.  Only a woman given earlier on the branch can be one:
         # the others are fixed at their man-optimal partners, and μ_M is
         # stable.
-        for earlier in range(i):
-            w = women[earlier]
-            if table.get(w, anchor + 1) <= anchor and w_rank[w][m] < w_rank[w][m_prime[earlier]]:
+        for m2 in m_prime[:i]:
+            w = wife[m2]
+            if table.get(w, anchor + 1) <= anchor and w_rank[w][m] < w_rank[w][m2]:
                 return None
         for offset, w in cands[i]:
             if offset > remaining:
@@ -297,7 +298,6 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
                     break
             if rank < mine:
                 continue
-            women[i] = w
             wife[m], husband[w] = w, m
             hit = descend(i + 1, remaining - offset)
             wife[m], husband[w] = -1, -1
@@ -317,27 +317,21 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     return hit, nodes
 
 
-def _assemble(ctx: _Context, m_prime, women) -> list[int] | None:
-    """The woman index of each man (-1 if single) in a certificate's matching, if it is accepted.
+def _accept(ctx: _Context) -> list[int] | None:
+    """The woman index of each man (-1 if single) in the matching that the
+    context's partner arrays hold at a leaf, if it is accepted.
 
-    The selected men ``m_prime`` take ``women``; every other man keeps his
-    man-optimal partner.  None when two men take the same woman, when the
-    women's cost exceeds k, or when some pair blocks the matching.  The
-    men's cost, O_M plus the certificate's offset, is within k by the
-    budget ``r = k - O_M``.
+    At a leaf every man holds his certificate woman or his man-optimal
+    partner, and the walk never gives a woman who is taken, so the arrays
+    are a matching.  None when the women's cost exceeds k or some pair
+    blocks it.  The men's cost, O_M plus the certificate's offset, is
+    within k by the budget ``r = k - O_M``.
     """
     inst = ctx.inst
-    by_man, by_woman = list(inst.mu_m.by_man), list(inst.mu_m.by_woman)
-    for m in m_prime:
-        by_woman[by_man[m]] = -1
-    for m, w in zip(m_prime, women):
-        if by_woman[w] >= 0:
-            return None  # two men claim the same woman
-        by_man[m], by_woman[w] = w, m
-    women_cost = cost(inst.w_rank, by_woman)
-    if women_cost > ctx.k or any(gs._blocking(inst.m_rank, inst.w_rank, by_man, by_woman)):
+    wife, husband = ctx.wife, ctx.husband
+    if cost(inst.w_rank, husband) > ctx.k or any(gs._blocking(inst.m_rank, inst.w_rank, wife, husband)):
         return None
-    return by_man
+    return list(wife)
 
 
 def _balance(inst: Instance, mu: Partners) -> int:
@@ -373,7 +367,7 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
 
     Kernelizes first; if that does not settle the answer, tries every
     subset of the functional kernel's sad men in increasing cardinality and
-    accepts on the first assembled stable matching within target.  Only
+    accepts the first certificate whose matching is stable within target.  Only
     the subsets ``_live`` yields are walked, and the stats count only those.
     They are read from the kernel's kept walk: first the subsets earlier
     decisions listed, then the paused walk, resumed only as far as this
@@ -394,7 +388,7 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     # each subset the walk yields is appended to the list.  The entry is put
     # back only when the decision ends, so a walk cut short by an exception,
     # and its short list, are never read again.
-    store = _store(kernel)
+    store = kernel._store
     listed, walk = entry = store.pop(_walk, None) or _walk(kernel)
     sad = kernel.sad_men
     walked = []  # the nodes visited in each subset walked

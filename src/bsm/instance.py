@@ -224,6 +224,12 @@ class Instance:
         by_man = self.mu_w.by_man
         return tuple((m, w) for m, w in enumerate(self.mu_m.by_man) if w >= 0 and w == by_man[m])
 
+    @_derived
+    def _store(self) -> dict:
+        """The values that decisions on this instance keep for later ones, by
+        key (``kernel._keep``); empty on first read."""
+        return {}
+
     def matching_from_arrays(self, partner_of_man: list[int]) -> "Matching":
         return Matching.of(
             (self.men[m], self.women[w])

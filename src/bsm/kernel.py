@@ -400,23 +400,10 @@ def shrink(inst: Instance):
     return hit
 
 
-def _store(inst: Instance) -> dict:
-    """The values that decisions on ``inst`` keep for later ones, by key.
-
-    It lives in the instance's derived-value store, as its stable optima
-    do, under ``"_store"``: a function key put straight into the
-    instance's ``__dict__`` would make ``dir(inst)`` raise.
-    """
-    store = inst.__dict__.get("_store")
-    if store is None:
-        store = inst.__dict__["_store"] = {}
-    return store
-
-
 def _keep(inst: Instance, make):
     """``make(inst)``, made on the first call for this instance and kept in
     its store under ``make``."""
-    store = _store(inst)
+    store = inst._store
     if make not in store:
         store[make] = make(inst)
     return store[make]

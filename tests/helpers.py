@@ -7,6 +7,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import product
 
+from bsm import fpt
 from bsm.fpt import _Context
 from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
@@ -165,6 +166,28 @@ def iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int]):
 
     if r >= 0:
         yield from descend(0, r)
+
+
+def assemble(ctx: _Context, m_prime, women) -> list[int] | None:
+    """What ``fpt._accept`` returns for the certificate that gives the
+    selected men ``m_prime`` the women ``women``, every other man keeping
+    his man-optimal partner; None when a woman is claimed twice.
+
+    The search only reaches certificates that pair every selected man with
+    a free woman; this loads any certificate into the context's partner
+    arrays, which hold μ_M between subsets, and puts μ_M back.
+    """
+    wife, husband, mu = ctx.wife, ctx.husband, ctx.inst.mu_m
+    for m in m_prime:
+        husband[mu.by_man[m]] = wife[m] = -1
+    try:
+        for m, w in zip(m_prime, women):
+            if husband[w] >= 0:
+                return None  # two men claim the same woman
+            wife[m], husband[w] = w, m
+        return fpt._accept(ctx)
+    finally:
+        wife[:], husband[:] = mu.by_man, mu.by_woman
 
 
 @dataclass(frozen=True)

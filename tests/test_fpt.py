@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bsm import fpt, gs, kernel
-from bsm.fpt import _assemble, _Context, _first_accepted, solve_above_min
+from bsm.fpt import _Context, _first_accepted, solve_above_min
 from bsm.generate import (
     cyclic_instance, mutual_first_instance, planted_instance, random_graph, random_instance,
 )
@@ -25,6 +25,7 @@ from bsm.oracle import (
 )
 from helpers import (
     BranchCertificate,
+    assemble,
     component_least_balance,
     enumerate_certificates,
     functional_instance,
@@ -125,18 +126,18 @@ def test_assemble_2x2_kernel():
     m_prime = tuple(st.men.index(m) for m in sad)
     # both men move to their second choices: the woman-optimal matching
     women = tuple(st.mu_w.by_man[m] for m in m_prime)
-    mu = people(st, _assemble(ctx, m_prime, women))
+    mu = people(st, assemble(ctx, m_prime, women))
     assert mu is not None
     assert result.lift(mu) == optima(sad_2x2()).mu_w
 
     # the empty certificate assembles the man-optimal matching
-    mu0 = people(st, _assemble(ctx, (), ()))
+    mu0 = people(st, assemble(ctx, (), ()))
     assert mu0 == kopt.mu_m
     assert objectives(kin, mu0).balance <= result.k
 
     # a certificate aiming two men at one woman is rejected
     clash = (women[0], women[0])
-    assert _assemble(ctx, m_prime, clash) is None
+    assert assemble(ctx, m_prime, clash) is None
 
 
 def test_solve_examples():
@@ -281,10 +282,10 @@ def run(ctx, m_prime, r):
 
 def reference_first_accepted(ctx, m_prime, r):
     """The matching of the unpruned search's first certificate that
-    ``_assemble`` accepts, or None, and the unpruned nodes up to it."""
+    ``_accept`` accepts, or None, and the unpruned nodes up to it."""
     counter = [0]
     for women, _ in iter_certificates(ctx, m_prime, r, counter):
-        hit = _assemble(ctx, m_prime, women)
+        hit = assemble(ctx, m_prime, women)
         if hit is not None:
             return hit, counter[0]
     return None, counter[0]
@@ -576,7 +577,7 @@ def test_the_cuts_keep_every_stable_matching_within_the_budget():
             for m_prime in combinations(st.sad_men, size):
                 if cut(ctx, m_prime):
                     for women, _ in iter_certificates(ctx, m_prime, ctx.r, [0]):
-                        assert _assemble(ctx, m_prime, women) is None
+                        assert assemble(ctx, m_prime, women) is None
                         walked += 1
                     cut_subsets += 1
     assert contexts >= 150 and moved_sets >= 300 and cut_subsets >= 10000 and walked >= 500000
@@ -602,8 +603,8 @@ def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch
     # With every certificate rejected, the search reaches all it keeps.
     reached = []
 
-    def reject(ctx, m_prime, women):
-        reached.append(tuple(women))
+    def reject(ctx):
+        reached.append(tuple(ctx.wife[m] for m in m_prime))
 
     subsets = skipped = cut = 0
     for *_, ctx, r in search_kernels():
@@ -613,14 +614,14 @@ def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch
                 full = [women for (women, _), _ in run(ctx, m_prime, r)[0]]
                 reached.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(fpt, "_assemble", reject)
+                    patch.setattr(fpt, "_accept", reject)
                     _first_accepted(ctx, m_prime)
                 kept = set(reached)
                 assert reached == [women for women in full if women in kept]
                 busy = busy_women(ctx, m_prime)
                 for women in full:
                     if women not in kept:
-                        assert _assemble(ctx, m_prime, women) is None
+                        assert assemble(ctx, m_prime, women) is None
                         skipped += 1
                         # Injective: the partial-stability cut, not the taken-woman skip.
                         cut += injective(women, busy)
@@ -654,7 +655,7 @@ def test_assemble_accepts_exactly_the_stable_matchings_within_k():
                 for (women, _), _ in run(ctx, m_prime, r)[0]:
                     pairs = zip(men, (st.women[w] for w in women))
                     want = reference_assemble(st, ctx.k, pairs, m_prime)
-                    got = _assemble(ctx, m_prime, women)
+                    got = assemble(ctx, m_prime, women)
                     if want is None:
                         assert got is None
                     else:
@@ -679,15 +680,18 @@ def unpruned_solve(result, ctx, r):
 
 
 def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch):
-    real_assemble, real_first = fpt._assemble, fpt._first_accepted
+    real_accept, real_first = fpt._accept, fpt._first_accepted
     assembled = []
     visited = []
+    selected = []
 
-    def checked(ctx, m_prime, women):
-        assembled.append(injective(women, busy_women(ctx, m_prime)))
-        return real_assemble(ctx, m_prime, women)
+    def checked(ctx):
+        women = [ctx.wife[m] for m in selected[-1]]
+        assembled.append(injective(women, busy_women(ctx, selected[-1])))
+        return real_accept(ctx)
 
     def counted(ctx, m_prime):
+        selected.append(m_prime)
         hit, nodes = real_first(ctx, m_prime)
         visited.append(nodes)
         return hit, nodes
@@ -701,7 +705,7 @@ def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch
         answer, witness, unpruned = unpruned_solve(result, ctx, r)
         visited.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(fpt, "_assemble", checked)
+            patch.setattr(fpt, "_accept", checked)
             patch.setattr(fpt, "_first_accepted", counted)
             got = solve_above_min(inst, k)
         assert (got.answer, got.witness) == (answer, witness)
@@ -712,8 +716,49 @@ def test_solver_witness_matches_the_unpruned_search_in_no_more_nodes(monkeypatch
         assert got.stats == fpt.SolveStats(len(visited), sum(visited), max(visited))
         compared += 1
     assert compared >= 30
-    # Only certificates that pair every man with a free woman are assembled.
+    # Only certificates that pair every man with a free woman reach ``_accept``.
     assert assembled and all(assembled)
+
+
+def test_each_leaf_holds_its_certificate_in_the_partner_arrays(monkeypatch):
+    # ``_accept`` reads the walk's partner arrays as they stand.  At every
+    # leaf they must be inverse to each other and hold μ_M with each
+    # selected man moved to a strictly worse woman, within the budget.
+    real_accept, real_first = fpt._accept, fpt._first_accepted
+    selected = []
+    leaves = []
+
+    def checked(ctx):
+        st, wife, husband = ctx.inst, ctx.wife, ctx.husband
+        assert all(husband[w] == m for m, w in enumerate(wife) if w >= 0)
+        assert all(wife[m] == w for w, m in enumerate(husband) if m >= 0)
+        want = list(st.mu_m.by_man)
+        spent = 0
+        for m in selected[-1]:
+            offsets = {w: offset for offset, w in ctx.worse[m]}
+            assert wife[m] in offsets
+            want[m] = wife[m]
+            spent += offsets[wife[m]]
+        assert spent <= ctx.r
+        assert wife == want
+        assert husband == [want.index(w) if w in want else -1 for w in range(len(st.women))]
+        leaves.append(ctx)
+        return real_accept(ctx)
+
+    def recorded(ctx, m_prime):
+        selected.append(m_prime)
+        return real_first(ctx, m_prime)
+
+    monkeypatch.setattr(fpt, "_accept", checked)
+    monkeypatch.setattr(fpt, "_first_accepted", recorded)
+    for ctx, _ in search_and_cut_kernels():
+        for size in range(len(ctx.inst.sad_men) + 1):
+            for m_prime in combinations(ctx.inst.sad_men, size):
+                fpt._first_accepted(ctx, m_prime)
+    kernels = len(leaves)
+    for n, seed, _, bal in pool_entries():
+        assert fpt.minimal_balance(random_instance(random.Random(seed), n, n, 1.0))[0] == bal
+    assert kernels >= 120 and len(leaves) - kernels >= 250
 
 
 def test_branching_makes_no_people_level_check(monkeypatch):
@@ -929,7 +974,7 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
             kernel_ = result.kernel.functional
             reached.append(kernel_)
             ctx = _Context(kernel_, result.kernel.functional_k)
-            kept, walk = kernel._store(kernel_)[fpt._walk]
+            kept, walk = kernel_._store[fpt._walk]
             assert len(walks) == (id(kernel_) not in most)
             assert all(type(subset) is int for subset in kept)
             masks += len(kept)
@@ -972,7 +1017,7 @@ def test_the_kept_walk_frees_with_its_instance(monkeypatch):
             bal = fpt.minimal_balance(inst)[0]
             fresh = random_instance(random.Random(seed), n, n, 1.0)
             assert solve_above_min(fresh, bal).answer
-            kept = [kernel._store(ref())[walk][1] for ref in refs if ref()]
+            kept = [ref()._store[walk][1] for ref in refs if ref()]
             paused += sum(live.gi_frame is not None for live in kept)
             del inst, fresh, kept
             assert [ref() for ref in refs] == [None] * len(refs)
@@ -980,6 +1025,41 @@ def test_the_kept_walk_frees_with_its_instance(monkeypatch):
         if was_enabled:
             gc.enable()
     assert len(refs) >= 12 and paused >= 5
+
+
+def test_a_decision_cut_short_in_the_live_walk_leaves_later_decisions_exact(monkeypatch):
+    # ``_solve_on_kernel`` takes the kept walk out of the store and puts it
+    # back only when the decision ends.  A decision that an exception stops
+    # inside the walk leaves no short list of subsets for later ones: each
+    # later decision on that instance answers as on a fresh instance.
+    real_live = fpt._live
+    started = []
+
+    def interrupted(needs):
+        started.append(needs)
+        for pulled, subset in enumerate(real_live(needs)):
+            if pulled == 2 and len(started) == 1:
+                raise KeyboardInterrupt
+            yield subset
+
+    cut_short = 0
+    for n, seed, _, bal in pool_entries():
+        inst = random_instance(random.Random(seed), n, n, 1.0)
+        started.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(fpt, "_live", interrupted)
+            try:
+                solve_above_min(inst, bal - 1)
+            except KeyboardInterrupt:
+                cut_short += 1
+            else:
+                continue
+        fresh = random_instance(random.Random(seed), n, n, 1.0)
+        for k in (bal - 1, bal):
+            got, want = solve_above_min(inst, k), solve_above_min(fresh, k)
+            assert (got.answer, got.witness, got.stats) == (want.answer, want.witness, want.stats)
+            assert got.answer is (k == bal)
+    assert cut_short >= 31
 
 
 def test_no_kernel_kernelize_returns_has_a_need_beyond_its_budget():
