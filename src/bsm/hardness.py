@@ -5,8 +5,9 @@ which some stable matching has balance at most the computed target exactly
 when the graph has a k-clique, and whose above-maximum parameter depends
 on k alone.  ``verify_reduction`` checks that equivalence on one graph.
 It walks the rotation chain of the reduced instance once, from its
-man-optimal to its woman-optimal matching, and checks that these two are
-the identity and the all-swapped assignments.  It then finds the least
+man-optimal to its woman-optimal matching, reading only the lists of the
+2(|V| + |E|) vertex and edge men, who alone move; it checks that the two
+ends are the identity and the all-swapped assignments.  It then finds the least
 balance by the bounded closed-set walk of ``oracle``, which skips every
 part of the rotation poset that cannot beat the best balance found, and
 compares that balance with clique brute force.  Every stable matching
@@ -18,7 +19,7 @@ swap), but the engine does not rely on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from .instance import (
     MAN,
@@ -26,6 +27,7 @@ from .instance import (
     Instance,
     Matching,
     Person,
+    _people,
 )
 from .oracle import TooLarge, _chain, _least_balance
 
@@ -77,9 +79,6 @@ class Graph:
                 u, v = v, u
             normalized.append((u, v))
         return Graph(vertices, tuple(normalized))
-
-    def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
@@ -211,7 +210,10 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     n_v, n_e = len(g.vertices), len(g.edges)
     V = g.vertices
     E = g.edges
-    deg = {v: g.degree(v) for v in V}
+    deg = dict.fromkeys(V, 0)
+    for u, v in E:
+        deg[u] += 1
+        deg[v] += 1
 
     # Both sides list tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge,
     # dummy and star people in that order, so one index serves either side.
@@ -222,8 +224,8 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     labels = [f"{s}_v{i + 1}" for s in (1, 2) for i in range(n_v)]
     labels += [f"{s}_e{j + 1}" for s in (1, 2) for j in range(n_e)]
     labels += [f"d{i + 1}" for i in range(delta)] + ["star"]
-    men = tuple(Person(MAN, "m" + label) for label in labels)
-    women = tuple(Person(WOMAN, "w" + label) for label in labels)
+    men = _people(MAN, map("m".__add__, labels))
+    women = _people(WOMAN, map("w".__add__, labels))
     m_rank: list[dict[int, int]] = [{} for _ in men]
     w_rank: list[dict[int, int]] = [{} for _ in women]
 
@@ -244,19 +246,18 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
         for s in (1, 2):
             m_rank[ie[(s, j)]].update({ie[(s, j)]: 1, iv[(s, u)]: 2, iv[(s, v)]: 3, ie[(3 - s, j)]: 4})
 
-    # Low-index dummy men also rank every edge woman and a tail of vertex women.
+    # Low-index dummy men also rank every edge woman, in index order, and a
+    # tail of vertex women: dummy i ranks, in index order, the vertex women
+    # whose vertex misses at least i edges.
     n_ve = n_v * n_e
-    vertex_women_order = [(1, v) for v in V] + [(2, v) for v in V]
+    edge_ranks = dict(zip(range(2 * n_v, 2 * n_v + 2 * n_e), range(2, 2 * n_e + 2)))
+    missed = [n_e - deg[v] for v in V] * 2  # per vertex woman, in index order
     for i, d in enumerate(dummy, start=1):
         table = m_rank[d]
         table[d] = 1
         if i <= n_ve:
-            for s in (1, 2):
-                for j in range(n_e):
-                    table[ie[(s, j)]] = (s - 1) * n_e + j + 2
-            tail = [key for key in vertex_women_order if i <= n_e - deg[key[1]]]
-            for pos, key in enumerate(tail, start=1):
-                table[iv[key]] = 2 * n_e + pos + 1
+            table.update(edge_ranks)
+            table.update(zip(compress(range(2 * n_v), map(i.__le__, missed)), count(2 * n_e + 2)))
 
     m_rank[star] = {d: i for i, d in enumerate(dummy, start=1)}
     m_rank[star][star] = delta + 1

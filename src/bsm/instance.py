@@ -431,8 +431,8 @@ def _parse_text(text: str) -> Instance:
     line or in a men, women or k line, by line; a missing name line; a
     repeated name; then the first fault of a person line, by line.
     """
-    men: list[Person] | None = None
-    women: list[Person] | None = None
+    men: tuple[Person, ...] | None = None
+    women: tuple[Person, ...] | None = None
     k: int | None = None
     person_lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -479,10 +479,15 @@ def _parse_text(text: str) -> Instance:
             rows[side][i] = _list_row(rest.split(), keys[side], lineno)
     # The names were checked as they were read, and each side holds its own people.
     m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
-    return _build(tuple(men), tuple(women), m_rows, w_rows, k, loose)
+    return _build(men, women, m_rows, w_rows, k, loose)
 
 
-def _read_names(side: str, rest: str, lineno: int) -> list[Person]:
+def _people(side: str, names) -> tuple[Person, ...]:
+    """``Person(side, name)`` for each name, built in C."""
+    return tuple(map(tuple.__new__, repeat(Person), zip(repeat(side), names)))
+
+
+def _read_names(side: str, rest: str, lineno: int) -> tuple[Person, ...]:
     """The people of a ``men:`` or ``women:`` line.
 
     A token of ``rest.split()`` holds no whitespace and, as comments are
@@ -493,7 +498,7 @@ def _read_names(side: str, rest: str, lineno: int) -> list[Person]:
     if ":" in rest or "=" in rest or not _RESERVED_NAMES.isdisjoint(names):
         for name in names:
             _parse_name(name, lineno)
-    return list(map(tuple.__new__, repeat(Person), zip(repeat(side), names)))  # Person(side, name), built in C
+    return _people(side, names)
 
 
 def _parse_name(token: str, lineno: int) -> str:
@@ -568,8 +573,7 @@ def _parse_json(text: str) -> Instance:
         for name in doc[key]:
             if not isinstance(name, str):
                 raise ParseError(f"names in {key!r} must be strings, got {type(name).__name__}")
-    men = tuple(Person(MAN, n) for n in doc["men"])
-    women = tuple(Person(WOMAN, n) for n in doc["women"])
+    men, women = _people(MAN, doc["men"]), _people(WOMAN, doc["women"])
     keys = _names(men, women)
     prefs = doc.get("prefs", {})
     if not isinstance(prefs, dict):
@@ -615,11 +619,11 @@ def serialize(inst: Instance, fmt: str = "text") -> str:
 
 
 def _named_rows(inst: Instance):
-    """Each person's name and their partners' (name, rank), men then women, in rank order."""
+    """Each person's name, the names of the other side by index and the person's table, men then women."""
     for owners, tables, partners in ((inst.men, inst.m_rank, inst.women), (inst.women, inst.w_rank, inst.men)):
         names = [p.name for p in partners]
         for p, table in zip(owners, tables):
-            yield p.name, [(names[q], r) for q, r in table.items()]
+            yield p.name, names, table
 
 
 def _serialize_text(inst: Instance) -> str:
@@ -629,11 +633,11 @@ def _serialize_text(inst: Instance) -> str:
     ]
     if inst.target_k is not None:
         lines.append(f"k: {inst.target_k}")
-    for name, entries in _named_rows(inst):
-        if inst.contiguous:
-            body = " ".join(b for b, _ in entries)
+    for name, names, table in _named_rows(inst):
+        if inst.contiguous:  # a table lists its partners in rank order
+            body = " ".join(map(names.__getitem__, table))
         else:
-            body = " ".join(f"{b}={r}" for b, r in entries)
+            body = " ".join(f"{names[q]}={r}" for q, r in table.items())
         lines.append(f"{name}: {body}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -642,7 +646,7 @@ def _serialize_json(inst: Instance) -> str:
     doc = {
         "men": [p.name for p in inst.men],
         "women": [p.name for p in inst.women],
-        "prefs": {name: [[b, r] for b, r in entries] for name, entries in _named_rows(inst)},
+        "prefs": {name: [[names[q], r] for q, r in table.items()] for name, names, table in _named_rows(inst)},
         "k": inst.target_k,
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -10,6 +10,12 @@ each rotation its direct predecessors.  The closed-set walk
 rotation shifts the two side costs by fixed amounts, so every matching
 comes with its cost sums.
 
+The chain walk follows next(m) = holder[s(m)] from the men not yet at
+their μ_W partner and stops when none is left, so its work follows the
+men who move.  It never leaves them (Gusfield & Irving 1989, §2.5): for
+such a man m, w' = μ_W(m) prefers m to μ(w'), so s(m) exists at or
+before w'; were next(m) at his μ_W partner, (m, s(m)) would block μ_W.
+
 A rotation moves each of its men to a worse partner and each of its
 women to a better one, so the men's cost rises strictly and the women's
 cost falls strictly along every added rotation; the chain walk checks
@@ -105,31 +111,32 @@ def _deltas(rotation, m_rank, w_rank) -> tuple[int, int]:
 def _chain(inst: Instance) -> _Chain:
     """Walk one maximal chain of exposed rotations from μ_M to μ_W.
 
-    No size bound: it visits each rotation once, and there are at most as
-    many rotations as acceptable pairs.  Raises ``RuntimeError`` if a
-    rotation fails to raise the men's cost and lower the women's.
+    The walk follows next(m) = holder[s(m)] from the men not yet at their
+    μ_W partner (``inst.sad_men`` at first) and stops when none is left.
+    Its path outlives each rotation, which changes next() of no man left
+    on it but the last.  It never leaves those men: w' = μ_W(m) prefers m
+    to μ(w'), so s(m) exists at or before w'; were next(m) at his μ_W
+    partner, (m, s(m)) would block μ_W.  Raises ``RuntimeError`` if the
+    walk leaves them, at a single woman or none, or a rotation fails to
+    raise the men's cost and lower the women's.
     """
     m_rank, w_rank = inst.m_rank, inst.w_rank
-    m_order = [list(table) for table in m_rank]  # each man's women, best first
-    n_men = len(inst.men)
-    mu_m = inst.mu_m
+    mu_m, goal = inst.mu_m, inst.mu_w.by_man
     partner, holder = list(mu_m.by_man), list(mu_m.by_woman)
     women_cost = cost(w_rank, holder)
+    moving = set(inst.sad_men)
 
-    # Where each man's search for s(m) resumes.  Women only improve along
-    # the chain, so a woman passed over once never qualifies again.
-    pos = [
-        m_order[m].index(w) + 1 if w >= 0 else len(m_order[m])
-        for m, w in enumerate(partner)
-    ]
+    # Per man, built on first read: his women, best first, and where s(m)
+    # resumes (women only improve, so one passed over never qualifies again).
+    m_order: dict[int, list[int]] = {}
+    pos: dict[int, int] = {}
 
     def s(m: int) -> int:
-        """The first woman after m's partner who prefers m to her lot, or -1.
-
-        A single woman is single in every stable matching, so a man who
-        reaches her never moves again.
-        """
-        order = m_order[m]
+        """The first woman after m's partner who prefers m to her lot, or -1."""
+        order = m_order.get(m)
+        if order is None:
+            order = m_order[m] = list(m_rank[m])
+            pos[m] = order.index(partner[m]) + 1
         i = pos[m]
         while i < len(order):
             w = order[i]
@@ -145,46 +152,44 @@ def _chain(inst: Instance) -> _Chain:
     deltas: list[tuple[int, int]] = []
     last_of_man: dict[int, int] = {}
     # Per woman: (rotation, rank of her man before, rank after), in chain order.
-    gains: list[list[tuple[int, int, int]]] = [[] for _ in inst.women]
-    while True:
-        # An exposed rotation is a cycle of next(m) = holder[s(m)].
-        cycle = None
-        walked = [-1] * n_men
-        for start in range(n_men):
-            m = start
-            path = []
-            while walked[m] < 0:
-                walked[m] = start
-                path.append(m)
-                w = s(m)
-                if w < 0 or holder[w] < 0:
-                    break
-                m = holder[w]
-            else:  # reached a man walked before: a cycle if on this walk
-                if walked[m] == start:
-                    cycle = path[path.index(m):]
-                    break
-        if cycle is None:
-            break  # at the woman-optimal matching
+    gains: dict[int, list[tuple[int, int, int]]] = {}
+    path, at = [], {}  # a walk of next(), and each man's place in it
+    while moving:
+        if path:
+            w = s(path[-1])
+            if w < 0 or holder[w] not in moving:
+                raise RuntimeError(f"the rotation walk leaves the moving men at man {path[-1]}")
+            m = holder[w]
+        else:
+            m = next(iter(moving))
+        if m not in at:
+            at[m] = len(path)
+            path.append(m)
+            continue
+        cycle = path[at[m]:]
+        del path[at[m]:]
         j = len(moves)
         rotation = [(m, partner[m], s(m)) for m in cycle]
         mask = 0
         for m, w_from, w_to in rotation:
+            del at[m]
             if m in last_of_man:  # type 1: an earlier rotation moves m
                 mask |= 1 << last_of_man[m]
             order = m_order[m]
             # Type 2: each woman m skips must already hold a man she prefers to m.
             for w in order[order.index(w_from) + 1:pos[m]]:
                 r = w_rank[w][m]
-                for i, before, after in gains[w]:
+                for i, before, after in gains.get(w, ()):
                     if after < r < before:
                         mask |= 1 << i
         for m, _, w_to in rotation:  # each woman is some man's w_to once
-            gains[w_to].append((j, w_rank[w_to][holder[w_to]], w_rank[w_to][m]))
+            gains.setdefault(w_to, []).append((j, w_rank[w_to][holder[w_to]], w_rank[w_to][m]))
             partner[m] = w_to
             holder[w_to] = m
             pos[m] += 1
             last_of_man[m] = j
+            if w_to == goal[m]:
+                moving.discard(m)
         moves.append(rotation)
         preds.append(mask)
         deltas.append(_deltas(rotation, m_rank, w_rank))
@@ -298,10 +303,10 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     partners differ among the stable matchings, so there are at most
     ``limit!`` of them.  The decisions, which return one witness, take no bound.
     """
-    chain = _chain(inst)
-    n = sum(a != b for a, b in zip(chain.mu_m, chain.mu_w))
+    n = len(inst.sad_men)
     if n > limit:
         raise TooLarge(f"{n} men change partner, beyond the bound {limit}")
+    chain = _chain(inst)
     rows = sorted((tuple(partner), men, women) for partner, men, women in _closed_sets(chain))
     return StableSet(
         tuple(inst.matching_from_arrays(partner) for partner, _, _ in rows),

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 from dataclasses import dataclass, replace
 from itertools import product
+from pathlib import Path
 
 from bsm import fpt
 from bsm.fpt import _Context
@@ -23,12 +25,16 @@ from bsm.instance import (
     _check_people,
     _is_int,
     _object_without_repeats,
+    cost,
     make_instance,
     parse_instance,
 )
+from bsm.oracle import _Chain, _deltas
 
 # The most digits int() reads from a string; 0 when there is no limit.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SAD_2X2_TEXT = """\
 men: m1 m2
@@ -39,6 +45,19 @@ m2: w2 w1
 w1: m2 m1
 w2: m1 m2
 """
+
+
+def verify_cases():
+    """The ``(key, graph, k)`` of every reduction check that ``scripts/record_kernel_golden.py`` records."""
+    spec = importlib.util.spec_from_file_location("record_kernel_golden", ROOT / "scripts" / "record_kernel_golden.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    return list(recorder.verify_cases())
+
+
+def pool_entries():
+    """The entries of ``perfbench/optimize_pool.json``: (n, seed, nodes, least balance)."""
+    return json.loads((ROOT / "perfbench" / "optimize_pool.json").read_text())["entries"]
 
 
 def sad_2x2(k: int | None = 4) -> Instance:
@@ -270,6 +289,103 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
             return
 
 
+def full_sweep_chain(inst: Instance) -> _Chain:
+    """One maximal chain of exposed rotations from μ_M to μ_W, by full sweeps:
+    the slow reference for ``oracle._chain``.
+
+    Every man's table is copied up front.  Each exposed-rotation search
+    restarts from man 0 and walks each man whose walk is not yet known to
+    end, and the last search, which finds nothing, sweeps every man.  It
+    reads μ_M alone and reaches μ_W by itself, so it is a reference for
+    the chain's end as well.
+
+    No size bound: it visits each rotation once, and there are at most as
+    many rotations as acceptable pairs.  Raises ``RuntimeError`` if a
+    rotation fails to raise the men's cost and lower the women's.
+    """
+    m_rank, w_rank = inst.m_rank, inst.w_rank
+    m_order = [list(table) for table in m_rank]  # each man's women, best first
+    n_men = len(inst.men)
+    mu_m = inst.mu_m
+    partner, holder = list(mu_m.by_man), list(mu_m.by_woman)
+    women_cost = cost(w_rank, holder)
+
+    # Where each man's search for s(m) resumes.  Women only improve along
+    # the chain, so a woman passed over once never qualifies again.
+    pos = [
+        m_order[m].index(w) + 1 if w >= 0 else len(m_order[m])
+        for m, w in enumerate(partner)
+    ]
+
+    def s(m: int) -> int:
+        """The first woman after m's partner who prefers m to her lot, or -1.
+
+        A single woman is single in every stable matching, so a man who
+        reaches her never moves again.
+        """
+        order = m_order[m]
+        i = pos[m]
+        while i < len(order):
+            w = order[i]
+            h = holder[w]
+            if h < 0 or w_rank[w][m] < w_rank[w][h]:
+                break
+            i += 1
+        pos[m] = i
+        return order[i] if i < len(order) else -1
+
+    moves: list[list[tuple[int, int, int]]] = []
+    preds: list[int] = []
+    deltas: list[tuple[int, int]] = []
+    last_of_man: dict[int, int] = {}
+    # Per woman: (rotation, rank of her man before, rank after), in chain order.
+    gains: list[list[tuple[int, int, int]]] = [[] for _ in inst.women]
+    while True:
+        # An exposed rotation is a cycle of next(m) = holder[s(m)].
+        cycle = None
+        walked = [-1] * n_men
+        for start in range(n_men):
+            m = start
+            path = []
+            while walked[m] < 0:
+                walked[m] = start
+                path.append(m)
+                w = s(m)
+                if w < 0 or holder[w] < 0:
+                    break
+                m = holder[w]
+            else:  # reached a man walked before: a cycle if on this walk
+                if walked[m] == start:
+                    cycle = path[path.index(m):]
+                    break
+        if cycle is None:
+            break  # at the woman-optimal matching
+        j = len(moves)
+        rotation = [(m, partner[m], s(m)) for m in cycle]
+        mask = 0
+        for m, w_from, w_to in rotation:
+            if m in last_of_man:  # type 1: an earlier rotation moves m
+                mask |= 1 << last_of_man[m]
+            order = m_order[m]
+            # Type 2: each woman m skips must already hold a man she prefers to m.
+            for w in order[order.index(w_from) + 1:pos[m]]:
+                r = w_rank[w][m]
+                for i, before, after in gains[w]:
+                    if after < r < before:
+                        mask |= 1 << i
+        for m, _, w_to in rotation:  # each woman is some man's w_to once
+            gains[w_to].append((j, w_rank[w_to][holder[w_to]], w_rank[w_to][m]))
+            partner[m] = w_to
+            holder[w_to] = m
+            pos[m] += 1
+            last_of_man[m] = j
+        moves.append(rotation)
+        preds.append(mask)
+        deltas.append(_deltas(rotation, m_rank, w_rank))
+    o_w = women_cost + sum(d_women for _, d_women in deltas)
+    return _Chain(mu_m.by_man, partner, (inst.o_m, women_cost), o_w, moves, preds, deltas)
+
+
 # --- the least balance by components, without the engine ----------------------
 # A pair blocks only within a connected component of the acceptability graph,
 # so a stable matching is one stable matching per component, chosen freely.
@@ -461,6 +577,28 @@ def remove_happy_pair_once(inst: Instance):
 def shrink_once(inst: Instance):
     """Shift one man's and one woman's whole rank function down by 1; k falls by 1 with them."""
     return _shift(inst, _shrink_units(inst)[:1])
+
+
+# --- the reference text writer -----------------------------------------------
+
+def reference_serialize_text(inst: Instance) -> str:
+    """The text form, each row written from its (partner name, rank) pairs."""
+    lines = [
+        ("men: " + " ".join(p.name for p in inst.men)).rstrip(),
+        ("women: " + " ".join(p.name for p in inst.women)).rstrip(),
+    ]
+    if inst.target_k is not None:
+        lines.append(f"k: {inst.target_k}")
+    for owners, tables, partners in ((inst.men, inst.m_rank, inst.women), (inst.women, inst.w_rank, inst.men)):
+        names = [p.name for p in partners]
+        for p, table in zip(owners, tables):
+            entries = [(names[q], r) for q, r in table.items()]
+            if inst.contiguous:
+                body = " ".join(b for b, _ in entries)
+            else:
+                body = " ".join(f"{b}={r}" for b, r in entries)
+            lines.append(f"{p.name}: {body}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 # --- the reference reader ---------------------------------------------------

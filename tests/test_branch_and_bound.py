@@ -3,20 +3,22 @@
 The full walk lists every stable matching, and the reference answers are
 read off all its rows: O_M and O_W as the least side costs, and the
 witness as the first least-balance row in ``enumerate_stable`` order.
+The chain walk, which follows only the men who move, is checked against
+the full-sweep reference ``helpers.full_sweep_chain``.
 """
 
-import importlib.util
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
 from bsm import oracle
 from bsm.cli import main
-from bsm.generate import cyclic_instance, random_graph, random_instance
+from bsm.generate import cyclic_instance, planted_instance, random_graph, random_instance
 from bsm.hardness import parse_graph, reduce_clique, verify_reduction
+from bsm.instance import Instance, Partners, serialize
 from bsm.oracle import (
+    TooLarge,
     _chain,
     _closed_sets,
     _deltas,
@@ -25,10 +27,11 @@ from bsm.oracle import (
     _least_balance,
     _may_beat,
     decide_above_min,
+    enumerate_stable,
 )
-from helpers import SAD_2X2_TEXT, sad_2x2, suffix_bound_walk
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from helpers import (
+    SAD_2X2_TEXT, full_sweep_chain, pool_entries, sad_2x2, single_pair, suffix_bound_walk, verify_cases,
+)
 
 
 def full_rows(chain):
@@ -78,13 +81,6 @@ def test_bounded_walk_gives_the_least_balance_and_decisions_of_the_full_walk():
             want = None if partner is None else inst.matching_from_arrays(partner)
             assert got.witness == want
     assert bounded_total < full_total  # the bound cuts somewhere
-
-
-def verify_cases():
-    spec = importlib.util.spec_from_file_location("record_kernel_golden", SCRIPTS / "record_kernel_golden.py")
-    recorder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(recorder)
-    return list(recorder.verify_cases())
 
 
 def test_bounded_walk_gives_the_least_balance_on_every_recorded_reduction_graph():
@@ -247,3 +243,92 @@ def test_chain_walk_raises_on_a_wrong_signed_rotation(monkeypatch, capsys, tmp_p
     assert main(["enumerate", str(path)]) == 3  # an internal error, not an input error
     assert capsys.readouterr().err.startswith("internal error: a rotation changes the costs")
 
+
+# --- the chain walk from the moving men against the full-sweep reference ------
+
+def rotation_poset(chain):
+    """Each rotation, as the set of its moves, mapped to its deltas and the set of rotations below it."""
+    below: list[set[int]] = []
+    for j, mask in enumerate(chain.preds):
+        under = set()
+        for i in range(j):
+            if mask >> i & 1:
+                under |= below[i] | {i}
+        below.append(under)
+    keys = [frozenset(moves) for moves in chain.moves]
+    return {keys[j]: (chain.deltas[j], frozenset(keys[i] for i in below[j])) for j in range(len(keys))}
+
+
+def engine_answers(inst):
+    """The least balance, the decisions at and below it and ``enumerate_stable`` (or its refusal)."""
+    bal = _least_balance(oracle._chain(inst))
+    decisions = [_decide(inst, k, above) for k in (bal - 1, bal) for above in ("min", "max")]
+    try:
+        stable = enumerate_stable(inst)
+    except TooLarge as e:
+        stable = str(e)
+    return bal, decisions, stable
+
+
+def chain_differential_instances():
+    """Corpus and full-list draws, cyclic 6 to 14, the optimize pool, planted cores and every verify graph."""
+    yield from differential_instances()
+    yield from (cyclic_instance(n) for n in range(6, 15, 2))
+    yield from (random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries())
+    for n in (200, 1000):
+        yield from (planted_instance(random.Random(n + cores), n, cores, 5) for cores in range(2, 8))
+    yield from (reduce_clique(graph, k).inst for _, graph, k in verify_cases())
+
+
+def test_chain_walk_from_the_moving_men_matches_the_full_sweep(monkeypatch):
+    rotations = 0
+    for inst in chain_differential_instances():
+        got, want = _chain(inst), full_sweep_chain(inst)
+        assert (got.mu_m, got.mu_w, got.costs, got.o_w) == (want.mu_m, want.mu_w, want.costs, want.o_w)
+        assert got.mu_w == inst.mu_w.by_man
+        assert rotation_poset(got) == rotation_poset(want)
+        rotations += len(got.moves)
+        answers = engine_answers(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_chain", full_sweep_chain)
+            assert engine_answers(inst) == answers
+    assert rotations >= 900
+
+
+class ListedTable(dict):
+    """A rank table that records each man whose table is listed."""
+
+    listed: set[int]
+
+    def __iter__(self):
+        self.listed.add(self.owner)
+        return super().__iter__()
+
+
+def test_chain_walk_lists_the_tables_of_the_moving_men_only():
+    graph = random_graph(random.Random(1), 10, 10, plant_triangle=True)
+    for inst in (reduce_clique(graph, 3).inst, planted_instance(random.Random(1), 1000, 7, 5)):
+        sad = set(inst.sad_men)  # deferred acceptance has listed every table by now
+        listed: set[int] = set()
+        for m, table in enumerate(inst.m_rank):
+            inst.m_rank[m] = ListedTable(table)
+            inst.m_rank[m].owner, inst.m_rank[m].listed = m, listed
+        chain = _chain(inst)
+        assert listed == sad and len(sad) < len(inst.men)
+        assert chain.mu_w == inst.mu_w.by_man
+
+
+@pytest.mark.parametrize("inst, mu_w", [
+    # Man 0 would move to w1, whose man m1 stays put.
+    (sad_2x2(), Partners([1, 1], [-1, 0])),
+    # Man 0 would move, but has no woman after his own.
+    (single_pair(), Partners([-1], [-1])),
+])
+def test_chain_walk_raises_when_it_leaves_the_moving_men(monkeypatch, capsys, tmp_path, inst, mu_w):
+    monkeypatch.setattr(Instance, "mu_w", property(lambda self: mu_w))
+    with pytest.raises(RuntimeError, match="the rotation walk leaves the moving men"):
+        _chain(inst)
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize(inst))
+    assert main(["enumerate", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: the rotation walk leaves the moving men")

@@ -1,10 +1,8 @@
 import gc
-import json
 import random
 import tracemalloc
 import weakref
 from itertools import combinations, islice
-from pathlib import Path
 
 import pytest
 
@@ -31,6 +29,7 @@ from helpers import (
     functional_instance,
     iter_certificates,
     naive_certificates,
+    pool_entries,
     reference_tables,
     sad_2x2,
     sad_rich_instance,
@@ -1096,11 +1095,6 @@ def test_no_kernel_kernelize_returns_has_a_need_beyond_its_budget():
             kernels += 1
             offsets += len(found)
     assert kernels >= 550 and offsets >= 12000
-
-
-def pool_entries():
-    """The entries of ``perfbench/optimize_pool.json``: (n, seed, nodes, least balance)."""
-    return json.loads((Path(__file__).parents[1] / "perfbench" / "optimize_pool.json").read_text())["entries"]
 
 
 def bisection_order(ks):

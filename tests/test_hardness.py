@@ -269,8 +269,9 @@ def test_verify_reduction_makes_no_optima_call(monkeypatch):
     assert fallback.fallback and fallback.ok
 
 
-def test_verify_reduction_runs_deferred_acceptance_on_its_instance_once(monkeypatch):
-    # Only for mu_M, which the chain walk starts from; the walk reaches mu_W itself.
+def test_verify_reduction_runs_deferred_acceptance_once_per_optimum(monkeypatch):
+    # The chain walk starts from mu_M and stops at mu_W: one run with the
+    # men proposing and one with the women proposing.
     made = []
     real_reduce, real_da = hardness.reduce_clique, instance._deferred_acceptance
 
@@ -278,17 +279,19 @@ def test_verify_reduction_runs_deferred_acceptance_on_its_instance_once(monkeypa
         made.append(real_reduce(g, k))
         return made[-1]
 
-    on_input = [0]
+    proposers = []
 
     def counted(order, *args, **kwargs):
-        on_input[0] += order is made[0].inst.m_rank or order is made[0].inst.w_rank
+        proposers.append(order)
         return real_da(order, *args, **kwargs)
 
     monkeypatch.setattr(hardness, "reduce_clique", reducing)
     monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     report = verify_reduction(planted_graph_7_5(), 3)
     assert not report.fallback and report.ok
-    assert len(made) == 1 and on_input[0] == 1
+    assert len(made) == 1
+    assert sum(order is made[0].inst.m_rank for order in proposers) == 1
+    assert sum(order is made[0].inst.w_rank for order in proposers) == 1
 
 
 def test_verify_reduction_runs_clique_brute_force_once(monkeypatch):

@@ -1,10 +1,13 @@
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsm.generate import random_instance
+from bsm.hardness import reduce_clique
 from bsm.instance import (
     MAN,
     WOMAN,
@@ -17,7 +20,17 @@ from bsm.instance import (
     parse_instance,
     serialize,
 )
-from helpers import INT_DIGITS, empty_instance, functional_instance, reference_parse, sad_2x2, single_pair
+from helpers import (
+    INT_DIGITS,
+    empty_instance,
+    functional_instance,
+    pool_entries,
+    reference_parse,
+    reference_serialize_text,
+    sad_2x2,
+    single_pair,
+    verify_cases,
+)
 
 
 def test_parse_list_form():
@@ -179,6 +192,18 @@ def test_empty_instance_serializes_to_trivial_yes_form():
     text = serialize(empty_instance(0))
     reparsed = parse_instance(text)
     assert reparsed.men == () and reparsed.women == () and reparsed.target_k == 0
+
+
+def test_text_writer_matches_the_pairwise_reference_byte_for_byte():
+    insts = [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
+    insts += [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
+    gapped = functional_instance(
+        {"m1": {"w1": 1, "w2": 3}, "m2": {"w2": 2}}, {"w1": {"m1": 4}, "w2": {"m2": 1, "m1": 5}, "w3": {}}, k=5
+    )
+    insts += [gapped, empty_instance(None), sad_2x2()]
+    assert not gapped.contiguous and sum(inst.contiguous for inst in insts) == len(insts) - 1
+    for inst in insts:
+        assert serialize(inst) == reference_serialize_text(inst)
 
 
 def test_functional_round_trip_preserves_explicit_ranks():

@@ -200,19 +200,21 @@ def test_decide_makes_no_optima_call(monkeypatch):
             assert decide_above_max(inst, k).t == k - max(opt.o_m, opt.o_w)
 
 
-def test_enumerate_runs_deferred_acceptance_on_its_instance_once(monkeypatch):
-    # Only for mu_M, which the chain walk starts from; the walk reaches mu_W itself.
+def test_enumerate_runs_deferred_acceptance_once_per_optimum(monkeypatch):
+    # The chain walk starts from mu_M and stops at mu_W: one run with the
+    # men proposing and one with the women proposing.
     inst = random_instance(random.Random(3), 8, 8, 1.0)
     real_da = instance._deferred_acceptance
-    on_input = [0]
+    proposers = []
 
     def counted(order, *args, **kwargs):
-        on_input[0] += order is inst.m_rank or order is inst.w_rank
+        proposers.append(order)
         return real_da(order, *args, **kwargs)
 
     monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     assert len(enumerate_stable(inst, limit=8).matchings) > 1
-    assert on_input[0] == 1
+    assert sum(order is inst.m_rank for order in proposers) == 1
+    assert sum(order is inst.w_rank for order in proposers) == 1
 
 
 def seeded_small_instances():
