@@ -17,8 +17,9 @@ O_M, O_W and its sad and happy people; a rule that changes the tables
 builds a new instance from them.  The dummies are the only people the
 pipeline makes.  A rule returns None when it does not apply.  Otherwise
 it returns ``(next, rows)``: ``next`` is the next instance or the verdict
-``"yes"`` or ``"no"``, and ``rows`` is a tuple holding, in order, the
-people named by each trace row the application records.
+``"yes"`` or ``"no"``, and ``rows`` holds, in order, the people named by
+each trace row the application records: a tuple, or (clean_suffix) a
+function of no arguments that makes the tuple.
 
 Each table entry is (name, rule, k step).  bound_check, bound_sad, no_sad
 and truncate read k: they take the instance and k, and their k step is
@@ -30,9 +31,12 @@ the instance reuses it at its own k.  Their k step is how far k falls per
 row: 1 for shrink, 0 for the others.  Every row runs from the current k
 and t to the next instance's t.  The trace keeps one ``TraceEntry`` per application,
 dummy insertion included: its rule, rows, k before, k step per row and t
-before and after.  ``KernelTrace.steps`` expands the entries into one
-``TraceStep`` per row the first time it is read, so a decision that never
-reads its trace builds no rows.
+before and after.  ``KernelTrace.entries`` makes the rows a rule left as
+a function, and ``KernelTrace.steps`` expands the entries into one
+``TraceStep`` per row, each the first time it is read.  The rows are
+read off the tables of the instance the rule ran on, which are never
+mutated, so a decision that never reads its trace builds no ``TraceStep``
+and no clean-suffix row.
 
 Clean-suffix drops, happy-pair removals and shrink shifts leave both
 stable optima in place (shrinking lowers both costs by one per shift), so
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .instance import MAN, WOMAN, Instance, Matching, Person, ValidationError, _derived
@@ -100,14 +105,21 @@ class TraceEntry(NamedTuple):
 class KernelTrace:
     """The rule log of one kernelization: one entry per rule application.
 
+    ``applied`` holds the entries as the rules gave them: an entry's rows
+    are a tuple, or a function of no arguments that makes the tuple.
+    ``entries`` calls those functions the first time it is read, and
     ``steps`` expands the entries into one ``TraceStep`` per row, in
-    order, the first time it is read, and keeps them.  Two traces are
+    order, the first time it is read; both are kept.  Two traces are
     equal when their rows and outcomes are, however the rows are grouped
     into entries.
     """
 
-    entries: tuple[TraceEntry, ...]
+    applied: tuple[TraceEntry, ...]
     outcome: str  # "reduced" | "yes" | "no"
+
+    @_derived
+    def entries(self) -> tuple[TraceEntry, ...]:
+        return tuple(e if isinstance(e.rows, tuple) else e._replace(rows=e.rows()) for e in self.applied)
 
     @_derived
     def steps(self) -> tuple[TraceStep, ...]:
@@ -178,7 +190,7 @@ class KernelResult:
     @_derived
     def trace(self) -> KernelTrace:
         """The rule log, dummy insertion included."""
-        return KernelTrace(self.rule_trace.entries + self._padded[4], self.rule_trace.outcome)
+        return KernelTrace(self.rule_trace.applied + self._padded[4], self.rule_trace.outcome)
 
     def lift(self, matching: Matching) -> Matching:
         """``matching`` without the dummies' pairs, plus the removed happy pairs.
@@ -229,32 +241,75 @@ def bound_check(inst: Instance, k: int):
     return (TRIVIAL_NO, ((),)) if k < max(inst.o_m, inst.o_w) else None
 
 
+def _suffix_rows(m_rank, w_rank, men, women, m_cut, w_cut):
+    """The clean-suffix rows of an instance with these tables, people and cuts.
+
+    Men in index order, each dropping the partners past his cut worst
+    first, then women likewise, skipping the pairs a man already dropped;
+    a man's row is (man, woman), a woman's (woman, man).
+    """
+    rows = []
+    for own, other, cuts, other_cuts, owners, partners, flip in (
+        (m_rank, w_rank, m_cut, w_cut, men, women, False),
+        (w_rank, m_rank, w_cut, m_cut, women, men, True),
+    ):
+        for a, (table, cut) in enumerate(zip(own, cuts)):
+            for b, r in reversed(table.items()):
+                if r <= cut:
+                    break
+                if not flip or other[b][a] <= other_cuts[b]:
+                    rows.append((owners[a], partners[b]))
+    return tuple(rows)
+
+
+def _cuts(tables, anchors) -> list[int]:
+    """Each owner's cut: the rank of their anchor, or their last rank when they have none."""
+    return [table[a] if a >= 0 else next(reversed(table.values()), 0) for table, a in zip(tables, anchors)]
+
+
+def _within(tables, cuts, other, other_cuts) -> list[dict[int, int]]:
+    """Each owner's table, in rank order, keeping the pairs both people rank within their cut."""
+    return [
+        {b: r for b, r in table.items() if r <= cut and other[b][a] <= other_cuts[b]}
+        for a, (table, cut) in enumerate(zip(tables, cuts))
+    ]
+
+
 def clean_suffix(inst: Instance):
     """Drop every partner ranked beyond their owner's worst stable partner, with one rebuild.
 
     Men are bounded by their woman-optimal partner, women by their
     man-optimal partner; no stable matching uses such a pair, so the
-    stable set and both optima are untouched.  The anchors are the optima,
-    which no drop moves, so one pass over the people in instance order,
-    each dropping partners beyond their anchor worst first and skipping
-    pairs already dropped, makes the same drops in the same order as
-    dropping one worst partner at a time and restarting.
+    stable set and both optima are untouched.  The rule applies when
+    some owner's anchor is not their last partner; otherwise it returns
+    before building anything.  Each owner's cut is the rank of their
+    anchor, and a single owner keeps everything.  A pair is kept when
+    both its owners rank it within their cut, so each new table is built
+    once, in rank order, from the pairs it keeps.
+
+    ``_suffix_rows`` makes the rows when the trace is first read, in its
+    order: men, then women, in index order, each worst first.  Dropping
+    one worst partner at a time and restarting makes the same drops in
+    this order: the anchors are the optima, which no drop moves, so no
+    cut moves, and the first owner with a partner past their cut is the
+    next one in this order; a woman has by then lost the pairs the men
+    dropped.  The row maker holds the old tables, people and cuts, never
+    the instance, whose store keeps this outcome.
     """
-    drops: dict[tuple[int, int], tuple[Person, Person]] = {}  # (man, woman) -> row
-    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
-        for a, anchor in enumerate(anchors):
-            if anchor >= 0:
-                cutoff = tables[a][anchor]
-                for b, r in reversed(tables[a].items()):  # the suffix past the anchor, worst first
-                    if r <= cutoff:
-                        break
-                    drops.setdefault((b, a) if flip else (a, b), (owners[a], partners[b]))
-    if not drops:
-        return None
-    new = _without_pairs(inst, drops)
+    m_rank, w_rank = inst.m_rank, inst.w_rank
+    m_anchor, w_anchor = inst.mu_w.by_man, inst.mu_m.by_woman
+    if all(
+        [next(reversed(t), a) if a >= 0 else a for t, a in zip(tables, anchors)] == anchors
+        for tables, anchors in ((m_rank, m_anchor), (w_rank, w_anchor))
+    ):
+        return None  # every owner's anchor, if any, is their last partner
+    m_cut, w_cut = _cuts(m_rank, m_anchor), _cuts(w_rank, w_anchor)
+    new = Instance(
+        inst.men, inst.women, _within(m_rank, m_cut, w_rank, w_cut), _within(w_rank, w_cut, m_rank, m_cut)
+    )
     if (new.mu_m, new.mu_w, new.o_m, new.o_w) != (inst.mu_m, inst.mu_w, inst.o_m, inst.o_w):
         raise OptimaMoved("clean-suffix drops changed the stable optima")
-    return new, tuple(drops.values())
+    return new, partial(_suffix_rows, m_rank, w_rank, inst.men, inst.women, m_cut, w_cut)
 
 
 def restrict_matched(inst: Instance):
@@ -527,7 +582,7 @@ def kernelize(inst: Instance, k: int) -> KernelResult:
             verdict = nxt
         else:
             step = k_step or 0  # a rule that reads k moves none
-            k_after = k - step * len(rows)
+            k_after = k - step * len(rows) if step else k
             t_after = k_after - min(nxt.o_m, nxt.o_w)
             entries.append(TraceEntry(name, rows, k, step, t, t_after))
             inst, k, t = nxt, k_after, t_after

@@ -568,6 +568,28 @@ def clean_suffix_once(inst: Instance):
     return None
 
 
+def reference_clean_suffix(inst: Instance):
+    """Every clean-suffix drop at once, by the per-owner scan: (next instance, rows) or None.
+
+    One pass over the people in instance order, men then women, each
+    dropping partners beyond their anchor worst first; a pair already
+    dropped is skipped, and the tables the drops touch are copied and
+    dropped from one pair at a time.
+    """
+    drops: dict[tuple[int, int], tuple[Person, Person]] = {}  # (man, woman) -> row
+    for tables, anchors, owners, partners, flip in _sides(inst, inst.mu_w.by_man, inst.mu_m.by_woman):
+        for a, anchor in enumerate(anchors):
+            if anchor >= 0:
+                cutoff = tables[a][anchor]
+                for b, r in reversed(tables[a].items()):  # the suffix past the anchor, worst first
+                    if r <= cutoff:
+                        break
+                    drops.setdefault((b, a) if flip else (a, b), (owners[a], partners[b]))
+    if not drops:
+        return None
+    return _without_pairs(inst, drops), tuple(drops.values())
+
+
 def remove_happy_pair_once(inst: Instance):
     """Remove the first happy pair in canonical order."""
     hit = _remove_happy(inst, inst.happy_pairs[:1])

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
+from itertools import islice
 
 import pytest
 
 from bsm import instance, kernel
-from bsm.generate import mutual_first_instance, random_instance
+from bsm.generate import mutual_first_instance, planted_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Instance, Matching, Person, parse_instance, serialize
 from bsm.kernel import (
@@ -35,6 +38,7 @@ from helpers import (
     empty_instance,
     functional_instance,
     partners,
+    reference_clean_suffix,
     remove_happy_pair_once,
     sad_2x2,
     sad_rich_instance,
@@ -439,14 +443,52 @@ def test_rr2_batch_matches_repeated_single_drops():
         if not drops:
             assert batch is None
             continue
-        nxt, got = batch
-        assert got == tuple(drops)
+        nxt, make_rows = batch
+        assert make_rows() == tuple(drops)
         assert nxt == ref and optima_of(nxt) == optima_of(ref)
         assert nxt.prefs.ranks == ref.prefs.ranks
         trace = kernelize(inst, k).trace.steps
         assert [(s.rule, s.affected) for s in trace[: len(drops)]] == [
             ("clean_suffix", pair) for pair in drops
         ]
+
+
+def truncated(inst, k):
+    """The functional instances that truncate leaves, one drop at a time, from ``inst`` at k."""
+    while (hit := truncate(inst, k)) is not None:
+        inst = hit[0]
+        yield inst
+
+
+def clean_suffix_cases():
+    """Sparse and full draws, full lists at the ``large`` sizes, planted n = 200 and truncated draws."""
+    rng = random.Random(3301)
+    yield from diff_instances(3302, 40)
+    for n in (20, 30, 40):
+        for _ in range(3):
+            yield random_instance(rng, n, n, 1.0)
+            yield random_instance(rng, n, n + rng.randint(-3, 3), rng.uniform(0.2, 0.8))
+    yield from (planted_instance(random.Random(cores), 200, cores, 5) for cores in (2, 4, 6))
+    for inst in diff_instances(3303, 12, max_n=30):
+        yield from islice(truncated(inst, least_k(inst)), 6)
+
+
+def test_clean_suffix_matches_the_reference_scan():
+    applied = gapped = 0
+    for inst in clean_suffix_cases():
+        want, got = reference_clean_suffix(inst), clean_suffix(inst)
+        if want is None:
+            assert got is None
+            continue
+        (ref, rows), (new, make_rows) = want, got
+        assert make_rows() == rows and len(set(rows)) == len(rows)
+        assert [list(t.items()) for t in new.m_rank + new.w_rank] == [
+            list(t.items()) for t in ref.m_rank + ref.w_rank
+        ]
+        assert optima_of(new) == optima_of(ref) == optima_of(inst)
+        applied += 1
+        gapped += not inst.contiguous
+    assert applied >= 100 and gapped >= 40
 
 
 def cleaned(inst):
@@ -879,3 +921,55 @@ def test_trace_rows_are_built_on_first_read_only(monkeypatch):
         assert result.trace.steps is steps and len(built) - before == len(steps)
         rules.update(step.rule for step in steps)
     assert set(rules) >= {"clean_suffix", "remove_happy_pair", "shrink", "add_dummies", "fill_gap", "bound_sad"}
+
+
+def test_clean_suffix_rows_are_built_on_first_read_only(monkeypatch):
+    built = []
+    real_rows = kernel._suffix_rows
+
+    def counted(*parts):
+        built.append(real_rows(*parts))
+        return built[-1]
+
+    monkeypatch.setattr(kernel, "_suffix_rows", counted)
+    results = []
+    for inst in diff_instances(1719, 12, max_n=20):
+        for k in (least_k(inst), least_k(inst) + 2, least_k(inst) + 6):
+            results.append(kernelize(inst, k))
+            solve_above_min(inst, k)
+    assert built == []
+    rows = 0
+    for j, result in enumerate(results):
+        before = len(built)
+        read = "steps" if j % 2 else "entries"
+        first = getattr(result.trace, read)
+        made = [e.rows for e in result.trace.entries if e.rule == "clean_suffix"]
+        assert built[before:] == made
+        assert getattr(result.trace, read) is first and len(built) == before + len(made)
+        rows += sum(map(len, made))
+    assert rows >= 100
+
+
+def test_a_decided_instance_is_freed_without_the_cyclic_collector():
+    # The clean-suffix outcome kept with an instance holds a row maker; it
+    # holds the tables and people, never the instance, so no cycle runs
+    # back from the instance's store to the instance.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    kept = 0
+    try:
+        for seed, read in ((1720, False), (1721, True)):
+            for inst in diff_instances(seed, 8, max_n=20):
+                k = least_k(inst) + 2
+                result = kernelize(inst, k)
+                solve_above_min(inst, k)
+                if read:
+                    result.trace.steps
+                kept += inst._store[clean_suffix] is not None
+                ref = weakref.ref(inst)
+                del inst
+                assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert kept >= 8
