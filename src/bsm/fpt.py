@@ -76,12 +76,13 @@ Decisions on one instance at several k share what reads no k, kept in
 the instance's store (``Instance._store``, filled by ``kernel._keep``)
 as the kernel's k-free rule outcomes are: the balances of μ_M and μ_W
 per input instance, and per functional kernel its anchor and worse
-tables, each sad man's claimers and start set (his needs) read at
-r = ∞, and its live-subset walk: the subsets listed so far and the
-paused ``_live`` walk.  A decision reads the listed subsets in order and
-resumes the walk only past them, so the subsets, their order and the
-stats are those of a walk from scratch.  The needs at r = ∞ are those at r on every kernel
-``kernelize`` returns, and safe at any budget:
+tables and each sad man's claimers and start set (his needs) read at
+r = ∞.  A kernel also keeps the list of its live subsets, once some
+decision on it has walked them all without an accepted certificate; a
+decision walks that list, and without one a fresh ``_live``, so the
+subsets, their order and the stats are those of a walk from scratch.
+The needs at r = ∞ are those at r on every kernel ``kernelize`` returns,
+and safe at any budget:
 
 - *Equality.*  Truncate is at its fixpoint on a returned kernel: no man
   keeps a partner more than r ranks below his μ_M partner.  Shrink lowers
@@ -92,10 +93,6 @@ stats are those of a walk from scratch.  The needs at r = ∞ are those at r on 
   to a single woman).  A selection that meets the needs at r meets those
   at ∞, so they cut no subset the needs at r keep.
 
-The kept walk holds the needs and the masks it listed only, never the
-kernel or a context, so it goes with its instance without the cyclic
-collector.
-
 ``minimal_balance`` turns the decision into the least balance by binary
 search over k; ``bsm solve --optimize`` prints what it returns.
 """
@@ -103,7 +100,6 @@ search over k; ``bsm solve --optimize`` prints what it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from . import gs
 from .instance import Instance, Matching, Partners, cost
@@ -212,9 +208,7 @@ def _live(needs):
     need that no selected man meets yet, and never adds a man whose own
     unmet need has no later man: no subset below such a step is live.  It
     builds a level only when the one before is used up, so a caller that
-    stops early builds little.  It reads nothing but ``needs``, so a walk
-    paused with a kernel (``_walk``) keeps neither the kernel nor a context
-    alive.
+    stops early builds little.
     """
     s = len(needs)
     yield 0
@@ -239,12 +233,6 @@ def _live(needs):
                 elif (end := min(left).bit_length()) > i + 1:
                     grown_level.append((grown, left, end))
         level = grown_level
-
-
-def _walk(kernel: Instance):
-    """A fresh walk of the kernel's live subsets, to keep with it: (the
-    subsets listed so far, as ``_live``'s masks; the paused ``_live``)."""
-    return [], _live(_keep(kernel, _tables)[2])
 
 
 def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
@@ -369,9 +357,9 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     subset of the functional kernel's sad men in increasing cardinality and
     accepts the first certificate whose matching is stable within target.  Only
     the subsets ``_live`` yields are walked, and the stats count only those.
-    They are read from the kernel's kept walk: first the subsets earlier
-    decisions listed, then the paused walk, resumed only as far as this
-    decision reads.  No dummy is added.
+    They are read from the kernel's kept list when an earlier decision has
+    listed them all (module docstring), else from a fresh ``_live``.  No
+    dummy is added.
     """
     kres = kernelize(inst, k)
     if kres.outcome != OUTCOME_KERNEL:
@@ -384,23 +372,22 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
     r = ctx.r
     if r < 0:
         return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
-    # ``chain`` reads the listed subsets to the end, then the paused walk;
-    # each subset the walk yields is appended to the list.  The entry is put
-    # back only when the decision ends, so a walk cut short by an exception,
-    # and its short list, are never read again.
+    # The list is kept, under this function, only when the loop runs out: a
+    # walk that a yes or an exception stops early keeps nothing.
     store = kernel._store
-    listed, walk = entry = store.pop(_walk, None) or _walk(kernel)
+    listed = store.get(_solve_on_kernel)
+    masks = []
     sad = kernel.sad_men
     walked = []  # the nodes visited in each subset walked
     hit = None
-    for subset in chain(listed, walk):
-        if len(walked) == len(listed):
-            listed.append(subset)
+    for subset in _live(ctx.needs) if listed is None else listed:
+        masks.append(subset)
         hit, nodes = _first_accepted(ctx, tuple(m for i, m in enumerate(sad) if subset >> i & 1))
         walked.append(nodes)
         if hit is not None:
             break
-    store[_walk] = entry
+    else:
+        store[_solve_on_kernel] = masks
     stats = SolveStats(len(walked), sum(walked), max(walked, default=0))
     if hit is None:
         return SolveResult(False, None, kres.t_input, r, stats, kres)

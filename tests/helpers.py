@@ -548,6 +548,47 @@ def swapped(inst: Instance) -> Instance:
     return Instance(men, women, inst.w_rank, inst.m_rank, inst.target_k)
 
 
+# --- kernel size bounds -------------------------------------------------------
+
+def sad_people(inst: Instance, opt) -> tuple[list[Person], list[Person]]:
+    """The men and the women whose partners in ``opt``'s two extreme matchings differ."""
+    men = [m for m in inst.men if opt.mu_m.by_man.get(m) != opt.mu_w.by_man.get(m)]
+    by_woman = [{w: m for m, w in mu.pairs} for mu in (opt.mu_m, opt.mu_w)]
+    women = [w for w in inst.women if by_woman[0].get(w) != by_woman[1].get(w)]
+    return men, women
+
+
+def assert_kernel_bounds(result) -> None:
+    """Acceptance criterion 2's size bounds on the padded kernel of a
+    ``kernelize`` result: at most 3t people and 2t sad people per side, and
+    lists at most t + 1 long for a sad person and 2t + 1 for the others."""
+    kin, kk = result.kernel, result.k
+    kopt = optima(kin)
+    t = kk - min(kopt.o_m, kopt.o_w)
+    assert t <= result.t_input
+    assert len(kin.men) <= 3 * t and len(kin.women) <= 3 * t
+    sad_men, sad_women = sad_people(kin, kopt)
+    assert len(sad_men) <= 2 * t and len(sad_women) <= 2 * t
+    sad = set(sad_men) | set(sad_women)
+    for person in kin.people:
+        bound = t + 1 if person in sad else 2 * t + 1
+        assert len(kin.prefs.ranks[person]) <= bound
+
+
+def assert_functional_kernel_bounds(result) -> None:
+    """Acceptance criterion 3's bounds on the functional kernel of a
+    ``kernelize`` result: at most 2t people per side, n per side with the
+    smaller optimal cost n, and every rank in 1..t + 1."""
+    fun, fk = result.functional, result.functional_k
+    fopt = optima(fun)
+    t = fk - min(fopt.o_m, fopt.o_w)
+    assert len(fun.men) <= 2 * t and len(fun.women) <= 2 * t
+    assert min(fopt.o_m, fopt.o_w) == len(fun.men) == len(fun.women)
+    for person in fun.people:
+        values = fun.prefs.ranks[person].values()
+        assert all(1 <= value <= t + 1 for value in values)
+
+
 # --- single-step kernel rules -------------------------------------------------
 # The batched rules of ``bsm.kernel`` make one rebuild per application; these
 # make one change per application, and the tests hold the batches to them.

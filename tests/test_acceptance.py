@@ -16,7 +16,14 @@ from bsm.generate import (
     random_instance,
     random_triangle_free_graph,
 )
-from helpers import enumerate_certificates, naive_certificates, sad_rich_instance
+from helpers import (
+    assert_functional_kernel_bounds,
+    assert_kernel_bounds,
+    enumerate_certificates,
+    naive_certificates,
+    sad_people,
+    sad_rich_instance,
+)
 
 CORPUS_SEED = 20240807
 CORPUS_SIZE = 1000
@@ -31,13 +38,6 @@ def k_range(opt):
 def corpus():
     rng = random.Random(CORPUS_SEED)
     return [random_instance(rng, max_side=7) for _ in range(CORPUS_SIZE)]
-
-
-def sad_people(inst, opt):
-    men = [m for m in inst.men if opt.mu_m.by_man.get(m) != opt.mu_w.by_man.get(m)]
-    by_woman = [{w: m for m, w in mu.pairs} for mu in (opt.mu_m, opt.mu_w)]
-    women = [w for w in inst.women if by_woman[0].get(w) != by_woman[1].get(w)]
-    return men, women
 
 
 def test_criterion_1_solver_matches_oracle(corpus):
@@ -87,18 +87,8 @@ def test_criterion_2_kernel_equivalence_and_bounds(corpus):
                 assert (result.outcome == kernel.TRIVIAL_YES) == expected
                 continue
             kernels += 1
-            kin, kk = result.kernel, result.k
-            assert oracle.decide_above_min(kin, kk).answer == expected
-            kopt = gs.optima(kin)
-            t = kk - min(kopt.o_m, kopt.o_w)
-            assert t <= result.t_input
-            assert len(kin.men) <= 3 * t and len(kin.women) <= 3 * t
-            sad_men, sad_women = sad_people(kin, kopt)
-            assert len(sad_men) <= 2 * t and len(sad_women) <= 2 * t
-            sad = set(sad_men) | set(sad_women)
-            for person in kin.people:
-                bound = t + 1 if person in sad else 2 * t + 1
-                assert len(kin.prefs.ranks[person]) <= bound
+            assert oracle.decide_above_min(result.kernel, result.k).answer == expected
+            assert_kernel_bounds(result)
     elapsed = time.time() - start
     assert kernels > 100
     assert elapsed < 60, f"criterion 2 took {elapsed:.1f}s"
@@ -113,14 +103,7 @@ def test_criterion_3_functional_kernel_bounds(corpus):
             if result.outcome != kernel.OUTCOME_KERNEL:
                 continue
             seen += 1
-            fun, fk = result.functional, result.functional_k
-            fopt = gs.optima(fun)
-            t = fk - min(fopt.o_m, fopt.o_w)
-            assert len(fun.men) <= 2 * t and len(fun.women) <= 2 * t
-            assert min(fopt.o_m, fopt.o_w) == len(fun.men) == len(fun.women)
-            for person in fun.people:
-                values = fun.prefs.ranks[person].values()
-                assert all(1 <= value <= t + 1 for value in values)
+            assert_functional_kernel_bounds(result)
     assert seen > 50
 
 

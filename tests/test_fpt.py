@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import weakref
 from itertools import combinations, islice
+from types import GeneratorType
 
 import pytest
 
@@ -939,11 +940,11 @@ def test_the_live_walk_builds_a_level_only_when_the_one_before_is_used_up():
 def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypatch):
     # Every k of each pool instance's search range is decided on one parse,
     # highest first, so yeses that stop early come before the noes, and
-    # later decisions reach kernels whose walk an earlier one kept.  Each
-    # decision reads, in the kept order, exactly the subsets it walks, and
-    # the kept list grows only as far as some decision on its kernel read:
-    # to the end after a no.  Each kernel's subsets are walked once, and
-    # the kept list holds ``_live``'s masks.
+    # later decisions reach kernels that an earlier one reached.  Each
+    # decision reads, in ``_live`` order, exactly the subsets it walks.  A
+    # kernel holds the list of ``_live``'s masks iff some decision on it
+    # walked every live subset without a hit; a decision on a kernel with
+    # the list starts no walk, and one without starts exactly one.
     real_first, real_live = fpt._first_accepted, fpt._live
     read = []
     walks = []
@@ -958,10 +959,10 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
 
     monkeypatch.setattr(fpt, "_first_accepted", counted)
     monkeypatch.setattr(fpt, "_live", started)
-    yes = early = no = again = masks = 0
+    yes = early = no = again = from_list = masks = 0
     for n, seed, *_ in pool_entries():
         inst = random_instance(random.Random(seed), n, n, 1.0)
-        most = {}  # per kernel reached, by id, the most subsets any decision on it read
+        exhausted = {}  # per kernel reached, by id, whether some decision on it walked every subset without a hit
         reached = []  # the kernels themselves, so that no id is reused by a later one
         low = max(inst.o_m, inst.o_w)
         for k in reversed(range(low, min(fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w)))):
@@ -972,65 +973,70 @@ def test_a_decision_pulls_from_the_live_walk_only_the_subsets_it_walks(monkeypat
                 continue
             kernel_ = result.kernel.functional
             reached.append(kernel_)
-            ctx = _Context(kernel_, result.kernel.functional_k)
-            kept, walk = kernel_._store[fpt._walk]
-            assert len(walks) == (id(kernel_) not in most)
-            assert all(type(subset) is int for subset in kept)
-            masks += len(kept)
-            everything = listed(ctx)
+            had_list = exhausted.get(id(kernel_), False)
+            assert len(walks) == (not had_list)
+            everything = list(real_live(_Context(kernel_, result.kernel.functional_k).needs))
             sad = kernel_.sad_men
             assert len(read) == result.stats.subsets_tried
-            assert read == [as_tuple(sad, subset) for subset in kept[:len(read)]] == everything[:len(read)]
-            again += id(kernel_) in most
-            most[id(kernel_)] = max(most.get(id(kernel_), 0), len(read))
-            assert len(kept) <= most[id(kernel_)]
+            assert read == [as_tuple(sad, subset) for subset in everything[:len(read)]]
+            again += id(kernel_) in exhausted
+            from_list += had_list
+            exhausted[id(kernel_)] = had_list or not result.answer
+            kept = kernel_._store.get(fpt._solve_on_kernel)
+            if exhausted[id(kernel_)]:
+                assert kept == everything and all(type(subset) is int for subset in kept)
+                masks += len(kept)
+            else:
+                assert kept is None
             if result.answer:
                 yes += 1
                 early += len(read) < len(everything)
             else:
-                assert [as_tuple(sad, subset) for subset in kept] == everything and next(walk, None) is None
+                assert len(read) == len(everything)
                 no += 1
-    assert yes >= 200 and early >= 200 and no >= 100 and again >= 300 and masks >= 1000
+    assert yes >= 200 and early >= 200 and no >= 100 and again >= 300 and from_list >= 100 and masks >= 900
 
 
-def test_the_kept_walk_frees_with_its_instance(monkeypatch):
-    # The kept walks hold neither their kernel nor a context: with the
-    # cyclic collector off, every kernel a walk was kept with goes as soon
-    # as its instance does.  A search ends on a no that walks to the end,
-    # so a second parse is decided only at the least balance, a yes that
-    # leaves its walk paused.
+def test_no_kernel_keeps_a_generator_and_each_frees_with_its_instance(monkeypatch):
+    # With the cyclic collector off, every kernel a decision walked goes as
+    # soon as its instance does, and none keeps a generator in its store.
+    # A search ends on a no that walks to the end, so a second parse is
+    # decided only at the least balance, a yes that stops early.
     refs = []
-    real_walk = fpt._walk
+    real_first = fpt._first_accepted
 
-    def walk(kernel_):
-        refs.append(weakref.ref(kernel_))
-        return real_walk(kernel_)
+    def counted(ctx, m_prime):
+        if not any(ref() is ctx.inst for ref in refs):
+            refs.append(weakref.ref(ctx.inst))
+        return real_first(ctx, m_prime)
 
-    monkeypatch.setattr(fpt, "_walk", walk)
+    monkeypatch.setattr(fpt, "_first_accepted", counted)
     was_enabled = gc.isenabled()
     gc.disable()
-    paused = 0
+    lists = unlisted = 0
     try:
         for n, seed, *_ in pool_entries()[:8]:
             inst = random_instance(random.Random(seed), n, n, 1.0)
             bal = fpt.minimal_balance(inst)[0]
             fresh = random_instance(random.Random(seed), n, n, 1.0)
             assert solve_above_min(fresh, bal).answer
-            kept = [ref()._store[walk][1] for ref in refs if ref()]
-            paused += sum(live.gi_frame is not None for live in kept)
-            del inst, fresh, kept
+            stores = [ref()._store for ref in refs if ref()]
+            assert not any(isinstance(kept, GeneratorType) for store in stores for kept in store.values())
+            lists += sum(fpt._solve_on_kernel in store for store in stores)
+            unlisted += sum(fpt._solve_on_kernel not in store for store in stores)
+            del inst, fresh, stores
             assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if was_enabled:
             gc.enable()
-    assert len(refs) >= 12 and paused >= 5
+    assert len(refs) >= 12 and lists >= 5 and unlisted >= 5
 
 
 def test_a_decision_cut_short_in_the_live_walk_leaves_later_decisions_exact(monkeypatch):
-    # ``_solve_on_kernel`` takes the kept walk out of the store and puts it
-    # back only when the decision ends.  A decision that an exception stops
-    # inside the walk leaves no short list of subsets for later ones: each
-    # later decision on that instance answers as on a fresh instance.
+    # ``_solve_on_kernel`` keeps a kernel's list of subsets only when its
+    # loop runs out.  A decision that an exception stops inside the walk
+    # leaves no short list of subsets for later ones: each later decision
+    # on that instance answers as on a fresh instance.
     real_live = fpt._live
     started = []
 
@@ -1244,6 +1250,7 @@ def test_swapping_the_sides_changes_no_least_balance_and_no_answer():
     inputs = [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool]
     inputs += [cyclic_instance(n) for n in (6, 8, 10)]
     inputs += [planted_instance(random.Random(seed), 200, 3, 5) for seed in range(3)]
+    inputs += [planted_instance(random.Random(seed), 1000, cores, 5) for cores in (2, 3, 4) for seed in range(2)]
     rng = random.Random(1707)
     for _ in range(40):
         n = rng.randint(6, 9)
@@ -1266,5 +1273,5 @@ def test_swapping_the_sides_changes_no_least_balance_and_no_answer():
                     assert objectives(one, result.witness).balance <= k
                 branched += result.stats.subsets_tried > 0
             decisions += 2
-    assert len(inputs) == 54 and decisions == 540
+    assert len(inputs) == 60 and decisions == 600
     assert branched >= 120

@@ -31,9 +31,11 @@ from bsm.kernel import (
     truncate,
 )
 from bsm.fpt import _balance, solve_above_min
-from bsm.oracle import decide_above_min, enumerate_stable
+from bsm.oracle import _chain, _least_balance, decide_above_min, enumerate_stable
 from helpers import (
     SAD_2X2_TEXT,
+    assert_functional_kernel_bounds,
+    assert_kernel_bounds,
     clean_suffix_once,
     empty_instance,
     functional_instance,
@@ -406,6 +408,25 @@ def test_kernel_equivalence_random():
                 got = result.outcome == TRIVIAL_YES
             assert got == want
     assert kernels > 0
+
+
+def test_planted_kernels_meet_the_size_bounds():
+    # Acceptance criteria 2 and 3 beyond the corpus's 7 per side: every
+    # kernel of planted instances at n = 200 and 1,000, at k from two below
+    # to two above the least balance, the engine's.
+    cases = [(200, cores, seed) for cores in (1, 2, 3) for seed in range(3)]
+    cases += [(1000, cores, seed) for cores in (2, 3, 4, 5) for seed in range(2)]
+    kernels = 0
+    for n, cores, seed in cases:
+        inst = planted_instance(random.Random(seed), n, cores, 5)
+        bal = _least_balance(_chain(inst))
+        for k in range(bal - 2, bal + 3):
+            result = kernelize(inst, k)
+            if result.outcome == OUTCOME_KERNEL:
+                kernels += 1
+                assert_kernel_bounds(result)
+                assert_functional_kernel_bounds(result)
+    assert kernels == 83
 
 
 def test_kernelize_respects_target_on_instance():
