@@ -8,7 +8,8 @@ It walks the rotation chain of the reduced instance once, from its
 man-optimal to its woman-optimal matching, reading only the lists of the
 2(|V| + |E|) vertex and edge men, who alone move; it checks that the two
 ends are the identity and the all-swapped assignments.  It then finds the least
-balance by the bounded closed-set walk of ``oracle``, which skips every
+balance by the branch and bound of ``oracle._least_balance``, which adds
+the rotations best women's drop per men's rise first and skips every
 part of the rotation poset that cannot beat the best balance found, and
 compares that balance with clique brute force.  Every stable matching
 has the shape the construction allows (a vertex subset chooses which
@@ -379,8 +380,9 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
     delta, fallback = _plan(g, k)
     art = _fallback(g, k, delta, clique) if fallback else reduce_clique(g, k)
     # Only the least balance and the two ends of the rotation chain are
-    # needed.  A 10-vertex, 10-edge graph has about 20,000 stable matchings,
-    # each with 1,573 pairs; the bounded walk visits 962 of them.
+    # needed.  ``random_graph(Random(1), 10, 10, plant_triangle=True)`` has
+    # 22,294 stable matchings, each with 1,573 pairs; the bounded walk
+    # visits 125 of them, as closed sets of rotations.
     # A fallback instance carries k_hat = 0 as its target.
     chain = _chain(art.inst)
     bal_opt = _least_balance(chain)

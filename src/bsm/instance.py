@@ -133,8 +133,14 @@ def _deferred_acceptance(order, responder_rank, n_resp):
 
 def cost(tables, partner) -> int:
     """One side's cost of a matching: each matched person's rank of their
-    partner, summed over ``partner``, a partner index array (-1 if single)."""
-    return sum(tables[p][q] for p, q in enumerate(partner) if q >= 0)
+    partner, summed over ``partner``, a partner index array (-1 if single).
+
+    A single adds 0, as table keys are partner indices, never -1.  So does
+    an unacceptable pair: every caller passes acceptable pairs only (the
+    two optima, the rotation chain's partners, the solver's certificates
+    and a matching ``validate_matching`` has passed).
+    """
+    return sum(map(dict.get, tables, partner, repeat(0)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ rotations from the man-optimal to the woman-optimal matching and gives
 each rotation its direct predecessors.  The closed-set walk
 (``_closed_sets``) then lists the closed sets depth first, each once.  A
 rotation shifts the two side costs by fixed amounts, so every matching
-comes with its cost sums.
+comes with its cost sums.  The walk adds rotations in one linear
+extension of the poset; any linear extension lists each closed set once.
 
 The chain walk follows next(m) = holder[s(m)] from the men not yet at
 their μ_W partner and stops when none is left, so its work follows the
@@ -29,7 +30,16 @@ of that knapsack (Dantzig 1957): ignore precedence, allow fractions of a
 rotation, and fill the slack greedily by women's drop per unit of men's
 rise, which is the relaxation's optimum.  Every set in the subtree is a
 feasible 0/1 point of the relaxation, so when even its optimum falls
-short of the drop needed, no set there beats ``below``.
+short of the drop needed, no set there beats ``below``.  The bound holds
+in any linear extension, with "later" read in that order.
+
+The least balance (``_least_balance``) walks the order ``_by_ratio``
+gives: the linear extension that takes, among the rotations whose
+predecessors are all in, the best women's drop per men's rise first.  As
+in knapsack branch and bound (Horowitz & Sahni 1974), the first dive then
+adds rotations in the bound's greedy order, as far as precedence allows,
+so a good balance is found early and cuts more of the rest.  That walk
+reads the two costs alone.
 
 ``enumerate_stable`` lists every matching, so it alone takes a size bound;
 the oracle decisions and ``hardness.verify_reduction`` need only the least
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .instance import Instance, Matching, cost
@@ -197,17 +208,55 @@ def _chain(inst: Instance) -> _Chain:
     return _Chain(mu_m.by_man, partner, (inst.o_m, women_cost), o_w, moves, preds, deltas)
 
 
-def _later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
-    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first.
+def _ranked(deltas) -> list[int]:
+    """The rotations, best women's drop per men's rise first, ties in index order.
 
     Drops per rise are compared by cross-multiplication (every rise is
-    positive); ties keep their index order.
+    positive).
     """
     def before(i, j):  # negative when i's drop per rise tops j's
         return deltas[i][1] * deltas[j][0] - deltas[j][1] * deltas[i][0]
 
-    ranked = sorted(range(len(deltas)), key=cmp_to_key(before))
-    return [[(deltas[i][0], -deltas[i][1]) for i in ranked if i > j] for j in range(len(deltas))]
+    return sorted(range(len(deltas)), key=cmp_to_key(before))
+
+
+def _later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
+    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first."""
+    ranked = [(i, (deltas[i][0], -deltas[i][1])) for i in _ranked(deltas)]
+    return [[pair for i, pair in ranked if i > j] for j in range(len(deltas))]
+
+
+def _by_ratio(chain: _Chain) -> list[int]:
+    """The rotations in a linear extension of their poset, the ready one with the best ratio first.
+
+    Kahn's algorithm with a heap: among the rotations whose predecessors
+    are all listed, list the one with the best women's drop per men's rise
+    next, ties by chain index.  Entry p of the result is the chain index
+    of the p-th rotation.
+    """
+    preds = chain.preds
+    ranked = _ranked(chain.deltas)
+    rank = [0] * len(ranked)
+    for r, j in enumerate(ranked):
+        rank[j] = r
+    waiting = [mask.bit_count() for mask in preds]
+    after: list[list[int]] = [[] for _ in preds]
+    for j, mask in enumerate(preds):
+        while mask:  # each set bit, lowest first
+            low = mask & -mask
+            after[low.bit_length() - 1].append(j)
+            mask ^= low
+    ready = [rank[j] for j, mask in enumerate(preds) if not mask]
+    heapify(ready)
+    order = []
+    while ready:
+        i = ranked[heappop(ready)]
+        order.append(i)
+        for j in after[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, rank[j])
+    return order
 
 
 def _may_beat(later, men: int, women: int, below: int) -> bool:
@@ -232,22 +281,21 @@ def _may_beat(later, men: int, women: int, below: int) -> bool:
     return need <= 0
 
 
-def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False):
+def _closed_sets(chain: _Chain, below: int | None = None):
     """Yield ``(partner, men_cost, women_cost)`` for the stable matchings, μ_M first.
 
     Depth first: add rotation j only after the last one added and only
     once all its predecessors are in.  Each closed set is reached once, by
-    adding its rotations in chain order.  ``partner`` is edited in place
-    after each yield: copy it to keep it.
+    adding its rotations in chain order; any linear extension of the
+    poset would do as well.  ``partner`` is edited in place after each
+    yield: copy it to keep it.
 
     With ``below``, skip every subtree whose matchings all have balance at
     least ``below``.  The subtree of a set whose last rotation is j holds
     that set plus closed choices of the rotations after j.  ``_may_beat``
     tests them all at once by the relaxation that ignores precedence and
     allows fractions: every set in the subtree is one of its points, so
-    none beats ``below`` when the relaxation cannot.  With ``tighten``,
-    ``below`` falls to each balance yielded: the walk keeps only what can
-    beat the best found so far.
+    none beats ``below`` when the relaxation cannot.
     """
     moves, preds, deltas = chain.moves, chain.preds, chain.deltas
     n = len(moves)
@@ -273,8 +321,6 @@ def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False)
             women_cost += d_women
             added.append(j)
             yield partner, men_cost, women_cost
-            if tighten:
-                below = min(below, max(men_cost, women_cost))
             j += 1
         elif added:
             j = added.pop()
@@ -289,9 +335,47 @@ def _closed_sets(chain: _Chain, below: int | None = None, tighten: bool = False)
 
 
 def _least_balance(chain: _Chain) -> int:
-    """The least balance over the stable matchings, by the bounded walk."""
-    start = max(chain.costs)  # the balance of μ_M, the first row
-    return min(max(men, women) for _, men, women in _closed_sets(chain, start, tighten=True))
+    """The least balance over the stable matchings, by branch and bound on the costs alone.
+
+    The walk of ``_closed_sets`` over the ``_by_ratio`` order, with the
+    bound at the best balance found so far, which starts at μ_M's and falls
+    at every set.  Walking the best drop per rise first makes the first
+    dive follow the bound's greedy fill as far as precedence allows, as in
+    knapsack branch and bound (Horowitz & Sahni 1974), so good sets come
+    early and cut the rest.
+    """
+    order = _by_ratio(chain)
+    n = len(order)
+    # Walk positions p in that order; ``chosen`` keeps chain indices, as ``preds`` do.
+    bit = [1 << j for j in order]
+    preds = [chain.preds[j] for j in order]
+    deltas = [chain.deltas[j] for j in order]
+    later = _later_by_ratio(deltas)
+    men, women = chain.costs
+    best = max(men, women)
+    chosen = 0
+    added: list[int] = []
+    p = 0
+    while True:
+        while p < n and preds[p] & ~chosen:
+            p += 1
+        if p < n:
+            d_men, d_women = deltas[p]
+            if _may_beat(later[p], men + d_men, women + d_women, best):
+                chosen |= bit[p]
+                men += d_men
+                women += d_women
+                added.append(p)
+                best = min(best, max(men, women))
+            p += 1
+        elif added:
+            p = added.pop()
+            chosen ^= bit[p]
+            men -= deltas[p][0]
+            women -= deltas[p][1]
+            p += 1
+        else:
+            return best
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
-from bsm import fpt
+from bsm import fpt, oracle
 from bsm.fpt import _Context
 from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
@@ -240,19 +240,16 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
     ]
 
 
-def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
-    """The closed-set walk of ``oracle._closed_sets`` under the looser suffix bound.
+def chain_order_walk(chain, below: int | None, tighten: bool, may_beat):
+    """The closed-set walk of ``oracle._closed_sets``, cutting by ``may_beat``.
 
-    Adding rotation j is cut when max(men's cost after it, women's cost
-    after it plus every later rotation's women's delta) is at least
-    ``below``: the later rotations may all be added for the women's drop,
-    whatever they add to the men's cost.  Yields the same ``(partner,
-    men_cost, women_cost)`` rows, with ``partner`` edited in place.
+    Rotations are added in chain order.  Adding rotation j is cut unless
+    ``may_beat(j, men's cost after it, women's cost after it, below)``.
+    With ``tighten``, ``below`` falls to each balance yielded.  Yields the
+    same ``(partner, men_cost, women_cost)`` rows, with ``partner`` edited
+    in place.
     """
     moves, preds, deltas = chain.moves, chain.preds, chain.deltas
-    suffix = [0] * (len(deltas) + 1)
-    for j in reversed(range(len(deltas))):
-        suffix[j] = suffix[j + 1] + deltas[j][1]
     partner = list(chain.mu_m)
     men_cost, women_cost = chain.costs
     yield partner, men_cost, women_cost
@@ -264,7 +261,7 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
             j += 1
         if j < len(moves):
             d_men, d_women = deltas[j]
-            if below is not None and max(men_cost + d_men, women_cost + d_women + suffix[j + 1]) >= below:
+            if below is not None and not may_beat(j, men_cost + d_men, women_cost + d_women, below):
                 j += 1
                 continue
             for m, _, w_to in moves[j]:
@@ -287,6 +284,36 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
             j += 1
         else:
             return
+
+
+def tightened_walk(chain):
+    """The least-balance walk in chain order, the reference for ``oracle._least_balance``.
+
+    It walks the closed sets in chain order under ``oracle._may_beat``,
+    starting from μ_M's balance and tightening the bound to each balance
+    yielded, so its least balance is the engine's.
+    """
+    later = oracle._later_by_ratio(chain.deltas)
+    return chain_order_walk(
+        chain, max(chain.costs), tighten=True,
+        may_beat=lambda j, men, women, below: oracle._may_beat(later[j], men, women, below),
+    )
+
+
+def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
+    """The closed-set walk of ``oracle._closed_sets`` under the looser suffix bound.
+
+    Adding rotation j is cut when max(men's cost after it, women's cost
+    after it plus every later rotation's women's delta) is at least
+    ``below``: the later rotations may all be added for the women's drop,
+    whatever they add to the men's cost.
+    """
+    suffix = [0] * (len(chain.deltas) + 1)
+    for j in reversed(range(len(chain.deltas))):
+        suffix[j] = suffix[j + 1] + chain.deltas[j][1]
+    return chain_order_walk(
+        chain, below, tighten, may_beat=lambda j, men, women, below: max(men, women + suffix[j + 1]) < below
+    )
 
 
 def full_sweep_chain(inst: Instance) -> _Chain:

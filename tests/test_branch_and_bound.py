@@ -8,6 +8,7 @@ the full-sweep reference ``helpers.full_sweep_chain``.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from bsm.hardness import parse_graph, reduce_clique, verify_reduction
 from bsm.instance import Instance, Partners, serialize
 from bsm.oracle import (
     TooLarge,
+    _by_ratio,
     _chain,
     _closed_sets,
     _deltas,
@@ -30,7 +32,8 @@ from bsm.oracle import (
     enumerate_stable,
 )
 from helpers import (
-    SAD_2X2_TEXT, full_sweep_chain, pool_entries, sad_2x2, single_pair, suffix_bound_walk, verify_cases,
+    SAD_2X2_TEXT, full_sweep_chain, pool_entries, sad_2x2, single_pair, suffix_bound_walk, tightened_walk,
+    verify_cases,
 )
 
 
@@ -40,7 +43,7 @@ def full_rows(chain):
 
 
 def bounded_nodes(chain) -> int:
-    return sum(1 for _ in _closed_sets(chain, max(chain.costs), tighten=True))
+    return sum(1 for _ in tightened_walk(chain))
 
 
 def reference_decision(rows, k, above):
@@ -167,7 +170,7 @@ def is_subsequence(short, long) -> bool:
 def thinned_nodes(chain) -> tuple[int, int]:
     """Check both bounded walks against the suffix-bound walk; return (their rows, the reference's)."""
     start = max(chain.costs)
-    least = rows(_closed_sets(chain, start, tighten=True))
+    least = rows(tightened_walk(chain))
     reference = rows(suffix_bound_walk(chain, start, tighten=True))
     assert is_subsequence(least, reference)
     bal_opt = min(max(row[1:]) for row in least)
@@ -189,6 +192,53 @@ def test_relaxation_bound_walk_keeps_a_subsequence_of_the_suffix_bound_walk():
         got_total += got
         reference_total += reference
     assert got_total < reference_total
+
+
+# --- the least-balance walk over the ratio-first order ------------------------
+
+def test_least_balance_is_the_least_of_the_full_walk_and_of_the_chain_order_walk():
+    for inst in chain_differential_instances():
+        chain = _chain(inst)
+        want = min(max(men, women) for _, men, women in _closed_sets(chain))
+        assert _least_balance(chain) == want == min(max(men, women) for _, men, women in tightened_walk(chain))
+
+
+def test_ratio_order_is_a_linear_extension_taking_the_best_ready_ratio_first():
+    assert _by_ratio(_chain(single_pair())) == [] and _by_ratio(_chain(sad_2x2())) == [0]
+    held_back = 0  # chains whose order is not the ratio order alone
+    for chain in small_chains():
+        n = len(chain.deltas)
+
+        def best_first(i):  # the women's change per men's rise, most negative first, then the index
+            return Fraction(chain.deltas[i][1], chain.deltas[i][0]), i
+
+        order = _by_ratio(chain)
+        assert sorted(order) == list(range(n))
+        listed = 0
+        for j in order:  # j's predecessors are in, and no ready rotation comes before it
+            ready = [i for i in range(n) if not listed >> i & 1 and not chain.preds[i] & ~listed]
+            assert min(ready, key=best_first) == j
+            listed |= 1 << j
+        held_back += order != sorted(range(n), key=best_first)
+    assert held_back > 0
+
+
+def test_ratio_order_calls_the_bound_less_often_than_chain_order_on_the_recorded_reduction_graphs(monkeypatch):
+    calls = [0]
+    real = oracle._may_beat
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_may_beat", counted)
+    chains = [_chain(reduce_clique(graph, k).inst) for _, graph, k in verify_cases()]
+    for chain in chains:
+        _least_balance(chain)
+    got, calls[0] = calls[0], 0
+    for chain in chains:
+        bounded_nodes(chain)
+    assert 0 < got < calls[0]
 
 
 # --- the sign check on every rotation ------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsm.generate import random_instance
+from bsm.generate import planted_instance, random_instance
 from bsm.hardness import reduce_clique
 from bsm.instance import (
     MAN,
@@ -16,6 +16,7 @@ from bsm.instance import (
     Person,
     ValidationError,
     _rows_hold,
+    cost,
     make_instance,
     parse_instance,
     serialize,
@@ -552,3 +553,17 @@ def test_json_reader_matches_the_reference_reader_on_hand_cases(text):
 def test_readers_match_the_reference_reader(fmt, mutation, data):
     valid = reads_alike(data.draw(read_cases(fmt, mutation)), fmt)
     assert valid or mutation is not None  # a serialized instance, lines in any order, reads
+
+
+def test_cost_sums_each_matched_persons_rank_of_their_partner_and_nothing_for_a_single():
+    insts = [random_instance(random.Random(seed), max_side=7) for seed in range(200)]
+    insts += [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
+    insts += [planted_instance(random.Random(seed), 200, 3, 5) for seed in range(2)]
+    insts += [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
+    singles = 0
+    for inst in insts:
+        for mu in (inst.mu_m, inst.mu_w):
+            for tables, partner in ((inst.m_rank, mu.by_man), (inst.w_rank, mu.by_woman)):
+                assert cost(tables, partner) == sum(tables[p][q] for p, q in enumerate(partner) if q >= 0)
+                singles += list(partner).count(-1)
+    assert singles > 0
