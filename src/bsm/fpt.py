@@ -32,9 +32,24 @@ free until the leaf.  The search never gives man m woman w when
 
 - w is fixed: no certificate below is a matching;
 - (m, w) already makes a blocking pair with a fixed person: a fixed woman
-  whom m prefers to w and who prefers m to her partner, or a fixed man
-  whom w prefers to m and who prefers w to his partner.  That pair blocks
-  every matching below (the partial-stability cut).
+  whom m ranks between his man-optimal partner and w and who prefers m to
+  her partner, or a fixed man whom w prefers to m and who prefers w to
+  his partner.  That pair blocks every matching below (the
+  partial-stability cut).
+
+No fixed woman whom m ranks at or above his man-optimal partner prefers
+him to her partner, so the search looks for none.  At the kernel's
+fixpoint everyone is matched in μ_M (restrict_matched) and every woman
+ranks her μ_M partner, her worst stable one, last (clean_suffix).  One
+fixed at her μ_M partner would block μ_M with m.  A woman w given
+earlier on the branch, to m2, was free, so her μ_M husband h is selected
+and she ranks m2 above h; were m above m2, w would not be μ_M(m), and
+(m, w) would block μ_M.  On the padded kernel a dummy woman is never
+free and every real woman still ranks her μ_M partner last.  So every
+leaf the walk reaches on a kernel is stable: a man who prefers w to his
+leaf partner was a fixed rival when w was given, or met her fixed, above
+his man-optimal partner or in his candidate loop.  ``_accept`` still
+scans each leaf for a blocking pair, as the witness's self-check.
 
 Each skip drops only certificates that imply no stable matching, so the
 certificates left come in the unpruned order and the first accepted one,
@@ -75,12 +90,12 @@ subset is never walked and never counted.
 Decisions on one instance at several k share what reads no k, kept in
 the instance's store (``Instance._store``, filled by ``kernel._keep``)
 as the kernel's k-free rule outcomes are: the balances of μ_M and μ_W
-per input instance, and per functional kernel its anchor and worse
-tables and each sad man's claimers and start set (his needs) read at
-r = ∞.  A kernel also keeps the list of its live subsets, once some
-decision on it has walked them all without an accepted certificate; a
-decision walks that list, and without one a fresh ``_live``, so the
-subsets, their order and the stats are those of a walk from scratch.
+per input instance, and per functional kernel its worse tables and each
+sad man's claimers and start set (his needs) read at r = ∞.  A kernel
+also keeps the list of its live subsets, once some decision on it has
+walked them all without an accepted certificate; a decision walks that
+list, and without one a fresh ``_live``, so the subsets, their order and
+the stats are those of a walk from scratch.
 The needs at r = ∞ are those at r on every kernel ``kernelize`` returns,
 and safe at any budget:
 
@@ -133,15 +148,15 @@ class _Context:
     kernel and its target k, and the partner arrays the search patches per
     subset.  A padded kernel and its k give the same search (module docstring).
 
-    The tables come from ``_tables``, made once per kernel and kept with
-    it; only the budget r reads k.
+    The tables (worse, needs) come from ``_tables``, made once per
+    kernel and kept with it; only the budget r reads k.
     """
 
     def __init__(self, kernel: Instance, k: int):
         self.inst = kernel
         self.k = k
         self.r = k - kernel.o_m
-        self.anchor, self.worse, self.needs = _keep(kernel, _tables)
+        self.worse, self.needs = _keep(kernel, _tables)
         # Each fixed person's partner, -1 for everyone else.  Between subsets
         # that is μ_M: every man it matches is happy or sad.  At a leaf they
         # hold the certificate's matching, which ``_accept`` reads.
@@ -150,22 +165,20 @@ class _Context:
 
 
 def _tables(kernel: Instance):
-    """The branching tables of a kernel, which read no k: (anchor, worse, needs).
+    """The branching tables of a kernel, which read no k: (worse, needs).
 
-    Per man index, ``anchor`` holds the rank of his man-optimal partner and
-    ``worse`` the women strictly worse than her as (rank offset, woman
-    index), best first: the tables are in rank order and a person's ranks
-    are distinct.  Per sad man, in the order of ``sad_men``, ``needs`` holds
-    the sad men who can claim his man-optimal partner, then his start set
-    if he has one (module docstring), each read at r = ∞ as a mask in which
-    sad man i holds bit i.
+    Per man index, ``worse`` holds the women strictly worse than his
+    man-optimal partner as (rank offset, woman index), best first: the
+    tables are in rank order and a person's ranks are distinct.  Per sad
+    man, in the order of ``sad_men``, ``needs`` holds the sad men who can
+    claim his man-optimal partner, then his start set if he has one
+    (module docstring), each read at r = ∞ as a mask in which sad man i
+    holds bit i.
     """
-    anchor: list[int] = []
     worse: list[list[tuple[int, int]]] = []
-    for table, anchor_w in zip(kernel.m_rank, kernel.mu_m.by_man):
-        rank = table[anchor_w] if anchor_w >= 0 else 0
-        anchor.append(rank)
-        worse.append([] if anchor_w < 0 else [(r - rank, w) for w, r in table.items() if r > rank])
+    for table, anchor in zip(kernel.m_rank, kernel.mu_m.by_man):
+        rank = table[anchor] if anchor >= 0 else 0
+        worse.append([] if anchor < 0 else [(r - rank, w) for w, r in table.items() if r > rank])
     w_rank, husband = kernel.w_rank, kernel.mu_m.by_woman
     bit = {m: 1 << i for i, m in enumerate(kernel.sad_men)}
     needs = []
@@ -192,7 +205,7 @@ def _tables(kernel: Instance):
             if w_rank[w][m] < w_rank[w][h]:
                 break
         needs.append([claim] if start is None else [claim, start])
-    return anchor, worse, needs
+    return worse, needs
 
 
 def _live(needs):
@@ -244,7 +257,7 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
     """
     inst = ctx.inst
     m_rank, w_rank = inst.m_rank, inst.w_rank
-    wife, husband, anchors = ctx.wife, ctx.husband, ctx.anchor
+    wife, husband = ctx.wife, ctx.husband
     depth = len(m_prime)
     cands = [ctx.worse[m] for m in m_prime]
     nodes = 0
@@ -255,17 +268,6 @@ def _first_accepted(ctx: _Context, m_prime) -> tuple[list[int] | None, int]:
         if i == depth:
             return _accept(ctx)
         m = m_prime[i]
-        table = m_rank[m]
-        anchor = anchors[m]
-        # A fixed woman whom m ranks at least as high as his man-optimal
-        # partner, and who prefers m to her partner, rules out every
-        # candidate.  Only a woman given earlier on the branch can be one:
-        # the others are fixed at their man-optimal partners, and μ_M is
-        # stable.
-        for m2 in m_prime[:i]:
-            w = wife[m2]
-            if table.get(w, anchor + 1) <= anchor and w_rank[w][m] < w_rank[w][m2]:
-                return None
         for offset, w in cands[i]:
             if offset > remaining:
                 break
@@ -312,8 +314,8 @@ def _accept(ctx: _Context) -> list[int] | None:
     At a leaf every man holds his certificate woman or his man-optimal
     partner, and the walk never gives a woman who is taken, so the arrays
     are a matching.  None when the women's cost exceeds k or some pair
-    blocks it.  The men's cost, O_M plus the certificate's offset, is
-    within k by the budget ``r = k - O_M``.
+    blocks it (none does on a kernel).  The men's cost, O_M plus the
+    certificate's offset, is within k by the budget ``r = k - O_M``.
     """
     inst = ctx.inst
     wife, husband = ctx.wife, ctx.husband
@@ -369,9 +371,6 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
         )
     kernel = kres.functional
     ctx = _Context(kernel, kres.functional_k)
-    r = ctx.r
-    if r < 0:
-        return SolveResult(False, None, kres.t_input, r, SolveStats(0, 0, 0), kres)
     # The list is kept, under this function, only when the loop runs out: a
     # walk that a yes or an exception stops early keeps nothing.
     store = kernel._store
@@ -390,9 +389,9 @@ def _solve_on_kernel(inst: Instance, k: int) -> SolveResult:
         store[_solve_on_kernel] = masks
     stats = SolveStats(len(walked), sum(walked), max(walked, default=0))
     if hit is None:
-        return SolveResult(False, None, kres.t_input, r, stats, kres)
+        return SolveResult(False, None, kres.t_input, ctx.r, stats, kres)
     witness = kres.lift(kernel.matching_from_arrays(hit))
-    return SolveResult(True, witness, kres.t_input, r, stats, kres)
+    return SolveResult(True, witness, kres.t_input, ctx.r, stats, kres)
 
 
 def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:

@@ -187,26 +187,41 @@ def iter_certificates(ctx: _Context, m_prime, r: int, counter: list[int]):
         yield from descend(0, r)
 
 
+def loaded(ctx: _Context, m_prime, women) -> tuple[list[int], list[int]] | None:
+    """The partner arrays (wife, husband) of the certificate that gives the
+    selected men ``m_prime`` the women ``women``, every other man keeping
+    his man-optimal partner, as they would stand at its leaf; None when a
+    woman is claimed twice."""
+    mu = ctx.inst.mu_m
+    wife, husband = list(mu.by_man), list(mu.by_woman)
+    for m in m_prime:
+        husband[mu.by_man[m]] = wife[m] = -1
+    for m, w in zip(m_prime, women):
+        if husband[w] >= 0:
+            return None  # two men claim the same woman
+        wife[m], husband[w] = w, m
+    return wife, husband
+
+
 def assemble(ctx: _Context, m_prime, women) -> list[int] | None:
     """What ``fpt._accept`` returns for the certificate that gives the
     selected men ``m_prime`` the women ``women``, every other man keeping
     his man-optimal partner; None when a woman is claimed twice.
 
     The search only reaches certificates that pair every selected man with
-    a free woman; this loads any certificate into the context's partner
-    arrays, which hold μ_M between subsets, and puts μ_M back.
+    a free woman; this loads any certificate (``loaded``) into the
+    context's partner arrays, which hold μ_M between subsets, and puts μ_M
+    back.
     """
-    wife, husband, mu = ctx.wife, ctx.husband, ctx.inst.mu_m
-    for m in m_prime:
-        husband[mu.by_man[m]] = wife[m] = -1
+    arrays = loaded(ctx, m_prime, women)
+    if arrays is None:
+        return None
+    mu = ctx.inst.mu_m
+    ctx.wife[:], ctx.husband[:] = arrays
     try:
-        for m, w in zip(m_prime, women):
-            if husband[w] >= 0:
-                return None  # two men claim the same woman
-            wife[m], husband[w] = w, m
         return fpt._accept(ctx)
     finally:
-        wife[:], husband[:] = mu.by_man, mu.by_woman
+        ctx.wife[:], ctx.husband[:] = mu.by_man, mu.by_woman
 
 
 @dataclass(frozen=True)
@@ -510,8 +525,8 @@ def _component_costs(inst: Instance, men: list[int], women: list[int]) -> set[tu
 
 
 # --- the branching tables, from scratch ---------------------------------------
-# ``bsm.fpt`` keeps a kernel's anchor, worse and need tables with the kernel.
-# It reads the needs at an unbounded budget.  These rebuild the tables for
+# ``bsm.fpt`` keeps a kernel's worse and need tables with the kernel.  It
+# reads the needs at an unbounded budget.  These rebuild the tables for
 # one decision at its own budget, as every decision once did.  The tests
 # hold the kept tables to them.
 

@@ -29,6 +29,7 @@ from helpers import (
     enumerate_certificates,
     functional_instance,
     iter_certificates,
+    loaded,
     naive_certificates,
     pool_entries,
     reference_tables,
@@ -533,11 +534,11 @@ def covers(kept, need) -> bool:
 
 def test_the_kept_needs_cut_no_subset_the_needs_at_any_budget_keep():
     # Contexts at other k on the same kernel fill its store first; every
-    # context shares the kernel's tables, its anchor and worse tables are
-    # the ones walked from scratch at its own budget, and each kept need,
-    # read at r = ∞, holds the one read at that budget or is None against
-    # it.  The budgets run, shuffled, from -1 past the kernel's largest
-    # rank offset, so the budget binds below it.
+    # context shares the kernel's tables, its worse tables are the ones
+    # walked from scratch at its own budget, and each kept need, read at
+    # r = ∞, holds the one read at that budget or is None against it.  The
+    # budgets run, shuffled, from -1 past the kernel's largest rank offset,
+    # so the budget binds below it.
     rng = random.Random(31)
     contexts = budgets = weaker = 0
     for ctx, _ in engine_contexts():
@@ -545,9 +546,9 @@ def test_the_kept_needs_cut_no_subset_the_needs_at_any_budget_keep():
         top = max((offset for worse in ctx.worse for offset, _ in worse), default=0)
         for r in rng.sample(range(-1, top + 2), top + 3):
             other = _Context(kernel_, kernel_.o_m + r)
-            anchor, worse, needs = reference_tables(kernel_, other.k)
-            assert (other.anchor, other.worse) == (anchor, worse)
-            assert other.anchor is ctx.anchor and other.worse is ctx.worse and other.needs is ctx.needs
+            _, worse, needs = reference_tables(kernel_, other.k)
+            assert other.worse == worse
+            assert other.worse is ctx.worse and other.needs is ctx.needs
             assert len(other.needs) == len(needs)
             assert all(covers(kept, need) for kept, need in zip(other.needs, needs))
             weaker += other.needs != needs
@@ -627,6 +628,41 @@ def test_pruned_search_skips_only_certificates_that_assemble_rejects(monkeypatch
                         cut += injective(women, busy)
                 subsets += 1
     assert subsets >= 1000 and skipped >= 10000 and cut > 0
+
+
+def test_on_a_kernel_the_walk_reaches_exactly_the_stable_certificates(monkeypatch):
+    # The walk looks for no blocking woman whom a man ranks at or above his
+    # man-optimal partner: the kernel's fixpoint leaves none.  So, with every
+    # leaf rejected, each live subset's walk reaches only matchings no pair
+    # blocks, on the padded kernels of ``search_and_cut_kernels`` and the
+    # functional ones after them.  Up to the budget at which their unpruned
+    # trees are walked, those are, in order, exactly the unpruned
+    # certificates that load into μ_M as such a matching.
+    leaves = []
+
+    def reject(ctx):
+        leaves.append((ctx.wife[:], ctx.husband[:]))
+
+    monkeypatch.setattr(fpt, "_accept", reject)
+    contexts = subsets = reached = compared = 0
+    for ctx, walk_up_to in engine_contexts():
+        st = ctx.inst
+        for m_prime in listed(ctx):
+            leaves.clear()
+            assert _first_accepted(ctx, m_prime)[0] is None
+            assert not any(any(gs._blocking(st.m_rank, st.w_rank, *arrays)) for arrays in leaves)
+            if walk_up_to is None or ctx.r <= walk_up_to:
+                want = []
+                for women, _ in iter_certificates(ctx, m_prime, ctx.r, [0]):
+                    arrays = loaded(ctx, m_prime, women)
+                    if arrays is not None and not any(gs._blocking(st.m_rank, st.w_rank, *arrays)):
+                        want.append(arrays)
+                assert leaves == want
+                compared += len(want)
+            subsets += 1
+            reached += len(leaves)
+        contexts += 1
+    assert contexts >= 180 and subsets >= 600 and reached >= 600 and compared >= 400
 
 
 def reference_assemble(st, k, pairs, m_prime):
@@ -1091,7 +1127,7 @@ def test_no_kernel_kernelize_returns_has_a_need_beyond_its_budget():
             sad = set(kernel_.sad_men)
             found = [offset for worse in ctx.worse for offset, _ in worse]
             found += [
-                m_rank[m2][mu[m]] - ctx.anchor[m2]
+                m_rank[m2][mu[m]] - m_rank[m2][mu[m2]]
                 for m in kernel_.sad_men
                 for m2, rank in w_rank[mu[m]].items()
                 if rank < w_rank[mu[m]][m] and m2 in sad

@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 
 from bsm import instance, kernel
-from bsm.generate import mutual_first_instance, planted_instance, random_instance
+from bsm.generate import cyclic_instance, mutual_first_instance, planted_instance, random_instance
 from bsm.gs import blocking_pairs, objectives, optima
 from bsm.instance import MAN, WOMAN, Instance, Matching, Person, parse_instance, serialize
 from bsm.kernel import (
@@ -40,6 +40,7 @@ from helpers import (
     empty_instance,
     functional_instance,
     partners,
+    pool_entries,
     reference_clean_suffix,
     remove_happy_pair_once,
     sad_2x2,
@@ -427,6 +428,40 @@ def test_planted_kernels_meet_the_size_bounds():
                 assert_kernel_bounds(result)
                 assert_functional_kernel_bounds(result)
     assert kernels == 83
+
+
+def test_a_kernel_is_at_the_fixpoint_the_branching_walk_reads():
+    # The walk looks for no blocking woman whom a man ranks at or above his
+    # man-optimal partner (``bsm.fpt``): on every kernel k >= max(O_M, O_W),
+    # so the budget is not negative, everyone is matched in μ_M, no pair is
+    # happy, each woman ranks her μ_M partner last and each man his μ_W
+    # partner last, and in the padded kernel each real woman still ranks
+    # her μ_M partner last.  Corpus draws, the pool, cyclic 4 to 12 and
+    # planted n = 200, each at every k from max(O_M, O_W) - 1 to the larger
+    # of O_M + O_W and the lower extreme balance.
+    rng = random.Random(42)
+    draws = [random_instance(rng, max_side=7) for _ in range(300)]
+    draws += [random_instance(random.Random(seed), n, n, 1.0) for n, seed, _, _ in pool_entries()]
+    draws += [cyclic_instance(n) for n in range(4, 13)]
+    draws += [planted_instance(random.Random(seed), 200, cores, 5) for cores in (1, 2, 3) for seed in range(2)]
+    kernels = padded = 0
+    for inst in draws:
+        high = min(_balance(inst, mu) for mu in (inst.mu_m, inst.mu_w))
+        for k in range(max(inst.o_m, inst.o_w) - 1, max(high, inst.o_m + inst.o_w) + 1):
+            result = kernelize(inst, k)
+            if result.outcome != OUTCOME_KERNEL:
+                continue
+            fun = result.functional
+            assert result.functional_k >= max(fun.o_m, fun.o_w)
+            assert -1 not in fun.mu_m.by_man and -1 not in fun.mu_m.by_woman
+            assert not fun.happy_pairs
+            assert [next(reversed(table)) for table in fun.w_rank] == list(fun.mu_m.by_woman)
+            assert [next(reversed(table)) for table in fun.m_rank] == list(fun.mu_w.by_man)
+            pad, real = result.kernel, len(fun.women)
+            assert [next(reversed(table)) for table in pad.w_rank[:real]] == list(pad.mu_m.by_woman[:real])
+            kernels += 1
+            padded += len(pad.women) > real
+    assert kernels >= 2000 and padded >= 2000
 
 
 def test_kernelize_respects_target_on_instance():
