@@ -89,13 +89,12 @@ subset is never walked and never counted.
 
 Decisions on one instance at several k share what reads no k, kept in
 the instance's store (``Instance._store``, filled by ``kernel._keep``)
-as the kernel's k-free rule outcomes are: the balances of μ_M and μ_W
-per input instance, and per functional kernel its worse tables and each
-sad man's claimers and start set (his needs) read at r = ∞.  A kernel
-also keeps the list of its live subsets, once some decision on it has
-walked them all without an accepted certificate; a decision walks that
-list, and without one a fresh ``_live``, so the subsets, their order and
-the stats are those of a walk from scratch.
+as the kernel's k-free rule outcomes are: per functional kernel its
+worse tables and each sad man's claimers and start set (his needs) read
+at r = ∞.  A kernel also keeps the list of its live subsets, once some
+decision on it has walked them all without an accepted certificate; a
+decision walks that list, and without one a fresh ``_live``, so the
+subsets, their order and the stats are those of a walk from scratch.
 The needs at r = ∞ are those at r on every kernel ``kernelize`` returns,
 and safe at any budget:
 
@@ -329,11 +328,6 @@ def _balance(inst: Instance, mu: Partners) -> int:
     return max(cost(inst.m_rank, mu.by_man), cost(inst.w_rank, mu.by_woman))
 
 
-def _extreme_balances(inst: Instance) -> tuple[int, int]:
-    """The balances of μ_M and μ_W; kept with the instance (``_keep``)."""
-    return _balance(inst, inst.mu_m), _balance(inst, inst.mu_w)
-
-
 def solve_above_min(inst: Instance, k: int) -> SolveResult:
     """Decide whether some stable matching of ``inst`` has balance at most k.
 
@@ -344,8 +338,8 @@ def solve_above_min(inst: Instance, k: int) -> SolveResult:
     Input with gaps in its ranks raises ``ValidationError`` either way.
     """
     require_lists(inst)
-    for balance, mu in zip(_keep(inst, _extreme_balances), (inst.mu_m, inst.mu_w)):
-        if balance <= k:
+    for mu in inst.mu_m, inst.mu_w:
+        if _balance(inst, mu) <= k:
             witness = inst.matching_from_arrays(mu.by_man)
             t = k - min(inst.o_m, inst.o_w)
             return SolveResult(True, witness, t, None, SolveStats(0, 0, 0), None)
@@ -405,7 +399,7 @@ def minimal_balance(inst: Instance) -> tuple[int, SolveResult, int]:
     that k is it decided at the end.
     """
     low = max(inst.o_m, inst.o_w)
-    high = min(_keep(inst, _extreme_balances))
+    high = min(_balance(inst, inst.mu_m), _balance(inst, inst.mu_w))
     decisions = 0
     last_yes = None
     while low < high:

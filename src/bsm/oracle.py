@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .instance import Instance, Matching, cost
@@ -229,33 +228,26 @@ def _later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
 def _by_ratio(chain: _Chain) -> list[int]:
     """The rotations in a linear extension of their poset, the ready one with the best ratio first.
 
-    Kahn's algorithm with a heap: among the rotations whose predecessors
-    are all listed, list the one with the best women's drop per men's rise
-    next, ties by chain index.  Entry p of the result is the chain index
-    of the p-th rotation.
+    Among the rotations whose predecessors are all listed, list the one
+    with the best women's drop per men's rise next, ties by chain index:
+    the first ready one in ``_ranked`` order among those not yet listed.
+    Entry p of the result is the chain index of the p-th rotation.  The
+    scan is quadratic, yet on chains of about 100 rotations with dense
+    predecessor masks it measured no slower than Kahn's algorithm over
+    successor lists, and no slower on the sparse chains of the reduction.
     """
     preds = chain.preds
     ranked = _ranked(chain.deltas)
-    rank = [0] * len(ranked)
-    for r, j in enumerate(ranked):
-        rank[j] = r
-    waiting = [mask.bit_count() for mask in preds]
-    after: list[list[int]] = [[] for _ in preds]
-    for j, mask in enumerate(preds):
-        while mask:  # each set bit, lowest first
-            low = mask & -mask
-            after[low.bit_length() - 1].append(j)
-            mask ^= low
-    ready = [rank[j] for j, mask in enumerate(preds) if not mask]
-    heapify(ready)
     order = []
-    while ready:
-        i = ranked[heappop(ready)]
+    listed = 0
+    while ranked:
+        # Some rotation is ready: every predecessor comes earlier in the chain.
+        for p, i in enumerate(ranked):
+            if not preds[i] & ~listed:
+                break
+        del ranked[p]
         order.append(i)
-        for j in after[i]:
-            waiting[j] -= 1
-            if not waiting[j]:
-                heappush(ready, rank[j])
+        listed |= 1 << i
     return order
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from bsm import fpt, oracle
 from bsm.fpt import _Context
+from bsm.generate import planted_instance
 from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
 from bsm.instance import (
@@ -435,16 +436,8 @@ def full_sweep_chain(inst: Instance) -> _Chain:
 COMPONENT_SIDE_LIMIT = 8
 
 
-def component_least_balance(inst: Instance) -> int:
-    """The least balance of a stable matching of ``inst``, one component at a time.
-
-    A component in which every first choice is mutual has one stable
-    matching, everyone with their first choice.  Any other is
-    brute-forced (``_component_costs``), up to ``COMPONENT_SIDE_LIMIT``
-    people per side.  Every stable matching's (men's, women's) cost is a
-    sum of one cost pair per component; the merge keeps, component by
-    component, only the sums that no other beats on both sides.
-    """
+def components(inst: Instance) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the acceptability graph as (men, women) index lists."""
     n_men = len(inst.men)
     root = list(range(n_men + len(inst.women)))
 
@@ -462,9 +455,49 @@ def component_least_balance(inst: Instance) -> int:
         men.setdefault(find(m), []).append(m)
     for w in range(len(inst.women)):
         women.setdefault(find(n_men + w), []).append(w)
+    return [(men.get(part, []), women.get(part, [])) for part in sorted(men.keys() | women.keys())]
+
+
+def crossed_planted_instance(rng, n: int, cores: int, extra: int) -> Instance:
+    """``planted_instance(rng, n, cores, extra)`` with its cores joined in the input.
+
+    The cores are the components of the acceptability graph with more
+    than one man in which everyone accepts everyone on the other side.
+    Each core's man, drawn at random, and a random woman of the next core
+    then accept each other, each ranking the other last.  No stable
+    matching holds such a pair: a core man matched outside his core
+    leaves a woman of his core single or in such a pair, and the two
+    block.  ``clean_suffix`` drops the pairs, so the cores separate only
+    in the kernel.
+    """
+    inst = planted_instance(rng, n, cores, extra)
+    found = [
+        (ms, ws) for ms, ws in components(inst)
+        if len(ms) > 1 and all(len(inst.m_rank[m]) == len(ws) for m in ms)
+        and all(len(inst.w_rank[w]) == len(ms) for w in ws)
+    ]
+    if len(found) != cores:
+        raise ValueError(f"found {len(found)} full-list components for {cores} cores")
+    ranks = {p: dict(table) for p, table in inst.prefs.ranks.items()}
+    for i, (ms, _) in enumerate(found):
+        m, w = inst.men[rng.choice(ms)], inst.women[rng.choice(found[(i + 1) % cores][1])]
+        ranks[m][w] = len(ranks[m]) + 1
+        ranks[w][m] = len(ranks[w]) + 1
+    return make_instance(inst.men, inst.women, ranks)
+
+
+def component_least_balance(inst: Instance) -> int:
+    """The least balance of a stable matching of ``inst``, one component at a time.
+
+    A component in which every first choice is mutual has one stable
+    matching, everyone with their first choice.  Any other is
+    brute-forced (``_component_costs``), up to ``COMPONENT_SIDE_LIMIT``
+    people per side.  Every stable matching's (men's, women's) cost is a
+    sum of one cost pair per component; the merge keeps, component by
+    component, only the sums that no other beats on both sides.
+    """
     front = [(0, 0)]
-    for part in sorted(men.keys() | women.keys()):
-        ms, ws = men.get(part, []), women.get(part, [])
+    for ms, ws in components(inst):
         firsts = [(min(inst.m_rank[m], key=inst.m_rank[m].get), m) for m in ms if inst.m_rank[m]]
         if len(firsts) == len(ws) and all(min(inst.w_rank[w], key=inst.w_rank[w].get) == m for w, m in firsts):
             costs = {(sum(inst.m_rank[m][w] for w, m in firsts), sum(inst.w_rank[w][m] for w, m in firsts))}

@@ -205,8 +205,14 @@ def test_least_balance_is_the_least_of_the_full_walk_and_of_the_chain_order_walk
 
 def test_ratio_order_is_a_linear_extension_taking_the_best_ready_ratio_first():
     assert _by_ratio(_chain(single_pair())) == [] and _by_ratio(_chain(sad_2x2())) == [0]
+    # Beyond the small chains: a full-list one whose masks hold mostly
+    # transitive predecessors, and two longer chains of planted cores.
+    dense = _chain(random_instance(random.Random(1), 200, 200, 1.0))
+    planted = [_chain(planted_instance(random.Random(0), 1000, cores, 5)) for cores in (12, 16)]
+    assert (len(dense.deltas), sum(mask.bit_count() for mask in dense.preds)) == (41, 460)
+    assert [len(chain.deltas) for chain in planted] == [39, 51]
     held_back = 0  # chains whose order is not the ratio order alone
-    for chain in small_chains():
+    for chain in small_chains() + [dense] + planted:
         n = len(chain.deltas)
 
         def best_first(i):  # the women's change per men's rise, most negative first, then the index

@@ -26,6 +26,7 @@ from helpers import (
     BranchCertificate,
     assemble,
     component_least_balance,
+    crossed_planted_instance,
     enumerate_certificates,
     functional_instance,
     iter_certificates,
@@ -232,6 +233,25 @@ def test_extreme_matchings_decide_as_the_kernel_path_does():
             assert objectives(inst, got.witness).balance <= k
             assert (got.answer, got.r, got.stats) == (True, None, fpt.SolveStats(0, 0, 0))
     assert decided[True] >= 750 and decided[False] >= 250
+
+
+def test_a_decision_an_extreme_matching_settles_keeps_nothing():
+    # At every k from the lower extreme balance to one past the upper, μ_M
+    # or μ_W answers before anything is kernelized, so a freshly parsed
+    # instance decided at all of them in turn never makes a store.
+    rng = random.Random(20240807)
+    texts = [serialize(random_instance(rng, max_side=7)) for _ in range(200)]
+    texts += [serialize(random_instance(random.Random(seed), n, n, 1.0)) for n, seed, *_ in pool_entries()]
+    decided = 0
+    for text in texts:
+        inst = parse_instance(text)
+        balances = [fpt._balance(inst, mu) for mu in (inst.mu_m, inst.mu_w)]
+        for k in range(min(balances), max(balances) + 2):
+            result = solve_above_min(inst, k)
+            assert (result.answer, result.kernel) == (True, None)
+            assert "_store" not in vars(inst)
+            decided += 1
+    assert decided >= 750
 
 
 def test_gap_ranked_input_is_refused_at_any_k():
@@ -1156,9 +1176,9 @@ def bisection_order(ks):
 
 def test_decisions_on_one_instance_do_not_depend_on_their_order():
     # Each order decides every k on one parsed instance.  Its store keeps
-    # what the decisions before it made: the extreme balances and the
-    # k-free rule outcomes.  Each kernel keeps its branching tables and
-    # its paused live-subset walk.
+    # what the decisions before it made: the k-free rule outcomes.  Each
+    # kernel keeps its branching tables and, once a decision has walked
+    # them all without an accepted certificate, its live subsets.
     # Truncate leaves a kernel no partner beyond its budget, so a kernel
     # that several k share reads the needs walked from scratch at each of
     # them, and ``test_the_kept_needs_cut_no_subset_the_needs_at_any_budget_keep``
@@ -1236,6 +1256,28 @@ def test_planted_decisions_agree_with_the_rotation_engine(n, count):
         got, result, _ = fpt.minimal_balance(inst)
         assert got == bal and objectives(inst, result.witness).balance == bal
     assert branched >= 1
+
+
+@pytest.mark.parametrize("cores", [2, 3, 4])
+def test_cores_that_touch_only_in_the_input_are_decided_as_separate_ones(cores):
+    # The crossing pairs join every core to the next in the input, and no
+    # stable matching holds one; the kernel drops them, so each search
+    # runs on the plain instance's kernel.
+    for seed in range(2):
+        plain = planted_instance(random.Random(seed), 200, cores, 5)
+        crossed = crossed_planted_instance(random.Random(seed), 200, cores, 5)
+        assert sum(map(len, crossed.m_rank)) == sum(map(len, plain.m_rank)) + cores
+        bal = _least_balance(_chain(plain))
+        assert _least_balance(_chain(crossed)) == bal
+        got, want = fpt.minimal_balance(crossed), fpt.minimal_balance(plain)
+        assert (got[0], got[2], got[1].witness, got[1].stats) == (want[0], want[2], want[1].witness, want[1].stats)
+        for k in range(bal - 1, bal + 2):
+            result = solve_above_min(crossed, k)
+            assert result.answer == (k >= bal)
+            assert result.kernel.functional == solve_above_min(plain, k).kernel.functional
+            if result.answer:
+                assert not blocking_pairs(crossed, result.witness)
+                assert objectives(crossed, result.witness).balance <= k
 
 
 def relabelled(inst, rng):
