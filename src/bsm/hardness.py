@@ -15,12 +15,19 @@ compares that balance with clique brute force.  Every stable matching
 has the shape the construction allows (a vertex subset chooses which
 vertex pairs swap partners, an edge subset chooses which edge pairs
 swap), but the engine does not rely on it.
+
+A reduction's people depend only on |V|, |E| and the dummy count, so
+``reduce_clique`` slices them from module-level families, one per side
+and role, that hold the people of the largest reduction built so far:
+the same ``Person`` objects as that reduction's artifact holds.  Sharing
+them is safe because a ``Person`` is immutable; a race between two
+threads only builds a family twice, as with ``instance._derived``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 
 from .instance import (
     MAN,
@@ -197,12 +204,40 @@ def _fallback(g: Graph, k: int, delta: int, clique: tuple[str, ...] | None) -> R
     return ReductionArtifact(inst, 0, delta, -1, True, g, k)
 
 
+# The people of the largest reduction built so far, by name prefix: "m1_v",
+# "m2_v", "m1_e", "m2_e", "md" and their "w" equivalents.
+_FAMILIES: dict[str, tuple[Person, ...]] = {}
+
+
+def _family(side: str, prefix: str, n: int) -> tuple[Person, ...]:
+    """The people ``prefix + "1"`` to ``prefix + str(n)`` of ``side``; a shorter family grows to n."""
+    people = _FAMILIES.get(prefix, ())
+    if len(people) < n:
+        people = _FAMILIES[prefix] = people + _people(side, [f"{prefix}{i}" for i in range(len(people) + 1, n + 1)])
+    return people[:n]
+
+
+def _side_people(side: str, n_v: int, n_e: int, delta: int) -> tuple[Person, ...]:
+    """One side of a reduction: tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge, dummy and star people."""
+    letter = "m" if side == MAN else "w"
+    counts = (("1_v", n_v), ("2_v", n_v), ("1_e", n_e), ("2_e", n_e), ("d", delta))
+    families = [_family(side, letter + role, n) for role, n in counts]
+    return tuple(chain.from_iterable(families)) + (Person(side, letter + "star"),)
+
+
 def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     """Build the full reduction, or a trivial equivalent instance when the
     graph is small enough to settle by brute force.
 
     The fallback fires when the dummy count would be negative or the graph
     has at most k + k(k-1)/2 vertices.
+
+    The people are sliced from families shared by every reduction in the
+    process, which hold the people of the largest reduction built so far:
+    the same ``Person`` objects as that reduction's artifact holds.  As a
+    ``Person`` is immutable, sharing is safe; a race between two threads
+    only builds a family twice.  The first reduction in a process, as in a
+    one-shot ``bsm reduce`` or ``bsm verify``, still names all its people.
     """
     delta, fallback = _plan(g, k)
     if fallback:
@@ -220,15 +255,13 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     # dummy and star people in that order, so one index serves either side.
     iv = {(s, v): (s - 1) * n_v + i for i, v in enumerate(V) for s in (1, 2)}
     ie = {(s, j): 2 * n_v + (s - 1) * n_e + j for j in range(n_e) for s in (1, 2)}
-    dummy = [2 * n_v + 2 * n_e + i for i in range(delta)]
-    star = 2 * n_v + 2 * n_e + delta
-    labels = [f"{s}_v{i + 1}" for s in (1, 2) for i in range(n_v)]
-    labels += [f"{s}_e{j + 1}" for s in (1, 2) for j in range(n_e)]
-    labels += [f"d{i + 1}" for i in range(delta)] + ["star"]
-    men = _people(MAN, map("m".__add__, labels))
-    women = _people(WOMAN, map("w".__add__, labels))
-    m_rank: list[dict[int, int]] = [{} for _ in men]
-    w_rank: list[dict[int, int]] = [{} for _ in women]
+    base = 2 * n_v + 2 * n_e
+    dummy = range(base, base + delta)
+    star = base + delta
+    men = _side_people(MAN, n_v, n_e, delta)
+    women = _side_people(WOMAN, n_v, n_e, delta)
+    m_rank: list[dict[int, int]] = [{} for _ in range(base)]
+    w_rank: list[dict[int, int]] = [{} for _ in range(base)]
 
     # Each table is written best rank first.  When delta is small, only the
     # dummies that exist are referenced; the rank values of everyone else
@@ -238,8 +271,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
         for s in (1, 2):
             table = m_rank[iv[(s, v)]]
             table[iv[(s, v)]] = 1
-            for rank, d in enumerate(dummy[:2], start=2):
-                table[d] = rank
+            table.update(zip(dummy[:2], count(2)))
             table[iv[(3 - s, v)]] = 4
 
     # Edge men: own partner, both endpoint women of the same tier, twin's partner.
@@ -247,21 +279,19 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
         for s in (1, 2):
             m_rank[ie[(s, j)]].update({ie[(s, j)]: 1, iv[(s, u)]: 2, iv[(s, v)]: 3, ie[(3 - s, j)]: 4})
 
-    # Low-index dummy men also rank every edge woman, in index order, and a
-    # tail of vertex women: dummy i ranks, in index order, the vertex women
-    # whose vertex misses at least i edges.
+    # Dummy men: own dummy first.  The low-index ones also rank every edge
+    # woman, in index order, and a tail of vertex women: dummy i ranks, in
+    # index order, the vertex women whose vertex misses at least i edges.
     n_ve = n_v * n_e
-    edge_ranks = dict(zip(range(2 * n_v, 2 * n_v + 2 * n_e), range(2, 2 * n_e + 2)))
+    m_rank += [{d: 1} for d in dummy]
+    edge_ranks = dict(zip(range(2 * n_v, base), count(2)))
     missed = [n_e - deg[v] for v in V] * 2  # per vertex woman, in index order
-    for i, d in enumerate(dummy, start=1):
-        table = m_rank[d]
-        table[d] = 1
-        if i <= n_ve:
-            table.update(edge_ranks)
-            table.update(zip(compress(range(2 * n_v), map(i.__le__, missed)), count(2 * n_e + 2)))
+    for i, table in enumerate(m_rank[base:base + n_ve], start=1):
+        table.update(edge_ranks)
+        table.update(zip(compress(range(2 * n_v), map(i.__le__, missed)), count(2 * n_e + 2)))
 
-    m_rank[star] = {d: i for i, d in enumerate(dummy, start=1)}
-    m_rank[star][star] = delta + 1
+    # The star man: every dummy woman in index order, then the star woman.
+    m_rank.append(dict(zip(range(base, star + 1), count(1))))
 
     # Vertex women: the twin first, incident edge men at their edge's global
     # slot, acceptable dummies on the unused slots, own man last.
@@ -284,21 +314,16 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
         for s in (1, 2):
             table = w_rank[ie[(s, j)]]
             table[ie[(3 - s, j)]] = 1
-            for rank, d in enumerate(dummy[:n_ve], start=2):
-                table[d] = rank
+            table.update(zip(dummy[:n_ve], count(2)))
             table[ie[(s, j)]] = n_ve + 2
 
-    # Dummy women: own dummy, the star man, and (for the first two) all vertex men.
-    for i, d in enumerate(dummy, start=1):
-        table = w_rank[d]
-        table[d] = 1
-        table[star] = 2
-        if i <= 2:
-            for s in (1, 2):
-                for pos, v in enumerate(V, start=1):
-                    table[iv[(s, v)]] = (s - 1) * n_v + pos + 2
+    # Dummy women: own dummy, the star man, and (for the first two) all
+    # vertex men, tier 1 then tier 2, in index order.
+    w_rank += [{d: 1, star: 2} for d in dummy]
+    for table in w_rank[base:base + 2]:
+        table.update(zip(range(2 * n_v), count(3)))
 
-    w_rank[star] = {star: 1}
+    w_rank.append({star: 1})
 
     t = 6 * (k + k * (k - 1) // 2)
     k_hat = len(men) + delta + t

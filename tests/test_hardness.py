@@ -99,17 +99,25 @@ def test_fallback_small_graph():
     assert not decide_above_min(art.inst, 0).answer
 
 
-@pytest.mark.parametrize(
-    "graph, k, delta, contiguous, digest",
-    [
-        # With fewer than two dummies the rank tables have gaps.
-        (Graph.build("abcd", []), 1, 0, False, "1a92b00316fb970b"),
-        (Graph.build("abcde", []), 1, 2, True, "889fd5fbffcd15c1"),
-        (Graph.build("abcdefg", [("c", "f")]), 2, 2, False, "989dd1b2ee54aada"),
-        (random_graph(random.Random(4), 7, 9, plant_triangle=True), 3, 812, True, "41f8dad33a283d08"),
-        (random_graph(random.Random(6), 6, 5), 2, 278, True, "aa6e70fe9efb5d80"),
-    ],
-)
+# (graph, k, delta, contiguous, sha256[:16] of the reduced instance's text)
+PINNED_REDUCTIONS = [
+    # With fewer than two dummies the rank tables have gaps.
+    (Graph.build("abcd", []), 1, 0, False, "1a92b00316fb970b"),
+    (Graph.build("abcde", []), 1, 2, True, "889fd5fbffcd15c1"),
+    (Graph.build("abcdefg", [("c", "f")]), 2, 2, False, "989dd1b2ee54aada"),
+    (random_graph(random.Random(4), 7, 9, plant_triangle=True), 3, 812, True, "41f8dad33a283d08"),
+    (random_graph(random.Random(6), 6, 5), 2, 278, True, "aa6e70fe9efb5d80"),
+    # The two 1,573-person graphs that CI verifies.
+    (random_graph(random.Random(1), 10, 10, plant_triangle=True), 3, 1532, True, "7c18890f376a17ce"),
+    (random_triangle_free_graph(random.Random(1), 10, 10), 3, 1532, True, "966894ba3a37fe8c"),
+]
+
+
+def _digest(art) -> str:
+    return hashlib.sha256(serialize(art.inst).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("graph, k, delta, contiguous, digest", PINNED_REDUCTIONS)
 def test_reduced_instance_text_is_pinned(graph, k, delta, contiguous, digest):
     # The digests are of the text written when the reduction built people-keyed tables.
     art = reduce_clique(graph, k)
@@ -117,6 +125,28 @@ def test_reduced_instance_text_is_pinned(graph, k, delta, contiguous, digest):
     assert (art.delta, art.inst.contiguous) == (delta, contiguous)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert parse_instance(text) == art.inst and serialize(parse_instance(text)) == text
+
+
+def test_reduction_people_do_not_depend_on_build_order(monkeypatch):
+    # Each reduction alone, with no people built before it.
+    fresh = []
+    for graph, k, *_ in PINNED_REDUCTIONS:
+        monkeypatch.setattr(hardness, "_FAMILIES", {})
+        fresh.append(reduce_clique(graph, k))
+    by_size = sorted(range(len(fresh)), key=lambda i: len(fresh[i].inst.men))
+    # Largest first, so the smaller ones, down to delta 0, slice grown
+    # families; then smallest first, so each one grows them.
+    for order in (by_size[::-1], by_size):
+        monkeypatch.setattr(hardness, "_FAMILIES", {})
+        for i in order:
+            graph, k, _, _, digest = PINNED_REDUCTIONS[i]
+            art = reduce_clique(graph, k)
+            assert _digest(art) == digest
+            assert art.inst == fresh[i].inst and art.name_maps == fresh[i].name_maps
+    # The families hold the people of the largest reduction built.
+    largest = fresh[by_size[-1]].inst
+    names = [p.name for family in hardness._FAMILIES.values() for p in family]
+    assert sorted(names) == sorted(p.name for p in largest.men[:-1] + largest.women[:-1])
 
 
 def test_reduce_requires_positive_k():
