@@ -16,18 +16,16 @@ has the shape the construction allows (a vertex subset chooses which
 vertex pairs swap partners, an edge subset chooses which edge pairs
 swap), but the engine does not rely on it.
 
-A reduction's people depend only on |V|, |E| and the dummy count, so
-``reduce_clique`` slices them from module-level families, one per side
-and role, that hold the people of the largest reduction built so far:
-the same ``Person`` objects as that reduction's artifact holds.  Sharing
-them is safe because a ``Person`` is immutable; a race between two
-threads only builds a family twice, as with ``instance._derived``.
+A reduction's people are named only when they are read: each side is a
+``Roster``, which a verify, reading only how many people a side has,
+never names, and which ``serialize`` or ``name_maps`` names once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count
+from functools import partial
+from itertools import combinations, compress, count
 
 from .instance import (
     MAN,
@@ -35,7 +33,7 @@ from .instance import (
     Instance,
     Matching,
     Person,
-    _people,
+    Roster,
 )
 from .oracle import TooLarge, _chain, _least_balance
 
@@ -204,25 +202,13 @@ def _fallback(g: Graph, k: int, delta: int, clique: tuple[str, ...] | None) -> R
     return ReductionArtifact(inst, 0, delta, -1, True, g, k)
 
 
-# The people of the largest reduction built so far, by name prefix: "m1_v",
-# "m2_v", "m1_e", "m2_e", "md" and their "w" equivalents.
-_FAMILIES: dict[str, tuple[Person, ...]] = {}
-
-
-def _family(side: str, prefix: str, n: int) -> tuple[Person, ...]:
-    """The people ``prefix + "1"`` to ``prefix + str(n)`` of ``side``; a shorter family grows to n."""
-    people = _FAMILIES.get(prefix, ())
-    if len(people) < n:
-        people = _FAMILIES[prefix] = people + _people(side, [f"{prefix}{i}" for i in range(len(people) + 1, n + 1)])
-    return people[:n]
-
-
-def _side_people(side: str, n_v: int, n_e: int, delta: int) -> tuple[Person, ...]:
-    """One side of a reduction: tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge, dummy and star people."""
-    letter = "m" if side == MAN else "w"
-    counts = (("1_v", n_v), ("2_v", n_v), ("1_e", n_e), ("2_e", n_e), ("d", delta))
-    families = [_family(side, letter + role, n) for role, n in counts]
-    return tuple(chain.from_iterable(families)) + (Person(side, letter + "star"),)
+def _names(letter: str, n_v: int, n_e: int, delta: int) -> list[str]:
+    """One side's names in index order: tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge, dummy and star."""
+    names = [f"{letter}{s}_v{i}" for s in (1, 2) for i in range(1, n_v + 1)]
+    names += [f"{letter}{s}_e{j}" for s in (1, 2) for j in range(1, n_e + 1)]
+    names += [f"{letter}d{i}" for i in range(1, delta + 1)]
+    names.append(letter + "star")
+    return names
 
 
 def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
@@ -230,14 +216,8 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     graph is small enough to settle by brute force.
 
     The fallback fires when the dummy count would be negative or the graph
-    has at most k + k(k-1)/2 vertices.
-
-    The people are sliced from families shared by every reduction in the
-    process, which hold the people of the largest reduction built so far:
-    the same ``Person`` objects as that reduction's artifact holds.  As a
-    ``Person`` is immutable, sharing is safe; a race between two threads
-    only builds a family twice.  The first reduction in a process, as in a
-    one-shot ``bsm reduce`` or ``bsm verify``, still names all its people.
+    has at most k + k(k-1)/2 vertices.  A full reduction's two sides are
+    ``Roster``s, named on first read.
     """
     delta, fallback = _plan(g, k)
     if fallback:
@@ -258,8 +238,8 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     base = 2 * n_v + 2 * n_e
     dummy = range(base, base + delta)
     star = base + delta
-    men = _side_people(MAN, n_v, n_e, delta)
-    women = _side_people(WOMAN, n_v, n_e, delta)
+    men = Roster(MAN, star + 1, partial(_names, "m", n_v, n_e, delta))
+    women = Roster(WOMAN, star + 1, partial(_names, "w", n_v, n_e, delta))
     m_rank: list[dict[int, int]] = [{} for _ in range(base)]
     w_rank: list[dict[int, int]] = [{} for _ in range(base)]
 

@@ -12,7 +12,8 @@ An instance is stored as integer rank tables, ``Instance.m_rank`` and
 directly.  ``Person`` objects name people at the boundary: in matchings,
 in ``serialize`` and in the people-keyed view ``Instance.prefs``, which
 no code in this package builds.  A ``Person`` is a ``NamedTuple`` and
-equals its plain ``(side, name)`` tuple.  The algorithms start from the two
+equals its plain ``(side, name)`` tuple.  A side's people are a tuple, or a
+``Roster`` that names them only when they are first read.  The algorithms start from the two
 extreme stable matchings, ``Instance.mu_m`` and ``Instance.mu_w``, which
 deferred acceptance finds here, and the facts read off them: the optimal
 costs ``o_m`` and ``o_w``, each a side's ``cost``, and the sad and happy
@@ -89,6 +90,42 @@ class Person(NamedTuple):
         return f"{self.side}:{self.name}"
 
 
+class Roster:
+    """One side's n people, named on first read by ``names()``, which lists
+    their names in index order.
+
+    Deferred acceptance and the rotation chain read only how many people a
+    side has, so a reduction that is only verified names no one; the first
+    reader of people (``serialize``, a matching of people, a kernel) builds
+    the ``Person`` tuple, and the roster keeps it as ``_derived`` keeps a
+    value: two threads that race name the people twice.  A roster equals
+    the tuple of its people, and adding a sequence of people to it gives a
+    tuple.
+    """
+
+    def __init__(self, side: str, n: int, names):
+        self.side, self._n, self._names = side, n, names
+
+    @_derived
+    def people(self) -> tuple[Person, ...]:
+        return _people(self.side, self._names())
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        return self.people[i]
+
+    def __iter__(self):
+        return iter(self.people)
+
+    def __eq__(self, other):
+        return self.people == other
+
+    def __add__(self, other):
+        return self.people + tuple(other)
+
+
 class Partners(NamedTuple):
     """A matching as partner indices: ``by_man[m]`` is man m's woman, -1 if single."""
 
@@ -156,8 +193,8 @@ class Instance:
     first use and kept.
     """
 
-    men: tuple[Person, ...]
-    women: tuple[Person, ...]
+    men: tuple[Person, ...] | Roster
+    women: tuple[Person, ...] | Roster
     m_rank: list[dict[int, int]]
     w_rank: list[dict[int, int]]
     target_k: int | None = None

@@ -113,10 +113,6 @@ PINNED_REDUCTIONS = [
 ]
 
 
-def _digest(art) -> str:
-    return hashlib.sha256(serialize(art.inst).encode()).hexdigest()[:16]
-
-
 @pytest.mark.parametrize("graph, k, delta, contiguous, digest", PINNED_REDUCTIONS)
 def test_reduced_instance_text_is_pinned(graph, k, delta, contiguous, digest):
     # The digests are of the text written when the reduction built people-keyed tables.
@@ -127,26 +123,17 @@ def test_reduced_instance_text_is_pinned(graph, k, delta, contiguous, digest):
     assert parse_instance(text) == art.inst and serialize(parse_instance(text)) == text
 
 
-def test_reduction_people_do_not_depend_on_build_order(monkeypatch):
-    # Each reduction alone, with no people built before it.
-    fresh = []
-    for graph, k, *_ in PINNED_REDUCTIONS:
-        monkeypatch.setattr(hardness, "_FAMILIES", {})
-        fresh.append(reduce_clique(graph, k))
-    by_size = sorted(range(len(fresh)), key=lambda i: len(fresh[i].inst.men))
-    # Largest first, so the smaller ones, down to delta 0, slice grown
-    # families; then smallest first, so each one grows them.
-    for order in (by_size[::-1], by_size):
-        monkeypatch.setattr(hardness, "_FAMILIES", {})
-        for i in order:
-            graph, k, _, _, digest = PINNED_REDUCTIONS[i]
-            art = reduce_clique(graph, k)
-            assert _digest(art) == digest
-            assert art.inst == fresh[i].inst and art.name_maps == fresh[i].name_maps
-    # The families hold the people of the largest reduction built.
-    largest = fresh[by_size[-1]].inst
-    names = [p.name for family in hardness._FAMILIES.values() for p in family]
-    assert sorted(names) == sorted(p.name for p in largest.men[:-1] + largest.women[:-1])
+@pytest.mark.parametrize("graph, k", [case[:2] for case in PINNED_REDUCTIONS[-2:]])
+def test_a_verify_names_no_one(monkeypatch, graph, k):
+    built = []
+    monkeypatch.setattr(hardness, "reduce_clique", lambda g, k: built.append(reduce_clique(g, k)) or built[-1])
+    assert verify_reduction(graph, k).ok
+    (art,) = built
+    assert "people" not in vars(art.inst.men) and "people" not in vars(art.inst.women)
+    # Named later, each side lists the people of the text in index order.
+    named = parse_instance(serialize(art.inst))
+    assert art.inst.men == named.men and art.inst.women == named.women
+    assert vars(art.inst.men)["people"] == named.men
 
 
 def test_reduce_requires_positive_k():

@@ -14,6 +14,7 @@ from bsm.instance import (
     Matching,
     ParseError,
     Person,
+    Roster,
     ValidationError,
     _rows_hold,
     cost,
@@ -295,6 +296,19 @@ def test_person_hash_is_the_hash_of_side_and_name():
     assert copied == a and hash(copied) == hash(a)
     assert a._replace(name="b") == Person(MAN, "b")
     assert hash(a._replace(name="b")) == hash((MAN, "b"))
+
+
+def test_a_roster_names_its_people_on_first_read_and_acts_as_their_tuple():
+    calls = []
+    roster = Roster(WOMAN, 2, lambda: calls.append(1) or ["a", "b"])
+    people = (Person(WOMAN, "a"), Person(WOMAN, "b"))
+    assert len(roster) == 2 and not calls
+    assert roster == people and people == roster and roster != people[:1] and roster == Roster(WOMAN, 2, "a b".split)
+    assert roster[1] == people[1] and roster[:1] == people[:1] and list(roster) == list(people)
+    assert roster + people[:1] == people + people[:1] and roster + roster == people + people
+    assert people[1] in roster and calls == [1]
+    copied = pickle.loads(pickle.dumps(Roster(WOMAN, 2, "a b".split)))
+    assert len(copied) == 2 and copied == people
 
 
 _M, _W, _M2, _Z = Person(MAN, "m"), Person(WOMAN, "w"), Person(MAN, "m2"), Person(WOMAN, "z")
