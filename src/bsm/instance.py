@@ -23,16 +23,21 @@ people; ``gs.validate_matching`` checks such a matching and turns it back.
 
 Each reader proves what it reads, so the per-entry checks run only where
 it cannot.  Every key either reader writes is an int: a partner's index,
-or ``~i`` for a name of the owner's own side.  The text reader reads its
-lines in two passes, the name and k lines before the person lines.  Its
-list form ranks each row's partners 1..len, so those ranks are distinct,
-positive and in rank order; a functional row's ranks are ints.  The JSON
-reader proves every rank a non-bool int.  What is left is tested once per
-table: distinct ranks of at least 1 in the rows not in list form, no
-partner of the owner's own side, and mutual acceptability.  Only when
-that test fails does the ordered scan ``_check_rows`` run, to name the
-first fault.  ``make_instance``, whose keys and ranks may be anything,
-always runs the scan.
+or ``~i`` for a name of the owner's own side.  The text reader reads
+comment-free, list-form text a side at a time, in a bulk pass that builds
+each row in C.  Any other text, and any text with a fault in a line, goes
+whole to the ordered reader, which reads the lines in two passes, the
+name and k lines before the person lines: so comments, functional rows
+and the order of faults are that reader's alone.  The list form ranks
+each row's partners 1..len, so those ranks are distinct, positive and in
+rank order; a functional row's ranks are ints.  The JSON reader proves
+every rank a non-bool int.  What is left is tested once per table:
+distinct ranks of at least 1 in the rows not in list form, no partner of
+the owner's own side, and mutual acceptability.  Only when that test
+fails does the ordered scan ``_check_rows`` run, to name the first fault.
+Each reader also records ``contiguous`` from those rows alone.
+``make_instance``, whose keys and ranks may be anything, always runs the
+scan, and its instances derive ``contiguous`` on first read.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, count, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 MAN = "M"
@@ -91,24 +96,28 @@ class Person(NamedTuple):
 
 
 class Roster:
-    """One side's n people, named on first read by ``names()``, which lists
-    their names in index order.
+    """One side's n people, named on first read by ``list_names()``, which
+    lists their names in index order.
 
     Deferred acceptance and the rotation chain read only how many people a
-    side has, so a reduction that is only verified names no one; the first
-    reader of people (``serialize``, a matching of people, a kernel) builds
-    the ``Person`` tuple, and the roster keeps it as ``_derived`` keeps a
-    value: two threads that race name the people twice.  A roster equals
-    the tuple of its people, and adding a sequence of people to it gives a
-    tuple.
+    side has, so a reduction that is only verified names no one.
+    ``serialize`` reads only the names; the first reader of people (a
+    matching of people, a kernel) builds the ``Person`` tuple.  The roster
+    keeps both as ``_derived`` keeps a value: two threads that race name
+    the people twice.  A roster equals the tuple of its people, and adding
+    a sequence of people to it gives a tuple.
     """
 
-    def __init__(self, side: str, n: int, names):
-        self.side, self._n, self._names = side, n, names
+    def __init__(self, side: str, n: int, list_names):
+        self.side, self._n, self._list_names = side, n, list_names
+
+    @_derived
+    def names(self) -> list[str]:
+        return self._list_names()
 
     @_derived
     def people(self) -> tuple[Person, ...]:
-        return _people(self.side, self._names())
+        return _people(self.side, self.names)
 
     def __len__(self):
         return self._n
@@ -168,6 +177,15 @@ def _deferred_acceptance(order, responder_rank, n_resp):
     return matched, holds
 
 
+def _contiguous(tables) -> bool:
+    """Whether each table's n ranks are 1..n.
+
+    A table's ranks are distinct, positive and stored in rank order, so
+    they are 1..n when the last is n; each last rank is read in C.
+    """
+    return all(map(eq, map(next, map(reversed, map(dict.values, tables)), repeat(0)), map(len, tables)))
+
+
 def cost(tables, partner) -> int:
     """One side's cost of a matching: each matched person's rank of their
     partner, summed over ``partner``, a partner index array (-1 if single).
@@ -201,8 +219,8 @@ class Instance:
 
     @_derived
     def contiguous(self) -> bool:
-        """True when each person's n ranks are 1..n: as they are distinct and positive, when the largest is n."""
-        return all(max(t.values(), default=0) == len(t) for t in self.m_rank + self.w_rank)
+        """True when each person's n ranks are 1..n.  A reader sets it as it builds the instance."""
+        return _contiguous(self.m_rank) and _contiguous(self.w_rank)
 
     @_derived
     def people(self) -> tuple[Person, ...]:
@@ -366,7 +384,8 @@ def _build(men, women, m_rows, w_rows, k, loose=None) -> Instance:
     entry by entry.  A reader has proven that every key is an int and
     every rank a non-bool int, and passes ``loose``: the rows whose ranks
     it has not proven to be 1..len in order.  Its rows are scanned only
-    when ``_rows_hold`` finds a fault, so that the scan names it.
+    when ``_rows_hold`` finds a fault, so that the scan names it, and the
+    instance's ``contiguous`` is read off the loose rows alone.
     """
     if k is not None and (not _is_int(k) or k < 0):
         raise ValidationError(f"target k must be a non-negative integer, got {k!r}")
@@ -378,7 +397,10 @@ def _build(men, women, m_rows, w_rows, k, loose=None) -> Instance:
             items = sorted(row.items(), key=itemgetter(1))
             row.clear()
             row.update(items)
-    return Instance(men, women, m_rows, w_rows, k)
+    inst = Instance(men, women, m_rows, w_rows, k)
+    if loose is not None:
+        vars(inst)["contiguous"] = not loose or _contiguous(loose)
+    return inst
 
 
 def _rows_hold(m_rows, w_rows, loose) -> bool:
@@ -427,13 +449,12 @@ def _check_rows(men, women, m_rows, w_rows) -> None:
                     raise ValidationError(f"mutual acceptability violated for ({a}, {partners[b]})")
 
 
-def _names(men, women) -> tuple[dict, dict]:
+def _names(m_names: list[str], w_names: list[str]) -> tuple[dict, dict]:
     """Per side, the row key of each name: ``keys[0]`` for the men's rows, ``keys[1]`` for the women's.
 
     So ``keys[0]`` also tells an owner's side and position: a woman's
     index, or ``~i`` for man i.  Raises ``ValidationError`` when a name repeats.
     """
-    m_names, w_names = [p.name for p in men], [p.name for p in women]
     n_m, n_w = len(m_names), len(w_names)
     keys = (dict(zip(w_names, range(n_w))), dict(zip(m_names, range(n_m))))
     keys[0].update(zip(m_names, range(-1, -n_m - 1, -1)))
@@ -466,7 +487,54 @@ def parse_instance(text: str, fmt: str = "text") -> Instance:
 
 
 def _parse_text(text: str) -> Instance:
-    """Read the text format in two passes over its lines.
+    """Read the text format a side at a time, or hand the whole text to ``_parse_ordered``.
+
+    The bulk pass reads comment-free, list-form text, its lines in any
+    order: it splits every line on its one ``:``, looks up every owner in
+    one ``map`` and builds each row in C.  Text that holds a ``#`` or a
+    ``=``, a line without exactly one ``:``, an unknown or repeated owner
+    or partner, a bad or reserved name, a repeated or missing header or a
+    k that is not an integer goes whole to the ordered reader, so faults
+    come in that reader's order.  Only ``_build``'s faults, a negative k or
+    a fault in the rows, come from the bulk pass, as they would from the
+    ordered reader: by then no line holds a fault.
+    """
+    if "#" in text or "=" in text:
+        return _parse_ordered(text)
+    try:
+        lines = dict(line.split(":") for line in text.splitlines() if line and not line.isspace())
+    except ValueError:  # a line without exactly one ':'
+        return _parse_ordered(text)
+    lines = dict(zip(map(str.strip, lines), lines.values()))
+    men, women, k_text = lines.pop("men", None), lines.pop("women", None), lines.pop("k", None)
+    # Each line kept holds exactly one ':', so fewer heads than ':'s means a repeated one.
+    if men is None or women is None or len(lines) + 2 + (k_text is not None) != text.count(":"):
+        return _parse_ordered(text)
+    # A name split off here holds no whitespace, ':', '#' or '=': only a reserved one is bad.
+    m_names, w_names = men.split(), women.split()
+    if not (_RESERVED_NAMES.isdisjoint(m_names) and _RESERVED_NAMES.isdisjoint(w_names)):
+        return _parse_ordered(text)
+    try:
+        k = None if k_text is None else int(k_text.strip())
+        keys = _names(m_names, w_names)
+        owners = list(map(keys[0].__getitem__, lines))
+        key = (keys[0].__getitem__, keys[1].__getitem__)  # a man's row by keys[0]: his owner key is negative
+        rows, n_tokens = {}, 0
+        for owner, tokens in zip(owners, map(str.split, lines.values())):
+            rows[owner] = dict(zip(map(key[owner >= 0], tokens), count(1)))
+            n_tokens += len(tokens)
+    except (ValueError, KeyError):  # a bad k or a repeated name; an unknown owner or partner
+        return _parse_ordered(text)
+    if sum(map(len, rows.values())) != n_tokens:  # a repeated partner
+        return _parse_ordered(text)
+    m_rows = [rows.get(~i) or {} for i in range(len(m_names))]
+    w_rows = [rows.get(j) or {} for j in range(len(w_names))]
+    return _build(_people(MAN, m_names), _people(WOMAN, w_names), m_rows, w_rows, k, [])
+
+
+def _parse_ordered(text: str) -> Instance:
+    """Read the text format in two passes over its lines: the one reader of
+    comments and functional rows, and the one that names a fault in a line.
 
     The first pass reads the shape of each line and the men, women and k
     lines, and keeps the person lines; the second reads the person lines
@@ -474,8 +542,8 @@ def _parse_text(text: str) -> Instance:
     line or in a men, women or k line, by line; a missing name line; a
     repeated name; then the first fault of a person line, by line.
     """
-    men: tuple[Person, ...] | None = None
-    women: tuple[Person, ...] | None = None
+    m_names: list[str] | None = None
+    w_names: list[str] | None = None
     k: int | None = None
     person_lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -487,13 +555,13 @@ def _parse_text(text: str) -> Instance:
             raise ParseError(f"line {lineno}: expected 'name: ...'")
         head = head.rstrip()
         if head == "men":
-            if men is not None:
+            if m_names is not None:
                 raise ParseError(f"line {lineno}: duplicate 'men:' line")
-            men = _read_names(MAN, rest, lineno)
+            m_names = [_parse_name(name, lineno) for name in rest.split()]
         elif head == "women":
-            if women is not None:
+            if w_names is not None:
                 raise ParseError(f"line {lineno}: duplicate 'women:' line")
-            women = _read_names(WOMAN, rest, lineno)
+            w_names = [_parse_name(name, lineno) for name in rest.split()]
         elif head == "k":
             if k is not None:
                 raise ParseError(f"line {lineno}: duplicate 'k:' line")
@@ -503,10 +571,10 @@ def _parse_text(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: k must be an integer") from None
         else:
             person_lines.append((lineno, head, rest))
-    if men is None or women is None:
+    if m_names is None or w_names is None:
         raise ParseError("missing 'men:' or 'women:' line")
-    keys = _names(men, women)
-    rows: tuple[list, list] = ([None] * len(men), [None] * len(women))
+    keys = _names(m_names, w_names)
+    rows: tuple[list, list] = ([None] * len(m_names), [None] * len(w_names))
     loose = []  # the functional rows: a list-form row ranks its partners 1..len in order
     for lineno, name, rest in person_lines:
         key = keys[0].get(name)
@@ -515,14 +583,13 @@ def _parse_text(text: str) -> Instance:
         side, i = (0, ~key) if key < 0 else (1, key)
         if rows[side][i] is not None:
             raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
-        if "=" in rest:
-            rows[side][i] = _token_row(rest.split(), keys[side], lineno, True)
-            loose.append(rows[side][i])
-        else:
-            rows[side][i] = _list_row(rest.split(), keys[side], lineno)
+        functional = "=" in rest
+        rows[side][i] = row = _token_row(rest.split(), keys[side], lineno, functional)
+        if functional:
+            loose.append(row)
     # The names were checked as they were read, and each side holds its own people.
     m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
-    return _build(men, women, m_rows, w_rows, k, loose)
+    return _build(_people(MAN, m_names), _people(WOMAN, w_names), m_rows, w_rows, k, loose)
 
 
 def _people(side: str, names) -> tuple[Person, ...]:
@@ -530,37 +597,11 @@ def _people(side: str, names) -> tuple[Person, ...]:
     return tuple(map(tuple.__new__, repeat(Person), zip(repeat(side), names)))
 
 
-def _read_names(side: str, rest: str, lineno: int) -> tuple[Person, ...]:
-    """The people of a ``men:`` or ``women:`` line.
-
-    A token of ``rest.split()`` holds no whitespace and, as comments are
-    cut first, no ``#``; so only a line with a ``:``, a ``=`` or a reserved
-    name can hold a bad one, and only there is each name checked.
-    """
-    names = rest.split()
-    if ":" in rest or "=" in rest or not _RESERVED_NAMES.isdisjoint(names):
-        for name in names:
-            _parse_name(name, lineno)
-    return _people(side, names)
-
-
 def _parse_name(token: str, lineno: int) -> str:
     try:
         return _check_name(token)
     except ValidationError as e:
         raise ParseError(f"line {lineno}: {e}") from None
-
-
-def _list_row(tokens: list[str], keys: dict, lineno: int) -> dict:
-    """A list-form row, built in one step; the token loop names an unknown or repeated partner."""
-    try:
-        row = dict(zip(map(keys.__getitem__, tokens), range(1, len(tokens) + 1)))
-    except KeyError:
-        pass
-    else:
-        if len(row) == len(tokens):
-            return row
-    return _token_row(tokens, keys, lineno, False)
 
 
 def _token_row(tokens: list[str], keys: dict, lineno: int, functional: bool) -> dict:
@@ -617,7 +658,7 @@ def _parse_json(text: str) -> Instance:
             if not isinstance(name, str):
                 raise ParseError(f"names in {key!r} must be strings, got {type(name).__name__}")
     men, women = _people(MAN, doc["men"]), _people(WOMAN, doc["women"])
-    keys = _names(men, women)
+    keys = _names(doc["men"], doc["women"])
     prefs = doc.get("prefs", {})
     if not isinstance(prefs, dict):
         raise ParseError("'prefs' must be an object")
@@ -669,19 +710,26 @@ def _named_rows(inst: Instance):
             yield p.name, names, table
 
 
+def _side_names(side) -> list[str]:
+    """A side's names in index order; a ``Roster`` lists them without naming its people."""
+    return side.names if isinstance(side, Roster) else [p.name for p in side]
+
+
 def _serialize_text(inst: Instance) -> str:
-    lines = [
-        ("men: " + " ".join(p.name for p in inst.men)).rstrip(),
-        ("women: " + " ".join(p.name for p in inst.women)).rstrip(),
-    ]
+    m_names, w_names = _side_names(inst.men), _side_names(inst.women)
+    lines = [("men: " + " ".join(m_names)).rstrip(), ("women: " + " ".join(w_names)).rstrip()]
     if inst.target_k is not None:
         lines.append(f"k: {inst.target_k}")
-    for name, names, table in _named_rows(inst):
+    # A name holds no whitespace, so only the line of an empty table needs its ' ' cut.
+    for owners, tables, partners in ((m_names, inst.m_rank, w_names), (w_names, inst.w_rank, m_names)):
+        name = partners.__getitem__
         if inst.contiguous:  # a table lists its partners in rank order
-            body = " ".join(map(names.__getitem__, table))
+            lines += [f"{a}: {' '.join(map(name, t))}" if t else f"{a}:" for a, t in zip(owners, tables)]
         else:
-            body = " ".join(f"{names[q]}={r}" for q, r in table.items())
-        lines.append(f"{name}: {body}".rstrip())
+            lines += [
+                f"{a}: {' '.join(map('{}={}'.format, map(name, t), t.values()))}" if t else f"{a}:"
+                for a, t in zip(owners, tables)
+            ]
     return "\n".join(lines) + "\n"
 
 

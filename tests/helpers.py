@@ -719,6 +719,11 @@ def shrink_once(inst: Instance):
 
 # --- the reference text writer -----------------------------------------------
 
+def reference_contiguous(inst: Instance) -> bool:
+    """``Instance.contiguous`` as it was first defined: each table's largest rank is its length."""
+    return all(max(t.values(), default=0) == len(t) for t in inst.m_rank + inst.w_rank)
+
+
 def reference_serialize_text(inst: Instance) -> str:
     """The text form, each row written from its (partner name, rank) pairs."""
     lines = [

@@ -33,6 +33,7 @@ from helpers import (
     loaded,
     naive_certificates,
     pool_entries,
+    reference_contiguous,
     reference_tables,
     sad_2x2,
     sad_rich_instance,
@@ -538,6 +539,16 @@ def engine_contexts():
                 ctx = _Context(result.functional, result.functional_k)
                 if ctx.r >= 0:
                     yield ctx, walk_up_to
+
+
+def test_contiguous_is_the_largest_rank_test_on_every_engine_kernel():
+    # Each kernel table is stored in rank order, so its last rank is its largest.
+    kernels = gapped = 0
+    for ctx, _ in engine_contexts():
+        assert ctx.inst.contiguous == reference_contiguous(ctx.inst)
+        kernels += 1
+        gapped += not ctx.inst.contiguous
+    assert 0 < gapped < kernels
 
 
 def covers(kept, need) -> bool:

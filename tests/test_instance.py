@@ -1,13 +1,15 @@
 import json
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsm.instance
 from bsm.generate import planted_instance, random_instance
-from bsm.hardness import reduce_clique
+from bsm.hardness import Graph, reduce_clique
 from bsm.instance import (
     MAN,
     WOMAN,
@@ -27,6 +29,7 @@ from helpers import (
     empty_instance,
     functional_instance,
     pool_entries,
+    reference_contiguous,
     reference_parse,
     reference_serialize_text,
     sad_2x2,
@@ -197,8 +200,14 @@ def test_empty_instance_serializes_to_trivial_yes_form():
 
 
 def test_text_writer_matches_the_pairwise_reference_byte_for_byte():
-    insts = [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
-    insts += [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
+    # verify_cases() holds 7v5e to 10v10e reductions, planted and triangle-free, and two fallbacks.
+    arts = [reduce_clique(graph, k) for _, graph, k in verify_cases()]
+    assert {len(art.inst.men) for art in arts} >= {181, 1573} and any(art.fallback for art in arts)
+    for art in arts:
+        text = serialize(art.inst)  # a full reduction's Roster sides are written by name, never named as people
+        assert art.fallback or not any("people" in vars(side) for side in (art.inst.men, art.inst.women))
+        assert text == reference_serialize_text(art.inst)
+    insts = [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
     gapped = functional_instance(
         {"m1": {"w1": 1, "w2": 3}, "m2": {"w2": 2}}, {"w1": {"m1": 4}, "w2": {"m2": 1, "m1": 5}, "w3": {}}, k=5
     )
@@ -206,6 +215,21 @@ def test_text_writer_matches_the_pairwise_reference_byte_for_byte():
     assert not gapped.contiguous and sum(inst.contiguous for inst in insts) == len(insts) - 1
     for inst in insts:
         assert serialize(inst) == reference_serialize_text(inst)
+
+
+def test_contiguous_is_the_largest_rank_test_on_reductions_and_parsed_instances():
+    # Every table is stored in rank order, so its last rank is its largest.  A
+    # reader records the flag as it builds; everyone else derives it on first read.
+    insts = [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
+    # Gapped: fewer than two dummies.
+    insts += [reduce_clique(Graph.build("abcd", []), 1).inst, reduce_clique(Graph.build("abcdefg", [("c", "f")]), 2).inst]
+    assert {inst.contiguous for inst in insts} == {True, False}
+    for inst in insts:
+        assert inst.contiguous == reference_contiguous(inst)
+        for fmt in ("text", "json"):
+            parsed = parse_instance(serialize(inst, fmt), fmt)
+            assert "contiguous" in vars(parsed) and parsed.contiguous == inst.contiguous
+    assert "contiguous" not in vars(make_instance(sad_2x2().men, sad_2x2().women, {}))
 
 
 def test_functional_round_trip_preserves_explicit_ranks():
@@ -412,7 +436,11 @@ def reads_alike(text: str, fmt: str) -> bool:
             parse_instance(text, fmt)
         assert type(raised.value) is type(fault) and str(raised.value) == str(fault)
         return False
-    got = parse_instance(text, fmt)
+    with mock.patch.object(bsm.instance, "_parse_ordered", wraps=bsm.instance._parse_ordered) as ordered:
+        got = parse_instance(text, fmt)
+    # The ordered reader reads comments and functional rows; the bulk pass reads every other valid text.
+    assert ordered.called == (fmt == "text" and ("#" in text or "=" in text))
+    assert got.contiguous == reference_contiguous(got)
     # Valid rows pass the whole-table test: the ordered scan runs only to name a fault.
     assert _rows_hold(got.m_rank, got.w_rank, got.m_rank + got.w_rank)
     rebuilt = make_instance(want.men, want.women, want.prefs.ranks, want.target_k)
@@ -435,6 +463,8 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
 
     Rows are [owner, [[partner, rank], ...], functional]; a row in list form
     is written without its ranks, so its partners rank 1..len in order.
+    Half the texts are written in list form throughout, which the bulk pass
+    of the text reader reads or hands on with its fault.
     """
     men, women, ranks, k = draw(people_ranks())
     m_names, w_names = [p.name for p in men], [p.name for p in women]
@@ -482,19 +512,26 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
                     row[1] = draw(st.permutations(row[1]))
         elif mutation == "negative-k":
             k = -1
+    if draw(st.booleans()):
+        for row in rows:
+            row[2] = False
     if fmt == "json":
         prefs = {}
         for owner, entries, _ in rows:
             prefs.setdefault(owner, []).extend(entries)
         return json.dumps({"men": m_names, "women": w_names, "prefs": prefs, "k": k})
-    heads = [f"men: {' '.join(m_names)}", f"women: {' '.join(w_names)}"] + ([] if k is None else [f"k: {k}"])
+    colon = draw(st.sampled_from([": ", ":", " : "]))
+    heads = [f"men{colon}{' '.join(m_names)}", f"women{colon}{' '.join(w_names)}"]
+    heads += [] if k is None else [f"k{colon}{k}"]
     body = [
-        f"{owner}: " + " ".join(f"{b}={r}" if functional else b for b, r in entries)
+        f"{owner}{colon}" + " ".join(f"{b}={r}" if functional else b for b, r in entries)
         for owner, entries, functional in rows
     ]
     # The name lines may come anywhere: person lines are read in a second pass.
     lines = draw(st.permutations(heads + body)) if draw(st.booleans()) else heads + body
-    return "\n".join(lines) + "\n"
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t", "\x1f"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
 
 
 @pytest.mark.parametrize("text", [
@@ -539,6 +576,36 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     "men: m1 m2\nwomen: w1 w2\nm1: w2=2 w1=1\nm2: w1 w2\nw1: m1 m2\nw2: m2=1 m1=5\n",
     "men: m1 m2\nwomen: w1 w2\nk: 7\nm1: w2=9 w1=4\nm2: w2 w1\nw1: m2=3 m1=1\nw2: m1 m2\n",
     "men: m1 m2\nwomen: w1 w2\nk: -1\nm1: w2 w1\nm2: w1 w2\nw1: m1\nw2: m1 m2\n",
+    # Comment-free list form, which the bulk pass reads: person lines shuffled or
+    # missing, blank lines, spaces around ':', CRLF ends, k after the person lines.
+    "men: m1 m2\nwomen: w1 w2\nw2: m1 m2\nm2: w2 w1\nw1: m2 m1\nm1: w1 w2\n",
+    "men: m1 m2\nwomen: w1 w2\nm1: w1\nw1: m1\n",
+    "\nmen: m1\n   \nwomen: w1\n\t\nm1: w1\n\n\x1f\nw1: m1\n \n",
+    "men : m1 m2\n women:w1\nm1 : w1\n  w1 :m1 \nm2:\n",
+    "men: m1 m2\r\nwomen: w1 w2\r\nm1: w2 w1\r\nm2: w1\r\nw1: m1 m2\r\nw2: m1\r\n",
+    "men: m1\nwomen: w1\nm1: w1\nw1: m1\nk: 3\n",
+    "men: m1\nwomen: w1\nm1: w1\nw1: m1\nk: 3",
+    # Comment-free list form that the bulk pass hands to the ordered reader with its fault.
+    "",
+    " \n\n",
+    "men: m1\nwomen: w1\nm1: w1: w1\nw1: m1\n",
+    "men: m1\nwomen: w1\nm1: w1\nm1 : w1\nw1: m1\n",
+    "men: m1\nmen : m2\nwomen: w1\n",
+    "men: m1\nwomen: w1\nk: 1\n k :2\n",
+    "men: m1\nwomen: w1\nm1: w1\nw1: m1\nk: 1.5\n",
+    "men: m1\nwomen: w1\nk: 99999999999999999999999\nm1: w1\nw1: m1\n",
+    "men: k\nwomen: w1\n",
+    "men: m1 women\nwomen: w1\n",
+    "men: m1 m1\nwomen: w1\n",
+    "men: m1\nwomen: w1\n: w1\n",
+    "men: m1\nwomen: w1 w2\nm1: w1 w2 w1\nw1: m1\nw2: m1\n",
+    "men: m1\nwomen: w1\nm1: w1 w2\nw1: m1\n",
+    "men: m1\nwomen: w1\nm 1: w1\n",
+    "women: w1\nm1: w1\n",
+    # Comment-free list form that the bulk pass reads and ``_build`` finds at fault.
+    "men: m1\nwomen: w1\nk: -3\nm1: w1\nw1: m1\n",
+    "men: m1 m2\nwomen: w1\nm1: m2\nw1: m1\n",
+    "men: m1\nwomen: w1 w2\nm1: w1\nw1: m1\nw2: m1\n",
 ])
 def test_text_reader_matches_the_reference_reader_on_hand_cases(text):
     reads_alike(text, "text")
@@ -567,6 +634,28 @@ def test_json_reader_matches_the_reference_reader_on_hand_cases(text):
 def test_readers_match_the_reference_reader(fmt, mutation, data):
     valid = reads_alike(data.draw(read_cases(fmt, mutation)), fmt)
     assert valid or mutation is not None  # a serialized instance, lines in any order, reads
+
+
+def test_the_bulk_pass_reads_corpus_draws_and_reductions_and_hands_on_the_rest():
+    insts = [random_instance(random.Random(seed), max_side=7) for seed in range(200)]
+    insts += [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
+    assert all(inst.contiguous for inst in insts)
+    texts = [serialize(inst) for inst in insts]
+    others = [
+        "# a comment\n" + texts[0],
+        texts[0] + "w99: m1\n",
+        "men: m1\nwomen: w1\nm1: w1=2\nw1: m1=1\n",
+    ]
+    with mock.patch.object(bsm.instance, "_parse_ordered", wraps=bsm.instance._parse_ordered) as ordered:
+        for inst, text in zip(insts, texts):
+            assert parse_instance(text) == inst
+        assert ordered.call_count == 0
+        for text in others:
+            try:
+                parse_instance(text)
+            except ValidationError:
+                pass
+        assert ordered.call_count == len(others)
 
 
 def test_cost_sums_each_matched_persons_rank_of_their_partner_and_nothing_for_a_single():
