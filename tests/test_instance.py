@@ -588,6 +588,7 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     # Comment-free list form that the bulk pass hands to the ordered reader with its fault.
     "",
     " \n\n",
+    "men: m1\nwomen: w1\nm1: w1\nw1: m1\nm1 w1\n",
     "men: m1\nwomen: w1\nm1: w1: w1\nw1: m1\n",
     "men: m1\nwomen: w1\nm1: w1\nm1 : w1\nw1: m1\n",
     "men: m1\nmen : m2\nwomen: w1\n",
@@ -638,6 +639,8 @@ def test_readers_match_the_reference_reader(fmt, mutation, data):
 
 def test_the_bulk_pass_reads_corpus_draws_and_reductions_and_hands_on_the_rest():
     insts = [random_instance(random.Random(seed), max_side=7) for seed in range(200)]
+    # Full lists, the long rows of the ``large`` workload.
+    insts += [random_instance(random.Random(seed), n, n, 1.0) for seed, n in enumerate((20, 30, 40))]
     insts += [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
     assert all(inst.contiguous for inst in insts)
     texts = [serialize(inst) for inst in insts]
