@@ -33,13 +33,33 @@ feasible 0/1 point of the relaxation, so when even its optimum falls
 short of the drop needed, no set there beats ``below``.  The bound holds
 in any linear extension, with "later" read in that order.
 
-The least balance (``_least_balance``) walks the order ``_by_ratio``
-gives: the linear extension that takes, among the rotations whose
-predecessors are all in, the best women's drop per men's rise first.  As
-in knapsack branch and bound (Horowitz & Sahni 1974), the first dive then
+The least-balance walk (``_walk_least_balance``) takes the order
+``_by_ratio`` gives: the linear extension that takes, among the rotations
+whose predecessors are all in, the best women's drop per men's rise
+first.  As in knapsack branch and bound (Horowitz & Sahni 1974), the first dive then
 adds rotations in the bound's greedy order, as far as precedence allows,
 so a good balance is found early and cuts more of the rest.  That walk
-reads the two costs alone.
+reads the two costs alone.  It reads the bound's two ends before
+``_may_beat``: a set whose men's cost is already at the best balance
+fails, and one whose women's cost is already under it passes.  After a
+failed test it skips every later rotation that rises no less, since in
+the same state each is either not ready or fails too
+(``_walk_least_balance`` gives the proof).
+
+When the rotation poset falls apart, the least balance is read off its
+weakly connected components instead (``_split_least_balance``).
+Rotations in different components have no order between them, so a
+closed set of the poset is exactly a union of one closed set per
+component, and both side costs add up over the components.  Each
+component's closed sets give a Pareto front of (men's rise, women's
+change), the fronts are merged by min-plus, keeping only the sums that
+no other beats on both sides (``_merge_fronts``), and the least balance
+is the least max(O_M + rise, women's cost of μ_M + change) on the merged
+front.  The split lists every closed set of each component, so it is
+taken only when at least two components hold more than one rotation and
+none holds more than ``_SPLIT_LIMIT``: on reduction chains the walk won
+from a largest component of 12 rotations up, while planted cores gave
+components of at most 5.
 
 ``enumerate_stable`` lists every matching, so it alone takes a size bound;
 the oracle decisions and ``hardness.verify_reduction`` need only the least
@@ -55,6 +75,10 @@ from typing import NamedTuple
 from .instance import Instance, Matching, cost
 
 DEFAULT_MAX_MEN = 9
+# The most rotations in a component of the rotation poset that ``_least_balance``
+# splits: on the reduction's chains the split was faster up to 11, and slower
+# from 12 up in all but a few.
+_SPLIT_LIMIT = 11
 
 
 class TooLarge(ValueError):
@@ -326,7 +350,7 @@ def _closed_sets(chain: _Chain, below: int | None = None):
             return
 
 
-def _least_balance(chain: _Chain) -> int:
+def _walk_least_balance(chain: _Chain) -> int:
     """The least balance over the stable matchings, by branch and bound on the costs alone.
 
     The walk of ``_closed_sets`` over the ``_by_ratio`` order, with the
@@ -335,6 +359,26 @@ def _least_balance(chain: _Chain) -> int:
     dive follow the bound's greedy fill as far as precedence allows, as in
     knapsack branch and bound (Horowitz & Sahni 1974), so good sets come
     early and cut the rest.
+
+    The test of adding position p reads the bound's two ends first: with
+    the costs ``up``, ``down`` after p, ``up >= best`` fails at once and
+    ``down < best`` passes at once (``_may_beat``'s negative slack and its
+    first met need), so ``_may_beat`` runs only between them.
+
+    After a failed test at p the walk goes on at ``skip[p]``, the first
+    later position whose rotation rises less than p's.  Every position q
+    in between is either not ready or fails its test in the same state.
+    Every chosen rotation comes before p, so if q is ready, all its
+    predecessors were listed before p, q was ready when ``_by_ratio``
+    took p, and its drop per rise is at most p's.  Let p rise r and drop
+    d, and q rise r + Δr (Δr ≥ 0) and drop d + Δd; with ρ, q's drop per
+    rise, Δr · ρ = (d + Δd) - r · ρ ≥ (d + Δd) - d = Δd.  Were q's
+    relaxation to pass, its fractional fill over ``later[q]`` (the part
+    of ``later[p]`` after q), plus the fraction Δr / (r + Δr) of q
+    itself, would be a fill of p's relaxation that uses Δr more slack and
+    drops at least Δd more, which meets p's need: a contradiction.  On
+    the clique reduction's chains every rotation seen rises by 6, so
+    there a failed test skips every later position.
     """
     order = _by_ratio(chain)
     n = len(order)
@@ -343,8 +387,14 @@ def _least_balance(chain: _Chain) -> int:
     preds = [chain.preds[j] for j in order]
     deltas = [chain.deltas[j] for j in order]
     later = _later_by_ratio(deltas)
+    skip = [n] * n  # per position, the first later one that rises less
+    rising: list[int] = []
+    for q, (rise, _) in enumerate(deltas):
+        while rising and deltas[rising[-1]][0] > rise:
+            skip[rising.pop()] = q
+        rising.append(q)
     men, women = chain.costs
-    best = max(men, women)
+    best = men if men > women else women
     chosen = 0
     added: list[int] = []
     p = 0
@@ -353,13 +403,16 @@ def _least_balance(chain: _Chain) -> int:
             p += 1
         if p < n:
             d_men, d_women = deltas[p]
-            if _may_beat(later[p], men + d_men, women + d_women, best):
+            up, down = men + d_men, women + d_women
+            if up < best and (down < best or _may_beat(later[p], up, down, best)):
                 chosen |= bit[p]
-                men += d_men
-                women += d_women
+                men, women = up, down
                 added.append(p)
-                best = min(best, max(men, women))
-            p += 1
+                if down < best:
+                    best = up if up > down else down
+                p += 1
+            else:
+                p = skip[p]
         elif added:
             p = added.pop()
             chosen ^= bit[p]
@@ -368,6 +421,78 @@ def _least_balance(chain: _Chain) -> int:
             p += 1
         else:
             return best
+
+
+def _components(preds: list[int]) -> list[int]:
+    """The weakly connected components of the rotation poset, each as a mask of chain indices.
+
+    Each rotation joins every component that holds one of its
+    predecessors, which all come earlier in the chain; transitive
+    predecessor bits join nothing that the direct ones leave apart.
+    """
+    parts: list[int] = []
+    for j, mask in enumerate(preds):
+        joined, rest = mask | 1 << j, []
+        for part in parts:
+            if part & joined:
+                joined |= part
+            else:
+                rest.append(part)
+        rest.append(joined)
+        parts = rest
+    return parts
+
+
+def _pareto(pairs) -> list[tuple[int, int]]:
+    """The (men's, women's) pairs that no other pair beats on both sides, least men's first."""
+    front: list[tuple[int, int]] = []
+    for men, women in sorted(pairs):
+        if not front or women < front[-1][1]:
+            front.append((men, women))
+    return front
+
+
+def _merge_fronts(fronts) -> list[tuple[int, int]]:
+    """The min-plus sum of cost fronts: the sums of one pair per front that no other sum beats on both sides."""
+    merged = [(0, 0)]
+    for front in fronts:
+        merged = _pareto({(a + c, b + d) for a, b in merged for c, d in front})
+    return merged
+
+
+def _split_least_balance(chain: _Chain, parts: list[int]) -> int:
+    """The least balance, from each component's front of (men's rise, women's change) merged by min-plus.
+
+    Each component's front comes from ``_closed_sets`` on the component
+    alone, re-indexed in chain order, with no moves and costs from zero.
+    """
+    fronts = []
+    for mask in parts:
+        part = [j for j in range(len(chain.preds)) if mask >> j & 1]
+        preds = [sum(1 << k for k, i in enumerate(part) if chain.preds[j] >> i & 1) for j in part]
+        sub = _Chain([], [], (0, 0), 0, [()] * len(part), preds, [chain.deltas[j] for j in part])
+        fronts.append(_pareto((men, women) for _, men, women in _closed_sets(sub)))
+    men, women = chain.costs
+    return min(max(men + rise, women + change) for rise, change in _merge_fronts(fronts))
+
+
+def _least_balance(chain: _Chain) -> int:
+    """The least balance over the stable matchings.
+
+    Split by the weakly connected components of the rotation poset
+    (``_split_least_balance``) when at least two of them hold more than one
+    rotation and none holds more than ``_SPLIT_LIMIT``.  That is sound
+    because rotations in different components have no order between them:
+    the closed sets are the unions of one closed set per component, and
+    both side costs add up.  Otherwise walk the whole poset by branch and
+    bound (``_walk_least_balance``), which reads the bound's two ends
+    before ``_may_beat`` and skips the rotations a failed test proves fail.
+    """
+    parts = _components(chain.preds)
+    sizes = sorted(part.bit_count() for part in parts)
+    if len(sizes) > 1 and sizes[-2] > 1 and sizes[-1] <= _SPLIT_LIMIT:
+        return _split_least_balance(chain, parts)
+    return _walk_least_balance(chain)
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:

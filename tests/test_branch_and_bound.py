@@ -23,17 +23,20 @@ from bsm.oracle import (
     _by_ratio,
     _chain,
     _closed_sets,
+    _components,
     _deltas,
     _decide,
     _later_by_ratio,
     _least_balance,
     _may_beat,
+    _split_least_balance,
+    _walk_least_balance,
     decide_above_min,
     enumerate_stable,
 )
 from helpers import (
-    SAD_2X2_TEXT, full_sweep_chain, pool_entries, sad_2x2, single_pair, suffix_bound_walk, tightened_walk,
-    verify_cases,
+    SAD_2X2_TEXT, component_least_balance, crossed_planted_instance, full_sweep_chain, pool_entries, sad_2x2,
+    single_pair, suffix_bound_walk, tightened_walk, verify_cases,
 )
 
 
@@ -201,6 +204,7 @@ def test_least_balance_is_the_least_of_the_full_walk_and_of_the_chain_order_walk
         chain = _chain(inst)
         want = min(max(men, women) for _, men, women in _closed_sets(chain))
         assert _least_balance(chain) == want == min(max(men, women) for _, men, women in tightened_walk(chain))
+        assert _walk_least_balance(chain) == split(chain) == want
 
 
 def test_ratio_order_is_a_linear_extension_taking_the_best_ready_ratio_first():
@@ -245,6 +249,105 @@ def test_ratio_order_calls_the_bound_less_often_than_chain_order_on_the_recorded
     for chain in chains:
         bounded_nodes(chain)
     assert 0 < got < calls[0]
+
+
+# --- the split by the components of the rotation poset ----------------------
+
+def split(chain) -> int:
+    return _split_least_balance(chain, _components(chain.preds))
+
+
+def test_split_gives_the_least_balance_of_the_walk_on_planted_cores():
+    for cores in range(1, 17):
+        chain = _chain(planted_instance(random.Random(0), 1000, cores, 5))
+        assert split(chain) == _walk_least_balance(chain), cores
+
+
+def random_poset_chain(rng) -> oracle._Chain:
+    """A chain of 2 to 9 rotations with random predecessors, small deltas (so rises tie) and start costs."""
+    n = rng.randint(2, 9)
+    preds = [sum(1 << i for i in range(j) if rng.random() < 0.25) for j in range(n)]
+    deltas = [(rng.randint(1, 6), -rng.randint(1, 6)) for _ in range(n)]
+    men = rng.randint(0, 30)
+    return oracle._Chain([], [], (men, men + rng.randint(0, 40)), 0, [()] * n, preds, deltas)
+
+
+def test_walk_and_split_give_the_least_balance_on_random_posets():
+    rng = random.Random(11)
+    for _ in range(3000):
+        chain = random_poset_chain(rng)
+        want = min(max(men, women) for _, men, women in _closed_sets(chain))
+        assert _walk_least_balance(chain) == split(chain) == want, chain
+
+
+def test_components_are_the_weak_components_of_the_poset():
+    # 0 < 2 < 4 and 1 < 3, with the transitive bit 0 < 4 as ``_chain`` keeps it; 5 stands alone.
+    assert sorted(_components([0, 0, 0b1, 0b10, 0b101, 0])) == [0b1010, 0b10101, 0b100000]
+    assert _components([]) == []
+
+
+def spied(monkeypatch):
+    """Record which path each ``_least_balance`` call takes."""
+    taken = []
+    for name in ("_split_least_balance", "_walk_least_balance"):
+        real = getattr(oracle, name)
+
+        def path(*args, name=name, real=real):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, name, path)
+    return taken
+
+
+@pytest.mark.parametrize("cores, bal", [(20, 1207), (40, 1452)])
+def test_split_gives_the_component_reference_beyond_the_walks_reach(monkeypatch, cores, bal):
+    inst = planted_instance(random.Random(0), 1000, cores, 5)
+    taken = spied(monkeypatch)
+    assert _least_balance(_chain(inst)) == component_least_balance(inst) == bal
+    assert taken == ["_split_least_balance"]
+
+
+def test_split_gives_the_component_reference_on_crossed_planted_instances(monkeypatch):
+    # The crossing pairs join the cores in the input but in no stable
+    # matching, so the rotations and the reference are the plain instance's.
+    taken = spied(monkeypatch)
+    for seed in range(3):
+        for cores in (3, 6, 9):
+            crossed = crossed_planted_instance(random.Random(seed), 200, cores, 5)
+            plain = planted_instance(random.Random(seed), 200, cores, 5)
+            assert _least_balance(_chain(crossed)) == component_least_balance(plain), (seed, cores)
+    assert taken == ["_split_least_balance"] * 9
+
+
+def two_component_chain(largest: int) -> oracle._Chain:
+    """A chain of a star of ``largest`` rotations (rotation 0 below every other) and a path of two."""
+    rng = random.Random(largest)
+    preds = [0] + [1] * (largest - 1) + [0, 1 << largest]
+    deltas = [(rng.randint(1, 9), -rng.randint(1, 9)) for _ in preds]
+    return oracle._Chain([], [], (40, 90), 0, [()] * len(preds), preds, deltas)
+
+
+@pytest.mark.parametrize("largest, path", [
+    (oracle._SPLIT_LIMIT, "_split_least_balance"),
+    (oracle._SPLIT_LIMIT + 1, "_walk_least_balance"),
+])
+def test_split_is_taken_up_to_the_limit_on_the_largest_component(monkeypatch, largest, path):
+    chain = two_component_chain(largest)
+    assert sorted(part.bit_count() for part in _components(chain.preds)) == [2, largest]
+    want = min(max(men, women) for _, men, women in _closed_sets(chain))
+    taken = spied(monkeypatch)
+    assert _least_balance(chain) == want
+    assert taken == [path]
+
+
+def test_walk_is_taken_unless_two_components_hold_more_than_one_rotation(monkeypatch):
+    taken = spied(monkeypatch)
+    # One component; a path of two with a lone rotation beside it.
+    for preds in ([0, 1, 0b10], [0, 1, 0]):
+        chain = oracle._Chain([], [], (20, 30), 0, [()] * 3, preds, [(2, -3), (1, -1), (3, -5)])
+        assert _least_balance(chain) == min(max(men, women) for _, men, women in _closed_sets(chain))
+    assert taken == ["_walk_least_balance"] * 2
 
 
 # --- the sign check on every rotation ------------------------------------
