@@ -23,17 +23,12 @@ people; ``gs.validate_matching`` checks such a matching and turns it back.
 
 Each reader proves what it reads, so the per-entry checks run only where
 it cannot.  Every key either reader writes is an int: a partner's index,
-or ``~i`` for a name of the owner's own side.  The text reader reads
-comment-free, list-form text in a bulk pass of plain loops, one over the
-lines and one per row over its tokens: on rows of a few partners CPython
-runs these faster than a ``map``/``zip`` pipeline, which builds its
-iterators anew for every row.  Any other text, and any text with a fault
-in a line, goes whole to the ordered reader, which reads the lines in two
-passes, the name and k lines before the person lines: so comments,
-functional rows and the order of faults are that reader's alone.  The
-list form ranks each row's partners 1..len, so those ranks are distinct,
-positive and in rank order; a functional row's ranks are ints.  The JSON
-reader proves every rank a non-bool int.  What is left is tested once per
+or ``~i`` for a name of the owner's own side.  The text reader reads its
+lines in two passes, the name and k lines before the person lines, and
+fills each list-form row in a plain loop over its tokens.  The list form
+ranks each row's partners 1..len, so those ranks are distinct, positive
+and in rank order; a functional row's ranks are ints.  The JSON reader
+proves every rank a non-bool int.  What is left is tested once per
 table: distinct ranks of at least 1 in the rows not in list form, no
 partner of the owner's own side, and mutual acceptability.  Only when that
 test fails does the ordered scan ``_check_rows`` run, to name the first
@@ -486,89 +481,43 @@ def parse_instance(text: str, fmt: str = "text") -> Instance:
 
 
 def _parse_text(text: str) -> Instance:
-    """Read the text format in one bulk pass, or hand the whole text to ``_parse_ordered``.
-
-    The bulk pass reads comment-free, list-form text, its lines in any
-    order, in plain loops: one partitions every line on its ``:``, and one
-    per row fills the row and its running rank token by token.  CPython
-    3.11 runs these faster on short rows than ``dict(zip(map(...),
-    count(1)))``, which builds four iterators per row.  Text that holds a
-    ``#`` or a ``=``, a line without exactly one ``:``, an unknown or
-    repeated owner or partner, a bad or reserved name, a repeated or
-    missing header or a k that is not an integer goes whole to the ordered
-    reader, so faults come in that reader's order.  Only ``_build``'s
-    faults, a negative k or a fault in the rows, come from the bulk pass,
-    as they would from the ordered reader: by then no line holds a fault.
-    """
-    if "#" in text or "=" in text:
-        return _parse_ordered(text)
-    lines = {}
-    for line in text.splitlines():
-        head, sep, rest = line.partition(":")
-        if sep:
-            lines[head.strip()] = rest
-        elif line and not line.isspace():  # a line without a ':'
-            return _parse_ordered(text)
-    men, women, k_text = lines.pop("men", None), lines.pop("women", None), lines.pop("k", None)
-    # Each line kept holds a ':', so fewer heads than ':'s means a line with two or a repeated head.
-    if men is None or women is None or len(lines) + 2 + (k_text is not None) != text.count(":"):
-        return _parse_ordered(text)
-    # A name split off here holds no whitespace, ':', '#' or '=': only a reserved one is bad.
-    m_names, w_names = men.split(), women.split()
-    if not (_RESERVED_NAMES.isdisjoint(m_names) and _RESERVED_NAMES.isdisjoint(w_names)):
-        return _parse_ordered(text)
-    try:
-        k = None if k_text is None else int(k_text.strip())
-        keys = _names(m_names, w_names)
-        rows, n_tokens = {}, 0
-        for name, rest in lines.items():
-            owner = keys[0][name]
-            key = keys[owner >= 0]  # a man's row by keys[0]: his owner key is negative
-            rows[owner] = row = {}
-            rank = 0
-            for token in rest.split():
-                rank += 1
-                row[key[token]] = rank
-            n_tokens += rank
-    except (ValueError, KeyError):  # a bad k or a repeated name; an unknown owner or partner
-        return _parse_ordered(text)
-    if sum(map(len, rows.values())) != n_tokens:  # a repeated partner
-        return _parse_ordered(text)
-    m_rows = [rows.get(~i) or {} for i in range(len(m_names))]
-    w_rows = [rows.get(j) or {} for j in range(len(w_names))]
-    return _build(_people(MAN, m_names), _people(WOMAN, w_names), m_rows, w_rows, k, [])
-
-
-def _parse_ordered(text: str) -> Instance:
-    """Read the text format in two passes over its lines: the one reader of
-    comments and functional rows, and the one that names a fault in a line.
+    """Read the text format in two passes over its lines.
 
     The first pass reads the shape of each line and the men, women and k
     lines, and keeps the person lines; the second reads the person lines
     in line order.  So faults come in this order: a fault in the shape of a
     line or in a men, women or k line, by line; a missing name line; a
     repeated name; then the first fault of a person line, by line.
+
+    Comments are cut only from a text that holds a ``#``.  A list-form row
+    is filled by a plain loop, token by token: on rows of a few partners
+    CPython runs it faster than a ``map``/``zip`` pipeline, which builds its
+    iterators anew for every row.  When the loop meets an unknown partner,
+    or fills fewer entries than the row has tokens (a repeated partner),
+    ``_token_row`` reads the row again to name its first fault.
     """
     m_names: list[str] | None = None
     w_names: list[str] | None = None
     k: int | None = None
     person_lines: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
+    comments = "#" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if comments:
+            line = line.partition("#")[0]
         head, sep, rest = line.partition(":")
         if not sep:
-            raise ParseError(f"line {lineno}: expected 'name: ...'")
-        head = head.rstrip()
+            if line and not line.isspace():
+                raise ParseError(f"line {lineno}: expected 'name: ...'")
+            continue
+        head = head.strip()
         if head == "men":
             if m_names is not None:
                 raise ParseError(f"line {lineno}: duplicate 'men:' line")
-            m_names = [_parse_name(name, lineno) for name in rest.split()]
+            m_names = _read_names(rest, lineno)
         elif head == "women":
             if w_names is not None:
                 raise ParseError(f"line {lineno}: duplicate 'women:' line")
-            w_names = [_parse_name(name, lineno) for name in rest.split()]
+            w_names = _read_names(rest, lineno)
         elif head == "k":
             if k is not None:
                 raise ParseError(f"line {lineno}: duplicate 'k:' line")
@@ -590,10 +539,21 @@ def _parse_ordered(text: str) -> Instance:
         side, i = (0, ~key) if key < 0 else (1, key)
         if rows[side][i] is not None:
             raise ParseError(f"line {lineno}: duplicate preference line for {name!r}")
-        functional = "=" in rest
-        rows[side][i] = row = _token_row(rest.split(), keys[side], lineno, functional)
-        if functional:
+        partners, tokens = keys[side], rest.split()
+        if "=" in rest:
+            rows[side][i] = row = _token_row(tokens, partners, lineno, True)
             loose.append(row)
+            continue
+        rows[side][i] = row = {}
+        rank = 0
+        try:
+            for token in tokens:
+                rank += 1
+                row[partners[token]] = rank
+        except KeyError:  # an unknown partner
+            pass
+        if len(row) != len(tokens):  # an unknown or repeated partner, which _token_row names
+            _token_row(tokens, partners, lineno, False)
     # The names were checked as they were read, and each side holds its own people.
     m_rows, w_rows = ([row if row is not None else {} for row in side_rows] for side_rows in rows)
     return _build(_people(MAN, m_names), _people(WOMAN, w_names), m_rows, w_rows, k, loose)
@@ -604,11 +564,21 @@ def _people(side: str, names) -> tuple[Person, ...]:
     return tuple(map(tuple.__new__, repeat(Person), zip(repeat(side), names)))
 
 
-def _parse_name(token: str, lineno: int) -> str:
-    try:
-        return _check_name(token)
-    except ValidationError as e:
-        raise ParseError(f"line {lineno}: {e}") from None
+def _read_names(rest: str, lineno: int) -> list[str]:
+    """The names on a ``men:`` or ``women:`` line after its ``:``.
+
+    A name split off the line holds no whitespace, and no ``#`` once
+    comments are cut, so only a line that holds a ``:`` or ``=``, or a
+    reserved name, needs ``_check_name``'s regex.
+    """
+    names = rest.split()
+    if ":" in rest or "=" in rest or not _RESERVED_NAMES.isdisjoint(names):
+        for name in names:
+            try:
+                _check_name(name)
+            except ValidationError as e:
+                raise ParseError(f"line {lineno}: {e}") from None
+    return names
 
 
 def _token_row(tokens: list[str], keys: dict, lineno: int, functional: bool) -> dict:

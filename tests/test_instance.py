@@ -1,13 +1,11 @@
 import json
 import pickle
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bsm.instance
 from bsm.generate import planted_instance, random_instance
 from bsm.hardness import Graph, reduce_clique
 from bsm.instance import (
@@ -436,10 +434,7 @@ def reads_alike(text: str, fmt: str) -> bool:
             parse_instance(text, fmt)
         assert type(raised.value) is type(fault) and str(raised.value) == str(fault)
         return False
-    with mock.patch.object(bsm.instance, "_parse_ordered", wraps=bsm.instance._parse_ordered) as ordered:
-        got = parse_instance(text, fmt)
-    # The ordered reader reads comments and functional rows; the bulk pass reads every other valid text.
-    assert ordered.called == (fmt == "text" and ("#" in text or "=" in text))
+    got = parse_instance(text, fmt)
     assert got.contiguous == reference_contiguous(got)
     # Valid rows pass the whole-table test: the ordered scan runs only to name a fault.
     assert _rows_hold(got.m_rank, got.w_rank, got.m_rank + got.w_rank)
@@ -463,8 +458,9 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
 
     Rows are [owner, [[partner, rank], ...], functional]; a row in list form
     is written without its ranks, so its partners rank 1..len in order.
-    Half the texts are written in list form throughout, which the bulk pass
-    of the text reader reads or hands on with its fault.
+    Half the texts are written in list form throughout, and half the text
+    ones carry comments: a ``#`` line anywhere and a trailing ``# ...`` on
+    some lines.
     """
     men, women, ranks, k = draw(people_ranks())
     m_names, w_names = [p.name for p in men], [p.name for p in women]
@@ -530,6 +526,10 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     # The name lines may come anywhere: person lines are read in a second pass.
     lines = draw(st.permutations(heads + body)) if draw(st.booleans()) else heads + body
     lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t", "\x1f"])))
+    if draw(st.booleans()):
+        # A comment may hold any of ':', '=' and a header, which must not be read.
+        lines = [line + draw(st.sampled_from(["", "", " # c", "#x: y=1", "\t# men: z"])) for line in lines]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# comment", "  # k: 1", "#"])))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + end
 
@@ -576,8 +576,8 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     "men: m1 m2\nwomen: w1 w2\nm1: w2=2 w1=1\nm2: w1 w2\nw1: m1 m2\nw2: m2=1 m1=5\n",
     "men: m1 m2\nwomen: w1 w2\nk: 7\nm1: w2=9 w1=4\nm2: w2 w1\nw1: m2=3 m1=1\nw2: m1 m2\n",
     "men: m1 m2\nwomen: w1 w2\nk: -1\nm1: w2 w1\nm2: w1 w2\nw1: m1\nw2: m1 m2\n",
-    # Comment-free list form, which the bulk pass reads: person lines shuffled or
-    # missing, blank lines, spaces around ':', CRLF ends, k after the person lines.
+    # List form: person lines shuffled or missing, blank lines, spaces around
+    # ':', CRLF ends, k after the person lines.
     "men: m1 m2\nwomen: w1 w2\nw2: m1 m2\nm2: w2 w1\nw1: m2 m1\nm1: w1 w2\n",
     "men: m1 m2\nwomen: w1 w2\nm1: w1\nw1: m1\n",
     "\nmen: m1\n   \nwomen: w1\n\t\nm1: w1\n\n\x1f\nw1: m1\n \n",
@@ -585,7 +585,7 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     "men: m1 m2\r\nwomen: w1 w2\r\nm1: w2 w1\r\nm2: w1\r\nw1: m1 m2\r\nw2: m1\r\n",
     "men: m1\nwomen: w1\nm1: w1\nw1: m1\nk: 3\n",
     "men: m1\nwomen: w1\nm1: w1\nw1: m1\nk: 3",
-    # Comment-free list form that the bulk pass hands to the ordered reader with its fault.
+    # List form with a fault in a line.
     "",
     " \n\n",
     "men: m1\nwomen: w1\nm1: w1\nw1: m1\nm1 w1\n",
@@ -603,10 +603,15 @@ def read_cases(draw, fmt: str, mutation: str | None) -> str:
     "men: m1\nwomen: w1\nm1: w1 w2\nw1: m1\n",
     "men: m1\nwomen: w1\nm 1: w1\n",
     "women: w1\nm1: w1\n",
-    # Comment-free list form that the bulk pass reads and ``_build`` finds at fault.
+    # List form that ``_build`` finds at fault.
     "men: m1\nwomen: w1\nk: -3\nm1: w1\nw1: m1\n",
     "men: m1 m2\nwomen: w1\nm1: m2\nw1: m1\n",
     "men: m1\nwomen: w1 w2\nm1: w1\nw1: m1\nw2: m1\n",
+    # A list-form row's unknown or repeated partner, in texts with comments or functional rows.
+    "# c\nmen: m1\nwomen: w1 w2\nm1: w1 w1\nw1: m1\n",
+    "men: m1\nwomen: w1 w2\nm1: w2=1 w1=2\nw1: m1 zz\n",
+    "men: m1 # c\nwomen: w1\nm1: w1 # c\nw1: m1 m1\n",
+    "men: a=b # c\nwomen: w\n",
 ])
 def test_text_reader_matches_the_reference_reader_on_hand_cases(text):
     reads_alike(text, "text")
@@ -637,7 +642,7 @@ def test_readers_match_the_reference_reader(fmt, mutation, data):
     assert valid or mutation is not None  # a serialized instance, lines in any order, reads
 
 
-def test_the_bulk_pass_reads_corpus_draws_and_reductions_and_hands_on_the_rest():
+def test_the_text_reader_reads_back_corpus_draws_full_lists_and_reductions():
     insts = [random_instance(random.Random(seed), max_side=7) for seed in range(200)]
     # Full lists, the long rows of the ``large`` workload.
     insts += [random_instance(random.Random(seed), n, n, 1.0) for seed, n in enumerate((20, 30, 40))]
@@ -649,16 +654,10 @@ def test_the_bulk_pass_reads_corpus_draws_and_reductions_and_hands_on_the_rest()
         texts[0] + "w99: m1\n",
         "men: m1\nwomen: w1\nm1: w1=2\nw1: m1=1\n",
     ]
-    with mock.patch.object(bsm.instance, "_parse_ordered", wraps=bsm.instance._parse_ordered) as ordered:
-        for inst, text in zip(insts, texts):
-            assert parse_instance(text) == inst
-        assert ordered.call_count == 0
-        for text in others:
-            try:
-                parse_instance(text)
-            except ValidationError:
-                pass
-        assert ordered.call_count == len(others)
+    for inst, text in zip(insts, texts):
+        assert parse_instance(text) == inst
+    for text in others:
+        reads_alike(text, "text")
 
 
 def test_cost_sums_each_matched_persons_rank_of_their_partner_and_nothing_for_a_single():
