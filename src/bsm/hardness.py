@@ -223,91 +223,93 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     The fallback fires when the dummy count would be negative or the graph
     has at most k + k(k-1)/2 vertices.  A full reduction's two sides are
     ``Roster``s, named on first read.
+
+    Both sides list tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge,
+    dummy and star people in that order, so one index serves either side:
+    vertex i of tier s (0 or 1) is ``s*n_v + i``, edge j ``2*n_v + s*n_e + j``.
+    Each table is written best rank first.  The entries a row group shares
+    are built once per reduction, as a dict that each row merges: the vertex
+    men's two dummies, the low-index dummy men's edge women and vertex-woman
+    tails, the edge women's low-index dummy men and the first two dummy
+    women's vertex men.
     """
     delta, fallback = _plan(g, k)
     if fallback:
         return _fallback(g, k, delta, clique_bruteforce(g, k))
 
     n_v, n_e = len(g.vertices), len(g.edges)
-    V = g.vertices
-    E = g.edges
-    deg = dict.fromkeys(V, 0)
-    for u, v in E:
-        deg[u] += 1
-        deg[v] += 1
-
-    # Both sides list tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge,
-    # dummy and star people in that order, so one index serves either side.
-    iv = {(s, v): (s - 1) * n_v + i for i, v in enumerate(V) for s in (1, 2)}
-    ie = {(s, j): 2 * n_v + (s - 1) * n_e + j for j in range(n_e) for s in (1, 2)}
-    base = 2 * n_v + 2 * n_e
+    n_ve, vs = n_v * n_e, 2 * n_v  # vs: the vertex people of a side, and the first edge index
+    base = vs + 2 * n_e
     dummy = range(base, base + delta)
     star = base + delta
     men = Roster(MAN, star + 1, partial(_names, "m", n_v, n_e, delta))
     women = Roster(WOMAN, star + 1, partial(_names, "w", n_v, n_e, delta))
-    m_rank: list[dict[int, int]] = [{} for _ in range(base)]
-    w_rank: list[dict[int, int]] = [{} for _ in range(base)]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for u, v in g.edges]
+    incident = [set() for _ in range(n_v)]  # per vertex, its edges' indices
+    for j, (a, b) in enumerate(ends):
+        incident[a].add(j)
+        incident[b].add(j)
 
-    # Each table is written best rank first.  When delta is small, only the
-    # dummies that exist are referenced; the rank values of everyone else
-    # stay put, so the tables may have gaps.
+    # When delta is small, only the dummies that exist are referenced; the
+    # rank values of everyone else stay put, so the tables may have gaps.
     # Vertex men: own partner, the two shared dummies, then the twin's partner.
-    for v in V:
-        for s in (1, 2):
-            table = m_rank[iv[(s, v)]]
-            table[iv[(s, v)]] = 1
-            table.update(zip(dummy[:2], count(2)))
-            table[iv[(3 - s, v)]] = 4
+    shared = dict(zip(dummy[:2], count(2)))
+    m_rank = [{x: 1, **shared, (x + n_v) % vs: 4} for x in range(vs)]
 
     # Edge men: own partner, both endpoint women of the same tier, twin's partner.
-    for j, (u, v) in enumerate(E):
-        for s in (1, 2):
-            m_rank[ie[(s, j)]].update({ie[(s, j)]: 1, iv[(s, u)]: 2, iv[(s, v)]: 3, ie[(3 - s, j)]: 4})
+    m_rank += [
+        {vs + s * n_e + j: 1, s * n_v + a: 2, s * n_v + b: 3, vs + (1 - s) * n_e + j: 4}
+        for s in (0, 1) for j, (a, b) in enumerate(ends)
+    ]
 
     # Dummy men: own dummy first.  The low-index ones also rank every edge
     # woman, in index order, and a tail of vertex women: dummy i ranks, in
-    # index order, the vertex women whose vertex misses at least i edges.
-    n_ve = n_v * n_e
-    m_rank += [{d: 1} for d in dummy]
-    edge_ranks = dict(zip(range(2 * n_v, base), count(2)))
-    missed = [n_e - deg[v] for v in V] * 2  # per vertex woman, in index order
-    for i, table in enumerate(m_rank[base:base + n_ve], start=1):
-        table.update(edge_ranks)
-        table.update(zip(compress(range(2 * n_v), map(i.__le__, missed)), count(2 * n_e + 2)))
+    # index order, the vertex women whose vertex misses at least i edges, so
+    # past the largest miss the tail is empty.
+    edge_women = dict(zip(range(vs, base), count(2)))
+    missed = [n_e - len(edges) for edges in incident] * 2  # per vertex woman, in index order
+    tails = [
+        dict(zip(compress(range(vs), map(i.__le__, missed)), count(2 * n_e + 2)))
+        for i in range(1, max(missed) + 1)
+    ]
+    low = dummy[:n_ve]
+    m_rank += [{d: 1, **edge_women, **tail} for d, tail in zip(low, tails)]
+    m_rank += [{d: 1, **edge_women} for d in low[len(tails):]]
+    m_rank += [{d: 1} for d in dummy[n_ve:]]
 
     # The star man: every dummy woman in index order, then the star woman.
     m_rank.append(dict(zip(range(base, star + 1), count(1))))
 
     # Vertex women: the twin first, incident edge men at their edge's global
     # slot, acceptable dummies on the unused slots, own man last.
-    for v in V:
-        for s in (1, 2):
-            table = w_rank[iv[(s, v)]]
-            table[iv[(3 - s, v)]] = 1
-            free = iter(dummy)
-            for j, e in enumerate(E):
-                if v in e:
-                    table[ie[(s, j)]] = j + 2
-                else:
-                    d = next(free, None)
-                    if d is not None:
-                        table[d] = j + 2
-            table[iv[(s, v)]] = n_e + 2
+    w_rank = []
+    for x in range(vs):
+        s, i = divmod(x, n_v)
+        table = {(x + n_v) % vs: 1}
+        free = iter(dummy)
+        for j in range(n_e):
+            if j in incident[i]:
+                table[vs + s * n_e + j] = j + 2
+            else:
+                d = next(free, None)
+                if d is not None:
+                    table[d] = j + 2
+        table[x] = n_e + 2
+        w_rank.append(table)
 
     # Edge women: the twin first, every low-index dummy man, own man last.
-    for j in range(n_e):
-        for s in (1, 2):
-            table = w_rank[ie[(s, j)]]
-            table[ie[(3 - s, j)]] = 1
-            table.update(zip(dummy[:n_ve], count(2)))
-            table[ie[(s, j)]] = n_ve + 2
+    low_men = dict(zip(low, count(2)))
+    w_rank += [
+        {vs + (1 - s) * n_e + j: 1, **low_men, vs + s * n_e + j: n_ve + 2}
+        for s in (0, 1) for j in range(n_e)
+    ]
 
     # Dummy women: own dummy, the star man, and (for the first two) all
     # vertex men, tier 1 then tier 2, in index order.
-    w_rank += [{d: 1, star: 2} for d in dummy]
-    for table in w_rank[base:base + 2]:
-        table.update(zip(range(2 * n_v), count(3)))
-
+    vertex_men = dict(zip(range(vs), count(3)))
+    w_rank += [{d: 1, star: 2, **vertex_men} for d in dummy[:2]]
+    w_rank += [{d: 1, star: 2} for d in dummy[2:]]
     w_rank.append({star: 1})
 
     t = 6 * (k + k * (k - 1) // 2)

@@ -689,16 +689,17 @@ def _serialize_text(inst: Instance) -> str:
     lines = [("men: " + " ".join(m_names)).rstrip(), ("women: " + " ".join(w_names)).rstrip()]
     if inst.target_k is not None:
         lines.append(f"k: {inst.target_k}")
-    # A name holds no whitespace, so only the line of an empty table needs its ' ' cut.
+    contiguous = inst.contiguous  # a table lists its partners in rank order
     for owners, tables, partners in ((m_names, inst.m_rank, w_names), (w_names, inst.w_rank, m_names)):
-        name = partners.__getitem__
-        if inst.contiguous:  # a table lists its partners in rank order
-            lines += [f"{a}: {' '.join(map(name, t))}" if t else f"{a}:" for a, t in zip(owners, tables)]
-        else:
-            lines += [
-                f"{a}: {' '.join(map('{}={}'.format, map(name, t), t.values()))}" if t else f"{a}:"
-                for a, t in zip(owners, tables)
-            ]
+        for a, t in zip(owners, tables):
+            row = [a + ":"]
+            if contiguous:
+                for q in t:
+                    row.append(partners[q])
+            else:
+                for q, r in t.items():
+                    row.append(f"{partners[q]}={r}")
+            lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 
 

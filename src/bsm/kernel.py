@@ -268,11 +268,20 @@ def _cuts(tables, anchors) -> list[int]:
 
 
 def _within(tables, cuts, other, other_cuts) -> list[dict[int, int]]:
-    """Each owner's table, in rank order, keeping the pairs both people rank within their cut."""
-    return [
-        {b: r for b, r in table.items() if r <= cut and other[b][a] <= other_cuts[b]}
-        for a, (table, cut) in enumerate(zip(tables, cuts))
-    ]
+    """Each owner's table, in rank order, keeping the pairs both people rank within their cut.
+
+    A table is in rank order, so its scan stops at the first rank past the owner's cut.
+    """
+    kept = []
+    for a, (table, cut) in enumerate(zip(tables, cuts)):
+        row = {}
+        for b, r in table.items():
+            if r > cut:
+                break
+            if other[b][a] <= other_cuts[b]:
+                row[b] = r
+        kept.append(row)
+    return kept
 
 
 def clean_suffix(inst: Instance):

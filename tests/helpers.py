@@ -6,12 +6,14 @@ import importlib.util
 import json
 import sys
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import partial
+from itertools import compress, count, product
 from pathlib import Path
 
 from bsm import fpt, oracle
 from bsm.fpt import _Context
 from bsm.generate import planted_instance
+from bsm.hardness import ReductionArtifact, _fallback, _names, _plan, clique_bruteforce
 from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
 from bsm.instance import (
@@ -21,6 +23,7 @@ from bsm.instance import (
     Matching,
     ParseError,
     Person,
+    Roster,
     ValidationError,
     _check_name,
     _check_people,
@@ -715,6 +718,114 @@ def remove_happy_pair_once(inst: Instance):
 def shrink_once(inst: Instance):
     """Shift one man's and one woman's whole rank function down by 1; k falls by 1 with them."""
     return _shift(inst, _shrink_units(inst)[:1])
+
+
+def reference_within(tables, cuts, other, other_cuts) -> list[dict[int, int]]:
+    """``kernel._within`` by a full scan of every table, as clean-suffix first cut them."""
+    return [
+        {b: r for b, r in table.items() if r <= cut and other[b][a] <= other_cuts[b]}
+        for a, (table, cut) in enumerate(zip(tables, cuts))
+    ]
+
+
+# --- the reference clique reduction -------------------------------------------
+# ``hardness.reduce_clique`` builds each row group from blocks made once per
+# reduction.  This writes every row entry by entry, as it once did, through
+# vertex and edge index dicts; the tests hold the library's rows to it, key
+# order included.
+
+def reference_reduce_clique(g, k: int) -> ReductionArtifact:
+    """The reduction of ``hardness.reduce_clique``, each table written row by row."""
+    delta, fallback = _plan(g, k)
+    if fallback:
+        return _fallback(g, k, delta, clique_bruteforce(g, k))
+
+    n_v, n_e = len(g.vertices), len(g.edges)
+    V = g.vertices
+    E = g.edges
+    deg = dict.fromkeys(V, 0)
+    for u, v in E:
+        deg[u] += 1
+        deg[v] += 1
+
+    # Both sides list tier-1 vertex, tier-2 vertex, tier-1 edge, tier-2 edge,
+    # dummy and star people in that order, so one index serves either side.
+    iv = {(s, v): (s - 1) * n_v + i for i, v in enumerate(V) for s in (1, 2)}
+    ie = {(s, j): 2 * n_v + (s - 1) * n_e + j for j in range(n_e) for s in (1, 2)}
+    base = 2 * n_v + 2 * n_e
+    dummy = range(base, base + delta)
+    star = base + delta
+    men = Roster(MAN, star + 1, partial(_names, "m", n_v, n_e, delta))
+    women = Roster(WOMAN, star + 1, partial(_names, "w", n_v, n_e, delta))
+    m_rank: list[dict[int, int]] = [{} for _ in range(base)]
+    w_rank: list[dict[int, int]] = [{} for _ in range(base)]
+
+    # Each table is written best rank first.  When delta is small, only the
+    # dummies that exist are referenced; the rank values of everyone else
+    # stay put, so the tables may have gaps.
+    # Vertex men: own partner, the two shared dummies, then the twin's partner.
+    for v in V:
+        for s in (1, 2):
+            table = m_rank[iv[(s, v)]]
+            table[iv[(s, v)]] = 1
+            table.update(zip(dummy[:2], count(2)))
+            table[iv[(3 - s, v)]] = 4
+
+    # Edge men: own partner, both endpoint women of the same tier, twin's partner.
+    for j, (u, v) in enumerate(E):
+        for s in (1, 2):
+            m_rank[ie[(s, j)]].update({ie[(s, j)]: 1, iv[(s, u)]: 2, iv[(s, v)]: 3, ie[(3 - s, j)]: 4})
+
+    # Dummy men: own dummy first.  The low-index ones also rank every edge
+    # woman, in index order, and a tail of vertex women: dummy i ranks, in
+    # index order, the vertex women whose vertex misses at least i edges.
+    n_ve = n_v * n_e
+    m_rank += [{d: 1} for d in dummy]
+    edge_ranks = dict(zip(range(2 * n_v, base), count(2)))
+    missed = [n_e - deg[v] for v in V] * 2  # per vertex woman, in index order
+    for i, table in enumerate(m_rank[base:base + n_ve], start=1):
+        table.update(edge_ranks)
+        table.update(zip(compress(range(2 * n_v), map(i.__le__, missed)), count(2 * n_e + 2)))
+
+    # The star man: every dummy woman in index order, then the star woman.
+    m_rank.append(dict(zip(range(base, star + 1), count(1))))
+
+    # Vertex women: the twin first, incident edge men at their edge's global
+    # slot, acceptable dummies on the unused slots, own man last.
+    for v in V:
+        for s in (1, 2):
+            table = w_rank[iv[(s, v)]]
+            table[iv[(3 - s, v)]] = 1
+            free = iter(dummy)
+            for j, e in enumerate(E):
+                if v in e:
+                    table[ie[(s, j)]] = j + 2
+                else:
+                    d = next(free, None)
+                    if d is not None:
+                        table[d] = j + 2
+            table[iv[(s, v)]] = n_e + 2
+
+    # Edge women: the twin first, every low-index dummy man, own man last.
+    for j in range(n_e):
+        for s in (1, 2):
+            table = w_rank[ie[(s, j)]]
+            table[ie[(3 - s, j)]] = 1
+            table.update(zip(dummy[:n_ve], count(2)))
+            table[ie[(s, j)]] = n_ve + 2
+
+    # Dummy women: own dummy, the star man, and (for the first two) all
+    # vertex men, tier 1 then tier 2, in index order.
+    w_rank += [{d: 1, star: 2} for d in dummy]
+    for table in w_rank[base:base + 2]:
+        table.update(zip(range(2 * n_v), count(3)))
+
+    w_rank.append({star: 1})
+
+    t = 6 * (k + k * (k - 1) // 2)
+    k_hat = len(men) + delta + t
+    inst = Instance(men, women, m_rank, w_rank, k_hat)
+    return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
 
 
 # --- the reference text writer -----------------------------------------------

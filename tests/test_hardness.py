@@ -19,6 +19,7 @@ from bsm.hardness import (
 )
 from bsm.instance import parse_instance, serialize
 from bsm.oracle import TooLarge, decide_above_min, enumerate_stable
+from helpers import reference_reduce_clique, verify_cases
 
 
 def planted_graph_7_5():
@@ -121,6 +122,35 @@ def test_reduced_instance_text_is_pinned(graph, k, delta, contiguous, digest):
     assert (art.delta, art.inst.contiguous) == (delta, contiguous)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert parse_instance(text) == art.inst and serialize(parse_instance(text)) == text
+
+
+def reduction_rows(art):
+    """Each table of a reduction as its list of (key, rank) in order, then its bookkeeping and names."""
+    inst = art.inst
+    names = (inst.men, inst.women) if art.fallback else (inst.men.names, inst.women.names)
+    tables = [list(t.items()) for t in inst.m_rank + inst.w_rank]
+    return tables, art.delta, art.k_hat, art.t, art.fallback, inst.target_k, names
+
+
+def test_reduce_clique_builds_the_reference_rows_in_order():
+    # The recorded verify graphs, the pinned ones and seeded random graphs at
+    # k = 1 to 4: full reductions with no, two and many dummies, and fallbacks.
+    cases = [(graph, k) for _, graph, k in verify_cases()] + [case[:2] for case in PINNED_REDUCTIONS]
+    rng = random.Random(4901)
+    for i in range(300):
+        n_v = rng.randint(3, 9)
+        n_e = rng.randint(0, min(14, n_v * (n_v - 1) // 2))
+        graph = random_graph(rng, n_v, n_e, plant_triangle=True) if i % 2 else random_triangle_free_graph(rng, n_v, n_e)
+        cases.append((graph, rng.randint(1, 4)))
+    deltas, fallbacks = set(), 0
+    for graph, k in cases:
+        art = reduce_clique(graph, k)
+        assert reduction_rows(art) == reduction_rows(reference_reduce_clique(graph, k)), (graph, k)
+        if art.fallback:
+            fallbacks += 1
+        else:
+            deltas.add(art.delta)
+    assert fallbacks >= 100 and {0, 2} <= deltas and len(deltas) >= 80
 
 
 @pytest.mark.parametrize("graph, k", [case[:2] for case in PINNED_REDUCTIONS[-2:]])

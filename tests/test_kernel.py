@@ -42,6 +42,7 @@ from helpers import (
     partners,
     pool_entries,
     reference_clean_suffix,
+    reference_within,
     remove_happy_pair_once,
     sad_2x2,
     sad_rich_instance,
@@ -545,6 +546,32 @@ def test_clean_suffix_matches_the_reference_scan():
         applied += 1
         gapped += not inst.contiguous
     assert applied >= 100 and gapped >= 40
+
+
+def test_within_stops_at_the_cut_and_keeps_what_a_full_scan_keeps():
+    # Corpus draws (some people single in every stable matching, so their
+    # anchor is -1 and their cut their last rank), then truncated draws,
+    # whose ranks have gaps; clean_suffix's tables are _within's.
+    rng = random.Random(4903)
+    cases = [random_instance(rng) for _ in range(300)]
+    cases += [kin for inst in diff_instances(4904, 12, max_n=30) for kin in islice(truncated(inst, least_k(inst)), 6)]
+    applied = gapped = single = 0
+    for inst in cases:
+        m_rank, w_rank = inst.m_rank, inst.w_rank
+        m_anchor, w_anchor = inst.mu_w.by_man, inst.mu_m.by_woman
+        m_cut, w_cut = kernel._cuts(m_rank, m_anchor), kernel._cuts(w_rank, w_anchor)
+        want = [
+            [list(t.items()) for t in reference_within(m_rank, m_cut, w_rank, w_cut)],
+            [list(t.items()) for t in reference_within(w_rank, w_cut, m_rank, m_cut)],
+        ]
+        got = [kernel._within(m_rank, m_cut, w_rank, w_cut), kernel._within(w_rank, w_cut, m_rank, m_cut)]
+        assert [[list(t.items()) for t in side] for side in got] == want
+        if (hit := clean_suffix(inst)) is not None:
+            assert [[list(t.items()) for t in side] for side in (hit[0].m_rank, hit[0].w_rank)] == want
+            applied += 1
+            gapped += not inst.contiguous
+        single += any(a < 0 and t for t, a in zip(m_rank + w_rank, m_anchor + w_anchor))
+    assert applied >= 300 and gapped >= 50 and single >= 200
 
 
 def cleaned(inst):
