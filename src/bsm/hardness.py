@@ -232,6 +232,15 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     men's two dummies, the low-index dummy men's edge women and vertex-woman
     tails, the edge women's low-index dummy men and the first two dummy
     women's vertex men.
+
+    The instance records ``contiguous``, so ``serialize`` scans no table:
+    the tables are gap-free exactly when ``delta >= max(2, n_v * n_e)``.
+    A row's ranks skip a value only where a dummy it would rank does not
+    exist: the vertex men's two shared dummies (delta < 2) and the edge
+    women's n_v·n_e low-index dummy men (delta < n_v·n_e, with an edge).
+    A vertex woman's slot for a missed edge stays empty only when delta
+    is below her miss count, at most n_e, so the edge women's rows have a
+    gap then too.  Every other row group is gap-free at any delta.
     """
     delta, fallback = _plan(g, k)
     if fallback:
@@ -315,6 +324,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     t = 6 * (k + k * (k - 1) // 2)
     k_hat = len(men) + delta + t
     inst = Instance(men, women, m_rank, w_rank, k_hat)
+    vars(inst)["contiguous"] = delta >= max(2, n_ve)
     return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
 
 

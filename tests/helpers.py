@@ -335,6 +335,35 @@ def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
     )
 
 
+def chain_rows(chain: _Chain) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every stable matching as (partner tuple, men's cost, women's cost), in
+    ``oracle.enumerate_stable`` order, by the closed-set walk of any chain,
+    with or without a rotation."""
+    return sorted((tuple(partner), men, women) for partner, men, women in oracle._closed_sets(chain))
+
+
+def chain_stable(inst: Instance) -> tuple[list[Matching], int]:
+    """``oracle.enumerate_stable``'s ordered matchings and least balance, from ``chain_rows``."""
+    rows = chain_rows(oracle._chain(inst))
+    return [inst.matching_from_arrays(partner) for partner, _, _ in rows], min(max(men, women) for _, men, women in rows)
+
+
+def chain_decision(inst: Instance, k: int, above: str) -> tuple:
+    """``oracle.decide_above_min`` (``above="min"``) or ``decide_above_max`` as (answer, t, witness), from ``chain_rows``.
+
+    The ends of the chain give O_M and O_W; the witness is the first
+    matching of least balance in enumeration order.
+    """
+    chain = oracle._chain(inst)
+    o_m, o_w = chain.costs[0], chain.o_w
+    t = k - (min(o_m, o_w) if above == "min" else max(o_m, o_w))
+    rows = chain_rows(chain)
+    bal_opt = min(max(men, women) for _, men, women in rows)
+    if bal_opt > k:
+        return False, t, None
+    return True, t, inst.matching_from_arrays(next(p for p, men, women in rows if max(men, women) == bal_opt))
+
+
 def full_sweep_chain(inst: Instance) -> _Chain:
     """One maximal chain of exposed rotations from μ_M to μ_W, by full sweeps:
     the slow reference for ``oracle._chain``.

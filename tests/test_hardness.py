@@ -17,7 +17,7 @@ from bsm.hardness import (
     verify_reduction,
     witness_matching,
 )
-from bsm.instance import parse_instance, serialize
+from bsm.instance import _contiguous, parse_instance, serialize
 from bsm.oracle import TooLarge, decide_above_min, enumerate_stable
 from helpers import reference_reduce_clique, verify_cases
 
@@ -151,6 +151,36 @@ def test_reduce_clique_builds_the_reference_rows_in_order():
         else:
             deltas.add(art.delta)
     assert fallbacks >= 100 and {0, 2} <= deltas and len(deltas) >= 80
+
+
+def test_reduce_clique_records_whether_its_tables_have_gaps():
+    # A full reduction records ``contiguous`` as it builds, so ``serialize``
+    # scans no table; the record must be what the scan finds.  Deltas are
+    # always even, so 0 and 2 are the two smallest.  Three graphs sit at the
+    # n_v * n_e bound: delta 6 below 8, delta 36 equal to it, delta 10 above 9.
+    cases = [(graph, k) for _, graph, k in verify_cases()] + [case[:2] for case in PINNED_REDUCTIONS]
+    cases += [
+        (Graph.build("abcdefgh", [("a", "b")]), 2),
+        (Graph.build("abcdefghijkl", [("a", "b"), ("c", "d"), ("e", "f")]), 3),
+        (Graph.build("abcdefghi", [("a", "b")]), 2),
+    ]
+    rng = random.Random(5001)
+    for i in range(1000):
+        n_v = rng.randint(3, 9)
+        n_e = rng.randint(0, min(14, n_v * (n_v - 1) // 2))
+        graph = random_graph(rng, n_v, n_e, plant_triangle=True) if i % 2 else random_triangle_free_graph(rng, n_v, n_e)
+        cases.append((graph, rng.randint(1, 4)))
+    deltas, gapped = set(), 0
+    for graph, k in cases:
+        art = reduce_clique(graph, k)
+        if art.fallback:
+            continue
+        inst = art.inst
+        recorded = vars(inst)["contiguous"]
+        assert recorded == (_contiguous(inst.m_rank) and _contiguous(inst.w_rank)), (graph, k)
+        deltas.add(art.delta)
+        gapped += not recorded
+    assert {0, 2} <= deltas and len(deltas) >= 140 and gapped >= 3
 
 
 @pytest.mark.parametrize("graph, k", [case[:2] for case in PINNED_REDUCTIONS[-2:]])

@@ -17,7 +17,15 @@ from bsm.oracle import (
     decide_above_min,
     enumerate_stable,
 )
-from helpers import component_least_balance, empty_instance, naive_stable, sad_2x2, single_pair
+from helpers import (
+    chain_decision,
+    chain_stable,
+    component_least_balance,
+    empty_instance,
+    naive_stable,
+    sad_2x2,
+    single_pair,
+)
 
 
 def test_enumerate_2x2():
@@ -85,6 +93,23 @@ def test_witness_is_the_first_least_balance_matching():
             assert decide_above_min(inst, k).witness == least[0]
             assert decide_above_max(inst, k).witness == least[0]
     assert ties >= 5
+
+
+def test_one_matching_lattices_are_answered_as_the_chain_walk_answers():
+    # With no man moving, enumeration and the decisions answer from μ_M alone;
+    # the chain and closed-set walks, run here on the same instances, must agree.
+    rng = random.Random(20240807)
+    cases = [inst for inst in (random_instance(rng, max_side=7) for _ in range(1000)) if not inst.sad_men]
+    assert len(cases) >= 800 and any(inst.o_w > inst.o_m for inst in cases)
+    cases += [mutual_first_instance(3), mutual_first_instance(4, full=True), single_pair(), empty_instance()]
+    for inst in cases:
+        assert not inst.sad_men
+        stable = enumerate_stable(inst)
+        want, bal_opt = chain_stable(inst)
+        assert (list(stable.matchings), stable.bal_opt) == (want, bal_opt)
+        for k in (bal_opt - 1, bal_opt, bal_opt + 1):
+            assert tuple(decide_above_min(inst, k)) == chain_decision(inst, k, "min")
+            assert tuple(decide_above_max(inst, k)) == chain_decision(inst, k, "max")
 
 
 def test_size_bound():
