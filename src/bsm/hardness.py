@@ -6,14 +6,14 @@ when the graph has a k-clique, and whose above-maximum parameter depends
 on k alone.  ``verify_reduction`` checks that equivalence on one graph.
 It walks the rotation chain of the reduced instance once, from its
 man-optimal to its woman-optimal matching, reading only the lists of the
-2(|V| + |E|) vertex and edge men, who alone move; it checks that the two
-ends are the identity and the all-swapped assignments.  It then finds the least
-balance by ``oracle._least_balance`` and compares it with clique brute
-force.  The reduced poset is mostly one component, or one large one
-beside a few of one to seven rotations, so a verify mostly takes the
-branch and bound, which adds the rotations best women's drop per men's
-rise first and skips every part of the poset that cannot beat the best
-balance found.  When no component holds more than
+2(|V| + |E|) vertex and edge men, who alone move.  It checks that the
+instance's μ_M and μ_W are the identity and the all-swapped assignments,
+then finds the least balance by ``oracle._least_balance`` and compares it
+with clique brute force.  The reduced poset is mostly one component, or
+one large one beside a few of one to seven rotations, so a verify mostly
+takes the branch and bound, which adds the rotations best women's drop
+per men's rise first and skips every part of the poset that cannot beat
+the best balance found.  When no component holds more than
 ``oracle._SPLIT_LIMIT`` rotations and two hold more than one (about one
 full reduction in nine at 12 to 20 vertices and edges), it merges the
 components' cost fronts instead.  Every stable matching
@@ -401,10 +401,10 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
     clique = clique_bruteforce(g, k) if k >= 1 else None
     delta, fallback = _plan(g, k)
     art = _fallback(g, k, delta, clique) if fallback else reduce_clique(g, k)
-    # Only the least balance and the two ends of the rotation chain are
-    # needed.  ``random_graph(Random(1), 10, 10, plant_triangle=True)`` has
-    # 22,294 stable matchings, each with 1,573 pairs; the bounded walk
-    # visits 125 of them, as closed sets of rotations.
+    # Only the least balance and the two optima are needed.
+    # ``random_graph(Random(1), 10, 10, plant_triangle=True)`` has 22,294
+    # stable matchings, each with 1,573 pairs; the bounded walk visits 125
+    # of them, as closed sets of rotations.
     # A fallback instance carries k_hat = 0 as its target.
     chain = _chain(art.inst)
     bal_opt = _least_balance(chain)
@@ -414,7 +414,7 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
     if art.fallback:
         return ReductionReport(*shared, None, None, None)
     optima_match = (
-        chain.mu_m == _swap_partners(art, (), ())
-        and chain.mu_w == _swap_partners(art, g.vertices, range(len(g.edges)))
+        art.inst.mu_m.by_man == _swap_partners(art, (), ())
+        and art.inst.mu_w.by_man == _swap_partners(art, g.vertices, range(len(g.edges)))
     )
     return ReductionReport(*shared, art.k_hat - max(chain.costs[0], chain.o_w), optima_match, bal_opt)

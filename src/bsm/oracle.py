@@ -68,12 +68,11 @@ balance and one witness, use the bounded walk and take no bound.
 When no man changes partner between μ_M and μ_W, the two are one
 matching and it is the only stable one: μ_M is man-optimal and μ_W
 man-pessimal, so every stable matching gives each man a partner no
-better than μ_M's and no worse than μ_W's (Gusfield & Irving 1989).  Its
-balance is max(O_M, O_W), its women's cost being O_W.
-``enumerate_stable`` and the decisions answer that case from μ_M and
-never walk a chain; it is 929 of the 1,000 instances of the benchmark's
-seeded corpus.  Every instance with a rotation takes the chain and
-closed-set walks above, which the tests check the shortcut against.
+better than μ_M's and no worse than μ_W's (Gusfield & Irving 1989).
+``enumerate_stable`` answers that case from μ_M, with balance
+max(O_M, O_W), and never walks a chain; it is 929 of the 1,000 instances
+of the benchmark's seeded corpus.  The decisions walk the chain, empty
+then, on every instance.
 """
 
 from __future__ import annotations
@@ -118,16 +117,15 @@ class OracleDecision(NamedTuple):
 class _Chain(NamedTuple):
     """One maximal chain of rotations from μ_M to μ_W, with what the closed-set walk needs.
 
-    ``mu_m`` and ``mu_w`` are the two ends as each man's woman index (-1
-    when single); never edit them.  ``costs`` is the (men's, women's) cost
-    of μ_M, so ``costs[0]`` is O_M; ``o_w`` is the women's cost of μ_W.
+    ``mu_m`` is μ_M as each man's woman index (-1 when single); never edit
+    it.  ``costs`` is the (men's, women's) cost of μ_M, so ``costs[0]`` is
+    O_M; ``o_w`` is the women's cost of μ_W, the chain's other end.
     Per rotation, in chain order: ``moves`` lists (man, from, to),
     ``preds`` is a bitmask of its direct predecessors and ``deltas`` the
     (men's, women's) cost change.
     """
 
     mu_m: list[int]
-    mu_w: list[int]
     costs: tuple[int, int]
     o_w: int
     moves: list[list[tuple[int, int, int]]]
@@ -238,7 +236,7 @@ def _chain(inst: Instance) -> _Chain:
         preds.append(mask)
         deltas.append(_deltas(rotation, m_rank, w_rank))
     o_w = women_cost + sum(d_women for _, d_women in deltas)
-    return _Chain(mu_m.by_man, partner, (inst.o_m, women_cost), o_w, moves, preds, deltas)
+    return _Chain(mu_m.by_man, (inst.o_m, women_cost), o_w, moves, preds, deltas)
 
 
 def _ranked(deltas) -> list[int]:
@@ -480,7 +478,7 @@ def _split_least_balance(chain: _Chain, parts: list[int]) -> int:
     for mask in parts:
         part = [j for j in range(len(chain.preds)) if mask >> j & 1]
         preds = [sum(1 << k for k, i in enumerate(part) if chain.preds[j] >> i & 1) for j in part]
-        sub = _Chain([], [], (0, 0), 0, [()] * len(part), preds, [chain.deltas[j] for j in part])
+        sub = _Chain([], (0, 0), 0, [()] * len(part), preds, [chain.deltas[j] for j in part])
         fronts.append(_pareto((men, women) for _, men, women in _closed_sets(sub)))
     men, women = chain.costs
     return min(max(men + rise, women + change) for rise, change in _merge_fronts(fronts))
@@ -536,16 +534,8 @@ def _decide(inst: Instance, k: int, above: str) -> OracleDecision:
     O_M is the men's cost of μ_M and O_W the women's cost of μ_W, the two
     ends of the chain (Gusfield & Irving 1989).  One bounded walk finds
     the least balance; when it is at most k, a second walk, cutting only
-    what cannot reach it, collects the tied matchings.  When no man moves,
-    μ_M = μ_W is the only stable matching: the least balance is
-    max(O_M, O_W) and the witness μ_M, with no walk.
+    what cannot reach it, collects the tied matchings.
     """
-    if not inst.sad_men:
-        o_m, o_w = inst.o_m, inst.o_w
-        t = k - (min(o_m, o_w) if above == "min" else max(o_m, o_w))
-        if max(o_m, o_w) > k:
-            return OracleDecision(False, t, None)
-        return OracleDecision(True, t, inst.matching_from_arrays(inst.mu_m.by_man))
     chain = _chain(inst)
     o_m, o_w = chain.costs[0], chain.o_w
     t = k - (min(o_m, o_w) if above == "min" else max(o_m, o_w))

@@ -371,8 +371,8 @@ def full_sweep_chain(inst: Instance) -> _Chain:
     Every man's table is copied up front.  Each exposed-rotation search
     restarts from man 0 and walks each man whose walk is not yet known to
     end, and the last search, which finds nothing, sweeps every man.  It
-    reads μ_M alone and reaches μ_W by itself, so it is a reference for
-    the chain's end as well.
+    reads μ_M alone and reaches μ_W by itself, so its moves, replayed on
+    μ_M, are a reference for the chain's end as well.
 
     No size bound: it visits each rotation once, and there are at most as
     many rotations as acceptable pairs.  Raises ``RuntimeError`` if a
@@ -458,7 +458,7 @@ def full_sweep_chain(inst: Instance) -> _Chain:
         preds.append(mask)
         deltas.append(_deltas(rotation, m_rank, w_rank))
     o_w = women_cost + sum(d_women for _, d_women in deltas)
-    return _Chain(mu_m.by_man, partner, (inst.o_m, women_cost), o_w, moves, preds, deltas)
+    return _Chain(mu_m.by_man, (inst.o_m, women_cost), o_w, moves, preds, deltas)
 
 
 # --- the least balance by components, without the engine ----------------------

@@ -96,8 +96,8 @@ def test_witness_is_the_first_least_balance_matching():
 
 
 def test_one_matching_lattices_are_answered_as_the_chain_walk_answers():
-    # With no man moving, enumeration and the decisions answer from μ_M alone;
-    # the chain and closed-set walks, run here on the same instances, must agree.
+    # With no man moving, enumeration answers from μ_M alone and the decisions
+    # walk an empty chain; the helpers' full chain walks must agree with both.
     rng = random.Random(20240807)
     cases = [inst for inst in (random_instance(rng, max_side=7) for _ in range(1000)) if not inst.sad_men]
     assert len(cases) >= 800 and any(inst.o_w > inst.o_m for inst in cases)
@@ -238,6 +238,30 @@ def test_enumerate_runs_deferred_acceptance_once_per_optimum(monkeypatch):
 
     monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     assert len(enumerate_stable(inst, limit=8).matchings) > 1
+    assert sum(order is inst.m_rank for order in proposers) == 1
+    assert sum(order is inst.w_rank for order in proposers) == 1
+
+
+@pytest.mark.parametrize("make, moving", [
+    (lambda: mutual_first_instance(4, full=True), False),  # one matching
+    (lambda: random_instance(random.Random(3), 8, 8, 1.0), True),
+], ids=["one-matching", "rotations"])
+@pytest.mark.parametrize("decide", [decide_above_min, decide_above_max])
+def test_decide_runs_deferred_acceptance_once_per_optimum(monkeypatch, make, moving, decide):
+    # A decision reads μ_M, μ_W and O_M from the instance, which runs
+    # deferred acceptance once per side, over every k asked.
+    inst = make()
+    real_da = instance._deferred_acceptance
+    proposers = []
+
+    def counted(order, *args, **kwargs):
+        proposers.append(order)
+        return real_da(order, *args, **kwargs)
+
+    monkeypatch.setattr(instance, "_deferred_acceptance", counted)
+    answers = [decide(inst, k).answer for k in range(-1, 80)]
+    assert False in answers and True in answers
+    assert bool(inst.sad_men) == moving
     assert sum(order is inst.m_rank for order in proposers) == 1
     assert sum(order is inst.w_rank for order in proposers) == 1
 
