@@ -45,6 +45,12 @@ within 2 of the least balance the rotation engine finds; they were added,
 with no other digest moving, before the solver listed its live subsets
 by a pruned walk over the sad men.
 
+Each decision also gets a ``decide-*`` digest: the answer, ``t`` and
+witness (sorted name pairs) of ``oracle.decide_above_min`` and
+``oracle.decide_above_max`` at the same instance and k.  They were added,
+with no other digest moving, before the oracle's tie walk moved onto the
+least-balance walk.
+
 Two more kinds of case hash the stable-matching enumerators:
 
 - ``stable-*``: the ordered matchings and ``bal_opt`` of
@@ -152,6 +158,14 @@ def stable_canonical(inst, limit: int) -> dict:
     }
 
 
+def decide_canonical(inst, k: int) -> dict:
+    """The answer, ``t`` and witness of both oracle decisions."""
+    return {
+        above: {"answer": d.answer, "t": d.t, "witness": _pairs(None if d.witness is None else d.witness.pairs)}
+        for above, d in (("min", oracle.decide_above_min(inst, k)), ("max", oracle.decide_above_max(inst, k)))
+    }
+
+
 def verify_canonical(graph, k: int) -> dict:
     """Every field of the ``verify_reduction`` report, and its verdict."""
     report = hardness.verify_reduction(graph, k)
@@ -233,7 +247,9 @@ def verify_cases():
 
 
 def record() -> dict[str, str]:
-    digests = {key: digest(inst, k) for key, inst, k in cases()}
+    decisions = list(cases())
+    digests = {key: digest(inst, k) for key, inst, k in decisions}
+    digests.update((f"decide-{key}", _hash(decide_canonical(inst, k))) for key, inst, k in decisions)
     digests.update(
         (key, _hash(stable_canonical(inst, limit))) for key, inst, limit in stable_cases()
     )

@@ -29,10 +29,14 @@ node; both fell on each, and no other field moved.  The 15 ``planted-*``
 decisions (three 200x200 instances with three planted cores, at every k
 within 2 of the least balance) were recorded, with no other digest
 moving, before the solver listed its live subsets by a pruned walk over
-the sad men in place of a family of 2^s bits.  Any change to an
-outcome, kernel, trace row, witness, solver answer or counter, to the
-ordered stable matchings or least balance of ``enumerate_stable``, or to
-a field of a ``verify_reduction`` report on those cases fails here.
+the sad men in place of a family of 2^s bits.  The 1,760 ``decide-*``
+digests (the answer, t and witness of ``oracle.decide_above_min`` and
+``decide_above_max`` at each decision's instance and k) were recorded,
+with no other digest moving, before the oracle's tie walk moved onto the
+least-balance walk.  Any change to an outcome, kernel, trace row,
+witness, solver answer or counter, to an oracle decision, to the ordered
+stable matchings or least balance of ``enumerate_stable``, or to a field
+of a ``verify_reduction`` report on those cases fails here.
 """
 
 import importlib.util
