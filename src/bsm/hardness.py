@@ -11,12 +11,11 @@ instance's μ_M and μ_W are the identity and the all-swapped assignments,
 then finds the least balance by ``oracle._least_balance`` and compares it
 with clique brute force.  The reduced poset is mostly one component, or
 one large one beside a few of one to seven rotations, so a verify mostly
-takes the branch and bound, which adds the rotations best women's drop
-per men's rise first and skips every part of the poset that cannot beat
-the best balance found.  When no component holds more than
-``oracle._SPLIT_LIMIT`` rotations and two hold more than one (about one
-full reduction in nine at 12 to 20 vertices and edges), it merges the
-components' cost fronts instead.  Every stable matching
+runs the oracle's closed-set walk under a bound that falls to each
+balance found; when no component holds more than ``oracle._SPLIT_LIMIT``
+rotations and two hold more than one (about one full reduction in nine
+at 12 to 20 vertices and edges), it merges the components' cost fronts
+instead.  Every stable matching
 has the shape the construction allows (a vertex subset chooses which
 vertex pairs swap partners, an edge subset chooses which edge pairs
 swap), but the engine does not rely on it.

@@ -5,11 +5,14 @@ rotation poset (Irving & Leather 1986; Gusfield & Irving 1989, *The
 Stable Marriage Problem: Structure and Algorithms*).  The engine has two
 parts.  The chain walk (``_chain``) follows one maximal chain of exposed
 rotations from the man-optimal to the woman-optimal matching and gives
-each rotation its direct predecessors.  The closed-set walk
-(``_closed_sets``) then lists the closed sets depth first, each once.  A
-rotation shifts the two side costs by fixed amounts, so every matching
-comes with its cost sums.  The walk adds rotations in one linear
-extension of the poset; any linear extension lists each closed set once.
+each rotation its direct predecessors.  One closed-set walk (``_walk``)
+then lists closed sets depth first, each at most once, with the two side
+costs, which each rotation shifts by fixed amounts; ``_partners`` reads a
+set's matching when one is wanted.  Its four users differ only in the
+bound they give it: none for ``enumerate_stable`` and for each
+component's front in ``_split_least_balance``, the best balance found so
+far for ``_walk_least_balance``, and the least balance plus one for the
+tie walk of ``_decide``.
 
 The chain walk follows next(m) = holder[s(m)] from the men not yet at
 their μ_W partner and stops when none is left, so its work follows the
@@ -21,30 +24,27 @@ A rotation moves each of its men to a worse partner and each of its
 women to a better one, so the men's cost rises strictly and the women's
 cost falls strictly along every added rotation; the chain walk checks
 this.  It lets the closed-set walk cut, by branch and bound, every
-subtree that cannot beat the best balance found so far.  Below a set,
-the walk may add only rotations later in the chain, and a set there has
-balance under ``below`` only if the men's rises it adds fit in the men's
-slack ``below - 1 - men`` while its women's drops reach
+subtree that cannot hold a set of balance under the bound ``below``.
+Below a set, the walk may add only rotations later in its order, and a
+set there has balance under ``below`` only if the men's rises it adds
+fit in the men's slack ``below - 1 - men`` while its women's drops reach
 ``women - below + 1``.  The bound is the linear-programming relaxation
 of that knapsack (Dantzig 1957): ignore precedence, allow fractions of a
 rotation, and fill the slack greedily by women's drop per unit of men's
 rise, which is the relaxation's optimum.  Every set in the subtree is a
 feasible 0/1 point of the relaxation, so when even its optimum falls
-short of the drop needed, no set there beats ``below``.  The bound holds
-in any linear extension, with "later" read in that order.
+short of the drop needed, no set there beats ``below``.
 
-The least-balance walk (``_walk_least_balance``) takes the order
-``_by_ratio`` gives: the linear extension that takes, among the rotations
+The walk adds rotations in the linear extension ``_by_ratio`` gives
+(any linear extension lists each closed set once): among the rotations
 whose predecessors are all in, the best women's drop per men's rise
-first.  As in knapsack branch and bound (Horowitz & Sahni 1974), the first dive then
-adds rotations in the bound's greedy order, as far as precedence allows,
-so a good balance is found early and cuts more of the rest.  That walk
-reads the two costs alone.  It reads the bound's two ends before
-``_may_beat``: a set whose men's cost is already at the best balance
-fails, and one whose women's cost is already under it passes.  After a
-failed test it skips every later rotation that rises no less, since in
-the same state each is either not ready or fails too
-(``_walk_least_balance`` gives the proof).
+first.  As in knapsack branch and bound (Horowitz & Sahni 1974), the
+first dive then follows the bound's greedy order as far as precedence
+allows, so under a falling bound a good balance is found early and cuts
+more of the rest.  The walk reads the bound's two ends before
+``_may_beat``, and after a failed test it skips every later rotation
+that rises no less, since in the same state each is either not ready or
+fails too (``_walk`` gives the proof).
 
 When the rotation poset falls apart, the least balance is read off its
 weakly connected components instead (``_split_least_balance``).
@@ -57,21 +57,18 @@ no other beats on both sides (``_merge_fronts``), and the least balance
 is the least max(O_M + rise, women's cost of μ_M + change) on the merged
 front.  The split lists every closed set of each component, so it is
 taken only when at least two components hold more than one rotation and
-none holds more than ``_SPLIT_LIMIT``: on reduction chains the walk won
-from a largest component of 12 rotations up, while planted cores gave
-components of at most 5.
+none holds more than ``_SPLIT_LIMIT``: on reduction chains the bounded
+walk won from a largest component of 12 rotations up, while planted
+cores gave components of at most 5.
 
-``enumerate_stable`` lists every matching, so it alone takes a size bound;
-the oracle decisions and ``hardness.verify_reduction`` need only the least
-balance and one witness, use the bounded walk and take no bound.
-
+``enumerate_stable`` lists every matching, so it alone takes a size bound.
 When no man changes partner between μ_M and μ_W, the two are one
 matching and it is the only stable one: μ_M is man-optimal and μ_W
 man-pessimal, so every stable matching gives each man a partner no
 better than μ_M's and no worse than μ_W's (Gusfield & Irving 1989).
 ``enumerate_stable`` answers that case from μ_M, with balance
-max(O_M, O_W), and never walks a chain; it is 929 of the 1,000 instances
-of the benchmark's seeded corpus.  The decisions walk the chain, empty
+max(O_M, O_W), and walks no chain; it is 929 of the 1,000 instances of
+the benchmark's seeded corpus.  The decisions walk the chain, empty
 then, on every instance.
 """
 
@@ -79,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from math import inf
 from typing import NamedTuple
 
 from .instance import Instance, Matching, cost
@@ -305,73 +303,20 @@ def _may_beat(later, men: int, women: int, below: int) -> bool:
     return need <= 0
 
 
-def _closed_sets(chain: _Chain, below: int | None = None):
-    """Yield ``(partner, men_cost, women_cost)`` for the stable matchings, μ_M first.
+def _walk(chain: _Chain, bound: list[int | float]):
+    """Yield ``(chosen, men, women)`` for μ_M and each closed set added with balance under ``bound[0]``.
 
-    Depth first: add rotation j only after the last one added and only
-    once all its predecessors are in.  Each closed set is reached once, by
-    adding its rotations in chain order; any linear extension of the
-    poset would do as well.  ``partner`` is edited in place after each
-    yield: copy it to keep it.
-
-    With ``below``, skip every subtree whose matchings all have balance at
-    least ``below``.  The subtree of a set whose last rotation is j holds
-    that set plus closed choices of the rotations after j.  ``_may_beat``
-    tests them all at once by the relaxation that ignores precedence and
-    allows fractions: every set in the subtree is one of its points, so
-    none beats ``below`` when the relaxation cannot.
-    """
-    moves, preds, deltas = chain.moves, chain.preds, chain.deltas
-    n = len(moves)
-    later = None if below is None else _later_by_ratio(deltas)
-    partner = list(chain.mu_m)
-    men_cost, women_cost = chain.costs
-    yield partner, men_cost, women_cost
-    chosen = 0
-    added: list[int] = []
-    j = 0
-    while True:
-        while j < n and preds[j] & ~chosen:
-            j += 1
-        if j < n:
-            d_men, d_women = deltas[j]
-            if below is not None and not _may_beat(later[j], men_cost + d_men, women_cost + d_women, below):
-                j += 1  # cut the subtree of the set with rotation j added
-                continue
-            for m, _, w_to in moves[j]:
-                partner[m] = w_to
-            chosen |= 1 << j
-            men_cost += d_men
-            women_cost += d_women
-            added.append(j)
-            yield partner, men_cost, women_cost
-            j += 1
-        elif added:
-            j = added.pop()
-            for m, w_from, _ in moves[j]:
-                partner[m] = w_from
-            chosen ^= 1 << j
-            men_cost -= deltas[j][0]
-            women_cost -= deltas[j][1]
-            j += 1
-        else:
-            return
-
-
-def _walk_least_balance(chain: _Chain) -> int:
-    """The least balance over the stable matchings, by branch and bound on the costs alone.
-
-    The walk of ``_closed_sets`` over the ``_by_ratio`` order, with the
-    bound at the best balance found so far, which starts at μ_M's and falls
-    at every set.  Walking the best drop per rise first makes the first
-    dive follow the bound's greedy fill as far as precedence allows, as in
-    knapsack branch and bound (Horowitz & Sahni 1974), so good sets come
-    early and cut the rest.
-
-    The test of adding position p reads the bound's two ends first: with
-    the costs ``up``, ``down`` after p, ``up >= best`` fails at once and
-    ``down < best`` passes at once (``_may_beat``'s negative slack and its
-    first met need), so ``_may_beat`` runs only between them.
+    ``chosen`` is the set's mask of chain indices, ``men`` and ``women``
+    its side costs.  Depth first over the ``_by_ratio`` order, adding
+    position p only after the last one added and once all its
+    predecessors are in, each closed set is reached at most once, and
+    every one when nothing is cut.  Adding p is cut unless some set below
+    it may beat the bound ``best``: with the costs ``up``, ``down`` after
+    p, ``up >= best`` fails at once and ``down < best`` passes at once
+    (``_may_beat``'s negative slack and its first met need), so
+    ``_may_beat`` runs only between them.  ``best`` is read at the start
+    and right after each yield, so a caller may lower it between yields,
+    but not from infinity, which cuts nothing and builds no ``later``.
 
     After a failed test at p the walk goes on at ``skip[p]``, the first
     later position whose rotation rises less than p's.  Every position q
@@ -394,7 +339,8 @@ def _walk_least_balance(chain: _Chain) -> int:
     bit = [1 << j for j in order]
     preds = [chain.preds[j] for j in order]
     deltas = [chain.deltas[j] for j in order]
-    later = _later_by_ratio(deltas)
+    best = bound[0]
+    later = _later_by_ratio(deltas) if best < inf else None
     skip = [n] * n  # per position, the first later one that rises less
     rising: list[int] = []
     for q, (rise, _) in enumerate(deltas):
@@ -402,8 +348,9 @@ def _walk_least_balance(chain: _Chain) -> int:
             skip[rising.pop()] = q
         rising.append(q)
     men, women = chain.costs
-    best = men if men > women else women
     chosen = 0
+    yield chosen, men, women
+    best = bound[0]
     added: list[int] = []
     p = 0
     while True:
@@ -417,7 +364,8 @@ def _walk_least_balance(chain: _Chain) -> int:
                 men, women = up, down
                 added.append(p)
                 if down < best:
-                    best = up if up > down else down
+                    yield chosen, men, women
+                    best = bound[0]
                 p += 1
             else:
                 p = skip[p]
@@ -428,7 +376,25 @@ def _walk_least_balance(chain: _Chain) -> int:
             women -= deltas[p][1]
             p += 1
         else:
-            return best
+            return
+
+
+def _partners(chain: _Chain, chosen: int) -> list[int]:
+    """The matching of a closed set, as each man's woman index: its rotations applied to μ_M in chain order."""
+    partner = list(chain.mu_m)
+    for j, rotation in enumerate(chain.moves):
+        if chosen >> j & 1:
+            for m, _, w_to in rotation:
+                partner[m] = w_to
+    return partner
+
+
+def _walk_least_balance(chain: _Chain) -> int:
+    """The least balance over the stable matchings: ``_walk`` with the bound at each balance it yields."""
+    bound = [max(chain.costs)]
+    for _, men, women in _walk(chain, bound):
+        bound[0] = max(men, women)
+    return bound[0]
 
 
 def _components(preds: list[int]) -> list[int]:
@@ -471,15 +437,16 @@ def _merge_fronts(fronts) -> list[tuple[int, int]]:
 def _split_least_balance(chain: _Chain, parts: list[int]) -> int:
     """The least balance, from each component's front of (men's rise, women's change) merged by min-plus.
 
-    Each component's front comes from ``_closed_sets`` on the component
-    alone, re-indexed in chain order, with no moves and costs from zero.
+    Each component's front comes from the unbounded ``_walk`` of the
+    component alone, re-indexed in chain order, with no moves and costs
+    from zero.
     """
     fronts = []
     for mask in parts:
         part = [j for j in range(len(chain.preds)) if mask >> j & 1]
         preds = [sum(1 << k for k, i in enumerate(part) if chain.preds[j] >> i & 1) for j in part]
         sub = _Chain([], (0, 0), 0, [()] * len(part), preds, [chain.deltas[j] for j in part])
-        fronts.append(_pareto((men, women) for _, men, women in _closed_sets(sub)))
+        fronts.append(_pareto((men, women) for _, men, women in _walk(sub, [inf])))
     men, women = chain.costs
     return min(max(men + rise, women + change) for rise, change in _merge_fronts(fronts))
 
@@ -493,8 +460,7 @@ def _least_balance(chain: _Chain) -> int:
     because rotations in different components have no order between them:
     the closed sets are the unions of one closed set per component, and
     both side costs add up.  Otherwise walk the whole poset by branch and
-    bound (``_walk_least_balance``), which reads the bound's two ends
-    before ``_may_beat`` and skips the rotations a failed test proves fail.
+    bound (``_walk_least_balance``).
     """
     parts = _components(chain.preds)
     sizes = sorted(part.bit_count() for part in parts)
@@ -514,6 +480,8 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
 
     When no man moves, μ_M = μ_W is the only stable matching (Gusfield &
     Irving 1989), returned with balance max(O_M, O_W) and no chain walk.
+    Otherwise the unbounded ``_walk`` lists every closed set once and
+    ``_partners`` reads its matching.
     """
     n = len(inst.sad_men)
     if n > limit:
@@ -521,7 +489,7 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_MAX_MEN) -> StableSet:
     if not n:
         return StableSet((inst.matching_from_arrays(inst.mu_m.by_man),), max(inst.o_m, inst.o_w))
     chain = _chain(inst)
-    rows = sorted((tuple(partner), men, women) for partner, men, women in _closed_sets(chain))
+    rows = sorted((tuple(_partners(chain, chosen)), men, women) for chosen, men, women in _walk(chain, [inf]))
     return StableSet(
         tuple(inst.matching_from_arrays(partner) for partner, _, _ in rows),
         min(max(men_cost, women_cost) for _, men_cost, women_cost in rows),
@@ -532,9 +500,10 @@ def _decide(inst: Instance, k: int, above: str) -> OracleDecision:
     """The witness is the first matching in ``enumerate_stable`` order with the least balance.
 
     O_M is the men's cost of μ_M and O_W the women's cost of μ_W, the two
-    ends of the chain (Gusfield & Irving 1989).  One bounded walk finds
-    the least balance; when it is at most k, a second walk, cutting only
-    what cannot reach it, collects the tied matchings.
+    ends of the chain (Gusfield & Irving 1989).  ``_least_balance`` finds
+    the least balance b; when it is at most k, ``_walk`` under the fixed
+    bound b + 1 yields μ_M and exactly the closed sets of balance b, and
+    the least of their partner tuples is the witness.
     """
     chain = _chain(inst)
     o_m, o_w = chain.costs[0], chain.o_w
@@ -542,7 +511,8 @@ def _decide(inst: Instance, k: int, above: str) -> OracleDecision:
     bal_opt = _least_balance(chain)
     if bal_opt > k:
         return OracleDecision(False, t, None)
-    tied = (tuple(p) for p, men, women in _closed_sets(chain, bal_opt + 1) if max(men, women) == bal_opt)
+    walk = _walk(chain, [bal_opt + 1])
+    tied = (tuple(_partners(chain, chosen)) for chosen, men, women in walk if max(men, women) == bal_opt)
     return OracleDecision(True, t, inst.matching_from_arrays(min(tied)))
 
 

@@ -260,13 +260,16 @@ def enumerate_certificates(inst: Instance, m_prime, r: int) -> list[BranchCertif
 
 
 def chain_order_walk(chain, below: int | None, tighten: bool, may_beat):
-    """The closed-set walk of ``oracle._closed_sets``, cutting by ``may_beat``.
+    """Every closed set of the rotation poset, depth first in chain order, cutting by ``may_beat``.
 
-    Rotations are added in chain order.  Adding rotation j is cut unless
-    ``may_beat(j, men's cost after it, women's cost after it, below)``.
-    With ``tighten``, ``below`` falls to each balance yielded.  Yields the
-    same ``(partner, men_cost, women_cost)`` rows, with ``partner`` edited
-    in place.
+    The slow reference for ``oracle._walk``, which walks the ratio-first
+    order.  Rotations are added in chain order, after the last one added
+    and once all their predecessors are in, so each closed set is reached
+    once.  With ``below`` None nothing is cut; otherwise adding rotation j
+    is cut unless ``may_beat(j, men's cost after it, women's cost after
+    it, below)``.  With ``tighten``, ``below`` falls to each balance
+    yielded.  Yields ``(partner, men_cost, women_cost)`` for μ_M and each
+    set added, with ``partner`` edited in place: copy it to keep it.
     """
     moves, preds, deltas = chain.moves, chain.preds, chain.deltas
     partner = list(chain.mu_m)
@@ -320,7 +323,7 @@ def tightened_walk(chain):
 
 
 def suffix_bound_walk(chain, below: int | None = None, tighten: bool = False):
-    """The closed-set walk of ``oracle._closed_sets`` under the looser suffix bound.
+    """The chain-order walk of ``chain_order_walk`` under the looser suffix bound.
 
     Adding rotation j is cut when max(men's cost after it, women's cost
     after it plus every later rotation's women's delta) is at least
@@ -339,7 +342,8 @@ def chain_rows(chain: _Chain) -> list[tuple[tuple[int, ...], int, int]]:
     """Every stable matching as (partner tuple, men's cost, women's cost), in
     ``oracle.enumerate_stable`` order, by the closed-set walk of any chain,
     with or without a rotation."""
-    return sorted((tuple(partner), men, women) for partner, men, women in oracle._closed_sets(chain))
+    walk = chain_order_walk(chain, None, False, None)
+    return sorted((tuple(partner), men, women) for partner, men, women in walk)
 
 
 def chain_stable(inst: Instance) -> tuple[list[Matching], int]:

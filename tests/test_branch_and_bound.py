@@ -10,6 +10,7 @@ the full-sweep reference ``helpers.full_sweep_chain``.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 import pytest
 
@@ -22,27 +23,33 @@ from bsm.oracle import (
     TooLarge,
     _by_ratio,
     _chain,
-    _closed_sets,
     _components,
     _deltas,
     _decide,
     _later_by_ratio,
     _least_balance,
     _may_beat,
+    _partners,
     _split_least_balance,
+    _walk,
     _walk_least_balance,
     decide_above_min,
     enumerate_stable,
 )
 from helpers import (
-    SAD_2X2_TEXT, component_least_balance, crossed_planted_instance, full_sweep_chain, pool_entries, sad_2x2,
-    single_pair, suffix_bound_walk, tightened_walk, verify_cases,
+    SAD_2X2_TEXT, chain_order_walk, component_least_balance, crossed_planted_instance, full_sweep_chain, pool_entries,
+    sad_2x2, single_pair, suffix_bound_walk, tightened_walk, verify_cases,
 )
 
 
 def full_rows(chain):
     """Every stable matching as (partners, men's cost, women's cost), in ``enumerate_stable`` order."""
-    return sorted((tuple(p), men, women) for p, men, women in _closed_sets(chain))
+    return sorted((tuple(p), men, women) for p, men, women in chain_order_walk(chain, None, False, None))
+
+
+def full_balances(chain) -> list[int]:
+    """The balance of every stable matching, by the chain-order reference walk."""
+    return [max(men, women) for _, men, women in chain_order_walk(chain, None, False, None)]
 
 
 def bounded_nodes(chain) -> int:
@@ -95,7 +102,7 @@ def test_bounded_walk_gives_the_least_balance_on_every_recorded_reduction_graph(
     for key, graph, k in cases:
         inst = reduce_clique(graph, k).inst
         chain = _chain(inst)
-        full = [max(men, women) for _, men, women in _closed_sets(chain)]
+        full = full_balances(chain)
         assert _least_balance(chain) == min(full), key
         assert bounded_nodes(chain) <= len(full), key
 
@@ -165,6 +172,11 @@ def rows(walk):
     return [(tuple(p), men, women) for p, men, women in walk]
 
 
+def walk_rows(chain, bound):
+    """What ``_walk`` yields under ``bound``, as (partners, men's cost, women's cost)."""
+    return [(tuple(_partners(chain, chosen)), men, women) for chosen, men, women in _walk(chain, bound)]
+
+
 def is_subsequence(short, long) -> bool:
     rest = iter(long)
     return all(row in rest for row in short)
@@ -178,11 +190,11 @@ def thinned_nodes(chain) -> tuple[int, int]:
     assert is_subsequence(least, reference)
     bal_opt = min(max(row[1:]) for row in least)
     assert bal_opt == min(max(row[1:]) for row in reference)
-    tied, tied_reference = rows(_closed_sets(chain, bal_opt + 1)), rows(suffix_bound_walk(chain, bal_opt + 1))
-    assert is_subsequence(tied, tied_reference)
-    assert [row for row in tied if max(row[1:]) == bal_opt] == [
+    tied, tied_reference = walk_rows(chain, [bal_opt + 1]), rows(suffix_bound_walk(chain, bal_opt + 1))
+    assert set(tied) <= set(tied_reference)
+    assert {row for row in tied if max(row[1:]) == bal_opt} == {
         row for row in tied_reference if max(row[1:]) == bal_opt
-    ]
+    }
     return len(least) + len(tied), len(reference) + len(tied_reference)
 
 
@@ -199,10 +211,44 @@ def test_relaxation_bound_walk_keeps_a_subsequence_of_the_suffix_bound_walk():
 
 # --- the least-balance walk over the ratio-first order ------------------------
 
+def walk_differential_chains():
+    """1,000 corpus draws, the 32 pool instances, cyclic 6, 8 and 12, and planted n = 200 with 1 to 4 cores."""
+    rng = random.Random(20240807)
+    insts = [random_instance(rng, max_side=7) for _ in range(1000)]
+    insts += [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
+    insts += [cyclic_instance(n) for n in (6, 8, 12)]
+    insts += [planted_instance(random.Random(seed), 200, cores, 5) for seed in range(3) for cores in range(1, 5)]
+    return [_chain(inst) for inst in insts]
+
+
+def test_walk_lists_every_closed_set_the_tied_ones_at_a_fixed_bound_and_the_least_under_a_falling_one():
+    tied_total = 0
+    for chain in walk_differential_chains():
+        full = rows(chain_order_walk(chain, None, False, None))
+        # Unbounded: each closed set once, with its matching and costs.
+        masks = [chosen for chosen, _, _ in _walk(chain, [inf])]
+        assert len(set(masks)) == len(masks) == len(full)
+        assert all(not chain.preds[j] & ~chosen for chosen in masks for j in range(len(chain.preds)) if chosen >> j & 1)
+        assert sorted(walk_rows(chain, [inf])) == sorted(full)
+        # At the least balance b plus 1: μ_M first, then exactly the sets of balance b.
+        b = min(max(row[1:]) for row in full)
+        tied = walk_rows(chain, [b + 1])
+        assert tied[0] == full[0] and all(max(row[1:]) == b for row in tied[1:])
+        assert sorted(row for row in tied if max(row[1:]) == b) == sorted(row for row in full if max(row[1:]) == b)
+        tied_total += len(tied) - 1
+        # Lowered to each balance yielded: every yield beats the one before, down to b.
+        bound, seen = [max(chain.costs)], []
+        for _, men, women in _walk(chain, bound):
+            seen.append(max(men, women))
+            bound[0] = seen[-1]
+        assert all(before > after for before, after in zip(seen, seen[1:]))
+        assert seen[-1] == min(max(men, women) for _, men, women in tightened_walk(chain)) == b
+    assert tied_total > 100
+
 def test_least_balance_is_the_least_of_the_full_walk_and_of_the_chain_order_walk():
     for inst in chain_differential_instances():
         chain = _chain(inst)
-        want = min(max(men, women) for _, men, women in _closed_sets(chain))
+        want = min(full_balances(chain))
         assert _least_balance(chain) == want == min(max(men, women) for _, men, women in tightened_walk(chain))
         assert _walk_least_balance(chain) == split(chain) == want
 
@@ -276,7 +322,7 @@ def test_walk_and_split_give_the_least_balance_on_random_posets():
     rng = random.Random(11)
     for _ in range(3000):
         chain = random_poset_chain(rng)
-        want = min(max(men, women) for _, men, women in _closed_sets(chain))
+        want = min(full_balances(chain))
         assert _walk_least_balance(chain) == split(chain) == want, chain
 
 
@@ -335,7 +381,7 @@ def two_component_chain(largest: int) -> oracle._Chain:
 def test_split_is_taken_up_to_the_limit_on_the_largest_component(monkeypatch, largest, path):
     chain = two_component_chain(largest)
     assert sorted(part.bit_count() for part in _components(chain.preds)) == [2, largest]
-    want = min(max(men, women) for _, men, women in _closed_sets(chain))
+    want = min(full_balances(chain))
     taken = spied(monkeypatch)
     assert _least_balance(chain) == want
     assert taken == [path]
@@ -346,7 +392,7 @@ def test_walk_is_taken_unless_two_components_hold_more_than_one_rotation(monkeyp
     # One component; a path of two with a lone rotation beside it.
     for preds in ([0, 1, 0b10], [0, 1, 0]):
         chain = oracle._Chain([], (20, 30), 0, [()] * 3, preds, [(2, -3), (1, -1), (3, -5)])
-        assert _least_balance(chain) == min(max(men, women) for _, men, women in _closed_sets(chain))
+        assert _least_balance(chain) == min(full_balances(chain))
     assert taken == ["_walk_least_balance"] * 2
 
 

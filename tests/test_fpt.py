@@ -20,11 +20,12 @@ from bsm.instance import (
 )
 from bsm.kernel import OUTCOME_KERNEL, kernelize
 from bsm.oracle import (
-    DEFAULT_MAX_MEN, _chain, _closed_sets, _least_balance, decide_above_min, enumerate_stable,
+    DEFAULT_MAX_MEN, _chain, _least_balance, decide_above_min, enumerate_stable,
 )
 from helpers import (
     BranchCertificate,
     assemble,
+    chain_order_walk,
     component_least_balance,
     crossed_planted_instance,
     enumerate_certificates,
@@ -597,7 +598,7 @@ def test_the_cuts_keep_every_stable_matching_within_the_budget():
     for ctx, walk_up_to in engine_contexts():
         st = ctx.inst
         mu = st.mu_m.by_man
-        for partner, men_cost, _ in _closed_sets(_chain(st)):
+        for partner, men_cost, _ in chain_order_walk(_chain(st), None, False, None):
             if men_cost <= st.o_m + ctx.r:
                 moved = tuple(m for m, w in enumerate(partner) if w != mu[m])
                 assert set(moved) <= set(st.sad_men) and not cut(ctx, moved)

@@ -11,7 +11,6 @@ from bsm.instance import MAN, WOMAN, Matching, Person, make_instance
 from bsm.oracle import (
     TooLarge,
     _chain,
-    _closed_sets,
     _least_balance,
     decide_above_max,
     decide_above_min,
@@ -19,6 +18,7 @@ from bsm.oracle import (
 )
 from helpers import (
     chain_decision,
+    chain_order_walk,
     chain_stable,
     component_least_balance,
     empty_instance,
@@ -292,7 +292,7 @@ def test_engine_yields_each_stable_matching_once_with_its_costs():
         n = 3 + i % 6
         inst = random_instance(rng, n, n, 1.0)
         seen = set()
-        for partner, men_cost, women_cost in _closed_sets(_chain(inst)):
+        for partner, men_cost, women_cost in chain_order_walk(_chain(inst), None, False, None):
             mu = inst.matching_from_arrays(partner)
             assert mu not in seen
             seen.add(mu)
