@@ -1,8 +1,9 @@
-"""The bounded closed-set walk against the full walk of the rotation engine.
+"""The engine's closed-set walk against the chain-order walk of ``helpers.chain_order_walk``.
 
-The full walk lists every stable matching, and the reference answers are
-read off all its rows: O_M and O_W as the least side costs, and the
-witness as the first least-balance row in ``enumerate_stable`` order.
+The unbounded chain-order walk lists every stable matching, and the
+reference answers are read off all its rows: O_M and O_W as the least
+side costs, and the witness as the first least-balance row in
+``enumerate_stable`` order.
 The chain walk, which follows only the men who move, is checked against
 the full-sweep reference ``helpers.full_sweep_chain``.
 """
