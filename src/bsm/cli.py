@@ -34,13 +34,16 @@ EXIT_INTERNAL = 3
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for ``-``, without one leading byte order mark."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _read_instance(path: str) -> Instance:

@@ -35,16 +35,16 @@ rise, which is the relaxation's optimum.  Every set in the subtree is a
 feasible 0/1 point of the relaxation, so when even its optimum falls
 short of the drop needed, no set there beats ``below``.
 
-The walk adds rotations in the linear extension ``_by_ratio`` gives
-(any linear extension lists each closed set once): among the rotations
-whose predecessors are all in, the best women's drop per men's rise
-first.  As in knapsack branch and bound (Horowitz & Sahni 1974), the
-first dive then follows the bound's greedy order as far as precedence
-allows, so under a falling bound a good balance is found early and cuts
-more of the rest.  The walk reads the bound's two ends before
-``_may_beat``, and after a failed test it skips every later rotation
-that rises no less, since in the same state each is either not ready or
-fails too (``_walk`` gives the proof).
+One sort ranks the rotations by women's drop per men's rise; it orders
+the greedy fill, and ``_by_ratio`` takes from it the walk's linear
+extension (any one lists each closed set once): among the rotations
+whose predecessors are all in, the best ratio first.  As in knapsack
+branch and bound (Horowitz & Sahni 1974), the first dive then follows
+the greedy order as far as precedence allows, so under a falling bound a
+good balance is found early and cuts more of the rest.  The walk reads
+the bound's two ends before ``_may_beat``, and after a failed test it
+skips every later rotation that rises no less, since in the same state
+each is either not ready or fails too (``_walk`` gives the proof).
 
 When the rotation poset falls apart, the least balance is read off its
 weakly connected components instead (``_split_least_balance``).
@@ -237,58 +237,47 @@ def _chain(inst: Instance) -> _Chain:
     return _Chain(mu_m.by_man, (inst.o_m, women_cost), o_w, moves, preds, deltas)
 
 
-def _ranked(deltas) -> list[int]:
-    """The rotations, best women's drop per men's rise first, ties in index order.
+def _by_ratio(chain: _Chain) -> tuple[list[int], list[int]]:
+    """The walk's one ratio sort: a linear extension of the rotation poset, and the ranking it comes from.
 
-    Drops per rise are compared by cross-multiplication (every rise is
-    positive).
+    The ranking lists the rotations best women's drop per men's rise first,
+    ties by chain index, compared by cross-multiplication (every rise is
+    positive).  The extension lists next the first rotation in the ranking
+    that is not yet listed and whose predecessors all are.  Both hold chain
+    indices.  The scan is quadratic, yet on chains of about 100 rotations
+    with dense predecessor masks it measured no slower than Kahn's
+    algorithm over successor lists, and no slower on the reduction's chains.
     """
+    preds, deltas = chain.preds, chain.deltas
+
     def before(i, j):  # negative when i's drop per rise tops j's
         return deltas[i][1] * deltas[j][0] - deltas[j][1] * deltas[i][0]
 
-    return sorted(range(len(deltas)), key=cmp_to_key(before))
-
-
-def _later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
-    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first."""
-    ranked = [(i, (deltas[i][0], -deltas[i][1])) for i in _ranked(deltas)]
-    return [[pair for i, pair in ranked if i > j] for j in range(len(deltas))]
-
-
-def _by_ratio(chain: _Chain) -> list[int]:
-    """The rotations in a linear extension of their poset, the ready one with the best ratio first.
-
-    Among the rotations whose predecessors are all listed, list the one
-    with the best women's drop per men's rise next, ties by chain index:
-    the first ready one in ``_ranked`` order among those not yet listed.
-    Entry p of the result is the chain index of the p-th rotation.  The
-    scan is quadratic, yet on chains of about 100 rotations with dense
-    predecessor masks it measured no slower than Kahn's algorithm over
-    successor lists, and no slower on the sparse chains of the reduction.
-    """
-    preds = chain.preds
-    ranked = _ranked(chain.deltas)
-    order = []
+    ranked = sorted(range(len(deltas)), key=cmp_to_key(before))
+    rest, order = list(ranked), []
     listed = 0
-    while ranked:
+    while rest:
         # Some rotation is ready: every predecessor comes earlier in the chain.
-        for p, i in enumerate(ranked):
+        for p, i in enumerate(rest):
             if not preds[i] & ~listed:
                 break
-        del ranked[p]
+        del rest[p]
         order.append(i)
         listed |= 1 << i
-    return order
+    return order, ranked
 
 
 def _may_beat(later, men: int, women: int, below: int) -> bool:
     """Whether adding some of ``later`` to a set of costs (men, women) may bring its balance under ``below``.
 
-    ``later`` is one list of ``_later_by_ratio``.  The men's rise must fit
-    in the slack ``below - 1 - men`` while the women's drop reaches
-    ``women - below + 1``; False means even the greedy fractional fill,
-    the relaxation's optimum, falls short.  The rotation taken in part is
-    compared by cross-multiplication.
+    ``later`` lists (men's rise, women's drop) pairs, best drop per rise
+    first, as ``_walk`` takes them from the ranking of ``_by_ratio``.  The
+    men's rise must fit in the slack ``below - 1 - men`` while the women's
+    drop reaches ``women - below + 1``; False means even the greedy
+    fractional fill, the relaxation's optimum, falls short.  The rotation
+    taken in part is compared by cross-multiplication.  The order of pairs
+    of equal drop per rise cannot change the answer: within such a group
+    the fill gains that ratio times the slack used, whatever the order.
     """
     slack, need = below - 1 - men, women - below + 1
     if slack < 0:
@@ -314,9 +303,11 @@ def _walk(chain: _Chain, bound: list[int | float]):
     it may beat the bound ``best``: with the costs ``up``, ``down`` after
     p, ``up >= best`` fails at once and ``down < best`` passes at once
     (``_may_beat``'s negative slack and its first met need), so
-    ``_may_beat`` runs only between them.  ``best`` is read at the start
-    and right after each yield, so a caller may lower it between yields,
-    but not from infinity, which cuts nothing and builds no ``later``.
+    ``_may_beat`` runs only between them, over ``later[p]``: the positions
+    after p in the ranking that ``_by_ratio`` returns with the order, so
+    the walk sorts once.  ``best`` is read at the start and right after
+    each yield, so a caller may lower it between yields, but not from
+    infinity, which cuts nothing and builds no ``later``.
 
     After a failed test at p the walk goes on at ``skip[p]``, the first
     later position whose rotation rises less than p's.  Every position q
@@ -333,14 +324,17 @@ def _walk(chain: _Chain, bound: list[int | float]):
     the clique reduction's chains every rotation seen rises by 6, so
     there a failed test skips every later position.
     """
-    order = _by_ratio(chain)
+    order, ranked = _by_ratio(chain)
     n = len(order)
     # Walk positions p in that order; ``chosen`` keeps chain indices, as ``preds`` do.
     bit = [1 << j for j in order]
     preds = [chain.preds[j] for j in order]
     deltas = [chain.deltas[j] for j in order]
     best = bound[0]
-    later = _later_by_ratio(deltas) if best < inf else None
+    if best < inf:  # per position, the (rise, drop) of each later one, best drop per rise first
+        at = {j: p for p, j in enumerate(order)}
+        pairs = [(at[j], (chain.deltas[j][0], -chain.deltas[j][1])) for j in ranked]
+        later = [[pair for q, pair in pairs if q > p] for p in range(n)]
     skip = [n] * n  # per position, the first later one that rises less
     rising: list[int] = []
     for q, (rise, _) in enumerate(deltas):

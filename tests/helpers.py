@@ -6,8 +6,10 @@ import importlib.util
 import json
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial
 from itertools import compress, count, product
+from math import inf
 from pathlib import Path
 
 from bsm import fpt, oracle
@@ -308,6 +310,56 @@ def chain_order_walk(chain, below: int | None, tighten: bool, may_beat):
             return
 
 
+def later_by_ratio(deltas) -> list[list[tuple[int, int]]]:
+    """Per rotation j, the (men's rise, women's drop) of each rotation after j, best drop per rise first.
+
+    Ties go by index.  Given the rotations in walk order, this is the
+    second sort of the two-sort construction (``two_sort_walk``): the
+    reference for the relaxation lists that ``oracle._walk`` reads off
+    the one ranking of ``oracle._by_ratio``.
+    """
+    ranked = sorted(range(len(deltas)), key=lambda i: (Fraction(deltas[i][1], deltas[i][0]), i))
+    return [[(deltas[i][0], -deltas[i][1]) for i in ranked if i > j] for j in range(len(deltas))]
+
+
+def two_sort_walk(chain, bound: list):
+    """What ``oracle._walk(chain, bound)`` yields, with its order and relaxation lists from two sorts.
+
+    The first sort is the walk order: next, of the rotations not yet
+    listed whose predecessors all are, the best women's drop per men's
+    rise, ties by chain index, by exact fractions.  The second is
+    ``later_by_ratio`` of the rotations in that order, ties by walk
+    position.  Depth first and recursive, with neither the engine's
+    pre-check of the bound's two ends nor its skip after a failed test,
+    and ``bound[0]`` read at every test, so a caller may lower it at a
+    yield.  Yields ``(chosen, men, women)`` for μ_M and each set added
+    with balance under ``bound[0]``; an infinite bound cuts nothing.
+    """
+    n = len(chain.deltas)
+    order: list[int] = []
+    listed = 0
+    while len(order) < n:
+        ready = (i for i in range(n) if not listed >> i & 1 and not chain.preds[i] & ~listed)
+        order.append(min(ready, key=lambda i: (Fraction(chain.deltas[i][1], chain.deltas[i][0]), i)))
+        listed |= 1 << order[-1]
+    later = later_by_ratio([chain.deltas[j] for j in order])
+
+    def descend(start: int, chosen: int, men: int, women: int):
+        for p in range(start, n):
+            j = order[p]
+            if chain.preds[j] & ~chosen:
+                continue
+            up, down = men + chain.deltas[j][0], women + chain.deltas[j][1]
+            if bound[0] < inf and not oracle._may_beat(later[p], up, down, bound[0]):
+                continue
+            if max(up, down) < bound[0]:
+                yield chosen | 1 << j, up, down
+            yield from descend(p + 1, chosen | 1 << j, up, down)
+
+    yield 0, *chain.costs
+    yield from descend(0, 0, *chain.costs)
+
+
 def tightened_walk(chain):
     """The least-balance walk in chain order, the reference for ``oracle._least_balance``.
 
@@ -315,7 +367,7 @@ def tightened_walk(chain):
     starting from μ_M's balance and tightening the bound to each balance
     yielded, so its least balance is the engine's.
     """
-    later = oracle._later_by_ratio(chain.deltas)
+    later = later_by_ratio(chain.deltas)
     return chain_order_walk(
         chain, max(chain.costs), tighten=True,
         may_beat=lambda j, men, women, below: oracle._may_beat(later[j], men, women, below),

@@ -10,7 +10,7 @@ the full-sweep reference ``helpers.full_sweep_chain``.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 from math import inf
 
 import pytest
@@ -22,12 +22,12 @@ from bsm.hardness import parse_graph, reduce_clique, verify_reduction
 from bsm.instance import Instance, Partners, serialize
 from bsm.oracle import (
     TooLarge,
+    _Chain,
     _by_ratio,
     _chain,
     _components,
     _deltas,
     _decide,
-    _later_by_ratio,
     _least_balance,
     _may_beat,
     _partners,
@@ -38,8 +38,8 @@ from bsm.oracle import (
     enumerate_stable,
 )
 from helpers import (
-    SAD_2X2_TEXT, chain_order_walk, component_least_balance, crossed_planted_instance, full_sweep_chain, pool_entries,
-    sad_2x2, single_pair, suffix_bound_walk, tightened_walk, verify_cases,
+    SAD_2X2_TEXT, chain_order_walk, component_least_balance, crossed_planted_instance, full_sweep_chain,
+    later_by_ratio, pool_entries, sad_2x2, single_pair, suffix_bound_walk, tightened_walk, two_sort_walk, verify_cases,
 )
 
 
@@ -135,7 +135,7 @@ def test_relaxation_bound_never_cuts_a_set_that_beats_below():
     assert len(chains) >= 40 and max(len(chain.deltas) for chain in chains) == 12
     cuts = cuts_beyond_suffix = 0
     for chain in chains:
-        later = _later_by_ratio(chain.deltas)
+        later = later_by_ratio(chain.deltas)
         for j in range(len(chain.deltas)):
             rest = chain.deltas[j + 1:]
             sums = {
@@ -164,8 +164,8 @@ def test_relaxation_bound_takes_the_last_rotation_in_part():
     assert not _may_beat([(2, 3)], 9, 12, 11)  # need 2
     assert not _may_beat([(2, 3)], 11, 5, 11)  # the men's cost is already at below
     # Best drop per rise first: 3/1 whole, then 1 of the 2 rise left buys 2 of 4.
-    later = _later_by_ratio([(5, -1), (2, -4), (1, -3)])[0]
-    assert later == [(1, 3), (2, 4)]
+    later = [(1, 3), (2, 4)]
+    assert later_by_ratio([(5, -1), (2, -4), (1, -3)])[0] == later
     assert _may_beat(later, 8, 15, 11) and not _may_beat(later, 8, 16, 11)
 
 
@@ -255,7 +255,7 @@ def test_least_balance_is_the_least_of_the_full_walk_and_of_the_chain_order_walk
 
 
 def test_ratio_order_is_a_linear_extension_taking_the_best_ready_ratio_first():
-    assert _by_ratio(_chain(single_pair())) == [] and _by_ratio(_chain(sad_2x2())) == [0]
+    assert _by_ratio(_chain(single_pair())) == ([], []) and _by_ratio(_chain(sad_2x2())) == ([0], [0])
     # Beyond the small chains: a full-list one whose masks hold mostly
     # transitive predecessors, and two longer chains of planted cores.
     dense = _chain(random_instance(random.Random(1), 200, 200, 1.0))
@@ -269,8 +269,8 @@ def test_ratio_order_is_a_linear_extension_taking_the_best_ready_ratio_first():
         def best_first(i):  # the women's change per men's rise, most negative first, then the index
             return Fraction(chain.deltas[i][1], chain.deltas[i][0]), i
 
-        order = _by_ratio(chain)
-        assert sorted(order) == list(range(n))
+        order, ranked = _by_ratio(chain)
+        assert sorted(order) == list(range(n)) and ranked == sorted(range(n), key=best_first)
         listed = 0
         for j in order:  # j's predecessors are in, and no ready rotation comes before it
             ready = [i for i in range(n) if not listed >> i & 1 and not chain.preds[i] & ~listed]
@@ -296,6 +296,67 @@ def test_ratio_order_calls_the_bound_less_often_than_chain_order_on_the_recorded
     for chain in chains:
         bounded_nodes(chain)
     assert 0 < got < calls[0]
+
+
+# --- the one ratio sort against the two-sort construction --------------------
+
+def falling_yields(chain, walk) -> list[tuple[int, int, int]]:
+    """What ``walk(chain, bound)`` yields with the bound lowered to each balance yielded, from μ_M's."""
+    bound, seen = [max(chain.costs)], []
+    for chosen, men, women in walk(chain, bound):
+        seen.append((chosen, men, women))
+        bound[0] = max(men, women)
+    return seen
+
+
+def tied_chain() -> _Chain:
+    """Four rotations without moves; two of drop per rise 2 come in walk order unlike chain order.
+
+    Rotation 2 waits for rotation 1, of ratio 1, so the walk takes 0, 3, 1, 2.
+    """
+    return _Chain([], (10, 20), 10, [()] * 4, [0, 0, 0b10, 0], [(1, -3), (1, -1), (2, -4), (1, -2)])
+
+
+def test_tied_rotations_out_of_chain_order_leave_the_walk_as_the_two_sort_walk():
+    chain = tied_chain()
+    order, ranked = _by_ratio(chain)
+    assert (order, ranked) == ([0, 3, 1, 2], [0, 2, 3, 1])
+    # After position 0 the one ranking lists rotation 2 before 3, the second sort 3 before 2.
+    one_sort = [(chain.deltas[j][0], -chain.deltas[j][1]) for j in ranked if order.index(j) > 0]
+    two_sort = later_by_ratio([chain.deltas[j] for j in order])[0]
+    assert one_sort == [(2, 4), (1, 2), (1, 1)] and two_sort == [(1, 2), (2, 4), (1, 1)]
+    for men, women, below in product(range(8, 18), range(8, 24), range(8, 22)):
+        assert _may_beat(one_sort, men, women, below) == _may_beat(two_sort, men, women, below)
+    for below in [inf, *range(8, 22)]:
+        assert list(_walk(chain, [below])) == list(two_sort_walk(chain, [below])), below
+    assert falling_yields(chain, _walk) == falling_yields(chain, two_sort_walk)
+
+
+def one_sort_chains() -> list[_Chain]:
+    """The corpus draws with a rotation, cyclic 6, 8 and 12, the pool, planted n = 200 and 1,000 with 1 to 12 cores,
+    and the recorded reduction chains."""
+    rng = random.Random(20240807)
+    draws = [random_instance(rng, max_side=7) for _ in range(1000)]
+    insts = [inst for inst in draws if inst.sad_men]
+    insts += [cyclic_instance(n) for n in (6, 8, 12)]
+    insts += [random_instance(random.Random(seed), n, n, 1.0) for n, seed, *_ in pool_entries()]
+    insts += [planted_instance(random.Random(0), n, cores, 5) for n in (200, 1000) for cores in range(1, 13)]
+    insts += [reduce_clique(graph, k).inst for _, graph, k in verify_cases()]
+    return [_chain(inst) for inst in insts]
+
+
+def test_walk_yields_what_the_two_sort_walk_yields_under_a_falling_bound_at_b_plus_1_and_unbounded():
+    chains = one_sort_chains()
+    assert len(chains) == 71 + 3 + 32 + 24 + 20
+    whole = 0  # chains whose unbounded walk ends within the 25,000 yields compared
+    for chain in chains:
+        assert falling_yields(chain, _walk) == falling_yields(chain, two_sort_walk)
+        tied = [_least_balance(chain) + 1]
+        assert list(_walk(chain, tied)) == list(two_sort_walk(chain, tied))
+        listed = list(islice(_walk(chain, [inf]), 25_000))
+        assert listed == list(islice(two_sort_walk(chain, [inf]), 25_000))
+        whole += len(listed) < 25_000
+    assert whole == len(chains) - 14  # all but planted 6 to 12 cores, with 43,200 closed sets and more
 
 
 # --- the split by the components of the rotation poset ----------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -356,6 +357,54 @@ def test_undecodable_input_is_a_usage_error(capsys, tmp_path):
     binary.write_bytes(b"men: m1\xff\n")
     assert main(["optima", str(binary)]) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
+def stdout_of(capsys, *argv) -> tuple[int, str]:
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_a_leading_byte_order_mark_is_skipped_in_every_input(capsys, tmp_path):
+    # It used to stay on the first name: an instance or JSON file failed with
+    # "missing 'men:' or 'women:' line", and a triangle read as four vertices.
+    inst = random_instance(random.Random(18), 8, 8)
+    texts = {
+        "inst.txt": serialize(inst),
+        "inst.json": serialize(inst, "json"),
+        "matching.txt": "m1 w1\nm2 w2\n",
+        "graph.txt": "a b\nb c\na c\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / f"bom-{name}").write_bytes(BOM + text.encode("utf-8"))
+    for argv in (
+        ["optima", "{}inst.txt"],
+        ["enumerate", "{}inst.txt"],
+        ["optima", "{}inst.json"],
+        ["enumerate", "{}inst.json"],
+        ["check", str(tmp_path / "inst.txt"), "{}matching.txt"],
+        ["verify", "--graph", "{}graph.txt", "--k", "3"],
+    ):
+        plain, bom = ([arg.format(prefix) for arg in argv] for prefix in (f"{tmp_path}/", f"{tmp_path}/bom-"))
+        want = stdout_of(capsys, *plain)
+        assert want[1] and stdout_of(capsys, *bom) == want, argv
+    assert json.loads(want[1])["clique"] == ["a", "b", "c"]
+
+
+def test_a_leading_byte_order_mark_is_skipped_on_stdin(capsys, monkeypatch, instance_file):
+    want = stdout_of(capsys, "optima", instance_file)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(BOM + SAD_2X2_TEXT.encode()), encoding="utf-8"))
+    assert want[1] and stdout_of(capsys, "optima", "-") == want
+
+
+def test_only_one_byte_order_mark_is_skipped(capsys, tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(BOM + BOM + SAD_2X2_TEXT.encode())
+    assert main(["optima", str(path)]) == 2
+    assert capsys.readouterr().err == "error: missing 'men:' or 'women:' line\n"
 
 
 @pytest.mark.parametrize("doc", [
