@@ -4,10 +4,16 @@ Given a graph and a clique size k, ``reduce_clique`` emits an instance in
 which some stable matching has balance at most the computed target exactly
 when the graph has a k-clique, and whose above-maximum parameter depends
 on k alone.  ``verify_reduction`` checks that equivalence on one graph.
-It walks the rotation chain of the reduced instance once, from its
+It builds only the reduction's core, the instance without its dummy pairs
+past the first max(2, |V|·|E|).  Each dropped dummy man ranks only his own
+dummy woman, and she ranks him first, so the pair is matched in every
+stable matching and never blocks, as with the kernel's happy-pair rule.
+Dropping it lowers the women's cost by 1 and the men's by 2, as the star
+man ranks every dummy woman before the star woman; the core's chain adds
+those costs back.  It walks the core's rotation chain once, from its
 man-optimal to its woman-optimal matching, reading only the lists of the
 2(|V| + |E|) vertex and edge men, who alone move.  It checks that the
-instance's μ_M and μ_W are the identity and the all-swapped assignments,
+core's μ_M and μ_W are the identity and the all-swapped assignments,
 then finds the least balance by ``oracle._least_balance`` and compares it
 with clique brute force.  The reduced poset is mostly one component, or
 one large one beside a few of one to seven rotations, so a verify mostly
@@ -39,7 +45,7 @@ from .instance import (
     Person,
     Roster,
 )
-from .oracle import TooLarge, _chain, _least_balance
+from .oracle import TooLarge, _Chain, _chain, _least_balance
 
 CLIQUE_VERTEX_LIMIT = 25
 
@@ -244,14 +250,18 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     delta, fallback = _plan(g, k)
     if fallback:
         return _fallback(g, k, delta, clique_bruteforce(g, k))
+    return _build(g, k, delta, delta)
 
+
+def _build(g: Graph, k: int, delta: int, kept: int) -> ReductionArtifact:
+    """``reduce_clique``'s reduction with only its first ``kept`` of ``delta`` dummy pairs; ``k_hat`` is the full one's."""
     n_v, n_e = len(g.vertices), len(g.edges)
     n_ve, vs = n_v * n_e, 2 * n_v  # vs: the vertex people of a side, and the first edge index
     base = vs + 2 * n_e
-    dummy = range(base, base + delta)
-    star = base + delta
-    men = Roster(MAN, star + 1, partial(_names, "m", n_v, n_e, delta))
-    women = Roster(WOMAN, star + 1, partial(_names, "w", n_v, n_e, delta))
+    dummy = range(base, base + kept)
+    star = base + kept
+    men = Roster(MAN, star + 1, partial(_names, "m", n_v, n_e, kept))
+    women = Roster(WOMAN, star + 1, partial(_names, "w", n_v, n_e, kept))
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(index[u], index[v]) for u, v in g.edges]
     incident = [set() for _ in range(n_v)]  # per vertex, its edges' indices
@@ -321,7 +331,7 @@ def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     w_rank.append({star: 1})
 
     t = 6 * (k + k * (k - 1) // 2)
-    k_hat = len(men) + delta + t
+    k_hat = base + 1 + 2 * delta + t  # the full instance's people per side, plus delta and t
     inst = Instance(men, women, m_rank, w_rank, k_hat)
     vars(inst)["contiguous"] = delta >= max(2, n_ve)
     return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
@@ -392,20 +402,41 @@ class ReductionReport:
         return self.agree and checks
 
 
+def _core(g: Graph, k: int, delta: int) -> tuple[ReductionArtifact, _Chain]:
+    """The reduction's core and its rotation chain, with the dropped dummy pairs' costs added (see ``verify_reduction``)."""
+    inert = max(0, delta - max(2, len(g.vertices) * len(g.edges)))
+    core = _build(g, k, delta, delta - inert)
+    chain = _chain(core.inst)
+    men, women = chain.costs
+    return core, chain._replace(costs=(men + 2 * inert, women + inert), o_w=chain.o_w + inert)
+
+
 def verify_reduction(g: Graph, k: int) -> ReductionReport:
-    """Cross-check the reduction against clique brute force on one graph."""
+    """Cross-check the reduction against clique brute force on one graph.
+
+    It reads the core: the reduction with only its first
+    min(delta, max(2, n_v·n_e)) dummy pairs.  Each later dummy man ranks
+    only his own dummy woman, who ranks him first, so the pair is matched
+    in every stable matching and never blocks.  Each such pair adds 1 to
+    each side's cost, and 1 more to the men's, as the star man ranks its
+    woman before the star woman.  The core's chain adds these back, +2 per dropped pair
+    on the men's side and +1 on the women's; ``k_hat`` is that of all delta.
+    """
     # Brute force first, to refuse a graph beyond its bound before building
     # the reduction; below k = 1, ``_plan`` refuses the input.  A fallback
     # reuses the clique rather than searching again.
     clique = clique_bruteforce(g, k) if k >= 1 else None
     delta, fallback = _plan(g, k)
-    art = _fallback(g, k, delta, clique) if fallback else reduce_clique(g, k)
     # Only the least balance and the two optima are needed.
     # ``random_graph(Random(1), 10, 10, plant_triangle=True)`` has 22,294
-    # stable matchings, each with 1,573 pairs; the bounded walk visits 125
-    # of them, as closed sets of rotations.
+    # stable matchings, each with 141 pairs in the core (1,573 in full);
+    # the bounded walk visits 125 of them, as closed sets of rotations.
     # A fallback instance carries k_hat = 0 as its target.
-    chain = _chain(art.inst)
+    if fallback:
+        art = _fallback(g, k, delta, clique)
+        chain = _chain(art.inst)
+    else:
+        art, chain = _core(g, k, delta)
     bal_opt = _least_balance(chain)
     found, answer = clique is not None, bal_opt <= art.k_hat
     t_expected = 6 * (k + k * (k - 1) // 2)

@@ -15,7 +15,16 @@ from pathlib import Path
 from bsm import fpt, oracle
 from bsm.fpt import _Context
 from bsm.generate import planted_instance
-from bsm.hardness import ReductionArtifact, _fallback, _names, _plan, clique_bruteforce
+from bsm.hardness import (
+    ReductionArtifact,
+    ReductionReport,
+    _fallback,
+    _names,
+    _plan,
+    _swap_partners,
+    clique_bruteforce,
+    reduce_clique,
+)
 from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
 from bsm.gs import optima
 from bsm.instance import (
@@ -35,7 +44,7 @@ from bsm.instance import (
     make_instance,
     parse_instance,
 )
-from bsm.oracle import _Chain, _deltas
+from bsm.oracle import _Chain, _chain, _deltas, _least_balance
 
 # The most digits int() reads from a string; 0 when there is no limit.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -911,6 +920,25 @@ def reference_reduce_clique(g, k: int) -> ReductionArtifact:
     k_hat = len(men) + delta + t
     inst = Instance(men, women, m_rank, w_rank, k_hat)
     return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
+
+
+def reference_verify_reduction(g, k: int) -> ReductionReport:
+    """``hardness.verify_reduction`` as it was before it read only the core: on every dummy pair of the full reduction."""
+    clique = clique_bruteforce(g, k) if k >= 1 else None
+    delta, fallback = _plan(g, k)
+    art = _fallback(g, k, delta, clique) if fallback else reduce_clique(g, k)
+    chain = _chain(art.inst)
+    bal_opt = _least_balance(chain)
+    found, answer = clique is not None, bal_opt <= art.k_hat
+    t_expected = 6 * (k + k * (k - 1) // 2)
+    shared = (clique, found, answer, found == answer, art.fallback, art.delta, art.k_hat, t_expected)
+    if art.fallback:
+        return ReductionReport(*shared, None, None, None)
+    optima_match = (
+        art.inst.mu_m.by_man == _swap_partners(art, (), ())
+        and art.inst.mu_w.by_man == _swap_partners(art, g.vertices, range(len(g.edges)))
+    )
+    return ReductionReport(*shared, art.k_hat - max(chain.costs[0], chain.o_w), optima_match, bal_opt)
 
 
 # --- the reference text writer -----------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -18,8 +19,8 @@ from bsm.hardness import (
     witness_matching,
 )
 from bsm.instance import _contiguous, parse_instance, serialize
-from bsm.oracle import TooLarge, decide_above_min, enumerate_stable
-from helpers import reference_reduce_clique, verify_cases
+from bsm.oracle import TooLarge, _chain, _least_balance, decide_above_min, enumerate_stable
+from helpers import reference_reduce_clique, reference_verify_reduction, verify_cases
 
 
 def planted_graph_7_5():
@@ -185,10 +186,13 @@ def test_reduce_clique_records_whether_its_tables_have_gaps():
 
 @pytest.mark.parametrize("graph, k", [case[:2] for case in PINNED_REDUCTIONS[-2:]])
 def test_a_verify_names_no_one(monkeypatch, graph, k):
-    built = []
-    monkeypatch.setattr(hardness, "reduce_clique", lambda g, k: built.append(reduce_clique(g, k)) or built[-1])
+    built, real = [], hardness._build
+    monkeypatch.setattr(hardness, "_build", lambda *args: built.append(real(*args)) or built[-1])
     assert verify_reduction(graph, k).ok
     (art,) = built
+    # Past the first n_v * n_e dummy pairs, a verify builds none.
+    n_v, n_e = len(graph.vertices), len(graph.edges)
+    assert art.delta > n_v * n_e and len(art.inst.m_rank) == len(art.inst.w_rank) == 2 * (n_v + n_e) + n_v * n_e + 1
     assert "people" not in vars(art.inst.men) and "people" not in vars(art.inst.women)
     # Named later, each side lists the people of the text in index order.
     named = parse_instance(serialize(art.inst))
@@ -350,10 +354,10 @@ def test_verify_reduction_runs_deferred_acceptance_once_per_optimum(monkeypatch)
     # The chain walk starts from mu_M and stops at mu_W: one run with the
     # men proposing and one with the women proposing.
     made = []
-    real_reduce, real_da = hardness.reduce_clique, instance._deferred_acceptance
+    real_build, real_da = hardness._build, instance._deferred_acceptance
 
-    def reducing(g, k):
-        made.append(real_reduce(g, k))
+    def building(*args):
+        made.append(real_build(*args))
         return made[-1]
 
     proposers = []
@@ -362,7 +366,7 @@ def test_verify_reduction_runs_deferred_acceptance_once_per_optimum(monkeypatch)
         proposers.append(order)
         return real_da(order, *args, **kwargs)
 
-    monkeypatch.setattr(hardness, "reduce_clique", reducing)
+    monkeypatch.setattr(hardness, "_build", building)
     monkeypatch.setattr(instance, "_deferred_acceptance", counted)
     report = verify_reduction(planted_graph_7_5(), 3)
     assert not report.fallback and report.ok
@@ -404,6 +408,53 @@ def test_verify_reduction_cases():
     assert fallback.fallback and fallback.agree and fallback.ok
 
 
+def core_cases():
+    """The recorded verify graphs, the pinned ones, three at the n_v * n_e bound and 600 seeded graphs at k = 1 to 4."""
+    cases = [(graph, k) for _, graph, k in verify_cases()] + [case[:2] for case in PINNED_REDUCTIONS]
+    cases += [
+        (Graph.build("abcdefgh", [("a", "b")]), 2),
+        (Graph.build("abcdefghijkl", [("a", "b"), ("c", "d"), ("e", "f")]), 3),
+        (Graph.build("abcdefghi", [("a", "b")]), 2),
+    ]
+    rng = random.Random(5601)
+    for i in range(600):
+        n_v = rng.randint(3, 9)
+        n_e = rng.randint(0, min(14, n_v * (n_v - 1) // 2))
+        graph = random_graph(rng, n_v, n_e, plant_triangle=True) if i % 2 else random_triangle_free_graph(rng, n_v, n_e)
+        cases.append((graph, rng.randint(1, 4)))
+    return cases
+
+
+def test_a_verify_on_the_core_reports_as_one_on_the_full_reduction():
+    # Fallbacks, gapped deltas (every dummy kept) and deltas past the core.
+    kinds = {"fallback": 0, "gapped": 0, "equal": 0, "trimmed": 0}
+    for graph, k in core_cases():
+        report = verify_reduction(graph, k)
+        assert asdict(report) == asdict(reference_verify_reduction(graph, k)), (graph, k)
+        bound = max(2, len(graph.vertices) * len(graph.edges))
+        kind = "fallback" if report.fallback else "gapped" if report.delta < bound else "equal" if report.delta == bound else "trimmed"
+        kinds[kind] += 1
+    assert kinds["fallback"] >= 100 and kinds["gapped"] >= 10 and kinds["equal"] >= 1 and kinds["trimmed"] >= 100, kinds
+
+
+def test_the_core_chain_with_its_offsets_is_the_full_chain():
+    trimmed = 0
+    for graph, k in core_cases():
+        art = reduce_clique(graph, k)
+        if art.fallback:
+            continue
+        core, chain = hardness._core(graph, k, art.delta)
+        full = _chain(art.inst)
+        assert (chain.costs, chain.o_w, chain.moves, chain.preds, chain.deltas) == (
+            full.costs, full.o_w, full.moves, full.preds, full.deltas
+        ), (graph, k)
+        size = len(core.inst.men) - 1  # everyone but the star keeps his index
+        assert chain.mu_m[:size] == full.mu_m[:size] and _least_balance(chain) == _least_balance(full), (graph, k)
+        assert (core.delta, core.k_hat, core.t) == (art.delta, art.k_hat, art.t)
+        trimmed += size < len(art.inst.men) - 1
+    assert trimmed >= 100
+
+
 def graph_26_40():
     """26 vertices on a ring, 40 edges: one past the brute-force bound of 25."""
     vertices = tuple(f"v{i}" for i in range(26))
@@ -414,10 +465,11 @@ def graph_26_40():
 
 def test_verify_reduction_refuses_a_graph_beyond_the_bound_before_building_it(monkeypatch):
     # At k=3 this graph's reduction has 79,017 people per side.
-    def refuse(g, k):
-        raise AssertionError("reduce_clique called")
+    def refuse(*args):
+        raise AssertionError("a reduction was built")
 
     monkeypatch.setattr(hardness, "reduce_clique", refuse)
+    monkeypatch.setattr(hardness, "_build", refuse)
     for k in (1, 3, 7):  # k=7 would be a fallback
         with pytest.raises(TooLarge, match=r"\A26 vertices exceeds the bound 25\Z"):
             verify_reduction(graph_26_40(), k)
