@@ -4,18 +4,20 @@ Given a graph and a clique size k, ``reduce_clique`` emits an instance in
 which some stable matching has balance at most the computed target exactly
 when the graph has a k-clique, and whose above-maximum parameter depends
 on k alone.  ``verify_reduction`` checks that equivalence on one graph.
-It builds only the reduction's core, the instance without its dummy pairs
-past the first max(2, |V|·|E|).  Each dropped dummy man ranks only his own
-dummy woman, and she ranks him first, so the pair is matched in every
-stable matching and never blocks, as with the kernel's happy-pair rule.
-Dropping it lowers the women's cost by 1 and the men's by 2, as the star
-man ranks every dummy woman before the star woman; the core's chain adds
-those costs back.  It walks the core's rotation chain once, from its
-man-optimal to its woman-optimal matching, reading only the lists of the
-2(|V| + |E|) vertex and edge men, who alone move.  It checks that the
-core's μ_M and μ_W are the identity and the all-swapped assignments,
-then finds the least balance by ``oracle._least_balance`` and compares it
-with clique brute force.  The reduced poset is mostly one component, or
+It builds only the reduction's skeleton: its vertex, edge and star people,
+without any dummy pair.  Each dummy pair is mutually first, so it is
+matched in every stable matching and never blocks, as with the kernel's
+happy-pair rule, and dropping it leaves every other rank value in place,
+as a gapped rank function.  Each pair adds 1 to each side's cost, and the
+star man ranks the star woman delta + 1 in full but 1 in the skeleton, so
+the skeleton's chain adds 2·delta on the men's side and delta on the
+women's.  No dummy moves, and a woman who gains no one adds no
+predecessor, so the rotations are the full reduction's.  A verify walks
+that chain once, from μ_M to μ_W, reading only the lists of the
+2(|V| + |E|) vertex and edge men, who alone move.  It checks that μ_M and
+μ_W are the identity and the all-swapped assignments, then finds the
+least balance by ``oracle._least_balance`` and compares it with a
+depth-first clique search.  The reduced poset is mostly one component, or
 one large one beside a few of one to seven rotations, so a verify mostly
 runs the oracle's closed-set walk under a bound that falls to each
 balance found; when no component holds more than ``oracle._SPLIT_LIMIT``
@@ -107,7 +109,7 @@ def parse_graph(text: str) -> Graph:
     and pins the vertex order: the declared vertices come first, in its
     order, then each undeclared endpoint by first appearance.
     """
-    declared: list[str] | None = None
+    declared: dict[str, None] | None = None
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,11 +118,11 @@ def parse_graph(text: str) -> Graph:
         if line.startswith("vertices:"):
             if declared is not None:
                 raise GraphError(f"line {lineno}: duplicate 'vertices:' line")
-            declared = []
+            declared = {}
             for v in line.partition(":")[2].split():
                 if v in declared:
                     raise GraphError(f"line {lineno}: duplicate vertex {v!r}")
-                declared.append(v)
+                declared[v] = None
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -180,19 +182,35 @@ def _delta(n_v: int, n_e: int, k: int) -> int:
 
 
 def clique_bruteforce(g: Graph, k: int) -> tuple[str, ...] | None:
-    """First k-clique in lexicographic vertex order, or None."""
+    """First k-clique in lexicographic vertex order, or None.
+
+    A depth-first search, despite the name: a partial clique grows by its
+    candidates, the later vertices adjacent to all of it, lowest first, and
+    a branch is cut once fewer candidates remain than it still needs.
+    """
     if len(g.vertices) > CLIQUE_VERTEX_LIMIT:
         raise TooLarge(f"{len(g.vertices)} vertices exceeds the bound {CLIQUE_VERTEX_LIMIT}")
     if k < 1 or k > len(g.vertices):
         return None
-    adjacent = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adjacent[u].add(v)
-        adjacent[v].add(u)
-    for group in combinations(g.vertices, k):
-        if all(b in adjacent[a] for a, b in combinations(group, 2)):
+    index = {v: i for i, v in enumerate(g.vertices)}
+    later = [0] * len(index)  # per vertex, a bit mask of its later neighbours
+    for u, v in g.edges:  # a graph lists the earlier vertex of each edge first
+        later[index[u]] |= 1 << index[v]
+
+    def grow(group: tuple[int, ...], candidates: int) -> tuple[int, ...] | None:
+        need = k - len(group)
+        if not need:
             return group
-    return None
+        while candidates.bit_count() >= need:
+            i = (candidates & -candidates).bit_length() - 1
+            candidates ^= 1 << i
+            found = grow((*group, i), candidates & later[i])
+            if found:
+                return found
+        return None
+
+    found = grow((), (1 << len(index)) - 1)
+    return None if found is None else tuple(g.vertices[i] for i in found)
 
 
 def _plan(g: Graph, k: int) -> tuple[int, bool]:
@@ -205,7 +223,7 @@ def _plan(g: Graph, k: int) -> tuple[int, bool]:
 
 
 def _fallback(g: Graph, k: int, delta: int, clique: tuple[str, ...] | None) -> ReductionArtifact:
-    """The trivial instance at target 0 that clique brute force settled: no one on a yes, one pair on a no."""
+    """The trivial instance at target 0 that the clique search settled: no one on a yes, one pair on a no."""
     if clique:
         return ReductionArtifact(Instance((), (), [], [], 0), 0, delta, 0, True, g, k)
     inst = Instance((Person(MAN, "m"),), (Person(WOMAN, "w"),), [{0: 1}], [{0: 1}], 0)
@@ -223,7 +241,7 @@ def _names(letter: str, n_v: int, n_e: int, delta: int) -> list[str]:
 
 def reduce_clique(g: Graph, k: int) -> ReductionArtifact:
     """Build the full reduction, or a trivial equivalent instance when the
-    graph is small enough to settle by brute force.
+    graph is small enough to settle by the clique search.
 
     The fallback fires when the dummy count would be negative or the graph
     has at most k + k(k-1)/2 vertices.  A full reduction's two sides are
@@ -269,8 +287,8 @@ def _build(g: Graph, k: int, delta: int, kept: int) -> ReductionArtifact:
         incident[a].add(j)
         incident[b].add(j)
 
-    # When delta is small, only the dummies that exist are referenced; the
-    # rank values of everyone else stay put, so the tables may have gaps.
+    # When few dummies are kept, only those are referenced; the rank values
+    # of everyone else stay put, so the tables may have gaps.
     # Vertex men: own partner, the two shared dummies, then the twin's partner.
     shared = dict(zip(dummy[:2], count(2)))
     m_rank = [{x: 1, **shared, (x + n_v) % vs: 4} for x in range(vs)]
@@ -287,11 +305,11 @@ def _build(g: Graph, k: int, delta: int, kept: int) -> ReductionArtifact:
     # past the largest miss the tail is empty.
     edge_women = dict(zip(range(vs, base), count(2)))
     missed = [n_e - len(edges) for edges in incident] * 2  # per vertex woman, in index order
+    low = dummy[:n_ve]
     tails = [
         dict(zip(compress(range(vs), map(i.__le__, missed)), count(2 * n_e + 2)))
-        for i in range(1, max(missed) + 1)
+        for i in range(1, min(max(missed), len(low)) + 1)
     ]
-    low = dummy[:n_ve]
     m_rank += [{d: 1, **edge_women, **tail} for d, tail in zip(low, tails)]
     m_rank += [{d: 1, **edge_women} for d in low[len(tails):]]
     m_rank += [{d: 1} for d in dummy[n_ve:]]
@@ -300,21 +318,19 @@ def _build(g: Graph, k: int, delta: int, kept: int) -> ReductionArtifact:
     m_rank.append(dict(zip(range(base, star + 1), count(1))))
 
     # Vertex women: the twin first, incident edge men at their edge's global
-    # slot, acceptable dummies on the unused slots, own man last.
-    w_rank = []
-    for x in range(vs):
-        s, i = divmod(x, n_v)
-        table = {(x + n_v) % vs: 1}
-        free = iter(dummy)
+    # slot, the kept dummies in index order on the unused slots, own man
+    # last.  The two tiers of a vertex fill the same slots.
+    w_rank = [{(x + n_v) % vs: 1} for x in range(vs)]
+    for i, edges in enumerate(incident):
+        tier1, tier2, used = w_rank[i], w_rank[n_v + i], 0
         for j in range(n_e):
-            if j in incident[i]:
-                table[vs + s * n_e + j] = j + 2
-            else:
-                d = next(free, None)
-                if d is not None:
-                    table[d] = j + 2
+            if j in edges:
+                tier1[vs + j] = tier2[vs + n_e + j] = j + 2
+            elif used < kept:
+                tier1[base + used] = tier2[base + used] = j + 2
+                used += 1
+    for x, table in enumerate(w_rank):
         table[x] = n_e + 2
-        w_rank.append(table)
 
     # Edge women: the twin first, every low-index dummy man, own man last.
     low_men = dict(zip(low, count(2)))
@@ -333,7 +349,7 @@ def _build(g: Graph, k: int, delta: int, kept: int) -> ReductionArtifact:
     t = 6 * (k + k * (k - 1) // 2)
     k_hat = base + 1 + 2 * delta + t  # the full instance's people per side, plus delta and t
     inst = Instance(men, women, m_rank, w_rank, k_hat)
-    vars(inst)["contiguous"] = delta >= max(2, n_ve)
+    vars(inst)["contiguous"] = kept >= max(2, n_ve)
     return ReductionArtifact(inst, k_hat, delta, t, False, g, k)
 
 
@@ -403,33 +419,30 @@ class ReductionReport:
 
 
 def _core(g: Graph, k: int, delta: int) -> tuple[ReductionArtifact, _Chain]:
-    """The reduction's core and its rotation chain, with the dropped dummy pairs' costs added (see ``verify_reduction``)."""
-    inert = max(0, delta - max(2, len(g.vertices) * len(g.edges)))
-    core = _build(g, k, delta, delta - inert)
+    """The reduction's skeleton, with no dummy pair, and its rotation chain with the pairs' costs added (see ``verify_reduction``)."""
+    core = _build(g, k, delta, 0)
     chain = _chain(core.inst)
     men, women = chain.costs
-    return core, chain._replace(costs=(men + 2 * inert, women + inert), o_w=chain.o_w + inert)
+    return core, chain._replace(costs=(men + 2 * delta, women + delta), o_w=chain.o_w + delta)
 
 
 def verify_reduction(g: Graph, k: int) -> ReductionReport:
-    """Cross-check the reduction against clique brute force on one graph.
+    """Cross-check the reduction against a clique search on one graph.
 
-    It reads the core: the reduction with only its first
-    min(delta, max(2, n_v·n_e)) dummy pairs.  Each later dummy man ranks
-    only his own dummy woman, who ranks him first, so the pair is matched
-    in every stable matching and never blocks.  Each such pair adds 1 to
-    each side's cost, and 1 more to the men's, as the star man ranks its
-    woman before the star woman.  The core's chain adds these back, +2 per dropped pair
-    on the men's side and +1 on the women's; ``k_hat`` is that of all delta.
+    It reads the skeleton, with none of the delta dummy pairs (see the
+    module docstring).  Its chain adds 2·delta to the men's cost, as each
+    pair adds 1 and the star man ranks the star woman delta + 1 in full
+    but 1 in the skeleton, and delta to the women's.  ``k_hat`` is the
+    full reduction's.
     """
-    # Brute force first, to refuse a graph beyond its bound before building
-    # the reduction; below k = 1, ``_plan`` refuses the input.  A fallback
-    # reuses the clique rather than searching again.
+    # The clique search first, to refuse a graph beyond its bound before
+    # building the reduction; below k = 1, ``_plan`` refuses the input.  A
+    # fallback reuses the clique rather than searching again.
     clique = clique_bruteforce(g, k) if k >= 1 else None
     delta, fallback = _plan(g, k)
     # Only the least balance and the two optima are needed.
     # ``random_graph(Random(1), 10, 10, plant_triangle=True)`` has 22,294
-    # stable matchings, each with 141 pairs in the core (1,573 in full);
+    # stable matchings, each with 41 pairs in the skeleton (1,573 in full);
     # the bounded walk visits 125 of them, as closed sets of rotations.
     # A fallback instance carries k_hat = 0 as its target.
     if fallback:

@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count, product
+from itertools import combinations, compress, count, product
 from math import inf
 from pathlib import Path
 
@@ -16,13 +16,13 @@ from bsm import fpt, oracle
 from bsm.fpt import _Context
 from bsm.generate import planted_instance
 from bsm.hardness import (
+    CLIQUE_VERTEX_LIMIT,
     ReductionArtifact,
     ReductionReport,
     _fallback,
     _names,
     _plan,
     _swap_partners,
-    clique_bruteforce,
     reduce_clique,
 )
 from bsm.kernel import _remove_happy, _shift, _shrink_units, _sides, _without_pairs
@@ -44,7 +44,7 @@ from bsm.instance import (
     make_instance,
     parse_instance,
 )
-from bsm.oracle import _Chain, _chain, _deltas, _least_balance
+from bsm.oracle import TooLarge, _Chain, _chain, _deltas, _least_balance
 
 # The most digits int() reads from a string; 0 when there is no limit.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -822,6 +822,24 @@ def reference_within(tables, cuts, other, other_cuts) -> list[dict[int, int]]:
     ]
 
 
+# --- the reference clique search ----------------------------------------------
+
+def reference_clique(g, k: int) -> tuple[str, ...] | None:
+    """``hardness.clique_bruteforce`` as it was first written: every k-subset in lexicographic vertex order."""
+    if len(g.vertices) > CLIQUE_VERTEX_LIMIT:
+        raise TooLarge(f"{len(g.vertices)} vertices exceeds the bound {CLIQUE_VERTEX_LIMIT}")
+    if k < 1 or k > len(g.vertices):
+        return None
+    adjacent = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    for group in combinations(g.vertices, k):
+        if all(b in adjacent[a] for a, b in combinations(group, 2)):
+            return group
+    return None
+
+
 # --- the reference clique reduction -------------------------------------------
 # ``hardness.reduce_clique`` builds each row group from blocks made once per
 # reduction.  This writes every row entry by entry, as it once did, through
@@ -832,7 +850,7 @@ def reference_reduce_clique(g, k: int) -> ReductionArtifact:
     """The reduction of ``hardness.reduce_clique``, each table written row by row."""
     delta, fallback = _plan(g, k)
     if fallback:
-        return _fallback(g, k, delta, clique_bruteforce(g, k))
+        return _fallback(g, k, delta, reference_clique(g, k))
 
     n_v, n_e = len(g.vertices), len(g.edges)
     V = g.vertices
@@ -924,7 +942,7 @@ def reference_reduce_clique(g, k: int) -> ReductionArtifact:
 
 def reference_verify_reduction(g, k: int) -> ReductionReport:
     """``hardness.verify_reduction`` as it was before it read only the core: on every dummy pair of the full reduction."""
-    clique = clique_bruteforce(g, k) if k >= 1 else None
+    clique = reference_clique(g, k) if k >= 1 else None
     delta, fallback = _plan(g, k)
     art = _fallback(g, k, delta, clique) if fallback else reduce_clique(g, k)
     chain = _chain(art.inst)

@@ -21,6 +21,7 @@ from helpers import (
     assert_kernel_bounds,
     enumerate_certificates,
     naive_certificates,
+    reference_clique,
     sad_people,
     sad_rich_instance,
 )
@@ -200,6 +201,7 @@ def test_criterion_7_reduction_equivalence():
         report = hardness.verify_reduction(g, 3)
         assert report.agree, g
         assert report.ok, g
+        assert report.clique == reference_clique(g, 3), g  # the verify's search against brute force
         agree += 1
         if report.clique and not report.fallback:
             art = hardness.reduce_clique(g, 3)

@@ -20,7 +20,7 @@ from bsm.hardness import (
 )
 from bsm.instance import _contiguous, parse_instance, serialize
 from bsm.oracle import TooLarge, _chain, _least_balance, decide_above_min, enumerate_stable
-from helpers import reference_reduce_clique, reference_verify_reduction, verify_cases
+from helpers import reference_clique, reference_reduce_clique, reference_verify_reduction, verify_cases
 
 
 def planted_graph_7_5():
@@ -62,6 +62,28 @@ def test_clique_bruteforce():
     assert clique_bruteforce(path, 3) is None
     assert clique_bruteforce(planted_graph_7_5(), 3) == ("v1", "v2", "v3")
     assert clique_bruteforce(path, 1) == ("a",)
+
+
+def test_clique_search_returns_the_reference_clique():
+    # Seeded graphs of 1 to 14 vertices at every density, then the recorded
+    # verify graphs and the pinned ones, each at every k from 1 to n_v + 1.
+    rng = random.Random(5701)
+    graphs = []
+    for _ in range(1000):
+        n_v, p = rng.randint(1, 14), rng.random()
+        vertices = [f"v{i}" for i in range(n_v)]
+        rng.shuffle(vertices)
+        pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:] if rng.random() < p]
+        graphs.append(Graph.build(vertices, pairs))
+    graphs += [graph for _, graph, _ in verify_cases()] + [case[0] for case in PINNED_REDUCTIONS]
+    sizes = set()
+    for graph in graphs:
+        for k in range(1, len(graph.vertices) + 2):
+            clique = clique_bruteforce(graph, k)
+            assert clique == reference_clique(graph, k), (graph, k)
+            if clique:
+                sizes.add(k)
+    assert len(graphs) >= 1000 and set(range(1, 15)) <= sizes
 
 
 def test_reduction_arithmetic_7_5_3():
@@ -190,9 +212,10 @@ def test_a_verify_names_no_one(monkeypatch, graph, k):
     monkeypatch.setattr(hardness, "_build", lambda *args: built.append(real(*args)) or built[-1])
     assert verify_reduction(graph, k).ok
     (art,) = built
-    # Past the first n_v * n_e dummy pairs, a verify builds none.
+    # A verify builds no dummy pair: only the vertex, edge and star people.
     n_v, n_e = len(graph.vertices), len(graph.edges)
-    assert art.delta > n_v * n_e and len(art.inst.m_rank) == len(art.inst.w_rank) == 2 * (n_v + n_e) + n_v * n_e + 1
+    assert art.delta > 0 and len(art.inst.m_rank) == len(art.inst.w_rank) == 2 * (n_v + n_e) + 1
+    assert vars(art.inst)["contiguous"] == (_contiguous(art.inst.m_rank) and _contiguous(art.inst.w_rank))
     assert "people" not in vars(art.inst.men) and "people" not in vars(art.inst.women)
     # Named later, each side lists the people of the text in index order.
     named = parse_instance(serialize(art.inst))
@@ -449,6 +472,7 @@ def test_the_core_chain_with_its_offsets_is_the_full_chain():
             full.costs, full.o_w, full.moves, full.preds, full.deltas
         ), (graph, k)
         size = len(core.inst.men) - 1  # everyone but the star keeps his index
+        assert size == 2 * (len(graph.vertices) + len(graph.edges)), (graph, k)  # no dummy pair
         assert chain.mu_m[:size] == full.mu_m[:size] and _least_balance(chain) == _least_balance(full), (graph, k)
         assert (core.delta, core.k_hat, core.t) == (art.delta, art.k_hat, art.t)
         trimmed += size < len(art.inst.men) - 1
@@ -473,6 +497,14 @@ def test_verify_reduction_refuses_a_graph_beyond_the_bound_before_building_it(mo
     for k in (1, 3, 7):  # k=7 would be a fallback
         with pytest.raises(TooLarge, match=r"\A26 vertices exceeds the bound 25\Z"):
             verify_reduction(graph_26_40(), k)
+
+
+def test_a_repeated_vertex_on_a_long_vertices_line_is_named():
+    names = [f"v{i}" for i in range(20_000)]
+    text = "a b\nvertices: " + " ".join(names + ["v12345"]) + "\n"
+    with pytest.raises(GraphError) as raised:
+        parse_graph(text)
+    assert str(raised.value) == "line 2: duplicate vertex 'v12345'"
 
 
 @pytest.mark.parametrize("call, error, message", [
