@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the instance here plus a .meta.json sidecar")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("verify", help="cross-check the reduction against clique brute force")
+    p = sub.add_parser("verify", help="cross-check the reduction against a depth-first clique search")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_verify)

@@ -47,9 +47,7 @@ from .instance import (
     Person,
     Roster,
 )
-from .oracle import TooLarge, _Chain, _chain, _least_balance
-
-CLIQUE_VERTEX_LIMIT = 25
+from .oracle import _Chain, _chain, _least_balance
 
 
 class GraphError(ValueError):
@@ -186,31 +184,31 @@ def clique_bruteforce(g: Graph, k: int) -> tuple[str, ...] | None:
 
     A depth-first search, despite the name: a partial clique grows by its
     candidates, the later vertices adjacent to all of it, lowest first, and
-    a branch is cut once fewer candidates remain than it still needs.
+    a branch is cut once fewer candidates remain than it still needs.  The
+    search keeps its own stack, so a clique of any size needs no recursion.
     """
-    if len(g.vertices) > CLIQUE_VERTEX_LIMIT:
-        raise TooLarge(f"{len(g.vertices)} vertices exceeds the bound {CLIQUE_VERTEX_LIMIT}")
     if k < 1 or k > len(g.vertices):
         return None
     index = {v: i for i, v in enumerate(g.vertices)}
     later = [0] * len(index)  # per vertex, a bit mask of its later neighbours
     for u, v in g.edges:  # a graph lists the earlier vertex of each edge first
         later[index[u]] |= 1 << index[v]
-
-    def grow(group: tuple[int, ...], candidates: int) -> tuple[int, ...] | None:
-        need = k - len(group)
-        if not need:
-            return group
-        while candidates.bit_count() >= need:
+    group: list[int] = []
+    untried: list[int] = []  # per member of the group, the candidates left beside it
+    candidates = (1 << len(index)) - 1
+    while len(group) < k:
+        if candidates.bit_count() >= k - len(group):
             i = (candidates & -candidates).bit_length() - 1
             candidates ^= 1 << i
-            found = grow((*group, i), candidates & later[i])
-            if found:
-                return found
-        return None
-
-    found = grow((), (1 << len(index)) - 1)
-    return None if found is None else tuple(g.vertices[i] for i in found)
+            group.append(i)
+            untried.append(candidates)
+            candidates &= later[i]
+        elif group:
+            group.pop()
+            candidates = untried.pop()
+        else:
+            return None
+    return tuple(g.vertices[i] for i in group)
 
 
 def _plan(g: Graph, k: int) -> tuple[int, bool]:
@@ -435,11 +433,8 @@ def verify_reduction(g: Graph, k: int) -> ReductionReport:
     but 1 in the skeleton, and delta to the women's.  ``k_hat`` is the
     full reduction's.
     """
-    # The clique search first, to refuse a graph beyond its bound before
-    # building the reduction; below k = 1, ``_plan`` refuses the input.  A
-    # fallback reuses the clique rather than searching again.
-    clique = clique_bruteforce(g, k) if k >= 1 else None
     delta, fallback = _plan(g, k)
+    clique = clique_bruteforce(g, k)  # a fallback reuses it rather than searching again
     # Only the least balance and the two optima are needed.
     # ``random_graph(Random(1), 10, 10, plant_triangle=True)`` has 22,294
     # stable matchings, each with 41 pairs in the skeleton (1,573 in full);

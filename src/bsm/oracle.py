@@ -5,14 +5,15 @@ rotation poset (Irving & Leather 1986; Gusfield & Irving 1989, *The
 Stable Marriage Problem: Structure and Algorithms*).  The engine has two
 parts.  The chain walk (``_chain``) follows one maximal chain of exposed
 rotations from the man-optimal to the woman-optimal matching and gives
-each rotation its direct predecessors.  One closed-set walk (``_walk``)
-then lists closed sets depth first, each at most once, with the two side
-costs, which each rotation shifts by fixed amounts; ``_partners`` reads a
-set's matching when one is wanted.  Its four users differ only in the
-bound they give it: none for ``enumerate_stable`` and for each
-component's front in ``_split_least_balance``, the best balance found so
-far for ``_walk_least_balance``, and the least balance plus one for the
-tie walk of ``_decide``.
+each rotation the type-1 and type-2 predecessors it meets, transitive
+ones included.  One closed-set walk (``_walk``) then lists closed sets
+depth first, each at most once, with the two side costs, which each
+rotation shifts by fixed amounts; ``_partners`` reads a set's matching
+when one is wanted.  Its four users differ only in the bound they give
+it: none for ``enumerate_stable`` and for each component's front in
+``_split_least_balance``, the best balance found so far for
+``_walk_least_balance``, and the least balance plus one for the tie walk
+of ``_decide``.
 
 The chain walk follows next(m) = holder[s(m)] from the men not yet at
 their μ_W partner and stops when none is left, so its work follows the
@@ -89,13 +90,7 @@ _SPLIT_LIMIT = 11
 
 
 class TooLarge(ValueError):
-    """The input is beyond the size bound of an exhaustive check.
-
-    For ``enumerate_stable``, the one bounded call of the engine, the bound
-    is on the men whose partner differs between μ_M and μ_W.  For
-    ``hardness.clique_bruteforce`` it is on the graph's vertices
-    (``CLIQUE_VERTEX_LIMIT``, 25).
-    """
+    """More men change partner between μ_M and μ_W than ``enumerate_stable``'s bound."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,9 @@ class _Chain(NamedTuple):
     it.  ``costs`` is the (men's, women's) cost of μ_M, so ``costs[0]`` is
     O_M; ``o_w`` is the women's cost of μ_W, the chain's other end.
     Per rotation, in chain order: ``moves`` lists (man, from, to),
-    ``preds`` is a bitmask of its direct predecessors and ``deltas`` the
-    (men's, women's) cost change.
+    ``preds`` is a bitmask of the type-1 and type-2 predecessors the walk
+    meets, transitive ones included, and ``deltas`` the (men's, women's)
+    cost change.
     """
 
     mu_m: list[int]

@@ -16,7 +16,6 @@ from bsm import fpt, oracle
 from bsm.fpt import _Context
 from bsm.generate import planted_instance
 from bsm.hardness import (
-    CLIQUE_VERTEX_LIMIT,
     ReductionArtifact,
     ReductionReport,
     _fallback,
@@ -44,7 +43,7 @@ from bsm.instance import (
     make_instance,
     parse_instance,
 )
-from bsm.oracle import TooLarge, _Chain, _chain, _deltas, _least_balance
+from bsm.oracle import _Chain, _chain, _deltas, _least_balance
 
 # The most digits int() reads from a string; 0 when there is no limit.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -826,8 +825,6 @@ def reference_within(tables, cuts, other, other_cuts) -> list[dict[int, int]]:
 
 def reference_clique(g, k: int) -> tuple[str, ...] | None:
     """``hardness.clique_bruteforce`` as it was first written: every k-subset in lexicographic vertex order."""
-    if len(g.vertices) > CLIQUE_VERTEX_LIMIT:
-        raise TooLarge(f"{len(g.vertices)} vertices exceeds the bound {CLIQUE_VERTEX_LIMIT}")
     if k < 1 or k > len(g.vertices):
         return None
     adjacent = {v: set() for v in g.vertices}

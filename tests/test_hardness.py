@@ -19,7 +19,7 @@ from bsm.hardness import (
     witness_matching,
 )
 from bsm.instance import _contiguous, parse_instance, serialize
-from bsm.oracle import TooLarge, _chain, _least_balance, decide_above_min, enumerate_stable
+from bsm.oracle import _chain, _least_balance, decide_above_min, enumerate_stable
 from helpers import reference_clique, reference_reduce_clique, reference_verify_reduction, verify_cases
 
 
@@ -66,7 +66,8 @@ def test_clique_bruteforce():
 
 def test_clique_search_returns_the_reference_clique():
     # Seeded graphs of 1 to 14 vertices at every density, then the recorded
-    # verify graphs and the pinned ones, each at every k from 1 to n_v + 1.
+    # verify graphs and the pinned ones, each at every k from 1 to n_v + 1;
+    # then graphs of 26 to 60 vertices at k = 3, and a few at k = 4.
     rng = random.Random(5701)
     graphs = []
     for _ in range(1000):
@@ -76,14 +77,23 @@ def test_clique_search_returns_the_reference_clique():
         pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:] if rng.random() < p]
         graphs.append(Graph.build(vertices, pairs))
     graphs += [graph for _, graph, _ in verify_cases()] + [case[0] for case in PINNED_REDUCTIONS]
+    cases = [(graph, range(1, len(graph.vertices) + 2)) for graph in graphs]
+    for n_v in range(26, 61, 2):
+        n_e = rng.randint(n_v, 3 * n_v)
+        cases.append((random_graph(rng, n_v, n_e, plant_triangle=n_v % 4 == 0), (3,)))
+        cases.append((random_triangle_free_graph(rng, n_v, n_e), (3,)))
+    cases += [(random_graph(rng, n_v, n_e), (3, 4)) for n_v, n_e in ((26, 130), (30, 150), (34, 200), (40, 240))]
     sizes = set()
-    for graph in graphs:
-        for k in range(1, len(graph.vertices) + 2):
+    large = {False: 0, True: 0}  # graphs past 25 vertices without and with a triangle
+    for graph, ks in cases:
+        for k in ks:
             clique = clique_bruteforce(graph, k)
             assert clique == reference_clique(graph, k), (graph, k)
             if clique:
                 sizes.add(k)
-    assert len(graphs) >= 1000 and set(range(1, 15)) <= sizes
+            if k == 3 and len(graph.vertices) > 25:
+                large[clique is not None] += 1
+    assert len(graphs) >= 1000 and set(range(1, 15)) <= sizes and min(large.values()) >= 10
 
 
 def test_reduction_arithmetic_7_5_3():
@@ -480,23 +490,38 @@ def test_the_core_chain_with_its_offsets_is_the_full_chain():
 
 
 def graph_26_40():
-    """26 vertices on a ring, 40 edges: one past the brute-force bound of 25."""
+    """26 vertices on a ring and 14 chords (i, i + 2): 40 edges, whose triangles are (i, i + 1, i + 2)."""
     vertices = tuple(f"v{i}" for i in range(26))
     edges = [(vertices[i], vertices[(i + 1) % 26]) for i in range(26)]
     edges += [(vertices[i], vertices[i + 2]) for i in range(14)]
     return Graph.build(vertices, edges)
 
 
-def test_verify_reduction_refuses_a_graph_beyond_the_bound_before_building_it(monkeypatch):
-    # At k=3 this graph's reduction has 79,017 people per side.
-    def refuse(*args):
-        raise AssertionError("a reduction was built")
+@pytest.mark.parametrize("k, clique", [(1, ("v0",)), (3, ("v0", "v1", "v2")), (7, None)])
+def test_verify_reduction_answers_past_25_vertices(k, clique):
+    # At k=3 this graph's reduction has 79,017 people per side, its skeleton 133; k=7 is a fallback.
+    graph = graph_26_40()
+    report = verify_reduction(graph, k)
+    assert report.ok and report.fallback == (k == 7), report
+    assert report.clique == reference_clique(graph, k) == clique, report
 
-    monkeypatch.setattr(hardness, "reduce_clique", refuse)
-    monkeypatch.setattr(hardness, "_build", refuse)
-    for k in (1, 3, 7):  # k=7 would be a fallback
-        with pytest.raises(TooLarge, match=r"\A26 vertices exceeds the bound 25\Z"):
-            verify_reduction(graph_26_40(), k)
+
+def test_reduce_clique_falls_back_past_25_vertices_to_the_no_instance_its_clique_implies():
+    # 26 vertices are at most 7 + 21, so k = 7 falls back, and the graph has no 7-clique.
+    graph = graph_26_40()
+    art = reduce_clique(graph, 7)
+    assert reference_clique(graph, 7) is None
+    assert art.fallback and (art.k_hat, art.t, art.delta) == (0, -1, 40948)
+    assert [p.name for p in art.inst.men] == ["m"] and [p.name for p in art.inst.women] == ["w"]
+    assert art.inst.m_rank == art.inst.w_rank == [{0: 1}]
+
+
+def test_clique_search_and_verify_need_no_recursion_as_deep_as_k():
+    vertices = [f"v{i}" for i in range(1100)]
+    graph = Graph.build(vertices, [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]])
+    assert clique_bruteforce(graph, 1100) == graph.vertices
+    report = verify_reduction(graph, 1100)
+    assert report.ok and report.fallback and report.clique == graph.vertices
 
 
 def test_a_repeated_vertex_on_a_long_vertices_line_is_named():
@@ -520,12 +545,6 @@ def test_a_repeated_vertex_on_a_long_vertices_line_is_named():
                  NotAClique, "unknown vertex 'zz'", id="witness-unknown-vertex"),
     pytest.param(lambda: witness_matching(reduce_clique(Graph.build("abc", [("a", "b")]), 3), ("a", "b", "c")),
                  ValueError, "fallback artifacts carry no structured matchings", id="witness-fallback"),
-    pytest.param(lambda: clique_bruteforce(graph_26_40(), 3), TooLarge,
-                 "26 vertices exceeds the bound 25", id="clique-bound"),
-    pytest.param(lambda: reduce_clique(graph_26_40(), 7), TooLarge,
-                 "26 vertices exceeds the bound 25", id="reduce-fallback-bound"),
-    pytest.param(lambda: verify_reduction(graph_26_40(), 3), TooLarge,
-                 "26 vertices exceeds the bound 25", id="verify-bound"),
     pytest.param(lambda: verify_reduction(graph_26_40(), 0), GraphError,
                  "k must be at least 1", id="verify-k-below-1"),
 ])
